@@ -210,7 +210,13 @@ _RANGE_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)=(\d+)\.\.(\d+)$")
     multiple=True,
     help="override a range parameter, e.g. n=3..30 (repeatable)",
 )
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option(
+    "--seed",
+    type=int,
+    default=0,
+    show_default=True,
+    help="recorded only: echoed in the report config; no check draws from it",
+)
 @click.option("--no-timing", is_flag=True)
 def verify(
     suite: str, only_text: str | None, range_texts: tuple[str, ...], seed: int, no_timing: bool

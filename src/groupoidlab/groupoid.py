@@ -139,6 +139,8 @@ class Groupoid:
         self._table: list[list[int]] | None = (
             [list(row) for row in table] if table is not None else None
         )
+        # values other layers derive from the table, which never mutates
+        self._memo: dict = {}
         if spec is not None:
             self._space = element_space(spec.carrier, spec.shape, cap=space_cap)
         else:

@@ -5,6 +5,21 @@ Subsets are handled as bitmasks over the groupoid's canonical element order
 then ascending mask value, so every reported witness is the first one under
 that fixed order and reruns are reproducible.
 
+The power-set sweeps are numpy arrays indexed by mask: ``need[m]`` is the
+bitmask (``uint32`` up to order 32, else ``uint64``) of every product the
+subset ``m`` must contain, filled in blocks by highest set bit with
+OR-over-subsets transforms, and ``m`` is closed (or absorbing) iff
+``need[m] & ~m == 0``. Their cost, ``n*2^n``, is checked against the identity
+budget (``GGL_BUDGET``) before anything is allocated. The generated-closure
+route closes boolean membership vectors semi-naively, and normality compares
+membership matrices (row ``r`` marks the set of values in row ``r``).
+
+Tables never mutate, so what this module derives from a table is kept in
+that groupoid's memo (``Groupoid._memo``, freed with it): the table as an
+array, the sorted closed masks, the sorted left and right absorbing masks and
+the generated closures. ``analyze`` therefore sweeps the power set for
+closure once, not once per question.
+
 Conventions (documented once here, used consistently):
 
 * subgroupoid: nonempty proper closed subset (singletons allowed);
@@ -29,14 +44,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .carrier import CarrierError
 from .groupoid import BudgetExceeded, Groupoid
-from .identities import CheckMode, IdentityId, IdentityVerdict, TEMPLATES, check_identity, eval_tree
+from .identities import (
+    BUDGET_ENV_VAR,
+    CheckMode,
+    IdentityId,
+    IdentityVerdict,
+    TEMPLATES,
+    check_identity,
+    default_budget,
+    eval_tree,
+)
 from .shape import Element, TooLarge, element_is_pure_indeterminate, element_has_indeterminate
 
 DEFAULT_MAX_ORDER = 20
 DEFAULT_CLOSURE_MAX_ORDER = 4096
 _NORMALITY_ORDER_CAP = 1024
+_NORMAL_CHUNK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True, order=True)
@@ -96,62 +123,126 @@ def subset_handle(g: Groupoid, subset: Iterable) -> SubsetHandle:
 # -- bitmask machinery --------------------------------------------------------
 
 
-def _closed_flags(table: Sequence[Sequence[int]], n: int) -> list[bool]:
-    """closed[m] for every mask, via an incremental product-set recurrence."""
-    size = 1 << n
-    need = [0] * size
-    closed = [False] * size
-    for m in range(1, size):
-        low = m & -m
-        v = low.bit_length() - 1
-        rest = m ^ low
-        acc = need[rest] | (1 << table[v][v])
-        w_m = rest
-        while w_m:
-            wl = w_m & -w_m
-            w = wl.bit_length() - 1
-            acc |= (1 << table[v][w]) | (1 << table[w][v])
-            w_m ^= wl
-        need[m] = acc
-        closed[m] = (acc & ~m) == 0
-    return closed
+_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 
-def _absorb_flags(table: Sequence[Sequence[int]], n: int, side: str) -> list[bool]:
+
+def _memo(g: Groupoid, key: str, compute: Callable[[], object]):
+    """Per-groupoid cache: tables never mutate, so each value is computed once."""
+    if key not in g._memo:
+        g._memo[key] = compute()
+    return g._memo[key]
+
+
+def _array(g: Groupoid) -> np.ndarray:
+    return _memo(g, "table", lambda: np.asarray(g.index_table(), dtype=np.intp))
+
+
+def _powerset_order(g: Groupoid, max_order: int, what: str) -> int:
+    """The order, once both the order cap and the n*2^n work estimate fit."""
+    n = _order_or_raise(g, max_order, what)
+    budget = default_budget()
+    work = n << n
+    if work > budget:
+        raise BudgetExceeded(
+            f"{what}: power-set work cap exceeded: estimate {n}*2^{n} = {work}, "
+            f"budget is {budget} (set {BUDGET_ENV_VAR} to raise it)"
+        )
+    return n
+
+
+def _bits(tab: np.ndarray) -> np.ndarray:
+    """1 << tab, as uint32 up to order 32 and uint64 above."""
+    dtype = np.uint32 if len(tab) <= 32 else np.uint64
+    return np.left_shift(dtype(1), tab.astype(dtype))
+
+
+def _uncovered_free(need: np.ndarray) -> np.ndarray:
+    """flags[m]: the product mask need[m] has no bit outside m."""
+    return (need & ~np.arange(len(need), dtype=need.dtype)) == 0
+
+
+def _closed_flags(tab: np.ndarray) -> np.ndarray:
+    """closed[m] for every mask, built in blocks by highest set bit k:
+    need[2^k + r] = need[r] | bit(T[k][k]) | cross_k[r], where cross_k is the
+    OR-over-subsets of bit(T[k][w]) | bit(T[w][k]) for w < k."""
+    n = len(tab)
+    bit = _bits(tab)
+    need = np.zeros(1 << n, dtype=bit.dtype)
+    cross = np.zeros(1 << max(n - 1, 0), dtype=bit.dtype)
+    for k in range(n):
+        c = bit[k, :k] | bit[:k, k]
+        for w in range(k):
+            np.bitwise_or(cross[: 1 << w], c[w], out=cross[1 << w : 2 << w])
+        block = need[1 << k : 2 << k]
+        np.bitwise_or(need[: 1 << k], bit[k, k], out=block)
+        block |= cross[: 1 << k]
+    return _uncovered_free(need)
+
+
+def _absorb_flags(tab: np.ndarray, side: str) -> np.ndarray:
     """absorb[m]: every product of a subset member with any element stays inside.
 
     side "left": subset member on the left (P*G); "right": member on the right.
+    need is the OR-over-subsets of the members' row (or column) masks.
     """
-    size = 1 << n
-    member_mask = [0] * n
+    n = len(tab)
+    bit = _bits(tab if side == "left" else tab.T)
+    member = np.bitwise_or.reduce(bit, axis=1)
+    need = np.zeros(1 << n, dtype=bit.dtype)
     for v in range(n):
-        acc = 0
-        for x in range(n):
-            acc |= 1 << (table[v][x] if side == "left" else table[x][v])
-        member_mask[v] = acc
-    need = [0] * size
-    flags = [False] * size
-    for m in range(1, size):
-        low = m & -m
-        v = low.bit_length() - 1
-        need[m] = need[m ^ low] | member_mask[v]
-        flags[m] = (need[m] & ~m) == 0
-    return flags
+        np.bitwise_or(need[: 1 << v], member[v], out=need[1 << v : 2 << v])
+    return _uncovered_free(need)
 
 
-def _iter_masks_by_size(n: int, sizes: Iterable[int]) -> Iterator[int]:
-    """All masks of each requested popcount, ascending mask value."""
-    import itertools
+def _proper_masks_sorted(flags: np.ndarray) -> np.ndarray:
+    """Nonempty proper masks whose flag is set, by (popcount, mask)."""
+    masks = np.flatnonzero(flags[1:-1]) + 1
+    count = np.zeros(len(masks), dtype=np.int64)
+    rest = masks.copy()
+    while rest.any():
+        count += _POPCOUNT8[rest & 0xFF]
+        rest >>= 8
+    return masks[np.argsort(count, kind="stable")]
 
-    for k in sizes:
-        for combo in itertools.combinations(range(n), k):
-            m = 0
-            for i in combo:
-                m |= 1 << i
-            yield m
+
+def _closed_masks(g: Groupoid) -> np.ndarray:
+    return _memo(g, "closed", lambda: _proper_masks_sorted(_closed_flags(_array(g))))
 
 
-def _masks_sorted(masks: Iterable[int]) -> list[int]:
-    return sorted(masks, key=lambda m: (bin(m).count("1"), m))
+def _absorb_masks(g: Groupoid, side: str) -> np.ndarray:
+    return _memo(g, side, lambda: _proper_masks_sorted(_absorb_flags(_array(g), side)))
+
+
+def _close(tab: np.ndarray, member: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+    """Close a membership vector in place, semi-naively: every product of two
+    members outside the frontier must already be a member."""
+    n = len(member)
+    size = int(member.sum())
+    while frontier.size and size < n:
+        s = np.flatnonzero(member)
+        prods = np.concatenate((tab[np.ix_(s, frontier)].ravel(), tab[np.ix_(frontier, s)].ravel()))
+        frontier = np.unique(prods[~member[prods]])
+        member[frontier] = True
+        size += frontier.size
+    return member
+
+
+def _generated_closures(tab: np.ndarray) -> list[tuple[int, ...]]:
+    """Proper closures of every 1- and 2-element generating set, by (size, indices).
+
+    Singletons are closed first. A pair {i, j} with j in cl(i) closes to cl(i)
+    (likewise the other way round); any other pair closes cl(i) | cl(j)."""
+    n = len(tab)
+    single = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        single[i, i] = True
+        _close(tab, single[i], np.array([i]))
+    found = {tuple(np.flatnonzero(row).tolist()) for row in single if not row.all()}
+    for i, j in np.argwhere(np.triu(~single & ~single.T, 1)).tolist():
+        member = _close(tab, single[i] | single[j], np.flatnonzero(single[j] & ~single[i]))
+        if not member.all():
+            found.add(tuple(np.flatnonzero(member).tolist()))
+    return sorted(found, key=lambda t: (len(t), t))
 
 
 def _subset_semigroup(table: Sequence[Sequence[int]], idx: Sequence[int]) -> bool:
@@ -186,14 +277,41 @@ def _subset_identity_holds(
     return True
 
 
-def _subset_normal(table: Sequence[Sequence[int]], idx: Sequence[int]) -> bool:
-    """aV = Va as sets, with a ranging over the whole carrier (see module doc)."""
-    for a in range(len(table)):
-        left = {table[a][v] for v in idx}
-        right = {table[v][a] for v in idx}
-        if left != right:
-            return False
-    return True
+def _row_sets(vals: np.ndarray, n: int) -> np.ndarray:
+    """Membership matrix: out[r, c] is True iff c occurs in row r of vals."""
+    out = np.zeros((len(vals), n), dtype=bool)
+    out[np.arange(len(vals))[:, None], vals] = True
+    return out
+
+
+def _normal_flags(tab: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """normal[r]: aV = Va as sets for every a in the carrier (see module doc),
+    where V is row r of a boolean membership matrix."""
+    k, n = members.shape
+    r, v = np.nonzero(members)
+    a = np.arange(n)
+    left = np.zeros((k, n, n), dtype=bool)  # left[r, a] marks a*V
+    right = np.zeros((k, n, n), dtype=bool)  # right[r, a] marks V*a
+    left[r[:, None], a, tab[:, v].T] = True
+    right[r[:, None], a, tab[v, :]] = True
+    return (left == right).all(axis=(1, 2))
+
+
+def _normal_rows(tab: np.ndarray, members: np.ndarray) -> Iterator[int]:
+    """The rows of a membership matrix that are normal, ascending; checked in
+    chunks of about _NORMAL_CHUNK_CELLS translate-set cells."""
+    n = len(tab)
+    step = max(1, _NORMAL_CHUNK_CELLS // (n * n))
+    for lo in range(0, len(members), step):
+        yield from (lo + np.flatnonzero(_normal_flags(tab, members[lo : lo + step]))).tolist()
+
+
+def _normal_subsets(g: Groupoid, handles: Sequence[SubsetHandle]) -> Iterator[SubsetHandle]:
+    tab = _array(g)
+    members = np.zeros((len(handles), len(tab)), dtype=bool)
+    for r, h in enumerate(handles):
+        members[r, list(h.indices)] = True
+    return (handles[r] for r in _normal_rows(tab, members))
 
 
 def identity_holds_on_subset(g: Groupoid, subset: Iterable, identity: IdentityId) -> bool:
@@ -247,7 +365,7 @@ def classify_subset(g: Groupoid, subset: Iterable, *, max_order: int = _NORMALIT
     left = proper and all(table[a][x] in s for a in idx for x in range(order))
     right = proper and all(table[x][a] in s for a in idx for x in range(order))
     semigroup = closed and _subset_semigroup(table, idx)
-    normal = closed and proper and _subset_normal(table, idx)
+    normal = closed and proper and any(_normal_subsets(g, [handle]))
 
     pure = False
     pseudo = False
@@ -314,43 +432,16 @@ def enumerate_subgroupoids(
             )
 
     if strategy == "power-set":
-        n = _order_or_raise(g, max_order, "power-set enumeration")
-        table = g.index_table()
-        closed = _closed_flags(table, n)
-        masks = [m for m in range(1, (1 << n) - 1) if closed[m]]
-        handles = tuple(_handle_from_mask(g, m) for m in _masks_sorted(masks))
+        _powerset_order(g, max_order, "power-set enumeration")
+        handles = tuple(_handle_from_mask(g, m) for m in _closed_masks(g).tolist())
         return EnumerationResult(subsets=handles, strategy="power-set", complete=True)
 
     if strategy == "generated-closure":
-        n = _order_or_raise(g, closure_max_order, "generated-closure enumeration")
-        table = g.index_table()
-        found: set[tuple[int, ...]] = set()
-        gens = [(i,) for i in range(n)] + [
-            (i, j) for i in range(n) for j in range(i + 1, n)
-        ]
-        for gen in gens:
-            s = set(gen)
-            frontier = list(gen)
-            while frontier:
-                nxt: list[int] = []
-                for a in list(s):
-                    for b in frontier:
-                        for c in (table[a][b], table[b][a]):
-                            if c not in s:
-                                s.add(c)
-                                nxt.append(c)
-                for a in frontier:
-                    for b in frontier:
-                        c = table[a][b]
-                        if c not in s:
-                            s.add(c)
-                            nxt.append(c)
-                frontier = nxt
-            if len(s) < n:
-                found.add(tuple(sorted(s)))
+        _order_or_raise(g, closure_max_order, "generated-closure enumeration")
+        labels = g.labels()
+        closures = _memo(g, "closures", lambda: _generated_closures(_array(g)))
         handles = tuple(
-            SubsetHandle(indices=idx, labels=tuple(g.labels()[i] for i in idx))
-            for idx in sorted(found, key=lambda t: (len(t), t))
+            SubsetHandle(indices=idx, labels=tuple(labels[i] for i in idx)) for idx in closures
         )
         return EnumerationResult(subsets=handles, strategy="generated-closure", complete=False)
 
@@ -373,18 +464,14 @@ class IdealSets:
 
 def enumerate_ideals(g: Groupoid, *, max_order: int = DEFAULT_MAX_ORDER) -> IdealSets:
     """All left/right/two-sided ideals (proper nonempty absorbing subsets)."""
-    n = _order_or_raise(g, max_order, "ideal enumeration")
-    table = g.index_table()
-    absL = _absorb_flags(table, n, "left")
-    absR = _absorb_flags(table, n, "right")
-    full = (1 << n) - 1
-    left_masks = [m for m in range(1, full) if absL[m]]
-    right_masks = [m for m in range(1, full) if absR[m]]
-    two_masks = [m for m in left_masks if absR[m]]
+    _powerset_order(g, max_order, "ideal enumeration")
+    left = _absorb_masks(g, "left")
+    right = _absorb_masks(g, "right")
+    two = left[np.isin(left, right)]
     return IdealSets(
-        left=tuple(_handle_from_mask(g, m) for m in _masks_sorted(left_masks)),
-        right=tuple(_handle_from_mask(g, m) for m in _masks_sorted(right_masks)),
-        two_sided=tuple(_handle_from_mask(g, m) for m in _masks_sorted(two_masks)),
+        left=tuple(_handle_from_mask(g, m) for m in left.tolist()),
+        right=tuple(_handle_from_mask(g, m) for m in right.tolist()),
+        two_sided=tuple(_handle_from_mask(g, m) for m in two.tolist()),
     )
 
 
@@ -409,21 +496,17 @@ def find_normal_subgroupoids(
     g: Groupoid, *, max_order: int = DEFAULT_MAX_ORDER, first_only: bool = False
 ) -> list[SubsetHandle]:
     """Proper normal subgroupoids of size >= 2, in canonical subset order."""
-    n = _order_or_raise(g, max_order, "normal subgroupoid search")
-    table = g.index_table()
-    closed = _closed_flags(table, n)
+    n = _powerset_order(g, max_order, "normal subgroupoid search")
+    masks = _closed_masks(g)
+    masks = masks[masks & (masks - 1) != 0]
+    members = np.unpackbits(
+        masks.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1, count=n, bitorder="little"
+    ).view(bool)
     out: list[SubsetHandle] = []
-    candidates = [
-        m
-        for m in range(1, (1 << n) - 1)
-        if closed[m] and bin(m).count("1") >= 2
-    ]
-    for m in _masks_sorted(candidates):
-        idx = tuple(i for i in range(n) if m >> i & 1)
-        if _subset_normal(table, idx):
-            out.append(SubsetHandle(indices=idx, labels=tuple(g.labels()[i] for i in idx)))
-            if first_only:
-                break
+    for r in _normal_rows(_array(g), members):
+        out.append(_handle_from_mask(g, int(masks[r])))
+        if first_only:
+            break
     return out
 
 
@@ -445,29 +528,26 @@ def is_simple(
     enum = enumerate_subgroupoids(
         g, "generated-closure", closure_max_order=closure_max_order
     )
-    table = g.index_table()
-    for h in enum.subsets:
-        if h.size >= 2 and _subset_normal(table, h.indices):
-            return SimpleVerdict(simple=False, witness=h, complete=True)
+    witness = next(_normal_subsets(g, [h for h in enum.subsets if h.size >= 2]), None)
+    if witness is not None:
+        return SimpleVerdict(simple=False, witness=witness, complete=True)
     return SimpleVerdict(simple=True, witness=None, complete=False)
 
 
 def is_normal_groupoid(g: Groupoid, *, max_order: int = _NORMALITY_ORDER_CAP) -> bool:
     """The whole groupoid satisfies the normality laws over all of G."""
     n = _order_or_raise(g, max_order, "normal groupoid check")
-    table = g.index_table()
-    everything = range(n)
-    for a in everything:
-        if {table[a][v] for v in everything} != {table[v][a] for v in everything}:
+    tab = _array(g)
+    rows = _row_sets(tab, n)  # rows[a] = a*G
+    cols = _row_sets(tab.T, n)  # cols[a] = G*a
+    if not np.array_equal(rows, cols):
+        return False
+    for x in range(n):
+        # (Gx)y = G(xy) for every y, then y(xG) = (yx)G for every y
+        if not np.array_equal(_row_sets(tab[tab[:, x], :].T, n), cols[tab[x, :]]):
             return False
-    for x in everything:
-        for y in everything:
-            xy = table[x][y]
-            if {table[table[v][x]][y] for v in everything} != {table[v][xy] for v in everything}:
-                return False
-            yx = table[y][x]
-            if {table[y][table[x][v]] for v in everything} != {table[yx][v] for v in everything}:
-                return False
+        if not np.array_equal(_row_sets(tab[:, tab[x, :]], n), rows[tab[:, x]]):
+            return False
     return True
 
 
@@ -496,9 +576,8 @@ class SmarandacheVerdict:
 def _semigroup_witness_masks(g: Groupoid, n: int) -> Iterator[int]:
     """Proper closed semigroup subsets containing a nonzero element, in order."""
     table = g.index_table()
-    closed = _closed_flags(table, n)
     zero = g.zero_index()
-    for m in _masks_sorted(m for m in range(1, (1 << n) - 1) if closed[m]):
+    for m in _closed_masks(g).tolist():
         if zero is not None and m == (1 << zero):
             continue
         idx = tuple(i for i in range(n) if m >> i & 1)
@@ -521,7 +600,7 @@ def smarandache(
     fails globally but holds on some witness of size >= 2; s_groupoid_only
     when only the bare witness exists; not_smarandache otherwise.
     """
-    n = _order_or_raise(g, max_order, "Smarandache analysis")
+    n = _powerset_order(g, max_order, "Smarandache analysis")
     s_mask = next(_semigroup_witness_masks(g, n), None)
     s_handle = _handle_from_mask(g, s_mask) if s_mask is not None else None
 
@@ -705,9 +784,7 @@ def analyze(g: Groupoid, *, max_order: int = DEFAULT_MAX_ORDER) -> StructureRepo
         )
     subs = enumerate_subgroupoids(g, "generated-closure")
     table = g.index_table()
-    normal = tuple(
-        h for h in subs.subsets if h.size >= 2 and _subset_normal(table, h.indices)
-    )
+    normal = tuple(_normal_subsets(g, [h for h in subs.subsets if h.size >= 2]))
     simple = is_simple(g, max_order=max_order)
     sm_witness = None
     for h in subs.subsets:

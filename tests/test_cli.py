@@ -5,7 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from groupoidlab import cli
+from groupoidlab import cli, structure
 from groupoidlab.theorems import CheckOutcome, SuiteConfig, SuiteReport
 
 
@@ -131,6 +131,19 @@ def test_structure_json_survey(runner):
     assert data["simple"]["simple"] is False
     # identity-free survey: reports whether a semigroup witness exists at all
     assert data["smarandache"]["status"] == "s_groupoid"
+
+
+def test_structure_raised_order_cap_hits_the_power_set_work_cap(runner, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("power-set sweep started")
+
+    monkeypatch.setattr(structure, "_closed_flags", refuse)
+    r = invoke(runner, "structure", "--carrier", "zn:30", "--pair", "7,11",
+               "--max-order", "30", "--no-timing")
+    assert r.exit_code == 3
+    diag = json.loads(r.stderr)
+    assert diag["error"] == "budget-exceeded"
+    assert "power-set work cap" in diag["detail"] and "budget is 100000000" in diag["detail"]
 
 
 def test_structure_stdout_is_pure_json_even_with_timing(runner):

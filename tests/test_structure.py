@@ -3,6 +3,7 @@
 import pytest
 
 from groupoidlab import (
+    BudgetExceeded,
     CarrierError,
     IdentityId,
     Matrix,
@@ -24,6 +25,7 @@ from groupoidlab import (
     is_simple,
     smarandache,
 )
+from groupoidlab import structure
 from groupoidlab.structure import subset_handle
 
 
@@ -275,6 +277,51 @@ def test_homomorphism_mapping_validation():
     h = build(MixedNeutrosophic(7), Scalar(), (2, 0), (5, 0))
     with pytest.raises(CarrierError):
         check_homomorphism(g, h, [0, 1])
+
+
+# -- power-set work cap --------------------------------------------------------------------------
+
+
+POWER_SET_ENTRY_POINTS = {
+    "enumerate_subgroupoids": lambda g, **kw: enumerate_subgroupoids(g, "power-set", **kw),
+    "enumerate_ideals": enumerate_ideals,
+    "find_normal_subgroupoids": find_normal_subgroupoids,
+    "smarandache": smarandache,
+    "analyze": analyze,
+}
+
+
+@pytest.fixture
+def no_sweeps(monkeypatch):
+    """Fail the test if a power-set sweep starts: the cap must fire first."""
+
+    def refuse(*args):
+        raise AssertionError("power-set sweep started")
+
+    monkeypatch.setattr(structure, "_closed_flags", refuse)
+    monkeypatch.setattr(structure, "_absorb_flags", refuse)
+
+
+@pytest.mark.parametrize("entry", POWER_SET_ENTRY_POINTS.values(), ids=POWER_SET_ENTRY_POINTS)
+def test_power_set_work_cap_refuses_before_sweeping(monkeypatch, no_sweeps, entry):
+    monkeypatch.setenv("GGL_BUDGET", "2047")
+    g = build(Modular(8), Scalar(), 2, 6)
+    with pytest.raises(BudgetExceeded, match=r"power-set work cap.* 8\*2\^8 = 2048, budget is 2047"):
+        entry(g)
+
+
+def test_power_set_work_cap_admits_work_equal_to_the_budget(monkeypatch):
+    monkeypatch.setenv("GGL_BUDGET", "2048")
+    assert analyze(build(Modular(8), Scalar(), 2, 6)).complete
+
+
+def test_power_set_work_cap_binds_a_raised_order_cap_at_the_default_budget(no_sweeps):
+    g = build(Modular(30), Scalar(), 7, 11)
+    for entry in POWER_SET_ENTRY_POINTS.values():
+        with pytest.raises(BudgetExceeded, match=r"30\*2\^30 = 32212254720, budget is 100000000"):
+            entry(g, max_order=30)
+    with pytest.raises(BudgetExceeded):
+        is_simple(g, max_order=30)
 
 
 # -- assembled report ---------------------------------------------------------------------------
