@@ -3,7 +3,8 @@ the verification suite, and replayable demos.
 
 Exit codes: 0 success; 1 assertion failure (a failing asserted suite check or
 demo golden); 2 usage error; 3 budget exceeded. The environment variable
-GGL_BUDGET overrides the evaluation budget for exhaustive checks.
+GGL_BUDGET overrides the work budget shared by exhaustive checks, the Cayley
+table compile and the power-set sweeps.
 """
 
 from __future__ import annotations

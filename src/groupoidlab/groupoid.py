@@ -1,16 +1,22 @@
 """Groupoid construction: parameter pairs, level taxonomy, Cayley tables.
 
-A groupoid is either *spec-backed* (carrier + shape + parameter pair, with the
-star product computed on demand) or *table-backed* (an explicit Cayley table
-over opaque labels, e.g. parsed back from a serialized table).
+A groupoid is either *spec-backed* (carrier + shape + parameter pair) or
+*table-backed* (an explicit Cayley table over opaque labels, e.g. parsed back
+from a serialized table). A spec compiles once, through ``compile_product``,
+to an int32 Cayley table array that every engine reads; a table-backed
+groupoid holds its validated rows as that array. The full table is refused
+before allocation when its n² cells exceed the work budget (``GGL_BUDGET``).
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .carrier import Carrier, CarrierError, Value
 from .shape import (
@@ -18,6 +24,7 @@ from .shape import (
     Element,
     Shape,
     TooLarge,
+    compile_product,
     element_space,
     format_element,
     star,
@@ -25,10 +32,22 @@ from .shape import (
 )
 
 DEFAULT_TABLE_CAP = 256
+DEFAULT_BUDGET = 10**8
+BUDGET_ENV_VAR = "GGL_BUDGET"
 
 
 class BudgetExceeded(RuntimeError):
     """A requested computation exceeds its configured budget or cap."""
+
+
+def default_budget() -> int:
+    raw = os.environ.get(BUDGET_ENV_VAR)
+    if raw is None:
+        return DEFAULT_BUDGET
+    try:
+        return int(raw)
+    except ValueError:
+        raise BudgetExceeded(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}")
 
 
 class Level(Enum):
@@ -126,36 +145,29 @@ class Groupoid:
         spec: GroupoidSpec | None = None,
         *,
         labels: Sequence[str] | None = None,
-        table: Sequence[Sequence[int]] | None = None,
+        table: Sequence[Sequence[int | str]] | None = None,
         space_cap: int = DEFAULT_SPACE_CAP,
     ) -> None:
         if (spec is None) == (labels is None):
             raise CarrierError("provide either a spec or labels+table")
         self.spec = spec
-        self._space_cap = space_cap
         self._elements: list[Element] | None = None
         self._labels: list[str] | None = list(labels) if labels is not None else None
         self._index: dict | None = None
-        self._table: list[list[int]] | None = (
-            [list(row) for row in table] if table is not None else None
-        )
-        # values other layers derive from the table, which never mutates
+        # values derived from the product, which never changes: the compiled
+        # product, the table array and its list view, and other layers' results
         self._memo: dict = {}
         if spec is not None:
             self._space = element_space(spec.carrier, spec.shape, cap=space_cap)
         else:
             self._space = None
-            n = len(self._labels)
-            if len(set(self._labels)) != n:
-                raise CarrierError("table labels must be distinct")
-            if len(self._table) != n or any(len(row) != n for row in self._table):
-                raise CarrierError("table must be square and match the label count")
-            for i, row in enumerate(self._table):
-                for j, cell in enumerate(row):
-                    if not (0 <= cell < n):
-                        raise CarrierError(
-                            f"cell ({i},{j}) leaves the element set: index {cell}"
-                        )
+            self._memo["table"] = _validated_table(self._labels, table)
+
+    def cached(self, key: str, compute: Callable[[], object]):
+        """The value stored under key in this groupoid's memo, computed once."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     # -- size and elements ------------------------------------------------
 
@@ -206,25 +218,40 @@ class Groupoid:
         return star(sp.carrier, sp.shape, sp.t, sp.u, x, y)
 
     def star_idx(self, i: int, j: int) -> int:
-        if self._table is not None:
-            return self._table[i][j]
-        els = self.elements()
-        return self.element_index(self.star(els[i], els[j]))
+        self._require_enumerable()
+        index = range(self.order)  # list indexing: negatives count back, others raise
+        return int(self.products(np.asarray(index[i]), np.asarray(index[j])))
+
+    def products(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Indices of x*y for broadcastable arrays of element indices; reads
+        the table when it is explicit and never builds it otherwise."""
+        if self.spec is None:
+            return self._memo["table"][X, Y]
+        sp = self.spec
+        return self.cached("product", lambda: compile_product(sp.carrier, sp.shape, sp.t, sp.u))(X, Y)
+
+    def table_array(self) -> np.ndarray:
+        """The Cayley table as an int32 array, compiled once; read it, never
+        write it. Refused before allocation when n² exceeds the work budget."""
+        if "table" not in self._memo:
+            self._require_enumerable()
+            n = self.order
+            budget = default_budget()
+            if n * n > budget:
+                raise BudgetExceeded(
+                    f"Cayley table cap exceeded: estimate {n}^2 = {n * n} cells, "
+                    f"budget is {budget} (set {BUDGET_ENV_VAR} to raise it)"
+                )
+            X = np.arange(n)
+            self._memo["table"] = self.products(X[:, None], X[None, :])
+        return self._memo["table"]
 
     def index_table(self, cap: int | None = None) -> list[list[int]]:
-        """The full index Cayley table (cached). Refuses orders above cap."""
-        if self._table is None:
-            n = self.order
-            if isinstance(n, TooLarge) or (cap is not None and n > cap):
-                raise BudgetExceeded(f"order {n} exceeds the table cap")
-            els = self.elements()
-            idx = {e: i for i, e in enumerate(els)}
-            self._table = [
-                [idx[self.star(a, b)] for b in els] for a in els
-            ]
-        elif cap is not None and len(self._table) > cap:
-            raise BudgetExceeded(f"order {len(self._table)} exceeds the table cap")
-        return self._table
+        """The full index Cayley table as lists (cached). Refuses orders above cap."""
+        n = self.order
+        if isinstance(n, TooLarge) or (cap is not None and n > cap):
+            raise BudgetExceeded(f"order {n} exceeds the table cap")
+        return self.cached("rows", lambda: self.table_array().tolist())
 
     # -- convenience --------------------------------------------------------
 
@@ -290,15 +317,8 @@ class CayleyTable:
     def from_json(cls, text: str) -> "CayleyTable":
         data = json.loads(text)
         labels = tuple(str(x) for x in data["labels"])
-        rows = tuple(tuple(int(c) for c in row) for row in data["table"])
-        n = len(labels)
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise CarrierError("table must be square and match the label count")
-        for i, row in enumerate(rows):
-            for j, cell in enumerate(row):
-                if not (0 <= cell < n):
-                    raise CarrierError(f"cell ({i},{j}) leaves the element set: index {cell}")
-        return cls(labels=labels, rows=rows)
+        rows = _validated_table(labels, [[int(c) for c in row] for row in data["table"]])
+        return cls(labels=labels, rows=tuple(map(tuple, rows.tolist())))
 
 
 def cayley_table(g: Groupoid, cap: int = DEFAULT_TABLE_CAP) -> CayleyTable:
@@ -307,7 +327,7 @@ def cayley_table(g: Groupoid, cap: int = DEFAULT_TABLE_CAP) -> CayleyTable:
         raise BudgetExceeded(f"order {n} exceeds the Cayley table cap {cap}")
     return CayleyTable(
         labels=tuple(g.labels()),
-        rows=tuple(tuple(row) for row in g.index_table()),
+        rows=tuple(map(tuple, g.table_array().tolist())),
     )
 
 
@@ -317,21 +337,24 @@ def from_table(labels: Sequence[str], rows: Sequence[Sequence[int | str]]) -> Gr
     A cell that is not a known label / in-range index raises with the
     offending (row, col) position.
     """
-    labs = [str(x) for x in labels]
-    index = {lab: i for i, lab in enumerate(labs)}
-    if len(index) != len(labs):
+    return Groupoid(labels=[str(x) for x in labels], table=rows)
+
+
+def _validated_table(labels: Sequence[str], rows: Sequence[Sequence[int | str]]) -> np.ndarray:
+    """The validated n×n int32 table of element indices; cells may be indices or labels."""
+    n = len(labels)
+    index = {lab: i for i, lab in enumerate(labels)}
+    if len(index) != n:
         raise CarrierError("table labels must be distinct")
-    out: list[list[int]] = []
-    for i, row in enumerate(rows):
-        cells: list[int] = []
-        for j, cell in enumerate(row):
-            if isinstance(cell, str):
-                if cell not in index:
-                    raise CarrierError(f"cell ({i},{j}) leaves the element set: {cell!r}")
-                cells.append(index[cell])
-            else:
-                if not (0 <= int(cell) < len(labs)):
-                    raise CarrierError(f"cell ({i},{j}) leaves the element set: index {cell}")
-                cells.append(int(cell))
-        out.append(cells)
-    return Groupoid(labels=labs, table=out)
+    rows = [list(row) for row in rows]
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise CarrierError("table must be square and match the label count")
+    cells = [[index.get(c, -1) if isinstance(c, str) else int(c) for c in row] for row in rows]
+    table = np.array(cells, dtype=np.int64).reshape(n, n)
+    bad = np.argwhere((table < 0) | (table >= n))
+    if len(bad):
+        i, j = bad[0].tolist()  # the first bad cell in row-major order
+        cell = rows[i][j]
+        shown = repr(cell) if isinstance(cell, str) else f"index {cell}"
+        raise CarrierError(f"cell ({i},{j}) leaves the element set: {shown}")
+    return table.astype(np.int32)

@@ -3,8 +3,10 @@
 Each identity is a fixed pair of expression trees over variables ``x``, ``y``,
 ``z`` and the binary product ``*``. The same trees drive three evaluators:
 
-* an exhaustive scan over all assignments (vectorised over the index Cayley
-  table when the order permits, plain loops otherwise),
+* an exhaustive scan over all assignments, vectorised over the groupoid's
+  Cayley table array (one-variable laws multiply the index vector by itself
+  instead, so they need no table); the same scan, with the domain set to a
+  subset's indices, decides identities on subsets for ``structure``,
 * a lifted check that proves the identity on the scalar shadow when the shape
   multiplies entrywise (the verdict then transfers entry-for-entry),
 * a seeded random sampler for spaces too large to enumerate.
@@ -16,7 +18,6 @@ reruns always reproduce the same witness regardless of internal chunking.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -31,14 +32,13 @@ from .carrier import (
     MixedNeutrosophic,
     Modular,
     PureNeutrosophic,
+    is_prime,
 )
-from .groupoid import BudgetExceeded, Groupoid, build
-from .shape import Element, Scalar, TooLarge, scalar_projection
+from .groupoid import BUDGET_ENV_VAR, DEFAULT_BUDGET, BudgetExceeded, Groupoid, build, default_budget
+from .shape import Element, Scalar, TooLarge, format_element, scalar_projection
 
-DEFAULT_BUDGET = 10**8
 DEFAULT_TRIALS = 10**4
-BUDGET_ENV_VAR = "GGL_BUDGET"
-_NUMPY_ORDER_LIMIT = 512
+_CHUNK_CELLS = 1 << 18
 
 Node = Any  # str variable or ("*", Node, Node)
 
@@ -81,16 +81,6 @@ class CheckMode(Enum):
     EXHAUSTIVE = "exhaustive"
     LIFTED = "lifted"
     SAMPLED = "sampled"
-
-
-def default_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise BudgetExceeded(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}")
 
 
 @dataclass(frozen=True)
@@ -138,72 +128,40 @@ def eval_tree(node: Node, env: dict, prod) -> Any:
 
 
 def _witness_verdict(g: Groupoid, identity: IdentityId, method: str, assign: tuple[int, ...]) -> IdentityVerdict:
-    if g.spec is not None:
-        els = g.elements()
-        witness = tuple(els[i] for i in assign)
-        labels = tuple(g.labels()[i] for i in assign)
-    else:
-        witness = tuple(assign)
-        labels = tuple(g.labels()[i] for i in assign)
+    witness = tuple(g.elements()[i] for i in assign) if g.spec is not None else assign
     return IdentityVerdict(
         identity=identity.value, method=method, status="fails",
-        witness=witness, witness_labels=labels,
+        witness=witness, witness_labels=tuple(g.labels()[i] for i in assign),
     )
 
 
-def _exhaustive_numpy(g: Groupoid, identity: IdentityId) -> IdentityVerdict:
-    lhs_t, rhs_t, vars_ = TEMPLATES[identity]
-    T = np.asarray(g.index_table(), dtype=np.int64)
-    n = T.shape[0]
-    prod = lambda A, B: T[A, B]  # noqa: E731
+def first_failure(g: Groupoid, identity: IdentityId, domain: np.ndarray) -> tuple[int, ...] | None:
+    """The first assignment of elements of ``domain`` (x fastest, then y, then
+    z) at which the identity's two sides differ, or None when it holds there.
 
+    One-variable laws square the domain vector through ``Groupoid.products``;
+    the others read the table array, one row per assignment of the variables
+    after x, in chunks of about _CHUNK_CELLS cells."""
+    lhs_t, rhs_t, vars_ = TEMPLATES[identity]
     if len(vars_) == 1:
-        X = np.arange(n)
-        mism = eval_tree(lhs_t, {"x": X}, prod) != eval_tree(rhs_t, {"x": X}, prod)
-        if mism.any():
-            return _witness_verdict(g, identity, "exhaustive", (int(np.argmax(mism)),))
-    elif len(vars_) == 2:
-        X = np.arange(n)[None, :]
-        Y = np.arange(n)[:, None]
-        env = {"x": X, "y": Y}
+        prod = g.products
+    else:
+        table = g.table_array()
+        prod = lambda A, B: table[A, B]  # noqa: E731
+    m = len(domain)
+    rows = m ** (len(vars_) - 1)
+    step = max(1, _CHUNK_CELLS // max(m, 1))
+    env = {"x": domain[None, :]}
+    for lo in range(0, rows, step):
+        r = np.arange(lo, min(lo + step, rows))
+        for p, var in enumerate(vars_[1:]):
+            env[var] = domain[r // m**p % m][:, None]
         mism = eval_tree(lhs_t, env, prod) != eval_tree(rhs_t, env, prod)
         if mism.any():
-            yy, xx = np.argwhere(mism)[0]  # row-major: y outermost, x fastest
-            return _witness_verdict(g, identity, "exhaustive", (int(xx), int(yy)))
-    else:
-        X = np.arange(n)[None, :]
-        Y = np.arange(n)[:, None]
-        for z in range(n):
-            env = {"x": X, "y": Y, "z": z}
-            mism = eval_tree(lhs_t, env, prod) != eval_tree(rhs_t, env, prod)
-            if mism.any():
-                yy, xx = np.argwhere(mism)[0]
-                return _witness_verdict(g, identity, "exhaustive", (int(xx), int(yy), z))
-    return IdentityVerdict(identity=identity.value, method="exhaustive", status="holds")
-
-
-def _exhaustive_loops(g: Groupoid, identity: IdentityId) -> IdentityVerdict:
-    lhs_t, rhs_t, vars_ = TEMPLATES[identity]
-    els = g.elements()
-    prod = g.star
-    if len(vars_) == 1:
-        for i, x in enumerate(els):
-            if eval_tree(lhs_t, {"x": x}, prod) != eval_tree(rhs_t, {"x": x}, prod):
-                return _witness_verdict(g, identity, "exhaustive", (i,))
-    elif len(vars_) == 2:
-        for j, y in enumerate(els):
-            for i, x in enumerate(els):
-                env = {"x": x, "y": y}
-                if eval_tree(lhs_t, env, prod) != eval_tree(rhs_t, env, prod):
-                    return _witness_verdict(g, identity, "exhaustive", (i, j))
-    else:
-        for k, z in enumerate(els):
-            for j, y in enumerate(els):
-                for i, x in enumerate(els):
-                    env = {"x": x, "y": y, "z": z}
-                    if eval_tree(lhs_t, env, prod) != eval_tree(rhs_t, env, prod):
-                        return _witness_verdict(g, identity, "exhaustive", (i, j, k))
-    return IdentityVerdict(identity=identity.value, method="exhaustive", status="holds")
+            row, col = divmod(int(np.argmax(mism)), m)  # both sides span (rows, m)
+            rest = lo + row
+            return (int(domain[col]), *(int(domain[rest // m**p % m]) for p in range(len(vars_) - 1)))
+    return None
 
 
 def _exhaustive(g: Groupoid, identity: IdentityId, budget: int) -> IdentityVerdict:
@@ -215,9 +173,10 @@ def _exhaustive(g: Groupoid, identity: IdentityId, budget: int) -> IdentityVerdi
         raise BudgetExceeded(
             f"exhaustive check needs {order}^{nvars} evaluations, budget is {budget}"
         )
-    if order <= _NUMPY_ORDER_LIMIT:
-        return _exhaustive_numpy(g, identity)
-    return _exhaustive_loops(g, identity)
+    found = first_failure(g, identity, np.arange(order))
+    if found is not None:
+        return _witness_verdict(g, identity, "exhaustive", found)
+    return IdentityVerdict(identity=identity.value, method="exhaustive", status="holds")
 
 
 # -- lifted -------------------------------------------------------------------
@@ -243,8 +202,6 @@ def _lifted(g: Groupoid, identity: IdentityId, budget: int) -> IdentityVerdict:
         return IdentityVerdict(identity=identity.value, method="lifted", status="holds")
     k = g.spec.shape.entry_count()
     witness = tuple(tuple(e[0] for _ in range(k)) for e in inner.witness)
-    from .shape import format_element
-
     labels = tuple(format_element(g.spec.carrier, g.spec.shape, w) for w in witness)
     return IdentityVerdict(
         identity=identity.value, method="lifted", status="fails",
@@ -270,7 +227,7 @@ def _sampled(g: Groupoid, identity: IdentityId, trials: int, seed: int) -> Ident
             return tuple(values[rng.randrange(size)] for _ in range(k))
 
         prod = g.star
-        fmt = lambda e: _label(g, e)  # noqa: E731
+        fmt = lambda e: format_element(carrier, g.spec.shape, e)  # noqa: E731
     else:
         n = len(g.labels())
 
@@ -293,12 +250,6 @@ def _sampled(g: Groupoid, identity: IdentityId, trials: int, seed: int) -> Ident
         identity=identity.value, method="sampled", status="sampled_no_counterexample",
         trials=trials, seed=seed,
     )
-
-
-def _label(g: Groupoid, e: Element) -> str:
-    from .shape import format_element
-
-    return format_element(g.spec.carrier, g.spec.shape, e)
 
 
 # -- entry point --------------------------------------------------------------
@@ -425,7 +376,7 @@ def applicable_closed_forms(g: Groupoid, identity: IdentityId) -> dict[str, bool
     elif identity is IdentityId.ASSOCIATIVE:
         out["semigroup-iff"] = closed_form("semigroup-iff", n, t, u)
     elif identity in (IdentityId.LEFT_ALTERNATIVE, IdentityId.RIGHT_ALTERNATIVE):
-        if t % n == u % n and not _is_prime_or_unit_modulus(n):
+        if t % n == u % n and not (n < 4 or is_prime(n)):
             out["alternative-iff"] = closed_form("alternative-iff", n, t, u)
         if (t % n == 0) != (u % n == 0):
             out["type3-p-alt-iff"] = closed_form("type3-p-alt-iff", n, t, u)
@@ -435,12 +386,6 @@ def applicable_closed_forms(g: Groupoid, identity: IdentityId) -> dict[str, bool
         if (t % n == 0) != (u % n == 0):
             out["type3-p-alt-iff"] = closed_form("type3-p-alt-iff", n, t, u)
     return out
-
-
-def _is_prime_or_unit_modulus(n: int) -> bool:
-    from .carrier import is_prime
-
-    return n < 4 or is_prime(n)
 
 
 # -- cross validation ---------------------------------------------------------

@@ -16,14 +16,21 @@ The star product x*y depends on the shape's product kind:
 * convolution polynomials:
       (x*y)_k = sum over i+j=k of (t·x_i + u·y_j),
   colliding exponents are summed and exponents above max_deg are dropped.
+
+``star`` multiplies two elements cell by cell; it is the oracle for
+``compile_product``, which multiplies whole arrays of element indices and is
+what every Cayley table is built from.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Callable, Iterator
+
+import numpy as np
 
 from .carrier import Carrier, CarrierError, Value
 
@@ -150,6 +157,68 @@ def star(carrier: Carrier, shape: Shape, t: Value, u: Value, x: Element, y: Elem
     return tuple(
         carrier.add(carrier.scale(t, xi), carrier.scale(u, yi)) for xi, yi in zip(x, y)
     )
+
+
+def compile_product(
+    carrier: Carrier, shape: Shape, t: Value, u: Value
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The star product as one vectorised function of element-index arrays.
+
+    Digit e of an index (base q = carrier size, most significant first) is the
+    value index of entry e, in ``element_space`` order. Output digit e reads a
+    q×q table: S[v, w] = idx(t·v + u·w) at (x_e, y_e) for entrywise shapes and
+    at the prefix sums (P_e(x), P_e(y)), P_e = x_0 + ... + x_e, for convolution,
+    since (x*y)_e = t·P_e(x) + u·P_e(y); idx(v·w) at (x_e, y_{e+1}) for shuffle,
+    whose last digit is x_d. Digits accumulate in place in one int32 array.
+    For x*x (the same array twice) S is read on its diagonal: q scalar products
+    instead of q², so squaring stays cheap at any enumerable order.
+    """
+    values = carrier.enumerate_values()
+    q, k = len(values), shape.entry_count()
+    pos = {v: i for i, v in enumerate(values)}
+    ops = {
+        "star": lambda v, w: carrier.add(carrier.scale(t, v), carrier.scale(u, w)),
+        "add": carrier.add,
+        "mul": carrier.mul,
+    }
+
+    @functools.cache
+    def table(op: str, diagonal: bool = False) -> np.ndarray:
+        f = ops[op]
+        if diagonal:
+            return np.array([pos[f(v, v)] for v in values], dtype=np.int32)
+        return np.array([[pos[f(v, w)] for w in values] for v in values], dtype=np.int32)
+
+    def read(op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return table(op, True)[a] if a is b else table(op)[a, b]
+
+    def entries(X: np.ndarray) -> list[np.ndarray]:
+        return [X // q ** (k - 1 - e) % q for e in range(k)]
+
+    def prefix_sums(ds: list[np.ndarray]) -> list[np.ndarray]:
+        for e in range(1, k):
+            ds[e] = read("add", ds[e - 1], ds[e])
+        return ds
+
+    kind = ProductKind.ENTRYWISE if shape.is_entrywise() else shape.kind
+
+    def product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        xs = entries(X)
+        ys = xs if Y is X else entries(Y)
+        if kind is ProductKind.SHUFFLE:
+            digits = itertools.chain((read("mul", xs[e], ys[e + 1]) for e in range(k - 1)), xs[-1:])
+        else:
+            if kind is ProductKind.CONVOLUTION:
+                xs = prefix_sums(xs)
+                ys = xs if Y is X else prefix_sums(ys)
+            digits = (read("star", a, b) for a, b in zip(xs, ys))
+        out = next(digits)  # a fresh table read of the full broadcast shape
+        for d in digits:
+            out *= q
+            out += d
+        return out
+
+    return product
 
 
 @dataclass(frozen=True)

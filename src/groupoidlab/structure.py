@@ -14,11 +14,14 @@ budget (``GGL_BUDGET``) before anything is allocated. The generated-closure
 route closes boolean membership vectors semi-naively, and normality compares
 membership matrices (row ``r`` marks the set of values in row ``r``).
 
-Tables never mutate, so what this module derives from a table is kept in
-that groupoid's memo (``Groupoid._memo``, freed with it): the table as an
-array, the sorted closed masks, the sorted left and right absorbing masks and
-the generated closures. ``analyze`` therefore sweeps the power set for
-closure once, not once per question.
+Every check reads the groupoid's Cayley table array
+(``Groupoid.table_array``); identities on a subset, semigroup associativity
+included, go through the exhaustive engine's evaluator with its domain set to
+the subset. Tables never mutate, so what this module derives from a table is
+kept in that groupoid's memo (``Groupoid.cached``, freed with it): the sorted
+closed masks, the sorted left and right absorbing masks and the generated
+closures. ``analyze`` therefore sweeps the power set for closure once, not
+once per question.
 
 Conventions (documented once here, used consistently):
 
@@ -47,16 +50,13 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .carrier import CarrierError
-from .groupoid import BudgetExceeded, Groupoid
+from .groupoid import BUDGET_ENV_VAR, BudgetExceeded, Groupoid, default_budget
 from .identities import (
-    BUDGET_ENV_VAR,
     CheckMode,
     IdentityId,
     IdentityVerdict,
-    TEMPLATES,
     check_identity,
-    default_budget,
-    eval_tree,
+    first_failure,
 )
 from .shape import Element, TooLarge, element_is_pure_indeterminate, element_has_indeterminate
 
@@ -124,17 +124,6 @@ def subset_handle(g: Groupoid, subset: Iterable) -> SubsetHandle:
 
 
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
-
-
-def _memo(g: Groupoid, key: str, compute: Callable[[], object]):
-    """Per-groupoid cache: tables never mutate, so each value is computed once."""
-    if key not in g._memo:
-        g._memo[key] = compute()
-    return g._memo[key]
-
-
-def _array(g: Groupoid) -> np.ndarray:
-    return _memo(g, "table", lambda: np.asarray(g.index_table(), dtype=np.intp))
 
 
 def _powerset_order(g: Groupoid, max_order: int, what: str) -> int:
@@ -206,11 +195,11 @@ def _proper_masks_sorted(flags: np.ndarray) -> np.ndarray:
 
 
 def _closed_masks(g: Groupoid) -> np.ndarray:
-    return _memo(g, "closed", lambda: _proper_masks_sorted(_closed_flags(_array(g))))
+    return g.cached("closed", lambda: _proper_masks_sorted(_closed_flags(g.table_array())))
 
 
 def _absorb_masks(g: Groupoid, side: str) -> np.ndarray:
-    return _memo(g, side, lambda: _proper_masks_sorted(_absorb_flags(_array(g), side)))
+    return g.cached(side, lambda: _proper_masks_sorted(_absorb_flags(g.table_array(), side)))
 
 
 def _close(tab: np.ndarray, member: np.ndarray, frontier: np.ndarray) -> np.ndarray:
@@ -245,36 +234,18 @@ def _generated_closures(tab: np.ndarray) -> list[tuple[int, ...]]:
     return sorted(found, key=lambda t: (len(t), t))
 
 
-def _subset_semigroup(table: Sequence[Sequence[int]], idx: Sequence[int]) -> bool:
-    s = set(idx)
-    for a in idx:
-        for b in idx:
-            if table[a][b] not in s:
-                return False
-    for a in idx:
-        for b in idx:
-            for c in idx:
-                if table[table[a][b]][c] != table[a][table[b][c]]:
-                    return False
-    return True
+def _member(n: int, idx: Sequence[int]) -> np.ndarray:
+    out = np.zeros(n, dtype=bool)
+    out[list(idx)] = True
+    return out
 
 
-def _subset_identity_holds(
-    table: Sequence[Sequence[int]], idx: Sequence[int], identity: IdentityId
-) -> bool:
-    lhs_t, rhs_t, vars_ = TEMPLATES[identity]
-    prod = lambda a, b: table[a][b]  # noqa: E731
-    if len(vars_) == 1:
-        pools = ((x,) for x in idx)
-    elif len(vars_) == 2:
-        pools = ((x, y) for y in idx for x in idx)
-    else:
-        pools = ((x, y, z) for z in idx for y in idx for x in idx)
-    for assign in pools:
-        env = dict(zip(vars_, assign))
-        if eval_tree(lhs_t, env, prod) != eval_tree(rhs_t, env, prod):
-            return False
-    return True
+def _is_semigroup(g: Groupoid, idx: Sequence[int]) -> bool:
+    """The subset is closed and associative."""
+    tab = g.table_array()
+    dom = np.asarray(idx)
+    closed = _member(len(tab), idx)[tab[np.ix_(dom, dom)]].all()
+    return bool(closed) and first_failure(g, IdentityId.ASSOCIATIVE, dom) is None
 
 
 def _row_sets(vals: np.ndarray, n: int) -> np.ndarray:
@@ -307,7 +278,7 @@ def _normal_rows(tab: np.ndarray, members: np.ndarray) -> Iterator[int]:
 
 
 def _normal_subsets(g: Groupoid, handles: Sequence[SubsetHandle]) -> Iterator[SubsetHandle]:
-    tab = _array(g)
+    tab = g.table_array()
     members = np.zeros((len(handles), len(tab)), dtype=bool)
     for r, h in enumerate(handles):
         members[r, list(h.indices)] = True
@@ -317,7 +288,7 @@ def _normal_subsets(g: Groupoid, handles: Sequence[SubsetHandle]) -> Iterator[Su
 def identity_holds_on_subset(g: Groupoid, subset: Iterable, identity: IdentityId) -> bool:
     """Evaluate one identity with all variables restricted to the subset."""
     handle = subset if isinstance(subset, SubsetHandle) else subset_handle(g, subset)
-    return _subset_identity_holds(g.index_table(), handle.indices, identity)
+    return first_failure(g, identity, np.asarray(handle.indices, dtype=np.intp)) is None
 
 
 # -- classification -----------------------------------------------------------
@@ -357,14 +328,15 @@ def classify_subset(g: Groupoid, subset: Iterable, *, max_order: int = _NORMALIT
     idx = handle.indices
     if not idx:
         raise CarrierError("subset must be nonempty")
-    table = g.index_table()
-    s = set(idx)
+    tab = g.table_array()
+    inside = _member(order, idx)
+    dom = list(idx)
 
-    closed = all(table[a][b] in s for a in idx for b in idx)
+    closed = bool(inside[tab[np.ix_(dom, dom)]].all())
     proper = len(idx) < order
-    left = proper and all(table[a][x] in s for a in idx for x in range(order))
-    right = proper and all(table[x][a] in s for a in idx for x in range(order))
-    semigroup = closed and _subset_semigroup(table, idx)
+    left = proper and bool(inside[tab[dom, :]].all())
+    right = proper and bool(inside[tab[:, dom]].all())
+    semigroup = closed and first_failure(g, IdentityId.ASSOCIATIVE, np.asarray(dom)) is None
     normal = closed and proper and any(_normal_subsets(g, [handle]))
 
     pure = False
@@ -439,7 +411,7 @@ def enumerate_subgroupoids(
     if strategy == "generated-closure":
         _order_or_raise(g, closure_max_order, "generated-closure enumeration")
         labels = g.labels()
-        closures = _memo(g, "closures", lambda: _generated_closures(_array(g)))
+        closures = g.cached("closures", lambda: _generated_closures(g.table_array()))
         handles = tuple(
             SubsetHandle(indices=idx, labels=tuple(labels[i] for i in idx)) for idx in closures
         )
@@ -503,7 +475,7 @@ def find_normal_subgroupoids(
         masks.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1, count=n, bitorder="little"
     ).view(bool)
     out: list[SubsetHandle] = []
-    for r in _normal_rows(_array(g), members):
+    for r in _normal_rows(g.table_array(), members):
         out.append(_handle_from_mask(g, int(masks[r])))
         if first_only:
             break
@@ -537,7 +509,7 @@ def is_simple(
 def is_normal_groupoid(g: Groupoid, *, max_order: int = _NORMALITY_ORDER_CAP) -> bool:
     """The whole groupoid satisfies the normality laws over all of G."""
     n = _order_or_raise(g, max_order, "normal groupoid check")
-    tab = _array(g)
+    tab = g.table_array()
     rows = _row_sets(tab, n)  # rows[a] = a*G
     cols = _row_sets(tab.T, n)  # cols[a] = G*a
     if not np.array_equal(rows, cols):
@@ -575,13 +547,11 @@ class SmarandacheVerdict:
 
 def _semigroup_witness_masks(g: Groupoid, n: int) -> Iterator[int]:
     """Proper closed semigroup subsets containing a nonzero element, in order."""
-    table = g.index_table()
     zero = g.zero_index()
     for m in _closed_masks(g).tolist():
         if zero is not None and m == (1 << zero):
             continue
-        idx = tuple(i for i in range(n) if m >> i & 1)
-        if _subset_semigroup(table, idx):
+        if _is_semigroup(g, [i for i in range(n) if m >> i & 1]):
             yield m
 
 
@@ -617,12 +587,10 @@ def smarandache(
         return SmarandacheVerdict(
             status="strong_holds", s_witness=s_handle, identity_verdict=verdict
         )
-    table = g.index_table()
     for m in _semigroup_witness_masks(g, n):
         if bin(m).count("1") < 2:
             continue
-        idx = tuple(i for i in range(n) if m >> i & 1)
-        if _subset_identity_holds(table, idx, identity):
+        if first_failure(g, identity, np.array([i for i in range(n) if m >> i & 1])) is None:
             return SmarandacheVerdict(
                 status="holds_on_semigroup_witness",
                 s_witness=s_handle,
@@ -659,16 +627,17 @@ def are_conjugate(g: Groupoid, h: Iterable, k: Iterable, *, max_order: int = _NO
     n = _order_or_raise(g, max_order, "conjugacy search")
     hh = subset_handle(g, h) if not isinstance(h, SubsetHandle) else h
     kk = subset_handle(g, k) if not isinstance(k, SubsetHandle) else k
-    table = g.index_table()
-    hset = set(hh.indices)
-    kset = set(kk.indices)
-    disjoint = not (hset & kset)
-    for x in range(n):
-        if {table[x][e] for e in kset} == hset:
-            return ConjugacyVerdict(True, g.labels()[x], "left", disjoint)
-        if {table[e][x] for e in kset} == hset:
-            return ConjugacyVerdict(True, g.labels()[x], "right", disjoint)
-    return ConjugacyVerdict(False, None, None, disjoint)
+    tab = g.table_array()
+    disjoint = not set(hh.indices) & set(kk.indices)
+    target = _member(n, hh.indices)
+    k = list(kk.indices)
+    left = (_row_sets(tab[:, k], n) == target).all(axis=1)  # left[x]: x*K = H
+    right = (_row_sets(tab[k, :].T, n) == target).all(axis=1)  # right[x]: K*x = H
+    hits = np.flatnonzero(left | right)
+    if not hits.size:
+        return ConjugacyVerdict(False, None, None, disjoint)
+    x = int(hits[0])
+    return ConjugacyVerdict(True, g.labels()[x], "left" if left[x] else "right", disjoint)
 
 
 @dataclass(frozen=True)
@@ -707,15 +676,12 @@ def check_homomorphism(
         if len(phi) != n or any(not 0 <= i < len(h.labels()) for i in phi):
             raise CarrierError("index mapping must cover the domain and land in the codomain")
 
-    tg = g.index_table()
-    th = h.index_table()
-    for i in range(n):
-        for j in range(n):
-            if phi[tg[i][j]] != th[phi[i]][phi[j]]:
-                fail = (
-                    f"star not respected at ({g.labels()[i]}, {g.labels()[j]})"
-                )
-                return HomomorphismVerdict(False, False, None, fail)
+    img = np.array(phi, dtype=np.intp)
+    bad = np.argwhere(img[g.table_array()] != h.table_array()[img[:, None], img])
+    if len(bad):
+        i, j = bad[0].tolist()  # the first failure in row-major order
+        fail = f"star not respected at ({g.labels()[i]}, {g.labels()[j]})"
+        return HomomorphismVerdict(False, False, None, fail)
 
     ind_ok: bool | None = None
     if (
@@ -783,18 +749,12 @@ def analyze(g: Groupoid, *, max_order: int = DEFAULT_MAX_ORDER) -> StructureRepo
             complete=True,
         )
     subs = enumerate_subgroupoids(g, "generated-closure")
-    table = g.index_table()
     normal = tuple(_normal_subsets(g, [h for h in subs.subsets if h.size >= 2]))
     simple = is_simple(g, max_order=max_order)
-    sm_witness = None
-    for h in subs.subsets:
-        idx = h.indices
-        zero = g.zero_index()
-        if zero is not None and idx == (zero,):
-            continue
-        if _subset_semigroup(table, idx):
-            sm_witness = h
-            break
+    zero = (g.zero_index(),)  # (None,) for table-backed groupoids, never a subset
+    sm_witness = next(
+        (h for h in subs.subsets if h.indices != zero and _is_semigroup(g, h.indices)), None
+    )
     sm = SmarandacheVerdict(
         status="s_groupoid" if sm_witness else "not_smarandache", s_witness=sm_witness
     )

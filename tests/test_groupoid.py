@@ -1,5 +1,7 @@
 """Groupoid construction, level taxonomy, and Cayley table serialization."""
 
+import json
+
 import pytest
 
 from groupoidlab import (
@@ -17,7 +19,7 @@ from groupoidlab import (
     from_table,
     parse_carrier,
 )
-from groupoidlab.groupoid import classify_level
+from groupoidlab.groupoid import Groupoid, classify_level
 from groupoidlab.shape import TooLarge
 
 # order-7 scalar groupoid with pair (3,4): full reference table
@@ -93,6 +95,13 @@ def test_level_precedence_zero_beats_gcd():
     assert classify_level(Modular(8), 4, 4) is Level.FOUR
 
 
+def test_star_idx_rejects_indices_outside_the_groupoid():
+    for g in (build(Modular(5), Matrix(1, 2), 2, 3), from_table(("a", "b"), ((0, 1), (1, 0)))):
+        assert g.star_idx(-1, 0) == g.index_table()[-1][0]
+        with pytest.raises(IndexError):
+            g.star_idx(g.order, 0)
+
+
 def test_zero_zero_pair_rejected():
     with pytest.raises(CarrierError):
         build(Modular(5), Scalar(), 0, 0)
@@ -140,6 +149,45 @@ def test_from_table_validation():
         from_table(("a", "b"), ((0, 1),))  # wrong row count
     with pytest.raises(ValueError):
         from_table(("a", "a"), ((0, 1), (1, 0)))  # duplicate labels
+
+
+# the three ways in to a table-backed groupoid share one validator
+TABLE_ENTRY_POINTS = {
+    "from_table": from_table,
+    "Groupoid": lambda labels, rows: Groupoid(labels=labels, table=rows),
+    "from_json": lambda labels, rows: CayleyTable.from_json(
+        json.dumps({"labels": list(labels), "table": [list(r) for r in rows]})
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(TABLE_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        (((0, 1), (1,)), "table must be square and match the label count"),
+        (((0, 1),), "table must be square and match the label count"),
+        (((0, 1), (2, 0)), "cell (1,0) leaves the element set: index 2"),
+        (((0, -1), (1, 0)), "cell (0,1) leaves the element set: index -1"),
+    ],
+)
+def test_table_validation_messages(entry, rows, message):
+    with pytest.raises(CarrierError) as err:
+        TABLE_ENTRY_POINTS[entry](("a", "b"), rows)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("entry", sorted(TABLE_ENTRY_POINTS))
+def test_table_labels_must_be_distinct(entry):
+    with pytest.raises(CarrierError) as err:
+        TABLE_ENTRY_POINTS[entry](("a", "a"), ((0, 1), (1, 0)))
+    assert str(err.value) == "table labels must be distinct"
+
+
+def test_label_cells_outside_the_labels_name_the_cell():
+    with pytest.raises(CarrierError) as err:
+        from_table(("a", "b"), (("a", "b"), ("b", "c")))
+    assert str(err.value) == "cell (1,1) leaves the element set: 'c'"
 
 
 # -- budgets and large spaces -------------------------------------------------

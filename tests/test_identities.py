@@ -18,7 +18,7 @@ from groupoidlab import (
     closed_form,
     cross_validate,
 )
-from groupoidlab.identities import _exhaustive_loops, _exhaustive_numpy, applicable_closed_forms
+from groupoidlab.identities import applicable_closed_forms
 
 
 # -- reference verdicts --------------------------------------------------------
@@ -56,27 +56,6 @@ def test_failure_carries_a_replayable_witness():
     lhs = g.star(g.star(x, g.star(y, x)), z)
     rhs = g.star(x, g.star(y, g.star(x, z)))
     assert lhs != rhs
-
-
-# -- numpy and pure-python engines agree ---------------------------------------
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(3, 12),
-    st.integers(0, 11),
-    st.integers(0, 11),
-    st.sampled_from(list(IdentityId)),
-)
-def test_vectorized_and_loop_engines_agree(n, t, u, identity):
-    t, u = t % n, u % n
-    if t == 0 and u == 0:
-        t = 1
-    g = build(Modular(n), Scalar(), t, u)
-    a = _exhaustive_numpy(g, identity)
-    b = _exhaustive_loops(g, identity)
-    assert a.status == b.status
-    assert a.witness == b.witness
 
 
 # -- lifting --------------------------------------------------------------------

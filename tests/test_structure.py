@@ -264,6 +264,17 @@ def test_index_shift_is_not_a_homomorphism():
     assert "star not respected" in v.failure
 
 
+def test_homomorphism_reports_the_first_failing_cell_in_row_major_order():
+    # phi(x*y) != phi(x)*phi(y) at (b, c) and (c, c) only
+    g = from_table(("a", "b", "c"), ((1, 1, 2), (1, 1, 1), (0, 0, 2)))
+    phi = [2, 2, 0]
+    bad = [(i, j) for i in range(3) for j in range(3) if phi[g.star_idx(i, j)] != g.star_idx(phi[i], phi[j])]
+    assert bad == [(1, 2), (2, 2)]
+    v = check_homomorphism(g, g, phi)
+    assert v.failure == "star not respected at (b, c)"
+    assert not v.valid and not v.star_respected
+
+
 def test_integer_slice_respects_star_but_drops_indeterminacy():
     g = build(PureNeutrosophic(4), Scalar(), 2, 3)
     h = build(MixedNeutrosophic(4), Scalar(), (2, 0), (3, 0))

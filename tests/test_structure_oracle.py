@@ -1,12 +1,15 @@
 """Differential tests: the numpy subset layer against the plain-Python oracles.
 
 The oracles below are the pure-Python forms of the subset machinery: the
-per-mask product-set recurrences, the set/frontier generated-closure loop and
-the set-based normality checks. The library computes the same answers with
-numpy bitmask transforms and membership matrices; these tests pin the two
-together on random tables (small image sets, so many subsets are closed) and
-on the affine families.
+per-mask product-set recurrences, the set/frontier generated-closure loop,
+the set-based normality checks and the per-subset closure, absorption,
+associativity and identity loops. The library computes the same answers with
+numpy bitmask transforms, membership matrices and the identity engine's
+template evaluator; these tests pin the two together on random tables (small
+image sets, so many subsets are closed) and on the affine families.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupoidlab import (
+    IdentityId,
     IntervalOf,
     Modular,
     PureNeutrosophic,
@@ -25,6 +29,7 @@ from groupoidlab import (
     is_normal_groupoid,
 )
 from groupoidlab import structure
+from groupoidlab.identities import TEMPLATES, eval_tree
 
 
 # -- oracles ---------------------------------------------------------------------
@@ -120,6 +125,28 @@ def is_normal_groupoid_oracle(table):
             if {table[y][table[x][v]] for v in everything} != {table[yx][v] for v in everything}:
                 return False
     return True
+
+
+def subset_identity_oracle(table, idx, identity):
+    """The identity with every variable ranging over the subset."""
+    lhs, rhs, vars_ = TEMPLATES[identity]
+    prod = lambda a, b: table[a][b]  # noqa: E731
+    for assign in itertools.product(idx, repeat=len(vars_)):
+        env = dict(zip(vars_, assign))
+        if eval_tree(lhs, env, prod) != eval_tree(rhs, env, prod):
+            return False
+    return True
+
+
+def classify_oracle(table, idx):
+    """(closed, left ideal, right ideal, semigroup) by set membership."""
+    n, s = len(table), set(idx)
+    closed = all(table[a][b] in s for a in idx for b in idx)
+    proper = len(idx) < n
+    left = proper and all(table[a][x] in s for a in idx for x in range(n))
+    right = proper and all(table[x][a] in s for a in idx for x in range(n))
+    semigroup = closed and subset_identity_oracle(table, idx, IdentityId.ASSOCIATIVE)
+    return closed, left, right, semigroup
 
 
 # -- random tables ------------------------------------------------------------------
@@ -260,6 +287,49 @@ def test_normal_groupoid_matches_the_set_oracle_on_affine_tables():
         assert got == is_normal_groupoid_oracle(table), (n, t, u)
         verdicts.append(got)
     assert any(verdicts) and not all(verdicts)
+
+
+# -- per-subset checks ------------------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_image_tables(), st.data())
+def test_subset_classification_matches_the_set_oracle(table, data):
+    n = len(table)
+    idx = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True)))
+    g = from_table([str(i) for i in range(n)], table)
+    c = structure.classify_subset(g, idx)
+    assert (c.closed, c.left_ideal, c.right_ideal, c.semigroup) == classify_oracle(table, idx)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_image_tables(), st.data(), st.sampled_from(list(IdentityId)))
+def test_identity_on_subset_matches_the_loop_oracle(table, data, identity):
+    n = len(table)
+    idx = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True)))
+    g = from_table([str(i) for i in range(n)], table)
+    assert structure.identity_holds_on_subset(g, idx, identity) == subset_identity_oracle(table, idx, identity)
+
+
+def conjugacy_oracle(table, h, k):
+    """(x, side) for the first x with x*K = H (left, checked first) or K*x = H."""
+    for x in range(len(table)):
+        if {table[x][e] for e in k} == set(h):
+            return x, "left"
+        if {table[e][x] for e in k} == set(h):
+            return x, "right"
+    return None, None
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_image_tables(), st.data())
+def test_conjugacy_matches_the_set_oracle(table, data):
+    n = len(table)
+    h, k = (data.draw(st.lists(st.integers(0, n - 1), unique=True)) for _ in range(2))
+    g = from_table([str(i) for i in range(n)], table)
+    v = structure.are_conjugate(g, h, k)
+    x, side = conjugacy_oracle(table, h, k)
+    assert (v.conjugate, v.witness_label, v.side) == (x is not None, None if x is None else str(x), side)
 
 
 # -- compute once -------------------------------------------------------------------------
