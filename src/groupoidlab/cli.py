@@ -83,6 +83,8 @@ def _parse_mode(text: str):
                 seed = int(parts[2])
         except ValueError:
             raise _usage(f"--mode sampled needs integer trials/seed (got {text!r})")
+        if trials < 1:
+            raise _usage(f"--mode sampled needs at least one trial (got {text!r})")
         return CheckMode.SAMPLED, trials, seed
     if len(parts) != 1:
         raise _usage(f"only sampled mode takes arguments (got {text!r})")

@@ -222,13 +222,24 @@ class Groupoid:
         index = range(self.order)  # list indexing: negatives count back, others raise
         return int(self.products(np.asarray(index[i]), np.asarray(index[j])))
 
+    def _compiled(self) -> Callable:
+        sp = self.spec
+        return self.cached("product", lambda: compile_product(sp.carrier, sp.shape, sp.t, sp.u))
+
     def products(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Indices of x*y for broadcastable arrays of element indices; reads
         the table when it is explicit and never builds it otherwise."""
         if self.spec is None:
             return self._memo["table"][X, Y]
-        sp = self.spec
-        return self.cached("product", lambda: compile_product(sp.carrier, sp.shape, sp.t, sp.u))(X, Y)
+        return self._compiled()(X, Y)
+
+    def digit_products(self, xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """x*y for elements given entry by entry, as k broadcastable arrays of
+        carrier value indices; the same compiled product as ``products``, but
+        it never forms an element index, so it works past the enumeration cap."""
+        if self.spec is None:
+            raise CarrierError("table-backed groupoid multiplies indices, not elements")
+        return self._compiled().digits(xs, ys)
 
     def table_array(self) -> np.ndarray:
         """The Cayley table as an int32 array, compiled once; read it, never

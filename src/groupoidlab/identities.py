@@ -6,14 +6,23 @@ Each identity is a fixed pair of expression trees over variables ``x``, ``y``,
 * an exhaustive scan over all assignments, vectorised over the groupoid's
   Cayley table array (one-variable laws multiply the index vector by itself
   instead, so they need no table); the same scan, with the domain set to a
-  subset's indices, decides identities on subsets for ``structure``,
+  subset's indices, decides identities on subsets for ``structure``. A
+  product of a (rows, 1) column and the (1, m) domain row reads whole table
+  rows (of the transpose, for the mirror case; then the domain's columns when
+  m < n); any other product is one flat take at ``A*n + B``;
 * a lifted check that proves the identity on the scalar shadow when the shape
   multiplies entrywise (the verdict then transfers entry-for-entry),
-* a seeded random sampler for spaces too large to enumerate.
+* a seeded random sampler for spaces too large to enumerate. It draws trials
+  in chunks that double up to about _CHUNK_CELLS draws and multiplies each
+  chunk at once through the compiled per-digit product, which never forms an
+  element index, so it works past the enumeration cap.
 
 Assignments are scanned with the FIRST variable varying fastest (x innermost,
 then y, then z); a failure witness is minimal under that order, so exhaustive
 reruns always reproduce the same witness regardless of internal chunking.
+Sampled draws come from ``random.Random(seed).randrange`` in a fixed order
+(trial, then variable, then entry) and the witness is the first failing trial
+in that order, so ``(trials, seed)`` reproduce a sampled verdict and witness.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -135,23 +144,52 @@ def _witness_verdict(g: Groupoid, identity: IdentityId, method: str, assign: tup
     )
 
 
+def _table_reader(table: np.ndarray, x: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """table[A, B] for the operands of one chunk: x is the (1, m) domain row,
+    the later variables are (rows, 1) columns, and products span (rows, m).
+
+    * A column times a row reads whole table rows, then the row's columns
+      (none to pick when the row is x and the domain is every element).
+    * A row times a column does the same on the transpose, copied on first
+      use and dropped with the reader.
+    * Anything else is one flat take at A*n + B.
+    """
+    n = len(table)
+    flat = table.ravel()
+    every = x.shape[1] == n  # a sorted domain of n distinct indices is arange(n)
+    transposed = None
+
+    def rows(tab: np.ndarray, col: np.ndarray, row: np.ndarray) -> np.ndarray:
+        out = tab[col[:, 0]]
+        return out if row is x and every else out[:, row[0]]
+
+    def prod(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        nonlocal transposed
+        if A.shape[1] == 1 and B.shape[0] == 1:
+            return rows(table, A, B)
+        if A.shape[0] == 1 and B.shape[1] == 1:
+            if transposed is None:
+                transposed = np.ascontiguousarray(table.T)
+            return rows(transposed, B, A)
+        return np.take(flat, np.add(A * n, B, dtype=np.intp))  # intp: take is slow on int32
+
+    return prod
+
+
 def first_failure(g: Groupoid, identity: IdentityId, domain: np.ndarray) -> tuple[int, ...] | None:
-    """The first assignment of elements of ``domain`` (x fastest, then y, then
-    z) at which the identity's two sides differ, or None when it holds there.
+    """The first assignment of elements of ``domain`` (sorted, distinct; x
+    fastest, then y, then z) at which the identity's two sides differ, or None
+    when it holds there.
 
     One-variable laws square the domain vector through ``Groupoid.products``;
-    the others read the table array, one row per assignment of the variables
-    after x, in chunks of about _CHUNK_CELLS cells."""
+    the others read the table array through ``_table_reader``, one row per
+    assignment of the variables after x, in chunks of about _CHUNK_CELLS cells."""
     lhs_t, rhs_t, vars_ = TEMPLATES[identity]
-    if len(vars_) == 1:
-        prod = g.products
-    else:
-        table = g.table_array()
-        prod = lambda A, B: table[A, B]  # noqa: E731
+    env = {"x": domain[None, :]}
+    prod = g.products if len(vars_) == 1 else _table_reader(g.table_array(), env["x"])
     m = len(domain)
     rows = m ** (len(vars_) - 1)
     step = max(1, _CHUNK_CELLS // max(m, 1))
-    env = {"x": domain[None, :]}
     for lo in range(0, rows, step):
         r = np.arange(lo, min(lo + step, rows))
         for p, var in enumerate(vars_[1:]):
@@ -213,8 +251,14 @@ def _lifted(g: Groupoid, identity: IdentityId, budget: int) -> IdentityVerdict:
 
 
 def _sampled(g: Groupoid, identity: IdentityId, trials: int, seed: int) -> IdentityVerdict:
+    """Draw every entry of every variable of every trial, in that nesting, from
+    ``random.Random(seed).randrange``, and multiply whole chunks of trials at
+    once. Chunks start at one trial and double up to about _CHUNK_CELLS draws,
+    so an early counterexample costs few draws; the first failing trial in
+    draw order is the witness. Spec-backed elements travel as k arrays of value
+    indices through ``Groupoid.digit_products``, table-backed ones as indices
+    through ``Groupoid.products``."""
     lhs_t, rhs_t, vars_ = TEMPLATES[identity]
-    rng = random.Random(seed)
     if g.spec is not None:
         carrier = g.spec.carrier
         size = carrier.size()
@@ -222,30 +266,36 @@ def _sampled(g: Groupoid, identity: IdentityId, trials: int, seed: int) -> Ident
             raise CarrierError("cannot sample a non-enumerable carrier")
         values = carrier.enumerate_values()
         k = g.spec.shape.entry_count()
-
-        def draw() -> Element:
-            return tuple(values[rng.randrange(size)] for _ in range(k))
-
-        prod = g.star
+        prod = g.digit_products
+        element = lambda ds: tuple(values[d] for d in ds)  # noqa: E731
         fmt = lambda e: format_element(carrier, g.spec.shape, e)  # noqa: E731
     else:
-        n = len(g.labels())
-
-        def draw() -> int:
-            return rng.randrange(n)
-
-        prod = g.star_idx
+        size, k = len(g.labels()), 1
+        prod = lambda xs, ys: [g.products(xs[0], ys[0])]  # noqa: E731
+        element = lambda ds: ds[0]  # noqa: E731
         fmt = lambda i: g.labels()[i]  # noqa: E731
 
-    for _ in range(trials):
-        env = {v: draw() for v in vars_}
-        if eval_tree(lhs_t, env, prod) != eval_tree(rhs_t, env, prod):
-            witness = tuple(env[v] for v in vars_)
+    draw = random.Random(seed).randrange
+    width = len(vars_) * k  # draws per trial
+    cap = max(1, _CHUNK_CELLS // width)
+    done, chunk = 0, 1
+    while done < trials:
+        c = min(chunk, cap, trials - done)
+        drawn = np.array([draw(size) for _ in range(c * width)]).reshape(c, len(vars_), k)
+        env = {v: list(drawn[:, p, :].T) for p, v in enumerate(vars_)}
+        lhs, rhs = eval_tree(lhs_t, env, prod), eval_tree(rhs_t, env, prod)
+        mism = np.zeros(c, dtype=bool)
+        for a, b in zip(lhs, rhs):
+            mism |= a != b
+        if mism.any():
+            witness = tuple(element(ds) for ds in drawn[int(np.argmax(mism))].tolist())
             return IdentityVerdict(
                 identity=identity.value, method="sampled", status="fails",
                 witness=witness, witness_labels=tuple(fmt(w) for w in witness),
                 trials=trials, seed=seed,
             )
+        done += c
+        chunk *= 2
     return IdentityVerdict(
         identity=identity.value, method="sampled", status="sampled_no_counterexample",
         trials=trials, seed=seed,
@@ -253,6 +303,11 @@ def _sampled(g: Groupoid, identity: IdentityId, trials: int, seed: int) -> Ident
 
 
 # -- entry point --------------------------------------------------------------
+
+
+def _require_trials(trials: int) -> None:
+    if trials < 1:
+        raise CarrierError(f"sampling needs at least one trial, got {trials}")
 
 
 def check_identity(
@@ -264,6 +319,7 @@ def check_identity(
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
 ) -> IdentityVerdict:
+    _require_trials(trials)
     budget = default_budget() if budget is None else budget
     nvars = len(TEMPLATES[identity][2])
 
@@ -418,6 +474,7 @@ def cross_validate(
     seed: int = 0,
 ) -> ConsistencyReport:
     """Run every applicable route and compare answers; disagreement is data."""
+    _require_trials(trials)
     budget = default_budget() if budget is None else budget
     nvars = len(TEMPLATES[identity][2])
     report = ConsistencyReport(identity=identity.value)

@@ -24,11 +24,10 @@ what every Cayley table is built from.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -54,6 +53,7 @@ class TooLarge:
 TOO_LARGE = TooLarge()
 
 DEFAULT_SPACE_CAP = 10**6
+_TABULATE_CELLS = 1 << 16
 
 
 class ProductKind(Enum):
@@ -171,7 +171,16 @@ def compile_product(
     since (x*y)_e = t·P_e(x) + u·P_e(y); idx(v·w) at (x_e, y_{e+1}) for shuffle,
     whose last digit is x_d. Digits accumulate in place in one int32 array.
     For x*x (the same array twice) S is read on its diagonal: q scalar products
-    instead of q², so squaring stays cheap at any enumerable order.
+    instead of q², so squaring stays cheap at any enumerable order. A table
+    (q cells on the diagonal, q² off it) is built in full once one read covers
+    that many cells, or when it has at most _TABULATE_CELLS; smaller reads
+    compute only the distinct cells they touch, so sampling a large carrier
+    never pays for its whole table.
+
+    The per-digit product is exposed as ``product.digits(xs, ys)``: x and y
+    given as k arrays of value indices (entry 0 first), x*y returned the same
+    way. It never forms an element index, so it multiplies elements of spaces
+    past the enumeration cap.
     """
     values = carrier.enumerate_values()
     q, k = len(values), shape.entry_count()
@@ -181,43 +190,63 @@ def compile_product(
         "add": carrier.add,
         "mul": carrier.mul,
     }
+    tables: dict[tuple[str, bool], np.ndarray] = {}
 
-    @functools.cache
-    def table(op: str, diagonal: bool = False) -> np.ndarray:
+    def table(op: str, diagonal: bool) -> np.ndarray:
         f = ops[op]
         if diagonal:
             return np.array([pos[f(v, v)] for v in values], dtype=np.int32)
         return np.array([[pos[f(v, w)] for w in values] for v in values], dtype=np.int32)
 
+    def sparse_read(op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """table(op)[a, b], computing only the distinct cells read."""
+        a, b = np.broadcast_arrays(a, b)
+        pairs, inverse = np.unique((a * np.int64(q) + b).ravel(), return_inverse=True)
+        f = ops[op]
+        cells = [pos[f(values[p // q], values[p % q])] for p in pairs.tolist()]
+        return np.array(cells, dtype=np.int32)[inverse].reshape(a.shape)
+
     def read(op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return table(op, True)[a] if a is b else table(op)[a, b]
+        diagonal = a is b
+        key = (op, diagonal)
+        if key not in tables:
+            full, size = (q, a.size) if diagonal else (q * q, np.broadcast(a, b).size)
+            if full > max(size, _TABULATE_CELLS):
+                return sparse_read(op, a, b)
+            tables[key] = table(op, diagonal)
+        return tables[key][a] if diagonal else tables[key][a, b]
+
+    def prefix_sums(ds: Sequence[np.ndarray]) -> list[np.ndarray]:
+        out = [ds[0]]
+        for d in ds[1:]:
+            out.append(read("add", out[-1], d))
+        return out
+
+    kind = ProductKind.ENTRYWISE if shape.is_entrywise() else shape.kind
+
+    def digits(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
+        """The digits of x*y, one at a time, so a caller holds one at once."""
+        if kind is ProductKind.SHUFFLE:
+            return itertools.chain((read("mul", xs[e], ys[e + 1]) for e in range(k - 1)), xs[-1:])
+        if kind is ProductKind.CONVOLUTION:
+            same = ys is xs
+            xs = prefix_sums(xs)
+            ys = xs if same else prefix_sums(ys)
+        return (read("star", a, b) for a, b in zip(xs, ys))
 
     def entries(X: np.ndarray) -> list[np.ndarray]:
         return [X // q ** (k - 1 - e) % q for e in range(k)]
 
-    def prefix_sums(ds: list[np.ndarray]) -> list[np.ndarray]:
-        for e in range(1, k):
-            ds[e] = read("add", ds[e - 1], ds[e])
-        return ds
-
-    kind = ProductKind.ENTRYWISE if shape.is_entrywise() else shape.kind
-
     def product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         xs = entries(X)
-        ys = xs if Y is X else entries(Y)
-        if kind is ProductKind.SHUFFLE:
-            digits = itertools.chain((read("mul", xs[e], ys[e + 1]) for e in range(k - 1)), xs[-1:])
-        else:
-            if kind is ProductKind.CONVOLUTION:
-                xs = prefix_sums(xs)
-                ys = xs if Y is X else prefix_sums(ys)
-            digits = (read("star", a, b) for a, b in zip(xs, ys))
-        out = next(digits)  # a fresh table read of the full broadcast shape
-        for d in digits:
+        ds = digits(xs, xs if Y is X else entries(Y))
+        out = next(ds)  # a fresh table read of the full broadcast shape
+        for d in ds:
             out *= q
             out += d
         return out
 
+    product.digits = lambda xs, ys: list(digits(xs, ys))
     return product
 
 

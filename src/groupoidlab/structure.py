@@ -10,7 +10,8 @@ bitmask (``uint32`` up to order 32, else ``uint64``) of every product the
 subset ``m`` must contain, filled in blocks by highest set bit with
 OR-over-subsets transforms, and ``m`` is closed (or absorbing) iff
 ``need[m] & ~m == 0``. Their cost, ``n*2^n``, is checked against the identity
-budget (``GGL_BUDGET``) before anything is allocated. The generated-closure
+budget (``GGL_BUDGET``) before anything is allocated, as is the ``n^3`` work of
+whole-groupoid normality before its table is built. The generated-closure
 route closes boolean membership vectors semi-naively, and normality compares
 membership matrices (row ``r`` marks the set of values in row ``r``).
 
@@ -506,9 +507,24 @@ def is_simple(
     return SimpleVerdict(simple=True, witness=None, complete=False)
 
 
+def _normality_order(g: Groupoid, max_order: int) -> int:
+    """The order, once both the order cap and the n^3 work estimate of the
+    whole-groupoid normality check fit."""
+    what = "normal groupoid check"
+    n = _order_or_raise(g, max_order, what)
+    budget = default_budget()
+    work = n**3
+    if work > budget:
+        raise BudgetExceeded(
+            f"{what}: normality work cap exceeded: estimate {n}^3 = {work}, "
+            f"budget is {budget} (set {BUDGET_ENV_VAR} to raise it)"
+        )
+    return n
+
+
 def is_normal_groupoid(g: Groupoid, *, max_order: int = _NORMALITY_ORDER_CAP) -> bool:
     """The whole groupoid satisfies the normality laws over all of G."""
-    n = _order_or_raise(g, max_order, "normal groupoid check")
+    n = _normality_order(g, max_order)
     tab = g.table_array()
     rows = _row_sets(tab, n)  # rows[a] = a*G
     cols = _row_sets(tab.T, n)  # cols[a] = G*a
@@ -748,6 +764,7 @@ def analyze(g: Groupoid, *, max_order: int = DEFAULT_MAX_ORDER) -> StructureRepo
             smarandache_verdict=sm,
             complete=True,
         )
+    _normality_order(g, _NORMALITY_ORDER_CAP)  # refuse now, not after the closure work
     subs = enumerate_subgroupoids(g, "generated-closure")
     normal = tuple(_normal_subsets(g, [h for h in subs.subsets if h.size >= 2]))
     simple = is_simple(g, max_order=max_order)

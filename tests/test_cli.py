@@ -118,6 +118,15 @@ def test_check_bad_mode_is_usage_error(runner):
     assert r.exit_code == 2
 
 
+@pytest.mark.parametrize("mode", ["sampled:0", "sampled:-5:7"])
+def test_check_non_positive_trials_is_usage_error(runner, mode):
+    r = invoke(runner, "check", "--carrier", "zn:9", "--pair", "2,5",
+               "--identity", "associative", "--mode", mode)
+    assert r.exit_code == 2
+    assert "at least one trial" in r.output
+    assert "sampled_no_counterexample" not in r.output
+
+
 # -- structure -------------------------------------------------------------------
 
 

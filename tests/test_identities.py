@@ -98,6 +98,20 @@ def test_sampled_cannot_certify_holding():
     assert not v.holds and not v.fails
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_non_positive_trial_counts_are_refused(trials):
+    g = build(Modular(9), Scalar(), 2, 5)
+    calls = [
+        lambda: check_identity(g, IdentityId.ASSOCIATIVE, CheckMode.SAMPLED, trials=trials),
+        lambda: check_identity(g, IdentityId.ASSOCIATIVE, trials=trials),
+        lambda: check_alternative(g, CheckMode.SAMPLED, trials=trials),
+        lambda: cross_validate(g, IdentityId.ASSOCIATIVE, trials=trials),
+    ]
+    for call in calls:
+        with pytest.raises(CarrierError, match=f"at least one trial, got {trials}"):
+            call()
+
+
 def test_auto_prefers_exhaustive_then_falls_back_to_sampling():
     small = build(Modular(8), Scalar(), 2, 6)
     assert check_identity(small, IdentityId.ASSOCIATIVE).method == "exhaustive"

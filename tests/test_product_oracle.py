@@ -1,13 +1,17 @@
 """Differential tests: the compiled product path against the per-cell oracles.
 
-Every Cayley table is built by ``compile_product`` from q×q scalar tables and
-every exhaustive verdict comes from one chunked numpy evaluator. The oracles
+Every Cayley table is built by ``compile_product`` from q×q scalar tables,
+every exhaustive verdict comes from one chunked numpy evaluator that reads
+the table by rows or by one flat take, and every sampled verdict multiplies
+whole chunks of trials through the compiled per-digit product. The oracles
 here are the slow forms they replaced: ``shape.star`` applied cell by cell,
-and a plain loop engine that multiplies elements with ``Groupoid.star`` and
-scans assignments with x fastest, then y, then z.
+a plain loop engine that multiplies elements with ``Groupoid.star`` and scans
+assignments with x fastest, then y, then z, and a sampler that draws and
+multiplies one trial at a time.
 """
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -29,11 +33,13 @@ from groupoidlab import (
     build,
     check_identity,
     element_space,
+    from_table,
+    identity_holds_on_subset,
     star,
 )
 from groupoidlab import groupoid, identities
-from groupoidlab.identities import TEMPLATES, eval_tree
-from groupoidlab.shape import compile_product
+from groupoidlab.identities import TEMPLATES, IdentityVerdict, eval_tree, first_failure
+from groupoidlab.shape import compile_product, format_element
 
 
 # -- oracles ---------------------------------------------------------------------
@@ -46,17 +52,50 @@ def star_table_oracle(carrier, shape, t, u):
     return np.array([[pos[star(carrier, shape, t, u, a, b)] for b in els] for a in els])
 
 
-def exhaustive_loop_oracle(g, identity):
-    """The first failing assignment (x fastest, then y, then z), multiplying
-    elements with ``Groupoid.star``; None when the identity holds."""
+def exhaustive_loop_oracle(g, identity, domain=None):
+    """The first failing assignment of domain indices (x fastest, then y, then
+    z; every element by default), multiplying elements with ``Groupoid.star``
+    (indices with ``Groupoid.star_idx`` when table-backed); None when the
+    identity holds there."""
     lhs, rhs, vars_ = TEMPLATES[identity]
-    els = g.elements()
-    for combo in itertools.product(range(len(els)), repeat=len(vars_)):
+    els, prod = (range(g.order), g.star_idx) if g.spec is None else (g.elements(), g.star)
+    for combo in itertools.product(range(g.order) if domain is None else domain, repeat=len(vars_)):
         assign = combo[::-1]
         env = {v: els[i] for v, i in zip(vars_, assign)}
-        if eval_tree(lhs, env, g.star) != eval_tree(rhs, env, g.star):
+        if eval_tree(lhs, env, prod) != eval_tree(rhs, env, prod):
             return assign
     return None
+
+
+def sampled_loop_oracle(g, identity, trials, seed):
+    """The sampled verdict drawn and multiplied one trial at a time: for each
+    trial, each variable and each entry one ``randrange`` draw, elements
+    multiplied with ``Groupoid.star`` (indices with ``star_idx``)."""
+    lhs_t, rhs_t, vars_ = TEMPLATES[identity]
+    rng = random.Random(seed)
+    if g.spec is not None:
+        values = g.spec.carrier.enumerate_values()
+        k = g.spec.shape.entry_count()
+        draw = lambda: tuple(values[rng.randrange(len(values))] for _ in range(k))  # noqa: E731
+        prod = g.star
+        fmt = lambda e: format_element(g.spec.carrier, g.spec.shape, e)  # noqa: E731
+    else:
+        draw = lambda: rng.randrange(g.order)  # noqa: E731
+        prod = g.star_idx
+        fmt = lambda i: g.labels()[i]  # noqa: E731
+    for _ in range(trials):
+        env = {v: draw() for v in vars_}
+        if eval_tree(lhs_t, env, prod) != eval_tree(rhs_t, env, prod):
+            witness = tuple(env[v] for v in vars_)
+            return IdentityVerdict(
+                identity=identity.value, method="sampled", status="fails",
+                witness=witness, witness_labels=tuple(fmt(w) for w in witness),
+                trials=trials, seed=seed,
+            )
+    return IdentityVerdict(
+        identity=identity.value, method="sampled", status="sampled_no_counterexample",
+        trials=trials, seed=seed,
+    )
 
 
 def witness_indices(g, verdict):
@@ -115,6 +154,32 @@ def test_compiled_table_matches_per_cell_star(carrier, shape):
     assert build(carrier, shape, t, u).index_table() == expected.tolist()
 
 
+@pytest.mark.parametrize(
+    "carrier,shape,t,u",
+    [
+        (Modular(1000), Scalar(), 3, 4),
+        (Modular(100_000), Scalar(), 3, 99_997),
+        (MixedNeutrosophic(17), Matrix(1, 2), (2, 5), (3, 1)),
+        (Modular(300), Poly(1, ProductKind.CONVOLUTION), 7, 2),
+        (Modular(300), Poly(1, ProductKind.SHUFFLE), 7, 2),
+    ],
+)
+def test_sparse_reads_of_a_large_carrier_match_per_cell_star(carrier, shape, t, u):
+    """q² is past _TABULATE_CELLS and the reads are small, so only the cells
+    read are computed (for x*x too, once q is past it)."""
+    n = element_space(carrier, shape).count
+    rng = np.random.default_rng(1)
+    X, Y = rng.integers(0, n, 60), rng.integers(0, n, 60)
+    values = carrier.enumerate_values()
+    pos = {v: i for i, v in enumerate(values)}
+    q, k = len(values), shape.entry_count()
+    el = lambda i: tuple(values[i // q ** (k - 1 - e) % q] for e in range(k))  # noqa: E731
+    idx = lambda e: sum(pos[v] * q ** (k - 1 - j) for j, v in enumerate(e))  # noqa: E731
+    product = compile_product(carrier, shape, t, u)
+    assert product(X, Y).tolist() == [idx(star(carrier, shape, t, u, el(x), el(y))) for x, y in zip(X, Y)]
+    assert product(X, X).tolist() == [idx(star(carrier, shape, t, u, el(x), el(x))) for x in X]
+
+
 def test_table_backed_products_read_the_rows():
     g = groupoid.from_table(["a", "b", "c"], [[0, 1, 2], [2, 0, 1], [1, 2, 0]])
     assert g.products(np.array([0, 1, 2]), np.array([1, 1, 0])).tolist() == [1, 0, 1]
@@ -152,6 +217,126 @@ def test_witnesses_do_not_depend_on_the_chunk_size(monkeypatch, carrier, shape, 
             monkeypatch.setattr(identities, "_CHUNK_CELLS", cells)
             v = check_identity(g, identity, CheckMode.EXHAUSTIVE)
             assert witness_indices(g, v) == expected, (identity, cells)
+
+
+def rare_failure_table():
+    """An order-10 table that is x+y mod 10 except for three cells, so most
+    laws hold on most assignments and their first failure lies deep in the
+    scan or the draw."""
+    rows = [[(i + j) % 10 for j in range(10)] for i in range(10)]
+    rows[3][7] = 1
+    rows[5][5] = 9
+    rows[8][2] = 4
+    return from_table([f"e{i}" for i in range(10)], rows)
+
+
+def seeded_table(n, seed):
+    rng = np.random.default_rng(seed)
+    return from_table([str(i) for i in range(n)], rng.integers(0, n, (n, n)).tolist())
+
+
+ORDER_16 = build(Modular(4), Matrix(1, 2), 2, 3)
+SUBSET_CASES = [
+    (ORDER_16, [1, 2, 5, 11, 14]),
+    (ORDER_16, list(range(0, 16, 3))),
+    (ORDER_16, [9]),
+    (build(Modular(12), Scalar(), 4, 9), [0, 3, 4, 6, 8, 9]),
+    (build(MixedNeutrosophic(2), Matrix(1, 2), (1, 0), (0, 1)), [0, 5, 6, 10, 15]),
+    (rare_failure_table(), [1, 3, 5, 7, 8, 2]),
+    (seeded_table(9, 1), [0, 2, 3, 7]),
+]
+TABLE_BACKED = [
+    rare_failure_table(),
+    seeded_table(12, 2),
+    from_table([str(i) for i in range(16)], ORDER_16.index_table()),
+]
+
+
+@pytest.mark.parametrize("g", TABLE_BACKED, ids=["rare-failures", "seeded", "zn:4-mat:1x2"])
+def test_table_backed_witnesses_do_not_depend_on_the_chunk_size(monkeypatch, g):
+    for identity in IdentityId:
+        expected = exhaustive_loop_oracle(g, identity)
+        for cells in (1, 7, 16, 40):
+            monkeypatch.setattr(identities, "_CHUNK_CELLS", cells)
+            v = check_identity(g, identity, CheckMode.EXHAUSTIVE)
+            got = None if v.holds else tuple(g.labels().index(w) for w in v.witness_labels)
+            assert got == expected, (identity, cells)
+
+
+@pytest.mark.parametrize("g,subset", SUBSET_CASES)
+def test_subset_witnesses_do_not_depend_on_the_chunk_size(monkeypatch, g, subset):
+    """m < n: the row reads pick the domain's columns, and the flat take
+    indexes products that may leave the subset."""
+    subset = sorted(subset)
+    for identity in IdentityId:
+        expected = exhaustive_loop_oracle(g, identity, subset)
+        for cells in (1, 7, 16, 40):
+            monkeypatch.setattr(identities, "_CHUNK_CELLS", cells)
+            assert first_failure(g, identity, np.array(subset)) == expected, (identity, cells)
+            assert identity_holds_on_subset(g, subset, identity) == (expected is None)
+
+
+# -- the sampled engine --------------------------------------------------------------
+
+SAMPLED_CASES = {
+    "zn:9-scalar": build(Modular(9), Scalar(), 2, 5),
+    "zn:10-scalar": build(Modular(10), Scalar(), 5, 6),
+    "zn:10000-scalar": build(Modular(10_000), Scalar(), 3, 4),  # reads cells, not the 10^8 table
+    "zni:4-mat:1x2": build(PureNeutrosophic(4), Matrix(1, 2), 2, 3),
+    "nzn:3-poly:2:entrywise": build(MixedNeutrosophic(3), Poly(2, ProductKind.ENTRYWISE), (1, 1), (2, 0)),
+    "o(zn:5)-poly:2:conv": build(IntervalOf(Modular(5)), Poly(2, ProductKind.CONVOLUTION), 2, 2),
+    "zn:8-poly:2:shuffle": build(Modular(8), Poly(2, ProductKind.SHUFFLE), 1, 3),
+    "zn:10-poly:7:conv": build(Modular(10), Poly(7, ProductKind.CONVOLUTION), 3, 3),  # TooLarge
+    "o(zn:10)-mat:12x5": build(IntervalOf(Modular(10)), Matrix(12, 5), 3, 7),  # TooLarge
+    "table-rare-failures": rare_failure_table(),
+    "table-seeded": seeded_table(7, 3),
+}
+# chunks of 1, 2, 4, ... trials: 1, 3, 7, 15 and 31 trials end a chunk
+SAMPLED_TRIALS = (1, 2, 3, 4, 6, 7, 8, 15, 16, 30, 31, 32, 40)
+
+
+@pytest.mark.parametrize("g", SAMPLED_CASES.values(), ids=SAMPLED_CASES)
+@pytest.mark.parametrize("cells", [None, 48], ids=["default-chunks", "capped-chunks"])
+def test_sampled_engine_matches_the_per_trial_oracle(monkeypatch, g, cells):
+    """48 cells cap a chunk at 24 two-variable or 16 three-variable scalar
+    trials, and at one trial for the widest shapes."""
+    if cells is not None:
+        monkeypatch.setattr(identities, "_CHUNK_CELLS", cells)
+    for identity in IdentityId:
+        for seed in (0, 7, 2024):
+            for trials in SAMPLED_TRIALS:
+                want = sampled_loop_oracle(g, identity, trials, seed)
+                got = check_identity(g, identity, CheckMode.SAMPLED, trials=trials, seed=seed)
+                assert (got.to_json(), got.witness) == (want.to_json(), want.witness), (identity, seed, trials)
+
+
+def test_sampled_witnesses_deep_in_the_draw_match_the_oracle():
+    """Commutativity fails on the rare-failure table for 4 of 100 pairs, so
+    the first failure falls in a late chunk."""
+    g = rare_failure_table()
+    positions = set()
+    for seed in range(12):
+        want = sampled_loop_oracle(g, IdentityId.COMMUTATIVE, 600, seed)
+        got = check_identity(g, IdentityId.COMMUTATIVE, CheckMode.SAMPLED, trials=600, seed=seed)
+        assert (got.to_json(), got.witness) == (want.to_json(), want.witness), seed
+        rng = random.Random(seed)
+        for trial in range(600):
+            x, y = rng.randrange(10), rng.randrange(10)
+            if g.star_idx(x, y) != g.star_idx(y, x):
+                positions.add(trial.bit_length())  # the chunk that trial falls in
+                break
+    assert len(positions) >= 3
+
+
+def test_sampling_a_space_past_the_cap_never_forms_an_element_index(monkeypatch):
+    g = build(Modular(10), Poly(7, ProductKind.CONVOLUTION), 3, 3)
+
+    def refuse(*args):
+        raise AssertionError("sampling multiplied element indices")
+
+    monkeypatch.setattr(g, "products", refuse)
+    v = check_identity(g, IdentityId.COMMUTATIVE, trials=300, seed=5)
+    assert (v.method, v.status) == ("sampled", "sampled_no_counterexample")
 
 
 # -- one-variable laws at large orders ------------------------------------------------

@@ -25,7 +25,7 @@ from groupoidlab import (
     is_simple,
     smarandache,
 )
-from groupoidlab import structure
+from groupoidlab import groupoid, structure
 from groupoidlab.structure import subset_handle
 
 
@@ -333,6 +333,50 @@ def test_power_set_work_cap_binds_a_raised_order_cap_at_the_default_budget(no_sw
             entry(g, max_order=30)
     with pytest.raises(BudgetExceeded):
         is_simple(g, max_order=30)
+
+
+# -- normality work cap ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def no_tables(monkeypatch):
+    """Fail the test if a Cayley table is compiled: the cap must fire first."""
+
+    def refuse(*args):
+        raise AssertionError("the table was compiled past the normality cap")
+
+    monkeypatch.setattr(groupoid, "compile_product", refuse)
+
+
+def test_normality_work_cap_refuses_before_building_the_table(no_tables):
+    g = build(Modular(10), Matrix(1, 3), 3, 7)  # order 1000, inside the order cap of 1024
+    with pytest.raises(BudgetExceeded) as err:
+        is_normal_groupoid(g)
+    assert str(err.value) == (
+        "normal groupoid check: normality work cap exceeded: estimate 1000^3 = 1000000000, "
+        "budget is 100000000 (set GGL_BUDGET to raise it)"
+    )
+
+
+def test_normality_work_cap_follows_the_environment(monkeypatch, no_tables):
+    monkeypatch.setenv("GGL_BUDGET", "511")
+    with pytest.raises(BudgetExceeded, match=r"normality work cap.* 8\^3 = 512, budget is 511"):
+        is_normal_groupoid(build(Modular(8), Scalar(), 2, 6))
+
+
+def test_analyze_refuses_the_normality_work_before_the_closure_work(monkeypatch, no_tables):
+    def refuse(*args):
+        raise AssertionError("generated closures started")
+
+    monkeypatch.setattr(structure, "_generated_closures", refuse)
+    monkeypatch.setenv("GGL_BUDGET", "26999")
+    with pytest.raises(BudgetExceeded, match=r"normality work cap.* 30\^3 = 27000, budget is 26999"):
+        analyze(build(Modular(30), Scalar(), 7, 11))
+
+
+def test_normality_work_cap_admits_work_equal_to_the_budget(monkeypatch):
+    monkeypatch.setenv("GGL_BUDGET", "512")
+    assert not is_normal_groupoid(build(Modular(8), Scalar(), 2, 6))
 
 
 # -- assembled report ---------------------------------------------------------------------------
