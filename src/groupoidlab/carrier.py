@@ -3,20 +3,25 @@
 A carrier supplies the scalar arithmetic that every shape (scalar, matrix,
 polynomial) builds on: reduction to canonical form, addition, multiplication,
 scaling by an operation parameter, enumeration in a fixed order, and parsing /
-formatting of the canonical textual forms.
+formatting of the canonical textual forms. There is one class per arithmetic;
+a notation that only respells values subclasses or wraps the arithmetic it
+writes.
 
 Supported carriers:
 
-* ``Modular(n)``           -- integers mod n; values are ints in [0, n).
-* ``PureNeutrosophic(n)``  -- {0, I, 2I, ..., (n-1)I} with I*I = I; values are
-                              the integer coefficients of I.
-* ``MixedNeutrosophic(n)`` -- {a + bI : a, b in Z_n}; values are (a, b) pairs.
-                              Products follow from distributivity and I*I = I:
+* ``Modular(n)``           -- the ring Z_n; values are ints in [0, n).
+* ``PureNeutrosophic(n)``  -- Z_n written as multiples of I:
+                              {0, I, 2I, ..., (n-1)I}. With I*I = I,
+                              (aI)(bI) = (ab)I, so the arithmetic is Z_n's and
+                              a value is the integer coefficient of I.
+* ``MixedNeutrosophic(n)`` -- the ring Z_n[I]/(I^2 - I), {a + bI : a, b in
+                              Z_n}; values are (a, b) pairs and
                               (a+bI)(c+dI) = ac + (ad+bc+bd)I.
-* ``IntervalOf(inner)``    -- one-endpoint intervals [0, v] over a finite inner
-                              carrier; values are inner values. Nesting depth
-                              is exactly one and rationals are not allowed
-                              inside.
+* ``IntervalOf(inner)``    -- one-endpoint intervals [0, v]: notation over a
+                              finite inner carrier, whose arithmetic it uses
+                              unchanged; values are inner values. Nesting
+                              depth is exactly one and rationals are not
+                              allowed inside.
 * ``RationalDemo()``       -- exact rationals (``fractions.Fraction``); supports
                               arithmetic only, no enumeration or structure.
 """
@@ -58,11 +63,10 @@ def is_prime(m: int) -> bool:
 
 @dataclass(frozen=True)
 class CoprimalityClass:
-    """gcd information for a parameter pair, with the gcd rendered as a value."""
+    """gcd information for a parameter pair."""
 
     is_unit: bool
     gcd: int
-    witness: str  # canonical text of the gcd embedded in the carrier
 
 
 class Carrier:
@@ -120,11 +124,12 @@ class Carrier:
 
     def coprimality_class(self, t: Value, u: Value) -> CoprimalityClass:
         g = math.gcd(self.param_content(t), self.param_content(u))
-        return CoprimalityClass(is_unit=(g == 1), gcd=g, witness=self.format_value(self.embed_gcd(g)))
+        return CoprimalityClass(is_unit=(g == 1), gcd=g)
 
-    def embed_gcd(self, g: int) -> Value:
-        """The gcd rendered as a carrier value (used for the witness text)."""
-        raise NotImplementedError
+    def residue(self, param: Value) -> int | None:
+        """The parameter as an integer residue mod n when it acts exactly like
+        one, else None (used by the arithmetic closed forms)."""
+        return None
 
     # -- neutrosophic structure ------------------------------------------
 
@@ -136,6 +141,10 @@ class Carrier:
         """Nonzero and supported entirely on the I component."""
         return False
 
+    def has_i_part(self, v: Value) -> bool:
+        """The value has a nonzero I component."""
+        return self.is_pure_indeterminate(v)
+
     # -- text -------------------------------------------------------------
 
     def format_value(self, v: Value) -> str:
@@ -143,6 +152,10 @@ class Carrier:
 
     def parse_value(self, s: str) -> Value:
         raise NotImplementedError
+
+    def format_param(self, param: Value, indeterminate: bool) -> str:
+        """A parameter in the spelling it was given with (plain or I-suffixed)."""
+        return self.format_value(param)
 
     def token(self) -> str:
         """Grammar token for the CLI (e.g. ``zn:7``, ``o(zni:4)``, ``q``)."""
@@ -189,7 +202,7 @@ class Modular(Carrier):
         return coeff % self.n
 
     def param_content(self, param: int) -> int:
-        return abs(param) % self.n if param % self.n else 0
+        return param % self.n
 
     def param_is_zero(self, param: int) -> bool:
         return param % self.n == 0
@@ -197,11 +210,16 @@ class Modular(Carrier):
     def param_is_single_prime(self, param: int) -> bool:
         return is_prime(param % self.n)
 
-    def embed_gcd(self, g: int) -> int:
-        return g % self.n
+    def residue(self, param: int) -> int:
+        return int(param)
 
     def format_value(self, v: int) -> str:
         return str(v)
+
+    def format_param(self, param: int, indeterminate: bool) -> str:
+        # plain k and kI act identically on every Z_n notation; keep the
+        # spelling the pair was given with
+        return self.format_value(param) if indeterminate else str(param)
 
     def parse_value(self, s: str) -> int:
         s = s.strip()
@@ -213,53 +231,16 @@ class Modular(Carrier):
         return f"zn:{self.n}"
 
 
-@dataclass(frozen=True)
-class PureNeutrosophic(Carrier):
-    """{0, I, 2I, ..., (n-1)I}; a value is the integer coefficient of I."""
+class PureNeutrosophic(Modular):
+    """Z_n written as multiples of I: {0, I, 2I, ..., (n-1)I}.
 
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise CarrierError(f"modulus must be >= 2, got {self.n}")
-
-    def reduce(self, v: int) -> int:
-        return int(v) % self.n
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.n
-
-    def mul(self, a: int, b: int) -> int:
-        # (aI)(bI) = ab I*I = ab I
-        return (a * b) % self.n
-
-    def scale(self, param: int, v: int) -> int:
-        # both t(bI) = (tb)I and (tI)(bI) = (tb)I collapse to the same action
-        return (param * v) % self.n
-
-    def zero(self) -> int:
-        return 0
-
-    def size(self) -> int:
-        return self.n
-
-    def enumerate_values(self) -> list[int]:
-        return list(range(self.n))
+    A value is the integer coefficient of I. Since I*I = I, both (aI)(bI) and
+    t(bI) collapse to Z_n arithmetic on the coefficients, so only the notation
+    differs from :class:`Modular`.
+    """
 
     def embed_param(self, coeff: int, indeterminate: bool) -> int:
         return coeff % self.n
-
-    def param_content(self, param: int) -> int:
-        return param % self.n
-
-    def param_is_zero(self, param: int) -> bool:
-        return param % self.n == 0
-
-    def param_is_single_prime(self, param: int) -> bool:
-        return is_prime(param % self.n)
-
-    def embed_gcd(self, g: int) -> int:
-        return g % self.n
 
     @property
     def has_indeterminate(self) -> bool:
@@ -340,8 +321,9 @@ class MixedNeutrosophic(Carrier):
             return False
         return is_prime(a or b)
 
-    def embed_gcd(self, g: int) -> tuple[int, int]:
-        return (g % self.n, 0)
+    def residue(self, param: tuple[int, int]) -> int | None:
+        a, b = self.reduce(param)
+        return a if b == 0 else None
 
     @property
     def has_indeterminate(self) -> bool:
@@ -350,6 +332,9 @@ class MixedNeutrosophic(Carrier):
     def is_pure_indeterminate(self, v: tuple[int, int]) -> bool:
         a, b = self.reduce(v)
         return a == 0 and b != 0
+
+    def has_i_part(self, v: tuple[int, int]) -> bool:
+        return self.reduce(v)[1] != 0
 
     def format_value(self, v: tuple[int, int]) -> str:
         a, b = v
@@ -374,10 +359,12 @@ class MixedNeutrosophic(Carrier):
 
 
 @dataclass(frozen=True)
-class IntervalOf(Carrier):
+class IntervalOf:
     """One-endpoint intervals [0, v] over a finite inner carrier.
 
-    A value is the inner endpoint value; all operations act endpoint-wise.
+    A value is the inner endpoint value and every operation is the inner
+    carrier's: only construction and text are defined here, and every other
+    carrier method is forwarded to ``inner``.
     """
 
     inner: Carrier
@@ -388,48 +375,11 @@ class IntervalOf(Carrier):
         if isinstance(self.inner, RationalDemo):
             raise CarrierError("interval carriers require a finite inner carrier")
 
-    def reduce(self, v: Value) -> Value:
-        return self.inner.reduce(v)
-
-    def add(self, a: Value, b: Value) -> Value:
-        return self.inner.add(a, b)
-
-    def mul(self, a: Value, b: Value) -> Value:
-        return self.inner.mul(a, b)
-
-    def scale(self, param: Value, v: Value) -> Value:
-        return self.inner.scale(param, v)
-
-    def zero(self) -> Value:
-        return self.inner.zero()
-
-    def size(self) -> int | None:
-        return self.inner.size()
-
-    def enumerate_values(self) -> list[Value]:
-        return self.inner.enumerate_values()
-
-    def embed_param(self, coeff: int, indeterminate: bool) -> Value:
-        return self.inner.embed_param(coeff, indeterminate)
-
-    def param_content(self, param: Value) -> int:
-        return self.inner.param_content(param)
-
-    def param_is_zero(self, param: Value) -> bool:
-        return self.inner.param_is_zero(param)
-
-    def param_is_single_prime(self, param: Value) -> bool:
-        return self.inner.param_is_single_prime(param)
-
-    def embed_gcd(self, g: int) -> Value:
-        return self.inner.embed_gcd(g)
-
-    @property
-    def has_indeterminate(self) -> bool:
-        return self.inner.has_indeterminate
-
-    def is_pure_indeterminate(self, v: Value) -> bool:
-        return self.inner.is_pure_indeterminate(v)
+    def __getattr__(self, name: str) -> Any:
+        # copy and pickle probe attributes before ``inner`` is set
+        if name == "inner":
+            raise AttributeError(name)
+        return getattr(self.inner, name)
 
     def format_value(self, v: Value) -> str:
         return f"[0,{self.inner.format_value(v)}]"
@@ -442,6 +392,8 @@ class IntervalOf(Carrier):
 
     def token(self) -> str:
         return f"o({self.inner.token()})"
+
+    __str__ = Carrier.__str__
 
 
 @dataclass(frozen=True)

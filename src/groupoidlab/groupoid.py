@@ -61,6 +61,7 @@ class Level(Enum):
 
 
 def classify_level(carrier: Carrier, t: Value, u: Value) -> Level:
+    t, u = carrier.reduce(t), carrier.reduce(u)
     tz = carrier.param_is_zero(t)
     uz = carrier.param_is_zero(u)
     if tz and uz:
@@ -100,20 +101,9 @@ class GroupoidSpec:
         return classify_level(self.carrier, self.t, self.u)
 
     def param_text(self) -> str:
-        from .carrier import IntervalOf, PureNeutrosophic
-
-        base = self.carrier
-        while isinstance(base, IntervalOf):
-            base = base.inner
-
-        def one(v: Value, ind: bool) -> str:
-            # over a pure-I carrier, plain k and kI act identically; keep the
-            # spelling the pair was given with
-            if isinstance(base, PureNeutrosophic) and not ind:
-                return str(v)
-            return base.format_value(v)
-
-        return f"({one(self.t, self.t_indeterminate)},{one(self.u, self.u_indeterminate)})"
+        t = self.carrier.format_param(self.t, self.t_indeterminate)
+        u = self.carrier.format_param(self.u, self.u_indeterminate)
+        return f"({t},{u})"
 
 
 def build(

@@ -34,15 +34,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .carrier import (
-    Carrier,
-    CarrierError,
-    IntervalOf,
-    MixedNeutrosophic,
-    Modular,
-    PureNeutrosophic,
-    is_prime,
-)
+from .carrier import CarrierError, is_prime
 from .groupoid import BUDGET_ENV_VAR, DEFAULT_BUDGET, BudgetExceeded, Groupoid, build, default_budget
 from .shape import Element, Scalar, TooLarge, format_element, scalar_projection
 
@@ -410,14 +402,10 @@ def integer_params(g: Groupoid) -> tuple[int, int, int] | None:
     if g.spec is None:
         return None
     carrier = g.spec.carrier
-    base = carrier.inner if isinstance(carrier, IntervalOf) else carrier
-    if isinstance(base, (Modular, PureNeutrosophic)):
-        return base.n, int(g.spec.t), int(g.spec.u)
-    if isinstance(base, MixedNeutrosophic):
-        (a, b), (c, d) = base.reduce(g.spec.t), base.reduce(g.spec.u)
-        if b == 0 and d == 0:
-            return base.n, a, c
-    return None
+    t, u = carrier.residue(g.spec.t), carrier.residue(g.spec.u)
+    if t is None or u is None:
+        return None
+    return carrier.n, t, u
 
 
 def applicable_closed_forms(g: Groupoid, identity: IdentityId) -> dict[str, bool]:

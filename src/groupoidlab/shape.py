@@ -308,17 +308,7 @@ def element_is_pure_indeterminate(carrier: Carrier, e: Element) -> bool:
 
 
 def element_has_indeterminate(carrier: Carrier, e: Element) -> bool:
-    return any(carrier.is_pure_indeterminate(v) or _mixed_ipart(carrier, v) for v in e)
-
-
-def _mixed_ipart(carrier: Carrier, v: Value) -> bool:
-    # mixed values (a, b) with b != 0 carry an I component even when a != 0
-    from .carrier import IntervalOf, MixedNeutrosophic
-
-    inner = carrier.inner if isinstance(carrier, IntervalOf) else carrier
-    if isinstance(inner, MixedNeutrosophic):
-        return inner.reduce(v)[1] != 0
-    return False
+    return any(carrier.has_i_part(v) for v in e)
 
 
 # -- element text -------------------------------------------------------

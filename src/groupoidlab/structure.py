@@ -10,10 +10,11 @@ bitmask (``uint32`` up to order 32, else ``uint64``) of every product the
 subset ``m`` must contain, filled in blocks by highest set bit with
 OR-over-subsets transforms, and ``m`` is closed (or absorbing) iff
 ``need[m] & ~m == 0``. Their cost, ``n*2^n``, is checked against the identity
-budget (``GGL_BUDGET``) before anything is allocated, as is the ``n^3`` work of
-whole-groupoid normality before its table is built. The generated-closure
-route closes boolean membership vectors semi-naively, and normality compares
-membership matrices (row ``r`` marks the set of values in row ``r``).
+budget (``GGL_BUDGET``) before anything is allocated, as are the ``n^3`` work
+of whole-groupoid normality and the ``n(n-1)/2`` pair closures of up to ``n^2``
+table reads each of the generated-closure route, before the table is built.
+That route closes boolean membership vectors semi-naively, and normality
+compares membership matrices (row ``r`` marks the set of values in row ``r``).
 
 Every check reads the groupoid's Cayley table array
 (``Groupoid.table_array``); identities on a subset, semigroup associativity
@@ -62,7 +63,6 @@ from .identities import (
 from .shape import Element, TooLarge, element_is_pure_indeterminate, element_has_indeterminate
 
 DEFAULT_MAX_ORDER = 20
-DEFAULT_CLOSURE_MAX_ORDER = 4096
 _NORMALITY_ORDER_CAP = 1024
 _NORMAL_CHUNK_CELLS = 1 << 18
 
@@ -135,6 +135,23 @@ def _powerset_order(g: Groupoid, max_order: int, what: str) -> int:
     if work > budget:
         raise BudgetExceeded(
             f"{what}: power-set work cap exceeded: estimate {n}*2^{n} = {work}, "
+            f"budget is {budget} (set {BUDGET_ENV_VAR} to raise it)"
+        )
+    return n
+
+
+def _closure_order(g: Groupoid, what: str) -> int:
+    """The order, once the work estimate of the generated closures fits: one
+    closure per pair of generators, each reading up to n^2 table cells."""
+    n = g.order
+    if isinstance(n, TooLarge):
+        raise BudgetExceeded(f"{what} needs an enumerable groupoid, got order {n}")
+    budget = default_budget()
+    work = n * (n - 1) // 2 * n * n
+    if work > budget:
+        raise BudgetExceeded(
+            f"{what}: generated-closure work cap exceeded: estimate "
+            f"{n}*{n - 1}/2 pairs * {n}^2 reads = {work}, "
             f"budget is {budget} (set {BUDGET_ENV_VAR} to raise it)"
         )
     return n
@@ -388,21 +405,14 @@ def enumerate_subgroupoids(
     strategy: str | None = None,
     *,
     max_order: int = DEFAULT_MAX_ORDER,
-    closure_max_order: int = DEFAULT_CLOSURE_MAX_ORDER,
 ) -> EnumerationResult:
     """All nonempty proper closed subsets (power-set route, order <= max_order),
     or the closures of all generating sets of size <= 2 (generated-closure
     route, a complete list of the 1- and 2-generated subgroupoids)."""
     order = g.order
     if strategy is None:
-        if not isinstance(order, TooLarge) and order <= max_order:
-            strategy = "power-set"
-        elif not isinstance(order, TooLarge) and order <= closure_max_order:
-            strategy = "generated-closure"
-        else:
-            raise BudgetExceeded(
-                f"order {order} exceeds the generated-closure cap {closure_max_order}"
-            )
+        fits = not isinstance(order, TooLarge) and order <= max_order
+        strategy = "power-set" if fits else "generated-closure"
 
     if strategy == "power-set":
         _powerset_order(g, max_order, "power-set enumeration")
@@ -410,7 +420,7 @@ def enumerate_subgroupoids(
         return EnumerationResult(subsets=handles, strategy="power-set", complete=True)
 
     if strategy == "generated-closure":
-        _order_or_raise(g, closure_max_order, "generated-closure enumeration")
+        _closure_order(g, "generated-closure enumeration")
         labels = g.labels()
         closures = g.cached("closures", lambda: _generated_closures(g.table_array()))
         handles = tuple(
@@ -483,12 +493,7 @@ def find_normal_subgroupoids(
     return out
 
 
-def is_simple(
-    g: Groupoid,
-    *,
-    max_order: int = DEFAULT_MAX_ORDER,
-    closure_max_order: int = DEFAULT_CLOSURE_MAX_ORDER,
-) -> SimpleVerdict:
+def is_simple(g: Groupoid, *, max_order: int = DEFAULT_MAX_ORDER) -> SimpleVerdict:
     """No proper normal subgroupoid of size >= 2. Above max_order the search
     falls back to 1-/2-generated subgroupoids and a clean result is flagged
     as incomplete."""
@@ -498,9 +503,7 @@ def is_simple(
         if found:
             return SimpleVerdict(simple=False, witness=found[0], complete=True)
         return SimpleVerdict(simple=True, witness=None, complete=True)
-    enum = enumerate_subgroupoids(
-        g, "generated-closure", closure_max_order=closure_max_order
-    )
+    enum = enumerate_subgroupoids(g, "generated-closure")
     witness = next(_normal_subsets(g, [h for h in enum.subsets if h.size >= 2]), None)
     if witness is not None:
         return SimpleVerdict(simple=False, witness=witness, complete=True)

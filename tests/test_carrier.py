@@ -1,5 +1,7 @@
 """Carrier arithmetic, parsing, formatting, and error behavior."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -224,3 +226,106 @@ def test_format_parse_roundtrip_all_small_carriers():
         c = parse_carrier(token)
         for v in c.enumerate_values():
             assert c.parse_value(c.format_value(v)) == v
+
+
+# -- one arithmetic per ring: notations agree with the ring they write --------
+
+
+def outcome(call):
+    """A call's result, or the type and text of the error it raised."""
+    try:
+        return ("ok", call())
+    except CarrierError as e:
+        return ("error", type(e), str(e))
+
+
+ARITHMETIC_AND_PARAMETER_RULES = [
+    lambda c: c.size(),
+    lambda c: c.zero(),
+    lambda c: c.enumerate_values(),
+    lambda c: [c.reduce(v) for v in range(-2 * c.n, 2 * c.n)],
+    lambda c: [c.is_zero(v) for v in c.enumerate_values()],
+    lambda c: [(c.add(a, b), c.mul(a, b), c.scale(a, b)) for a in range(c.n) for b in range(c.n)],
+    lambda c: [c.embed_param(k, False) for k in range(-c.n, 2 * c.n)],
+    lambda c: [
+        (c.param_content(p), c.param_is_zero(p), c.param_is_single_prime(p), c.residue(p))
+        for p in c.enumerate_values()
+    ],
+    lambda c: [c.format_param(p, False) for p in c.enumerate_values()],
+    lambda c: [c.coprimality_class(p, q) for p in range(c.n) for q in range(c.n)],
+]
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_pure_neutrosophic_is_modular_arithmetic_in_another_notation(n):
+    plain, pure = Modular(n), PureNeutrosophic(n)
+    for rule in ARITHMETIC_AND_PARAMETER_RULES:
+        assert outcome(lambda: rule(pure)) == outcome(lambda: rule(plain))
+    # where the two differ: text, the I suffix and the indeterminate predicates
+    values = plain.enumerate_values()
+    assert [pure.embed_param(k, True) for k in values] == values
+    with pytest.raises(CarrierError):
+        plain.embed_param(1, True)
+    assert (pure.has_indeterminate, plain.has_indeterminate) == (True, False)
+    assert [pure.is_pure_indeterminate(v) for v in values] == [v != 0 for v in values]
+    assert [pure.has_i_part(v) for v in values] == [v != 0 for v in values]
+    assert not any(plain.is_pure_indeterminate(v) or plain.has_i_part(v) for v in values)
+    assert [pure.format_param(v, True) for v in values] == [pure.format_value(v) for v in values]
+
+
+def public_attributes(cls):
+    return {k for k in vars(cls) if not k.startswith("_")}
+
+
+def test_notations_define_only_their_text():
+    notation = {"format_value", "parse_value", "token"}
+    pure_only = {"embed_param", "has_indeterminate", "is_pure_indeterminate"}
+    assert public_attributes(PureNeutrosophic) == notation | pure_only
+    # besides its construction checks and the forwarding to ``inner``
+    assert public_attributes(IntervalOf) == notation
+
+
+SMALL_INNER_CARRIERS = [
+    *(Modular(n) for n in range(2, 6)),
+    *(PureNeutrosophic(n) for n in range(2, 6)),
+    *(MixedNeutrosophic(n) for n in range(2, 4)),
+]
+
+
+@pytest.mark.parametrize("inner", SMALL_INNER_CARRIERS, ids=lambda c: c.token())
+def test_interval_forwards_every_non_text_method_to_its_inner_carrier(inner):
+    interval = IntervalOf(inner)
+    values = inner.enumerate_values()
+    rules = [
+        lambda c: c.n,
+        lambda c: c.size(),
+        lambda c: c.zero(),
+        lambda c: values == c.enumerate_values(),
+        lambda c: [
+            (c.reduce(v), c.is_zero(v), c.is_pure_indeterminate(v), c.has_i_part(v)) for v in values
+        ],
+        lambda c: [(c.add(a, b), c.mul(a, b), c.scale(a, b)) for a in values for b in values],
+        lambda c: [c.embed_param(k, ind) for k in range(-2, inner.n + 2) for ind in (False, True)],
+        lambda c: [
+            (c.param_content(p), c.param_is_zero(p), c.param_is_single_prime(p), c.residue(p))
+            for p in values
+        ],
+        lambda c: [(c.format_param(p, False), c.format_param(p, True)) for p in values],
+        lambda c: [c.coprimality_class(p, q) for p in values for q in values],
+        lambda c: c.has_indeterminate,
+    ]
+    for rule in rules:
+        assert outcome(lambda: rule(interval)) == outcome(lambda: rule(inner))
+    want = [f"[0,{inner.format_value(v)}]" for v in values]
+    assert [interval.format_value(v) for v in values] == want
+
+
+def test_interval_copies_pickles_compares_and_hashes_by_its_inner_carrier():
+    c = IntervalOf(Modular(8))
+    for twin in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+        assert twin == c and hash(twin) == hash(c)
+        assert twin.token() == "o(zn:8)" and twin.add(5, 6) == 3
+    assert IntervalOf(Modular(8)) == c and hash(IntervalOf(Modular(8))) == hash(c)
+    assert IntervalOf(Modular(8)) != IntervalOf(PureNeutrosophic(8))
+    assert Modular(5) != PureNeutrosophic(5)
+    assert str(c) == "o(zn:8)"

@@ -155,6 +155,18 @@ def test_structure_raised_order_cap_hits_the_power_set_work_cap(runner, monkeypa
     assert "power-set work cap" in diag["detail"] and "budget is 100000000" in diag["detail"]
 
 
+def test_structure_past_the_closure_work_cap_exits_3(runner, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("generated closures started")
+
+    monkeypatch.setattr(structure, "_generated_closures", refuse)
+    r = invoke(runner, "structure", "--carrier", "zn:120", "--pair", "7,11", "--no-timing")
+    assert r.exit_code == 3
+    diag = json.loads(r.stderr)
+    assert diag["error"] == "budget-exceeded"
+    assert "generated-closure work cap" in diag["detail"] and "budget is 100000000" in diag["detail"]
+
+
 def test_structure_stdout_is_pure_json_even_with_timing(runner):
     r = invoke(runner, "structure", "--carrier", "zn:6", "--pair", "2,4")
     assert r.exit_code == 0

@@ -82,10 +82,13 @@ def test_describe_mentions_carrier_shape_pair_level():
         (5, 1, 1, Level.FOUR),
         (5, 0, 2, Level.FIVE),   # one parameter zero
         (5, 2, 0, Level.FIVE),
+        (12, -5, 7, Level.FOUR),  # equal mod 12: reduced before classifying
+        (12, 14, 2, Level.FOUR),
     ],
 )
 def test_level_taxonomy(n, t, u, level):
     assert build(Modular(n), Scalar(), t, u).level is level
+    assert classify_level(Modular(n), t, u) is level
 
 
 def test_level_precedence_zero_beats_gcd():

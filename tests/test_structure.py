@@ -343,7 +343,7 @@ def no_tables(monkeypatch):
     """Fail the test if a Cayley table is compiled: the cap must fire first."""
 
     def refuse(*args):
-        raise AssertionError("the table was compiled past the normality cap")
+        raise AssertionError("the table was compiled past a work cap")
 
     monkeypatch.setattr(groupoid, "compile_product", refuse)
 
@@ -377,6 +377,57 @@ def test_analyze_refuses_the_normality_work_before_the_closure_work(monkeypatch,
 def test_normality_work_cap_admits_work_equal_to_the_budget(monkeypatch):
     monkeypatch.setenv("GGL_BUDGET", "512")
     assert not is_normal_groupoid(build(Modular(8), Scalar(), 2, 6))
+
+
+# -- generated-closure work cap -------------------------------------------------------------------
+
+
+class ClosuresAdmitted(Exception):
+    """Raised by the stubbed closure pass: the work cap let the route run."""
+
+
+@pytest.fixture
+def no_closures(monkeypatch):
+    """Stop the closure pass before it does any work, admitted or not."""
+
+    def stop(*args):
+        raise ClosuresAdmitted
+
+    monkeypatch.setattr(structure, "_generated_closures", stop)
+
+
+CLOSURE_ENTRY_POINTS = {
+    "enumerate_subgroupoids": enumerate_subgroupoids,
+    "is_simple": is_simple,
+    "analyze": analyze,
+}
+
+
+@pytest.mark.parametrize("entry", CLOSURE_ENTRY_POINTS.values(), ids=CLOSURE_ENTRY_POINTS)
+def test_closure_work_cap_admits_order_119(no_closures, entry):
+    with pytest.raises(ClosuresAdmitted):
+        entry(build(Modular(119), Scalar(), 7, 11))
+
+
+@pytest.mark.parametrize("entry", CLOSURE_ENTRY_POINTS.values(), ids=CLOSURE_ENTRY_POINTS)
+def test_closure_work_cap_refuses_order_120_before_building_the_table(no_closures, no_tables, entry):
+    with pytest.raises(BudgetExceeded) as err:
+        entry(build(Modular(120), Scalar(), 7, 11))
+    assert str(err.value) == (
+        "generated-closure enumeration: generated-closure work cap exceeded: "
+        "estimate 120*119/2 pairs * 120^2 reads = 102816000, "
+        "budget is 100000000 (set GGL_BUDGET to raise it)"
+    )
+
+
+def test_closure_work_cap_follows_the_environment(monkeypatch, no_closures):
+    g = build(Modular(30), Scalar(), 7, 11)  # 30*29/2 * 30^2 = 391500
+    monkeypatch.setenv("GGL_BUDGET", "391499")
+    with pytest.raises(BudgetExceeded, match=r"generated-closure work cap.* = 391500, budget is 391499"):
+        enumerate_subgroupoids(g, "generated-closure")
+    monkeypatch.setenv("GGL_BUDGET", "391500")
+    with pytest.raises(ClosuresAdmitted):
+        enumerate_subgroupoids(g, "generated-closure")
 
 
 # -- assembled report ---------------------------------------------------------------------------
