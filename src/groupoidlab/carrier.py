@@ -1,29 +1,34 @@
-"""Finite coefficient carriers for the two-parameter star product.
+"""Finite coefficient rings for the two-parameter star product.
 
-A carrier supplies the scalar arithmetic that every shape (scalar, matrix,
+A carrier supplies the ring arithmetic that every shape (scalar, matrix,
 polynomial) builds on: reduction to canonical form, addition, multiplication,
 scaling by an operation parameter, enumeration in a fixed order, and parsing /
 formatting of the canonical textual forms. There is one class per arithmetic;
 a notation that only respells values subclasses or wraps the arithmetic it
 writes.
 
+The arithmetic comes twice. ``add``, ``mul`` and ``scale`` act on single
+values; they are the per-cell oracle and serve the demos. ``add_indices`` and
+``mul_indices`` act on numpy arrays of value indices (positions in
+``enumerate_values()`` order) and return the index of each result; every
+compiled product is built from them. They compute in int32 while every
+intermediate fits, which the carrier size decides, and in int64 past that.
+
 Supported carriers:
 
-* ``Modular(n)``           -- the ring Z_n; values are ints in [0, n).
+* ``Modular(n)``           -- the ring Z_n; values are ints in [0, n), and a
+                              value is its own index.
 * ``PureNeutrosophic(n)``  -- Z_n written as multiples of I:
                               {0, I, 2I, ..., (n-1)I}. With I*I = I,
                               (aI)(bI) = (ab)I, so the arithmetic is Z_n's and
                               a value is the integer coefficient of I.
 * ``MixedNeutrosophic(n)`` -- the ring Z_n[I]/(I^2 - I), {a + bI : a, b in
-                              Z_n}; values are (a, b) pairs and
-                              (a+bI)(c+dI) = ac + (ad+bc+bd)I.
-* ``IntervalOf(inner)``    -- one-endpoint intervals [0, v]: notation over a
-                              finite inner carrier, whose arithmetic it uses
+                              Z_n}; values are (a, b) pairs with index a*n + b,
+                              and (a+bI)(c+dI) = ac + (ad+bc+bd)I.
+* ``IntervalOf(inner)``    -- one-endpoint intervals [0, v]: notation over an
+                              inner carrier, whose arithmetic it uses
                               unchanged; values are inner values. Nesting
-                              depth is exactly one and rationals are not
-                              allowed inside.
-* ``RationalDemo()``       -- exact rationals (``fractions.Fraction``); supports
-                              arithmetic only, no enumeration or structure.
+                              depth is exactly one.
 """
 
 from __future__ import annotations
@@ -31,18 +36,20 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Iterator
 
-Value = Any  # int | tuple[int, int] | Fraction, depending on carrier
+import numpy as np
+
+Value = Any  # int | tuple[int, int], depending on carrier
 
 
 class CarrierError(ValueError):
     """Invalid carrier construction, value, or textual form."""
 
 
-class CannotEnumerate(CarrierError):
-    """The carrier is not finitely enumerable."""
+def _index_dtype(largest: int) -> type:
+    """int32 when every intermediate up to ``largest`` fits it, else int64."""
+    return np.int32 if largest < 2**31 else np.int64
 
 
 def is_prime(m: int) -> bool:
@@ -95,12 +102,28 @@ class Carrier:
 
     # -- enumeration ----------------------------------------------------
 
-    def size(self) -> int | None:
-        """Number of values, or None when not finitely enumerable."""
+    def size(self) -> int:
+        """Number of values."""
         raise NotImplementedError
 
     def enumerate_values(self) -> list[Value]:
         """All values in canonical order; stable across calls."""
+        raise NotImplementedError
+
+    # -- arithmetic on arrays of value indices -----------------------------
+
+    def index_of(self, v: Value) -> int:
+        """Position of a value in ``enumerate_values()`` order."""
+        raise NotImplementedError
+
+    def add_indices(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Indices of v + w for broadcastable arrays of value indices; a new
+        array, int32 while the carrier's arithmetic fits it."""
+        raise NotImplementedError
+
+    def mul_indices(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Indices of v·w, as ``add_indices``; on every carrier here an
+        operation parameter acts by multiplication, so this is ``scale`` too."""
         raise NotImplementedError
 
     # -- parameters -----------------------------------------------------
@@ -195,6 +218,19 @@ class Modular(Carrier):
 
     def enumerate_values(self) -> list[int]:
         return list(range(self.n))
+
+    def index_of(self, v: int) -> int:
+        return self.reduce(v)
+
+    def add_indices(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        out = np.add(a, b, dtype=_index_dtype((self.n - 1) ** 2))
+        out %= self.n
+        return out
+
+    def mul_indices(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        out = np.multiply(a, b, dtype=_index_dtype((self.n - 1) ** 2))
+        out %= self.n
+        return out
 
     def embed_param(self, coeff: int, indeterminate: bool) -> int:
         if indeterminate:
@@ -304,6 +340,31 @@ class MixedNeutrosophic(Carrier):
     def enumerate_values(self) -> list[tuple[int, int]]:
         return [(a, b) for a in range(self.n) for b in range(self.n)]
 
+    def index_of(self, v: tuple[int, int]) -> int:
+        a, b = self.reduce(v)
+        return a * self.n + b
+
+    def _join(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The index of (a mod n) + (b mod n)I, reusing a's storage."""
+        a %= self.n
+        b %= self.n
+        a *= self.n
+        a += b
+        return a
+
+    def add_indices(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        dtype = _index_dtype(3 * (self.n - 1) ** 2)
+        (a, b), (c, d) = np.divmod(x, self.n), np.divmod(y, self.n)
+        return self._join(np.add(a, c, dtype=dtype), np.add(b, d, dtype=dtype))
+
+    def mul_indices(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # ac + (ad + b(c+d))I, each intermediate below 3(n-1)^2
+        dtype = _index_dtype(3 * (self.n - 1) ** 2)
+        (a, b), (c, d) = np.divmod(x, self.n), np.divmod(y, self.n)
+        ipart = np.multiply(b, c + d, dtype=dtype)
+        ipart += np.multiply(a, d, dtype=dtype)
+        return self._join(np.multiply(a, c, dtype=dtype), ipart)
+
     def embed_param(self, coeff: int, indeterminate: bool) -> tuple[int, int]:
         c = coeff % self.n
         return (0, c) if indeterminate else (c, 0)
@@ -372,8 +433,6 @@ class IntervalOf:
     def __post_init__(self) -> None:
         if isinstance(self.inner, IntervalOf):
             raise CarrierError("interval carriers do not nest")
-        if isinstance(self.inner, RationalDemo):
-            raise CarrierError("interval carriers require a finite inner carrier")
 
     def __getattr__(self, name: str) -> Any:
         # copy and pickle probe attributes before ``inner`` is set
@@ -396,69 +455,12 @@ class IntervalOf:
     __str__ = Carrier.__str__
 
 
-@dataclass(frozen=True)
-class RationalDemo(Carrier):
-    """Exact rationals; arithmetic only, no enumeration or subset structure."""
-
-    def reduce(self, v: Value) -> Fraction:
-        return Fraction(v)
-
-    def add(self, a: Fraction, b: Fraction) -> Fraction:
-        return a + b
-
-    def mul(self, a: Fraction, b: Fraction) -> Fraction:
-        return a * b
-
-    def scale(self, param: Fraction, v: Fraction) -> Fraction:
-        return param * v
-
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    def size(self) -> None:
-        return None
-
-    def enumerate_values(self) -> list[Value]:
-        raise CannotEnumerate("rational carrier is not enumerable")
-
-    def embed_param(self, coeff: int, indeterminate: bool) -> Fraction:
-        if indeterminate:
-            raise CarrierError("carrier has no indeterminate component; drop the I suffix")
-        return Fraction(coeff)
-
-    def param_content(self, param: Fraction) -> int:
-        raise CarrierError("coprimality is not defined for the rational carrier")
-
-    def param_is_zero(self, param: Fraction) -> bool:
-        return param == 0
-
-    def param_is_single_prime(self, param: Fraction) -> bool:
-        return param.denominator == 1 and is_prime(int(param))
-
-    def coprimality_class(self, t: Fraction, u: Fraction) -> CoprimalityClass:
-        raise CarrierError("coprimality is not defined for the rational carrier")
-
-    def format_value(self, v: Fraction) -> str:
-        return str(v)
-
-    def parse_value(self, s: str) -> Fraction:
-        try:
-            return Fraction(s.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CarrierError(f"not a rational: {s!r}") from exc
-
-    def token(self) -> str:
-        return "q"
-
-
 _CARRIER_RE = re.compile(r"^(zn|zni|nzn):(\d+)$")
 
 
 def parse_carrier(token: str) -> Carrier:
-    """Parse a carrier grammar token: zn:N, zni:N, nzn:N, o(...), q."""
+    """Parse a carrier grammar token: zn:N, zni:N, nzn:N, o(...)."""
     token = token.strip()
-    if token == "q":
-        return RationalDemo()
     if token.startswith("o(") and token.endswith(")"):
         return IntervalOf(parse_carrier(token[2:-1]))
     m = _CARRIER_RE.match(token)

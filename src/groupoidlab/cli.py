@@ -17,7 +17,7 @@ import time
 import click
 
 from . import demos as demos_mod
-from .carrier import CannotEnumerate, Carrier, CarrierError, parse_carrier, parse_param_component
+from .carrier import Carrier, CarrierError, parse_carrier, parse_param_component
 from .groupoid import BudgetExceeded, Groupoid, build, cayley_table
 from .identities import (
     CheckMode,
@@ -97,7 +97,7 @@ def _parse_mode(text: str):
 def _budget_guard(fn):
     try:
         return fn()
-    except (BudgetExceeded, CannotEnumerate) as e:
+    except BudgetExceeded as e:
         click.echo(
             json.dumps({"error": "budget-exceeded", "detail": str(e)}),
             err=True,
@@ -117,7 +117,7 @@ def main() -> None:
 
 
 @main.command()
-@click.option("--carrier", "carrier_token", required=True, help="zn:N, zni:N, nzn:N, o(...), q")
+@click.option("--carrier", "carrier_token", required=True, help="zn:N, zni:N, nzn:N, o(...)")
 @click.option("--shape", "shape_token", default="scalar", show_default=True)
 @click.option("--pair", "pair_text", required=True, help="T,U with optional I suffix per component")
 @click.option("--format", "fmt", type=click.Choice(["tsv", "json"]), default="tsv", show_default=True)

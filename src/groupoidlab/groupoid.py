@@ -50,6 +50,16 @@ def default_budget() -> int:
         raise BudgetExceeded(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}")
 
 
+def check_budget(cap: str, formula: str, work: int, unit: str = "") -> None:
+    """Refuse, before it starts, work whose up-front estimate exceeds the budget."""
+    budget = default_budget()
+    if work > budget:
+        raise BudgetExceeded(
+            f"{cap} cap exceeded: estimate {formula} = {work}{unit}, "
+            f"budget is {budget} (set {BUDGET_ENV_VAR} to raise it)"
+        )
+
+
 class Level(Enum):
     """Parameter-pair taxonomy; higher-precedence cases are listed last."""
 
@@ -237,12 +247,7 @@ class Groupoid:
         if "table" not in self._memo:
             self._require_enumerable()
             n = self.order
-            budget = default_budget()
-            if n * n > budget:
-                raise BudgetExceeded(
-                    f"Cayley table cap exceeded: estimate {n}^2 = {n * n} cells, "
-                    f"budget is {budget} (set {BUDGET_ENV_VAR} to raise it)"
-                )
+            check_budget("Cayley table", f"{n}^2", n * n, " cells")
             X = np.arange(n)
             self._memo["table"] = self.products(X[:, None], X[None, :])
         return self._memo["table"]

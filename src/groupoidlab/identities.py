@@ -254,8 +254,6 @@ def _sampled(g: Groupoid, identity: IdentityId, trials: int, seed: int) -> Ident
     if g.spec is not None:
         carrier = g.spec.carrier
         size = carrier.size()
-        if size is None:
-            raise CarrierError("cannot sample a non-enumerable carrier")
         values = carrier.enumerate_values()
         k = g.spec.shape.entry_count()
         prod = g.digit_products
@@ -297,6 +295,22 @@ def _sampled(g: Groupoid, identity: IdentityId, trials: int, seed: int) -> Ident
 # -- entry point --------------------------------------------------------------
 
 
+def _lifted_fits(g: Groupoid, nvars: int, budget: int) -> bool:
+    """The shape multiplies entrywise over k > 1 entries and its scalar shadow
+    is within the exhaustive budget."""
+    sp = g.spec
+    return (
+        sp is not None
+        and sp.shape.entry_count() > 1
+        and scalar_projection(sp.shape).liftable
+        and sp.carrier.size() ** nvars <= budget
+    )
+
+
+def _exhaustive_fits(g: Groupoid, nvars: int, budget: int) -> bool:
+    return not isinstance(g.order, TooLarge) and g.order**nvars <= budget
+
+
 def _require_trials(trials: int) -> None:
     if trials < 1:
         raise CarrierError(f"sampling needs at least one trial, got {trials}")
@@ -323,13 +337,9 @@ def check_identity(
         return _sampled(g, identity, trials, seed)
 
     # AUTO: prefer a lifted proof, then exhaustive, then sampling
-    if g.spec is not None and g.spec.shape.entry_count() > 1:
-        if scalar_projection(g.spec.shape).liftable:
-            scalar_size = g.spec.carrier.size()
-            if scalar_size is not None and scalar_size**nvars <= budget:
-                return _lifted(g, identity, budget)
-    order = g.order
-    if not isinstance(order, TooLarge) and order**nvars <= budget:
+    if _lifted_fits(g, nvars, budget):
+        return _lifted(g, identity, budget)
+    if _exhaustive_fits(g, nvars, budget):
         return _exhaustive(g, identity, budget)
     return _sampled(g, identity, trials, seed)
 
@@ -467,13 +477,10 @@ def cross_validate(
     nvars = len(TEMPLATES[identity][2])
     report = ConsistencyReport(identity=identity.value)
 
-    order = g.order
-    if not isinstance(order, TooLarge) and order**nvars <= budget:
+    if _exhaustive_fits(g, nvars, budget):
         report.verdicts.append(_exhaustive(g, identity, budget))
-    if g.spec is not None and scalar_projection(g.spec.shape).liftable and g.spec.shape.entry_count() > 1:
-        scalar_size = g.spec.carrier.size()
-        if scalar_size is not None and scalar_size**nvars <= budget:
-            report.verdicts.append(_lifted(g, identity, budget))
+    if _lifted_fits(g, nvars, budget):
+        report.verdicts.append(_lifted(g, identity, budget))
     report.verdicts.append(_sampled(g, identity, trials, seed))
 
     hard = {v.status for v in report.verdicts if v.status in ("holds", "fails")}

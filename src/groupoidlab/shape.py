@@ -17,9 +17,10 @@ The star product x*y depends on the shape's product kind:
       (x*y)_k = sum over i+j=k of (t·x_i + u·y_j),
   colliding exponents are summed and exponents above max_deg are dropped.
 
-``star`` multiplies two elements cell by cell; it is the oracle for
-``compile_product``, which multiplies whole arrays of element indices and is
-what every Cayley table is built from.
+``star`` multiplies two elements cell by cell with the carrier's per-value
+arithmetic; it is the oracle for ``compile_product``, which multiplies whole
+arrays of element indices with the carrier's arithmetic on arrays of value
+indices and is what every Cayley table is built from.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ class TooLarge:
 TOO_LARGE = TooLarge()
 
 DEFAULT_SPACE_CAP = 10**6
-_TABULATE_CELLS = 1 << 16
 
 
 class ProductKind(Enum):
@@ -165,61 +165,28 @@ def compile_product(
     """The star product as one vectorised function of element-index arrays.
 
     Digit e of an index (base q = carrier size, most significant first) is the
-    value index of entry e, in ``element_space`` order. Output digit e reads a
-    q×q table: S[v, w] = idx(t·v + u·w) at (x_e, y_e) for entrywise shapes and
-    at the prefix sums (P_e(x), P_e(y)), P_e = x_0 + ... + x_e, for convolution,
-    since (x*y)_e = t·P_e(x) + u·P_e(y); idx(v·w) at (x_e, y_{e+1}) for shuffle,
-    whose last digit is x_d. Digits accumulate in place in one int32 array.
-    For x*x (the same array twice) S is read on its diagonal: q scalar products
-    instead of q², so squaring stays cheap at any enumerable order. A table
-    (q cells on the diagonal, q² off it) is built in full once one read covers
-    that many cells, or when it has at most _TABULATE_CELLS; smaller reads
-    compute only the distinct cells they touch, so sampling a large carrier
-    never pays for its whole table.
+    value index of entry e, in ``element_space`` order. Every output digit is
+    the carrier's array arithmetic on the input digits: idx(t·v + u·w) at
+    (x_e, y_e) for entrywise shapes and at the prefix sums (P_e(x), P_e(y)),
+    P_e = x_0 + ... + x_e, for convolution, since (x*y)_e = t·P_e(x) + u·P_e(y);
+    idx(v·w) at (x_e, y_{e+1}) for shuffle, whose last digit is x_d. Digits
+    accumulate in place in one array of the carrier's index dtype (int32 up
+    to q = 46341), so the cost follows the cells read: x*x computes only its
+    n products, and a few reads of a large carrier only those few.
 
     The per-digit product is exposed as ``product.digits(xs, ys)``: x and y
     given as k arrays of value indices (entry 0 first), x*y returned the same
     way. It never forms an element index, so it multiplies elements of spaces
     past the enumeration cap.
     """
-    values = carrier.enumerate_values()
-    q, k = len(values), shape.entry_count()
-    pos = {v: i for i, v in enumerate(values)}
-    ops = {
-        "star": lambda v, w: carrier.add(carrier.scale(t, v), carrier.scale(u, w)),
-        "add": carrier.add,
-        "mul": carrier.mul,
-    }
-    tables: dict[tuple[str, bool], np.ndarray] = {}
-
-    def table(op: str, diagonal: bool) -> np.ndarray:
-        f = ops[op]
-        if diagonal:
-            return np.array([pos[f(v, v)] for v in values], dtype=np.int32)
-        return np.array([[pos[f(v, w)] for w in values] for v in values], dtype=np.int32)
-
-    def sparse_read(op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """table(op)[a, b], computing only the distinct cells read."""
-        a, b = np.broadcast_arrays(a, b)
-        pairs, inverse = np.unique((a * np.int64(q) + b).ravel(), return_inverse=True)
-        f = ops[op]
-        cells = [pos[f(values[p // q], values[p % q])] for p in pairs.tolist()]
-        return np.array(cells, dtype=np.int32)[inverse].reshape(a.shape)
-
-    def read(op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        diagonal = a is b
-        key = (op, diagonal)
-        if key not in tables:
-            full, size = (q, a.size) if diagonal else (q * q, np.broadcast(a, b).size)
-            if full > max(size, _TABULATE_CELLS):
-                return sparse_read(op, a, b)
-            tables[key] = table(op, diagonal)
-        return tables[key][a] if diagonal else tables[key][a, b]
+    q, k = carrier.size(), shape.entry_count()
+    t, u = carrier.index_of(t), carrier.index_of(u)
+    add, mul = carrier.add_indices, carrier.mul_indices
 
     def prefix_sums(ds: Sequence[np.ndarray]) -> list[np.ndarray]:
         out = [ds[0]]
         for d in ds[1:]:
-            out.append(read("add", out[-1], d))
+            out.append(add(out[-1], d))
         return out
 
     kind = ProductKind.ENTRYWISE if shape.is_entrywise() else shape.kind
@@ -227,20 +194,17 @@ def compile_product(
     def digits(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
         """The digits of x*y, one at a time, so a caller holds one at once."""
         if kind is ProductKind.SHUFFLE:
-            return itertools.chain((read("mul", xs[e], ys[e + 1]) for e in range(k - 1)), xs[-1:])
+            return itertools.chain((mul(xs[e], ys[e + 1]) for e in range(k - 1)), xs[-1:])
         if kind is ProductKind.CONVOLUTION:
-            same = ys is xs
-            xs = prefix_sums(xs)
-            ys = xs if same else prefix_sums(ys)
-        return (read("star", a, b) for a, b in zip(xs, ys))
+            xs, ys = prefix_sums(xs), prefix_sums(ys)
+        return (add(mul(t, a), mul(u, b)) for a, b in zip(xs, ys))
 
     def entries(X: np.ndarray) -> list[np.ndarray]:
         return [X // q ** (k - 1 - e) % q for e in range(k)]
 
     def product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        xs = entries(X)
-        ds = digits(xs, xs if Y is X else entries(Y))
-        out = next(ds)  # a fresh table read of the full broadcast shape
+        ds = digits(entries(X), entries(Y))
+        out = next(ds)  # a fresh array of the full broadcast shape
         for d in ds:
             out *= q
             out += d
@@ -267,10 +231,7 @@ class ElementSpace:
 
 def element_space(carrier: Carrier, shape: Shape, cap: int = DEFAULT_SPACE_CAP) -> ElementSpace:
     """Count the elements; the count is TooLarge (and iteration refused) above cap."""
-    size = carrier.size()
-    if size is None:
-        raise CarrierError("carrier is not enumerable")
-    count: int | TooLarge = size ** shape.entry_count()
+    count: int | TooLarge = carrier.size() ** shape.entry_count()
     if count > cap:
         count = TOO_LARGE
     return ElementSpace(count=count, carrier=carrier, shape=shape)

@@ -52,7 +52,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .carrier import CarrierError
-from .groupoid import BUDGET_ENV_VAR, BudgetExceeded, Groupoid, default_budget
+from .groupoid import BudgetExceeded, Groupoid, check_budget
 from .identities import (
     CheckMode,
     IdentityId,
@@ -130,13 +130,7 @@ _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 def _powerset_order(g: Groupoid, max_order: int, what: str) -> int:
     """The order, once both the order cap and the n*2^n work estimate fit."""
     n = _order_or_raise(g, max_order, what)
-    budget = default_budget()
-    work = n << n
-    if work > budget:
-        raise BudgetExceeded(
-            f"{what}: power-set work cap exceeded: estimate {n}*2^{n} = {work}, "
-            f"budget is {budget} (set {BUDGET_ENV_VAR} to raise it)"
-        )
+    check_budget(f"{what}: power-set work", f"{n}*2^{n}", n << n)
     return n
 
 
@@ -146,14 +140,9 @@ def _closure_order(g: Groupoid, what: str) -> int:
     n = g.order
     if isinstance(n, TooLarge):
         raise BudgetExceeded(f"{what} needs an enumerable groupoid, got order {n}")
-    budget = default_budget()
-    work = n * (n - 1) // 2 * n * n
-    if work > budget:
-        raise BudgetExceeded(
-            f"{what}: generated-closure work cap exceeded: estimate "
-            f"{n}*{n - 1}/2 pairs * {n}^2 reads = {work}, "
-            f"budget is {budget} (set {BUDGET_ENV_VAR} to raise it)"
-        )
+    check_budget(
+        f"{what}: generated-closure work", f"{n}*{n - 1}/2 pairs * {n}^2 reads", n * (n - 1) // 2 * n * n
+    )
     return n
 
 
@@ -515,13 +504,7 @@ def _normality_order(g: Groupoid, max_order: int) -> int:
     whole-groupoid normality check fit."""
     what = "normal groupoid check"
     n = _order_or_raise(g, max_order, what)
-    budget = default_budget()
-    work = n**3
-    if work > budget:
-        raise BudgetExceeded(
-            f"{what}: normality work cap exceeded: estimate {n}^3 = {work}, "
-            f"budget is {budget} (set {BUDGET_ENV_VAR} to raise it)"
-        )
+    check_budget(f"{what}: normality work", f"{n}^3", n**3)
     return n
 
 

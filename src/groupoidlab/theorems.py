@@ -21,6 +21,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from .carrier import (
     Carrier,
     CarrierError,
@@ -152,9 +154,8 @@ def count_class(carrier: Carrier, kind: str, *, equal_pairs_included: bool = Fal
     pairs whose groupoid is idempotent (checked semantically against every
     carrier value), with equal pairs included iff the flag says so.
     """
-    if carrier.size() is None:
-        raise CarrierError("counting needs a finite carrier")
-    nonzero = [v for v in carrier.enumerate_values() if not carrier.is_zero(v)]
+    values = carrier.enumerate_values()
+    nonzero = [v for v in values if not carrier.is_zero(v)]
     if kind == "all_pairs":
         return sum(1 for v in nonzero for w in nonzero if v != w)
     if kind == "level_one_pairs":
@@ -165,17 +166,21 @@ def count_class(carrier: Carrier, kind: str, *, equal_pairs_included: bool = Fal
             if v != w and carrier.coprimality_class(v, w).is_unit
         )
     if kind == "idempotent_pairs":
-        values = carrier.enumerate_values()
+        # v·x + w·x = x for every value x, over value indices; the values are
+        # taken in blocks of 1, 2, 4, ..., and a candidate w leaves at the end
+        # of the first block with an x where it fails
+        xs = np.arange(len(values))
+        nz = np.flatnonzero([not carrier.is_zero(v) for v in values])
         count = 0
-        for v in nonzero:
-            for w in nonzero:
-                if v == w and not equal_pairs_included:
-                    continue
-                if all(
-                    carrier.add(carrier.scale(v, x), carrier.scale(w, x)) == x
-                    for x in values
-                ):
-                    count += 1
+        for v in nz:
+            ws = nz if equal_pairs_included else nz[nz != v]
+            lo, step = 0, 1
+            while ws.size and lo < len(xs):
+                x = xs[lo : lo + step]
+                vx_wx = carrier.add_indices(carrier.mul_indices(v, x), carrier.mul_indices(ws[:, None], x))
+                ws = ws[(vx_wx == x).all(axis=1)]
+                lo, step = lo + step, 2 * step
+            count += ws.size
         return count
     raise CarrierError(f"unknown counting class: {kind!r} (expected one of {COUNT_CLASSES})")
 

@@ -2,19 +2,17 @@
 
 import copy
 import pickle
-from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from groupoidlab import (
-    CannotEnumerate,
     CarrierError,
     IntervalOf,
     MixedNeutrosophic,
     Modular,
     PureNeutrosophic,
-    RationalDemo,
     parse_carrier,
 )
 
@@ -137,26 +135,6 @@ def test_interval_of_pure_formats_with_indeterminate():
 def test_interval_nesting_rejected():
     with pytest.raises(CarrierError):
         IntervalOf(IntervalOf(Modular(4)))
-    with pytest.raises(CarrierError):
-        IntervalOf(RationalDemo())
-
-
-# -- rational demo ------------------------------------------------------------
-
-
-def test_rational_exact_arithmetic():
-    c = RationalDemo()
-    assert c.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
-    assert c.mul(Fraction(2, 3), Fraction(3, 4)) == Fraction(1, 2)
-    assert c.scale(Fraction(1, 2), Fraction(4)) == Fraction(2)
-    assert c.size() is None
-    assert c.parse_value("7/3") == Fraction(7, 3)
-    assert c.format_value(Fraction(7, 3)) == "7/3"
-
-
-def test_rational_enumeration_raises():
-    with pytest.raises(CannotEnumerate):
-        RationalDemo().enumerate_values()
 
 
 # -- carrier tokens -----------------------------------------------------------
@@ -183,11 +161,6 @@ def test_parse_carrier_rejects_garbage():
     for bad in ("bogus:5", "zn:x", "zn:1", "o(q)", "o(o(zn:4))", ""):
         with pytest.raises(CarrierError):
             parse_carrier(bad)
-
-
-def test_rational_token():
-    assert parse_carrier("q").size() is None
-    assert parse_carrier("q").token() == "q"
 
 
 # -- parameter embedding and coprimality --------------------------------------
@@ -296,6 +269,7 @@ SMALL_INNER_CARRIERS = [
 def test_interval_forwards_every_non_text_method_to_its_inner_carrier(inner):
     interval = IntervalOf(inner)
     values = inner.enumerate_values()
+    X = np.arange(len(values))
     rules = [
         lambda c: c.n,
         lambda c: c.size(),
@@ -305,6 +279,8 @@ def test_interval_forwards_every_non_text_method_to_its_inner_carrier(inner):
             (c.reduce(v), c.is_zero(v), c.is_pure_indeterminate(v), c.has_i_part(v)) for v in values
         ],
         lambda c: [(c.add(a, b), c.mul(a, b), c.scale(a, b)) for a in values for b in values],
+        lambda c: [c.index_of(v) for v in values],
+        lambda c: [op(X[:, None], X[None, :]).tolist() for op in (c.add_indices, c.mul_indices)],
         lambda c: [c.embed_param(k, ind) for k in range(-2, inner.n + 2) for ind in (False, True)],
         lambda c: [
             (c.param_content(p), c.param_is_zero(p), c.param_is_single_prime(p), c.residue(p))

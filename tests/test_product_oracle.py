@@ -1,10 +1,12 @@
 """Differential tests: the compiled product path against the per-cell oracles.
 
-Every Cayley table is built by ``compile_product`` from q×q scalar tables,
-every exhaustive verdict comes from one chunked numpy evaluator that reads
+Every Cayley table is built by ``compile_product`` from the carriers' array
+arithmetic on value indices (``add_indices``, ``mul_indices``), every
+exhaustive verdict comes from one chunked numpy evaluator that reads
 the table by rows or by one flat take, and every sampled verdict multiplies
 whole chunks of trials through the compiled per-digit product. The oracles
-here are the slow forms they replaced: ``shape.star`` applied cell by cell,
+here are the slow forms they replaced: the carriers' per-value ``add`` and
+``mul``, ``shape.star`` applied cell by cell,
 a plain loop engine that multiplies elements with ``Groupoid.star`` and scans
 assignments with x fastest, then y, then z, and a sampler that draws and
 multiplies one trial at a time.
@@ -102,6 +104,78 @@ def witness_indices(g, verdict):
     return None if verdict.holds else tuple(g.element_index(e) for e in verdict.witness)
 
 
+# -- the carriers' array arithmetic ----------------------------------------------------
+
+ARITHMETIC_CARRIERS = [
+    c
+    for n in range(2, 13)
+    for c in (
+        Modular(n),
+        PureNeutrosophic(n),
+        MixedNeutrosophic(n),
+        IntervalOf(Modular(n)),
+        IntervalOf(PureNeutrosophic(n)),
+        IntervalOf(MixedNeutrosophic(n)),
+    )
+]
+
+
+@pytest.mark.parametrize("carrier", ARITHMETIC_CARRIERS, ids=lambda c: c.token())
+def test_array_arithmetic_matches_the_per_value_arithmetic(carrier):
+    values = carrier.enumerate_values()
+    assert [carrier.index_of(v) for v in values] == list(range(len(values)))
+    pos = {v: i for i, v in enumerate(values)}
+    X = np.arange(len(values))
+    for array_op, op in ((carrier.add_indices, carrier.add), (carrier.mul_indices, carrier.mul)):
+        got = array_op(X[:, None], X[None, :])
+        assert got.dtype == np.int32
+        np.testing.assert_array_equal(got, [[pos[op(v, w)] for w in values] for v in values])
+
+
+def value_at(carrier, i):
+    """The value at index i, without enumerating a large carrier."""
+    return divmod(i, carrier.n) if isinstance(carrier, MixedNeutrosophic) else i
+
+
+@pytest.mark.parametrize(
+    "carrier,dtype",
+    [
+        (Modular(46340), np.int32),
+        (Modular(46341), np.int32),  # (q-1)^2 = 2147395600 still fits int32
+        (Modular(46342), np.int64),
+        (Modular(100_000), np.int64),
+        (MixedNeutrosophic(26755), np.int32),  # 3(n-1)^2 = 2147329548
+        (MixedNeutrosophic(26756), np.int64),  # 3(n-1)^2 = 2147490075
+    ],
+    ids=["zn:46340", "zn:46341", "zn:46342", "zn:100000", "nzn:26755", "nzn:26756"],
+)
+def test_products_at_the_int32_boundary_match_per_cell_star(carrier, dtype):
+    """Operands and parameters near the top of the carrier, where an int32
+    product of two indices would wrap: off-diagonal reads, x*x, and the
+    per-digit product of a convolution and a shuffle shape."""
+    q = carrier.size()
+    X = q - 1 - np.arange(40)
+    Y = X[::-1].copy()
+    t, u = value_at(carrier, q - 1), value_at(carrier, q - 2)
+
+    def oracle(shape, xs, ys):
+        """x*y cell by cell, as k lists of value indices."""
+        cells = []
+        for x, y in zip(zip(*xs), zip(*ys)):
+            x, y = (tuple(value_at(carrier, d) for d in e) for e in (x, y))
+            cells.append([carrier.index_of(v) for v in star(carrier, shape, t, u, x, y)])
+        return [list(d) for d in zip(*cells)]
+
+    product = compile_product(carrier, Scalar(), t, u)
+    for A, B in ((X, Y), (X, X)):
+        got = product(A, B)
+        assert got.dtype == dtype
+        assert [got.tolist()] == oracle(Scalar(), [A.tolist()], [B.tolist()])
+    for shape in (Poly(1, ProductKind.CONVOLUTION), Poly(1, ProductKind.SHUFFLE)):
+        got = compile_product(carrier, shape, t, u).digits([X, Y], [Y, X])
+        assert [d.tolist() for d in got] == oracle(shape, [X.tolist(), Y.tolist()], [Y.tolist(), X.tolist()])
+
+
 # -- the compiled table --------------------------------------------------------------
 
 CARRIERS = [
@@ -149,7 +223,7 @@ def test_compiled_table_matches_per_cell_star(carrier, shape):
         table = product(X[:, None], X[None, :])
         assert table.dtype == np.int32
         np.testing.assert_array_equal(table, expected)
-        # x*x is read off the diagonal of the scalar table alone
+        # x*x computes only the n cells it reads
         np.testing.assert_array_equal(product(X, X), np.diag(expected))
     assert build(carrier, shape, t, u).index_table() == expected.tolist()
 
@@ -165,8 +239,8 @@ def test_compiled_table_matches_per_cell_star(carrier, shape):
     ],
 )
 def test_sparse_reads_of_a_large_carrier_match_per_cell_star(carrier, shape, t, u):
-    """q² is past _TABULATE_CELLS and the reads are small, so only the cells
-    read are computed (for x*x too, once q is past it)."""
+    """A few reads of a large carrier compute only the cells they read, for
+    x*x too, through the carrier's array arithmetic."""
     n = element_space(carrier, shape).count
     rng = np.random.default_rng(1)
     X, Y = rng.integers(0, n, 60), rng.integers(0, n, 60)

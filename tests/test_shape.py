@@ -1,7 +1,5 @@
 """Shape semantics: entrywise, shuffle, and convolution products."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,7 +9,6 @@ from groupoidlab import (
     Modular,
     Poly,
     ProductKind,
-    RationalDemo,
     Scalar,
     TooLarge,
     element_space,
@@ -27,12 +24,6 @@ from groupoidlab.shape import format_element, parse_element, zero_element, eleme
 def test_scalar_star_is_affine_combination():
     c = Modular(7)
     assert star(c, Scalar(), 3, 4, (2,), (5,)) == ((3 * 2 + 4 * 5) % 7,)
-
-
-def test_scalar_star_on_rationals():
-    c = RationalDemo()
-    got = star(c, Scalar(), Fraction(1, 2), Fraction(1, 3), (Fraction(2),), (Fraction(3),))
-    assert got == (Fraction(2),)
 
 
 def test_matrix_star_is_entrywise():

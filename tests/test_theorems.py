@@ -4,6 +4,7 @@ import pytest
 
 from groupoidlab import (
     CarrierError,
+    IntervalOf,
     MixedNeutrosophic,
     Modular,
     PureNeutrosophic,
@@ -12,7 +13,7 @@ from groupoidlab import (
     ssc_family_check,
     verify_theorem,
 )
-from groupoidlab.theorems import CHECKS, SuiteConfig, outcomes_asserted
+from groupoidlab.theorems import CHECKS, COUNT_CLASSES, SuiteConfig, outcomes_asserted
 
 # -- counting oracles ------------------------------------------------------------
 
@@ -30,6 +31,46 @@ COUNT_ORACLES = [
 @pytest.mark.parametrize("carrier,kind,equal,expected", COUNT_ORACLES)
 def test_count_oracles(carrier, kind, equal, expected):
     assert count_class(carrier, kind, equal_pairs_included=equal) == expected
+
+
+def count_class_loop_oracle(carrier, kind, equal_pairs_included):
+    """The count one value at a time, with the per-value carrier arithmetic."""
+    nonzero = [v for v in carrier.enumerate_values() if not carrier.is_zero(v)]
+    pairs = [(v, w) for v in nonzero for w in nonzero]
+    if kind == "all_pairs":
+        return sum(1 for v, w in pairs if v != w)
+    if kind == "level_one_pairs":
+        return sum(1 for v, w in pairs if v != w and carrier.coprimality_class(v, w).is_unit)
+    return sum(
+        1
+        for v, w in pairs
+        if (v != w or equal_pairs_included)
+        and all(
+            carrier.add(carrier.scale(v, x), carrier.scale(w, x)) == x
+            for x in carrier.enumerate_values()
+        )
+    )
+
+
+COUNT_CARRIERS = [
+    c
+    for n in range(2, 13)
+    for c in (
+        Modular(n),
+        PureNeutrosophic(n),
+        MixedNeutrosophic(n),
+        IntervalOf(Modular(n)),
+        IntervalOf(MixedNeutrosophic(n)),
+    )
+]
+
+
+@pytest.mark.parametrize("carrier", COUNT_CARRIERS, ids=lambda c: c.token())
+def test_count_class_matches_the_per_value_loop(carrier):
+    for kind in COUNT_CLASSES:
+        for equal in (False, True):
+            want = count_class_loop_oracle(carrier, kind, equal)
+            assert count_class(carrier, kind, equal_pairs_included=equal) == want, (kind, equal)
 
 
 def test_all_pairs_formula_pure():
