@@ -116,6 +116,10 @@ class Carrier:
         """Position of a value in ``enumerate_values()`` order."""
         raise NotImplementedError
 
+    def value_at(self, i: int) -> Value:
+        """The value at position i of ``enumerate_values()``; inverse of ``index_of``."""
+        raise NotImplementedError
+
     def add_indices(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Indices of v + w for broadcastable arrays of value indices; a new
         array, int32 while the carrier's arithmetic fits it."""
@@ -221,6 +225,9 @@ class Modular(Carrier):
 
     def index_of(self, v: int) -> int:
         return self.reduce(v)
+
+    def value_at(self, i: int) -> int:
+        return i
 
     def add_indices(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         out = np.add(a, b, dtype=_index_dtype((self.n - 1) ** 2))
@@ -343,6 +350,9 @@ class MixedNeutrosophic(Carrier):
     def index_of(self, v: tuple[int, int]) -> int:
         a, b = self.reduce(v)
         return a * self.n + b
+
+    def value_at(self, i: int) -> tuple[int, int]:
+        return divmod(i, self.n)
 
     def _join(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The index of (a mod n) + (b mod n)I, reusing a's storage."""

@@ -254,10 +254,9 @@ def _sampled(g: Groupoid, identity: IdentityId, trials: int, seed: int) -> Ident
     if g.spec is not None:
         carrier = g.spec.carrier
         size = carrier.size()
-        values = carrier.enumerate_values()
         k = g.spec.shape.entry_count()
         prod = g.digit_products
-        element = lambda ds: tuple(values[d] for d in ds)  # noqa: E731
+        element = lambda ds: tuple(map(carrier.value_at, ds))  # noqa: E731
         fmt = lambda e: format_element(carrier, g.spec.shape, e)  # noqa: E731
     else:
         size, k = len(g.labels()), 1

@@ -16,6 +16,14 @@ table reads each of the generated-closure route, before the table is built.
 That route closes boolean membership vectors semi-naively, and normality
 compares membership matrices (row ``r`` marks the set of values in row ``r``).
 
+Power-set results hold the qualifying masks, sorted by (popcount, mask), not
+handles: ``EnumerationResult.subsets`` and ``IdealSets.left``/``right``/
+``two_sided`` are :class:`MaskedSubsets`, read-only sequences that expose the
+array as ``.masks`` and build a :class:`SubsetHandle` (labels read from the
+groupoid, which the result keeps alive) only when an item is read. They
+iterate, index, slice, compare and hash like the tuple of their handles, so a
+caller that only counts subsets or compares two results never builds one.
+
 Every check reads the groupoid's Cayley table array
 (``Groupoid.table_array``); identities on a subset, semigroup associativity
 included, go through the exhaustive engine's evaluator with its domain set to
@@ -46,6 +54,7 @@ Conventions (documented once here, used consistently):
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -93,10 +102,46 @@ def _order_or_raise(g: Groupoid, cap: int, what: str) -> int:
     return order
 
 
-def _handle_from_mask(g: Groupoid, mask: int) -> SubsetHandle:
-    labels = g.labels()
-    idx = tuple(i for i in range(len(labels)) if mask >> i & 1)
-    return SubsetHandle(indices=idx, labels=tuple(labels[i] for i in idx))
+class MaskedSubsets(Sequence[SubsetHandle]):
+    """Subsets of one groupoid held as a mask array in (popcount, mask) order;
+    the handle of a mask is built when it is read. Compares and hashes as the
+    tuple of its handles, and a slice is that tuple's slice."""
+
+    __slots__ = ("masks", "_g")
+
+    def __init__(self, g: Groupoid, masks: np.ndarray) -> None:
+        self._g = g
+        self.masks = masks.view()
+        self.masks.flags.writeable = False
+
+    def _handle(self, mask: int) -> SubsetHandle:
+        labels = self._g.labels()
+        idx = tuple(i for i in range(len(labels)) if mask >> i & 1)
+        return SubsetHandle(indices=idx, labels=tuple(labels[i] for i in idx))
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._handle, self.masks[i].tolist()))
+        return self._handle(int(self.masks[operator.index(i)]))
+
+    def __iter__(self) -> Iterator[SubsetHandle]:
+        return map(self._handle, self.masks.tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, MaskedSubsets):
+            return np.array_equal(self.masks, other.masks)
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 def subset_handle(g: Groupoid, subset: Iterable) -> SubsetHandle:
@@ -377,7 +422,7 @@ def classify_subset(g: Groupoid, subset: Iterable, *, max_order: int = _NORMALIT
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    subsets: tuple[SubsetHandle, ...]
+    subsets: Sequence[SubsetHandle]  # MaskedSubsets on the power-set route, else a tuple
     strategy: str  # power-set | generated-closure
     complete: bool
 
@@ -405,8 +450,9 @@ def enumerate_subgroupoids(
 
     if strategy == "power-set":
         _powerset_order(g, max_order, "power-set enumeration")
-        handles = tuple(_handle_from_mask(g, m) for m in _closed_masks(g).tolist())
-        return EnumerationResult(subsets=handles, strategy="power-set", complete=True)
+        return EnumerationResult(
+            subsets=MaskedSubsets(g, _closed_masks(g)), strategy="power-set", complete=True
+        )
 
     if strategy == "generated-closure":
         _closure_order(g, "generated-closure enumeration")
@@ -422,9 +468,9 @@ def enumerate_subgroupoids(
 
 @dataclass(frozen=True)
 class IdealSets:
-    left: tuple[SubsetHandle, ...]
-    right: tuple[SubsetHandle, ...]
-    two_sided: tuple[SubsetHandle, ...]
+    left: MaskedSubsets
+    right: MaskedSubsets
+    two_sided: MaskedSubsets
 
     def to_json(self) -> dict:
         return {
@@ -441,9 +487,7 @@ def enumerate_ideals(g: Groupoid, *, max_order: int = DEFAULT_MAX_ORDER) -> Idea
     right = _absorb_masks(g, "right")
     two = left[np.isin(left, right)]
     return IdealSets(
-        left=tuple(_handle_from_mask(g, m) for m in left.tolist()),
-        right=tuple(_handle_from_mask(g, m) for m in right.tolist()),
-        two_sided=tuple(_handle_from_mask(g, m) for m in two.tolist()),
+        left=MaskedSubsets(g, left), right=MaskedSubsets(g, right), two_sided=MaskedSubsets(g, two)
     )
 
 
@@ -474,9 +518,10 @@ def find_normal_subgroupoids(
     members = np.unpackbits(
         masks.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1, count=n, bitorder="little"
     ).view(bool)
+    subsets = MaskedSubsets(g, masks)
     out: list[SubsetHandle] = []
     for r in _normal_rows(g.table_array(), members):
-        out.append(_handle_from_mask(g, int(masks[r])))
+        out.append(subsets[r])
         if first_only:
             break
     return out
@@ -547,14 +592,10 @@ class SmarandacheVerdict:
         return out
 
 
-def _semigroup_witness_masks(g: Groupoid, n: int) -> Iterator[int]:
-    """Proper closed semigroup subsets containing a nonzero element, in order."""
-    zero = g.zero_index()
-    for m in _closed_masks(g).tolist():
-        if zero is not None and m == (1 << zero):
-            continue
-        if _is_semigroup(g, [i for i in range(n) if m >> i & 1]):
-            yield m
+def _semigroup_witnesses(g: Groupoid, closed: Iterable[SubsetHandle]) -> Iterator[SubsetHandle]:
+    """The closed subsets that are semigroups, other than the zero singleton."""
+    zero = (g.zero_index(),)  # (None,) for table-backed groupoids, never a subset
+    return (h for h in closed if h.indices != zero and _is_semigroup(g, h.indices))
 
 
 def smarandache(
@@ -572,9 +613,9 @@ def smarandache(
     fails globally but holds on some witness of size >= 2; s_groupoid_only
     when only the bare witness exists; not_smarandache otherwise.
     """
-    n = _powerset_order(g, max_order, "Smarandache analysis")
-    s_mask = next(_semigroup_witness_masks(g, n), None)
-    s_handle = _handle_from_mask(g, s_mask) if s_mask is not None else None
+    _powerset_order(g, max_order, "Smarandache analysis")
+    closed = MaskedSubsets(g, _closed_masks(g))
+    s_handle = next(_semigroup_witnesses(g, closed), None)
 
     if identity is None:
         status = "s_groupoid" if s_handle else "not_smarandache"
@@ -589,14 +630,12 @@ def smarandache(
         return SmarandacheVerdict(
             status="strong_holds", s_witness=s_handle, identity_verdict=verdict
         )
-    for m in _semigroup_witness_masks(g, n):
-        if bin(m).count("1") < 2:
-            continue
-        if first_failure(g, identity, np.array([i for i in range(n) if m >> i & 1])) is None:
+    for h in _semigroup_witnesses(g, closed):
+        if h.size >= 2 and first_failure(g, identity, np.asarray(h.indices)) is None:
             return SmarandacheVerdict(
                 status="holds_on_semigroup_witness",
                 s_witness=s_handle,
-                identity_witness=_handle_from_mask(g, m),
+                identity_witness=h,
                 identity_verdict=verdict,
             )
     return SmarandacheVerdict(
@@ -754,10 +793,7 @@ def analyze(g: Groupoid, *, max_order: int = DEFAULT_MAX_ORDER) -> StructureRepo
     subs = enumerate_subgroupoids(g, "generated-closure")
     normal = tuple(_normal_subsets(g, [h for h in subs.subsets if h.size >= 2]))
     simple = is_simple(g, max_order=max_order)
-    zero = (g.zero_index(),)  # (None,) for table-backed groupoids, never a subset
-    sm_witness = next(
-        (h for h in subs.subsets if h.indices != zero and _is_semigroup(g, h.indices)), None
-    )
+    sm_witness = next(_semigroup_witnesses(g, subs.subsets), None)
     sm = SmarandacheVerdict(
         status="s_groupoid" if sm_witness else "not_smarandache", s_witness=sm_witness
     )

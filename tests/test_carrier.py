@@ -280,6 +280,7 @@ def test_interval_forwards_every_non_text_method_to_its_inner_carrier(inner):
         ],
         lambda c: [(c.add(a, b), c.mul(a, b), c.scale(a, b)) for a in values for b in values],
         lambda c: [c.index_of(v) for v in values],
+        lambda c: [c.value_at(i) for i in range(len(values))],
         lambda c: [op(X[:, None], X[None, :]).tolist() for op in (c.add_indices, c.mul_indices)],
         lambda c: [c.embed_param(k, ind) for k in range(-2, inner.n + 2) for ind in (False, True)],
         lambda c: [

@@ -9,6 +9,7 @@ from groupoidlab import (
     CheckMode,
     IdentityId,
     Matrix,
+    MixedNeutrosophic,
     Modular,
     PureNeutrosophic,
     Scalar,
@@ -96,6 +97,20 @@ def test_sampled_cannot_certify_holding():
     v = check_identity(g, IdentityId.MOUFANG, CheckMode.SAMPLED, trials=200, seed=0)
     assert v.status == "sampled_no_counterexample"
     assert not v.holds and not v.fails
+
+
+def test_sampled_check_never_lists_the_carrier(monkeypatch):
+    # nzn:30000 has 9*10^8 values: listing them is the whole cost of the check
+    # unless only the witness digits are turned back into values
+    def refuse(self):
+        raise AssertionError("enumerate_values called")
+
+    monkeypatch.setattr(MixedNeutrosophic, "enumerate_values", refuse)
+    g = build(MixedNeutrosophic(30000), Scalar(), (1, 2), (3, 0))
+    v = check_identity(g, IdentityId.ASSOCIATIVE, CheckMode.SAMPLED, trials=10, seed=0)
+    assert v.fails and len(v.witness_labels) == 3
+    x, y, z = v.witness
+    assert g.star(g.star(x, y), z) != g.star(x, g.star(y, z))
 
 
 @pytest.mark.parametrize("trials", [0, -5])

@@ -9,6 +9,7 @@ template evaluator; these tests pin the two together on random tables (small
 image sets, so many subsets are closed) and on the affine families.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -17,18 +18,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupoidlab import (
+    EnumerationResult,
+    IdealSets,
     IdentityId,
     IntervalOf,
+    MixedNeutrosophic,
     Modular,
     PureNeutrosophic,
     Scalar,
+    SubsetHandle,
     analyze,
     build,
+    enumerate_ideals,
     enumerate_subgroupoids,
     from_table,
     is_normal_groupoid,
 )
-from groupoidlab import structure
+from groupoidlab import structure, theorems
 from groupoidlab.identities import TEMPLATES, eval_tree
 
 
@@ -73,6 +79,12 @@ def absorb_flags_oracle(table, n, side):
         need[m] = need[m ^ low] | member_mask[v]
         flags[m] = (need[m] & ~m) == 0
     return flags
+
+
+def sorted_masks_oracle(flags, n):
+    """Nonempty proper masks whose flag is set, by (popcount, mask)."""
+    masks = [m for m in range(1, (1 << n) - 1) if flags[m]]
+    return sorted(masks, key=lambda m: (bin(m).count("1"), m))
 
 
 def frontier_closures_oracle(table):
@@ -195,11 +207,8 @@ def test_absorb_flags_match_the_recurrence_oracle(table, side):
 def test_sorted_masks_follow_popcount_then_value(table):
     n = len(table)
     flags = closed_flags_oracle(table, n)
-    want = sorted(
-        (m for m in range(1, (1 << n) - 1) if flags[m]), key=lambda m: (bin(m).count("1"), m)
-    )
     got = structure._proper_masks_sorted(np.array(flags)).tolist()
-    assert got == want
+    assert got == sorted_masks_oracle(flags, n)
 
 
 # -- generated closure --------------------------------------------------------------------
@@ -359,3 +368,152 @@ def test_analyze_computes_flags_and_closures_once(monkeypatch, n, t, u):
         assert (len(closed), len(left_right), len(closures)) == (1, 2, 0)
     else:
         assert (len(closed), len(left_right), len(closures)) == (0, 0, 1)
+
+
+# -- lazy results against eager handles ---------------------------------------------------
+
+
+def handle_from_mask(g, mask):
+    """One SubsetHandle per mask, built eagerly: the oracle for MaskedSubsets."""
+    labels = g.labels()
+    idx = tuple(i for i in range(len(labels)) if mask >> i & 1)
+    return SubsetHandle(indices=idx, labels=tuple(labels[i] for i in idx))
+
+
+def eager_results(g, table):
+    """(subgroupoids, ideals) as tuples of handles, from the recurrence oracles."""
+    n = len(table)
+    handles = lambda flags: tuple(handle_from_mask(g, m) for m in sorted_masks_oracle(flags, n))  # noqa: E731
+    left, right = (handles(absorb_flags_oracle(table, n, side)) for side in ("left", "right"))
+    subs = EnumerationResult(handles(closed_flags_oracle(table, n)), "power-set", True)
+    right_set = set(right)
+    two_sided = tuple(h for h in left if h in right_set)
+    return subs, IdealSets(left, right, two_sided)
+
+
+def assert_reads_like(got, want):
+    """Every way of reading a lazy sequence agrees with the tuple of handles."""
+    assert isinstance(got, structure.MaskedSubsets)
+    masks = got.masks.tolist()
+    assert masks == sorted(masks, key=lambda m: (bin(m).count("1"), m))
+    assert [(h.indices, h.labels) for h in got] == [(h.indices, h.labels) for h in want]
+    assert (len(got), bool(got)) == (len(want), bool(want))
+    for i in {0, 1, len(want) // 2, -1, -2, -len(want)}:
+        if -len(want) <= i < len(want):
+            assert (got[i].indices, got[i].labels) == (want[i].indices, want[i].labels)
+    for i in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            got[i]
+    for sl in (slice(None, None, -3), slice(2, 5), slice(-4, None)):
+        assert got[sl] == want[sl] and isinstance(got[sl], tuple)
+    assert got == want and want == got and hash(got) == hash(want)
+    assert repr(got) == repr(want)
+    assert [h.to_json() for h in got] == [h.to_json() for h in want]
+
+
+def assert_results_match(g, table):
+    want_subs, want_ideals = eager_results(g, table)
+    subs, ideals = enumerate_subgroupoids(g, "power-set"), enumerate_ideals(g)
+    assert_reads_like(subs.subsets, want_subs.subsets)
+    for side in ("left", "right", "two_sided"):
+        assert_reads_like(getattr(ideals, side), getattr(want_ideals, side))
+    for got, want in ((subs, want_subs), (ideals, want_ideals)):
+        assert got == want and hash(got) == hash(want)
+        assert got.to_json() == want.to_json()
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_image_tables(max_order=10))
+def test_lazy_results_read_like_eager_handles_on_random_tables(table):
+    assert_results_match(from_table([f"e{i}" for i in range(len(table))], table), table)
+
+
+@pytest.mark.parametrize("carrier", [Modular(6), PureNeutrosophic(5), IntervalOf(Modular(4))], ids=str)
+def test_lazy_results_read_like_eager_handles_on_affine_families(carrier):
+    n = carrier.n
+    for t, u in list(itertools.product(range(n), repeat=2))[1:]:
+        ind = carrier.has_indeterminate
+        g = build(carrier, Scalar(), t, u, t_indeterminate=ind, u_indeterminate=ind)
+        assert_results_match(g, g.index_table())
+
+
+def test_results_of_different_groupoids_compare_by_indices():
+    # handles compare by indices alone, so equal masks are equal results
+    a, b = build(Modular(4), Scalar(), 2, 2), build(PureNeutrosophic(4), Scalar(), 2, 2)
+    assert a.labels() != b.labels()
+    assert enumerate_ideals(a) == enumerate_ideals(b)
+    assert hash(enumerate_ideals(a)) == hash(enumerate_ideals(b))
+    assert enumerate_ideals(a) != enumerate_ideals(build(Modular(4), Scalar(), 1, 2))
+    assert enumerate_ideals(a).left != list(enumerate_ideals(a).left)
+
+
+def test_masks_are_read_only():
+    masks = enumerate_ideals(build(Modular(6), Scalar(), 3, 3)).left.masks
+    with pytest.raises(ValueError):
+        masks[0] = 0
+
+
+# -- T7 on masks against the per-pair loop --------------------------------------------------
+
+
+def t7_oracle(p, enumerate_ideals):
+    """T7 with two builds per pair and the ideals compared as index sets:
+    (instances, failures)."""
+    run = theorems._Run()
+
+    def check(gl, gr, desc):
+        left = {h.indices for h in enumerate_ideals(gl).left}
+        right = {h.indices for h in enumerate_ideals(gr).right}
+        run.check(left == right, desc)
+
+    for family, key in (("zn", "zn_n"), ("zni", "zni_n")):
+        lo, hi = p[key]
+        for n in range(lo, hi + 1):
+            for carrier in theorems._carriers_for(n, (family,)):
+                for t, u in theorems._nonzero_pairs(n):
+                    desc = f"{theorems._coeff_desc(carrier, t, u)}: left ideals differ from the (u,t) right ideals"
+                    check(theorems._scalar(carrier, t, u), theorems._scalar(carrier, u, t), desc)
+    carrier = MixedNeutrosophic(p["nzn_n"])
+    values = [(0, 1), (1, 0), (1, 1), (2, 1), (0, 2), (2, 2)]
+    for v, w in itertools.product(values, repeat=2):
+        if v != w:
+            desc = f"{carrier.token()} ({carrier.format_value(v)},{carrier.format_value(w)}): ideal duality fails"
+            check(build(carrier, Scalar(), v, w), build(carrier, Scalar(), w, v), desc)
+    return run.instances, tuple(run.failures)
+
+
+T7_PARAMS = {"zn_n": (3, 6), "zni_n": (3, 4), "nzn_n": 3}
+
+
+def test_t7_reports_a_broken_pair_where_the_per_pair_loop_does(monkeypatch):
+    broken = {("zn:6", 1, 3), ("zni:4", 2, 2), ("nzn:3", (0, 1), (2, 1))}
+
+    def enumerate_broken(g):
+        ideals = enumerate_ideals(g)
+        if (g.spec.carrier.token(), g.spec.t, g.spec.u) in broken:
+            assert len(ideals.left)
+            ideals = dataclasses.replace(ideals, left=structure.MaskedSubsets(g, ideals.left.masks[1:]))
+        return ideals
+
+    monkeypatch.setattr(theorems, "enumerate_ideals", enumerate_broken)
+    outcome = theorems.verify_theorem("T7", T7_PARAMS)
+    instances, failures = t7_oracle(T7_PARAMS, enumerate_broken)
+    assert (outcome.instances, outcome.failures) == (instances, failures)
+    assert failures == (
+        "zn:6 (1,3): left ideals differ from the (u,t) right ideals",
+        "zni:4 (2I,2I): left ideals differ from the (u,t) right ideals",
+        "nzn:3 (I,2+I): ideal duality fails",
+    )
+
+
+def test_t7_builds_each_groupoid_once_and_no_handle(monkeypatch):
+    def refuse(self, mask):
+        raise AssertionError("T7 built a handle")
+
+    monkeypatch.setattr(structure.MaskedSubsets, "_handle", refuse)
+    built = []
+    real_build = theorems.build
+    monkeypatch.setattr(theorems, "build", lambda *a, **kw: built.append(a) or real_build(*a, **kw))
+    outcome = theorems.verify_theorem("T7", T7_PARAMS)
+    assert outcome.passed and outcome.instances == len(built) == 4 + 9 + 16 + 25 + 4 + 9 + 30
+    assert len(set(built)) == len(built)
