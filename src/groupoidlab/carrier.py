@@ -13,6 +13,11 @@ values; they are the per-cell oracle and serve the demos. ``add_indices`` and
 ``enumerate_values()`` order) and return the index of each result; every
 compiled product is built from them. They compute in int32 while every
 intermediate fits, which the carrier size decides, and in int64 past that.
+A modulus whose largest intermediate would not fit int64 is refused when the
+carrier is built: n up to 3,037,000,500 for ``Modular`` (and so ``zni`` and
+``o(...)``), where (n-1)^2 < 2^63, and up to 1,753,413,057 for
+``MixedNeutrosophic``, where 3(n-1)^2 < 2^63. Every carrier size is then
+below 2^63 too.
 
 Supported carriers:
 
@@ -50,6 +55,22 @@ class CarrierError(ValueError):
 def _index_dtype(largest: int) -> type:
     """int32 when every intermediate up to ``largest`` fits it, else int64."""
     return np.int32 if largest < 2**31 else np.int64
+
+
+# the largest moduli whose index intermediates, (n-1)^2 for Z_n and 3(n-1)^2
+# for Z_n[I], fit int64
+_MODULAR_LIMIT = math.isqrt(2**63 - 1) + 1
+_MIXED_LIMIT = math.isqrt((2**63 - 1) // 3) + 1
+
+
+def _check_modulus(n: int, limit: int) -> None:
+    if n < 2:
+        raise CarrierError(f"modulus must be >= 2, got {n}")
+    if n > limit:
+        raise CarrierError(
+            f"modulus must be at most {limit}, got {n}: the index arithmetic "
+            f"computes in int64 and would wrap"
+        )
 
 
 def is_prime(m: int) -> bool:
@@ -199,8 +220,7 @@ class Modular(Carrier):
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise CarrierError(f"modulus must be >= 2, got {self.n}")
+        _check_modulus(self.n, _MODULAR_LIMIT)
 
     def reduce(self, v: int) -> int:
         return int(v) % self.n
@@ -319,8 +339,7 @@ class MixedNeutrosophic(Carrier):
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise CarrierError(f"modulus must be >= 2, got {self.n}")
+        _check_modulus(self.n, _MIXED_LIMIT)
 
     def reduce(self, v: tuple[int, int]) -> tuple[int, int]:
         a, b = v

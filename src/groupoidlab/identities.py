@@ -6,31 +6,40 @@ Each identity is a fixed pair of expression trees over variables ``x``, ``y``,
 * an exhaustive scan over all assignments, vectorised over the groupoid's
   Cayley table array (one-variable laws multiply the index vector by itself
   instead, so they need no table); the same scan, with the domain set to a
-  subset's indices, decides identities on subsets for ``structure``. A
-  product of a (rows, 1) column and the (1, m) domain row reads whole table
-  rows (of the transpose, for the mirror case; then the domain's columns when
-  m < n); any other product is one flat take at ``A*n + B``;
+  subset's indices, decides identities on subsets for ``structure``. It
+  fixes the slowest variable (z, or y for two-variable laws) and evaluates
+  one (y, x) plane at a time, cut into blocks of y rows when a plane exceeds
+  _CHUNK_CELLS cells and taken several at once when planes are small.
+  Products without the slowest variable, such as ``x*y``, are computed once
+  per scan over the whole domain and sliced per block. A product with a
+  plane reads the table (or its transpose) at ``V·n + plane``, with the
+  variables' ``V·n`` scaled once per scan, and a single value V reads just
+  its table row; the domain row times a column reads whole table rows. The
+  planes land in buffers reused from block to block;
 * a lifted check that proves the identity on the scalar shadow when the shape
   multiplies entrywise (the verdict then transfers entry-for-entry),
 * a seeded random sampler for spaces too large to enumerate. It draws trials
   in chunks that double up to about _CHUNK_CELLS draws and multiplies each
   chunk at once through the compiled per-digit product, which never forms an
-  element index, so it works past the enumeration cap.
+  element index, so it works past the enumeration cap. The draws are those of
+  ``random.Random(seed).randrange``, reproduced in bulk from 32-bit words of
+  ``getrandbits`` (see ``_Draws``).
 
 Assignments are scanned with the FIRST variable varying fastest (x innermost,
 then y, then z); a failure witness is minimal under that order, so exhaustive
-reruns always reproduce the same witness regardless of internal chunking.
-Sampled draws come from ``random.Random(seed).randrange`` in a fixed order
+reruns always reproduce the same witness regardless of internal blocking.
+Sampled draws follow ``random.Random(seed).randrange`` in a fixed order
 (trial, then variable, then entry) and the witness is the first failing trial
 in that order, so ``(trials, seed)`` reproduce a sampled verdict and witness.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -39,7 +48,9 @@ from .groupoid import BUDGET_ENV_VAR, DEFAULT_BUDGET, BudgetExceeded, Groupoid, 
 from .shape import Element, Scalar, TooLarge, format_element, scalar_projection
 
 DEFAULT_TRIALS = 10**4
-_CHUNK_CELLS = 1 << 18
+# cells per block of an exhaustive scan and draws per sampled chunk: one
+# order-343 plane fits, with a 1 MB intp index
+_CHUNK_CELLS = 1 << 17
 
 Node = Any  # str variable or ("*", Node, Node)
 
@@ -128,69 +139,190 @@ def eval_tree(node: Node, env: dict, prod) -> Any:
 # -- exhaustive ---------------------------------------------------------------
 
 
+def _element_at(g: Groupoid, i: int) -> Element:
+    """The element at index i: its base-q digits (most significant first) are
+    the value indices of its entries, as in ``element_space`` order."""
+    carrier, k = g.spec.carrier, g.spec.shape.entry_count()
+    q = carrier.size()
+    return tuple(carrier.value_at(i // q ** (k - 1 - e) % q) for e in range(k))
+
+
 def _witness_verdict(g: Groupoid, identity: IdentityId, method: str, assign: tuple[int, ...]) -> IdentityVerdict:
-    witness = tuple(g.elements()[i] for i in assign) if g.spec is not None else assign
+    if g.spec is None:
+        witness, labels = assign, tuple(g.labels()[i] for i in assign)
+    else:
+        witness = tuple(_element_at(g, i) for i in assign)
+        labels = tuple(format_element(g.spec.carrier, g.spec.shape, e) for e in witness)
     return IdentityVerdict(
         identity=identity.value, method=method, status="fails",
-        witness=witness, witness_labels=tuple(g.labels()[i] for i in assign),
+        witness=witness, witness_labels=labels,
     )
 
 
-def _table_reader(table: np.ndarray, x: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """table[A, B] for the operands of one chunk: x is the (1, m) domain row,
-    the later variables are (rows, 1) columns, and products span (rows, m).
+def _deps(node: Node, deps: dict) -> frozenset:
+    """The variables under node, recorded in deps for node and its subterms."""
+    found = frozenset((node,)) if isinstance(node, str) else _deps(node[1], deps) | _deps(node[2], deps)
+    deps[node] = found
+    return found
 
-    * A column times a row reads whole table rows, then the row's columns
-      (none to pick when the row is x and the domain is every element).
-    * A row times a column does the same on the transpose, copied on first
-      use and dropped with the reader.
-    * Anything else is one flat take at A*n + B.
+
+def _hoisted(node: Node, slow: str) -> list:
+    """The largest products under node that do not involve the slowest variable."""
+    if isinstance(node, str):
+        return []
+    if slow not in _DEPS[node]:
+        return [node]
+    return _hoisted(node[1], slow) + _hoisted(node[2], slow)
+
+
+def _read(a: frozenset, b: frozenset) -> str:
+    """How ``_PlaneScan`` reads a product of operands over the variables a and b."""
+    if {"x", "y"} <= b:
+        return "flat"
+    if {"x", "y"} <= a:
+        return "flat-t"
+    if a == {"x"} and "x" not in b:
+        return "rows-t"
+    if b == {"x"} and "x" not in a:
+        return "rows"
+    return "cells"
+
+
+_DEPS: dict = {}
+for _lhs, _rhs, _ in TEMPLATES.values():
+    _deps(_lhs, _DEPS)
+    _deps(_rhs, _DEPS)
+# per identity, the products a scan computes once; per product, how it is read
+_HOISTED = {i: _hoisted(lhs, v[-1]) + _hoisted(rhs, v[-1]) for i, (lhs, rhs, v) in TEMPLATES.items()}
+_READS = {node: _read(_DEPS[node[1]], _DEPS[node[2]]) for node in _DEPS if not isinstance(node, str)}
+
+
+class _PlaneScan:
+    """table[A, B] for the operands of one exhaustive scan over a domain.
+
+    Operands broadcast over a block laid out (z, y, x): x spans the domain on
+    the last axis, y the block's rows and z its planes. A plane is an operand
+    that depends on both x and y; a product reads the table as follows.
+
+    * A plane times an operand V (a row, a column, a z value or a plane)
+      reads the flat table at V·n + plane, or its transpose when V is on the
+      right: one add, since V·n is scaled once per scan when V is a variable.
+      A single value V reads just its row of the table.
+    * The x row times an operand without x reads whole table rows (of the
+      transpose when x is on the left), then the domain's columns when it is
+      not every element.
+    * Any other product indexes the table at (A, B).
+
+    When a scan has several blocks, every plane a block computes lands in a
+    buffer kept for its template node, every index in one intp buffer and the
+    comparison in one bool buffer, so they are allocated once per scan.
     """
-    n = len(table)
-    flat = table.ravel()
-    every = x.shape[1] == n  # a sorted domain of n distinct indices is arange(n)
-    transposed = None
 
-    def rows(tab: np.ndarray, col: np.ndarray, row: np.ndarray) -> np.ndarray:
-        out = tab[col[:, 0]]
-        return out if row is x and every else out[:, row[0]]
+    def __init__(self, table: np.ndarray, domain: np.ndarray, cells: int) -> None:
+        self.n = n = len(table)
+        self.table, self.flat = table, table.ravel()
+        self.table_t = np.ascontiguousarray(table.T)
+        self.flat_t = self.table_t.ravel()
+        self.every = len(domain) == n  # a sorted domain of n distinct indices is arange(n)
+        self.scaled = np.multiply(domain, n, dtype=np.intp)  # intp: take is slow on int32
+        self.cells = cells  # cells of the largest block, or 0 when nothing is reused
+        self.index = np.empty(cells, dtype=np.intp)
+        self.mism = np.empty(cells, dtype=bool)
+        self.planes: dict = {}
+        self.block: tuple | None = None  # the (z, y, x) shape being read, None over the whole domain
 
-    def prod(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        nonlocal transposed
-        if A.shape[1] == 1 and B.shape[0] == 1:
-            return rows(table, A, B)
-        if A.shape[0] == 1 and B.shape[1] == 1:
-            if transposed is None:
-                transposed = np.ascontiguousarray(table.T)
-            return rows(transposed, B, A)
-        return np.take(flat, np.add(A * n, B, dtype=np.intp))  # intp: take is slow on int32
+    def buffers(self, node: Node) -> tuple:
+        """The index buffer and node's own buffer, shaped as node's plane in
+        the block; (None, None) when there is nothing to reuse."""
+        deps = _DEPS[node]
+        if not self.cells or self.block is None or "x" not in deps or "y" not in deps:
+            return None, None
+        zs, ys, m = self.block
+        shape = (zs if "z" in deps else 1, ys, m)
+        if node not in self.planes:
+            self.planes[node] = np.empty(self.cells, dtype=self.table.dtype)
+        size = shape[0] * ys * m
+        return self.index[:size].reshape(shape), self.planes[node][:size].reshape(shape)
 
-    return prod
+    def product(self, node: Node, A: np.ndarray, B: np.ndarray, scaled: dict) -> np.ndarray:
+        """node = A * B; mode="clip" writes straight into a buffer, and never
+        clips: every index read is a cell of the table."""
+        _, a, b = node
+        read = _READS[node]
+        index, out = self.buffers(node)
+        if read in ("flat", "flat-t"):
+            table, flat = (self.table, self.flat) if read == "flat" else (self.table_t, self.flat_t)
+            if read == "flat-t":  # A*B is B*A in the transpose
+                a, b, A, B = b, a, B, A
+            if A.size == 1:
+                return table[A.item()].take(B, out=out, mode="clip")
+            An = scaled[a] if a in scaled else np.multiply(A, self.n, out=index, dtype=np.intp)
+            return flat.take(np.add(An, B, out=index), out=out, mode="clip")
+        if read == "cells":
+            return self.table[A, B]
+        table, col, row_node, row = (self.table, A, b, B) if read == "rows" else (self.table_t, B, a, A)
+        if row_node == "x" and self.every:
+            return table.take(col[..., 0], axis=0, out=out, mode="clip")
+        return table[col[..., 0]].take(row[0, 0], axis=-1, out=out, mode="clip")
+
+    def value(self, node: Node, values: dict, scaled: dict) -> np.ndarray:
+        """node over the block, or over the whole domain when there is none;
+        values holds the variables and the subterms computed so far, cut to
+        the block."""
+        if node not in values:
+            _, a, b = node
+            values[node] = self.product(node, self.value(a, values, scaled), self.value(b, values, scaled), scaled)
+        return values[node]
+
+    def differ(self, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Where the two sides differ, over the whole block."""
+        out = None
+        if self.cells:
+            out = self.mism[: math.prod(self.block)].reshape(self.block)
+        return np.not_equal(lhs, rhs, out=out)
 
 
 def first_failure(g: Groupoid, identity: IdentityId, domain: np.ndarray) -> tuple[int, ...] | None:
-    """The first assignment of elements of ``domain`` (sorted, distinct; x
-    fastest, then y, then z) at which the identity's two sides differ, or None
-    when it holds there.
+    """The first assignment of elements of ``domain`` (sorted, distinct
+    indices of g; x fastest, then y, then z) at which the identity's two sides
+    differ, or None when it holds there.
 
-    One-variable laws square the domain vector through ``Groupoid.products``;
-    the others read the table array through ``_table_reader``, one row per
-    assignment of the variables after x, in chunks of about _CHUNK_CELLS cells."""
+    One-variable laws square the domain vector through ``Groupoid.products``.
+    The others read the table array through ``_PlaneScan`` one block at a
+    time: the (y, x) plane of each value of the slowest variable, split into
+    blocks of y rows when it exceeds _CHUNK_CELLS cells, or several whole
+    planes when they fit. Products without the slowest variable are computed
+    once, over the whole domain, and cut to each block."""
     lhs_t, rhs_t, vars_ = TEMPLATES[identity]
-    env = {"x": domain[None, :]}
-    prod = g.products if len(vars_) == 1 else _table_reader(g.table_array(), env["x"])
-    m = len(domain)
-    rows = m ** (len(vars_) - 1)
-    step = max(1, _CHUNK_CELLS // max(m, 1))
-    for lo in range(0, rows, step):
-        r = np.arange(lo, min(lo + step, rows))
-        for p, var in enumerate(vars_[1:]):
-            env[var] = domain[r // m**p % m][:, None]
-        mism = eval_tree(lhs_t, env, prod) != eval_tree(rhs_t, env, prod)
+    domain = np.asarray(domain)
+    if len(vars_) == 1:
+        x = domain[None, :]
+        mism = eval_tree(lhs_t, {"x": x}, g.products) != eval_tree(rhs_t, {"x": x}, g.products)
+        return (int(domain[np.argmax(mism[0])]),) if mism.any() else None
+    m, three = len(domain), len(vars_) == 3
+    if m == 0:
+        return None
+    table = g.table_array()
+    if domain[0] < 0 or domain[-1] >= len(table):
+        raise IndexError(f"domain indices must lie in [0, {len(table)})")
+    rows = min(m, max(1, _CHUNK_CELLS // m))  # y rows per block
+    planes = min(m, max(1, _CHUNK_CELLS // (m * m))) if three and rows == m else 1
+    starts = [(z0, y0) for z0 in range(0, m if three else 1, planes) for y0 in range(0, m, rows)]
+    scan = _PlaneScan(table, domain, planes * rows * m if len(starts) > 1 else 0)
+    whole = {v: domain.reshape(shape) for v, shape in zip(vars_, ((1, 1, m), (1, m, 1), (m, 1, 1)))}
+    whole_scaled = {v: scan.scaled.reshape(d.shape) for v, d in whole.items()}
+    hoisted = {node: scan.value(node, dict(whole), whole_scaled) for node in _HOISTED[identity]}
+
+    for z0, y0 in starts:
+        cut = {"x": ..., "y": (slice(None), slice(y0, y0 + rows)), "z": slice(z0, z0 + planes)}
+        values = {v: d[cut[v]] for v, d in whole.items()}
+        scaled = {v: d[cut[v]] for v, d in whole_scaled.items()}
+        values.update((node, h[cut["y"]] if "y" in _DEPS[node] else h) for node, h in hoisted.items())
+        scan.block = (min(planes, m - z0), min(rows, m - y0), m)
+        mism = scan.differ(scan.value(lhs_t, values, scaled), scan.value(rhs_t, values, scaled))
         if mism.any():
-            row, col = divmod(int(np.argmax(mism)), m)  # both sides span (rows, m)
-            rest = lo + row
-            return (int(domain[col]), *(int(domain[rest // m**p % m]) for p in range(len(vars_) - 1)))
+            zi, yi, xi = np.unravel_index(int(np.argmax(mism)), mism.shape)
+            return tuple(int(domain[i]) for i in (xi, y0 + yi, z0 + zi)[: len(vars_)])
     return None
 
 
@@ -242,14 +374,52 @@ def _lifted(g: Groupoid, identity: IdentityId, budget: int) -> IdentityVerdict:
 # -- sampled ------------------------------------------------------------------
 
 
+class _Draws:
+    """``random.Random(seed).randrange(size)``, drawn in bulk: the same values
+    in the same order as one call per draw.
+
+    randrange(size) takes k = size.bit_length() bits from getrandbits(k) and
+    draws again while they read size or more. getrandbits(k) is the top k bits
+    of one 32-bit word when k <= 32; for 32 < k <= 64 it is one whole word
+    under the top k - 32 bits of the next. Words pulled in bulk, least
+    significant first, by getrandbits(32 * count) give the same candidates;
+    the rejected ones are dropped, and the draws a chunk does not use wait in
+    a buffer for the next. Every carrier size is below 2**63, so a draw takes
+    one word, or two once size >= 2**32.
+    """
+
+    def __init__(self, seed: int, size: int) -> None:
+        self.rng = random.Random(seed)
+        self.size = size
+        self.bits = size.bit_length()
+        self.words = 1 if self.bits <= 32 else 2
+        self.buffer = np.empty(0, dtype=np.int64)
+
+    def take(self, count: int) -> np.ndarray:
+        """The next count draws."""
+        while len(self.buffer) < count:
+            # a candidate is kept with probability size / 2**bits, at least 1/2
+            wanted = (count - len(self.buffer) << self.bits) // self.size + 16
+            n = self.words * wanted
+            words = np.frombuffer(self.rng.getrandbits(32 * n).to_bytes(4 * n, "little"), dtype="<u4")
+            words = words.astype(np.uint64)
+            if self.words == 1:
+                fresh = words >> (32 - self.bits)
+            else:
+                fresh = words[0::2] | words[1::2] >> (64 - self.bits) << 32
+            self.buffer = np.concatenate([self.buffer, fresh[fresh < self.size].astype(np.int64)])
+        out, self.buffer = self.buffer[:count], self.buffer[count:]
+        return out
+
+
 def _sampled(g: Groupoid, identity: IdentityId, trials: int, seed: int) -> IdentityVerdict:
-    """Draw every entry of every variable of every trial, in that nesting, from
-    ``random.Random(seed).randrange``, and multiply whole chunks of trials at
-    once. Chunks start at one trial and double up to about _CHUNK_CELLS draws,
-    so an early counterexample costs few draws; the first failing trial in
-    draw order is the witness. Spec-backed elements travel as k arrays of value
-    indices through ``Groupoid.digit_products``, table-backed ones as indices
-    through ``Groupoid.products``."""
+    """Draw every entry of every variable of every trial, in that nesting, as
+    ``random.Random(seed).randrange`` would, and multiply whole chunks of
+    trials at once. Chunks start at one trial and double up to about
+    _CHUNK_CELLS draws, so an early counterexample costs few draws; the first
+    failing trial in draw order is the witness. Spec-backed elements travel as
+    k arrays of value indices through ``Groupoid.digit_products``, table-backed
+    ones as indices through ``Groupoid.products``."""
     lhs_t, rhs_t, vars_ = TEMPLATES[identity]
     if g.spec is not None:
         carrier = g.spec.carrier
@@ -264,13 +434,13 @@ def _sampled(g: Groupoid, identity: IdentityId, trials: int, seed: int) -> Ident
         element = lambda ds: ds[0]  # noqa: E731
         fmt = lambda i: g.labels()[i]  # noqa: E731
 
-    draw = random.Random(seed).randrange
+    draws = _Draws(seed, size)
     width = len(vars_) * k  # draws per trial
     cap = max(1, _CHUNK_CELLS // width)
     done, chunk = 0, 1
     while done < trials:
         c = min(chunk, cap, trials - done)
-        drawn = np.array([draw(size) for _ in range(c * width)]).reshape(c, len(vars_), k)
+        drawn = draws.take(c * width).reshape(c, len(vars_), k)
         env = {v: list(drawn[:, p, :].T) for p, v in enumerate(vars_)}
         lhs, rhs = eval_tree(lhs_t, env, prod), eval_tree(rhs_t, env, prod)
         mism = np.zeros(c, dtype=bool)

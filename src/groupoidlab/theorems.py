@@ -144,6 +144,7 @@ class TheoremCheck:
 # -- class counting -------------------------------------------------------------
 
 COUNT_CLASSES = ("all_pairs", "level_one_pairs", "idempotent_pairs")
+_PAIR_CELLS = 1 << 18
 
 
 def count_class(carrier: Carrier, kind: str, *, equal_pairs_included: bool = False) -> int:
@@ -166,21 +167,27 @@ def count_class(carrier: Carrier, kind: str, *, equal_pairs_included: bool = Fal
             if v != w and carrier.coprimality_class(v, w).is_unit
         )
     if kind == "idempotent_pairs":
-        # v·x + w·x = x for every value x, over value indices; the values are
-        # taken in blocks of 1, 2, 4, ..., and a candidate w leaves at the end
-        # of the first block with an x where it fails
+        # v·x + w·x = x for every value x, over value indices: the candidate
+        # pairs (v, w) of a group of v's are tested together on blocks of 1,
+        # 2, 4, ... values x, and a pair leaves at the end of the first block
+        # with an x where it fails; a group holds about _PAIR_CELLS pairs
         xs = np.arange(len(values))
         nz = np.flatnonzero([not carrier.is_zero(v) for v in values])
+        group = max(1, _PAIR_CELLS // max(len(nz), 1))
         count = 0
-        for v in nz:
-            ws = nz if equal_pairs_included else nz[nz != v]
+        for g0 in range(0, len(nz), group):
+            v, w = (a.ravel() for a in np.meshgrid(nz[g0 : g0 + group], nz, indexing="ij"))
+            if not equal_pairs_included:
+                distinct = v != w
+                v, w = v[distinct], w[distinct]
             lo, step = 0, 1
-            while ws.size and lo < len(xs):
+            while v.size and lo < len(xs):
                 x = xs[lo : lo + step]
-                vx_wx = carrier.add_indices(carrier.mul_indices(v, x), carrier.mul_indices(ws[:, None], x))
-                ws = ws[(vx_wx == x).all(axis=1)]
+                vx_wx = carrier.add_indices(carrier.mul_indices(v[:, None], x), carrier.mul_indices(w[:, None], x))
+                holds = (vx_wx == x).all(axis=1)
+                v, w = v[holds], w[holds]
                 lo, step = lo + step, 2 * step
-            count += ws.size
+            count += v.size
         return count
     raise CarrierError(f"unknown counting class: {kind!r} (expected one of {COUNT_CLASSES})")
 

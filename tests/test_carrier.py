@@ -46,6 +46,27 @@ def test_modular_rejects_small_modulus():
             Modular(bad)
 
 
+@pytest.mark.parametrize(
+    "make,largest",
+    [
+        (Modular, 3_037_000_500),  # (n-1)^2 = 9223372030926249001 < 2^63
+        (PureNeutrosophic, 3_037_000_500),
+        (lambda n: IntervalOf(Modular(n)), 3_037_000_500),
+        (MixedNeutrosophic, 1_753_413_057),  # 3(n-1)^2 = 9223372034853777408 < 2^63
+    ],
+    ids=["zn", "zni", "o(zn)", "nzn"],
+)
+def test_moduli_whose_index_arithmetic_would_wrap_int64_are_refused(make, largest):
+    carrier = make(largest)
+    top = np.array([carrier.size() - 1, carrier.size() - 2])
+    values = [carrier.value_at(int(i)) for i in top]
+    for array_op, op in ((carrier.add_indices, carrier.add), (carrier.mul_indices, carrier.mul)):
+        got = array_op(top[:, None], top[None, :]).tolist()
+        assert got == [[carrier.index_of(op(v, w)) for w in values] for v in values]
+    with pytest.raises(CarrierError, match=f"modulus must be at most {largest}, got {largest + 1}"):
+        make(largest + 1)
+
+
 def test_modular_format_parse_roundtrip():
     c = Modular(12)
     for v in c.enumerate_values():

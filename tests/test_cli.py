@@ -306,6 +306,8 @@ def test_demo_unknown_id(runner):
         ("table", "--carrier", "zn:5", "--pair", "2"),
         ("table", "--carrier", "zn:5", "--shape", "cube", "--pair", "2,3"),
         ("table", "--carrier", "q", "--pair", "1/2,1/3"),
+        ("check", "--carrier", "zn:4294967311", "--pair", "2,4294967310", "--identity", "idempotent"),
+        ("check", "--carrier", "nzn:1753413058", "--pair", "2,3", "--identity", "idempotent"),
     ],
 )
 def test_usage_errors_exit_2(runner, args):

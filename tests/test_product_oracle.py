@@ -2,16 +2,17 @@
 
 Every Cayley table is built by ``compile_product`` from the carriers' array
 arithmetic on value indices (``add_indices``, ``mul_indices``), every
-exhaustive verdict comes from one chunked numpy evaluator that reads
-the table by rows or by one flat take, and every sampled verdict multiplies
-whole chunks of trials through the compiled per-digit product. The oracles
-here are the slow forms they replaced: the carriers' per-value ``add`` and
-``mul``, ``shape.star`` applied cell by cell,
+exhaustive verdict comes from one numpy evaluator that scans the table one
+(y, x) plane (or block of it) at a time, and every sampled verdict draws its
+trials in bulk and multiplies whole chunks of them through the compiled
+per-digit product. The oracles here are the slow forms they replaced: the
+carriers' per-value ``add`` and ``mul``, ``shape.star`` applied cell by cell,
 a plain loop engine that multiplies elements with ``Groupoid.star`` and scans
-assignments with x fastest, then y, then z, and a sampler that draws and
-multiplies one trial at a time.
+assignments with x fastest, then y, then z, and a sampler that draws with
+``randrange`` and multiplies one trial at a time.
 """
 
+import gc
 import itertools
 import random
 
@@ -76,9 +77,8 @@ def sampled_loop_oracle(g, identity, trials, seed):
     lhs_t, rhs_t, vars_ = TEMPLATES[identity]
     rng = random.Random(seed)
     if g.spec is not None:
-        values = g.spec.carrier.enumerate_values()
-        k = g.spec.shape.entry_count()
-        draw = lambda: tuple(values[rng.randrange(len(values))] for _ in range(k))  # noqa: E731
+        carrier, k = g.spec.carrier, g.spec.shape.entry_count()
+        draw = lambda: tuple(carrier.value_at(rng.randrange(carrier.size())) for _ in range(k))  # noqa: E731
         prod = g.star
         fmt = lambda e: format_element(g.spec.carrier, g.spec.shape, e)  # noqa: E731
     else:
@@ -346,7 +346,92 @@ def test_subset_witnesses_do_not_depend_on_the_chunk_size(monkeypatch, g, subset
             assert identity_holds_on_subset(g, subset, identity) == (expected is None)
 
 
+def last_plane_table(n):
+    """An order-n table where x*y = x except in the last column c = n-1:
+    x*c = c for x < n-2, (n-2)*c = 0 and c*c = c. Associativity then fails
+    only at z = c, and there first at y = n-2, x = 0: in the last z-plane and
+    in the y-block that holds the last row but one."""
+    c = n - 1
+    rows = [[x] * c + [c if x < n - 2 else 0 if x == n - 2 else c] for x in range(n)]
+    return from_table([f"e{i}" for i in range(n)], rows)
+
+
+@pytest.mark.parametrize("domain", [None, [0, 3, 7, 8], [2, 5, 7, 8], [1, 2, 3, 4, 5, 6, 7, 8]])
+@pytest.mark.parametrize("cells", [1, 18, 80, 81, 1 << 17], ids=lambda c: f"cells={c}")
+def test_plane_scan_finds_failures_in_the_last_plane_and_a_late_block(monkeypatch, domain, cells):
+    """18 cells cut a 9-wide plane into blocks of 2 rows, 80 into 8 rows and
+    a block of 1, 81 take one whole plane and 2^17 every plane at once."""
+    g = last_plane_table(9)
+    monkeypatch.setattr(identities, "_CHUNK_CELLS", cells)
+    dom = list(range(9)) if domain is None else domain
+    assert first_failure(g, IdentityId.ASSOCIATIVE, np.array(dom)) == (dom[0], 7, 8)
+    for identity in IdentityId:
+        assert first_failure(g, identity, np.array(dom)) == exhaustive_loop_oracle(g, identity, dom), identity
+
+
+@pytest.mark.parametrize("domain", [[-1, 0, 3], [0, 3, 9]])
+def test_plane_scan_refuses_indices_outside_the_table(domain):
+    """The scan reads with mode="clip", so a domain index outside [0, n)
+    must raise before any read rather than clip to a wrong cell."""
+    with pytest.raises(IndexError, match=r"domain indices must lie in \[0, 9\)"):
+        first_failure(last_plane_table(9), IdentityId.BOL, np.array(domain))
+
+
+@pytest.mark.parametrize("cells", [1, 7, 16, 40, 1 << 17])
+def test_plane_scan_of_a_spec_backed_table_matches_the_loop_oracle(monkeypatch, cells):
+    """Order 27 under x*y = 2x + y: the scan reads the table and its
+    transpose, and the witnesses are elements."""
+    g = build(Modular(3), Poly(2, ProductKind.ENTRYWISE), 2, 1)
+    monkeypatch.setattr(identities, "_CHUNK_CELLS", cells)
+    for identity in IdentityId:
+        v = check_identity(g, identity, CheckMode.EXHAUSTIVE)
+        assert witness_indices(g, v) == exhaustive_loop_oracle(g, identity), identity
+
+
+def test_exhaustive_witnesses_are_labelled_without_the_label_list(monkeypatch):
+    g = build(Modular(4), Matrix(1, 2), 2, 3)
+
+    def refuse():
+        raise AssertionError("the whole label list was built")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(g, "labels", refuse)
+        patched.setattr(g, "elements", refuse)
+        verdicts = {identity: check_identity(g, identity, CheckMode.EXHAUSTIVE) for identity in IdentityId}
+    assert any(v.fails for v in verdicts.values())
+    for identity, v in verdicts.items():
+        assert witness_indices(g, v) == exhaustive_loop_oracle(g, identity), identity
+        if v.fails:
+            assert v.witness_labels == tuple(g.labels()[i] for i in witness_indices(g, v))
+
+
 # -- the sampled engine --------------------------------------------------------------
+
+TWO_WORD_NZN = MixedNeutrosophic(70_001)  # 4900140001 values: one draw takes two 32-bit words
+
+
+@pytest.mark.parametrize(
+    "size",
+    [1, 2, 3, 4, 5, 8, 1 << 16, 1 << 31, (1 << 32) - 1, 1 << 32, (1 << 32) + 1, TWO_WORD_NZN.size(), (1 << 62) + 1],
+)
+def test_bulk_draws_match_randrange(size):
+    """Powers of two reject half their candidates; from 2^32 up a draw takes
+    two words."""
+    for seed in (0, 7, 2024):
+        draws, rng = identities._Draws(seed, size), random.Random(seed)
+        for count in (1, 1, 2, 4, 8, 16, 3, 700, 1):
+            assert draws.take(count).tolist() == [rng.randrange(size) for _ in range(count)], (seed, count)
+
+
+def test_sampling_a_two_word_carrier_matches_the_per_trial_oracle():
+    g = build(TWO_WORD_NZN, Poly(1, ProductKind.CONVOLUTION), (2, 5), (69_999, 1))
+    for identity in IdentityId:
+        for seed in (0, 3):
+            for trials in (1, 5, 40):
+                want = sampled_loop_oracle(g, identity, trials, seed)
+                got = check_identity(g, identity, CheckMode.SAMPLED, trials=trials, seed=seed)
+                assert (got.to_json(), got.witness) == (want.to_json(), want.witness), (identity, seed, trials)
+
 
 SAMPLED_CASES = {
     "zn:9-scalar": build(Modular(9), Scalar(), 2, 5),
@@ -407,6 +492,28 @@ def test_sampling_a_space_past_the_cap_never_forms_an_element_index(monkeypatch)
     monkeypatch.setattr(g, "products", refuse)
     v = check_identity(g, IdentityId.COMMUTATIVE, trials=300, seed=5)
     assert (v.method, v.status) == ("sampled", "sampled_no_counterexample")
+
+
+def test_checks_leave_no_reference_cycles(monkeypatch):
+    """A scan's and a sampler's arrays are freed when the check returns, not
+    held in a reference cycle until the cyclic collector runs."""
+    g = build(Modular(5), Matrix(1, 3), 1, 0)  # order 125: every 3-variable law holds
+    monkeypatch.setattr(identities, "_CHUNK_CELLS", 2000)  # several blocks of planes
+    checks = [
+        lambda: check_identity(g, IdentityId.MOUFANG, CheckMode.EXHAUSTIVE),
+        lambda: check_identity(g, IdentityId.BOL, CheckMode.SAMPLED, trials=500, seed=1),
+        lambda: identity_holds_on_subset(g, range(0, 125, 3), IdentityId.ASSOCIATIVE),
+    ]
+    for check in checks:
+        check()  # the table and the compiled product are built and kept
+    gc.collect()
+    gc.disable()
+    try:
+        for check in checks:
+            check()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- one-variable laws at large orders ------------------------------------------------
