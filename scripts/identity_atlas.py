@@ -14,13 +14,12 @@ import argparse
 import json
 
 from groupoidlab import (
-    CheckMode,
     IdentityId,
     Modular,
     PureNeutrosophic,
     Scalar,
     build,
-    check_identity,
+    check_identity_sweep,
 )
 
 CARRIERS = {"zn": Modular, "zni": PureNeutrosophic}
@@ -38,17 +37,13 @@ SHORT = {
 
 
 def atlas_for(carrier_cls, n: int) -> dict:
-    rows = []
-    for t in range(n):
-        for u in range(n):
-            if t == 0 and u == 0:
-                continue
-            g = build(carrier_cls(n), Scalar(), t, u)
-            verdicts = {
-                SHORT[i]: check_identity(g, i, CheckMode.EXHAUSTIVE).holds
-                for i in COLUMNS
-            }
-            rows.append({"pair": [t, u], **verdicts})
+    pairs = [(t, u) for t in range(n) for u in range(n) if (t, u) != (0, 0)]
+    groupoids = [build(carrier_cls(n), Scalar(), t, u) for t, u in pairs]
+    columns = {SHORT[i]: check_identity_sweep(groupoids, i) for i in COLUMNS}
+    rows = [
+        {"pair": [t, u], **{name: verdicts[p].holds for name, verdicts in columns.items()}}
+        for p, (t, u) in enumerate(pairs)
+    ]
     return {"n": n, "rows": rows}
 
 

@@ -4,8 +4,10 @@ A groupoid is either *spec-backed* (carrier + shape + parameter pair) or
 *table-backed* (an explicit Cayley table over opaque labels, e.g. parsed back
 from a serialized table). A spec compiles once, through ``compile_product``,
 to an int32 Cayley table array that every engine reads; a table-backed
-groupoid holds its validated rows as that array. The full table is refused
-before allocation when its n² cells exceed the work budget (``GGL_BUDGET``).
+groupoid holds its validated rows as that array. ``compile_tables`` compiles
+the tables of a sweep's members together, one call per group of members that
+share a carrier and shape. The full table is refused before allocation when
+its n² cells exceed the work budget (``GGL_BUDGET``).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +36,9 @@ from .shape import (
 DEFAULT_TABLE_CAP = 256
 DEFAULT_BUDGET = 10**8
 BUDGET_ENV_VAR = "GGL_BUDGET"
+# cells per compile call of a sweep's tables, per block of an exhaustive scan
+# and draws per sampled chunk: one order-343 plane fits, with a 1 MB intp index
+_CHUNK_CELLS = 1 << 17
 
 
 class BudgetExceeded(RuntimeError):
@@ -245,11 +250,7 @@ class Groupoid:
         """The Cayley table as an int32 array, compiled once; read it, never
         write it. Refused before allocation when n² exceeds the work budget."""
         if "table" not in self._memo:
-            self._require_enumerable()
-            n = self.order
-            check_budget("Cayley table", f"{n}^2", n * n, " cells")
-            X = np.arange(n)
-            self._memo["table"] = self.products(X[:, None], X[None, :])
+            compile_tables([self])
         return self._memo["table"]
 
     def index_table(self, cap: int | None = None) -> list[list[int]]:
@@ -273,6 +274,54 @@ class Groupoid:
                 f"pair {sp.param_text()} level {sp.level.value}"
             )
         return f"table-backed groupoid of order {len(self._labels)}"
+
+
+def member_groups(groupoids: Sequence[Groupoid], exponent: int) -> Iterator[tuple[list[int], Callable]]:
+    """The positions of the groupoids in groups that multiply together, each
+    with its product.
+
+    Members that share a carrier and shape form groups of at most
+    _CHUNK_CELLS // order**exponent of them (at least one), so a product over
+    order**exponent cells per member stays within one chunk; a group's product
+    is one ``compile_product`` over its members' parameters. A group of one,
+    and every table-backed groupoid is one, multiplies through its own
+    ``Groupoid.products``. Every product has a leading member axis: the
+    group's i-th member is ``product(X, Y)[i]``.
+    """
+    by_spec: dict = {}
+    for i, g in enumerate(groupoids):
+        by_spec.setdefault(None if g.spec is None else (g.spec.carrier, g.spec.shape), []).append(i)
+    for key, members in by_spec.items():
+        size = 1 if key is None else max(1, _CHUNK_CELLS // groupoids[members[0]].order ** exponent)
+        for p0 in range(0, len(members), size):
+            group = members[p0 : p0 + size]
+            if len(group) == 1:
+                yield group, lambda X, Y, g=groupoids[group[0]]: g.products(X, Y)[None]
+            else:
+                specs = [groupoids[i].spec for i in group]
+                yield group, compile_product(*key, [sp.t for sp in specs], [sp.u for sp in specs])
+
+
+def compile_tables(groupoids: Sequence[Groupoid]) -> list[np.ndarray]:
+    """The groupoids' Cayley tables, compiling those they do not hold yet.
+
+    Members that share a carrier and shape compile together, one
+    ``member_groups`` product per group of at most _CHUNK_CELLS cells (one
+    member when its table alone is larger), so the arrays of one call do not
+    grow with the number of members. Each member keeps its table, a view of
+    its group's stack, in its memo. Every member's n² is refused against the
+    work budget, as ``table_array`` does, before anything is compiled.
+    """
+    missing = [g for g in groupoids if "table" not in g._memo]  # all spec-backed
+    if missing:
+        for g in missing:
+            g._require_enumerable()
+            check_budget("Cayley table", f"{g.order}^2", g.order**2, " cells")
+        for group, product in member_groups(missing, 2):
+            X = np.arange(missing[group[0]].order)
+            for i, table in zip(group, product(X[:, None], X[None, :])):
+                missing[i]._memo["table"] = table
+    return [g._memo["table"] for g in groupoids]
 
 
 # -- Cayley tables ----------------------------------------------------------

@@ -16,6 +16,17 @@ Each identity is a fixed pair of expression trees over variables ``x``, ``y``,
   variables' ``V·n`` scaled once per scan, and a single value V reads just
   its table row; the domain row times a column reads whole table rows. The
   planes land in buffers reused from block to block;
+* the same scan over a sweep: ``check_identity_sweep`` decides one identity
+  for many groupoids of one order, such as every parameter pair of a
+  carrier, with each verdict equal to ``check_identity``'s. Their tables
+  compile together (``groupoid.compile_tables``), and when one member's
+  whole scan fits a block, a block holds as many members as fit: their
+  tables are read as one stacked (P·n)×n table, member p's row offset p·n
+  folded into the left operand's row index, and each member's witness is
+  the first failure in its own slice. A member whose scan needs several
+  blocks is scanned alone, exactly as above; a single ``check_identity`` is
+  a sweep of one. One-variable laws square the domain once per group of
+  members through one product over their parameters;
 * a lifted check that proves the identity on the scalar shadow when the shape
   multiplies entrywise (the verdict then transfers entry-for-entry),
 * a seeded random sampler for spaces too large to enumerate. It draws trials
@@ -39,18 +50,25 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
 from .carrier import CarrierError, is_prime
-from .groupoid import BUDGET_ENV_VAR, DEFAULT_BUDGET, BudgetExceeded, Groupoid, build, default_budget
+from .groupoid import (
+    _CHUNK_CELLS,
+    BUDGET_ENV_VAR,
+    DEFAULT_BUDGET,
+    BudgetExceeded,
+    Groupoid,
+    build,
+    compile_tables,
+    default_budget,
+    member_groups,
+)
 from .shape import Element, Scalar, TooLarge, format_element, scalar_projection
 
 DEFAULT_TRIALS = 10**4
-# cells per block of an exhaustive scan and draws per sampled chunk: one
-# order-343 plane fits, with a 1 MB intp index
-_CHUNK_CELLS = 1 << 17
 
 Node = Any  # str variable or ("*", Node, Node)
 
@@ -200,36 +218,63 @@ _READS = {node: _read(_DEPS[node[1]], _DEPS[node[2]]) for node in _DEPS if not i
 class _PlaneScan:
     """table[A, B] for the operands of one exhaustive scan over a domain.
 
+    A scan reads the tables of one or more members of one order n, stacked as
+    one (P·n)×n table; member p's rows start at p·n, and that offset is added
+    to the left operand's row index (to the pre-scaled V·n of a variable), so
+    one read serves every member. A scan of one member adds nothing.
+
     Operands broadcast over a block laid out (z, y, x): x spans the domain on
-    the last axis, y the block's rows and z its planes. A plane is an operand
-    that depends on both x and y; a product reads the table as follows.
+    the last axis, y the block's rows and z its planes; several members add a
+    leading member axis. A plane is an operand that depends on both x and y; a
+    product reads the table as follows.
 
     * A plane times an operand V (a row, a column, a z value or a plane)
       reads the flat table at V·n + plane, or its transpose when V is on the
       right: one add, since V·n is scaled once per scan when V is a variable.
-      A single value V reads just its row of the table.
+      A single value V of a single member reads just its row of the table.
     * The x row times an operand without x reads whole table rows (of the
       transpose when x is on the left), then the domain's columns when it is
-      not every element.
+      not every element. A row computed from x, such as x*x, selects the same
+      columns of every row only in a scan of one member; with several members
+      the product indexes the table at (A, B).
     * Any other product indexes the table at (A, B).
 
-    When a scan has several blocks, every plane a block computes lands in a
-    buffer kept for its template node, every index in one intp buffer and the
-    comparison in one bool buffer, so they are allocated once per scan.
+    When a scan has several blocks, which happens only for a scan of one
+    member, every plane a block computes lands in a buffer kept for its
+    template node, every index in one intp buffer and the comparison in one
+    bool buffer, so they are allocated once per scan.
     """
 
-    def __init__(self, table: np.ndarray, domain: np.ndarray, cells: int) -> None:
-        self.n = n = len(table)
-        self.table, self.flat = table, table.ravel()
-        self.table_t = np.ascontiguousarray(table.T)
-        self.flat_t = self.table_t.ravel()
+    def __init__(self, tables: list[np.ndarray], domain: np.ndarray, cells: int) -> None:
+        self.n = n = len(tables[0])
+        if len(tables) == 1:
+            self.table, self.offsets = tables[0], None
+            self.table_t = np.ascontiguousarray(self.table.T)
+        else:
+            stack = np.stack(tables)
+            self.table = stack.reshape(-1, n)
+            self.table_t = stack.transpose(0, 2, 1).reshape(-1, n)  # a contiguous copy
+            self.offsets = np.arange(0, len(self.table), n, dtype=np.intp).reshape(-1, 1, 1, 1)
+        self.flat, self.flat_t = self.table.ravel(), self.table_t.ravel()
+        self.domain = domain
         self.every = len(domain) == n  # a sorted domain of n distinct indices is arange(n)
-        self.scaled = np.multiply(domain, n, dtype=np.intp)  # intp: take is slow on int32
         self.cells = cells  # cells of the largest block, or 0 when nothing is reused
         self.index = np.empty(cells, dtype=np.intp)
         self.mism = np.empty(cells, dtype=bool)
         self.planes: dict = {}
         self.block: tuple | None = None  # the (z, y, x) shape being read, None over the whole domain
+
+    def rows(self, A: np.ndarray) -> np.ndarray:
+        """A's row indices in the stacked table."""
+        return A if self.offsets is None else A + self.offsets
+
+    def scaled(self, variables: dict) -> dict:
+        """Each variable's V·n, the flat index of its rows, plus p·n² for
+        member p when several are stacked; intp, since take is slow on int32."""
+        scaled = np.multiply(self.domain, self.n, dtype=np.intp)
+        if self.offsets is not None:
+            return {v: scaled.reshape(V.shape) + self.offsets * self.n for v, V in variables.items()}
+        return {v: scaled.reshape(V.shape) for v, V in variables.items()}
 
     def buffers(self, node: Node) -> tuple:
         """The index buffer and node's own buffer, shaped as node's plane in
@@ -254,16 +299,17 @@ class _PlaneScan:
             table, flat = (self.table, self.flat) if read == "flat" else (self.table_t, self.flat_t)
             if read == "flat-t":  # A*B is B*A in the transpose
                 a, b, A, B = b, a, B, A
-            if A.size == 1:
+            if A.size == 1 and self.offsets is None:
                 return table[A.item()].take(B, out=out, mode="clip")
-            An = scaled[a] if a in scaled else np.multiply(A, self.n, out=index, dtype=np.intp)
+            An = scaled[a] if a in scaled else np.multiply(self.rows(A), self.n, out=index, dtype=np.intp)
             return flat.take(np.add(An, B, out=index), out=out, mode="clip")
-        if read == "cells":
-            return self.table[A, B]
         table, col, row_node, row = (self.table, A, b, B) if read == "rows" else (self.table_t, B, a, A)
+        if read == "cells" or (row_node != "x" and self.offsets is not None):
+            return self.table[self.rows(A), B]
+        col = self.rows(col)
         if row_node == "x" and self.every:
             return table.take(col[..., 0], axis=0, out=out, mode="clip")
-        return table[col[..., 0]].take(row[0, 0], axis=-1, out=out, mode="clip")
+        return table[col[..., 0]].take(row.reshape(-1), axis=-1, out=out, mode="clip")
 
     def value(self, node: Node, values: dict, scaled: dict) -> np.ndarray:
         """node over the block, or over the whole domain when there is none;
@@ -282,63 +328,121 @@ class _PlaneScan:
         return np.not_equal(lhs, rhs, out=out)
 
 
-def first_failure(g: Groupoid, identity: IdentityId, domain: np.ndarray) -> tuple[int, ...] | None:
-    """The first assignment of elements of ``domain`` (sorted, distinct
-    indices of g; x fastest, then y, then z) at which the identity's two sides
-    differ, or None when it holds there.
-
-    One-variable laws square the domain vector through ``Groupoid.products``.
-    The others read the table array through ``_PlaneScan`` one block at a
-    time: the (y, x) plane of each value of the slowest variable, split into
-    blocks of y rows when it exceeds _CHUNK_CELLS cells, or several whole
-    planes when they fit. Products without the slowest variable are computed
-    once, over the whole domain, and cut to each block."""
+def _scan(tables: list[np.ndarray], identity: IdentityId, domain: np.ndarray) -> list[tuple[int, ...] | None]:
+    """``first_failures`` of members given by their tables, of one order, for
+    a law of two or three variables over a non-empty domain. Several members
+    are read only when each one's whole scan fits one block."""
     lhs_t, rhs_t, vars_ = TEMPLATES[identity]
-    domain = np.asarray(domain)
-    if len(vars_) == 1:
-        x = domain[None, :]
-        mism = eval_tree(lhs_t, {"x": x}, g.products) != eval_tree(rhs_t, {"x": x}, g.products)
-        return (int(domain[np.argmax(mism[0])]),) if mism.any() else None
-    m, three = len(domain), len(vars_) == 3
-    if m == 0:
-        return None
-    table = g.table_array()
-    if domain[0] < 0 or domain[-1] >= len(table):
-        raise IndexError(f"domain indices must lie in [0, {len(table)})")
+    members, m, three = len(tables), len(domain), len(vars_) == 3
     rows = min(m, max(1, _CHUNK_CELLS // m))  # y rows per block
     planes = min(m, max(1, _CHUNK_CELLS // (m * m))) if three and rows == m else 1
     starts = [(z0, y0) for z0 in range(0, m if three else 1, planes) for y0 in range(0, m, rows)]
-    scan = _PlaneScan(table, domain, planes * rows * m if len(starts) > 1 else 0)
-    whole = {v: domain.reshape(shape) for v, shape in zip(vars_, ((1, 1, m), (1, m, 1), (m, 1, 1)))}
-    whole_scaled = {v: scan.scaled.reshape(d.shape) for v, d in whole.items()}
+    scan = _PlaneScan(tables, domain, planes * rows * m if len(starts) > 1 else 0)
+    lead = (1,) if members > 1 else ()  # the member axis
+    whole = {v: domain.reshape(lead + shape) for v, shape in zip(vars_, ((1, 1, m), (1, m, 1), (m, 1, 1)))}
+    whole_scaled = scan.scaled(whole)
     hoisted = {node: scan.value(node, dict(whole), whole_scaled) for node in _HOISTED[identity]}
 
+    found: list[tuple[int, ...] | None] = [None] * members
     for z0, y0 in starts:
-        cut = {"x": ..., "y": (slice(None), slice(y0, y0 + rows)), "z": slice(z0, z0 + planes)}
+        cut = {
+            "x": ...,
+            "y": (..., slice(y0, y0 + rows), slice(None)),
+            "z": (..., slice(z0, z0 + planes), slice(None), slice(None)),
+        }
         values = {v: d[cut[v]] for v, d in whole.items()}
         scaled = {v: d[cut[v]] for v, d in whole_scaled.items()}
         values.update((node, h[cut["y"]] if "y" in _DEPS[node] else h) for node, h in hoisted.items())
         scan.block = (min(planes, m - z0), min(rows, m - y0), m)
         mism = scan.differ(scan.value(lhs_t, values, scaled), scan.value(rhs_t, values, scaled))
         if mism.any():
-            zi, yi, xi = np.unravel_index(int(np.argmax(mism)), mism.shape)
-            return tuple(int(domain[i]) for i in (xi, y0 + yi, z0 + zi)[: len(vars_)])
-    return None
+            # each member's first failure is the argmax of its own slice
+            per_member = mism.reshape(members, -1)
+            ys = scan.block[1]
+            for p, i in enumerate(per_member.argmax(axis=1).tolist()):
+                if per_member[p, i]:
+                    at = (i % m, y0 + i // m % ys, z0 + i // (ys * m))
+                    found[p] = tuple(int(domain[j]) for j in at[: len(vars_)])
+            break  # a scan of several blocks holds one member
+    return found
 
 
-def _exhaustive(g: Groupoid, identity: IdentityId, budget: int) -> IdentityVerdict:
-    order = g.order
+def first_failures(
+    groupoids: Sequence[Groupoid], identity: IdentityId, domain: np.ndarray
+) -> list[tuple[int, ...] | None]:
+    """For each groupoid, the first assignment of elements of ``domain``
+    (sorted, distinct indices; x fastest, then y, then z) at which the
+    identity's two sides differ, or None when it holds there. The groupoids
+    share one order.
+
+    One-variable laws square the domain vector through the compiled products
+    of ``member_groups``, with the parameters of a group's members broadcast,
+    so they need no table. The others read the table arrays through
+    ``_PlaneScan`` one block at a time: the (y, x) plane of each value of the
+    slowest variable, split into blocks of y rows when it exceeds _CHUNK_CELLS
+    cells, or several whole planes when they fit. When a member's whole scan
+    fits one block, one block reads as many members as fit; a member whose
+    scan needs several blocks is scanned alone. Products without the slowest
+    variable are computed once, over the whole domain, and cut to each block."""
+    lhs_t, rhs_t, vars_ = TEMPLATES[identity]
+    domain = np.asarray(domain)
+    found: list[tuple[int, ...] | None] = [None] * len(groupoids)
+    if len(vars_) == 1:
+        x = domain[None, :]
+        for group, prod in member_groups(groupoids, 1):
+            mism = (eval_tree(lhs_t, {"x": x}, prod) != eval_tree(rhs_t, {"x": x}, prod)).reshape(len(group), -1)
+            for i, first, row in zip(group, mism.argmax(axis=1).tolist(), mism):
+                if row[first]:
+                    found[i] = (int(domain[first]),)
+        return found
+    if not len(domain) or not groupoids:
+        return found
+    tables = compile_tables(groupoids)
+    if domain[0] < 0 or domain[-1] >= len(tables[0]):
+        raise IndexError(f"domain indices must lie in [0, {len(tables[0])})")
+    size = max(1, _CHUNK_CELLS // len(domain) ** len(vars_))  # members per scan
+    if size >= len(tables):
+        return _scan(tables, identity, domain)
+    return [f for p0 in range(0, len(tables), size) for f in _scan(tables[p0 : p0 + size], identity, domain)]
+
+
+def first_failure(g: Groupoid, identity: IdentityId, domain: np.ndarray) -> tuple[int, ...] | None:
+    """``first_failures`` of the one groupoid g."""
+    return first_failures([g], identity, domain)[0]
+
+
+def check_identity_sweep(
+    groupoids: Sequence[Groupoid], identity: IdentityId, *, budget: int | None = None
+) -> list[IdentityVerdict]:
+    """Exhaustive verdicts for groupoids of one order, such as every parameter
+    pair of a carrier and shape: each equals ``check_identity(g, identity,
+    CheckMode.EXHAUSTIVE, budget=budget)``, witness and labels included, but
+    members whose scans are small are decided together (see
+    ``first_failures``). Refusals come before any work: ``CarrierError`` when
+    the orders differ, ``BudgetExceeded`` as ``check_identity`` raises it."""
+    budget = default_budget() if budget is None else budget
     nvars = len(TEMPLATES[identity][2])
+    orders = {g.order for g in groupoids}
+    if len(orders) > 1:
+        raise CarrierError(f"a sweep's groupoids must share one order, got {sorted(map(str, orders))}")
+    if not orders:
+        return []
+    order = orders.pop()
     if isinstance(order, TooLarge):
         raise BudgetExceeded("element space exceeds the enumeration cap")
     if order**nvars > budget:
         raise BudgetExceeded(
             f"exhaustive check needs {order}^{nvars} evaluations, budget is {budget}"
         )
-    found = first_failure(g, identity, np.arange(order))
-    if found is not None:
-        return _witness_verdict(g, identity, "exhaustive", found)
-    return IdentityVerdict(identity=identity.value, method="exhaustive", status="holds")
+    holds = IdentityVerdict(identity=identity.value, method="exhaustive", status="holds")
+    return [
+        holds if found is None else _witness_verdict(g, identity, "exhaustive", found)
+        for g, found in zip(groupoids, first_failures(groupoids, identity, np.arange(order)))
+    ]
+
+
+def _exhaustive(g: Groupoid, identity: IdentityId, budget: int) -> IdentityVerdict:
+    return check_identity_sweep([g], identity, budget=budget)[0]
 
 
 # -- lifted -------------------------------------------------------------------
@@ -513,6 +617,26 @@ def check_identity(
     return _sampled(g, identity, trials, seed)
 
 
+def alternative_verdict(left: IdentityVerdict, right: IdentityVerdict) -> IdentityVerdict:
+    """The combined alternative verdict of the left and right laws: it fails
+    with the first failing law's witness, holds when both hold, and is
+    otherwise the weaker law's sampled verdict."""
+    if left.fails or right.fails:
+        bad = left if left.fails else right
+        return IdentityVerdict(
+            identity="alternative", method=bad.method, status="fails",
+            witness=bad.witness, witness_labels=bad.witness_labels,
+            trials=bad.trials, seed=bad.seed,
+        )
+    if left.status == "holds" and right.status == "holds":
+        return IdentityVerdict(identity="alternative", method=left.method, status="holds")
+    weaker = left if left.status != "holds" else right
+    return IdentityVerdict(
+        identity="alternative", method=weaker.method,
+        status="sampled_no_counterexample", trials=weaker.trials, seed=weaker.seed,
+    )
+
+
 def check_alternative(
     g: Groupoid,
     mode: CheckMode = CheckMode.AUTO,
@@ -524,22 +648,7 @@ def check_alternative(
     """Both alternative laws; the combined verdict holds iff both hold."""
     left = check_identity(g, IdentityId.LEFT_ALTERNATIVE, mode, budget=budget, trials=trials, seed=seed)
     right = check_identity(g, IdentityId.RIGHT_ALTERNATIVE, mode, budget=budget, trials=trials, seed=seed)
-    if left.fails or right.fails:
-        bad = left if left.fails else right
-        combined = IdentityVerdict(
-            identity="alternative", method=bad.method, status="fails",
-            witness=bad.witness, witness_labels=bad.witness_labels,
-            trials=bad.trials, seed=bad.seed,
-        )
-    elif left.status == "holds" and right.status == "holds":
-        combined = IdentityVerdict(identity="alternative", method=left.method, status="holds")
-    else:
-        weaker = left if left.status != "holds" else right
-        combined = IdentityVerdict(
-            identity="alternative", method=weaker.method,
-            status="sampled_no_counterexample", trials=weaker.trials, seed=weaker.seed,
-        )
-    return combined, left, right
+    return alternative_verdict(left, right), left, right
 
 
 # -- closed forms -------------------------------------------------------------

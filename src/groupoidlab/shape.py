@@ -160,7 +160,7 @@ def star(carrier: Carrier, shape: Shape, t: Value, u: Value, x: Element, y: Elem
 
 
 def compile_product(
-    carrier: Carrier, shape: Shape, t: Value, u: Value
+    carrier: Carrier, shape: Shape, t: "Value | list[Value]", u: "Value | list[Value]"
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """The star product as one vectorised function of element-index arrays.
 
@@ -174,13 +174,23 @@ def compile_product(
     to q = 46341), so the cost follows the cells read: x*x computes only its
     n products, and a few reads of a large carrier only those few.
 
+    t and u may instead be lists of P parameters, one pair per member of a
+    sweep: the product then has a leading member axis of length P, on which
+    the parameters broadcast against the operands, so member p's x*y is
+    ``product(X, Y)[p]``. A shuffle product ignores (t, u) but still gives
+    one result per member.
+
     The per-digit product is exposed as ``product.digits(xs, ys)``: x and y
     given as k arrays of value indices (entry 0 first), x*y returned the same
     way. It never forms an element index, so it multiplies elements of spaces
     past the enumeration cap.
     """
     q, k = carrier.size(), shape.entry_count()
-    t, u = carrier.index_of(t), carrier.index_of(u)
+    members = isinstance(t, list)
+    if members:
+        t, u = (np.array([carrier.index_of(v) for v in p], dtype=np.int64) for p in (t, u))
+    else:
+        t, u = carrier.index_of(t), carrier.index_of(u)
     add, mul = carrier.add_indices, carrier.mul_indices
 
     def prefix_sums(ds: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -193,11 +203,18 @@ def compile_product(
 
     def digits(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
         """The digits of x*y, one at a time, so a caller holds one at once."""
+        tp, up = t, u
+        if members:  # the member axis leads every operand's axes
+            axes = (1,) * max(np.ndim(d) for d in (*xs, *ys))
+            tp, up = t.reshape(-1, *axes), u.reshape(-1, *axes)
         if kind is ProductKind.SHUFFLE:
-            return itertools.chain((mul(xs[e], ys[e + 1]) for e in range(k - 1)), xs[-1:])
+            ds = itertools.chain((mul(xs[e], ys[e + 1]) for e in range(k - 1)), xs[-1:])
+            if members:
+                ds = (np.broadcast_to(d, np.broadcast_shapes(tp.shape, d.shape)) for d in ds)
+            return ds
         if kind is ProductKind.CONVOLUTION:
             xs, ys = prefix_sums(xs), prefix_sums(ys)
-        return (add(mul(t, a), mul(u, b)) for a, b in zip(xs, ys))
+        return (add(mul(tp, a), mul(up, b)) for a, b in zip(xs, ys))
 
     def entries(X: np.ndarray) -> list[np.ndarray]:
         return [X // q ** (k - 1 - e) % q for e in range(k)]
@@ -205,6 +222,8 @@ def compile_product(
     def product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         ds = digits(entries(X), entries(Y))
         out = next(ds)  # a fresh array of the full broadcast shape
+        if not out.flags.writeable:  # a shuffle digit broadcast on the member axis
+            out = out.copy()
         for d in ds:
             out *= q
             out += d

@@ -32,12 +32,14 @@ from .carrier import (
     PureNeutrosophic,
     is_prime,
 )
-from .groupoid import Groupoid, build
+from .groupoid import Groupoid, build, compile_tables
 from .identities import (
     CheckMode,
     IdentityId,
-    check_alternative,
+    IdentityVerdict,
+    alternative_verdict,
     check_identity,
+    check_identity_sweep,
     closed_form,
 )
 from .shape import Matrix, Poly, ProductKind, Scalar
@@ -56,6 +58,18 @@ from .structure import (
 def _scalar(carrier: Carrier, t: int, u: int) -> Groupoid:
     ind = carrier.has_indeterminate
     return build(carrier, Scalar(), t, u, t_indeterminate=ind, u_indeterminate=ind)
+
+
+def _scalars(carrier: Carrier, pairs: list[tuple[int, int]]) -> list[Groupoid]:
+    return [_scalar(carrier, t, u) for t, u in pairs]
+
+
+def _alternative_sweep(groupoids: list[Groupoid]) -> list[IdentityVerdict]:
+    """The combined alternative verdict of each groupoid, both laws checked
+    exhaustively as one sweep each."""
+    left = check_identity_sweep(groupoids, IdentityId.LEFT_ALTERNATIVE)
+    right = check_identity_sweep(groupoids, IdentityId.RIGHT_ALTERNATIVE)
+    return [alternative_verdict(lv, rv) for lv, rv in zip(left, right)]
 
 
 def _coeff_desc(carrier: Carrier, t: int, u: int) -> str:
@@ -170,8 +184,8 @@ def count_class(carrier: Carrier, kind: str, *, equal_pairs_included: bool = Fal
         # v·x + w·x = x for every value x, over value indices: the candidate
         # pairs (v, w) of a group of v's are tested together on blocks of 1,
         # 2, 4, ... values x, and a pair leaves at the end of the first block
-        # with an x where it fails; a group holds about _PAIR_CELLS pairs
-        xs = np.arange(len(values))
+        # with an x where it fails; a group holds about _PAIR_CELLS pairs. The
+        # x are the nonzero values only: v·0 + w·0 = 0 holds for every pair
         nz = np.flatnonzero([not carrier.is_zero(v) for v in values])
         group = max(1, _PAIR_CELLS // max(len(nz), 1))
         count = 0
@@ -181,8 +195,8 @@ def count_class(carrier: Carrier, kind: str, *, equal_pairs_included: bool = Fal
                 distinct = v != w
                 v, w = v[distinct], w[distinct]
             lo, step = 0, 1
-            while v.size and lo < len(xs):
-                x = xs[lo : lo + step]
+            while v.size and lo < len(nz):
+                x = nz[lo : lo + step]
                 vx_wx = carrier.add_indices(carrier.mul_indices(v[:, None], x), carrier.mul_indices(w[:, None], x))
                 holds = (vx_wx == x).all(axis=1)
                 v, w = v[holds], w[holds]
@@ -225,13 +239,13 @@ def _t1(p: dict, run: _Run) -> None:
     lo, hi = p["n"]
     for n in range(lo, hi + 1):
         for carrier in _carriers_for(n, p["carriers"]):
-            for t, u in _nonzero_pairs(n):
-                g = _scalar(carrier, t, u)
-                semantic = check_identity(g, IdentityId.IDEMPOTENT, CheckMode.EXHAUSTIVE).holds
+            pairs = list(_nonzero_pairs(n))
+            verdicts = check_identity_sweep(_scalars(carrier, pairs), IdentityId.IDEMPOTENT)
+            for (t, u), verdict in zip(pairs, verdicts):
                 predicted = closed_form("idempotent-iff", n, t, u)
                 run.check(
-                    semantic == predicted,
-                    f"{_coeff_desc(carrier, t, u)}: idempotent={semantic}, congruence={predicted}",
+                    verdict.holds == predicted,
+                    f"{_coeff_desc(carrier, t, u)}: idempotent={verdict.holds}, congruence={predicted}",
                 )
 
 
@@ -239,13 +253,13 @@ def _t2(p: dict, run: _Run) -> None:
     lo, hi = p["n"]
     for n in range(lo, hi + 1):
         for carrier in _carriers_for(n, p["carriers"]):
-            for t, u in _nonzero_pairs(n):
-                g = _scalar(carrier, t, u)
-                semantic = check_identity(g, IdentityId.ASSOCIATIVE, CheckMode.EXHAUSTIVE).holds
+            pairs = list(_nonzero_pairs(n))
+            verdicts = check_identity_sweep(_scalars(carrier, pairs), IdentityId.ASSOCIATIVE)
+            for (t, u), verdict in zip(pairs, verdicts):
                 predicted = closed_form("semigroup-iff", n, t, u)
                 run.check(
-                    semantic == predicted,
-                    f"{_coeff_desc(carrier, t, u)}: associative={semantic}, congruence={predicted}",
+                    verdict.holds == predicted,
+                    f"{_coeff_desc(carrier, t, u)}: associative={verdict.holds}, congruence={predicted}",
                 )
 
 
@@ -253,10 +267,10 @@ def _t3(p: dict, run: _Run) -> None:
     lo, hi = p["n"]
     for n in range(lo, hi + 1):
         for carrier in _carriers_for(n, p["carriers"]):
-            for t in range(1, n):
-                g = _scalar(carrier, t, t)
-                holds = check_identity(g, IdentityId.P_IDENTITY, CheckMode.EXHAUSTIVE).holds
-                run.check(holds, f"{_coeff_desc(carrier, t, t)}: P-law fails on an equal pair")
+            pairs = [(t, t) for t in range(1, n)]
+            verdicts = check_identity_sweep(_scalars(carrier, pairs), IdentityId.P_IDENTITY)
+            for (t, _), verdict in zip(pairs, verdicts):
+                run.check(verdict.holds, f"{_coeff_desc(carrier, t, t)}: P-law fails on an equal pair")
 
 
 def _t4(p: dict, run: _Run) -> None:
@@ -265,9 +279,8 @@ def _t4(p: dict, run: _Run) -> None:
         if not is_prime(n):
             continue
         for carrier in _carriers_for(n, p["carriers"]):
-            for t in range(2, n):
-                g = _scalar(carrier, t, t)
-                combined, _, _ = check_alternative(g, CheckMode.EXHAUSTIVE)
+            pairs = [(t, t) for t in range(2, n)]
+            for (t, _), combined in zip(pairs, _alternative_sweep(_scalars(carrier, pairs))):
                 run.check(
                     combined.fails,
                     f"{_coeff_desc(carrier, t, t)}: alternative unexpectedly holds at prime modulus",
@@ -280,9 +293,8 @@ def _t5(p: dict, run: _Run) -> None:
         if is_prime(n):
             continue
         for carrier in _carriers_for(n, p["carriers"]):
-            for t in range(1, n):
-                g = _scalar(carrier, t, t)
-                combined, _, _ = check_alternative(g, CheckMode.EXHAUSTIVE)
+            pairs = [(t, t) for t in range(1, n)]
+            for (t, _), combined in zip(pairs, _alternative_sweep(_scalars(carrier, pairs))):
                 predicted = closed_form("alternative-iff", n, t, t)
                 run.check(
                     combined.holds == predicted,
@@ -294,31 +306,35 @@ def _t6(p: dict, run: _Run) -> None:
     lo, hi = p["n"]
     for n in range(lo, hi + 1):
         for carrier in _carriers_for(n, p["carriers"]):
-            for t in range(1, n):
-                for tt, uu in ((t, 0), (0, t)):
-                    g = _scalar(carrier, tt, uu)
-                    p_holds = check_identity(g, IdentityId.P_IDENTITY, CheckMode.EXHAUSTIVE).holds
-                    combined, _, _ = check_alternative(g, CheckMode.EXHAUSTIVE)
-                    semantic = p_holds and combined.holds
-                    predicted = closed_form("type3-p-alt-iff", n, tt, uu)
-                    run.check(
-                        semantic == predicted,
-                        f"{_coeff_desc(carrier, tt, uu)}: P&alternative={semantic}, congruence={predicted}",
-                    )
+            pairs = [pair for t in range(1, n) for pair in ((t, 0), (0, t))]
+            groupoids = _scalars(carrier, pairs)
+            p_laws = check_identity_sweep(groupoids, IdentityId.P_IDENTITY)
+            alternatives = _alternative_sweep(groupoids)
+            for (tt, uu), p_law, combined in zip(pairs, p_laws, alternatives):
+                semantic = p_law.holds and combined.holds
+                predicted = closed_form("type3-p-alt-iff", n, tt, uu)
+                run.check(
+                    semantic == predicted,
+                    f"{_coeff_desc(carrier, tt, uu)}: P&alternative={semantic}, congruence={predicted}",
+                )
 
 
 def _t7(p: dict, run: _Run) -> None:
-    # each groupoid of a sweep is built once, and the duality is read off the
-    # mask arrays: both are sorted by (popcount, mask), so equal arrays are
-    # equal sets
+    # each groupoid of a sweep is built once, its table compiled with the
+    # sweep's, and the duality is read off the mask arrays: both are sorted by
+    # (popcount, mask), so equal arrays are equal sets
     def dual(ideals: dict, t, u) -> bool:
         return np.array_equal(ideals[t, u].left.masks, ideals[u, t].right.masks)
+
+    def ideals_of(groupoids: dict) -> dict:
+        compile_tables(list(groupoids.values()))
+        return {pair: enumerate_ideals(g) for pair, g in groupoids.items()}
 
     for family, key in (("zn", "zn_n"), ("zni", "zni_n")):
         lo, hi = p[key]
         for n in range(lo, hi + 1):
             for carrier in _carriers_for(n, (family,)):
-                ideals = {(t, u): enumerate_ideals(_scalar(carrier, t, u)) for t, u in _nonzero_pairs(n)}
+                ideals = ideals_of({(t, u): _scalar(carrier, t, u) for t, u in _nonzero_pairs(n)})
                 for t, u in _nonzero_pairs(n):
                     run.check(
                         dual(ideals, t, u),
@@ -329,7 +345,7 @@ def _t7(p: dict, run: _Run) -> None:
     carrier = MixedNeutrosophic(n)
     values = [(0, 1), (1, 0), (1, 1), (2, 1), (0, 2), (2, 2)]
     pairs = [(v, w) for v in values for w in values if v != w]
-    ideals = {(v, w): enumerate_ideals(build(carrier, Scalar(), v, w)) for v, w in pairs}
+    ideals = ideals_of({(v, w): build(carrier, Scalar(), v, w) for v, w in pairs})
     for v, w in pairs:
         run.check(
             dual(ideals, v, w),
@@ -552,8 +568,10 @@ def _t16(p: dict, run: _Run) -> None:
     lo, hi = p["n"]
     for n in range(lo, hi + 1):
         for carrier in _carriers_for(n, p["carriers"]):
-            for t, u in _nonzero_pairs(n):
-                g = _scalar(carrier, t, u)
+            pairs = list(_nonzero_pairs(n))
+            groupoids = _scalars(carrier, pairs)
+            compile_tables(groupoids)
+            for (t, u), g in zip(pairs, groupoids):
                 cls = classify_subset(g, [0])
                 run.check(
                     not cls.left_ideal and not cls.right_ideal,

@@ -3,13 +3,15 @@
 Every Cayley table is built by ``compile_product`` from the carriers' array
 arithmetic on value indices (``add_indices``, ``mul_indices``), every
 exhaustive verdict comes from one numpy evaluator that scans the table one
-(y, x) plane (or block of it) at a time, and every sampled verdict draws its
+(y, x) plane (or block of it) at a time, or the stacked tables of several
+members of a sweep in one block, and every sampled verdict draws its
 trials in bulk and multiplies whole chunks of them through the compiled
 per-digit product. The oracles here are the slow forms they replaced: the
 carriers' per-value ``add`` and ``mul``, ``shape.star`` applied cell by cell,
 a plain loop engine that multiplies elements with ``Groupoid.star`` and scans
 assignments with x fastest, then y, then z, and a sampler that draws with
-``randrange`` and multiplies one trial at a time.
+``randrange`` and multiplies one trial at a time. A sweep's verdicts are
+checked against ``check_identity`` on each member alone.
 """
 
 import gc
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 
 from groupoidlab import (
     BudgetExceeded,
+    CarrierError,
     CheckMode,
     IdentityId,
     IntervalOf,
@@ -35,6 +38,7 @@ from groupoidlab import (
     Scalar,
     build,
     check_identity,
+    check_identity_sweep,
     element_space,
     from_table,
     identity_holds_on_subset,
@@ -225,6 +229,41 @@ def test_compiled_table_matches_per_cell_star(carrier, shape):
 
 
 @pytest.mark.parametrize(
+    "carrier,shape", SMALL_SPECS, ids=[f"{c.token()}-{s.token()}" for c, s in SMALL_SPECS]
+)
+def test_stacked_tables_match_each_members_own_table(carrier, shape):
+    """Parameters given as lists lead the product's axes, one table per
+    member, shuffle included; x*x too."""
+    values = carrier.enumerate_values()
+    pairs = [(t, u) for t in values for u in values]
+    n = len(values) ** shape.entry_count()
+    X = np.arange(n)
+    product = compile_product(carrier, shape, [t for t, _ in pairs], [u for _, u in pairs])
+    stack, squares = product(X[:, None], X[None, :]), product(X[None, :], X[None, :])
+    assert stack.shape == (len(pairs), n, n) and squares.shape == (len(pairs), 1, n)
+    for (t, u), table, square in zip(pairs, stack, squares):
+        own = compile_product(carrier, shape, t, u)
+        np.testing.assert_array_equal(table, own(X[:, None], X[None, :]))
+        np.testing.assert_array_equal(square[0], own(X, X))
+
+
+@pytest.mark.parametrize("cells", [1, 16 * 16, 16 * 16 * 3 + 5, 1 << 17], ids=lambda c: f"cells={c}")
+@pytest.mark.parametrize("shape", [Matrix(1, 2), Poly(1, ProductKind.SHUFFLE)], ids=lambda s: s.token())
+def test_compiled_sweep_tables_match_the_per_cell_star(monkeypatch, cells, shape):
+    """``compile_tables`` stores one table per member, whatever the group size;
+    a member that holds its table already keeps it."""
+    monkeypatch.setattr(groupoid, "_CHUNK_CELLS", cells)
+    carrier = Modular(4)
+    pairs = [(t, u) for t in range(4) for u in range(4) if (t, u) != (0, 0)]
+    members = [build(carrier, shape, t, u) for t, u in pairs]
+    kept = members[3].table_array()
+    groupoid.compile_tables(members + members[:2])
+    assert members[3].table_array() is kept
+    for (t, u), g in zip(pairs, members):
+        np.testing.assert_array_equal(g.table_array(), star_table_oracle(carrier, shape, t, u))
+
+
+@pytest.mark.parametrize(
     "carrier,shape,t,u",
     [
         (Modular(1000), Scalar(), 3, 4),
@@ -405,6 +444,123 @@ def test_exhaustive_witnesses_are_labelled_without_the_label_list(monkeypatch):
             assert v.witness_labels == tuple(g.labels()[i] for i in witness_indices(g, v))
 
 
+# -- sweeps ----------------------------------------------------------------------------
+
+
+def all_pairs(carrier):
+    values = carrier.enumerate_values()
+    return [(t, u) for t in values for u in values if not (carrier.is_zero(t) and carrier.is_zero(u))]
+
+
+def fresh(members):
+    """Spec-backed members built again, so no table is shared with them."""
+    return [g if g.spec is None else build(g.spec.carrier, g.spec.shape, g.spec.t, g.spec.u) for g in members]
+
+
+def per_groupoid(members, identity):
+    """The reference: ``check_identity`` on a fresh copy of each member alone."""
+    return [check_identity(g, identity, CheckMode.EXHAUSTIVE) for g in fresh(members)]
+
+
+def set_chunk_cells(monkeypatch, cells):
+    """One chunk size for the compile groups, the scan blocks and the member groups."""
+    monkeypatch.setattr(groupoid, "_CHUNK_CELLS", cells)
+    monkeypatch.setattr(identities, "_CHUNK_CELLS", cells)
+
+
+SWEEP_CARRIERS = [
+    Modular(4),
+    PureNeutrosophic(4),
+    MixedNeutrosophic(2),
+    IntervalOf(Modular(3)),
+    IntervalOf(PureNeutrosophic(3)),
+]
+SWEEP_SHAPES = [Scalar(), Matrix(1, 2), Poly(2, ProductKind.CONVOLUTION), Poly(2, ProductKind.SHUFFLE)]
+
+
+@pytest.mark.parametrize("shape", SWEEP_SHAPES, ids=lambda s: s.token())
+@pytest.mark.parametrize("carrier", SWEEP_CARRIERS, ids=lambda c: c.token())
+def test_sweep_verdicts_match_per_groupoid_checks(carrier, shape):
+    """Every pair, zero parameters included, and every identity: the order-64
+    members of poly:2 over 4 values scan alone, the smaller ones share blocks."""
+    members = [build(carrier, shape, t, u) for t, u in all_pairs(carrier)]
+    for identity in IdentityId:
+        assert check_identity_sweep(members, identity) == per_groupoid(members, identity), identity
+
+
+def test_sweeps_of_table_backed_members_and_mixed_carriers_match_per_groupoid_checks():
+    order_10 = [rare_failure_table()] + [seeded_table(10, seed) for seed in range(4)]
+    order_10 += [build(Modular(10), Scalar(), t, u) for t, u in ((3, 8), (5, 6), (1, 0))]
+    order_4 = [
+        build(carrier, shape, t, u)
+        for carrier, shape in (
+            (Modular(4), Scalar()),
+            (PureNeutrosophic(4), Scalar()),
+            (IntervalOf(Modular(4)), Scalar()),
+            (Modular(2), Matrix(1, 2)),
+            (Modular(2), Poly(1, ProductKind.SHUFFLE)),
+            (Modular(2), Poly(1, ProductKind.CONVOLUTION)),
+        )
+        for t, u in all_pairs(carrier)[::3]
+    ]
+    order_4 += [build(MixedNeutrosophic(2), Scalar(), (1, 1), (0, 1)), seeded_table(4, 5)]
+    for members in (order_10, order_4):
+        for identity in IdentityId:
+            assert check_identity_sweep(members, identity) == per_groupoid(members, identity), identity
+
+
+def rare_failure_table_16():
+    """An order-16 table that is x+y mod 16 except for two late cells."""
+    rows = [[(i + j) % 16 for j in range(16)] for i in range(16)]
+    rows[14][15] = 3
+    rows[15][9] = 0
+    return from_table([f"e{i}" for i in range(16)], rows)
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [1, 16 * 16 - 1, 16 * 16 * 16 - 1, 16 * 16 * 16 * 3 + 1, 16 * 16 * 7 + 3],
+    ids=["one-cell", "rows", "planes", "3-members", "7-planes"],
+)
+def test_sweep_verdicts_do_not_depend_on_the_chunk_size(monkeypatch, cells):
+    """Order 16 with 16 members: groups of one member spanning several blocks
+    (of rows or of planes), and groups of several members (3 for the
+    three-variable laws, 15 or 7 for the two-variable ones) whose last group
+    is cut short by the end of the sweep."""
+    members = [build(Modular(4), Matrix(1, 2), t, u) for t, u in all_pairs(Modular(4))]
+    members.append(rare_failure_table_16())
+    expected = {identity: per_groupoid(members, identity) for identity in IdentityId}
+    set_chunk_cells(monkeypatch, cells)
+    members = fresh(members)
+    for identity in IdentityId:
+        assert check_identity_sweep(members, identity) == expected[identity], identity
+
+
+def test_a_sweep_of_mixed_orders_is_refused_before_any_work(no_compile):
+    members = [build(Modular(4), Scalar(), 1, 2), build(Modular(5), Scalar(), 1, 2)]
+    with pytest.raises(CarrierError, match="share one order"):
+        check_identity_sweep(members, IdentityId.ASSOCIATIVE)
+    assert check_identity_sweep([], IdentityId.ASSOCIATIVE) == []
+
+
+@pytest.mark.parametrize(
+    "members,identity,budget",
+    [
+        ([build(Modular(5), Scalar(), 1, 2), build(Modular(5), Scalar(), 2, 2)], IdentityId.ASSOCIATIVE, 124),
+        ([build(Modular(5), Scalar(), 1, 2)], IdentityId.COMMUTATIVE, 24),
+        ([build(Modular(10), Poly(7, ProductKind.CONVOLUTION), 3, 3)] * 2, IdentityId.IDEMPOTENT, None),
+        ([build(Modular(10), Matrix(1, 5), 3, 7)] * 2, IdentityId.COMMUTATIVE, 10**11),
+    ],
+    ids=["order-cubed", "order-squared", "too-large", "table-budget"],
+)
+def test_sweep_refusals_match_check_identity(no_compile, members, identity, budget):
+    with pytest.raises(BudgetExceeded) as want:
+        check_identity(members[0], identity, CheckMode.EXHAUSTIVE, budget=budget)
+    with pytest.raises(BudgetExceeded) as got:
+        check_identity_sweep(members, identity, budget=budget)
+    assert str(got.value) == str(want.value)
+
+
 # -- the sampled engine --------------------------------------------------------------
 
 TWO_WORD_NZN = MixedNeutrosophic(70_001)  # 4900140001 values: one draw takes two 32-bit words
@@ -528,6 +684,13 @@ def test_one_variable_checks_at_order_1e5_need_no_table():
     g = build(Modular(10), Poly(4, ProductKind.CONVOLUTION), 3, 7)
     v = check_identity(g, IdentityId.IDEMPOTENT, CheckMode.AUTO)
     assert (v.status, v.method, v.witness_labels) == ("fails", "exhaustive", ("poly[0,0,0,0,1]",))
+
+    # a sweep squares the domain through one product over the members' parameters
+    members = [build(Modular(10), Matrix(1, 5), t, u) for t, u in ((3, 7), (4, 7), (0, 1), (5, 5))]
+    verdicts = check_identity_sweep(members, IdentityId.IDEMPOTENT)
+    assert [v.witness_labels for v in verdicts] == [("[[0,0,0,0,1]]",), None, None, ("[[0,0,0,0,1]]",)]
+    assert verdicts == per_groupoid(members, IdentityId.IDEMPOTENT)
+    assert not any("table" in g._memo for g in members)
 
 
 def test_squaring_a_large_scalar_carrier_reads_only_the_diagonal():
