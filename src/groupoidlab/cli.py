@@ -3,8 +3,10 @@ the verification suite, and replayable demos.
 
 Exit codes: 0 success; 1 assertion failure (a failing asserted suite check or
 demo golden); 2 usage error; 3 budget exceeded. The environment variable
-GGL_BUDGET overrides the work budget shared by exhaustive checks, the Cayley
-table compile and the power-set sweeps.
+GGL_BUDGET sets the one work budget (default 10^8) that every up-front
+estimate is checked against before its work starts: exhaustive and subset
+scans (m^vars), the Cayley table (n^2), the power-set sweeps (n*2^n), the
+generated closures and whole-groupoid normality (n^3).
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ import numpy as np
 
 from .carrier import Carrier, CarrierError, Value
 from .shape import (
-    DEFAULT_SPACE_CAP,
     Element,
     Shape,
     TooLarge,
@@ -129,7 +128,6 @@ def build(
     *,
     t_indeterminate: bool = False,
     u_indeterminate: bool = False,
-    space_cap: int = DEFAULT_SPACE_CAP,
 ) -> "Groupoid":
     spec = GroupoidSpec(
         carrier,
@@ -139,7 +137,7 @@ def build(
         t_indeterminate,
         u_indeterminate,
     )
-    return Groupoid(spec=spec, space_cap=space_cap)
+    return Groupoid(spec=spec)
 
 
 class Groupoid:
@@ -151,7 +149,6 @@ class Groupoid:
         *,
         labels: Sequence[str] | None = None,
         table: Sequence[Sequence[int | str]] | None = None,
-        space_cap: int = DEFAULT_SPACE_CAP,
     ) -> None:
         if (spec is None) == (labels is None):
             raise CarrierError("provide either a spec or labels+table")
@@ -163,7 +160,7 @@ class Groupoid:
         # product, the table array and its list view, and other layers' results
         self._memo: dict = {}
         if spec is not None:
-            self._space = element_space(spec.carrier, spec.shape, cap=space_cap)
+            self._space = element_space(spec.carrier, spec.shape)
         else:
             self._space = None
             self._memo["table"] = _validated_table(self._labels, table)
@@ -253,11 +250,8 @@ class Groupoid:
             compile_tables([self])
         return self._memo["table"]
 
-    def index_table(self, cap: int | None = None) -> list[list[int]]:
-        """The full index Cayley table as lists (cached). Refuses orders above cap."""
-        n = self.order
-        if isinstance(n, TooLarge) or (cap is not None and n > cap):
-            raise BudgetExceeded(f"order {n} exceeds the table cap")
+    def index_table(self) -> list[list[int]]:
+        """``table_array`` as lists of element indices, cached."""
         return self.cached("rows", lambda: self.table_array().tolist())
 
     # -- convenience --------------------------------------------------------

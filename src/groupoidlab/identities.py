@@ -36,6 +36,12 @@ Each identity is a fixed pair of expression trees over variables ``x``, ``y``,
   ``random.Random(seed).randrange``, reproduced in bulk from 32-bit words of
   ``getrandbits`` (see ``_Draws``).
 
+Every exhaustive scan, of a whole groupoid or of a subset, is refused before
+any table is compiled when its m^vars evaluations (m elements in the domain)
+exceed the work budget (``GGL_BUDGET``, through ``groupoid.check_budget``); AUTO
+takes the lifted or exhaustive route only when that estimate fits, and
+samples otherwise.
+
 Assignments are scanned with the FIRST variable varying fastest (x innermost,
 then y, then z); a failure witness is minimal under that order, so exhaustive
 reruns always reproduce the same witness regardless of internal blocking.
@@ -57,11 +63,10 @@ import numpy as np
 from .carrier import CarrierError, is_prime
 from .groupoid import (
     _CHUNK_CELLS,
-    BUDGET_ENV_VAR,
-    DEFAULT_BUDGET,
     BudgetExceeded,
     Groupoid,
     build,
+    check_budget,
     compile_tables,
     default_budget,
     member_groups,
@@ -383,11 +388,16 @@ def first_failures(
     cells, or several whole planes when they fit. When a member's whole scan
     fits one block, one block reads as many members as fit; a member whose
     scan needs several blocks is scanned alone. Products without the slowest
-    variable are computed once, over the whole domain, and cut to each block."""
+    variable are computed once, over the whole domain, and cut to each block.
+
+    Each member's m^vars evaluations (m = len(domain)) are refused against the
+    work budget before any table is compiled."""
     lhs_t, rhs_t, vars_ = TEMPLATES[identity]
     domain = np.asarray(domain)
+    m, nvars = len(domain), len(vars_)
+    check_budget("exhaustive check", f"{m}^{nvars}", m**nvars, " evaluations")
     found: list[tuple[int, ...] | None] = [None] * len(groupoids)
-    if len(vars_) == 1:
+    if nvars == 1:
         x = domain[None, :]
         for group, prod in member_groups(groupoids, 1):
             mism = (eval_tree(lhs_t, {"x": x}, prod) != eval_tree(rhs_t, {"x": x}, prod)).reshape(len(group), -1)
@@ -395,12 +405,12 @@ def first_failures(
                 if row[first]:
                     found[i] = (int(domain[first]),)
         return found
-    if not len(domain) or not groupoids:
+    if not m or not groupoids:
         return found
     tables = compile_tables(groupoids)
     if domain[0] < 0 or domain[-1] >= len(tables[0]):
         raise IndexError(f"domain indices must lie in [0, {len(tables[0])})")
-    size = max(1, _CHUNK_CELLS // len(domain) ** len(vars_))  # members per scan
+    size = max(1, _CHUNK_CELLS // m**nvars)  # members per scan
     if size >= len(tables):
         return _scan(tables, identity, domain)
     return [f for p0 in range(0, len(tables), size) for f in _scan(tables[p0 : p0 + size], identity, domain)]
@@ -411,17 +421,13 @@ def first_failure(g: Groupoid, identity: IdentityId, domain: np.ndarray) -> tupl
     return first_failures([g], identity, domain)[0]
 
 
-def check_identity_sweep(
-    groupoids: Sequence[Groupoid], identity: IdentityId, *, budget: int | None = None
-) -> list[IdentityVerdict]:
+def check_identity_sweep(groupoids: Sequence[Groupoid], identity: IdentityId) -> list[IdentityVerdict]:
     """Exhaustive verdicts for groupoids of one order, such as every parameter
     pair of a carrier and shape: each equals ``check_identity(g, identity,
-    CheckMode.EXHAUSTIVE, budget=budget)``, witness and labels included, but
-    members whose scans are small are decided together (see
-    ``first_failures``). Refusals come before any work: ``CarrierError`` when
-    the orders differ, ``BudgetExceeded`` as ``check_identity`` raises it."""
-    budget = default_budget() if budget is None else budget
-    nvars = len(TEMPLATES[identity][2])
+    CheckMode.EXHAUSTIVE)``, witness and labels included, but members whose
+    scans are small are decided together (see ``first_failures``). Refusals
+    come before any work: ``CarrierError`` when the orders differ,
+    ``BudgetExceeded`` as ``check_identity`` raises it."""
     orders = {g.order for g in groupoids}
     if len(orders) > 1:
         raise CarrierError(f"a sweep's groupoids must share one order, got {sorted(map(str, orders))}")
@@ -430,10 +436,6 @@ def check_identity_sweep(
     order = orders.pop()
     if isinstance(order, TooLarge):
         raise BudgetExceeded("element space exceeds the enumeration cap")
-    if order**nvars > budget:
-        raise BudgetExceeded(
-            f"exhaustive check needs {order}^{nvars} evaluations, budget is {budget}"
-        )
     holds = IdentityVerdict(identity=identity.value, method="exhaustive", status="holds")
     return [
         holds if found is None else _witness_verdict(g, identity, "exhaustive", found)
@@ -441,8 +443,8 @@ def check_identity_sweep(
     ]
 
 
-def _exhaustive(g: Groupoid, identity: IdentityId, budget: int) -> IdentityVerdict:
-    return check_identity_sweep([g], identity, budget=budget)[0]
+def _exhaustive(g: Groupoid, identity: IdentityId) -> IdentityVerdict:
+    return check_identity_sweep([g], identity)[0]
 
 
 # -- lifted -------------------------------------------------------------------
@@ -456,14 +458,14 @@ def _scalar_shadow(g: Groupoid) -> Groupoid:
     )
 
 
-def _lifted(g: Groupoid, identity: IdentityId, budget: int) -> IdentityVerdict:
+def _lifted(g: Groupoid, identity: IdentityId) -> IdentityVerdict:
     if g.spec is None:
         raise CarrierError("lifted mode needs a spec-backed groupoid")
     lift = scalar_projection(g.spec.shape)
     if not lift.liftable:
         raise CarrierError(f"shape is not liftable: {lift.reason}")
     shadow = _scalar_shadow(g)
-    inner = _exhaustive(shadow, identity, budget)
+    inner = _exhaustive(shadow, identity)
     if inner.status == "holds":
         return IdentityVerdict(identity=identity.value, method="lifted", status="holds")
     k = g.spec.shape.entry_count()
@@ -568,7 +570,7 @@ def _sampled(g: Groupoid, identity: IdentityId, trials: int, seed: int) -> Ident
 # -- entry point --------------------------------------------------------------
 
 
-def _lifted_fits(g: Groupoid, nvars: int, budget: int) -> bool:
+def _lifted_fits(g: Groupoid, nvars: int) -> bool:
     """The shape multiplies entrywise over k > 1 entries and its scalar shadow
     is within the exhaustive budget."""
     sp = g.spec
@@ -576,12 +578,12 @@ def _lifted_fits(g: Groupoid, nvars: int, budget: int) -> bool:
         sp is not None
         and sp.shape.entry_count() > 1
         and scalar_projection(sp.shape).liftable
-        and sp.carrier.size() ** nvars <= budget
+        and sp.carrier.size() ** nvars <= default_budget()
     )
 
 
-def _exhaustive_fits(g: Groupoid, nvars: int, budget: int) -> bool:
-    return not isinstance(g.order, TooLarge) and g.order**nvars <= budget
+def _exhaustive_fits(g: Groupoid, nvars: int) -> bool:
+    return not isinstance(g.order, TooLarge) and g.order**nvars <= default_budget()
 
 
 def _require_trials(trials: int) -> None:
@@ -594,61 +596,55 @@ def check_identity(
     identity: IdentityId,
     mode: CheckMode = CheckMode.AUTO,
     *,
-    budget: int | None = None,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
 ) -> IdentityVerdict:
     _require_trials(trials)
-    budget = default_budget() if budget is None else budget
     nvars = len(TEMPLATES[identity][2])
 
     if mode is CheckMode.EXHAUSTIVE:
-        return _exhaustive(g, identity, budget)
+        return _exhaustive(g, identity)
     if mode is CheckMode.LIFTED:
-        return _lifted(g, identity, budget)
+        return _lifted(g, identity)
     if mode is CheckMode.SAMPLED:
         return _sampled(g, identity, trials, seed)
 
     # AUTO: prefer a lifted proof, then exhaustive, then sampling
-    if _lifted_fits(g, nvars, budget):
-        return _lifted(g, identity, budget)
-    if _exhaustive_fits(g, nvars, budget):
-        return _exhaustive(g, identity, budget)
+    if _lifted_fits(g, nvars):
+        return _lifted(g, identity)
+    if _exhaustive_fits(g, nvars):
+        return _exhaustive(g, identity)
     return _sampled(g, identity, trials, seed)
-
-
-def alternative_verdict(left: IdentityVerdict, right: IdentityVerdict) -> IdentityVerdict:
-    """The combined alternative verdict of the left and right laws: it fails
-    with the first failing law's witness, holds when both hold, and is
-    otherwise the weaker law's sampled verdict."""
-    if left.fails or right.fails:
-        bad = left if left.fails else right
-        return IdentityVerdict(
-            identity="alternative", method=bad.method, status="fails",
-            witness=bad.witness, witness_labels=bad.witness_labels,
-            trials=bad.trials, seed=bad.seed,
-        )
-    if left.status == "holds" and right.status == "holds":
-        return IdentityVerdict(identity="alternative", method=left.method, status="holds")
-    weaker = left if left.status != "holds" else right
-    return IdentityVerdict(
-        identity="alternative", method=weaker.method,
-        status="sampled_no_counterexample", trials=weaker.trials, seed=weaker.seed,
-    )
 
 
 def check_alternative(
     g: Groupoid,
     mode: CheckMode = CheckMode.AUTO,
     *,
-    budget: int | None = None,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
 ) -> tuple[IdentityVerdict, IdentityVerdict, IdentityVerdict]:
-    """Both alternative laws; the combined verdict holds iff both hold."""
-    left = check_identity(g, IdentityId.LEFT_ALTERNATIVE, mode, budget=budget, trials=trials, seed=seed)
-    right = check_identity(g, IdentityId.RIGHT_ALTERNATIVE, mode, budget=budget, trials=trials, seed=seed)
-    return alternative_verdict(left, right), left, right
+    """Both alternative laws and their combined verdict: it fails with the
+    first failing law's witness, holds when both hold, and is otherwise the
+    weaker law's sampled verdict."""
+    left = check_identity(g, IdentityId.LEFT_ALTERNATIVE, mode, trials=trials, seed=seed)
+    right = check_identity(g, IdentityId.RIGHT_ALTERNATIVE, mode, trials=trials, seed=seed)
+    if left.fails or right.fails:
+        bad = left if left.fails else right
+        combined = IdentityVerdict(
+            identity="alternative", method=bad.method, status="fails",
+            witness=bad.witness, witness_labels=bad.witness_labels,
+            trials=bad.trials, seed=bad.seed,
+        )
+    elif left.holds and right.holds:
+        combined = IdentityVerdict(identity="alternative", method=left.method, status="holds")
+    else:
+        weaker = left if not left.holds else right
+        combined = IdentityVerdict(
+            identity="alternative", method=weaker.method,
+            status="sampled_no_counterexample", trials=weaker.trials, seed=weaker.seed,
+        )
+    return combined, left, right
 
 
 # -- closed forms -------------------------------------------------------------
@@ -745,20 +741,18 @@ def cross_validate(
     g: Groupoid,
     identity: IdentityId,
     *,
-    budget: int | None = None,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
 ) -> ConsistencyReport:
     """Run every applicable route and compare answers; disagreement is data."""
     _require_trials(trials)
-    budget = default_budget() if budget is None else budget
     nvars = len(TEMPLATES[identity][2])
     report = ConsistencyReport(identity=identity.value)
 
-    if _exhaustive_fits(g, nvars, budget):
-        report.verdicts.append(_exhaustive(g, identity, budget))
-    if _lifted_fits(g, nvars, budget):
-        report.verdicts.append(_lifted(g, identity, budget))
+    if _exhaustive_fits(g, nvars):
+        report.verdicts.append(_exhaustive(g, identity))
+    if _lifted_fits(g, nvars):
+        report.verdicts.append(_lifted(g, identity))
     report.verdicts.append(_sampled(g, identity, trials, seed))
 
     hard = {v.status for v in report.verdicts if v.status in ("holds", "fails")}

@@ -248,10 +248,10 @@ class ElementSpace:
         return itertools.product(values, repeat=self.shape.entry_count())
 
 
-def element_space(carrier: Carrier, shape: Shape, cap: int = DEFAULT_SPACE_CAP) -> ElementSpace:
-    """Count the elements; the count is TooLarge (and iteration refused) above cap."""
+def element_space(carrier: Carrier, shape: Shape) -> ElementSpace:
+    """Count the elements; above DEFAULT_SPACE_CAP the count is TooLarge (and iteration refused)."""
     count: int | TooLarge = carrier.size() ** shape.entry_count()
-    if count > cap:
+    if count > DEFAULT_SPACE_CAP:
         count = TOO_LARGE
     return ElementSpace(count=count, carrier=carrier, shape=shape)
 

@@ -9,12 +9,15 @@ The power-set sweeps are numpy arrays indexed by mask: ``need[m]`` is the
 bitmask (``uint32`` up to order 32, else ``uint64``) of every product the
 subset ``m`` must contain, filled in blocks by highest set bit with
 OR-over-subsets transforms, and ``m`` is closed (or absorbing) iff
-``need[m] & ~m == 0``. Their cost, ``n*2^n``, is checked against the identity
-budget (``GGL_BUDGET``) before anything is allocated, as are the ``n^3`` work
-of whole-groupoid normality and the ``n(n-1)/2`` pair closures of up to ``n^2``
-table reads each of the generated-closure route, before the table is built.
-That route closes boolean membership vectors semi-naively, and normality
-compares membership matrices (row ``r`` marks the set of values in row ``r``).
+``need[m] & ~m == 0``. Their cost, ``n*2^n``, is checked against the work
+budget (``GGL_BUDGET``, ``groupoid.check_budget``) before anything is
+allocated, as are the ``n^3`` work of whole-groupoid normality and the
+``n(n-1)/2`` pair closures of up to ``n^2`` table reads each of the
+generated-closure route, before the table is built. That route closes boolean
+membership vectors semi-naively, and normality compares membership matrices
+(row ``r`` marks the set of values in row ``r``). A test on a subset of m
+elements scans m^vars assignments, refused as the identity engine refuses it.
+The only order cap, ``max_order``, routes between power set and closures.
 
 Power-set results hold the qualifying masks, sorted by (popcount, mask), not
 handles: ``EnumerationResult.subsets`` and ``IdealSets.left``/``right``/
@@ -27,7 +30,8 @@ caller that only counts subsets or compares two results never builds one.
 Every check reads the groupoid's Cayley table array
 (``Groupoid.table_array``); identities on a subset, semigroup associativity
 included, go through the exhaustive engine's evaluator with its domain set to
-the subset. Tables never mutate, so what this module derives from a table is
+the subset (a closed singleton {x} is a semigroup without a scan: x*x = x).
+Tables never mutate, so what this module derives from a table is
 kept in that groupoid's memo (``Groupoid.cached``, freed with it): the sorted
 closed masks, the sorted left and right absorbing masks and the generated
 closures. ``analyze`` therefore sweeps the power set for closure once, not
@@ -72,7 +76,6 @@ from .identities import (
 from .shape import Element, TooLarge, element_is_pure_indeterminate, element_has_indeterminate
 
 DEFAULT_MAX_ORDER = 20
-_NORMALITY_ORDER_CAP = 1024
 _NORMAL_CHUNK_CELLS = 1 << 18
 
 
@@ -93,13 +96,6 @@ class SubsetHandle:
 
     def to_json(self) -> list[str]:
         return list(self.labels)
-
-
-def _order_or_raise(g: Groupoid, cap: int, what: str) -> int:
-    order = g.order
-    if isinstance(order, TooLarge) or order > cap:
-        raise BudgetExceeded(f"{what} needs order <= {cap}, got {order}")
-    return order
 
 
 class MaskedSubsets(Sequence[SubsetHandle]):
@@ -172,9 +168,18 @@ def subset_handle(g: Groupoid, subset: Iterable) -> SubsetHandle:
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 
 
+def _enumerable_order(g: Groupoid, what: str) -> int:
+    n = g.order
+    if isinstance(n, TooLarge):
+        raise BudgetExceeded(f"{what} needs an enumerable groupoid, got order {n}")
+    return n
+
+
 def _powerset_order(g: Groupoid, max_order: int, what: str) -> int:
-    """The order, once both the order cap and the n*2^n work estimate fit."""
-    n = _order_or_raise(g, max_order, what)
+    """The order, once both the routing order cap and the n*2^n work estimate fit."""
+    n = g.order
+    if isinstance(n, TooLarge) or n > max_order:
+        raise BudgetExceeded(f"{what} needs order <= {max_order}, got {n}")
     check_budget(f"{what}: power-set work", f"{n}*2^{n}", n << n)
     return n
 
@@ -182,9 +187,7 @@ def _powerset_order(g: Groupoid, max_order: int, what: str) -> int:
 def _closure_order(g: Groupoid, what: str) -> int:
     """The order, once the work estimate of the generated closures fits: one
     closure per pair of generators, each reading up to n^2 table cells."""
-    n = g.order
-    if isinstance(n, TooLarge):
-        raise BudgetExceeded(f"{what} needs an enumerable groupoid, got order {n}")
+    n = _enumerable_order(g, what)
     check_budget(
         f"{what}: generated-closure work", f"{n}*{n - 1}/2 pairs * {n}^2 reads", n * (n - 1) // 2 * n * n
     )
@@ -292,12 +295,17 @@ def _member(n: int, idx: Sequence[int]) -> np.ndarray:
     return out
 
 
-def _is_semigroup(g: Groupoid, idx: Sequence[int]) -> bool:
-    """The subset is closed and associative."""
-    tab = g.table_array()
+def _is_closed(tab: np.ndarray, idx: Sequence[int]) -> bool:
     dom = np.asarray(idx)
-    closed = _member(len(tab), idx)[tab[np.ix_(dom, dom)]].all()
-    return bool(closed) and first_failure(g, IdentityId.ASSOCIATIVE, dom) is None
+    return bool(_member(len(tab), idx)[tab[dom[:, None], dom]].all())
+
+
+def _is_semigroup(g: Groupoid, idx: Sequence[int]) -> bool:
+    """The subset is closed and associative. A closed singleton {x} needs no
+    scan: x*x = x, so both sides of the associative law are x."""
+    return _is_closed(g.table_array(), idx) and (
+        len(idx) == 1 or first_failure(g, IdentityId.ASSOCIATIVE, np.asarray(idx)) is None
+    )
 
 
 def _row_sets(vals: np.ndarray, n: int) -> np.ndarray:
@@ -374,21 +382,22 @@ class SubsetClassification:
         }
 
 
-def classify_subset(g: Groupoid, subset: Iterable, *, max_order: int = _NORMALITY_ORDER_CAP) -> SubsetClassification:
-    order = _order_or_raise(g, max_order, "subset classification")
+def classify_subset(g: Groupoid, subset: Iterable) -> SubsetClassification:
+    """Every property of one subset; the semigroup test scans the subset's
+    m^3 triples when it is closed, refused as ``first_failures`` refuses it."""
     handle = subset if isinstance(subset, SubsetHandle) else subset_handle(g, subset)
     idx = handle.indices
     if not idx:
         raise CarrierError("subset must be nonempty")
     tab = g.table_array()
-    inside = _member(order, idx)
+    inside = _member(len(tab), idx)
     dom = list(idx)
 
-    closed = bool(inside[tab[np.ix_(dom, dom)]].all())
-    proper = len(idx) < order
+    closed = _is_closed(tab, idx)
+    proper = len(idx) < len(tab)
     left = proper and bool(inside[tab[dom, :]].all())
     right = proper and bool(inside[tab[:, dom]].all())
-    semigroup = closed and first_failure(g, IdentityId.ASSOCIATIVE, np.asarray(dom)) is None
+    semigroup = closed and _is_semigroup(g, idx)
     normal = closed and proper and any(_normal_subsets(g, [handle]))
 
     pure = False
@@ -544,18 +553,17 @@ def is_simple(g: Groupoid, *, max_order: int = DEFAULT_MAX_ORDER) -> SimpleVerdi
     return SimpleVerdict(simple=True, witness=None, complete=False)
 
 
-def _normality_order(g: Groupoid, max_order: int) -> int:
-    """The order, once both the order cap and the n^3 work estimate of the
-    whole-groupoid normality check fit."""
+def _normality_order(g: Groupoid) -> int:
+    """The order, once the n^3 work of whole-groupoid normality fits."""
     what = "normal groupoid check"
-    n = _order_or_raise(g, max_order, what)
+    n = _enumerable_order(g, what)
     check_budget(f"{what}: normality work", f"{n}^3", n**3)
     return n
 
 
-def is_normal_groupoid(g: Groupoid, *, max_order: int = _NORMALITY_ORDER_CAP) -> bool:
+def is_normal_groupoid(g: Groupoid) -> bool:
     """The whole groupoid satisfies the normality laws over all of G."""
-    n = _normality_order(g, max_order)
+    n = _normality_order(g)
     tab = g.table_array()
     rows = _row_sets(tab, n)  # rows[a] = a*G
     cols = _row_sets(tab.T, n)  # cols[a] = G*a
@@ -603,7 +611,6 @@ def smarandache(
     identity: IdentityId | None = None,
     *,
     max_order: int = DEFAULT_MAX_ORDER,
-    budget: int | None = None,
 ) -> SmarandacheVerdict:
     """Smarandache detection, optionally relative to an identity.
 
@@ -621,7 +628,7 @@ def smarandache(
         status = "s_groupoid" if s_handle else "not_smarandache"
         return SmarandacheVerdict(status=status, s_witness=s_handle)
 
-    verdict = check_identity(g, identity, CheckMode.EXHAUSTIVE, budget=budget)
+    verdict = check_identity(g, identity, CheckMode.EXHAUSTIVE)
     if s_handle is None:
         return SmarandacheVerdict(
             status="not_smarandache", s_witness=None, identity_verdict=verdict
@@ -662,13 +669,13 @@ class ConjugacyVerdict:
         }
 
 
-def are_conjugate(g: Groupoid, h: Iterable, k: Iterable, *, max_order: int = _NORMALITY_ORDER_CAP) -> ConjugacyVerdict:
+def are_conjugate(g: Groupoid, h: Iterable, k: Iterable) -> ConjugacyVerdict:
     """Is H = x*K or H = K*x for some x? Disjointness is the stated
     precondition; a violation is flagged but the search still runs."""
-    n = _order_or_raise(g, max_order, "conjugacy search")
     hh = subset_handle(g, h) if not isinstance(h, SubsetHandle) else h
     kk = subset_handle(g, k) if not isinstance(k, SubsetHandle) else k
     tab = g.table_array()
+    n = len(tab)
     disjoint = not set(hh.indices) & set(kk.indices)
     target = _member(n, hh.indices)
     k = list(kk.indices)
@@ -701,24 +708,21 @@ def check_homomorphism(
     g: Groupoid,
     h: Groupoid,
     mapping: Sequence[int] | Callable[[Element], Element],
-    *,
-    max_order: int = _NORMALITY_ORDER_CAP,
 ) -> HomomorphismVerdict:
     """Does the map respect star, and (for carriers with an indeterminate)
     send pure-I elements to pure-I elements?"""
-    n = _order_or_raise(g, max_order, "homomorphism check")
-    _order_or_raise(h, max_order, "homomorphism check")
+    tab, htab = g.table_array(), h.table_array()
     if callable(mapping):
         if g.spec is None or h.spec is None:
             raise CarrierError("element-level mappings need spec-backed groupoids")
         phi = [h.element_index(mapping(e)) for e in g.elements()]
     else:
         phi = [int(i) for i in mapping]
-        if len(phi) != n or any(not 0 <= i < len(h.labels()) for i in phi):
+        if len(phi) != len(tab) or any(not 0 <= i < len(htab) for i in phi):
             raise CarrierError("index mapping must cover the domain and land in the codomain")
 
     img = np.array(phi, dtype=np.intp)
-    bad = np.argwhere(img[g.table_array()] != h.table_array()[img[:, None], img])
+    bad = np.argwhere(img[tab] != htab[img[:, None], img])
     if len(bad):
         i, j = bad[0].tolist()  # the first failure in row-major order
         fail = f"star not respected at ({g.labels()[i]}, {g.labels()[j]})"
@@ -789,7 +793,7 @@ def analyze(g: Groupoid, *, max_order: int = DEFAULT_MAX_ORDER) -> StructureRepo
             smarandache_verdict=sm,
             complete=True,
         )
-    _normality_order(g, _NORMALITY_ORDER_CAP)  # refuse now, not after the closure work
+    _normality_order(g)  # refuse now, not after the closure work
     subs = enumerate_subgroupoids(g, "generated-closure")
     normal = tuple(_normal_subsets(g, [h for h in subs.subsets if h.size >= 2]))
     simple = is_simple(g, max_order=max_order)

@@ -36,11 +36,9 @@ from .groupoid import Groupoid, build, compile_tables
 from .identities import (
     CheckMode,
     IdentityId,
-    IdentityVerdict,
-    alternative_verdict,
     check_identity,
-    check_identity_sweep,
     closed_form,
+    first_failures,
 )
 from .shape import Matrix, Poly, ProductKind, Scalar
 from .structure import (
@@ -64,12 +62,17 @@ def _scalars(carrier: Carrier, pairs: list[tuple[int, int]]) -> list[Groupoid]:
     return [_scalar(carrier, t, u) for t, u in pairs]
 
 
-def _alternative_sweep(groupoids: list[Groupoid]) -> list[IdentityVerdict]:
-    """The combined alternative verdict of each groupoid, both laws checked
-    exhaustively as one sweep each."""
-    left = check_identity_sweep(groupoids, IdentityId.LEFT_ALTERNATIVE)
-    right = check_identity_sweep(groupoids, IdentityId.RIGHT_ALTERNATIVE)
-    return [alternative_verdict(lv, rv) for lv, rv in zip(left, right)]
+def _holds(groupoids: list[Groupoid], identity: IdentityId, n: int) -> list[bool]:
+    """Whether the identity holds on each groupoid of order n, all scanned
+    exhaustively by one ``first_failures`` call."""
+    return [found is None for found in first_failures(groupoids, identity, np.arange(n))]
+
+
+def _alternative_sweep(groupoids: list[Groupoid], n: int) -> list[bool]:
+    """Whether both alternative laws hold on each groupoid of order n."""
+    left = _holds(groupoids, IdentityId.LEFT_ALTERNATIVE, n)
+    right = _holds(groupoids, IdentityId.RIGHT_ALTERNATIVE, n)
+    return [lv and rv for lv, rv in zip(left, right)]
 
 
 def _coeff_desc(carrier: Carrier, t: int, u: int) -> str:
@@ -240,12 +243,11 @@ def _t1(p: dict, run: _Run) -> None:
     for n in range(lo, hi + 1):
         for carrier in _carriers_for(n, p["carriers"]):
             pairs = list(_nonzero_pairs(n))
-            verdicts = check_identity_sweep(_scalars(carrier, pairs), IdentityId.IDEMPOTENT)
-            for (t, u), verdict in zip(pairs, verdicts):
+            for (t, u), holds in zip(pairs, _holds(_scalars(carrier, pairs), IdentityId.IDEMPOTENT, n)):
                 predicted = closed_form("idempotent-iff", n, t, u)
                 run.check(
-                    verdict.holds == predicted,
-                    f"{_coeff_desc(carrier, t, u)}: idempotent={verdict.holds}, congruence={predicted}",
+                    holds == predicted,
+                    f"{_coeff_desc(carrier, t, u)}: idempotent={holds}, congruence={predicted}",
                 )
 
 
@@ -254,12 +256,11 @@ def _t2(p: dict, run: _Run) -> None:
     for n in range(lo, hi + 1):
         for carrier in _carriers_for(n, p["carriers"]):
             pairs = list(_nonzero_pairs(n))
-            verdicts = check_identity_sweep(_scalars(carrier, pairs), IdentityId.ASSOCIATIVE)
-            for (t, u), verdict in zip(pairs, verdicts):
+            for (t, u), holds in zip(pairs, _holds(_scalars(carrier, pairs), IdentityId.ASSOCIATIVE, n)):
                 predicted = closed_form("semigroup-iff", n, t, u)
                 run.check(
-                    verdict.holds == predicted,
-                    f"{_coeff_desc(carrier, t, u)}: associative={verdict.holds}, congruence={predicted}",
+                    holds == predicted,
+                    f"{_coeff_desc(carrier, t, u)}: associative={holds}, congruence={predicted}",
                 )
 
 
@@ -268,9 +269,8 @@ def _t3(p: dict, run: _Run) -> None:
     for n in range(lo, hi + 1):
         for carrier in _carriers_for(n, p["carriers"]):
             pairs = [(t, t) for t in range(1, n)]
-            verdicts = check_identity_sweep(_scalars(carrier, pairs), IdentityId.P_IDENTITY)
-            for (t, _), verdict in zip(pairs, verdicts):
-                run.check(verdict.holds, f"{_coeff_desc(carrier, t, t)}: P-law fails on an equal pair")
+            for (t, _), holds in zip(pairs, _holds(_scalars(carrier, pairs), IdentityId.P_IDENTITY, n)):
+                run.check(holds, f"{_coeff_desc(carrier, t, t)}: P-law fails on an equal pair")
 
 
 def _t4(p: dict, run: _Run) -> None:
@@ -280,9 +280,9 @@ def _t4(p: dict, run: _Run) -> None:
             continue
         for carrier in _carriers_for(n, p["carriers"]):
             pairs = [(t, t) for t in range(2, n)]
-            for (t, _), combined in zip(pairs, _alternative_sweep(_scalars(carrier, pairs))):
+            for (t, _), alternative in zip(pairs, _alternative_sweep(_scalars(carrier, pairs), n)):
                 run.check(
-                    combined.fails,
+                    not alternative,
                     f"{_coeff_desc(carrier, t, t)}: alternative unexpectedly holds at prime modulus",
                 )
 
@@ -294,11 +294,11 @@ def _t5(p: dict, run: _Run) -> None:
             continue
         for carrier in _carriers_for(n, p["carriers"]):
             pairs = [(t, t) for t in range(1, n)]
-            for (t, _), combined in zip(pairs, _alternative_sweep(_scalars(carrier, pairs))):
+            for (t, _), alternative in zip(pairs, _alternative_sweep(_scalars(carrier, pairs), n)):
                 predicted = closed_form("alternative-iff", n, t, t)
                 run.check(
-                    combined.holds == predicted,
-                    f"{_coeff_desc(carrier, t, t)}: alternative={combined.holds}, congruence={predicted}",
+                    alternative == predicted,
+                    f"{_coeff_desc(carrier, t, t)}: alternative={alternative}, congruence={predicted}",
                 )
 
 
@@ -308,10 +308,10 @@ def _t6(p: dict, run: _Run) -> None:
         for carrier in _carriers_for(n, p["carriers"]):
             pairs = [pair for t in range(1, n) for pair in ((t, 0), (0, t))]
             groupoids = _scalars(carrier, pairs)
-            p_laws = check_identity_sweep(groupoids, IdentityId.P_IDENTITY)
-            alternatives = _alternative_sweep(groupoids)
-            for (tt, uu), p_law, combined in zip(pairs, p_laws, alternatives):
-                semantic = p_law.holds and combined.holds
+            p_laws = _holds(groupoids, IdentityId.P_IDENTITY, n)
+            alternatives = _alternative_sweep(groupoids, n)
+            for (tt, uu), p_law, alternative in zip(pairs, p_laws, alternatives):
+                semantic = p_law and alternative
                 predicted = closed_form("type3-p-alt-iff", n, tt, uu)
                 run.check(
                     semantic == predicted,

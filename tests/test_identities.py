@@ -141,10 +141,11 @@ def test_auto_uses_lifting_for_wide_shapes():
     assert v.method == "lifted"
 
 
-def test_exhaustive_respects_budget():
+def test_exhaustive_respects_budget(monkeypatch):
+    monkeypatch.setenv("GGL_BUDGET", "100")
     g = build(Modular(200), Scalar(), 3, 4)
     with pytest.raises(BudgetExceeded):
-        check_identity(g, IdentityId.ASSOCIATIVE, CheckMode.EXHAUSTIVE, budget=100)
+        check_identity(g, IdentityId.ASSOCIATIVE, CheckMode.EXHAUSTIVE)
 
 
 # -- the two alternative laws ----------------------------------------------------

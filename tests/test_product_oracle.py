@@ -549,16 +549,58 @@ def test_a_sweep_of_mixed_orders_is_refused_before_any_work(no_compile):
         ([build(Modular(5), Scalar(), 1, 2), build(Modular(5), Scalar(), 2, 2)], IdentityId.ASSOCIATIVE, 124),
         ([build(Modular(5), Scalar(), 1, 2)], IdentityId.COMMUTATIVE, 24),
         ([build(Modular(10), Poly(7, ProductKind.CONVOLUTION), 3, 3)] * 2, IdentityId.IDEMPOTENT, None),
-        ([build(Modular(10), Matrix(1, 5), 3, 7)] * 2, IdentityId.COMMUTATIVE, 10**11),
+        ([build(Modular(10), Matrix(1, 5), 3, 7)] * 2, IdentityId.COMMUTATIVE, None),
     ],
     ids=["order-cubed", "order-squared", "too-large", "table-budget"],
 )
-def test_sweep_refusals_match_check_identity(no_compile, members, identity, budget):
+def test_sweep_refusals_match_check_identity(monkeypatch, no_compile, members, identity, budget):
+    """In the table-budget case the order-10^5 members' n^2 evaluations are
+    refused before their n^2-cell tables could be."""
+    if budget is not None:
+        monkeypatch.setenv("GGL_BUDGET", str(budget))
     with pytest.raises(BudgetExceeded) as want:
-        check_identity(members[0], identity, CheckMode.EXHAUSTIVE, budget=budget)
+        check_identity(members[0], identity, CheckMode.EXHAUSTIVE)
     with pytest.raises(BudgetExceeded) as got:
-        check_identity_sweep(members, identity, budget=budget)
+        check_identity_sweep(members, identity)
     assert str(got.value) == str(want.value)
+
+
+class ScanAdmitted(Exception):
+    """Raised by the stubbed plane scan: the budget let the scan start."""
+
+
+@pytest.fixture
+def no_scan(monkeypatch):
+    def stop(*args):
+        raise ScanAdmitted
+
+    monkeypatch.setattr(identities, "_scan", stop)
+
+
+def test_first_failures_refuses_before_compiling(no_compile):
+    members = [build(Modular(465), Scalar(), 1, 2), build(Modular(465), Scalar(), 2, 3)]
+    with pytest.raises(BudgetExceeded) as err:
+        identities.first_failures(members, IdentityId.ASSOCIATIVE, np.arange(465))
+    assert str(err.value) == (
+        "exhaustive check cap exceeded: estimate 465^3 = 100544625 evaluations, "
+        "budget is 100000000 (set GGL_BUDGET to raise it)"
+    )
+    with pytest.raises(BudgetExceeded, match=r"estimate 100000\^2 = 10000000000 evaluations"):
+        first_failure(build(Modular(10), Matrix(1, 5), 3, 7), IdentityId.COMMUTATIVE, np.arange(10**5))
+
+
+def test_exhaustive_checks_admit_order_464_and_refuse_465_for_three_variables(no_scan):
+    with pytest.raises(ScanAdmitted):
+        check_identity(build(Modular(464), Scalar(), 1, 2), IdentityId.MOUFANG, CheckMode.EXHAUSTIVE)
+    with pytest.raises(BudgetExceeded, match=r"estimate 465\^3 = 100544625 evaluations"):
+        check_identity(build(Modular(465), Scalar(), 1, 2), IdentityId.MOUFANG, CheckMode.EXHAUSTIVE)
+
+
+@pytest.mark.parametrize("budget,method", [(999, "sampled"), (1000, "exhaustive")])
+def test_auto_routes_by_the_environment_budget(monkeypatch, budget, method):
+    monkeypatch.setenv("GGL_BUDGET", str(budget))
+    g = build(Modular(10), Scalar(), 2, 3)  # 10^3 evaluations
+    assert check_identity(g, IdentityId.ASSOCIATIVE, trials=10).method == method
 
 
 # -- the sampled engine --------------------------------------------------------------

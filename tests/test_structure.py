@@ -25,7 +25,7 @@ from groupoidlab import (
     is_simple,
     smarandache,
 )
-from groupoidlab import groupoid, structure
+from groupoidlab import groupoid, identities, structure
 from groupoidlab.structure import subset_handle
 
 
@@ -349,7 +349,7 @@ def no_tables(monkeypatch):
 
 
 def test_normality_work_cap_refuses_before_building_the_table(no_tables):
-    g = build(Modular(10), Matrix(1, 3), 3, 7)  # order 1000, inside the order cap of 1024
+    g = build(Modular(10), Matrix(1, 3), 3, 7)  # order 1000: refused for its n^3 work, not its order
     with pytest.raises(BudgetExceeded) as err:
         is_normal_groupoid(g)
     assert str(err.value) == (
@@ -377,6 +377,60 @@ def test_analyze_refuses_the_normality_work_before_the_closure_work(monkeypatch,
 def test_normality_work_cap_admits_work_equal_to_the_budget(monkeypatch):
     monkeypatch.setenv("GGL_BUDGET", "512")
     assert not is_normal_groupoid(build(Modular(8), Scalar(), 2, 6))
+
+
+# -- subset-scan work cap -------------------------------------------------------------------------
+
+
+@pytest.fixture
+def no_scans(monkeypatch):
+    """Fail the test if an exhaustive scan starts: the budget must refuse it first."""
+
+    def refuse(*args):
+        raise AssertionError("a subset was scanned past the work budget")
+
+    monkeypatch.setattr(identities, "_scan", refuse)
+
+
+SUBSET_SCANS = {
+    "identity_holds_on_subset": lambda g, s: identity_holds_on_subset(g, s, IdentityId.ASSOCIATIVE),
+    "classify_subset": lambda g, s: classify_subset(g, s).semigroup,
+}
+
+
+@pytest.mark.parametrize("entry", SUBSET_SCANS.values(), ids=SUBSET_SCANS)
+def test_subset_scans_refuse_past_the_budget(no_scans, entry):
+    g = build(Modular(600), Scalar(), 1, 0)  # x*y = x: every subset is closed and associative
+    with pytest.raises(BudgetExceeded) as err:
+        entry(g, range(600))
+    assert str(err.value) == (
+        "exhaustive check cap exceeded: estimate 600^3 = 216000000 evaluations, "
+        "budget is 100000000 (set GGL_BUDGET to raise it)"
+    )
+
+
+def test_classifying_a_large_subset_of_an_order_1024_table_is_refused(no_scans):
+    with pytest.raises(BudgetExceeded, match=r"estimate 1023\^3 = 1070599167 evaluations"):
+        classify_subset(build(Modular(1024), Scalar(), 1, 0), range(1023))
+
+
+@pytest.mark.parametrize("entry", SUBSET_SCANS.values(), ids=SUBSET_SCANS)
+def test_subset_scan_budget_follows_the_environment(monkeypatch, entry):
+    g = build(Modular(12), Scalar(), 1, 0)
+    monkeypatch.setenv("GGL_BUDGET", "999")
+    with pytest.raises(BudgetExceeded, match=r"estimate 10\^3 = 1000 evaluations, budget is 999"):
+        entry(g, range(10))
+    monkeypatch.setenv("GGL_BUDGET", "1000")
+    assert entry(g, range(10))
+
+
+def test_subset_checks_answer_past_order_1024():
+    g = build(Modular(1025), Scalar(), 2, 3)
+    c = classify_subset(g, [0])
+    assert c.closed and c.semigroup and not (c.left_ideal or c.right_ideal)
+    v = are_conjugate(g, [2], [0])  # x*0 = 2x = 2 at x = 1; 0*x = 3x = 2 at x = 684
+    assert (v.conjugate, v.witness_label, v.side, v.disjoint) == (True, "1", "left", True)
+    assert check_homomorphism(g, g, range(1025)).valid
 
 
 # -- generated-closure work cap -------------------------------------------------------------------

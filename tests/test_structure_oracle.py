@@ -9,6 +9,7 @@ template evaluator; these tests pin the two together on random tables (small
 image sets, so many subsets are closed) and on the affine families.
 """
 
+import contextlib
 import dataclasses
 import itertools
 
@@ -309,6 +310,50 @@ def test_subset_classification_matches_the_set_oracle(table, data):
     g = from_table([str(i) for i in range(n)], table)
     c = structure.classify_subset(g, idx)
     assert (c.closed, c.left_ideal, c.right_ideal, c.semigroup) == classify_oracle(table, idx)
+
+
+@contextlib.contextmanager
+def no_singleton_scans():
+    """The associativity scan fails on a one-element domain, so a closed
+    singleton must be decided without one."""
+    scan = structure.first_failure
+
+    def guarded(g, identity, domain):
+        assert len(domain) > 1, "a singleton was scanned"
+        return scan(g, identity, domain)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "first_failure", guarded)
+        yield
+
+
+def test_every_singleton_matches_the_set_oracle_without_a_scan():
+    for n, t, u, table in affine_tables(9):
+        g = build(Modular(n), Scalar(), t, u)
+        with no_singleton_scans():
+            got = [structure.classify_subset(g, [x]) for x in range(n)]
+        for x, c in enumerate(got):
+            assert (c.closed, c.left_ideal, c.right_ideal, c.semigroup) == classify_oracle(table, [x])
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_image_tables())
+def test_singletons_of_random_tables_match_the_set_oracle_without_a_scan(table):
+    g = from_table([str(i) for i in range(len(table))], table)
+    with no_singleton_scans():
+        got = [structure.classify_subset(g, [x]) for x in range(len(table))]
+    for x, c in enumerate(got):
+        assert (c.closed, c.left_ideal, c.right_ideal, c.semigroup) == classify_oracle(table, [x])
+
+
+def test_smarandache_witnesses_match_the_set_oracle_without_singleton_scans(monkeypatch):
+    verdicts = []
+    for n, t, u, _ in affine_tables(7):
+        with no_singleton_scans():
+            verdicts.append(structure.smarandache(build(Modular(n), Scalar(), t, u), IdentityId.COMMUTATIVE))
+    monkeypatch.setattr(structure, "_is_semigroup", lambda g, idx: classify_oracle(g.index_table(), idx)[3])
+    for (n, t, u, _), got in zip(affine_tables(7), verdicts):
+        assert got == structure.smarandache(build(Modular(n), Scalar(), t, u), IdentityId.COMMUTATIVE), (n, t, u)
 
 
 @settings(max_examples=80, deadline=None)
