@@ -203,7 +203,10 @@ class Groupoid:
     def element_index(self, e: Element) -> int:
         if self._index is None:
             self._index = {e: i for i, e in enumerate(self.elements())}
-        return self._index[e]
+        try:
+            return self._index[e]
+        except KeyError:
+            raise CarrierError(f"not an element of this groupoid: {e!r}") from None
 
     def zero_index(self) -> int | None:
         """Index of the all-zero element; None for table-backed groupoids."""

@@ -17,7 +17,10 @@ generated-closure route, before the table is built. That route closes boolean
 membership vectors semi-naively, and normality compares membership matrices
 (row ``r`` marks the set of values in row ``r``). A test on a subset of m
 elements scans m^vars assignments, refused as the identity engine refuses it.
-The only order cap, ``max_order``, routes between power set and closures.
+The only order cap, ``max_order``, is read in one place:
+``enumerate_subgroupoids`` takes the power set when the order is at most
+``max_order`` and the generated closures otherwise, and ``is_simple`` and
+``analyze`` work on whatever list it returns.
 
 Power-set results hold the qualifying masks, sorted by (popcount, mask), not
 handles: ``EnumerationResult.subsets`` and ``IdealSets.left``/``right``/
@@ -34,8 +37,8 @@ the subset (a closed singleton {x} is a semigroup without a scan: x*x = x).
 Tables never mutate, so what this module derives from a table is
 kept in that groupoid's memo (``Groupoid.cached``, freed with it): the sorted
 closed masks, the sorted left and right absorbing masks and the generated
-closures. ``analyze`` therefore sweeps the power set for closure once, not
-once per question.
+closures. ``analyze`` therefore enumerates once and checks normality in one
+pass over that list, not once per question.
 
 Conventions (documented once here, used consistently):
 
@@ -141,17 +144,17 @@ class MaskedSubsets(Sequence[SubsetHandle]):
 
 
 def subset_handle(g: Groupoid, subset: Iterable) -> SubsetHandle:
-    """Normalise a subset given as indices, labels, or elements."""
+    """Normalise a subset given as indices (Python or numpy integers), labels, or elements."""
     labels = g.labels()
     pos = {lab: i for i, lab in enumerate(labels)}
     out: set[int] = set()
     for item in subset:
         if isinstance(item, bool):
             raise CarrierError("subset items must be indices, labels, or elements")
-        if isinstance(item, int):
+        if isinstance(item, (int, np.integer)):
             if not 0 <= item < len(labels):
                 raise CarrierError(f"index out of range: {item}")
-            out.add(item)
+            out.add(int(item))
         elif isinstance(item, str):
             if item not in pos:
                 raise CarrierError(f"unknown element label: {item!r}")
@@ -301,11 +304,9 @@ def _is_closed(tab: np.ndarray, idx: Sequence[int]) -> bool:
 
 
 def _is_semigroup(g: Groupoid, idx: Sequence[int]) -> bool:
-    """The subset is closed and associative. A closed singleton {x} needs no
+    """Whether a closed subset is associative. A closed singleton {x} needs no
     scan: x*x = x, so both sides of the associative law are x."""
-    return _is_closed(g.table_array(), idx) and (
-        len(idx) == 1 or first_failure(g, IdentityId.ASSOCIATIVE, np.asarray(idx)) is None
-    )
+    return len(idx) == 1 or first_failure(g, IdentityId.ASSOCIATIVE, np.asarray(idx)) is None
 
 
 def _row_sets(vals: np.ndarray, n: int) -> np.ndarray:
@@ -337,12 +338,21 @@ def _normal_rows(tab: np.ndarray, members: np.ndarray) -> Iterator[int]:
         yield from (lo + np.flatnonzero(_normal_flags(tab, members[lo : lo + step]))).tolist()
 
 
-def _normal_subsets(g: Groupoid, handles: Sequence[SubsetHandle]) -> Iterator[SubsetHandle]:
-    tab = g.table_array()
-    members = np.zeros((len(handles), len(tab)), dtype=bool)
-    for r, h in enumerate(handles):
-        members[r, list(h.indices)] = True
-    return (handles[r] for r in _normal_rows(tab, members))
+def _normal_subsets(g: Groupoid, subsets: Sequence[SubsetHandle]) -> Iterator[SubsetHandle]:
+    """The normal subsets of two or more members, in the given order and lazily.
+    Membership rows come from a MaskedSubsets' mask array, so no handle is
+    built for a subset that is not normal, or else from handle indices."""
+    n = g.order
+    if isinstance(subsets, MaskedSubsets):
+        keep = np.flatnonzero(subsets.masks & (subsets.masks - 1))
+        as_bytes = subsets.masks[keep].astype("<u8").view(np.uint8).reshape(-1, 8)
+        members = np.unpackbits(as_bytes, axis=1, count=n, bitorder="little").view(bool)
+    else:
+        keep = [r for r, h in enumerate(subsets) if h.size >= 2]
+        members = np.zeros((len(keep), n), dtype=bool)
+        for row, r in zip(members, keep):
+            row[list(subsets[r].indices)] = True
+    return (subsets[keep[r]] for r in _normal_rows(g.table_array(), members))
 
 
 def identity_holds_on_subset(g: Groupoid, subset: Iterable, identity: IdentityId) -> bool:
@@ -398,7 +408,7 @@ def classify_subset(g: Groupoid, subset: Iterable) -> SubsetClassification:
     left = proper and bool(inside[tab[dom, :]].all())
     right = proper and bool(inside[tab[:, dom]].all())
     semigroup = closed and _is_semigroup(g, idx)
-    normal = closed and proper and any(_normal_subsets(g, [handle]))
+    normal = closed and proper and bool(_normal_flags(tab, inside[None])[0])
 
     pure = False
     pseudo = False
@@ -443,36 +453,25 @@ class EnumerationResult:
         }
 
 
-def enumerate_subgroupoids(
-    g: Groupoid,
-    strategy: str | None = None,
-    *,
-    max_order: int = DEFAULT_MAX_ORDER,
-) -> EnumerationResult:
-    """All nonempty proper closed subsets (power-set route, order <= max_order),
-    or the closures of all generating sets of size <= 2 (generated-closure
-    route, a complete list of the 1- and 2-generated subgroupoids)."""
+def enumerate_subgroupoids(g: Groupoid, *, max_order: int = DEFAULT_MAX_ORDER) -> EnumerationResult:
+    """The one place a route is chosen. At order <= max_order, every nonempty
+    proper closed subset (power-set route, complete); above it, or for any
+    order when max_order is 0, the closures of all generating sets of size
+    <= 2 (generated-closure route: every 1- and 2-generated subgroupoid, but
+    not a complete list)."""
     order = g.order
-    if strategy is None:
-        fits = not isinstance(order, TooLarge) and order <= max_order
-        strategy = "power-set" if fits else "generated-closure"
-
-    if strategy == "power-set":
+    if not isinstance(order, TooLarge) and order <= max_order:
         _powerset_order(g, max_order, "power-set enumeration")
         return EnumerationResult(
             subsets=MaskedSubsets(g, _closed_masks(g)), strategy="power-set", complete=True
         )
-
-    if strategy == "generated-closure":
-        _closure_order(g, "generated-closure enumeration")
-        labels = g.labels()
-        closures = g.cached("closures", lambda: _generated_closures(g.table_array()))
-        handles = tuple(
-            SubsetHandle(indices=idx, labels=tuple(labels[i] for i in idx)) for idx in closures
-        )
-        return EnumerationResult(subsets=handles, strategy="generated-closure", complete=False)
-
-    raise CarrierError(f"unknown enumeration strategy: {strategy!r}")
+    _closure_order(g, "generated-closure enumeration")
+    labels = g.labels()
+    closures = g.cached("closures", lambda: _generated_closures(g.table_array()))
+    handles = tuple(
+        SubsetHandle(indices=idx, labels=tuple(labels[i] for i in idx)) for idx in closures
+    )
+    return EnumerationResult(subsets=handles, strategy="generated-closure", complete=False)
 
 
 @dataclass(frozen=True)
@@ -517,40 +516,27 @@ class SimpleVerdict:
         }
 
 
-def find_normal_subgroupoids(
-    g: Groupoid, *, max_order: int = DEFAULT_MAX_ORDER, first_only: bool = False
-) -> list[SubsetHandle]:
-    """Proper normal subgroupoids of size >= 2, in canonical subset order."""
-    n = _powerset_order(g, max_order, "normal subgroupoid search")
-    masks = _closed_masks(g)
-    masks = masks[masks & (masks - 1) != 0]
-    members = np.unpackbits(
-        masks.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1, count=n, bitorder="little"
-    ).view(bool)
-    subsets = MaskedSubsets(g, masks)
-    out: list[SubsetHandle] = []
-    for r in _normal_rows(g.table_array(), members):
-        out.append(subsets[r])
-        if first_only:
-            break
-    return out
+def find_normal_subgroupoids(g: Groupoid, *, max_order: int = DEFAULT_MAX_ORDER) -> list[SubsetHandle]:
+    """Proper normal subgroupoids of size >= 2, in canonical subset order, from
+    the power set's closed masks (refused above max_order)."""
+    _powerset_order(g, max_order, "normal subgroupoid search")
+    return list(_normal_subsets(g, MaskedSubsets(g, _closed_masks(g))))
 
 
 def is_simple(g: Groupoid, *, max_order: int = DEFAULT_MAX_ORDER) -> SimpleVerdict:
-    """No proper normal subgroupoid of size >= 2. Above max_order the search
-    falls back to 1-/2-generated subgroupoids and a clean result is flagged
-    as incomplete."""
-    order = g.order
-    if not isinstance(order, TooLarge) and order <= max_order:
-        found = find_normal_subgroupoids(g, max_order=max_order, first_only=True)
-        if found:
-            return SimpleVerdict(simple=False, witness=found[0], complete=True)
-        return SimpleVerdict(simple=True, witness=None, complete=True)
-    enum = enumerate_subgroupoids(g, "generated-closure")
-    witness = next(_normal_subsets(g, [h for h in enum.subsets if h.size >= 2]), None)
-    if witness is not None:
-        return SimpleVerdict(simple=False, witness=witness, complete=True)
-    return SimpleVerdict(simple=True, witness=None, complete=False)
+    """No proper normal subgroupoid of size >= 2 among the subgroupoids that
+    ``enumerate_subgroupoids`` lists; a witness is a proof either way, but a
+    clean result from the generated-closure route is flagged as incomplete."""
+    subs = enumerate_subgroupoids(g, max_order=max_order)
+    return _simplicity(subs, next(_normal_subsets(g, subs.subsets), None))
+
+
+def _simplicity(subs: EnumerationResult, witness: SubsetHandle | None) -> SimpleVerdict:
+    """A normal witness disproves simplicity on either route; its absence proves
+    it only when the enumeration is complete."""
+    return SimpleVerdict(
+        simple=witness is None, witness=witness, complete=subs.complete or witness is not None
+    )
 
 
 def _normality_order(g: Groupoid) -> int:
@@ -773,41 +759,22 @@ class StructureReport:
 
 
 def analyze(g: Groupoid, *, max_order: int = DEFAULT_MAX_ORDER) -> StructureReport:
-    """Full structural survey; complete only when the power-set route fits."""
-    order = g.order
-    if isinstance(order, TooLarge):
-        raise BudgetExceeded("structure analysis needs an enumerable groupoid")
-    if order <= max_order:
-        subs = enumerate_subgroupoids(g, "power-set", max_order=max_order)
-        ideals = enumerate_ideals(g, max_order=max_order)
-        normal = tuple(find_normal_subgroupoids(g, max_order=max_order))
-        simple = is_simple(g, max_order=max_order)
-        sm = smarandache(g, max_order=max_order)
-        return StructureReport(
-            order=order,
-            subgroupoids=subs,
-            ideals=ideals,
-            normal=normal,
-            simple=simple,
-            normal_groupoid=is_normal_groupoid(g),
-            smarandache_verdict=sm,
-            complete=True,
-        )
-    _normality_order(g)  # refuse now, not after the closure work
-    subs = enumerate_subgroupoids(g, "generated-closure")
-    normal = tuple(_normal_subsets(g, [h for h in subs.subsets if h.size >= 2]))
-    simple = is_simple(g, max_order=max_order)
+    """Full structural survey of one ``enumerate_subgroupoids`` list; ideals
+    and completeness only when that list is complete (the power-set route)."""
+    order = _normality_order(g)  # refuse now, not after the subset work
+    subs = enumerate_subgroupoids(g, max_order=max_order)
+    ideals = enumerate_ideals(g, max_order=max_order) if subs.complete else None
+    normal = tuple(_normal_subsets(g, subs.subsets))
     sm_witness = next(_semigroup_witnesses(g, subs.subsets), None)
-    sm = SmarandacheVerdict(
-        status="s_groupoid" if sm_witness else "not_smarandache", s_witness=sm_witness
-    )
     return StructureReport(
         order=order,
         subgroupoids=subs,
-        ideals=None,
+        ideals=ideals,
         normal=normal,
-        simple=simple,
+        simple=_simplicity(subs, normal[0] if normal else None),
         normal_groupoid=is_normal_groupoid(g),
-        smarandache_verdict=sm,
-        complete=False,
+        smarandache_verdict=SmarandacheVerdict(
+            status="s_groupoid" if sm_witness else "not_smarandache", s_witness=sm_witness
+        ),
+        complete=subs.complete,
     )

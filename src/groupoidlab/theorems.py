@@ -584,7 +584,7 @@ def _t17(p: dict, run: _Run) -> None:
         carrier = IntervalOf(PureNeutrosophic(n))
         for t, u in _nonzero_pairs(n):
             g = _scalar(carrier, t, u)
-            enum = enumerate_subgroupoids(g, "power-set")
+            enum = enumerate_subgroupoids(g)
             big = [h for h in enum.subsets if h.size >= 2]
             ideals = enumerate_ideals(g)
             run.check(

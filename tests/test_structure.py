@@ -1,5 +1,6 @@
 """Substructure analysis: subsets, ideals, normality, simplicity, morphisms."""
 
+import numpy as np
 import pytest
 
 from groupoidlab import (
@@ -48,6 +49,32 @@ def test_subset_handle_rejections():
         subset_handle(g, ["x"])
     with pytest.raises(CarrierError):
         classify_subset(g, [])
+
+
+def test_subset_handle_accepts_numpy_indices():
+    g = build(Modular(6), Scalar(), 2, 5)
+    assert subset_handle(g, np.array([3, 0])).indices == (0, 3)
+    assert classify_subset(g, np.array([0, 3])) == classify_subset(g, [0, 3])
+    for identity in (IdentityId.ASSOCIATIVE, IdentityId.IDEMPOTENT):
+        want = identity_holds_on_subset(g, [0, 1, 2], identity)
+        assert identity_holds_on_subset(g, np.arange(3), identity) == want
+    with pytest.raises(CarrierError, match="index out of range: 6"):
+        subset_handle(g, np.array([0, 6]))
+
+
+UNKNOWN_ELEMENT = {
+    "element_index": lambda g: g.element_index((9,)),
+    "subset_handle": lambda g: subset_handle(g, [(0,), (9,)]),
+    "classify_subset": lambda g: classify_subset(g, [(9,)]),
+    "are_conjugate": lambda g: are_conjugate(g, [(9,)], [0]),
+    "check_homomorphism": lambda g: check_homomorphism(g, g, lambda e: (e[0] + 6,)),
+}
+
+
+@pytest.mark.parametrize("entry", UNKNOWN_ELEMENT.values(), ids=UNKNOWN_ELEMENT)
+def test_an_element_outside_the_carrier_is_a_carrier_error(entry):
+    with pytest.raises(CarrierError, match=r"not an element of this groupoid: \((9|6),\)"):
+        entry(build(Modular(6), Scalar(), 2, 5))
 
 
 def test_subset_handle_deduplicates_and_sorts():
@@ -113,7 +140,7 @@ def test_normal_subgroupoids_order_8():
     assert (0, 2, 4) in found
     assert (0, 4) not in found
     # canonical order: smallest size first, then lexicographic
-    assert find_normal_subgroupoids(g, first_only=True)[0].indices == (0, 2, 4)
+    assert find_normal_subgroupoids(g)[0].indices == (0, 2, 4)
 
 
 def test_normality_requires_translate_sets_to_match_everywhere():
@@ -294,7 +321,8 @@ def test_homomorphism_mapping_validation():
 
 
 POWER_SET_ENTRY_POINTS = {
-    "enumerate_subgroupoids": lambda g, **kw: enumerate_subgroupoids(g, "power-set", **kw),
+    "enumerate_subgroupoids": enumerate_subgroupoids,
+    "is_simple": is_simple,
     "enumerate_ideals": enumerate_ideals,
     "find_normal_subgroupoids": find_normal_subgroupoids,
     "smarandache": smarandache,
@@ -331,8 +359,6 @@ def test_power_set_work_cap_binds_a_raised_order_cap_at_the_default_budget(no_sw
     for entry in POWER_SET_ENTRY_POINTS.values():
         with pytest.raises(BudgetExceeded, match=r"30\*2\^30 = 32212254720, budget is 100000000"):
             entry(g, max_order=30)
-    with pytest.raises(BudgetExceeded):
-        is_simple(g, max_order=30)
 
 
 # -- normality work cap ---------------------------------------------------------------------------
@@ -478,10 +504,10 @@ def test_closure_work_cap_follows_the_environment(monkeypatch, no_closures):
     g = build(Modular(30), Scalar(), 7, 11)  # 30*29/2 * 30^2 = 391500
     monkeypatch.setenv("GGL_BUDGET", "391499")
     with pytest.raises(BudgetExceeded, match=r"generated-closure work cap.* = 391500, budget is 391499"):
-        enumerate_subgroupoids(g, "generated-closure")
+        enumerate_subgroupoids(g, max_order=0)
     monkeypatch.setenv("GGL_BUDGET", "391500")
     with pytest.raises(ClosuresAdmitted):
-        enumerate_subgroupoids(g, "generated-closure")
+        enumerate_subgroupoids(g, max_order=0)
 
 
 # -- assembled report ---------------------------------------------------------------------------

@@ -32,8 +32,11 @@ from groupoidlab import (
     build,
     enumerate_ideals,
     enumerate_subgroupoids,
+    find_normal_subgroupoids,
     from_table,
     is_normal_groupoid,
+    is_simple,
+    smarandache,
 )
 from groupoidlab import structure, theorems
 from groupoidlab.identities import TEMPLATES, eval_tree
@@ -237,7 +240,7 @@ def test_generated_closure_matches_the_frontier_oracle(carrier, t, u):
     table = g.index_table()
     want = frontier_closures_oracle(table)
     assert structure._generated_closures(np.asarray(table)) == want
-    enum = enumerate_subgroupoids(g, "generated-closure")
+    enum = enumerate_subgroupoids(g, max_order=0)
     assert [h.indices for h in enum.subsets] == want
 
 
@@ -415,6 +418,61 @@ def test_analyze_computes_flags_and_closures_once(monkeypatch, n, t, u):
         assert (len(closed), len(left_right), len(closures)) == (0, 0, 1)
 
 
+ANALYZE_CASES = [(8, 2, 6), (12, 2, 6), (16, 0, 1)]
+
+
+@pytest.mark.parametrize("max_order", [20, 4])
+@pytest.mark.parametrize("n,t,u", ANALYZE_CASES, ids=[f"zn:{n}-{t},{u}" for n, t, u in ANALYZE_CASES])
+def test_analyze_agrees_with_the_standalone_answers_on_both_routes(n, t, u, max_order):
+    g = build(Modular(n), Scalar(), t, u)
+    table = g.index_table()
+    rep = analyze(g, max_order=max_order)
+    subs = enumerate_subgroupoids(g, max_order=max_order)
+    assert rep.order == n
+    assert rep.subgroupoids == subs and rep.complete == subs.complete == (n <= max_order)
+    normal = tuple(h for h in subs.subsets if h.size >= 2 and subset_normal_oracle(table, h.indices))
+    assert rep.normal == normal
+    assert rep.simple == is_simple(g, max_order=max_order)
+    assert rep.normal_groupoid == is_normal_groupoid_oracle(table)
+    semigroups = (h for h in subs.subsets if h.indices != (0,) and classify_oracle(table, h.indices)[3])
+    s_witness = next(semigroups, None)
+    assert rep.smarandache_verdict.s_witness == s_witness
+    assert rep.smarandache_verdict.status == ("s_groupoid" if s_witness else "not_smarandache")
+    if subs.complete:
+        assert rep.ideals == enumerate_ideals(g, max_order=max_order)
+        assert list(rep.normal) == find_normal_subgroupoids(g, max_order=max_order)
+        assert rep.smarandache_verdict == smarandache(g, max_order=max_order)
+    else:
+        assert rep.ideals is None
+
+
+@pytest.mark.parametrize("n,t,u", [(12, 5, 7), (16, 0, 1), (53, 2, 5)])
+def test_analyze_checks_each_subset_for_normality_once(monkeypatch, n, t, u):
+    rows = []
+    real = structure._normal_flags
+
+    def counted(tab, members):
+        rows.append(len(members))
+        return real(tab, members)
+
+    monkeypatch.setattr(structure, "_normal_flags", counted)
+    rep = analyze(build(Modular(n), Scalar(), t, u))
+    assert sum(rows) == sum(h.size >= 2 for h in rep.subgroupoids.subsets)
+
+
+def test_the_normal_search_builds_a_handle_only_for_a_normal_subset(monkeypatch):
+    built = []
+    real = structure.MaskedSubsets._handle
+
+    def counted(self, mask):
+        built.append(mask)
+        return real(self, mask)
+
+    monkeypatch.setattr(structure.MaskedSubsets, "_handle", counted)
+    normal = find_normal_subgroupoids(build(Modular(8), Scalar(), 2, 6))
+    assert normal and built == [h.mask() for h in normal]
+
+
 # -- lazy results against eager handles ---------------------------------------------------
 
 
@@ -458,7 +516,7 @@ def assert_reads_like(got, want):
 
 def assert_results_match(g, table):
     want_subs, want_ideals = eager_results(g, table)
-    subs, ideals = enumerate_subgroupoids(g, "power-set"), enumerate_ideals(g)
+    subs, ideals = enumerate_subgroupoids(g), enumerate_ideals(g)
     assert_reads_like(subs.subsets, want_subs.subsets)
     for side in ("left", "right", "two_sided"):
         assert_reads_like(getattr(ideals, side), getattr(want_ideals, side))
