@@ -8,7 +8,8 @@ everywhere — and confirms two facts by brute force:
 * the count's parity equals n mod 2 (the diagonal pair t = u exists iff
   2t = 1 (mod n) is solvable, i.e. iff n is odd);
 * every counted pair really is idempotent, and every omitted pair is not,
-  re-checked exhaustively on the order-n groupoid.
+  re-checked exhaustively on the order-n groupoid, every pair of one
+  modulus in one ``check_identity_sweep``.
 
 Usage: python3 scripts/idempotent_parity_sweep.py [--max-n 40] [--carrier zn]
 """
@@ -17,13 +18,12 @@ import argparse
 import sys
 
 from groupoidlab import (
-    CheckMode,
     IdentityId,
     Modular,
     PureNeutrosophic,
     Scalar,
     build,
-    check_identity,
+    check_identity_sweep,
     count_class,
 )
 
@@ -44,20 +44,17 @@ def main() -> int:
         carrier = carrier_cls(n)
         count = count_class(carrier, "idempotent_pairs", equal_pairs_included=True)
 
+        pairs = [(t, u) for t in range(n) for u in range(n) if (t, u) != (0, 0)]
+        groupoids = [build(carrier, Scalar(), t, u) for t, u in pairs]
         verified = 0
-        for t in range(n):
-            for u in range(n):
-                if t == 0 and u == 0:
-                    continue
-                g = build(carrier, Scalar(), t, u)
-                v = check_identity(g, IdentityId.IDEMPOTENT, CheckMode.EXHAUSTIVE)
-                predicted = (t + u) % n == 1
-                if v.holds != predicted:
-                    print(f"  DISAGREEMENT at n={n} pair=({t},{u})", file=sys.stderr)
-                    bad += 1
-                # the counting class ranges over nonzero coefficients only
-                if v.holds and t > 0 and u > 0:
-                    verified += 1
+        for (t, u), v in zip(pairs, check_identity_sweep(groupoids, IdentityId.IDEMPOTENT)):
+            predicted = (t + u) % n == 1
+            if v.holds != predicted:
+                print(f"  DISAGREEMENT at n={n} pair=({t},{u})", file=sys.stderr)
+                bad += 1
+            # the counting class ranges over nonzero coefficients only
+            if v.holds and t > 0 and u > 0:
+                verified += 1
 
         parity_ok = count % 2 == n % 2
         count_ok = verified == count

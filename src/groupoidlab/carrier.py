@@ -1,14 +1,14 @@
 """Finite coefficient rings for the two-parameter star product.
 
 A carrier supplies the ring arithmetic that every shape (scalar, matrix,
-polynomial) builds on: reduction to canonical form, addition, multiplication,
-scaling by an operation parameter, enumeration in a fixed order, and parsing /
-formatting of the canonical textual forms. There is one class per arithmetic;
-a notation that only respells values subclasses or wraps the arithmetic it
-writes.
+polynomial) builds on: reduction to canonical form, addition, multiplication
+(which is also how an operation parameter acts on a value), enumeration in a
+fixed order, and parsing / formatting of the canonical textual forms. There is
+one class per arithmetic; a notation that only respells values subclasses or
+wraps the arithmetic it writes.
 
-The arithmetic comes twice. ``add``, ``mul`` and ``scale`` act on single
-values; they are the per-cell oracle and serve the demos. ``add_indices`` and
+The arithmetic comes twice. ``add`` and ``mul`` act on single values; they
+are the per-cell oracle and serve the demos. ``add_indices`` and
 ``mul_indices`` act on numpy arrays of value indices (positions in
 ``enumerate_values()`` order) and return the index of each result; every
 compiled product is built from them. They compute in int32 while every
@@ -111,10 +111,6 @@ class Carrier:
     def mul(self, a: Value, b: Value) -> Value:
         raise NotImplementedError
 
-    def scale(self, param: Value, v: Value) -> Value:
-        """Left action of an operation parameter on a value."""
-        raise NotImplementedError
-
     def zero(self) -> Value:
         raise NotImplementedError
 
@@ -148,14 +144,14 @@ class Carrier:
 
     def mul_indices(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Indices of v·w, as ``add_indices``; on every carrier here an
-        operation parameter acts by multiplication, so this is ``scale`` too."""
+        operation parameter acts on a value by this multiplication."""
         raise NotImplementedError
 
     # -- parameters -----------------------------------------------------
 
     def embed_param(self, coeff: int, indeterminate: bool) -> Value:
         """Turn a CLI-style parameter (plain or I-suffixed integer) into the
-        internal parameter representation used by :meth:`scale`."""
+        internal parameter representation, a carrier value."""
         raise NotImplementedError
 
     def param_content(self, param: Value) -> int:
@@ -163,7 +159,7 @@ class Carrier:
         raise NotImplementedError
 
     def param_is_zero(self, param: Value) -> bool:
-        raise NotImplementedError
+        return self.is_zero(self.reduce(param))
 
     def param_is_single_prime(self, param: Value) -> bool:
         """True when the parameter has exactly one nonzero coefficient and
@@ -231,9 +227,6 @@ class Modular(Carrier):
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.n
 
-    def scale(self, param: int, v: int) -> int:
-        return (param * v) % self.n
-
     def zero(self) -> int:
         return 0
 
@@ -266,9 +259,6 @@ class Modular(Carrier):
 
     def param_content(self, param: int) -> int:
         return param % self.n
-
-    def param_is_zero(self, param: int) -> bool:
-        return param % self.n == 0
 
     def param_is_single_prime(self, param: int) -> bool:
         return is_prime(param % self.n)
@@ -354,9 +344,6 @@ class MixedNeutrosophic(Carrier):
         c, d = y
         return ((a * c) % self.n, (a * d + b * c + b * d) % self.n)
 
-    def scale(self, param: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
-        return self.mul(param, v)
-
     def zero(self) -> tuple[int, int]:
         return (0, 0)
 
@@ -401,9 +388,6 @@ class MixedNeutrosophic(Carrier):
     def param_content(self, param: tuple[int, int]) -> int:
         a, b = self.reduce(param)
         return math.gcd(a, b)
-
-    def param_is_zero(self, param: tuple[int, int]) -> bool:
-        return self.reduce(param) == (0, 0)
 
     def param_is_single_prime(self, param: tuple[int, int]) -> bool:
         a, b = self.reduce(param)

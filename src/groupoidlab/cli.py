@@ -33,26 +33,19 @@ from .structure import analyze
 from .theorems import CHECKS, SuiteConfig, count_class, run_suite
 
 _IDENTITY_CHOICES = [i.value for i in IdentityId] + ["alternative"]
-_PAIR_RE = re.compile(r"(\d+I?|I)\s*$")
-
-
-def _usage(msg: str) -> "click.UsageError":
-    return click.UsageError(msg)
 
 
 def _parse_pair(carrier: Carrier, text: str):
     parts = text.split(",")
     if len(parts) != 2:
-        raise _usage(f"--pair must be T,U (got {text!r})")
+        raise click.UsageError(f"--pair must be T,U (got {text!r})")
     out = []
     for part in parts:
         part = part.strip()
-        if not _PAIR_RE.fullmatch(part):
-            raise _usage(f"parameter must be an integer with optional I suffix: {part!r}")
         try:
             value = parse_param_component(carrier, part)
         except CarrierError as e:
-            raise _usage(str(e))
+            raise click.UsageError(str(e))
         out.append((value, part.endswith("I")))
     return out[0][0], out[1][0], out[0][1], out[1][1]
 
@@ -62,12 +55,12 @@ def _make_groupoid(carrier_token: str, shape_token: str, pair_text: str) -> Grou
         carrier = parse_carrier(carrier_token)
         shape = parse_shape(shape_token)
     except CarrierError as e:
-        raise _usage(str(e))
+        raise click.UsageError(str(e))
     t, u, ti, ui = _parse_pair(carrier, pair_text)
     try:
         return build(carrier, shape, t, u, t_indeterminate=ti, u_indeterminate=ui)
     except CarrierError as e:
-        raise _usage(str(e))
+        raise click.UsageError(str(e))
 
 
 def _parse_mode(text: str):
@@ -77,23 +70,23 @@ def _parse_mode(text: str):
     trials, seed = DEFAULT_TRIALS, 0
     if name == "sampled":
         if len(parts) > 3:
-            raise _usage(f"--mode sampled takes at most sampled:TRIALS:SEED (got {text!r})")
+            raise click.UsageError(f"--mode sampled takes at most sampled:TRIALS:SEED (got {text!r})")
         try:
             if len(parts) >= 2:
                 trials = int(parts[1])
             if len(parts) == 3:
                 seed = int(parts[2])
         except ValueError:
-            raise _usage(f"--mode sampled needs integer trials/seed (got {text!r})")
+            raise click.UsageError(f"--mode sampled needs integer trials/seed (got {text!r})")
         if trials < 1:
-            raise _usage(f"--mode sampled needs at least one trial (got {text!r})")
+            raise click.UsageError(f"--mode sampled needs at least one trial (got {text!r})")
         return CheckMode.SAMPLED, trials, seed
     if len(parts) != 1:
-        raise _usage(f"only sampled mode takes arguments (got {text!r})")
+        raise click.UsageError(f"only sampled mode takes arguments (got {text!r})")
     try:
         return CheckMode(name), trials, seed
     except ValueError:
-        raise _usage(f"unknown mode {name!r} (auto, lifted, exhaustive, sampled:N:SEED)")
+        raise click.UsageError(f"unknown mode {name!r} (auto, lifted, exhaustive, sampled:N:SEED)")
 
 
 def _budget_guard(fn):
@@ -206,6 +199,11 @@ def structure(
 _RANGE_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)=(\d+)\.\.(\d+)$")
 
 
+def _takes_range(check_id: str, key: str) -> bool:
+    """A check's tuple defaults are its (lo, hi) ranges of moduli."""
+    return isinstance(CHECKS[check_id].defaults.get(key), tuple)
+
+
 @main.command()
 @click.option("--suite", default="default", show_default=True)
 @click.option("--only", "only_text", default=None, help="comma-separated check ids (e.g. T1,T7)")
@@ -213,7 +211,9 @@ _RANGE_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)=(\d+)\.\.(\d+)$")
     "--range",
     "range_texts",
     multiple=True,
-    help="override a range parameter, e.g. n=3..30 (repeatable)",
+    help="override a range of moduli, e.g. n=3..30 (repeatable); KEY is a range parameter "
+    "of a selected check (n, p, zn_n, zni_n, formula_n, parity_n or vacuity_n) and "
+    "2 <= LO <= HI",
 )
 @click.option(
     "--seed",
@@ -228,24 +228,28 @@ def verify(
 ) -> None:
     """Run the verification suite; exit 0 iff every asserted check passes."""
     if suite != "default":
-        raise _usage(f"unknown suite {suite!r} (only 'default' exists)")
+        raise click.UsageError(f"unknown suite {suite!r} (only 'default' exists)")
     ids: tuple[str, ...] | None = None
     if only_text:
         ids = tuple(s.strip() for s in only_text.split(",") if s.strip())
         unknown = [i for i in ids if i not in CHECKS]
         if unknown:
-            raise _usage(f"unknown check ids: {', '.join(unknown)}")
+            raise click.UsageError(f"unknown check ids: {', '.join(unknown)}")
+    selected = ids if ids is not None else tuple(CHECKS)
     ranges = []
     for text in range_texts:
         m = _RANGE_RE.match(text.strip())
         if not m:
-            raise _usage(f"--range must look like n=3..30 (got {text!r})")
-        ranges.append((m.group(1), int(m.group(2)), int(m.group(3))))
+            raise click.UsageError(f"--range must look like n=3..30 (got {text!r})")
+        key, lo, hi = m.group(1), int(m.group(2)), int(m.group(3))
+        if not any(_takes_range(check_id, key) for check_id in selected):
+            raise click.UsageError(f"--range {key}: no selected check takes {key} as a range of moduli")
+        if not 2 <= lo <= hi:
+            raise click.UsageError(f"--range {key}={lo}..{hi}: a range of moduli needs 2 <= LO <= HI")
+        ranges.append((key, lo, hi))
     overrides: dict[str, dict] = {}
-    for check_id in ids if ids is not None else tuple(CHECKS):
-        params = {
-            key: (lo, hi) for key, lo, hi in ranges if key in CHECKS[check_id].defaults
-        }
+    for check_id in selected:
+        params = {key: (lo, hi) for key, lo, hi in ranges if _takes_range(check_id, key)}
         if params:
             overrides[check_id] = params
     config = SuiteConfig(checks=ids, overrides=overrides, seed=seed)
@@ -268,14 +272,14 @@ def count(carrier_token: str, class_token: str, equal_pairs: bool) -> None:
     try:
         carrier = parse_carrier(carrier_token)
     except CarrierError as e:
-        raise _usage(str(e))
+        raise click.UsageError(str(e))
     kind = class_token.replace("-", "_")
     try:
         value = _budget_guard(
             lambda: count_class(carrier, kind, equal_pairs_included=equal_pairs)
         )
     except CarrierError as e:
-        raise _usage(str(e))
+        raise click.UsageError(str(e))
     click.echo(str(value))
     suffix = " equal-pairs-included" if equal_pairs else ""
     click.echo(f"# {carrier.token()} {class_token}{suffix}")
@@ -293,7 +297,7 @@ def demo(example_id: str | None, list_flag: bool) -> None:
     try:
         result = demos_mod.run_demo(example_id)
     except CarrierError as e:
-        raise _usage(str(e))
+        raise click.UsageError(str(e))
     click.echo(f"[{result.demo_id}] {result.title}")
     for line in result.lines:
         click.echo(line)

@@ -22,6 +22,7 @@ import numpy as np
 
 from .carrier import Carrier, CarrierError, Value
 from .shape import (
+    DEFAULT_SPACE_CAP,
     Element,
     Shape,
     TooLarge,
@@ -179,9 +180,15 @@ class Groupoid:
             return len(self._labels)
         return self._space.count
 
-    def _require_enumerable(self) -> None:
+    def _require_enumerable(self) -> int:
+        """The order, refused when the element space is past the enumeration cap."""
         if isinstance(self.order, TooLarge):
-            raise BudgetExceeded("element space exceeds the enumeration cap")
+            q, k = self.spec.carrier.size(), self.spec.shape.entry_count()
+            raise BudgetExceeded(
+                f"enumeration cap exceeded: estimate {q}^{k} = {q**k} elements, "
+                f"cap is {DEFAULT_SPACE_CAP}"
+            )
+        return self.order
 
     def elements(self) -> list[Element]:
         """Canonical element order: carrier order, extended entry-lexicographically."""
@@ -374,8 +381,8 @@ class CayleyTable:
 
 
 def cayley_table(g: Groupoid, cap: int = DEFAULT_TABLE_CAP) -> CayleyTable:
-    n = g.order
-    if isinstance(n, TooLarge) or n > cap:
+    n = g._require_enumerable()
+    if n > cap:
         raise BudgetExceeded(f"order {n} exceeds the Cayley table cap {cap}")
     return CayleyTable(
         labels=tuple(g.labels()),

@@ -63,7 +63,6 @@ import numpy as np
 from .carrier import CarrierError, is_prime
 from .groupoid import (
     _CHUNK_CELLS,
-    BudgetExceeded,
     Groupoid,
     build,
     check_budget,
@@ -71,7 +70,7 @@ from .groupoid import (
     default_budget,
     member_groups,
 )
-from .shape import Element, Scalar, TooLarge, format_element, scalar_projection
+from .shape import Element, Scalar, TooLarge, format_element
 
 DEFAULT_TRIALS = 10**4
 
@@ -433,9 +432,7 @@ def check_identity_sweep(groupoids: Sequence[Groupoid], identity: IdentityId) ->
         raise CarrierError(f"a sweep's groupoids must share one order, got {sorted(map(str, orders))}")
     if not orders:
         return []
-    order = orders.pop()
-    if isinstance(order, TooLarge):
-        raise BudgetExceeded("element space exceeds the enumeration cap")
+    order = groupoids[0]._require_enumerable()
     holds = IdentityVerdict(identity=identity.value, method="exhaustive", status="holds")
     return [
         holds if found is None else _witness_verdict(g, identity, "exhaustive", found)
@@ -461,9 +458,8 @@ def _scalar_shadow(g: Groupoid) -> Groupoid:
 def _lifted(g: Groupoid, identity: IdentityId) -> IdentityVerdict:
     if g.spec is None:
         raise CarrierError("lifted mode needs a spec-backed groupoid")
-    lift = scalar_projection(g.spec.shape)
-    if not lift.liftable:
-        raise CarrierError(f"shape is not liftable: {lift.reason}")
+    if not g.spec.shape.is_entrywise():
+        raise CarrierError("shape is not liftable: product mixes entries across positions")
     shadow = _scalar_shadow(g)
     inner = _exhaustive(shadow, identity)
     if inner.status == "holds":
@@ -577,7 +573,7 @@ def _lifted_fits(g: Groupoid, nvars: int) -> bool:
     return (
         sp is not None
         and sp.shape.entry_count() > 1
-        and scalar_projection(sp.shape).liftable
+        and sp.shape.is_entrywise()
         and sp.carrier.size() ** nvars <= default_budget()
     )
 

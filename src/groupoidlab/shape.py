@@ -72,7 +72,10 @@ class Shape:
         raise NotImplementedError
 
     def is_entrywise(self) -> bool:
-        """True when star acts independently on entries (liftable to scalar)."""
+        """True when star acts independently on entries, so the product
+        mirrors the scalar groupoid entry for entry and identities may be
+        decided on the scalar shadow; shuffle and genuine convolution
+        products mix entries across positions."""
         raise NotImplementedError
 
     def __str__(self) -> str:  # pragma: no cover - convenience
@@ -151,11 +154,11 @@ def star(carrier: Carrier, shape: Shape, t: Value, u: Value, x: Element, y: Elem
                 k_exp = i + j
                 if k_exp > d:
                     continue
-                term = carrier.add(carrier.scale(t, x[i]), carrier.scale(u, y[j]))
+                term = carrier.add(carrier.mul(t, x[i]), carrier.mul(u, y[j]))
                 acc[k_exp] = carrier.add(acc[k_exp], term)
         return tuple(acc)
     return tuple(
-        carrier.add(carrier.scale(t, xi), carrier.scale(u, yi)) for xi, yi in zip(x, y)
+        carrier.add(carrier.mul(t, xi), carrier.mul(u, yi)) for xi, yi in zip(x, y)
     )
 
 
@@ -254,22 +257,6 @@ def element_space(carrier: Carrier, shape: Shape) -> ElementSpace:
     if count > DEFAULT_SPACE_CAP:
         count = TOO_LARGE
     return ElementSpace(count=count, carrier=carrier, shape=shape)
-
-
-@dataclass(frozen=True)
-class LiftResult:
-    """Whether identity checking may be done on the scalar shadow."""
-
-    liftable: bool
-    reason: str
-
-
-def scalar_projection(shape: Shape) -> LiftResult:
-    """Entrywise products mirror the scalar groupoid entry-for-entry; shuffle
-    and genuine convolution products mix entries and do not."""
-    if shape.is_entrywise():
-        return LiftResult(True, "entries evolve independently under star")
-    return LiftResult(False, "product mixes entries across positions")
 
 
 def zero_element(carrier: Carrier, shape: Shape) -> Element:

@@ -171,17 +171,10 @@ def subset_handle(g: Groupoid, subset: Iterable) -> SubsetHandle:
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 
 
-def _enumerable_order(g: Groupoid, what: str) -> int:
-    n = g.order
-    if isinstance(n, TooLarge):
-        raise BudgetExceeded(f"{what} needs an enumerable groupoid, got order {n}")
-    return n
-
-
 def _powerset_order(g: Groupoid, max_order: int, what: str) -> int:
     """The order, once both the routing order cap and the n*2^n work estimate fit."""
-    n = g.order
-    if isinstance(n, TooLarge) or n > max_order:
+    n = g._require_enumerable()
+    if n > max_order:
         raise BudgetExceeded(f"{what} needs order <= {max_order}, got {n}")
     check_budget(f"{what}: power-set work", f"{n}*2^{n}", n << n)
     return n
@@ -190,7 +183,7 @@ def _powerset_order(g: Groupoid, max_order: int, what: str) -> int:
 def _closure_order(g: Groupoid, what: str) -> int:
     """The order, once the work estimate of the generated closures fits: one
     closure per pair of generators, each reading up to n^2 table cells."""
-    n = _enumerable_order(g, what)
+    n = g._require_enumerable()
     check_budget(
         f"{what}: generated-closure work", f"{n}*{n - 1}/2 pairs * {n}^2 reads", n * (n - 1) // 2 * n * n
     )
@@ -542,7 +535,7 @@ def _simplicity(subs: EnumerationResult, witness: SubsetHandle | None) -> Simple
 def _normality_order(g: Groupoid) -> int:
     """The order, once the n^3 work of whole-groupoid normality fits."""
     what = "normal groupoid check"
-    n = _enumerable_order(g, what)
+    n = g._require_enumerable()
     check_budget(f"{what}: normality work", f"{n}^3", n**3)
     return n
 

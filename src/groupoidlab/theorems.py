@@ -10,8 +10,18 @@ predicate or a frozen expected value. Checks come in two tiers:
   report-only check with ``tier_override="asserted"`` promotes disagreements
   to failures.
 
-The default parameter ranges keep the whole suite within interactive
-runtimes; every range can be widened per check (the CLI exposes ``--range``).
+The checks over ranges of moduli (T1–T7, T10, T15–T17) draw their groupoids
+from one parameter sweep, ``_sweeps``: every pair's groupoid for each modulus
+and carrier family, so identity scans and table compiles read a sweep as one
+stack, and a runner keeps only its claim and its failure text. T10 reads the
+idempotent law (a singleton {x} is a closed semigroup exactly when x*x = x)
+and T16 reads row 0 and column 0 of each table; neither classifies a subset
+unless a pair fails.
+
+A tuple default is a (lo, hi) range of moduli, the only kind ``--range``
+overrides; other parameters are lists or numbers. The default ranges keep
+the whole suite within interactive runtimes; every range can be widened per
+check (the CLI exposes ``--range``).
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -58,8 +68,19 @@ def _scalar(carrier: Carrier, t: int, u: int) -> Groupoid:
     return build(carrier, Scalar(), t, u, t_indeterminate=ind, u_indeterminate=ind)
 
 
-def _scalars(carrier: Carrier, pairs: list[tuple[int, int]]) -> list[Groupoid]:
-    return [_scalar(carrier, t, u) for t, u in pairs]
+def _moduli(span: tuple[int, int]) -> range:
+    lo, hi = span
+    return range(lo, hi + 1)
+
+
+def _sweeps(ns: Iterable[int], families: Iterable[str], pairs_of: Callable[[int], Iterable]):
+    """For each modulus n of ns, then each carrier family: (n, carrier, pairs,
+    groupoids), the scalar groupoids of the parameter pairs ``pairs_of(n)``
+    over the family's carrier of order n, one per pair and in pair order."""
+    for n in ns:
+        pairs = list(pairs_of(n))
+        for carrier in _carriers_for(n, families):
+            yield n, carrier, pairs, [_scalar(carrier, t, u) for t, u in pairs]
 
 
 def _holds(groupoids: list[Groupoid], identity: IdentityId, n: int) -> list[bool]:
@@ -86,6 +107,10 @@ def _nonzero_pairs(n: int, *, distinct: bool = False):
             if distinct and t == u:
                 continue
             yield t, u
+
+
+def _equal_pairs(n: int) -> list[tuple[int, int]]:
+    return [(t, t) for t in range(1, n)]
 
 
 class _Run:
@@ -222,7 +247,7 @@ def ssc_family_check(n: int) -> bool:
 # -- check runners --------------------------------------------------------------
 
 
-def _carriers_for(n: int, which: tuple[str, ...]) -> list[Carrier]:
+def _carriers_for(n: int, which: Iterable[str]) -> list[Carrier]:
     out: list[Carrier] = []
     for token in which:
         if token == "zn":
@@ -239,118 +264,93 @@ def _carriers_for(n: int, which: tuple[str, ...]) -> list[Carrier]:
 
 
 def _t1(p: dict, run: _Run) -> None:
-    lo, hi = p["n"]
-    for n in range(lo, hi + 1):
-        for carrier in _carriers_for(n, p["carriers"]):
-            pairs = list(_nonzero_pairs(n))
-            for (t, u), holds in zip(pairs, _holds(_scalars(carrier, pairs), IdentityId.IDEMPOTENT, n)):
-                predicted = closed_form("idempotent-iff", n, t, u)
-                run.check(
-                    holds == predicted,
-                    f"{_coeff_desc(carrier, t, u)}: idempotent={holds}, congruence={predicted}",
-                )
+    for n, carrier, pairs, groupoids in _sweeps(_moduli(p["n"]), p["carriers"], _nonzero_pairs):
+        for (t, u), holds in zip(pairs, _holds(groupoids, IdentityId.IDEMPOTENT, n)):
+            predicted = closed_form("idempotent-iff", n, t, u)
+            run.check(
+                holds == predicted,
+                f"{_coeff_desc(carrier, t, u)}: idempotent={holds}, congruence={predicted}",
+            )
 
 
 def _t2(p: dict, run: _Run) -> None:
-    lo, hi = p["n"]
-    for n in range(lo, hi + 1):
-        for carrier in _carriers_for(n, p["carriers"]):
-            pairs = list(_nonzero_pairs(n))
-            for (t, u), holds in zip(pairs, _holds(_scalars(carrier, pairs), IdentityId.ASSOCIATIVE, n)):
-                predicted = closed_form("semigroup-iff", n, t, u)
-                run.check(
-                    holds == predicted,
-                    f"{_coeff_desc(carrier, t, u)}: associative={holds}, congruence={predicted}",
-                )
+    for n, carrier, pairs, groupoids in _sweeps(_moduli(p["n"]), p["carriers"], _nonzero_pairs):
+        for (t, u), holds in zip(pairs, _holds(groupoids, IdentityId.ASSOCIATIVE, n)):
+            predicted = closed_form("semigroup-iff", n, t, u)
+            run.check(
+                holds == predicted,
+                f"{_coeff_desc(carrier, t, u)}: associative={holds}, congruence={predicted}",
+            )
 
 
 def _t3(p: dict, run: _Run) -> None:
-    lo, hi = p["n"]
-    for n in range(lo, hi + 1):
-        for carrier in _carriers_for(n, p["carriers"]):
-            pairs = [(t, t) for t in range(1, n)]
-            for (t, _), holds in zip(pairs, _holds(_scalars(carrier, pairs), IdentityId.P_IDENTITY, n)):
-                run.check(holds, f"{_coeff_desc(carrier, t, t)}: P-law fails on an equal pair")
+    for n, carrier, pairs, groupoids in _sweeps(_moduli(p["n"]), p["carriers"], _equal_pairs):
+        for (t, _), holds in zip(pairs, _holds(groupoids, IdentityId.P_IDENTITY, n)):
+            run.check(holds, f"{_coeff_desc(carrier, t, t)}: P-law fails on an equal pair")
 
 
 def _t4(p: dict, run: _Run) -> None:
-    lo, hi = p["p"]
-    for n in range(lo, hi + 1):
-        if not is_prime(n):
-            continue
-        for carrier in _carriers_for(n, p["carriers"]):
-            pairs = [(t, t) for t in range(2, n)]
-            for (t, _), alternative in zip(pairs, _alternative_sweep(_scalars(carrier, pairs), n)):
-                run.check(
-                    not alternative,
-                    f"{_coeff_desc(carrier, t, t)}: alternative unexpectedly holds at prime modulus",
-                )
+    primes = filter(is_prime, _moduli(p["p"]))
+    equal_pairs = lambda n: [(t, t) for t in range(2, n)]
+    for n, carrier, pairs, groupoids in _sweeps(primes, p["carriers"], equal_pairs):
+        for (t, _), alternative in zip(pairs, _alternative_sweep(groupoids, n)):
+            run.check(
+                not alternative,
+                f"{_coeff_desc(carrier, t, t)}: alternative unexpectedly holds at prime modulus",
+            )
 
 
 def _t5(p: dict, run: _Run) -> None:
-    lo, hi = p["n"]
-    for n in range(lo, hi + 1):
-        if is_prime(n):
-            continue
-        for carrier in _carriers_for(n, p["carriers"]):
-            pairs = [(t, t) for t in range(1, n)]
-            for (t, _), alternative in zip(pairs, _alternative_sweep(_scalars(carrier, pairs), n)):
-                predicted = closed_form("alternative-iff", n, t, t)
-                run.check(
-                    alternative == predicted,
-                    f"{_coeff_desc(carrier, t, t)}: alternative={alternative}, congruence={predicted}",
-                )
+    composites = (n for n in _moduli(p["n"]) if not is_prime(n))
+    for n, carrier, pairs, groupoids in _sweeps(composites, p["carriers"], _equal_pairs):
+        for (t, _), alternative in zip(pairs, _alternative_sweep(groupoids, n)):
+            predicted = closed_form("alternative-iff", n, t, t)
+            run.check(
+                alternative == predicted,
+                f"{_coeff_desc(carrier, t, t)}: alternative={alternative}, congruence={predicted}",
+            )
 
 
 def _t6(p: dict, run: _Run) -> None:
-    lo, hi = p["n"]
-    for n in range(lo, hi + 1):
-        for carrier in _carriers_for(n, p["carriers"]):
-            pairs = [pair for t in range(1, n) for pair in ((t, 0), (0, t))]
-            groupoids = _scalars(carrier, pairs)
-            p_laws = _holds(groupoids, IdentityId.P_IDENTITY, n)
-            alternatives = _alternative_sweep(groupoids, n)
-            for (tt, uu), p_law, alternative in zip(pairs, p_laws, alternatives):
-                semantic = p_law and alternative
-                predicted = closed_form("type3-p-alt-iff", n, tt, uu)
-                run.check(
-                    semantic == predicted,
-                    f"{_coeff_desc(carrier, tt, uu)}: P&alternative={semantic}, congruence={predicted}",
-                )
+    one_sided = lambda n: [pair for t in range(1, n) for pair in ((t, 0), (0, t))]
+    for n, carrier, pairs, groupoids in _sweeps(_moduli(p["n"]), p["carriers"], one_sided):
+        p_laws = _holds(groupoids, IdentityId.P_IDENTITY, n)
+        alternatives = _alternative_sweep(groupoids, n)
+        for (tt, uu), p_law, alternative in zip(pairs, p_laws, alternatives):
+            semantic = p_law and alternative
+            predicted = closed_form("type3-p-alt-iff", n, tt, uu)
+            run.check(
+                semantic == predicted,
+                f"{_coeff_desc(carrier, tt, uu)}: P&alternative={semantic}, congruence={predicted}",
+            )
 
 
 def _t7(p: dict, run: _Run) -> None:
     # each groupoid of a sweep is built once, its table compiled with the
     # sweep's, and the duality is read off the mask arrays: both are sorted by
     # (popcount, mask), so equal arrays are equal sets
-    def dual(ideals: dict, t, u) -> bool:
-        return np.array_equal(ideals[t, u].left.masks, ideals[u, t].right.masks)
-
-    def ideals_of(groupoids: dict) -> dict:
-        compile_tables(list(groupoids.values()))
-        return {pair: enumerate_ideals(g) for pair, g in groupoids.items()}
+    def check_duality(pairs: list, groupoids: list[Groupoid], desc: Callable[..., str]) -> None:
+        compile_tables(groupoids)
+        ideals = {pair: enumerate_ideals(g) for pair, g in zip(pairs, groupoids)}
+        for t, u in pairs:
+            run.check(np.array_equal(ideals[t, u].left.masks, ideals[u, t].right.masks), desc(t, u))
 
     for family, key in (("zn", "zn_n"), ("zni", "zni_n")):
-        lo, hi = p[key]
-        for n in range(lo, hi + 1):
-            for carrier in _carriers_for(n, (family,)):
-                ideals = ideals_of({(t, u): _scalar(carrier, t, u) for t, u in _nonzero_pairs(n)})
-                for t, u in _nonzero_pairs(n):
-                    run.check(
-                        dual(ideals, t, u),
-                        f"{_coeff_desc(carrier, t, u)}: left ideals differ from the (u,t) right ideals",
-                    )
+        for _, carrier, pairs, groupoids in _sweeps(_moduli(p[key]), (family,), _nonzero_pairs):
+            check_duality(
+                pairs,
+                groupoids,
+                lambda t, u: f"{_coeff_desc(carrier, t, u)}: left ideals differ from the (u,t) right ideals",
+            )
     # mixed-carrier slice: a fixed set of representative values
-    n = p["nzn_n"]
-    carrier = MixedNeutrosophic(n)
+    carrier = MixedNeutrosophic(p["nzn_n"])
     values = [(0, 1), (1, 0), (1, 1), (2, 1), (0, 2), (2, 2)]
     pairs = [(v, w) for v in values for w in values if v != w]
-    ideals = ideals_of({(v, w): build(carrier, Scalar(), v, w) for v, w in pairs})
-    for v, w in pairs:
-        run.check(
-            dual(ideals, v, w),
-            f"{carrier.token()} ({carrier.format_value(v)},{carrier.format_value(w)}): ideal duality fails",
-        )
+    check_duality(
+        pairs,
+        [build(carrier, Scalar(), v, w) for v, w in pairs],
+        lambda v, w: f"{carrier.token()} ({carrier.format_value(v)},{carrier.format_value(w)}): ideal duality fails",
+    )
 
 
 def _t8(p: dict, run: _Run) -> None:
@@ -408,23 +408,15 @@ def _t9(p: dict, run: _Run) -> None:
 
 
 def _t10(p: dict, run: _Run) -> None:
-    lo, hi = p["n"]
+    # a singleton {x} is closed exactly when x*x = x, and a closed singleton is
+    # a semigroup, so the claim is the idempotent law; the per-subset
+    # classification only lists the singletons of a pair that fails it
+    idempotent_line = lambda n: [(t, (1 - t) % n) for t in range(2, n)]
     spot_done: set[int] = set()
-    for n in range(lo, hi + 1):
-        for t in range(2, n):
-            u = (1 - t) % n
-            if u == 0:
-                continue
-            g = _scalar(Modular(n), t, u)
-            bad = [
-                x
-                for x in range(n)
-                if not classify_subset(g, [x]).semigroup
-            ]
-            run.check(
-                not bad,
-                f"zn:{n} ({t},{u}): singletons {bad} are not semigroups",
-            )
+    for n, carrier, pairs, groupoids in _sweeps(_moduli(p["n"]), ("zn",), idempotent_line):
+        for (t, u), g, idempotent in zip(pairs, groupoids, _holds(groupoids, IdentityId.IDEMPOTENT, n)):
+            bad = [] if idempotent else [x for x in range(n) if not classify_subset(g, [x]).semigroup]
+            run.check(idempotent, f"{_coeff_desc(carrier, t, u)}: singletons {bad} are not semigroups")
             if n not in spot_done and len(spot_done) < 2:
                 spot_done.add(n)
                 verdict = smarandache(g)
@@ -432,7 +424,7 @@ def _t10(p: dict, run: _Run) -> None:
                     verdict.status == "s_groupoid"
                     and verdict.s_witness is not None
                     and verdict.s_witness.size == 1,
-                    f"zn:{n} ({t},{u}): expected a singleton semigroup witness, got {verdict.status}",
+                    f"{_coeff_desc(carrier, t, u)}: expected a singleton semigroup witness, got {verdict.status}",
                 )
 
 
@@ -547,12 +539,9 @@ def _t14(p: dict, run: _Run) -> None:
 
 
 def _t15(p: dict, run: _Run) -> None:
-    for n in p["moduli"]:
-        carrier = PureNeutrosophic(n)
-        for t, u in _nonzero_pairs(n):
-            if not is_prime(t + u):
-                continue
-            g = _scalar(carrier, t, u)
+    prime_sums = lambda n: [(t, u) for t, u in _nonzero_pairs(n) if is_prime(t + u)]
+    for _, carrier, pairs, groupoids in _sweeps(p["moduli"], ("zni",), prime_sums):
+        for (t, u), g in zip(pairs, groupoids):
             ideals = enumerate_ideals(g)
             run.observe(
                 instance=_coeff_desc(carrier, t, u),
@@ -565,25 +554,19 @@ def _t15(p: dict, run: _Run) -> None:
 
 
 def _t16(p: dict, run: _Run) -> None:
-    lo, hi = p["n"]
-    for n in range(lo, hi + 1):
-        for carrier in _carriers_for(n, p["carriers"]):
-            pairs = list(_nonzero_pairs(n))
-            groupoids = _scalars(carrier, pairs)
-            compile_tables(groupoids)
-            for (t, u), g in zip(pairs, groupoids):
-                cls = classify_subset(g, [0])
-                run.check(
-                    not cls.left_ideal and not cls.right_ideal,
-                    f"{_coeff_desc(carrier, t, u)}: the zero singleton absorbs on some side",
-                )
+    # {0} is a left ideal when row 0 of the table is all zero (0*y = 0 for
+    # every y), and a right ideal when column 0 is
+    for _, carrier, pairs, groupoids in _sweeps(_moduli(p["n"]), p["carriers"], _nonzero_pairs):
+        for (t, u), tab in zip(pairs, compile_tables(groupoids)):
+            run.check(
+                tab[0].any() and tab[:, 0].any(),
+                f"{_coeff_desc(carrier, t, u)}: the zero singleton absorbs on some side",
+            )
 
 
 def _t17(p: dict, run: _Run) -> None:
-    for n in p["moduli"]:
-        carrier = IntervalOf(PureNeutrosophic(n))
-        for t, u in _nonzero_pairs(n):
-            g = _scalar(carrier, t, u)
+    for _, carrier, pairs, groupoids in _sweeps(p["moduli"], ("o(zni)",), _nonzero_pairs):
+        for (t, u), g in zip(pairs, groupoids):
             enum = enumerate_subgroupoids(g)
             big = [h for h in enum.subsets if h.size >= 2]
             ideals = enumerate_ideals(g)
@@ -617,42 +600,42 @@ _register(
     "T1",
     "asserted",
     "idempotent exactly when t+u ≡ 1 (mod n)",
-    {"n": (3, 16), "carriers": ("zn", "zni")},
+    {"n": (3, 16), "carriers": ["zn", "zni"]},
     _t1,
 )
 _register(
     "T2",
     "asserted",
     "associative exactly when t² ≡ t and u² ≡ u (mod n)",
-    {"n": (3, 12), "carriers": ("zn", "zni")},
+    {"n": (3, 12), "carriers": ["zn", "zni"]},
     _t2,
 )
 _register(
     "T3",
     "asserted",
     "equal pairs always satisfy the P-law",
-    {"n": (3, 16), "carriers": ("zn", "zni")},
+    {"n": (3, 16), "carriers": ["zn", "zni"]},
     _t3,
 )
 _register(
     "T4",
     "asserted",
     "equal pairs 1 < t < p are never alternative at prime moduli",
-    {"p": (3, 23), "carriers": ("zn", "zni")},
+    {"p": (3, 23), "carriers": ["zn", "zni"]},
     _t4,
 )
 _register(
     "T5",
     "asserted",
     "equal pairs at composite moduli are alternative exactly when t² ≡ t",
-    {"n": (4, 16), "carriers": ("zn", "zni")},
+    {"n": (4, 16), "carriers": ["zn", "zni"]},
     _t5,
 )
 _register(
     "T6",
     "asserted",
     "one-sided pairs satisfy P and alternative exactly when the coefficient is idempotent",
-    {"n": (3, 16), "carriers": ("zn", "zni")},
+    {"n": (3, 16), "carriers": ["zn", "zni"]},
     _t6,
 )
 _register(
@@ -666,7 +649,7 @@ _register(
     "T8",
     "asserted",
     "prime-modulus instances with prime coefficients are simple",
-    {"instances": ((5, 2, 3), (7, 2, 5), (13, 2, 11))},
+    {"instances": [(5, 2, 3), (7, 2, 5), (13, 2, 11)]},
     _t8,
 )
 _register(
@@ -687,7 +670,7 @@ _register(
     "T11",
     "asserted",
     "t+u ≡ 1 with both coefficients idempotent gives strong P and alternative laws",
-    {"n": (3, 14), "carriers": ("zn", "zni")},
+    {"n": (3, 14), "carriers": ["zn", "zni"]},
     _t11,
 )
 _register(
@@ -715,21 +698,21 @@ _register(
     "T15",
     "report_only",
     "pure carriers at n ∈ {4,8}, coefficient sums prime: reportedly no two-sided ideals",
-    {"moduli": (4, 8)},
+    {"moduli": [4, 8]},
     _t15,
 )
 _register(
     "T16",
     "asserted",
     "with both coefficients nonzero, the zero singleton is never an ideal",
-    {"n": (3, 12), "carriers": ("zn", "zni")},
+    {"n": (3, 12), "carriers": ["zn", "zni"]},
     _t16,
 )
 _register(
     "T17",
     "asserted",
     "interval-pure prime moduli: no closed subsets of size ≥ 2 and no one-sided ideals",
-    {"moduli": (3, 5, 7)},
+    {"moduli": [3, 5, 7]},
     _t17,
 )
 _register(

@@ -24,7 +24,7 @@ def test_modular_basic_arithmetic():
     c = Modular(7)
     assert c.add(3, 5) == 1
     assert c.mul(3, 5) == 1
-    assert c.scale(4, 6) == 3
+    assert c.mul(4, 6) == 3
     assert c.reduce(-1) == 6
     assert c.zero() == 0
     assert c.is_zero(0) and not c.is_zero(3)
@@ -82,7 +82,7 @@ def test_pure_coefficients_multiply_like_integers():
     c = PureNeutrosophic(5)
     assert c.mul(2, 3) == 1
     assert c.add(4, 3) == 2
-    assert c.scale(2, 4) == 3
+    assert c.mul(2, 4) == 3
 
 
 def test_pure_formatting():
@@ -239,7 +239,7 @@ ARITHMETIC_AND_PARAMETER_RULES = [
     lambda c: c.enumerate_values(),
     lambda c: [c.reduce(v) for v in range(-2 * c.n, 2 * c.n)],
     lambda c: [c.is_zero(v) for v in c.enumerate_values()],
-    lambda c: [(c.add(a, b), c.mul(a, b), c.scale(a, b)) for a in range(c.n) for b in range(c.n)],
+    lambda c: [(c.add(a, b), c.mul(a, b)) for a in range(c.n) for b in range(c.n)],
     lambda c: [c.embed_param(k, False) for k in range(-c.n, 2 * c.n)],
     lambda c: [
         (c.param_content(p), c.param_is_zero(p), c.param_is_single_prime(p), c.residue(p))
@@ -299,7 +299,7 @@ def test_interval_forwards_every_non_text_method_to_its_inner_carrier(inner):
         lambda c: [
             (c.reduce(v), c.is_zero(v), c.is_pure_indeterminate(v), c.has_i_part(v)) for v in values
         ],
-        lambda c: [(c.add(a, b), c.mul(a, b), c.scale(a, b)) for a in values for b in values],
+        lambda c: [(c.add(a, b), c.mul(a, b)) for a in values for b in values],
         lambda c: [c.index_of(v) for v in values],
         lambda c: [c.value_at(i) for i in range(len(values))],
         lambda c: [op(X[:, None], X[None, :]).tolist() for op in (c.add_indices, c.mul_indices)],

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from groupoidlab import cli, structure
-from groupoidlab.theorems import CheckOutcome, SuiteConfig, SuiteReport
+from groupoidlab.theorems import CHECKS, CheckOutcome, SuiteConfig, SuiteReport
 
 
 @pytest.fixture()
@@ -167,6 +167,23 @@ def test_structure_past_the_closure_work_cap_exits_3(runner, monkeypatch):
     assert "generated-closure work cap" in diag["detail"] and "budget is 100000000" in diag["detail"]
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("structure", "--no-timing"),
+        ("check", "--identity", "associative", "--mode", "exhaustive", "--no-timing"),
+        ("table",),
+    ],
+)
+def test_a_space_past_the_enumeration_cap_is_refused_in_one_message(runner, command):
+    r = invoke(runner, command[0], "--carrier", "zn:10", "--shape", "mat:4x4", "--pair", "2,3", *command[1:])
+    assert r.exit_code == 3
+    assert json.loads(r.stderr) == {
+        "error": "budget-exceeded",
+        "detail": "enumeration cap exceeded: estimate 10^16 = 10000000000000000 elements, cap is 1000000",
+    }
+
+
 def test_structure_stdout_is_pure_json_even_with_timing(runner):
     r = invoke(runner, "structure", "--carrier", "zn:6", "--pair", "2,4")
     assert r.exit_code == 0
@@ -214,6 +231,33 @@ def test_verify_unknown_suite(runner):
 def test_verify_malformed_range(runner):
     r = invoke(runner, "verify", "--only", "T13", "--range", "parity_n=3-6")
     assert r.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "only,text,named",
+    [
+        ("T1", "n=1..3", "n=1..3"),  # a modulus below 2
+        ("T8", "instances=3..5", "instances"),  # a list of instances
+        ("T7", "nzn_n=1..2", "nzn_n"),  # a single modulus
+        ("T1", "carriers=1..2", "carriers"),  # a list of carrier families
+        ("T17", "moduli=3..7", "moduli"),  # a list of moduli
+        ("T1", "n=10..3", "n=10..3"),  # an empty range
+        ("T1", "foo=1..3", "foo"),  # no check has the key
+    ],
+)
+def test_verify_range_takes_only_a_range_of_moduli_of_a_selected_check(runner, only, text, named):
+    r = invoke(runner, "verify", "--only", only, "--range", text, "--no-timing")
+    assert r.exit_code == 2
+    assert f"--range {named}" in r.output
+    assert "Traceback" not in r.output
+
+
+def test_verify_range_help_names_every_range_key(runner):
+    keys = list(dict.fromkeys(
+        k for c in CHECKS.values() for k, v in c.defaults.items() if isinstance(v, tuple)
+    ))
+    help_text = " ".join(invoke(runner, "verify", "--help").output.split())
+    assert f"({', '.join(keys[:-1])} or {keys[-1]})" in help_text
 
 
 def test_verify_exit_1_when_an_asserted_check_fails(runner, monkeypatch):

@@ -620,3 +620,53 @@ def test_t7_builds_each_groupoid_once_and_no_handle(monkeypatch):
     outcome = theorems.verify_theorem("T7", T7_PARAMS)
     assert outcome.passed and outcome.instances == len(built) == 4 + 9 + 16 + 25 + 4 + 9 + 30
     assert len(set(built)) == len(built)
+
+
+# -- T10 and T16 against the per-subset classification ----------------------------------
+
+
+def pairs_where_claims_fail(n):
+    """Pairs where T16's claim fails (a zero parameter), where T10's does
+    (t + u ≢ 1, equal pairs among them), and where both hold."""
+    return list(dict.fromkeys([(0, 1), (1, 0), (2, 2), (1, n - 1), (2, n - 1), (n - 1, 2)]))
+
+
+def singleton_oracle(moduli, families, pairs_of):
+    """T10's and T16's failures, one ``classify_subset`` per singleton."""
+    t10, t16 = [], []
+    for n in moduli:
+        for carrier in theorems._carriers_for(n, families):
+            for t, u in pairs_of(n):
+                g = theorems._scalar(carrier, t, u)
+                desc = theorems._coeff_desc(carrier, t, u)
+                bad = [x for x in range(n) if not structure.classify_subset(g, [x]).semigroup]
+                if bad:
+                    t10.append(f"{desc}: singletons {bad} are not semigroups")
+                zero = structure.classify_subset(g, [0])
+                if zero.left_ideal or zero.right_ideal:
+                    t16.append(f"{desc}: the zero singleton absorbs on some side")
+    return tuple(t10), tuple(t16)
+
+
+def test_t10_and_t16_fail_where_the_per_subset_classification_does(monkeypatch):
+    families = ("zn", "zni")
+    real_sweeps = theorems._sweeps
+    monkeypatch.setattr(
+        theorems, "_sweeps", lambda ns, _, __: real_sweeps(ns, families, pairs_where_claims_fail)
+    )
+    params = {"n": (3, 24)}
+    t10, t16 = theorems.verify_theorem("T10", params), theorems.verify_theorem("T16", params)
+    want_t10, want_t16 = singleton_oracle(range(3, 25), families, pairs_where_claims_fail)
+    assert want_t10 and want_t16
+    pairs = sum(len(pairs_where_claims_fail(n)) for n in range(3, 25)) * len(families)
+    # T10 also spot-checks the Smarandache witness of the first pair of two moduli
+    assert (t10.instances, t10.failures) == (pairs + 2, want_t10)
+    assert (t16.instances, t16.failures) == (pairs, want_t16)
+
+
+def test_t10_and_t16_classify_no_subset_when_they_pass(monkeypatch):
+    calls = []
+    real = theorems.classify_subset
+    monkeypatch.setattr(theorems, "classify_subset", lambda *a: calls.append(a) or real(*a))
+    assert theorems.verify_theorem("T10").passed and theorems.verify_theorem("T16").passed
+    assert calls == []

@@ -46,7 +46,7 @@ def count_class_loop_oracle(carrier, kind, equal_pairs_included):
         for v, w in pairs
         if (v != w or equal_pairs_included)
         and all(
-            carrier.add(carrier.scale(v, x), carrier.scale(w, x)) == x
+            carrier.add(carrier.mul(v, x), carrier.mul(w, x)) == x
             for x in carrier.enumerate_values()
         )
     )
