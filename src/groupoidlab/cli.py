@@ -5,8 +5,9 @@ Exit codes: 0 success; 1 assertion failure (a failing asserted suite check or
 demo golden); 2 usage error; 3 budget exceeded. The environment variable
 GGL_BUDGET sets the one work budget (default 10^8) that every up-front
 estimate is checked against before its work starts: exhaustive and subset
-scans (m^vars), the Cayley table (n^2), the power-set sweeps (n*2^n), the
-generated closures and whole-groupoid normality (n^3).
+scans (m^vars), the Cayley table (n^2), the power-set sweeps (n*2^n; where
+they do not fit, ``structure`` takes the generated closures), the generated
+closures, whole-groupoid normality (n^3) and the pair tests of ``count``.
 """
 
 from __future__ import annotations
@@ -183,15 +184,12 @@ def check(
 @click.option("--carrier", "carrier_token", required=True)
 @click.option("--shape", "shape_token", default="scalar", show_default=True)
 @click.option("--pair", "pair_text", required=True)
-@click.option("--max-order", type=int, default=20, show_default=True)
 @click.option("--no-timing", is_flag=True)
-def structure(
-    carrier_token: str, shape_token: str, pair_text: str, max_order: int, no_timing: bool
-) -> None:
+def structure(carrier_token: str, shape_token: str, pair_text: str, no_timing: bool) -> None:
     """Emit the full structural survey as JSON."""
     start = time.perf_counter()
     g = _make_groupoid(carrier_token, shape_token, pair_text)
-    report = _budget_guard(lambda: analyze(g, max_order=max_order))
+    report = _budget_guard(lambda: analyze(g))
     click.echo(json.dumps(report.to_json(), indent=2))
     _timing_footer(start, no_timing)
 
@@ -211,7 +209,7 @@ def _takes_range(check_id: str, key: str) -> bool:
     "--range",
     "range_texts",
     multiple=True,
-    help="override a range of moduli, e.g. n=3..30 (repeatable); KEY is a range parameter "
+    help="override a range of moduli, e.g. n=3..30 (repeatable, once per key); KEY is a range parameter "
     "of a selected check (n, p, zn_n, zni_n, formula_n, parity_n or vacuity_n) and "
     "2 <= LO <= HI",
 )
@@ -246,6 +244,8 @@ def verify(
             raise click.UsageError(f"--range {key}: no selected check takes {key} as a range of moduli")
         if not 2 <= lo <= hi:
             raise click.UsageError(f"--range {key}={lo}..{hi}: a range of moduli needs 2 <= LO <= HI")
+        if any(key == seen for seen, _, _ in ranges):
+            raise click.UsageError(f"--range {key}: given more than once")
         ranges.append((key, lo, hi))
     overrides: dict[str, dict] = {}
     for check_id in selected:

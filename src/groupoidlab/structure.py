@@ -17,10 +17,11 @@ generated-closure route, before the table is built. That route closes boolean
 membership vectors semi-naively, and normality compares membership matrices
 (row ``r`` marks the set of values in row ``r``). A test on a subset of m
 elements scans m^vars assignments, refused as the identity engine refuses it.
-The only order cap, ``max_order``, is read in one place:
-``enumerate_subgroupoids`` takes the power set when the order is at most
-``max_order`` and the generated closures otherwise, and ``is_simple`` and
-``analyze`` work on whatever list it returns.
+The route is chosen by cost, in one place: ``enumerate_subgroupoids`` takes
+the power set when its ``n*2^n`` estimate fits the budget and the generated
+closures otherwise, and ``is_simple`` and ``analyze`` work on whatever list it
+returns. The other power-set entry points have no second route and are
+refused by the budget alone.
 
 Power-set results hold the qualifying masks, sorted by (popcount, mask), not
 handles: ``EnumerationResult.subsets`` and ``IdealSets.left``/``right``/
@@ -68,7 +69,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .carrier import CarrierError
-from .groupoid import BudgetExceeded, Groupoid, check_budget
+from .groupoid import Groupoid, check_budget, default_budget
 from .identities import (
     CheckMode,
     IdentityId,
@@ -76,9 +77,8 @@ from .identities import (
     check_identity,
     first_failure,
 )
-from .shape import Element, TooLarge, element_is_pure_indeterminate, element_has_indeterminate
+from .shape import Element, element_is_pure_indeterminate, element_has_indeterminate
 
-DEFAULT_MAX_ORDER = 20
 _NORMAL_CHUNK_CELLS = 1 << 18
 
 
@@ -171,11 +171,9 @@ def subset_handle(g: Groupoid, subset: Iterable) -> SubsetHandle:
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 
 
-def _powerset_order(g: Groupoid, max_order: int, what: str) -> int:
-    """The order, once both the routing order cap and the n*2^n work estimate fit."""
+def _powerset_order(g: Groupoid, what: str) -> int:
+    """The order, once the n*2^n work estimate of the power-set sweep fits."""
     n = g._require_enumerable()
-    if n > max_order:
-        raise BudgetExceeded(f"{what} needs order <= {max_order}, got {n}")
     check_budget(f"{what}: power-set work", f"{n}*2^{n}", n << n)
     return n
 
@@ -446,15 +444,14 @@ class EnumerationResult:
         }
 
 
-def enumerate_subgroupoids(g: Groupoid, *, max_order: int = DEFAULT_MAX_ORDER) -> EnumerationResult:
-    """The one place a route is chosen. At order <= max_order, every nonempty
-    proper closed subset (power-set route, complete); above it, or for any
-    order when max_order is 0, the closures of all generating sets of size
-    <= 2 (generated-closure route: every 1- and 2-generated subgroupoid, but
-    not a complete list)."""
-    order = g.order
-    if not isinstance(order, TooLarge) and order <= max_order:
-        _powerset_order(g, max_order, "power-set enumeration")
+def enumerate_subgroupoids(g: Groupoid) -> EnumerationResult:
+    """The one place a route is chosen, by cost. When the power set's n*2^n
+    estimate fits the budget, every nonempty proper closed subset (power-set
+    route, complete); otherwise the closures of all generating sets of size
+    <= 2 (generated-closure route, refused by its own estimate: every 1- and
+    2-generated subgroupoid, but not a complete list)."""
+    n = g._require_enumerable()
+    if n << n <= default_budget():
         return EnumerationResult(
             subsets=MaskedSubsets(g, _closed_masks(g)), strategy="power-set", complete=True
         )
@@ -481,9 +478,9 @@ class IdealSets:
         }
 
 
-def enumerate_ideals(g: Groupoid, *, max_order: int = DEFAULT_MAX_ORDER) -> IdealSets:
+def enumerate_ideals(g: Groupoid) -> IdealSets:
     """All left/right/two-sided ideals (proper nonempty absorbing subsets)."""
-    _powerset_order(g, max_order, "ideal enumeration")
+    _powerset_order(g, "ideal enumeration")
     left = _absorb_masks(g, "left")
     right = _absorb_masks(g, "right")
     two = left[np.isin(left, right)]
@@ -509,18 +506,18 @@ class SimpleVerdict:
         }
 
 
-def find_normal_subgroupoids(g: Groupoid, *, max_order: int = DEFAULT_MAX_ORDER) -> list[SubsetHandle]:
+def find_normal_subgroupoids(g: Groupoid) -> list[SubsetHandle]:
     """Proper normal subgroupoids of size >= 2, in canonical subset order, from
-    the power set's closed masks (refused above max_order)."""
-    _powerset_order(g, max_order, "normal subgroupoid search")
+    the power set's closed masks (refused when their n*2^n sweep does not fit)."""
+    _powerset_order(g, "normal subgroupoid search")
     return list(_normal_subsets(g, MaskedSubsets(g, _closed_masks(g))))
 
 
-def is_simple(g: Groupoid, *, max_order: int = DEFAULT_MAX_ORDER) -> SimpleVerdict:
+def is_simple(g: Groupoid) -> SimpleVerdict:
     """No proper normal subgroupoid of size >= 2 among the subgroupoids that
     ``enumerate_subgroupoids`` lists; a witness is a proof either way, but a
     clean result from the generated-closure route is flagged as incomplete."""
-    subs = enumerate_subgroupoids(g, max_order=max_order)
+    subs = enumerate_subgroupoids(g)
     return _simplicity(subs, next(_normal_subsets(g, subs.subsets), None))
 
 
@@ -585,12 +582,7 @@ def _semigroup_witnesses(g: Groupoid, closed: Iterable[SubsetHandle]) -> Iterato
     return (h for h in closed if h.indices != zero and _is_semigroup(g, h.indices))
 
 
-def smarandache(
-    g: Groupoid,
-    identity: IdentityId | None = None,
-    *,
-    max_order: int = DEFAULT_MAX_ORDER,
-) -> SmarandacheVerdict:
+def smarandache(g: Groupoid, identity: IdentityId | None = None) -> SmarandacheVerdict:
     """Smarandache detection, optionally relative to an identity.
 
     Without an identity: is there a proper closed semigroup subset with a
@@ -599,7 +591,7 @@ def smarandache(
     fails globally but holds on some witness of size >= 2; s_groupoid_only
     when only the bare witness exists; not_smarandache otherwise.
     """
-    _powerset_order(g, max_order, "Smarandache analysis")
+    _powerset_order(g, "Smarandache analysis")
     closed = MaskedSubsets(g, _closed_masks(g))
     s_handle = next(_semigroup_witnesses(g, closed), None)
 
@@ -751,12 +743,12 @@ class StructureReport:
         }
 
 
-def analyze(g: Groupoid, *, max_order: int = DEFAULT_MAX_ORDER) -> StructureReport:
+def analyze(g: Groupoid) -> StructureReport:
     """Full structural survey of one ``enumerate_subgroupoids`` list; ideals
     and completeness only when that list is complete (the power-set route)."""
     order = _normality_order(g)  # refuse now, not after the subset work
-    subs = enumerate_subgroupoids(g, max_order=max_order)
-    ideals = enumerate_ideals(g, max_order=max_order) if subs.complete else None
+    subs = enumerate_subgroupoids(g)
+    ideals = enumerate_ideals(g) if subs.complete else None
     normal = tuple(_normal_subsets(g, subs.subsets))
     sm_witness = next(_semigroup_witnesses(g, subs.subsets), None)
     return StructureReport(

@@ -42,7 +42,7 @@ from .carrier import (
     PureNeutrosophic,
     is_prime,
 )
-from .groupoid import Groupoid, build, compile_tables
+from .groupoid import Groupoid, build, check_budget, compile_tables
 from .identities import (
     CheckMode,
     IdentityId,
@@ -192,16 +192,20 @@ _PAIR_CELLS = 1 << 18
 def count_class(carrier: Carrier, kind: str, *, equal_pairs_included: bool = False) -> int:
     """Count ordered parameter pairs of the requested class.
 
-    all_pairs: distinct nonzero pairs. level_one_pairs: distinct nonzero
-    pairs whose joint coprimality class is a unit. idempotent_pairs: nonzero
-    pairs whose groupoid is idempotent (checked semantically against every
-    carrier value), with equal pairs included iff the flag says so.
+    all_pairs: distinct nonzero pairs, (q-1)(q-2) for q values since every
+    carrier has exactly one zero. level_one_pairs: distinct nonzero pairs
+    whose joint coprimality class is a unit. idempotent_pairs: nonzero pairs
+    whose groupoid is idempotent (checked semantically against every carrier
+    value), with equal pairs included iff the flag says so. The last two test
+    pairs, so their (q-1)(q-2) and (q-1)^2 pairs are checked against the work
+    budget before any value is enumerated.
     """
-    values = carrier.enumerate_values()
-    nonzero = [v for v in values if not carrier.is_zero(v)]
+    m = carrier.size() - 1
     if kind == "all_pairs":
-        return len(nonzero) * (len(nonzero) - 1)
+        return m * (m - 1)
     if kind == "level_one_pairs":
+        check_budget("level-one pair count: pair-test work", f"{m}*{m - 1} pairs", m * (m - 1))
+        nonzero = [v for v in carrier.enumerate_values() if not carrier.is_zero(v)]
         return sum(
             1
             for v in nonzero
@@ -209,12 +213,13 @@ def count_class(carrier: Carrier, kind: str, *, equal_pairs_included: bool = Fal
             if v != w and carrier.coprimality_class(v, w).is_unit
         )
     if kind == "idempotent_pairs":
+        check_budget("idempotent pair count: pair-test work", f"{m}^2 pairs", m * m)
         # v·x + w·x = x for every value x, over value indices: the candidate
         # pairs (v, w) of a group of v's are tested together on blocks of 1,
         # 2, 4, ... values x, and a pair leaves at the end of the first block
         # with an x where it fails; a group holds about _PAIR_CELLS pairs. The
         # x are the nonzero values only: v·0 + w·0 = 0 holds for every pair
-        nz = np.flatnonzero([not carrier.is_zero(v) for v in values])
+        nz = np.flatnonzero([not carrier.is_zero(v) for v in carrier.enumerate_values()])
         group = max(1, _PAIR_CELLS // max(len(nz), 1))
         count = 0
         for g0 in range(0, len(nz), group):

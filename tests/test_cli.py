@@ -142,17 +142,31 @@ def test_structure_json_survey(runner):
     assert data["smarandache"]["status"] == "s_groupoid"
 
 
-def test_structure_raised_order_cap_hits_the_power_set_work_cap(runner, monkeypatch):
+def test_structure_past_the_power_set_work_takes_the_closures_without_sweeping(runner, monkeypatch):
     def refuse(*args):
         raise AssertionError("power-set sweep started")
 
     monkeypatch.setattr(structure, "_closed_flags", refuse)
-    r = invoke(runner, "structure", "--carrier", "zn:30", "--pair", "7,11",
-               "--max-order", "30", "--no-timing")
-    assert r.exit_code == 3
-    diag = json.loads(r.stderr)
-    assert diag["error"] == "budget-exceeded"
-    assert "power-set work cap" in diag["detail"] and "budget is 100000000" in diag["detail"]
+    r = invoke(runner, "structure", "--carrier", "zn:30", "--pair", "7,11", "--no-timing")
+    assert r.exit_code == 0  # 30*2^30 is past the default budget of 10^8
+    data = json.loads(r.output)
+    assert data["subgroupoids"]["strategy"] == "generated-closure"
+    assert data["complete"] is False and data["ideals"] is None
+
+
+def test_structure_takes_the_power_set_at_order_22(runner):
+    # 22*2^22 = 92274688 fits the default budget; 23*2^23 does not
+    r = invoke(runner, "structure", "--carrier", "zn:22", "--pair", "3,5", "--no-timing")
+    assert r.exit_code == 0
+    data = json.loads(r.output)
+    assert data["subgroupoids"]["strategy"] == "power-set"
+    assert data["complete"] is True and data["ideals"] is not None
+
+
+def test_structure_has_no_order_cap_option(runner):
+    r = invoke(runner, "structure", "--carrier", "zn:8", "--pair", "2,6", "--max-order", "30")
+    assert r.exit_code == 2
+    assert "--max-order" in r.output
 
 
 def test_structure_past_the_closure_work_cap_exits_3(runner, monkeypatch):
@@ -252,6 +266,13 @@ def test_verify_range_takes_only_a_range_of_moduli_of_a_selected_check(runner, o
     assert "Traceback" not in r.output
 
 
+def test_verify_repeated_range_key_is_a_usage_error(runner):
+    r = invoke(runner, "verify", "--only", "T1", "--range", "n=3..5", "--range", "n=4..6", "--no-timing")
+    assert r.exit_code == 2
+    assert "--range n: given more than once" in r.output
+    assert "Traceback" not in r.output
+
+
 def test_verify_range_help_names_every_range_key(runner):
     keys = list(dict.fromkeys(
         k for c in CHECKS.values() for k, v in c.defaults.items() if isinstance(v, tuple)
@@ -291,6 +312,22 @@ def test_count_equal_pairs_flag(runner):
                "--equal-pairs")
     assert r.exit_code == 0
     assert r.output == "4\n# zni:6 idempotent-pairs equal-pairs-included\n"
+
+
+@pytest.mark.parametrize(
+    "carrier,kind,estimate",
+    [
+        ("zn:100000", "level-one-pairs", "99999*99998 pairs = 9999700002"),
+        ("zn:200000", "idempotent-pairs", "199999^2 pairs = 39999600001"),
+    ],
+    ids=["level-one-pairs", "idempotent-pairs"],
+)
+def test_count_past_the_pair_test_work_exits_3(runner, carrier, kind, estimate):
+    r = invoke(runner, "count", "--carrier", carrier, "--class", kind)
+    assert r.exit_code == 3
+    diag = json.loads(r.stderr)
+    assert diag["error"] == "budget-exceeded"
+    assert f"pair-test work cap exceeded: estimate {estimate}, budget is 100000000" in diag["detail"]
 
 
 def test_count_rejects_unknown_class(runner):

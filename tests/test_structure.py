@@ -12,6 +12,7 @@ from groupoidlab import (
     Modular,
     PureNeutrosophic,
     Scalar,
+    SimpleVerdict,
     analyze,
     are_conjugate,
     build,
@@ -320,19 +321,24 @@ def test_homomorphism_mapping_validation():
 # -- power-set work cap --------------------------------------------------------------------------
 
 
-POWER_SET_ENTRY_POINTS = {
-    "enumerate_subgroupoids": enumerate_subgroupoids,
-    "is_simple": is_simple,
+# The power set is taken wherever its n*2^n estimate fits the budget. Three
+# entry points have no other route and are refused past it; the three that
+# read enumerate_subgroupoids take the generated closures instead.
+POWER_SET_ONLY_ENTRY_POINTS = {
     "enumerate_ideals": enumerate_ideals,
     "find_normal_subgroupoids": find_normal_subgroupoids,
     "smarandache": smarandache,
+}
+ROUTED_ENTRY_POINTS = {
+    "enumerate_subgroupoids": enumerate_subgroupoids,
+    "is_simple": is_simple,
     "analyze": analyze,
 }
 
 
 @pytest.fixture
 def no_sweeps(monkeypatch):
-    """Fail the test if a power-set sweep starts: the cap must fire first."""
+    """Fail the test if a power-set sweep starts: the cap or the route must prevent it."""
 
     def refuse(*args):
         raise AssertionError("power-set sweep started")
@@ -341,7 +347,7 @@ def no_sweeps(monkeypatch):
     monkeypatch.setattr(structure, "_absorb_flags", refuse)
 
 
-@pytest.mark.parametrize("entry", POWER_SET_ENTRY_POINTS.values(), ids=POWER_SET_ENTRY_POINTS)
+@pytest.mark.parametrize("entry", POWER_SET_ONLY_ENTRY_POINTS.values(), ids=POWER_SET_ONLY_ENTRY_POINTS)
 def test_power_set_work_cap_refuses_before_sweeping(monkeypatch, no_sweeps, entry):
     monkeypatch.setenv("GGL_BUDGET", "2047")
     g = build(Modular(8), Scalar(), 2, 6)
@@ -351,14 +357,33 @@ def test_power_set_work_cap_refuses_before_sweeping(monkeypatch, no_sweeps, entr
 
 def test_power_set_work_cap_admits_work_equal_to_the_budget(monkeypatch):
     monkeypatch.setenv("GGL_BUDGET", "2048")
-    assert analyze(build(Modular(8), Scalar(), 2, 6)).complete
+    g = build(Modular(8), Scalar(), 2, 6)
+    subs = enumerate_subgroupoids(g)
+    assert (subs.strategy, subs.complete) == ("power-set", True)
+    rep = analyze(g)
+    assert rep.complete and rep.subgroupoids == subs and rep.ideals == enumerate_ideals(g)
+    assert is_simple(build(Modular(8), Scalar(), 3, 4)) == SimpleVerdict(True, None, complete=True)
 
 
-def test_power_set_work_cap_binds_a_raised_order_cap_at_the_default_budget(no_sweeps):
-    g = build(Modular(30), Scalar(), 7, 11)
-    for entry in POWER_SET_ENTRY_POINTS.values():
-        with pytest.raises(BudgetExceeded, match=r"30\*2\^30 = 32212254720, budget is 100000000"):
-            entry(g, max_order=30)
+def test_power_set_route_gives_way_to_the_closures_one_below_its_work(monkeypatch, no_sweeps):
+    monkeypatch.setenv("GGL_BUDGET", "2047")  # the closures' 8*7/2 * 8^2 = 1792 reads fit
+    g = build(Modular(8), Scalar(), 2, 6)
+    subs = enumerate_subgroupoids(g)
+    assert (subs.strategy, subs.complete) == ("generated-closure", False)
+    rep = analyze(g)
+    assert (rep.subgroupoids, rep.complete, rep.ideals) == (subs, False, None)
+    assert is_simple(build(Modular(8), Scalar(), 3, 4)) == SimpleVerdict(True, None, complete=False)
+    # a normal witness settles simplicity on either route
+    assert is_simple(g) == SimpleVerdict(False, subset_handle(g, [0, 2, 4]), complete=True)
+
+
+def test_power_set_work_cap_binds_at_order_23_at_the_default_budget(no_sweeps):
+    g = build(Modular(23), Scalar(), 7, 11)  # 22*2^22 = 92274688 would fit
+    for entry in POWER_SET_ONLY_ENTRY_POINTS.values():
+        with pytest.raises(BudgetExceeded, match=r"23\*2\^23 = 192937984, budget is 100000000"):
+            entry(g)
+    for entry in ROUTED_ENTRY_POINTS.values():
+        assert entry(g).complete is False
 
 
 # -- normality work cap ---------------------------------------------------------------------------
@@ -504,10 +529,10 @@ def test_closure_work_cap_follows_the_environment(monkeypatch, no_closures):
     g = build(Modular(30), Scalar(), 7, 11)  # 30*29/2 * 30^2 = 391500
     monkeypatch.setenv("GGL_BUDGET", "391499")
     with pytest.raises(BudgetExceeded, match=r"generated-closure work cap.* = 391500, budget is 391499"):
-        enumerate_subgroupoids(g, max_order=0)
+        enumerate_subgroupoids(g)
     monkeypatch.setenv("GGL_BUDGET", "391500")
     with pytest.raises(ClosuresAdmitted):
-        enumerate_subgroupoids(g, max_order=0)
+        enumerate_subgroupoids(g)
 
 
 # -- assembled report ---------------------------------------------------------------------------

@@ -235,13 +235,17 @@ CLOSURE_CASES = [
 @pytest.mark.parametrize(
     "carrier,t,u", CLOSURE_CASES, ids=[f"{c.token()}-{t},{u}" for c, t, u in CLOSURE_CASES]
 )
-def test_generated_closure_matches_the_frontier_oracle(carrier, t, u):
+def test_generated_closure_matches_the_frontier_oracle(monkeypatch, carrier, t, u):
     g = build(carrier, Scalar(), t, u)
     table = g.index_table()
     want = frontier_closures_oracle(table)
     assert structure._generated_closures(np.asarray(table)) == want
-    enum = enumerate_subgroupoids(g, max_order=0)
-    assert [h.indices for h in enum.subsets] == want
+    n = len(table)
+    if n >= 8:  # a budget of the closures' estimate is below n*2^n, so they are routed to
+        monkeypatch.setenv("GGL_BUDGET", str(n * (n - 1) // 2 * n * n))
+        enum = enumerate_subgroupoids(g)
+        assert enum.strategy == "generated-closure"
+        assert [h.indices for h in enum.subsets] == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -421,27 +425,30 @@ def test_analyze_computes_flags_and_closures_once(monkeypatch, n, t, u):
 ANALYZE_CASES = [(8, 2, 6), (12, 2, 6), (16, 0, 1)]
 
 
-@pytest.mark.parametrize("max_order", [20, 4])
+@pytest.mark.parametrize("route", ["power-set", "generated-closure"])
 @pytest.mark.parametrize("n,t,u", ANALYZE_CASES, ids=[f"zn:{n}-{t},{u}" for n, t, u in ANALYZE_CASES])
-def test_analyze_agrees_with_the_standalone_answers_on_both_routes(n, t, u, max_order):
+def test_analyze_agrees_with_the_standalone_answers_on_both_routes(monkeypatch, n, t, u, route):
+    if route == "generated-closure":  # the closures' estimate is below n*2^n from n = 8 up
+        monkeypatch.setenv("GGL_BUDGET", str(n * (n - 1) // 2 * n * n))
     g = build(Modular(n), Scalar(), t, u)
     table = g.index_table()
-    rep = analyze(g, max_order=max_order)
-    subs = enumerate_subgroupoids(g, max_order=max_order)
+    rep = analyze(g)
+    subs = enumerate_subgroupoids(g)
     assert rep.order == n
-    assert rep.subgroupoids == subs and rep.complete == subs.complete == (n <= max_order)
+    assert rep.subgroupoids == subs and subs.strategy == route
+    assert rep.complete == subs.complete == (route == "power-set")
     normal = tuple(h for h in subs.subsets if h.size >= 2 and subset_normal_oracle(table, h.indices))
     assert rep.normal == normal
-    assert rep.simple == is_simple(g, max_order=max_order)
+    assert rep.simple == is_simple(g)
     assert rep.normal_groupoid == is_normal_groupoid_oracle(table)
     semigroups = (h for h in subs.subsets if h.indices != (0,) and classify_oracle(table, h.indices)[3])
     s_witness = next(semigroups, None)
     assert rep.smarandache_verdict.s_witness == s_witness
     assert rep.smarandache_verdict.status == ("s_groupoid" if s_witness else "not_smarandache")
     if subs.complete:
-        assert rep.ideals == enumerate_ideals(g, max_order=max_order)
-        assert list(rep.normal) == find_normal_subgroupoids(g, max_order=max_order)
-        assert rep.smarandache_verdict == smarandache(g, max_order=max_order)
+        assert rep.ideals == enumerate_ideals(g)
+        assert list(rep.normal) == find_normal_subgroupoids(g)
+        assert rep.smarandache_verdict == smarandache(g)
     else:
         assert rep.ideals is None
 

@@ -3,6 +3,7 @@
 import pytest
 
 from groupoidlab import (
+    BudgetExceeded,
     CarrierError,
     IntervalOf,
     MixedNeutrosophic,
@@ -84,6 +85,46 @@ def test_all_pairs_formula_mixed():
     for n in range(2, 6):
         m = n * n
         assert count_class(MixedNeutrosophic(n), "all_pairs") == (m - 1) * (m - 2)
+
+
+@pytest.fixture
+def no_enumeration(monkeypatch):
+    """Fail the test if a carrier lists its values."""
+
+    def refuse(self):
+        raise AssertionError("carrier values were enumerated")
+
+    for cls in (Modular, MixedNeutrosophic):
+        monkeypatch.setattr(cls, "enumerate_values", refuse)
+
+
+def test_all_pairs_of_a_large_carrier_is_exact_without_enumerating(no_enumeration):
+    q = 10**12  # nzn:10^6
+    assert count_class(MixedNeutrosophic(10**6), "all_pairs") == (q - 1) * (q - 2)
+
+
+@pytest.mark.parametrize(
+    "kind,count,estimate,work",
+    [
+        ("level_one_pairs", "level-one pair count", "11*10 pairs", 110),
+        ("idempotent_pairs", "idempotent pair count", "11^2 pairs", 121),
+    ],
+    ids=["level_one_pairs", "idempotent_pairs"],
+)
+def test_pair_counts_are_refused_before_enumerating(monkeypatch, no_enumeration, kind, count, estimate, work):
+    monkeypatch.setenv("GGL_BUDGET", str(work - 1))
+    with pytest.raises(BudgetExceeded) as err:
+        count_class(Modular(12), kind)
+    assert str(err.value) == (
+        f"{count}: pair-test work cap exceeded: estimate {estimate} = {work}, "
+        f"budget is {work - 1} (set GGL_BUDGET to raise it)"
+    )
+
+
+@pytest.mark.parametrize("kind,work", [("level_one_pairs", 110), ("idempotent_pairs", 121)], ids=["level_one_pairs", "idempotent_pairs"])
+def test_pair_counts_admit_work_equal_to_the_budget(monkeypatch, kind, work):
+    monkeypatch.setenv("GGL_BUDGET", str(work))
+    assert count_class(Modular(12), kind) == count_class_loop_oracle(Modular(12), kind, False)
 
 
 def test_idempotent_count_parity_tracks_modulus():
