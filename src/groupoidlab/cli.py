@@ -161,7 +161,10 @@ def check(
             return [combined, left, right]
         return [check_identity(g, IdentityId(identity_name), mode, trials=trials, seed=seed)]
 
-    verdicts = _budget_guard(go)
+    try:
+        verdicts = _budget_guard(go)
+    except CarrierError as e:  # lifted mode on a shape that mixes entries
+        raise click.UsageError(str(e))
     if fmt == "json":
         payload = verdicts[0].to_json() if len(verdicts) == 1 else {
             "combined": verdicts[0].to_json(),
@@ -204,7 +207,7 @@ def _takes_range(check_id: str, key: str) -> bool:
 
 @main.command()
 @click.option("--suite", default="default", show_default=True)
-@click.option("--only", "only_text", default=None, help="comma-separated check ids (e.g. T1,T7)")
+@click.option("--only", "only_text", default=None, help="comma-separated check ids, each once (e.g. T1,T7)")
 @click.option(
     "--range",
     "range_texts",
@@ -228,11 +231,16 @@ def verify(
     if suite != "default":
         raise click.UsageError(f"unknown suite {suite!r} (only 'default' exists)")
     ids: tuple[str, ...] | None = None
-    if only_text:
+    if only_text is not None:
         ids = tuple(s.strip() for s in only_text.split(",") if s.strip())
+        if not ids:
+            raise click.UsageError(f"--only names no check id (got {only_text!r})")
         unknown = [i for i in ids if i not in CHECKS]
         if unknown:
             raise click.UsageError(f"unknown check ids: {', '.join(unknown)}")
+        repeated = sorted({i for i in ids if ids.count(i) > 1}, key=ids.index)
+        if repeated:
+            raise click.UsageError(f"--only {', '.join(repeated)}: given more than once")
     selected = ids if ids is not None else tuple(CHECKS)
     ranges = []
     for text in range_texts:

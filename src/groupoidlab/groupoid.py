@@ -2,16 +2,22 @@
 
 A groupoid is either *spec-backed* (carrier + shape + parameter pair) or
 *table-backed* (an explicit Cayley table over opaque labels, e.g. parsed back
-from a serialized table). A spec compiles once, through ``compile_product``,
-to an int32 Cayley table array that every engine reads; a table-backed
-groupoid holds its validated rows as that array. ``compile_tables`` compiles
-the tables of a sweep's members together, one call per group of members that
-share a carrier and shape. The full table is refused before allocation when
-its n² cells exceed the work budget (``GGL_BUDGET``).
+from a serialized table). Its order is exact at any size: q^k for a spec with
+k entries over q carrier values, the label count for a table.
+``Groupoid.enumerable`` is the one place that order meets the enumeration cap
+(``DEFAULT_SPACE_CAP``, 10^6 elements): past it no element, label or table
+is listed, while sampled checks and spot products still work. A spec compiles
+once, through ``compile_product``, to an int32 Cayley table array that every
+engine reads; a table-backed groupoid holds its validated rows as that array.
+``compile_tables`` compiles the tables of a sweep's members together, one
+call per group of members that share a carrier and shape. The full table is
+refused before allocation when its n² cells exceed the work budget
+(``GGL_BUDGET``).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -22,17 +28,15 @@ import numpy as np
 
 from .carrier import Carrier, CarrierError, Value
 from .shape import (
-    DEFAULT_SPACE_CAP,
     Element,
     Shape,
-    TooLarge,
     compile_product,
-    element_space,
     format_element,
     star,
     zero_element,
 )
 
+DEFAULT_SPACE_CAP = 10**6
 DEFAULT_TABLE_CAP = 256
 DEFAULT_BUDGET = 10**8
 BUDGET_ENV_VAR = "GGL_BUDGET"
@@ -142,7 +146,8 @@ def build(
 
 
 class Groupoid:
-    """A finite (or too-large-to-enumerate) magma with a star or table product."""
+    """A finite magma with a star or table product; its order may be past
+    the enumeration cap."""
 
     def __init__(
         self,
@@ -154,17 +159,16 @@ class Groupoid:
         if (spec is None) == (labels is None):
             raise CarrierError("provide either a spec or labels+table")
         self.spec = spec
-        self._elements: list[Element] | None = None
-        self._labels: list[str] | None = list(labels) if labels is not None else None
-        self._index: dict | None = None
-        # values derived from the product, which never changes: the compiled
-        # product, the table array and its list view, and other layers' results
+        # values derived from the product, which never changes: the elements,
+        # labels and index, the compiled product, the table array and its list
+        # view, and other layers' results
         self._memo: dict = {}
         if spec is not None:
-            self._space = element_space(spec.carrier, spec.shape)
+            self.order = spec.carrier.size() ** spec.shape.entry_count()
         else:
-            self._space = None
-            self._memo["table"] = _validated_table(self._labels, table)
+            self.order = len(labels)
+            self._memo["labels"] = list(labels)
+            self._memo["table"] = _validated_table(labels, table)
 
     def cached(self, key: str, compute: Callable[[], object]):
         """The value stored under key in this groupoid's memo, computed once."""
@@ -175,17 +179,17 @@ class Groupoid:
     # -- size and elements ------------------------------------------------
 
     @property
-    def order(self) -> int | TooLarge:
-        if self.spec is None:
-            return len(self._labels)
-        return self._space.count
+    def enumerable(self) -> bool:
+        """Whether elements, labels and tables may be listed: always for a
+        table, and for a spec while its order is within the enumeration cap."""
+        return self.spec is None or self.order <= DEFAULT_SPACE_CAP
 
     def _require_enumerable(self) -> int:
         """The order, refused when the element space is past the enumeration cap."""
-        if isinstance(self.order, TooLarge):
+        if not self.enumerable:
             q, k = self.spec.carrier.size(), self.spec.shape.entry_count()
             raise BudgetExceeded(
-                f"enumeration cap exceeded: estimate {q}^{k} = {q**k} elements, "
+                f"enumeration cap exceeded: estimate {q}^{k} = {self.order} elements, "
                 f"cap is {DEFAULT_SPACE_CAP}"
             )
         return self.order
@@ -195,23 +199,22 @@ class Groupoid:
         if self.spec is None:
             raise CarrierError("table-backed groupoid has labels, not elements")
         self._require_enumerable()
-        if self._elements is None:
-            self._elements = list(iter(self._space))
-        return self._elements
+        sp = self.spec
+        return self.cached(
+            "elements",
+            lambda: list(itertools.product(sp.carrier.enumerate_values(), repeat=sp.shape.entry_count())),
+        )
 
     def labels(self) -> list[str]:
-        if self._labels is None:
-            sp = self.spec
-            self._labels = [
-                format_element(sp.carrier, sp.shape, e) for e in self.elements()
-            ]
-        return self._labels
+        sp = self.spec
+        return self.cached(
+            "labels", lambda: [format_element(sp.carrier, sp.shape, e) for e in self.elements()]
+        )
 
     def element_index(self, e: Element) -> int:
-        if self._index is None:
-            self._index = {e: i for i, e in enumerate(self.elements())}
+        index = self.cached("index", lambda: {e: i for i, e in enumerate(self.elements())})
         try:
-            return self._index[e]
+            return index[e]
         except KeyError:
             raise CarrierError(f"not an element of this groupoid: {e!r}") from None
 
@@ -277,7 +280,7 @@ class Groupoid:
                 f"carrier {sp.carrier.token()} shape {sp.shape.token()} "
                 f"pair {sp.param_text()} level {sp.level.value}"
             )
-        return f"table-backed groupoid of order {len(self._labels)}"
+        return f"table-backed groupoid of order {self.order}"
 
 
 def member_groups(groupoids: Sequence[Groupoid], exponent: int) -> Iterator[tuple[list[int], Callable]]:

@@ -70,7 +70,7 @@ from .groupoid import (
     default_budget,
     member_groups,
 )
-from .shape import Element, Scalar, TooLarge, format_element
+from .shape import Element, Scalar, format_element
 
 DEFAULT_TRIALS = 10**4
 
@@ -163,7 +163,7 @@ def eval_tree(node: Node, env: dict, prod) -> Any:
 
 def _element_at(g: Groupoid, i: int) -> Element:
     """The element at index i: its base-q digits (most significant first) are
-    the value indices of its entries, as in ``element_space`` order."""
+    the value indices of its entries, as in ``Groupoid.elements`` order."""
     carrier, k = g.spec.carrier, g.spec.shape.entry_count()
     q = carrier.size()
     return tuple(carrier.value_at(i // q ** (k - 1 - e) % q) for e in range(k))
@@ -579,7 +579,7 @@ def _lifted_fits(g: Groupoid, nvars: int) -> bool:
 
 
 def _exhaustive_fits(g: Groupoid, nvars: int) -> bool:
-    return not isinstance(g.order, TooLarge) and g.order**nvars <= default_budget()
+    return g.enumerable and g.order**nvars <= default_budget()
 
 
 def _require_trials(trials: int) -> None:
@@ -644,14 +644,6 @@ def check_alternative(
 
 
 # -- closed forms -------------------------------------------------------------
-
-CLOSED_FORM_NAMES = (
-    "idempotent-iff",
-    "semigroup-iff",
-    "alternative-iff",
-    "type3-p-alt-iff",
-    "equal-pair-p",
-)
 
 
 def closed_form(name: str, n: int, t: int, u: int) -> bool:

@@ -37,25 +37,6 @@ from .carrier import Carrier, CarrierError, Value
 Element = tuple  # tuple[Value, ...]
 
 
-class TooLarge:
-    """Sentinel: the element space exceeds the enumeration cap."""
-
-    _instance: "TooLarge | None" = None
-
-    def __new__(cls) -> "TooLarge":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "TooLarge"
-
-
-TOO_LARGE = TooLarge()
-
-DEFAULT_SPACE_CAP = 10**6
-
-
 class ProductKind(Enum):
     ENTRYWISE = "entrywise"
     SHUFFLE = "shuffle"
@@ -168,7 +149,7 @@ def compile_product(
     """The star product as one vectorised function of element-index arrays.
 
     Digit e of an index (base q = carrier size, most significant first) is the
-    value index of entry e, in ``element_space`` order. Every output digit is
+    value index of entry e, in ``Groupoid.elements`` order. Every output digit is
     the carrier's array arithmetic on the input digits: idx(t·v + u·w) at
     (x_e, y_e) for entrywise shapes and at the prefix sums (P_e(x), P_e(y)),
     P_e = x_0 + ... + x_e, for convolution, since (x*y)_e = t·P_e(x) + u·P_e(y);
@@ -234,29 +215,6 @@ def compile_product(
 
     product.digits = lambda xs, ys: list(digits(xs, ys))
     return product
-
-
-@dataclass(frozen=True)
-class ElementSpace:
-    """Size and (when within the cap) an enumerator for a shape's elements."""
-
-    count: "int | TooLarge"
-    carrier: Carrier
-    shape: Shape
-
-    def __iter__(self) -> Iterator[Element]:
-        if isinstance(self.count, TooLarge):
-            raise CarrierError("element space exceeds the enumeration cap")
-        values = self.carrier.enumerate_values()
-        return itertools.product(values, repeat=self.shape.entry_count())
-
-
-def element_space(carrier: Carrier, shape: Shape) -> ElementSpace:
-    """Count the elements; above DEFAULT_SPACE_CAP the count is TooLarge (and iteration refused)."""
-    count: int | TooLarge = carrier.size() ** shape.entry_count()
-    if count > DEFAULT_SPACE_CAP:
-        count = TOO_LARGE
-    return ElementSpace(count=count, carrier=carrier, shape=shape)
 
 
 def zero_element(carrier: Carrier, shape: Shape) -> Element:

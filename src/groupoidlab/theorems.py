@@ -42,7 +42,7 @@ from .carrier import (
     PureNeutrosophic,
     is_prime,
 )
-from .groupoid import Groupoid, build, check_budget, compile_tables
+from .groupoid import _CHUNK_CELLS, Groupoid, build, check_budget, compile_tables
 from .identities import (
     CheckMode,
     IdentityId,
@@ -205,13 +205,19 @@ def count_class(carrier: Carrier, kind: str, *, equal_pairs_included: bool = Fal
         return m * (m - 1)
     if kind == "level_one_pairs":
         check_budget("level-one pair count: pair-test work", f"{m}*{m - 1} pairs", m * (m - 1))
-        nonzero = [v for v in carrier.enumerate_values() if not carrier.is_zero(v)]
-        return sum(
-            1
-            for v in nonzero
-            for w in nonzero
-            if v != w and carrier.coprimality_class(v, w).is_unit
+        # a pair's class is the gcd of its parameters' contents, taken as
+        # np.gcd.outer over blocks of rows of about _CHUNK_CELLS pairs; an
+        # equal pair has gcd(c, c) = c, a unit exactly when its content is 1
+        content = np.array(
+            [carrier.param_content(v) for v in carrier.enumerate_values() if not carrier.is_zero(v)],
+            dtype=np.int64,
         )
+        rows = max(1, _CHUNK_CELLS // max(m, 1))
+        units = sum(
+            int(np.count_nonzero(np.gcd.outer(content[r0 : r0 + rows], content) == 1))
+            for r0 in range(0, m, rows)
+        )
+        return units - int(np.count_nonzero(content == 1))
     if kind == "idempotent_pairs":
         check_budget("idempotent pair count: pair-test work", f"{m}^2 pairs", m * m)
         # v·x + w·x = x for every value x, over value indices: the candidate

@@ -127,6 +127,16 @@ def test_check_non_positive_trials_is_usage_error(runner, mode):
     assert "sampled_no_counterexample" not in r.output
 
 
+@pytest.mark.parametrize("shape", ["poly:2:shuffle", "poly:2:conv"])
+@pytest.mark.parametrize("identity", ["associative", "alternative"])
+def test_check_lifted_on_a_shape_that_mixes_entries_is_usage_error(runner, shape, identity):
+    r = invoke(runner, "check", "--carrier", "zn:5", "--shape", shape, "--pair", "2,3",
+               "--identity", identity, "--mode", "lifted", "--no-timing")
+    assert r.exit_code == 2
+    assert "shape is not liftable: product mixes entries across positions" in r.output
+    assert "Traceback" not in r.output
+
+
 # -- structure -------------------------------------------------------------------
 
 
@@ -235,6 +245,25 @@ def test_verify_determinism_excluding_timings(runner):
 def test_verify_unknown_check_id(runner):
     r = invoke(runner, "verify", "--only", "T99")
     assert r.exit_code == 2
+
+
+@pytest.mark.parametrize("only", [",", "", " , "])
+def test_verify_only_without_a_check_id_is_a_usage_error(runner, only):
+    r = invoke(runner, "verify", "--only", only, "--no-timing")
+    assert r.exit_code == 2
+    assert "--only names no check id" in r.output
+    assert '"checks"' not in r.output
+
+
+@pytest.mark.parametrize(
+    "only,named",
+    [("T8,T8", "T8"), ("T13, T8,T13", "T13"), ("T8,T13,T13,T8", "T8, T13")],
+)
+def test_verify_repeated_only_id_is_a_usage_error(runner, only, named):
+    r = invoke(runner, "verify", "--only", only, "--no-timing")
+    assert r.exit_code == 2
+    assert f"--only {named}: given more than once" in r.output
+    assert '"checks"' not in r.output
 
 
 def test_verify_unknown_suite(runner):

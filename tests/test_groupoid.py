@@ -4,10 +4,13 @@ import json
 
 import pytest
 
+import groupoidlab
 from groupoidlab import (
     BudgetExceeded,
     CarrierError,
     CayleyTable,
+    CheckMode,
+    IdentityId,
     Level,
     Matrix,
     MixedNeutrosophic,
@@ -16,11 +19,11 @@ from groupoidlab import (
     Scalar,
     build,
     cayley_table,
+    check_identity,
     from_table,
     parse_carrier,
 )
 from groupoidlab.groupoid import Groupoid, classify_level
-from groupoidlab.shape import TooLarge
 
 # order-7 scalar groupoid with pair (3,4): full reference table
 MOD7_TABLE = (
@@ -196,15 +199,55 @@ def test_label_cells_outside_the_labels_name_the_cell():
 # -- budgets and large spaces -------------------------------------------------
 
 
-def test_large_space_has_toolarge_order():
+def test_large_space_has_exact_order_and_is_not_enumerable():
     g = build(parse_carrier("o(zn:10)"), Matrix(12, 5), 3, 7)
-    assert g.order is TooLarge()
+    assert g.order == 10**60 and not g.enumerable
     with pytest.raises(BudgetExceeded):
         g.elements()
     # spot products still work without enumeration
     x = tuple([1] * 60)
     y = tuple([2] * 60)
     assert g.star(x, y) == tuple([(3 * 1 + 7 * 2) % 10] * 60)
+
+
+CAP_REFUSAL = "enumeration cap exceeded: estimate 10^16 = 10000000000000000 elements, cap is 1000000"
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        Groupoid.elements,
+        Groupoid.labels,
+        Groupoid.zero_index,
+        Groupoid.table_array,
+        Groupoid.index_table,
+        cayley_table,
+        lambda g: check_identity(g, IdentityId.ASSOCIATIVE, CheckMode.EXHAUSTIVE),
+    ],
+    ids=["elements", "labels", "zero_index", "table_array", "index_table", "cayley_table", "exhaustive"],
+)
+def test_every_enumerating_read_past_the_cap_is_refused_in_one_message(read):
+    g = build(Modular(10), Matrix(4, 4), 2, 3)
+    with pytest.raises(BudgetExceeded) as err:
+        read(g)
+    assert str(err.value) == CAP_REFUSAL
+
+
+def test_the_enumeration_cap_admits_10_to_the_6_elements():
+    assert build(Modular(10), Matrix(2, 3), 2, 3).enumerable
+    past = build(Modular(10**6 + 1), Scalar(), 2, 3)
+    assert past.order == 10**6 + 1 and not past.enumerable
+
+
+def test_a_table_backed_groupoid_is_enumerable():
+    h = from_table(("a", "b"), ((0, 1), (1, 0)))
+    assert h.order == 2 and h.enumerable
+    assert h.labels() == ["a", "b"]
+
+
+def test_a_groupoid_holds_its_spec_order_and_memo_alone():
+    for g in (build(Modular(5), Scalar(), 2, 3), from_table(("a",), ((0,),))):
+        assert set(vars(g)) == {"spec", "order", "_memo"}
 
 
 def test_cayley_table_cap():
@@ -237,3 +280,12 @@ def test_from_table_then_cayley_table_identity():
     ct = cayley_table(build(Modular(6), Scalar(), 2, 4))
     h = from_table(ct.labels, ct.rows)
     assert cayley_table(h) == ct
+
+
+# -- the package's exports ----------------------------------------------------
+
+
+def test_every_export_resolves_once():
+    names = groupoidlab.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(groupoidlab, n)] == []

@@ -11,6 +11,8 @@ from groupoidlab import (
     Matrix,
     MixedNeutrosophic,
     Modular,
+    Poly,
+    ProductKind,
     PureNeutrosophic,
     Scalar,
     build,
@@ -133,6 +135,15 @@ def test_auto_prefers_exhaustive_then_falls_back_to_sampling():
     huge = build(Modular(10_000), Scalar(), 3, 4)
     v = check_identity(huge, IdentityId.ASSOCIATIVE, trials=100, seed=2)
     assert v.method == "sampled"
+
+
+def test_auto_samples_past_the_enumeration_cap_even_where_the_estimate_fits():
+    # 10^8 elements: the one-variable estimate equals the default budget
+    g = build(Modular(10), Poly(7, ProductKind.CONVOLUTION), 3, 3)
+    assert g.order == 10**8 and not g.enumerable
+    assert check_identity(g, IdentityId.IDEMPOTENT, trials=100).method == "sampled"
+    report = cross_validate(g, IdentityId.IDEMPOTENT, trials=100)
+    assert [v.method for v in report.verdicts] == ["sampled"]
 
 
 def test_auto_uses_lifting_for_wide_shapes():

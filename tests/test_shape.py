@@ -10,8 +10,7 @@ from groupoidlab import (
     Poly,
     ProductKind,
     Scalar,
-    TooLarge,
-    element_space,
+    build,
     parse_shape,
     star,
 )
@@ -123,22 +122,20 @@ def test_star_rejects_wrong_arity():
 
 
 def test_element_space_counts():
-    assert element_space(Modular(3), Matrix(2, 2)).count == 81
-    assert element_space(Modular(4), Scalar()).count == 4
-    assert element_space(Modular(2), Poly(3)).count == 16
+    assert build(Modular(3), Matrix(2, 2), 1, 1).order == 81
+    assert build(Modular(4), Scalar(), 1, 1).order == 4
+    assert build(Modular(2), Poly(3), 1, 1).order == 16
 
 
 def test_element_space_enumeration_is_row_major():
-    es = element_space(Modular(2), Poly(1))
-    assert list(es) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert build(Modular(2), Poly(1), 1, 1).elements() == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
-def test_element_space_too_large_sentinel():
-    es = element_space(Modular(10), Matrix(12, 5))
-    assert es.count is TooLarge()
-    assert repr(TooLarge()) == "TooLarge"
-    # the sentinel is a singleton
-    assert TooLarge() is TooLarge()
+def test_element_space_past_the_cap_has_its_exact_order():
+    g = build(Modular(10), Matrix(12, 5), 1, 1)
+    assert g.order == 10**60
+    assert type(g.order) is int
+    assert g.enumerable is False
 
 
 # -- shape tokens and element text --------------------------------------------

@@ -14,6 +14,7 @@ from groupoidlab import (
     ssc_family_check,
     verify_theorem,
 )
+from groupoidlab import theorems
 from groupoidlab.theorems import CHECKS, COUNT_CLASSES, SuiteConfig, outcomes_asserted
 
 # -- counting oracles ------------------------------------------------------------
@@ -72,6 +73,33 @@ def test_count_class_matches_the_per_value_loop(carrier):
         for equal in (False, True):
             want = count_class_loop_oracle(carrier, kind, equal)
             assert count_class(carrier, kind, equal_pairs_included=equal) == want, (kind, equal)
+
+
+@pytest.mark.parametrize("cells", [1, 100, 1000, None], ids=["one-row", "100-cells", "1000-cells", "default"])
+@pytest.mark.parametrize(
+    "carrier",
+    [Modular(97), PureNeutrosophic(9), MixedNeutrosophic(6), IntervalOf(Modular(10)), IntervalOf(MixedNeutrosophic(5))],
+    ids=lambda c: c.token(),
+)
+def test_level_one_count_in_blocks_matches_the_per_pair_loop(monkeypatch, carrier, cells):
+    """The gcd blocks hold one row, a few rows, a part of the rows or all of them."""
+    if cells is not None:
+        monkeypatch.setattr(theorems, "_CHUNK_CELLS", cells)
+    want = count_class_loop_oracle(carrier, "level_one_pairs", False)
+    assert count_class(carrier, "level_one_pairs") == want
+
+
+def test_level_one_count_of_zn_1000_is_the_coprime_pair_count():
+    """Distinct coprime pairs of 1..999: sum of mu(d) * (999 // d)^2, less (1, 1)."""
+    mu = [1] * 1000
+    for p in range(2, 1000):
+        if all(p % d for d in range(2, p)):
+            for m in range(p, 1000, p):
+                mu[m] = -mu[m]
+            for m in range(p * p, 1000, p * p):
+                mu[m] = 0
+    want = sum(mu[d] * (999 // d) ** 2 for d in range(1, 1000)) - 1
+    assert count_class(Modular(1000), "level_one_pairs") == want == 607_582
 
 
 def test_all_pairs_formula_pure():
