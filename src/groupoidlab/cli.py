@@ -117,7 +117,7 @@ def main() -> None:
 @click.option("--shape", "shape_token", default="scalar", show_default=True)
 @click.option("--pair", "pair_text", required=True, help="T,U with optional I suffix per component")
 @click.option("--format", "fmt", type=click.Choice(["tsv", "json"]), default="tsv", show_default=True)
-@click.option("--cap", type=int, default=256, show_default=True, help="largest order to tabulate")
+@click.option("--cap", type=click.IntRange(min=1), default=256, show_default=True, help="largest order to tabulate")
 def table(carrier_token: str, shape_token: str, pair_text: str, fmt: str, cap: int) -> None:
     """Emit the full multiplication table."""
     g = _make_groupoid(carrier_token, shape_token, pair_text)

@@ -40,8 +40,10 @@ DEFAULT_SPACE_CAP = 10**6
 DEFAULT_TABLE_CAP = 256
 DEFAULT_BUDGET = 10**8
 BUDGET_ENV_VAR = "GGL_BUDGET"
-# cells per compile call of a sweep's tables, per block of an exhaustive scan
-# and draws per sampled chunk: one order-343 plane fits, with a 1 MB intp index
+# the one block size: cells per compile group of a sweep's tables, per block
+# of an exhaustive scan, draws per sampled chunk, translate-set cells per block
+# of normality rows and pairs per block of a pair count; one order-343 plane
+# fits, with a 1 MB intp index
 _CHUNK_CELLS = 1 << 17
 
 
@@ -403,8 +405,11 @@ def from_table(labels: Sequence[str], rows: Sequence[Sequence[int | str]]) -> Gr
 
 
 def _validated_table(labels: Sequence[str], rows: Sequence[Sequence[int | str]]) -> np.ndarray:
-    """The validated n×n int32 table of element indices; cells may be indices or labels."""
+    """The validated n×n int32 table of element indices, n >= 1; cells may be
+    indices or labels."""
     n = len(labels)
+    if not n:
+        raise CarrierError("a table needs at least one label")
     index = {lab: i for i, lab in enumerate(labels)}
     if len(index) != n:
         raise CarrierError("table labels must be distinct")

@@ -12,10 +12,10 @@ Each identity is a fixed pair of expression trees over variables ``x``, ``y``,
   _CHUNK_CELLS cells and taken several at once when planes are small.
   Products without the slowest variable, such as ``x*y``, are computed once
   per scan over the whole domain and sliced per block. A product with a
-  plane reads the table (or its transpose) at ``V·n + plane``, with the
-  variables' ``V·n`` scaled once per scan, and a single value V reads just
-  its table row; the domain row times a column reads whole table rows. The
-  planes land in buffers reused from block to block;
+  plane reads the table (or its transpose) at ``V·n + plane``, and the
+  domain row times a column reads whole table rows. Each plane lands in an
+  array kept for its product and block shape, so a scan of many blocks
+  allocates its planes once;
 * the same scan over a sweep: ``check_identity_sweep`` decides one identity
   for many groupoids of one order, such as every parameter pair of a
   carrier, with each verdict equal to ``check_identity``'s. Their tables
@@ -52,7 +52,6 @@ in that order, so ``(trials, seed)`` reproduce a sampled verdict and witness.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -224,8 +223,8 @@ class _PlaneScan:
 
     A scan reads the tables of one or more members of one order n, stacked as
     one (P·n)×n table; member p's rows start at p·n, and that offset is added
-    to the left operand's row index (to the pre-scaled V·n of a variable), so
-    one read serves every member. A scan of one member adds nothing.
+    to the left operand's row index, so one read serves every member. A scan
+    of one member adds nothing.
 
     Operands broadcast over a block laid out (z, y, x): x spans the domain on
     the last axis, y the block's rows and z its planes; several members add a
@@ -234,8 +233,7 @@ class _PlaneScan:
 
     * A plane times an operand V (a row, a column, a z value or a plane)
       reads the flat table at V·n + plane, or its transpose when V is on the
-      right: one add, since V·n is scaled once per scan when V is a variable.
-      A single value V of a single member reads just its row of the table.
+      right, with the index in intp, since take is slow on int32.
     * The x row times an operand without x reads whole table rows (of the
       transpose when x is on the left), then the domain's columns when it is
       not every element. A row computed from x, such as x*x, selects the same
@@ -243,13 +241,13 @@ class _PlaneScan:
       the product indexes the table at (A, B).
     * Any other product indexes the table at (A, B).
 
-    When a scan has several blocks, which happens only for a scan of one
-    member, every plane a block computes lands in a buffer kept for its
-    template node, every index in one intp buffer and the comparison in one
-    bool buffer, so they are allocated once per scan.
+    A plane read, and the intp index of a flat read, land in an array kept per
+    product and shape (``kept``), the same one in every block: planes that are
+    allocated and freed block by block go back to the system with each block
+    and come back one page fault per page.
     """
 
-    def __init__(self, tables: list[np.ndarray], domain: np.ndarray, cells: int) -> None:
+    def __init__(self, tables: list[np.ndarray], domain: np.ndarray) -> None:
         self.n = n = len(tables[0])
         if len(tables) == 1:
             self.table, self.offsets = tables[0], None
@@ -260,76 +258,49 @@ class _PlaneScan:
             self.table_t = stack.transpose(0, 2, 1).reshape(-1, n)  # a contiguous copy
             self.offsets = np.arange(0, len(self.table), n, dtype=np.intp).reshape(-1, 1, 1, 1)
         self.flat, self.flat_t = self.table.ravel(), self.table_t.ravel()
-        self.domain = domain
         self.every = len(domain) == n  # a sorted domain of n distinct indices is arange(n)
-        self.cells = cells  # cells of the largest block, or 0 when nothing is reused
-        self.index = np.empty(cells, dtype=np.intp)
-        self.mism = np.empty(cells, dtype=bool)
-        self.planes: dict = {}
-        self.block: tuple | None = None  # the (z, y, x) shape being read, None over the whole domain
+        self.spare: dict = {}  # the arrays of kept()
 
     def rows(self, A: np.ndarray) -> np.ndarray:
         """A's row indices in the stacked table."""
         return A if self.offsets is None else A + self.offsets
 
-    def scaled(self, variables: dict) -> dict:
-        """Each variable's V·n, the flat index of its rows, plus p·n² for
-        member p when several are stacked; intp, since take is slow on int32."""
-        scaled = np.multiply(self.domain, self.n, dtype=np.intp)
-        if self.offsets is not None:
-            return {v: scaled.reshape(V.shape) + self.offsets * self.n for v, V in variables.items()}
-        return {v: scaled.reshape(V.shape) for v, V in variables.items()}
+    def kept(self, key, shape: tuple, dtype) -> np.ndarray:
+        """The array of this shape that key writes into, the same in every block."""
+        if (key, shape) not in self.spare:
+            self.spare[key, shape] = np.empty(shape, dtype)
+        return self.spare[key, shape]
 
-    def buffers(self, node: Node) -> tuple:
-        """The index buffer and node's own buffer, shaped as node's plane in
-        the block; (None, None) when there is nothing to reuse."""
-        deps = _DEPS[node]
-        if not self.cells or self.block is None or "x" not in deps or "y" not in deps:
-            return None, None
-        zs, ys, m = self.block
-        shape = (zs if "z" in deps else 1, ys, m)
-        if node not in self.planes:
-            self.planes[node] = np.empty(self.cells, dtype=self.table.dtype)
-        size = shape[0] * ys * m
-        return self.index[:size].reshape(shape), self.planes[node][:size].reshape(shape)
-
-    def product(self, node: Node, A: np.ndarray, B: np.ndarray, scaled: dict) -> np.ndarray:
-        """node = A * B; mode="clip" writes straight into a buffer, and never
-        clips: every index read is a cell of the table."""
+    def product(self, node: Node, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """node = A * B; mode="clip" lets take write into a kept array, and
+        never clips: every index read is a cell of the table."""
         _, a, b = node
         read = _READS[node]
-        index, out = self.buffers(node)
         if read in ("flat", "flat-t"):
-            table, flat = (self.table, self.flat) if read == "flat" else (self.table_t, self.flat_t)
+            flat = self.flat if read == "flat" else self.flat_t
             if read == "flat-t":  # A*B is B*A in the transpose
-                a, b, A, B = b, a, B, A
-            if A.size == 1 and self.offsets is None:
-                return table[A.item()].take(B, out=out, mode="clip")
-            An = scaled[a] if a in scaled else np.multiply(self.rows(A), self.n, out=index, dtype=np.intp)
-            return flat.take(np.add(An, B, out=index), out=out, mode="clip")
+                A, B = B, A
+            An = np.multiply(self.rows(A), self.n, dtype=np.intp)
+            shape = np.broadcast_shapes(An.shape, B.shape)
+            index = np.add(An, B, out=self.kept("index", shape, np.intp))
+            return flat.take(index, out=self.kept(node, shape, flat.dtype), mode="clip")
         table, col, row_node, row = (self.table, A, b, B) if read == "rows" else (self.table_t, B, a, A)
         if read == "cells" or (row_node != "x" and self.offsets is not None):
             return self.table[self.rows(A), B]
-        col = self.rows(col)
+        col = self.rows(col)[..., 0]
         if row_node == "x" and self.every:
-            return table.take(col[..., 0], axis=0, out=out, mode="clip")
-        return table[col[..., 0]].take(row.reshape(-1), axis=-1, out=out, mode="clip")
+            return table.take(col, axis=0, out=self.kept(node, col.shape + (self.n,), table.dtype), mode="clip")
+        row = row.reshape(-1)
+        return table[col].take(row, axis=-1, out=self.kept(node, col.shape + row.shape, table.dtype), mode="clip")
 
-    def value(self, node: Node, values: dict, scaled: dict) -> np.ndarray:
+    def value(self, node: Node, values: dict) -> np.ndarray:
         """node over the block, or over the whole domain when there is none;
         values holds the variables and the subterms computed so far, cut to
         the block."""
         if node not in values:
             _, a, b = node
-            values[node] = self.product(node, self.value(a, values, scaled), self.value(b, values, scaled), scaled)
+            values[node] = self.product(node, self.value(a, values), self.value(b, values))
         return values[node]
-
-    def differ(self, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Where the two sides differ, over the whole block."""
-        out = None
-        if self.cells:
-            out = self.mism[: math.prod(self.block)].reshape(self.block)
-        return np.not_equal(lhs, rhs, out=out)
 
 
 def _scan(tables: list[np.ndarray], identity: IdentityId, domain: np.ndarray) -> list[tuple[int, ...] | None]:
@@ -340,34 +311,31 @@ def _scan(tables: list[np.ndarray], identity: IdentityId, domain: np.ndarray) ->
     members, m, three = len(tables), len(domain), len(vars_) == 3
     rows = min(m, max(1, _CHUNK_CELLS // m))  # y rows per block
     planes = min(m, max(1, _CHUNK_CELLS // (m * m))) if three and rows == m else 1
-    starts = [(z0, y0) for z0 in range(0, m if three else 1, planes) for y0 in range(0, m, rows)]
-    scan = _PlaneScan(tables, domain, planes * rows * m if len(starts) > 1 else 0)
+    scan = _PlaneScan(tables, domain)
     lead = (1,) if members > 1 else ()  # the member axis
     whole = {v: domain.reshape(lead + shape) for v, shape in zip(vars_, ((1, 1, m), (1, m, 1), (m, 1, 1)))}
-    whole_scaled = scan.scaled(whole)
-    hoisted = {node: scan.value(node, dict(whole), whole_scaled) for node in _HOISTED[identity]}
+    hoisted = {node: scan.value(node, dict(whole)) for node in _HOISTED[identity]}
 
     found: list[tuple[int, ...] | None] = [None] * members
-    for z0, y0 in starts:
-        cut = {
-            "x": ...,
-            "y": (..., slice(y0, y0 + rows), slice(None)),
-            "z": (..., slice(z0, z0 + planes), slice(None), slice(None)),
-        }
-        values = {v: d[cut[v]] for v, d in whole.items()}
-        scaled = {v: d[cut[v]] for v, d in whole_scaled.items()}
-        values.update((node, h[cut["y"]] if "y" in _DEPS[node] else h) for node, h in hoisted.items())
-        scan.block = (min(planes, m - z0), min(rows, m - y0), m)
-        mism = scan.differ(scan.value(lhs_t, values, scaled), scan.value(rhs_t, values, scaled))
-        if mism.any():
-            # each member's first failure is the argmax of its own slice
-            per_member = mism.reshape(members, -1)
-            ys = scan.block[1]
-            for p, i in enumerate(per_member.argmax(axis=1).tolist()):
-                if per_member[p, i]:
-                    at = (i % m, y0 + i // m % ys, z0 + i // (ys * m))
-                    found[p] = tuple(int(domain[j]) for j in at[: len(vars_)])
-            break  # a scan of several blocks holds one member
+    for z0 in range(0, m if three else 1, planes):
+        for y0 in range(0, m, rows):
+            cut = {
+                "x": ...,
+                "y": (..., slice(y0, y0 + rows), slice(None)),
+                "z": (..., slice(z0, z0 + planes), slice(None), slice(None)),
+            }
+            values = {v: d[cut[v]] for v, d in whole.items()}
+            values.update((node, h[cut["y"]] if "y" in _DEPS[node] else h) for node, h in hoisted.items())
+            mism = scan.value(lhs_t, values) != scan.value(rhs_t, values)
+            if mism.any():
+                # each member's first failure is the argmax of its own slice
+                per_member = mism.reshape(members, -1)
+                ys = min(rows, m - y0)
+                for p, i in enumerate(per_member.argmax(axis=1).tolist()):
+                    if per_member[p, i]:
+                        at = (i % m, y0 + i // m % ys, z0 + i // (ys * m))
+                        found[p] = tuple(int(domain[j]) for j in at[: len(vars_)])
+                return found  # a scan of several blocks holds one member
     return found
 
 
@@ -377,7 +345,8 @@ def first_failures(
     """For each groupoid, the first assignment of elements of ``domain``
     (sorted, distinct indices; x fastest, then y, then z) at which the
     identity's two sides differ, or None when it holds there. The groupoids
-    share one order.
+    share one order, and an empty domain holds every law; an index outside
+    [0, order) raises ``IndexError``.
 
     One-variable laws square the domain vector through the compiled products
     of ``member_groups``, with the parameters of a group's members broadcast,
@@ -396,6 +365,11 @@ def first_failures(
     m, nvars = len(domain), len(vars_)
     check_budget("exhaustive check", f"{m}^{nvars}", m**nvars, " evaluations")
     found: list[tuple[int, ...] | None] = [None] * len(groupoids)
+    if not m or not groupoids:
+        return found
+    order = groupoids[0].order
+    if domain[0] < 0 or domain[-1] >= order:
+        raise IndexError(f"domain indices must lie in [0, {order})")
     if nvars == 1:
         x = domain[None, :]
         for group, prod in member_groups(groupoids, 1):
@@ -404,14 +378,8 @@ def first_failures(
                 if row[first]:
                     found[i] = (int(domain[first]),)
         return found
-    if not m or not groupoids:
-        return found
     tables = compile_tables(groupoids)
-    if domain[0] < 0 or domain[-1] >= len(tables[0]):
-        raise IndexError(f"domain indices must lie in [0, {len(tables[0])})")
     size = max(1, _CHUNK_CELLS // m**nvars)  # members per scan
-    if size >= len(tables):
-        return _scan(tables, identity, domain)
     return [f for p0 in range(0, len(tables), size) for f in _scan(tables[p0 : p0 + size], identity, domain)]
 
 

@@ -69,7 +69,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .carrier import CarrierError
-from .groupoid import Groupoid, check_budget, default_budget
+from .groupoid import _CHUNK_CELLS, Groupoid, check_budget, default_budget
 from .identities import (
     CheckMode,
     IdentityId,
@@ -78,8 +78,6 @@ from .identities import (
     first_failure,
 )
 from .shape import Element, element_is_pure_indeterminate, element_has_indeterminate
-
-_NORMAL_CHUNK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True, order=True)
@@ -322,9 +320,9 @@ def _normal_flags(tab: np.ndarray, members: np.ndarray) -> np.ndarray:
 
 def _normal_rows(tab: np.ndarray, members: np.ndarray) -> Iterator[int]:
     """The rows of a membership matrix that are normal, ascending; checked in
-    chunks of about _NORMAL_CHUNK_CELLS translate-set cells."""
+    chunks of about _CHUNK_CELLS translate-set cells."""
     n = len(tab)
-    step = max(1, _NORMAL_CHUNK_CELLS // (n * n))
+    step = max(1, _CHUNK_CELLS // (n * n))
     for lo in range(0, len(members), step):
         yield from (lo + np.flatnonzero(_normal_flags(tab, members[lo : lo + step]))).tolist()
 

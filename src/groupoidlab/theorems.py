@@ -186,7 +186,6 @@ class TheoremCheck:
 # -- class counting -------------------------------------------------------------
 
 COUNT_CLASSES = ("all_pairs", "level_one_pairs", "idempotent_pairs")
-_PAIR_CELLS = 1 << 18
 
 
 def count_class(carrier: Carrier, kind: str, *, equal_pairs_included: bool = False) -> int:
@@ -223,10 +222,10 @@ def count_class(carrier: Carrier, kind: str, *, equal_pairs_included: bool = Fal
         # v·x + w·x = x for every value x, over value indices: the candidate
         # pairs (v, w) of a group of v's are tested together on blocks of 1,
         # 2, 4, ... values x, and a pair leaves at the end of the first block
-        # with an x where it fails; a group holds about _PAIR_CELLS pairs. The
+        # with an x where it fails; a group holds about _CHUNK_CELLS pairs. The
         # x are the nonzero values only: v·0 + w·0 = 0 holds for every pair
         nz = np.flatnonzero([not carrier.is_zero(v) for v in carrier.enumerate_values()])
-        group = max(1, _PAIR_CELLS // max(len(nz), 1))
+        group = max(1, _CHUNK_CELLS // max(len(nz), 1))
         count = 0
         for g0 in range(0, len(nz), group):
             v, w = (a.ravel() for a in np.meshgrid(nz[g0 : g0 + group], nz, indexing="ij"))
@@ -398,12 +397,10 @@ def _t9(p: dict, run: _Run) -> None:
                 (h for h in of_order if h.indices == multiples),
                 of_order[0] if of_order else None,
             )
-            principal_normal = (
-                classify_subset(g, principal).normal_subgroupoid
-                if principal is not None
-                else False
-            )
+            # the principal subgroupoid is closed, proper and of size n/t >= 2,
+            # so it is normal exactly when the normal subgroupoids list it
             normals = find_normal_subgroupoids(g)
+            principal_normal = principal is not None and principal in normals
             extra = [
                 h.labels for h in normals if principal is None or h != principal
             ]

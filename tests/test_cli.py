@@ -50,6 +50,13 @@ def test_table_cap_exceeded_is_a_budget_error(runner):
     assert err["error"] == "budget-exceeded"
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_table_cap_below_one_is_a_usage_error(runner, cap):
+    r = invoke(runner, "table", "--carrier", "zn:7", "--pair", "2,3", "--cap", cap)
+    assert r.exit_code == 2
+    assert "--cap" in r.output
+
+
 def test_table_interval_matrix_entries(runner):
     r = invoke(runner, "table", "--carrier", "o(zn:4)", "--pair", "2,3")
     assert r.exit_code == 0

@@ -190,6 +190,13 @@ def test_table_labels_must_be_distinct(entry):
     assert str(err.value) == "table labels must be distinct"
 
 
+@pytest.mark.parametrize("entry", sorted(TABLE_ENTRY_POINTS))
+def test_a_table_needs_at_least_one_label(entry):
+    with pytest.raises(CarrierError) as err:
+        TABLE_ENTRY_POINTS[entry]((), ())
+    assert str(err.value) == "a table needs at least one label"
+
+
 def test_label_cells_outside_the_labels_name_the_cell():
     with pytest.raises(CarrierError) as err:
         from_table(("a", "b"), (("a", "b"), ("b", "c")))

@@ -415,6 +415,21 @@ def test_plane_scan_refuses_indices_outside_the_table(domain):
         first_failure(last_plane_table(9), IdentityId.BOL, np.array(domain))
 
 
+@pytest.mark.parametrize("domain", [[7], [-1, 2], [0, 5]])
+def test_a_one_variable_law_refuses_indices_outside_the_carrier(domain):
+    """The one-variable law needs no table, and checks its domain as the scan does."""
+    g = build(Modular(5), Scalar(), 2, 3)
+    with pytest.raises(IndexError, match=r"domain indices must lie in \[0, 5\)"):
+        identities.first_failures([g], IdentityId.IDEMPOTENT, np.array(domain))
+
+
+@pytest.mark.parametrize("identity", list(IdentityId), ids=lambda i: i.value)
+def test_every_law_holds_on_the_empty_subset(identity):
+    for g in (build(Modular(5), Scalar(), 2, 3), last_plane_table(9)):
+        assert identity_holds_on_subset(g, [], identity)
+        assert identities.first_failures([g, g], identity, np.array([], dtype=np.intp)) == [None, None]
+
+
 @pytest.mark.parametrize("cells", [1, 7, 16, 40, 1 << 17])
 def test_plane_scan_of_a_spec_backed_table_matches_the_loop_oracle(monkeypatch, cells):
     """Order 27 under x*y = 2x + y: the scan reads the table and its

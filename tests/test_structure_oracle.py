@@ -273,7 +273,7 @@ def test_subset_normality_matches_the_set_oracle(table, data):
 
 @pytest.mark.parametrize("chunk_cells", [1, 100, 1 << 20])
 def test_normal_rows_match_the_set_oracle_on_affine_tables(monkeypatch, chunk_cells):
-    monkeypatch.setattr(structure, "_NORMAL_CHUNK_CELLS", chunk_cells)
+    monkeypatch.setattr(structure, "_CHUNK_CELLS", chunk_cells)
     for n, t, u, table in affine_tables(6):
         subsets = [[i for i in range(n) if m >> i & 1] for m in range(1, 1 << n)]
         members = np.array([[i in idx for i in range(n)] for idx in subsets])

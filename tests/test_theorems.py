@@ -1,5 +1,7 @@
 """The check registry: counting oracles, sweep checks, suite runner."""
 
+import re
+
 import pytest
 
 from groupoidlab import (
@@ -9,6 +11,9 @@ from groupoidlab import (
     MixedNeutrosophic,
     Modular,
     PureNeutrosophic,
+    Scalar,
+    build,
+    classify_subset,
     count_class,
     run_suite,
     ssc_family_check,
@@ -75,18 +80,20 @@ def test_count_class_matches_the_per_value_loop(carrier):
             assert count_class(carrier, kind, equal_pairs_included=equal) == want, (kind, equal)
 
 
+@pytest.mark.parametrize("kind", ["level_one_pairs", "idempotent_pairs"])
 @pytest.mark.parametrize("cells", [1, 100, 1000, None], ids=["one-row", "100-cells", "1000-cells", "default"])
 @pytest.mark.parametrize(
     "carrier",
     [Modular(97), PureNeutrosophic(9), MixedNeutrosophic(6), IntervalOf(Modular(10)), IntervalOf(MixedNeutrosophic(5))],
     ids=lambda c: c.token(),
 )
-def test_level_one_count_in_blocks_matches_the_per_pair_loop(monkeypatch, carrier, cells):
-    """The gcd blocks hold one row, a few rows, a part of the rows or all of them."""
+def test_pair_counts_in_blocks_match_the_per_pair_loop(monkeypatch, carrier, cells, kind):
+    """The gcd blocks, and the groups of candidate pairs, hold one row, a few
+    rows, a part of the rows or all of them."""
     if cells is not None:
         monkeypatch.setattr(theorems, "_CHUNK_CELLS", cells)
-    want = count_class_loop_oracle(carrier, "level_one_pairs", False)
-    assert count_class(carrier, "level_one_pairs") == want
+    want = count_class_loop_oracle(carrier, kind, False)
+    assert count_class(carrier, kind) == want
 
 
 def test_level_one_count_of_zn_1000_is_the_coprime_pair_count():
@@ -227,6 +234,21 @@ def test_report_only_principal_subgroupoid_always_found():
     assert eight["claimed_order"] == 4
     assert ("0", "2", "4", "6") in eight["subgroupoids_of_claimed_order"]
     assert eight["unique_of_claimed_order"]
+
+
+def test_t9_reads_principal_normality_off_the_normal_list(monkeypatch):
+    """One normality pass per instance: the principal subgroupoid is normal
+    exactly when the normal subgroupoids list it, as classify_subset says."""
+    calls = []
+    monkeypatch.setattr(theorems, "classify_subset", lambda *a: calls.append(a))
+    out = verify_theorem("T9", {"n": (4, 20)})
+    assert calls == []
+    assert out.instances > 0
+    monkeypatch.undo()
+    for obs in out.observations:
+        n, t, u = map(int, re.fullmatch(r"zn:(\d+) \((\d+),(\d+)\)", obs["instance"]).groups())
+        g = build(Modular(n), Scalar(), t, u)
+        assert obs["principal_normal"] == classify_subset(g, range(0, n, t)).normal_subgroupoid, obs["instance"]
 
 
 def test_tier_override_promotes_disagreements_to_failures():
