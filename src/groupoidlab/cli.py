@@ -274,7 +274,7 @@ def verify(
     type=click.Choice(["all-pairs", "level-one-pairs", "idempotent-pairs"]),
     required=True,
 )
-@click.option("--equal-pairs", is_flag=True, help="include equal pairs in idempotent counting")
+@click.option("--equal-pairs", is_flag=True, help="include equal pairs (idempotent-pairs only)")
 def count(carrier_token: str, class_token: str, equal_pairs: bool) -> None:
     """Count a class of parameter pairs; prints the integer, then provenance."""
     try:

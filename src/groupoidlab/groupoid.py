@@ -359,29 +359,19 @@ class CayleyTable:
         if not lines:
             raise CarrierError("empty table text")
         labels = tuple(lines[0].split("\t"))
-        index = {lab: i for i, lab in enumerate(labels)}
-        if len(index) != len(labels):
-            raise CarrierError("table labels must be distinct")
-        rows = []
-        for r, line in enumerate(lines[1:]):
-            cells = line.split("\t")
-            if len(cells) != len(labels):
-                raise CarrierError(f"row {r} has {len(cells)} cells, expected {len(labels)}")
-            row = []
-            for c, cell in enumerate(cells):
-                if cell not in index:
-                    raise CarrierError(f"cell ({r},{c}) leaves the element set: {cell!r}")
-                row.append(index[cell])
-            rows.append(tuple(row))
-        if len(rows) != len(labels):
-            raise CarrierError(f"expected {len(labels)} rows, got {len(rows)}")
-        return cls(labels=labels, rows=tuple(rows))
+        rows = _validated_table(labels, [line.split("\t") for line in lines[1:]])
+        return cls(labels=labels, rows=tuple(map(tuple, rows.tolist())))
 
     @classmethod
     def from_json(cls, text: str) -> "CayleyTable":
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except ValueError as e:
+            raise CarrierError(f"table JSON does not parse: {e}") from None
+        if not isinstance(data, dict) or not all(isinstance(data.get(k), list) for k in ("labels", "table")):
+            raise CarrierError('a table document is an object with a "labels" list and a "table" list')
         labels = tuple(str(x) for x in data["labels"])
-        rows = _validated_table(labels, [[int(c) for c in row] for row in data["table"]])
+        rows = _validated_table(labels, data["table"])
         return cls(labels=labels, rows=tuple(map(tuple, rows.tolist())))
 
 
@@ -406,22 +396,26 @@ def from_table(labels: Sequence[str], rows: Sequence[Sequence[int | str]]) -> Gr
 
 def _validated_table(labels: Sequence[str], rows: Sequence[Sequence[int | str]]) -> np.ndarray:
     """The validated n×n int32 table of element indices, n >= 1; cells may be
-    indices or labels."""
+    labels or integer indices (not bools), and the first bad cell in row-major
+    order is named."""
     n = len(labels)
     if not n:
         raise CarrierError("a table needs at least one label")
     index = {lab: i for i, lab in enumerate(labels)}
     if len(index) != n:
         raise CarrierError("table labels must be distinct")
-    rows = [list(row) for row in rows]
-    if len(rows) != n or any(len(row) != n for row in rows):
+    rows = list(rows)
+    if len(rows) != n or any(not isinstance(row, (list, tuple, np.ndarray)) or len(row) != n for row in rows):
         raise CarrierError("table must be square and match the label count")
-    cells = [[index.get(c, -1) if isinstance(c, str) else int(c) for c in row] for row in rows]
-    table = np.array(cells, dtype=np.int64).reshape(n, n)
-    bad = np.argwhere((table < 0) | (table >= n))
-    if len(bad):
-        i, j = bad[0].tolist()  # the first bad cell in row-major order
-        cell = rows[i][j]
-        shown = repr(cell) if isinstance(cell, str) else f"index {cell}"
-        raise CarrierError(f"cell ({i},{j}) leaves the element set: {shown}")
-    return table.astype(np.int32)
+
+    def cell_index(i: int, j: int, c) -> int:  # read in row-major order
+        if isinstance(c, str) and c in index:
+            return index[c]
+        integer = isinstance(c, (int, np.integer)) and not isinstance(c, bool)
+        if integer and 0 <= c < n:
+            return int(c)
+        if not (integer or isinstance(c, str)):
+            raise CarrierError(f"cell ({i},{j}) is neither a label nor an index: {c!r}")
+        raise CarrierError(f"cell ({i},{j}) leaves the element set: {f'index {c}' if integer else repr(c)}")
+
+    return np.array([[cell_index(i, j, c) for j, c in enumerate(row)] for i, row in enumerate(rows)], dtype=np.int32)

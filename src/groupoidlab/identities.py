@@ -160,23 +160,29 @@ def eval_tree(node: Node, env: dict, prod) -> Any:
 # -- exhaustive ---------------------------------------------------------------
 
 
-def _element_at(g: Groupoid, i: int) -> Element:
+def _element_at(g: Groupoid, i: int) -> Element | int:
     """The element at index i: its base-q digits (most significant first) are
-    the value indices of its entries, as in ``Groupoid.elements`` order."""
+    the value indices of its entries, as in ``Groupoid.elements`` order. A
+    table-backed groupoid's elements are its indices."""
+    if g.spec is None:
+        return i
     carrier, k = g.spec.carrier, g.spec.shape.entry_count()
     q = carrier.size()
     return tuple(carrier.value_at(i // q ** (k - 1 - e) % q) for e in range(k))
 
 
-def _witness_verdict(g: Groupoid, identity: IdentityId, method: str, assign: tuple[int, ...]) -> IdentityVerdict:
+def _witness_verdict(
+    g: Groupoid, identity: IdentityId, method: str, witness: tuple, trials: int | None = None, seed: int | None = None
+) -> IdentityVerdict:
+    """The failing verdict of every engine, with the witness elements (indices
+    for a table-backed groupoid) labelled; trials and seed are a sample's."""
     if g.spec is None:
-        witness, labels = assign, tuple(g.labels()[i] for i in assign)
+        labels = tuple(g.labels()[i] for i in witness)
     else:
-        witness = tuple(_element_at(g, i) for i in assign)
         labels = tuple(format_element(g.spec.carrier, g.spec.shape, e) for e in witness)
     return IdentityVerdict(
         identity=identity.value, method=method, status="fails",
-        witness=witness, witness_labels=labels,
+        witness=witness, witness_labels=labels, trials=trials, seed=seed,
     )
 
 
@@ -403,7 +409,8 @@ def check_identity_sweep(groupoids: Sequence[Groupoid], identity: IdentityId) ->
     order = groupoids[0]._require_enumerable()
     holds = IdentityVerdict(identity=identity.value, method="exhaustive", status="holds")
     return [
-        holds if found is None else _witness_verdict(g, identity, "exhaustive", found)
+        holds if found is None
+        else _witness_verdict(g, identity, "exhaustive", tuple(_element_at(g, i) for i in found))
         for g, found in zip(groupoids, first_failures(groupoids, identity, np.arange(order)))
     ]
 
@@ -432,13 +439,8 @@ def _lifted(g: Groupoid, identity: IdentityId) -> IdentityVerdict:
     inner = _exhaustive(shadow, identity)
     if inner.status == "holds":
         return IdentityVerdict(identity=identity.value, method="lifted", status="holds")
-    k = g.spec.shape.entry_count()
-    witness = tuple(tuple(e[0] for _ in range(k)) for e in inner.witness)
-    labels = tuple(format_element(g.spec.carrier, g.spec.shape, w) for w in witness)
-    return IdentityVerdict(
-        identity=identity.value, method="lifted", status="fails",
-        witness=witness, witness_labels=labels,
-    )
+    k = g.spec.shape.entry_count()  # the scalar witness (v,) lifts to the diagonal (v, ..., v)
+    return _witness_verdict(g, identity, "lifted", tuple(e * k for e in inner.witness))
 
 
 # -- sampled ------------------------------------------------------------------
@@ -497,12 +499,10 @@ def _sampled(g: Groupoid, identity: IdentityId, trials: int, seed: int) -> Ident
         k = g.spec.shape.entry_count()
         prod = g.digit_products
         element = lambda ds: tuple(map(carrier.value_at, ds))  # noqa: E731
-        fmt = lambda e: format_element(carrier, g.spec.shape, e)  # noqa: E731
     else:
         size, k = len(g.labels()), 1
         prod = lambda xs, ys: [g.products(xs[0], ys[0])]  # noqa: E731
         element = lambda ds: ds[0]  # noqa: E731
-        fmt = lambda i: g.labels()[i]  # noqa: E731
 
     draws = _Draws(seed, size)
     width = len(vars_) * k  # draws per trial
@@ -518,11 +518,7 @@ def _sampled(g: Groupoid, identity: IdentityId, trials: int, seed: int) -> Ident
             mism |= a != b
         if mism.any():
             witness = tuple(element(ds) for ds in drawn[int(np.argmax(mism))].tolist())
-            return IdentityVerdict(
-                identity=identity.value, method="sampled", status="fails",
-                witness=witness, witness_labels=tuple(fmt(w) for w in witness),
-                trials=trials, seed=seed,
-            )
+            return _witness_verdict(g, identity, "sampled", witness, trials, seed)
         done += c
         chunk *= 2
     return IdentityVerdict(

@@ -7,16 +7,16 @@ that fixed order and reruns are reproducible.
 
 The power-set sweeps are numpy arrays indexed by mask: ``need[m]`` is the
 bitmask (``uint32`` up to order 32, else ``uint64``) of every product the
-subset ``m`` must contain, filled in blocks by highest set bit with
-OR-over-subsets transforms, and ``m`` is closed (or absorbing) iff
-``need[m] & ~m == 0``. Their cost, ``n*2^n``, is checked against the work
+subset ``m`` must contain, filled by the OR-over-subsets ``_subset_or``, and
+``m`` is closed (or absorbing) iff ``need[m] & ~m == 0``. Their cost, ``n*2^n``, is checked against the work
 budget (``GGL_BUDGET``, ``groupoid.check_budget``) before anything is
 allocated, as are the ``n^3`` work of whole-groupoid normality and the
 ``n(n-1)/2`` pair closures of up to ``n^2`` table reads each of the
 generated-closure route, before the table is built. That route closes boolean
-membership vectors semi-naively, and normality compares membership matrices
-(row ``r`` marks the set of values in row ``r``). A test on a subset of m
-elements scans m^vars assignments, refused as the identity engine refuses it.
+membership vectors semi-naively. Normality compares translate sets (boolean
+rows marking a*V and V*a), a block of sets V of about _CHUNK_CELLS cells at a
+time. A test on a subset of m elements scans m^vars assignments, refused as
+the identity engine refuses it.
 The route is chosen by cost, in one place: ``enumerate_subgroupoids`` takes
 the power set when its ``n*2^n`` estimate fits the budget and the generated
 closures otherwise, and ``is_simple`` and ``analyze`` work on whatever list it
@@ -99,6 +99,12 @@ class SubsetHandle:
         return list(self.labels)
 
 
+def _handle_of(g: Groupoid, idx: Sequence[int]) -> SubsetHandle:
+    """The handle of sorted, distinct element indices, labels read from g."""
+    labels = g.labels()
+    return SubsetHandle(indices=tuple(idx), labels=tuple(labels[i] for i in idx))
+
+
 class MaskedSubsets(Sequence[SubsetHandle]):
     """Subsets of one groupoid held as a mask array in (popcount, mask) order;
     the handle of a mask is built when it is read. Compares and hashes as the
@@ -112,9 +118,7 @@ class MaskedSubsets(Sequence[SubsetHandle]):
         self.masks.flags.writeable = False
 
     def _handle(self, mask: int) -> SubsetHandle:
-        labels = self._g.labels()
-        idx = tuple(i for i in range(len(labels)) if mask >> i & 1)
-        return SubsetHandle(indices=idx, labels=tuple(labels[i] for i in idx))
+        return _handle_of(self._g, [i for i in range(self._g.order) if mask >> i & 1])
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -159,8 +163,7 @@ def subset_handle(g: Groupoid, subset: Iterable) -> SubsetHandle:
             out.add(pos[item])
         else:
             out.add(g.element_index(item))
-    idx = tuple(sorted(out))
-    return SubsetHandle(indices=idx, labels=tuple(labels[i] for i in idx))
+    return _handle_of(g, sorted(out))
 
 
 # -- bitmask machinery --------------------------------------------------------
@@ -197,6 +200,14 @@ def _uncovered_free(need: np.ndarray) -> np.ndarray:
     return (need & ~np.arange(len(need), dtype=need.dtype)) == 0
 
 
+def _subset_or(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[m] = out[0] | values[w] for every bit w of m, each m < 2^len(values),
+    filled in place by highest set bit: out[2^w + r] = out[r] | values[w]."""
+    for w, value in enumerate(values):
+        np.bitwise_or(out[: 1 << w], value, out=out[1 << w : 2 << w])
+    return out
+
+
 def _closed_flags(tab: np.ndarray) -> np.ndarray:
     """closed[m] for every mask, built in blocks by highest set bit k:
     need[2^k + r] = need[r] | bit(T[k][k]) | cross_k[r], where cross_k is the
@@ -206,9 +217,7 @@ def _closed_flags(tab: np.ndarray) -> np.ndarray:
     need = np.zeros(1 << n, dtype=bit.dtype)
     cross = np.zeros(1 << max(n - 1, 0), dtype=bit.dtype)
     for k in range(n):
-        c = bit[k, :k] | bit[:k, k]
-        for w in range(k):
-            np.bitwise_or(cross[: 1 << w], c[w], out=cross[1 << w : 2 << w])
+        _subset_or(bit[k, :k] | bit[:k, k], cross)
         block = need[1 << k : 2 << k]
         np.bitwise_or(need[: 1 << k], bit[k, k], out=block)
         block |= cross[: 1 << k]
@@ -224,21 +233,23 @@ def _absorb_flags(tab: np.ndarray, side: str) -> np.ndarray:
     n = len(tab)
     bit = _bits(tab if side == "left" else tab.T)
     member = np.bitwise_or.reduce(bit, axis=1)
-    need = np.zeros(1 << n, dtype=bit.dtype)
-    for v in range(n):
-        np.bitwise_or(need[: 1 << v], member[v], out=need[1 << v : 2 << v])
-    return _uncovered_free(need)
+    return _uncovered_free(_subset_or(member, np.zeros(1 << n, dtype=bit.dtype)))
 
 
-def _proper_masks_sorted(flags: np.ndarray) -> np.ndarray:
-    """Nonempty proper masks whose flag is set, by (popcount, mask)."""
-    masks = np.flatnonzero(flags[1:-1]) + 1
+def _popcounts(masks: np.ndarray) -> np.ndarray:
+    """The number of set bits of each mask."""
     count = np.zeros(len(masks), dtype=np.int64)
     rest = masks.copy()
     while rest.any():
         count += _POPCOUNT8[rest & 0xFF]
         rest >>= 8
-    return masks[np.argsort(count, kind="stable")]
+    return count
+
+
+def _proper_masks_sorted(flags: np.ndarray) -> np.ndarray:
+    """Nonempty proper masks whose flag is set, by (popcount, mask)."""
+    masks = np.flatnonzero(flags[1:-1]) + 1
+    return masks[np.argsort(_popcounts(masks), kind="stable")]
 
 
 def _closed_masks(g: Groupoid) -> np.ndarray:
@@ -298,33 +309,36 @@ def _is_semigroup(g: Groupoid, idx: Sequence[int]) -> bool:
     return len(idx) == 1 or first_failure(g, IdentityId.ASSOCIATIVE, np.asarray(idx)) is None
 
 
-def _row_sets(vals: np.ndarray, n: int) -> np.ndarray:
-    """Membership matrix: out[r, c] is True iff c occurs in row r of vals."""
-    out = np.zeros((len(vals), n), dtype=bool)
-    out[np.arange(len(vals))[:, None], vals] = True
-    return out
+def _translates(tab: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The translate sets of each set V, a row of a boolean membership matrix:
+    left[r, a] marks a*V and right[r, a] marks V*a, for V row r."""
+    k, n = members.shape
+    r, v = np.nonzero(members)
+    a = np.arange(n)
+    left, right = np.zeros((2, k, n, n), dtype=bool)
+    left[r[:, None], a, tab[:, v].T] = True
+    right[r[:, None], a, tab[v, :]] = True
+    return left, right
+
+
+def _translate_blocks(n: int, count: int) -> Iterator[slice]:
+    """Slices of count sets of an order-n groupoid, about _CHUNK_CELLS translate-set cells each."""
+    step = max(1, _CHUNK_CELLS // (n * n))
+    return (slice(lo, lo + step) for lo in range(0, count, step))
 
 
 def _normal_flags(tab: np.ndarray, members: np.ndarray) -> np.ndarray:
     """normal[r]: aV = Va as sets for every a in the carrier (see module doc),
     where V is row r of a boolean membership matrix."""
-    k, n = members.shape
-    r, v = np.nonzero(members)
-    a = np.arange(n)
-    left = np.zeros((k, n, n), dtype=bool)  # left[r, a] marks a*V
-    right = np.zeros((k, n, n), dtype=bool)  # right[r, a] marks V*a
-    left[r[:, None], a, tab[:, v].T] = True
-    right[r[:, None], a, tab[v, :]] = True
+    left, right = _translates(tab, members)
     return (left == right).all(axis=(1, 2))
 
 
 def _normal_rows(tab: np.ndarray, members: np.ndarray) -> Iterator[int]:
     """The rows of a membership matrix that are normal, ascending; checked in
-    chunks of about _CHUNK_CELLS translate-set cells."""
-    n = len(tab)
-    step = max(1, _CHUNK_CELLS // (n * n))
-    for lo in range(0, len(members), step):
-        yield from (lo + np.flatnonzero(_normal_flags(tab, members[lo : lo + step]))).tolist()
+    blocks of about _CHUNK_CELLS translate-set cells."""
+    for block in _translate_blocks(len(tab), len(members)):
+        yield from (block.start + np.flatnonzero(_normal_flags(tab, members[block]))).tolist()
 
 
 def _normal_subsets(g: Groupoid, subsets: Sequence[SubsetHandle]) -> Iterator[SubsetHandle]:
@@ -454,11 +468,8 @@ def enumerate_subgroupoids(g: Groupoid) -> EnumerationResult:
             subsets=MaskedSubsets(g, _closed_masks(g)), strategy="power-set", complete=True
         )
     _closure_order(g, "generated-closure enumeration")
-    labels = g.labels()
     closures = g.cached("closures", lambda: _generated_closures(g.table_array()))
-    handles = tuple(
-        SubsetHandle(indices=idx, labels=tuple(labels[i] for i in idx)) for idx in closures
-    )
+    handles = tuple(_handle_of(g, idx) for idx in closures)
     return EnumerationResult(subsets=handles, strategy="generated-closure", complete=False)
 
 
@@ -536,18 +547,16 @@ def _normality_order(g: Groupoid) -> int:
 
 
 def is_normal_groupoid(g: Groupoid) -> bool:
-    """The whole groupoid satisfies the normality laws over all of G."""
+    """aG = Ga for every a, then (Gx)y = G(xy) and y(xG) = (yx)G for every x
+    and y: with aG = Ga, xG is Gx, so both read the translates of the sets xG."""
     n = _normality_order(g)
     tab = g.table_array()
-    rows = _row_sets(tab, n)  # rows[a] = a*G
-    cols = _row_sets(tab.T, n)  # cols[a] = G*a
-    if not np.array_equal(rows, cols):
+    rows, cols = (side[0] for side in _translates(tab, np.ones((1, n), dtype=bool)))
+    if not np.array_equal(rows, cols):  # rows[a] = aG, cols[a] = Ga
         return False
-    for x in range(n):
-        # (Gx)y = G(xy) for every y, then y(xG) = (yx)G for every y
-        if not np.array_equal(_row_sets(tab[tab[:, x], :].T, n), cols[tab[x, :]]):
-            return False
-        if not np.array_equal(_row_sets(tab[:, tab[x, :]], n), rows[tab[:, x]]):
+    for xs in _translate_blocks(n, n):
+        left, right = _translates(tab, rows[xs])  # left[x, y] = y(xG), right[x, y] = (xG)y
+        if not (np.array_equal(right, rows[tab[xs, :]]) and np.array_equal(left, rows[tab[:, xs].T])):
             return False
     return True
 
@@ -647,10 +656,8 @@ def are_conjugate(g: Groupoid, h: Iterable, k: Iterable) -> ConjugacyVerdict:
     n = len(tab)
     disjoint = not set(hh.indices) & set(kk.indices)
     target = _member(n, hh.indices)
-    k = list(kk.indices)
-    left = (_row_sets(tab[:, k], n) == target).all(axis=1)  # left[x]: x*K = H
-    right = (_row_sets(tab[k, :].T, n) == target).all(axis=1)  # right[x]: K*x = H
-    hits = np.flatnonzero(left | right)
+    left, right = ((side[0] == target).all(axis=1) for side in _translates(tab, _member(n, kk.indices)[None]))
+    hits = np.flatnonzero(left | right)  # left[x]: x*K = H, right[x]: K*x = H
     if not hits.size:
         return ConjugacyVerdict(False, None, None, disjoint)
     x = int(hits[0])

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .carrier import (
     Modular,
     PureNeutrosophic,
     is_prime,
+    parse_carrier,
 )
 from .groupoid import _CHUNK_CELLS, Groupoid, build, check_budget, compile_tables
 from .identities import (
@@ -52,6 +53,7 @@ from .identities import (
 )
 from .shape import Matrix, Poly, ProductKind, Scalar
 from .structure import (
+    _popcounts,
     classify_subset,
     enumerate_ideals,
     enumerate_subgroupoids,
@@ -195,10 +197,13 @@ def count_class(carrier: Carrier, kind: str, *, equal_pairs_included: bool = Fal
     carrier has exactly one zero. level_one_pairs: distinct nonzero pairs
     whose joint coprimality class is a unit. idempotent_pairs: nonzero pairs
     whose groupoid is idempotent (checked semantically against every carrier
-    value), with equal pairs included iff the flag says so. The last two test
+    value), with equal pairs included iff the flag says so; the other two
+    classes count distinct pairs only and refuse the flag. The last two test
     pairs, so their (q-1)(q-2) and (q-1)^2 pairs are checked against the work
     budget before any value is enumerated.
     """
+    if equal_pairs_included and kind in ("all_pairs", "level_one_pairs"):
+        raise CarrierError(f"{kind} counts distinct pairs only, so equal pairs cannot be included")
     m = carrier.size() - 1
     if kind == "all_pairs":
         return m * (m - 1)
@@ -257,20 +262,12 @@ def ssc_family_check(n: int) -> bool:
 # -- check runners --------------------------------------------------------------
 
 
-def _carriers_for(n: int, which: Iterable[str]) -> list[Carrier]:
-    out: list[Carrier] = []
+def _carriers_for(n: int, which: Sequence[str]) -> list[Carrier]:
+    """The carrier of modulus n of each family, by ``parse_carrier``: zn -> zn:n, o(zn) -> o(zn:n)."""
     for token in which:
-        if token == "zn":
-            out.append(Modular(n))
-        elif token == "zni":
-            out.append(PureNeutrosophic(n))
-        elif token == "o(zn)":
-            out.append(IntervalOf(Modular(n)))
-        elif token == "o(zni)":
-            out.append(IntervalOf(PureNeutrosophic(n)))
-        else:
+        if token not in ("zn", "zni", "o(zn)", "o(zni)"):
             raise CarrierError(f"unknown carrier family: {token!r}")
-    return out
+    return [parse_carrier(token.replace(")", f":{n})") if "(" in token else f"{token}:{n}") for token in which]
 
 
 def _t1(p: dict, run: _Run) -> None:
@@ -389,8 +386,12 @@ def _t9(p: dict, run: _Run) -> None:
                 continue
             g = _scalar(Modular(n), t, u)
             expected = n // t
+            # the normal search refuses past the power set's budget, so the
+            # subgroupoids are masks by size; handles only for the claimed order
+            normals = find_normal_subgroupoids(g)
             subs = enumerate_subgroupoids(g).subsets
-            of_order = [h for h in subs if h.size == expected]
+            lo, hi = np.searchsorted(_popcounts(subs.masks), [expected, expected + 1]).tolist()
+            of_order = list(subs[lo:hi])
             unique = len(of_order) == 1
             multiples = tuple(sorted(range(0, n, t)))
             principal = next(
@@ -399,7 +400,6 @@ def _t9(p: dict, run: _Run) -> None:
             )
             # the principal subgroupoid is closed, proper and of size n/t >= 2,
             # so it is normal exactly when the normal subgroupoids list it
-            normals = find_normal_subgroupoids(g)
             principal_normal = principal is not None and principal in normals
             extra = [
                 h.labels for h in normals if principal is None or h != principal

@@ -350,6 +350,13 @@ def test_count_equal_pairs_flag(runner):
     assert r.output == "4\n# zni:6 idempotent-pairs equal-pairs-included\n"
 
 
+@pytest.mark.parametrize("kind", ["all-pairs", "level-one-pairs"])
+def test_count_refuses_equal_pairs_for_distinct_pair_classes(runner, kind):
+    r = invoke(runner, "count", "--carrier", "zn:7", "--class", kind, "--equal-pairs")
+    assert r.exit_code == 2
+    assert "counts distinct pairs only, so equal pairs cannot be included" in r.output
+
+
 @pytest.mark.parametrize(
     "carrier,kind,estimate",
     [

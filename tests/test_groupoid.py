@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import groupoidlab
@@ -201,6 +202,62 @@ def test_label_cells_outside_the_labels_name_the_cell():
     with pytest.raises(CarrierError) as err:
         from_table(("a", "b"), (("a", "b"), ("b", "c")))
     assert str(err.value) == "cell (1,1) leaves the element set: 'c'"
+
+
+@pytest.mark.parametrize("entry", sorted(TABLE_ENTRY_POINTS))
+@pytest.mark.parametrize("cell", [0.7, 1.0, True, None], ids=["float", "integral-float", "bool", "none"])
+def test_cells_are_labels_or_integer_indices(entry, cell):
+    with pytest.raises(CarrierError) as err:
+        TABLE_ENTRY_POINTS[entry](("a", "b"), ((0, 1), (cell, 0)))
+    assert str(err.value) == f"cell (1,0) is neither a label nor an index: {cell!r}"
+
+
+def test_numpy_integer_cells_are_indices():
+    assert from_table(("a", "b"), np.array([[0, 1], [1, 0]])).index_table() == [[0, 1], [1, 0]]
+
+
+def test_json_label_cells_read_as_in_from_table():
+    ct = CayleyTable.from_json('{"labels": ["a", "b"], "table": [["a", "b"], [1, "a"]]}')
+    assert ct == CayleyTable(labels=("a", "b"), rows=((0, 1), (1, 0)))
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("[]", 'a table document is an object with a "labels" list and a "table" list'),
+        ('{"labels": ["a", "b"]}', 'a table document is an object with a "labels" list and a "table" list'),
+        ('{"labels": "ab", "table": []}', 'a table document is an object with a "labels" list and a "table" list'),
+        ('{"labels": ["a", "b"], "table": [[0, 1], 1]}', "table must be square and match the label count"),
+        ('{"labels": ["a", "b"], "table": [[0, 1], "ba"]}', "table must be square and match the label count"),
+    ],
+    ids=["list", "no-table", "string-labels", "number-row", "string-row"],
+)
+def test_malformed_json_documents_are_refused(text, message):
+    with pytest.raises(CarrierError) as err:
+        CayleyTable.from_json(text)
+    assert str(err.value) == message
+
+
+def test_json_that_does_not_parse_is_refused():
+    with pytest.raises(CarrierError, match="^table JSON does not parse: "):
+        CayleyTable.from_json('{"labels": ["a"]')
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("a\tb\na\tb\nb\n", "table must be square and match the label count"),
+        ("a\tb\na\tb\n", "table must be square and match the label count"),
+        ("a\tb\na\tb\nb\tc\n", "cell (1,1) leaves the element set: 'c'"),
+        ("a\ta\na\ta\na\ta\n", "table labels must be distinct"),
+        ("\n\n", "empty table text"),
+    ],
+    ids=["ragged-row", "missing-row", "unknown-label", "repeated-label", "empty"],
+)
+def test_tsv_refusals_come_from_the_one_validator(text, message):
+    with pytest.raises(CarrierError) as err:
+        CayleyTable.from_tsv(text)
+    assert str(err.value) == message
 
 
 # -- budgets and large spaces -------------------------------------------------

@@ -206,6 +206,24 @@ def test_absorb_flags_match_the_recurrence_oracle(table, side):
     assert got.tolist()[1 : (1 << n) - 1] == want[1 : (1 << n) - 1]
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([np.uint32, np.uint64]),
+    st.lists(st.integers(0, 2**32 - 1), max_size=10),
+    st.integers(0, 2**32 - 1),
+)
+def test_subset_or_matches_the_per_mask_loop(dtype, values, start):
+    out = np.zeros(1 << len(values), dtype=dtype)
+    out[0] = start
+    structure._subset_or(np.array(values, dtype=dtype), out)
+    want = [start] * len(out)
+    for m in range(len(out)):
+        for w, value in enumerate(values):
+            if m >> w & 1:
+                want[m] |= value
+    assert out.tolist() == want
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_image_tables())
 def test_sorted_masks_follow_popcount_then_value(table):
@@ -302,6 +320,48 @@ def test_normal_groupoid_matches_the_set_oracle_on_affine_tables():
     for n, t, u, table in affine_tables(12):
         got = is_normal_groupoid(from_table([str(i) for i in range(n)], table))
         assert got == is_normal_groupoid_oracle(table), (n, t, u)
+        verdicts.append(got)
+    assert any(verdicts) and not all(verdicts)
+
+
+def coset_law_failures_oracle(table):
+    """The x for which (Gx)y = G(xy) or y(xG) = (yx)G fails at some y."""
+    every = range(len(table))
+    return {
+        x
+        for x in every
+        for y in every
+        if {table[table[v][x]][y] for v in every} != {table[v][table[x][y]] for v in every}
+        or {table[y][table[x][v]] for v in every} != {table[table[y][x]][v] for v in every}
+    }
+
+
+# aG = Ga for every a, and only x = 3 breaks a coset law: the last x block fails alone
+LATE_FAILURE = [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]]
+
+
+@pytest.mark.parametrize("block", ["1", "2", "n-1"])
+def test_normal_groupoid_reads_the_coset_laws_in_x_blocks(monkeypatch, block):
+    """_CHUNK_CELLS sized so a block holds 1, 2 or n - 1 sets xG; no translate
+    call takes more rows than a block, so nothing holds n^3 cells at once."""
+    everything = range(len(LATE_FAILURE))
+    assert all({LATE_FAILURE[a][v] for v in everything} == {LATE_FAILURE[v][a] for v in everything} for a in everything)
+    assert coset_law_failures_oracle(LATE_FAILURE) == {3}
+    rng = np.random.default_rng(16)
+    tables = [table for _, _, _, table in affine_tables(7)] + [LATE_FAILURE]
+    tables += [rng.choice(rng.choice(n, 2, replace=False), (n, n)).tolist() for n in range(2, 10) for _ in range(8)]
+    real = structure._translates
+    taken = []
+    monkeypatch.setattr(structure, "_translates", lambda tab, members: taken.append(len(members)) or real(tab, members))
+    verdicts = []
+    for table in tables:
+        n = len(table)
+        rows = max(1, n - 1 if block == "n-1" else int(block))
+        monkeypatch.setattr(structure, "_CHUNK_CELLS", rows * n * n)
+        taken.clear()
+        got = is_normal_groupoid(from_table([str(i) for i in range(n)], table))
+        assert got == is_normal_groupoid_oracle(table), table
+        assert max(taken) <= rows, table
         verdicts.append(got)
     assert any(verdicts) and not all(verdicts)
 

@@ -19,7 +19,7 @@ from groupoidlab import (
     ssc_family_check,
     verify_theorem,
 )
-from groupoidlab import theorems
+from groupoidlab import structure, theorems
 from groupoidlab.theorems import CHECKS, COUNT_CLASSES, SuiteConfig, outcomes_asserted
 
 # -- counting oracles ------------------------------------------------------------
@@ -75,9 +75,16 @@ COUNT_CARRIERS = [
 @pytest.mark.parametrize("carrier", COUNT_CARRIERS, ids=lambda c: c.token())
 def test_count_class_matches_the_per_value_loop(carrier):
     for kind in COUNT_CLASSES:
-        for equal in (False, True):
+        for equal in (False, True) if kind == "idempotent_pairs" else (False,):
             want = count_class_loop_oracle(carrier, kind, equal)
             assert count_class(carrier, kind, equal_pairs_included=equal) == want, (kind, equal)
+
+
+@pytest.mark.parametrize("kind", ["all_pairs", "level_one_pairs"])
+def test_only_idempotent_pairs_take_equal_pairs(kind):
+    with pytest.raises(CarrierError) as err:
+        count_class(Modular(7), kind, equal_pairs_included=True)
+    assert str(err.value) == f"{kind} counts distinct pairs only, so equal pairs cannot be included"
 
 
 @pytest.mark.parametrize("kind", ["level_one_pairs", "idempotent_pairs"])
@@ -94,6 +101,26 @@ def test_pair_counts_in_blocks_match_the_per_pair_loop(monkeypatch, carrier, cel
         monkeypatch.setattr(theorems, "_CHUNK_CELLS", cells)
     want = count_class_loop_oracle(carrier, kind, False)
     assert count_class(carrier, kind) == want
+
+
+@pytest.mark.parametrize(
+    "family,want",
+    [
+        ("zn", Modular(6)),
+        ("zni", PureNeutrosophic(6)),
+        ("o(zn)", IntervalOf(Modular(6))),
+        ("o(zni)", IntervalOf(PureNeutrosophic(6))),
+    ],
+)
+def test_carriers_for_builds_each_family(family, want):
+    assert theorems._carriers_for(6, [family]) == [want]
+
+
+@pytest.mark.parametrize("family", ["nzn", "o(nzn)", "zq"])
+def test_carriers_for_refuses_other_families(family):
+    with pytest.raises(CarrierError) as err:
+        theorems._carriers_for(6, ["zn", family])
+    assert str(err.value) == f"unknown carrier family: {family!r}"
 
 
 def test_level_one_count_of_zn_1000_is_the_coprime_pair_count():
@@ -249,6 +276,18 @@ def test_t9_reads_principal_normality_off_the_normal_list(monkeypatch):
         n, t, u = map(int, re.fullmatch(r"zn:(\d+) \((\d+),(\d+)\)", obs["instance"]).groups())
         g = build(Modular(n), Scalar(), t, u)
         assert obs["principal_normal"] == classify_subset(g, range(0, n, t)).normal_subgroupoid, obs["instance"]
+
+
+def test_t9_builds_handles_only_for_the_claimed_order_and_the_normal_list(monkeypatch):
+    built = []
+    real = structure.MaskedSubsets._handle
+    monkeypatch.setattr(structure.MaskedSubsets, "_handle", lambda self, mask: built.append(mask) or real(self, mask))
+    out = verify_theorem("T9", {"n": (4, 16)})
+    listed = sum(
+        len(obs["subgroupoids_of_claimed_order"]) + obs["principal_normal"] + len(obs["extra_normal_subgroupoids"])
+        for obs in out.observations
+    )
+    assert out.instances > 0 and len(built) == listed
 
 
 def test_tier_override_promotes_disagreements_to_failures():
