@@ -205,6 +205,10 @@ def _takes_range(check_id: str, key: str) -> bool:
     return isinstance(CHECKS[check_id].defaults.get(key), tuple)
 
 
+# every check's range keys, in declaration order
+_RANGE_KEYS = list(dict.fromkeys(key for cid, check in CHECKS.items() for key in check.defaults if _takes_range(cid, key)))
+
+
 @main.command()
 @click.option("--suite", default="default", show_default=True)
 @click.option("--only", "only_text", default=None, help="comma-separated check ids, each once (e.g. T1,T7)")
@@ -213,8 +217,7 @@ def _takes_range(check_id: str, key: str) -> bool:
     "range_texts",
     multiple=True,
     help="override a range of moduli, e.g. n=3..30 (repeatable, once per key); KEY is a range parameter "
-    "of a selected check (n, p, zn_n, zni_n, formula_n, parity_n or vacuity_n) and "
-    "2 <= LO <= HI",
+    f"of a selected check ({', '.join(_RANGE_KEYS[:-1])} or {_RANGE_KEYS[-1]}) and 2 <= LO <= HI",
 )
 @click.option(
     "--seed",

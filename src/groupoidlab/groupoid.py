@@ -234,11 +234,6 @@ class Groupoid:
         sp = self.spec
         return star(sp.carrier, sp.shape, sp.t, sp.u, x, y)
 
-    def star_idx(self, i: int, j: int) -> int:
-        self._require_enumerable()
-        index = range(self.order)  # list indexing: negatives count back, others raise
-        return int(self.products(np.asarray(index[i]), np.asarray(index[j])))
-
     def _compiled(self) -> Callable:
         sp = self.spec
         return self.cached("product", lambda: compile_product(sp.carrier, sp.shape, sp.t, sp.u))
@@ -370,7 +365,10 @@ class CayleyTable:
             raise CarrierError(f"table JSON does not parse: {e}") from None
         if not isinstance(data, dict) or not all(isinstance(data.get(k), list) for k in ("labels", "table")):
             raise CarrierError('a table document is an object with a "labels" list and a "table" list')
-        labels = tuple(str(x) for x in data["labels"])
+        labels = tuple(data["labels"])
+        for label in labels:
+            if not isinstance(label, str):
+                raise CarrierError(f"table label {label!r} is not a string")
         rows = _validated_table(labels, data["table"])
         return cls(labels=labels, rows=tuple(map(tuple, rows.tolist())))
 

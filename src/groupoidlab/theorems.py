@@ -2,7 +2,9 @@
 
 Each check instantiates groupoids across a parameter range, runs the bound
 identity/structure machinery, and compares the outcome with an arithmetic
-predicate or a frozen expected value. Checks come in two tiers:
+predicate or a frozen expected value. A check is declared once, where its
+runner is written, by ``@_check(check_id, tier, summary, **defaults)``; the
+registry lists the checks in declaration order. Checks come in two tiers:
 
 * ``asserted`` — every instance must agree; any mismatch is a failure;
 * ``report_only`` — instances are recorded as observations with an ``agrees``
@@ -10,18 +12,20 @@ predicate or a frozen expected value. Checks come in two tiers:
   report-only check with ``tier_override="asserted"`` promotes disagreements
   to failures.
 
-The checks over ranges of moduli (T1–T7, T10, T15–T17) draw their groupoids
-from one parameter sweep, ``_sweeps``: every pair's groupoid for each modulus
-and carrier family, so identity scans and table compiles read a sweep as one
-stack, and a runner keeps only its claim and its failure text. T10 reads the
-idempotent law (a singleton {x} is a closed semigroup exactly when x*x = x)
-and T16 reads row 0 and column 0 of each table; neither classifies a subset
-unless a pair fails.
+The checks over ranges of moduli (T1–T7, T9, T10, T15–T17) draw their
+groupoids from one parameter sweep, ``_sweeps``: every pair's groupoid for
+each modulus and carrier family, so identity scans and table compiles read a
+sweep as one stack, and a runner keeps only its claim and its failure text.
+T1, T2, T5 and T6 share one runner, ``_congruence``: the laws hold exactly
+when a closed form says so. T10 reads the idempotent law (a singleton {x} is
+a closed semigroup exactly when x*x = x) and T16 reads row 0 and column 0 of
+each table; neither classifies a subset unless a pair fails.
 
 A tuple default is a (lo, hi) range of moduli, the only kind ``--range``
 overrides; other parameters are lists or numbers. The default ranges keep
 the whole suite within interactive runtimes; every range can be widened per
-check (the CLI exposes ``--range``).
+check (the CLI exposes ``--range``), and ``verify_theorem`` refuses a key the
+check does not declare and a range that is not (lo, hi) with 2 <= lo <= hi.
 """
 
 from __future__ import annotations
@@ -85,17 +89,14 @@ def _sweeps(ns: Iterable[int], families: Iterable[str], pairs_of: Callable[[int]
             yield n, carrier, pairs, [_scalar(carrier, t, u) for t, u in pairs]
 
 
-def _holds(groupoids: list[Groupoid], identity: IdentityId, n: int) -> list[bool]:
-    """Whether the identity holds on each groupoid of order n, all scanned
-    exhaustively by one ``first_failures`` call."""
-    return [found is None for found in first_failures(groupoids, identity, np.arange(n))]
+def _holds(groupoids: list[Groupoid], laws: tuple[IdentityId, ...], n: int) -> list[bool]:
+    """Whether all of the laws hold on each groupoid of order n; the laws are
+    scanned in turn, each over every groupoid by one ``first_failures`` call."""
+    verdicts = [[found is None for found in first_failures(groupoids, law, np.arange(n))] for law in laws]
+    return [all(member) for member in zip(*verdicts)]
 
 
-def _alternative_sweep(groupoids: list[Groupoid], n: int) -> list[bool]:
-    """Whether both alternative laws hold on each groupoid of order n."""
-    left = _holds(groupoids, IdentityId.LEFT_ALTERNATIVE, n)
-    right = _holds(groupoids, IdentityId.RIGHT_ALTERNATIVE, n)
-    return [lv and rv for lv, rv in zip(left, right)]
+_ALTERNATIVE = (IdentityId.LEFT_ALTERNATIVE, IdentityId.RIGHT_ALTERNATIVE)
 
 
 def _coeff_desc(carrier: Carrier, t: int, u: int) -> str:
@@ -103,12 +104,8 @@ def _coeff_desc(carrier: Carrier, t: int, u: int) -> str:
     return f"{carrier.token()} ({t}{sfx},{u}{sfx})"
 
 
-def _nonzero_pairs(n: int, *, distinct: bool = False):
-    for t in range(1, n):
-        for u in range(1, n):
-            if distinct and t == u:
-                continue
-            yield t, u
+def _nonzero_pairs(n: int) -> list[tuple[int, int]]:
+    return [(t, u) for t in range(1, n) for u in range(1, n)]
 
 
 def _equal_pairs(n: int) -> list[tuple[int, int]]:
@@ -183,6 +180,20 @@ class TheoremCheck:
     summary: str
     defaults: dict
     runner: Callable[[dict, _Run], None]
+
+
+CHECKS: dict[str, TheoremCheck] = {}
+
+
+def _check(check_id: str, tier: str, summary: str, **defaults):
+    """Register the decorated runner as a check, after those declared above it;
+    ``defaults`` keeps its parameters in the order they are given."""
+
+    def wrap(runner: Callable[[dict, _Run], None]):
+        CHECKS[check_id] = TheoremCheck(check_id, tier, summary, defaults, runner)
+        return runner
+
+    return wrap
 
 
 # -- class counting -------------------------------------------------------------
@@ -270,68 +281,69 @@ def _carriers_for(n: int, which: Sequence[str]) -> list[Carrier]:
     return [parse_carrier(token.replace(")", f":{n})") if "(" in token else f"{token}:{n}") for token in which]
 
 
+def _congruence(
+    p: dict,
+    run: _Run,
+    moduli: Iterable[int],
+    pairs_of: Callable[[int], Iterable],
+    laws: tuple[IdentityId, ...],
+    label: str,
+    form: str,
+) -> None:
+    """The laws all hold on the groupoid of (t, u) exactly when the closed
+    form says so, for every pair of ``pairs_of(n)`` over each modulus and each
+    of ``p["carriers"]``."""
+    for n, carrier, pairs, groupoids in _sweeps(moduli, p["carriers"], pairs_of):
+        for (t, u), holds in zip(pairs, _holds(groupoids, laws, n)):
+            predicted = closed_form(form, n, t, u)
+            run.check(holds == predicted, f"{_coeff_desc(carrier, t, u)}: {label}={holds}, congruence={predicted}")
+
+
+@_check("T1", "asserted", "idempotent exactly when t+u ≡ 1 (mod n)", n=(3, 16), carriers=["zn", "zni"])
 def _t1(p: dict, run: _Run) -> None:
-    for n, carrier, pairs, groupoids in _sweeps(_moduli(p["n"]), p["carriers"], _nonzero_pairs):
-        for (t, u), holds in zip(pairs, _holds(groupoids, IdentityId.IDEMPOTENT, n)):
-            predicted = closed_form("idempotent-iff", n, t, u)
-            run.check(
-                holds == predicted,
-                f"{_coeff_desc(carrier, t, u)}: idempotent={holds}, congruence={predicted}",
-            )
+    _congruence(p, run, _moduli(p["n"]), _nonzero_pairs, (IdentityId.IDEMPOTENT,), "idempotent", "idempotent-iff")
 
 
+@_check("T2", "asserted", "associative exactly when t² ≡ t and u² ≡ u (mod n)", n=(3, 12), carriers=["zn", "zni"])
 def _t2(p: dict, run: _Run) -> None:
-    for n, carrier, pairs, groupoids in _sweeps(_moduli(p["n"]), p["carriers"], _nonzero_pairs):
-        for (t, u), holds in zip(pairs, _holds(groupoids, IdentityId.ASSOCIATIVE, n)):
-            predicted = closed_form("semigroup-iff", n, t, u)
-            run.check(
-                holds == predicted,
-                f"{_coeff_desc(carrier, t, u)}: associative={holds}, congruence={predicted}",
-            )
+    _congruence(p, run, _moduli(p["n"]), _nonzero_pairs, (IdentityId.ASSOCIATIVE,), "associative", "semigroup-iff")
 
 
+@_check("T3", "asserted", "equal pairs always satisfy the P-law", n=(3, 16), carriers=["zn", "zni"])
 def _t3(p: dict, run: _Run) -> None:
     for n, carrier, pairs, groupoids in _sweeps(_moduli(p["n"]), p["carriers"], _equal_pairs):
-        for (t, _), holds in zip(pairs, _holds(groupoids, IdentityId.P_IDENTITY, n)):
+        for (t, _), holds in zip(pairs, _holds(groupoids, (IdentityId.P_IDENTITY,), n)):
             run.check(holds, f"{_coeff_desc(carrier, t, t)}: P-law fails on an equal pair")
 
 
+@_check("T4", "asserted", "equal pairs 1 < t < p are never alternative at prime moduli", p=(3, 23), carriers=["zn", "zni"])
 def _t4(p: dict, run: _Run) -> None:
     primes = filter(is_prime, _moduli(p["p"]))
-    equal_pairs = lambda n: [(t, t) for t in range(2, n)]
-    for n, carrier, pairs, groupoids in _sweeps(primes, p["carriers"], equal_pairs):
-        for (t, _), alternative in zip(pairs, _alternative_sweep(groupoids, n)):
-            run.check(
-                not alternative,
-                f"{_coeff_desc(carrier, t, t)}: alternative unexpectedly holds at prime modulus",
-            )
+    for n, carrier, pairs, groupoids in _sweeps(primes, p["carriers"], lambda n: _equal_pairs(n)[1:]):
+        for (t, _), alternative in zip(pairs, _holds(groupoids, _ALTERNATIVE, n)):
+            run.check(not alternative, f"{_coeff_desc(carrier, t, t)}: alternative unexpectedly holds at prime modulus")
 
 
+@_check(
+    "T5", "asserted", "equal pairs at composite moduli are alternative exactly when t² ≡ t",
+    n=(4, 16), carriers=["zn", "zni"],
+)
 def _t5(p: dict, run: _Run) -> None:
     composites = (n for n in _moduli(p["n"]) if not is_prime(n))
-    for n, carrier, pairs, groupoids in _sweeps(composites, p["carriers"], _equal_pairs):
-        for (t, _), alternative in zip(pairs, _alternative_sweep(groupoids, n)):
-            predicted = closed_form("alternative-iff", n, t, t)
-            run.check(
-                alternative == predicted,
-                f"{_coeff_desc(carrier, t, t)}: alternative={alternative}, congruence={predicted}",
-            )
+    _congruence(p, run, composites, _equal_pairs, _ALTERNATIVE, "alternative", "alternative-iff")
 
 
+@_check(
+    "T6", "asserted", "one-sided pairs satisfy P and alternative exactly when the coefficient is idempotent",
+    n=(3, 16), carriers=["zn", "zni"],
+)
 def _t6(p: dict, run: _Run) -> None:
     one_sided = lambda n: [pair for t in range(1, n) for pair in ((t, 0), (0, t))]
-    for n, carrier, pairs, groupoids in _sweeps(_moduli(p["n"]), p["carriers"], one_sided):
-        p_laws = _holds(groupoids, IdentityId.P_IDENTITY, n)
-        alternatives = _alternative_sweep(groupoids, n)
-        for (tt, uu), p_law, alternative in zip(pairs, p_laws, alternatives):
-            semantic = p_law and alternative
-            predicted = closed_form("type3-p-alt-iff", n, tt, uu)
-            run.check(
-                semantic == predicted,
-                f"{_coeff_desc(carrier, tt, uu)}: P&alternative={semantic}, congruence={predicted}",
-            )
+    laws = (IdentityId.P_IDENTITY, *_ALTERNATIVE)
+    _congruence(p, run, _moduli(p["n"]), one_sided, laws, "P&alternative", "type3-p-alt-iff")
 
 
+@_check("T7", "asserted", "left ideals of (t,u) are the right ideals of (u,t)", zn_n=(3, 12), zni_n=(3, 8), nzn_n=3)
 def _t7(p: dict, run: _Run) -> None:
     # each groupoid of a sweep is built once, its table compiled with the
     # sweep's, and the duality is read off the mask arrays: both are sorted by
@@ -360,6 +372,10 @@ def _t7(p: dict, run: _Run) -> None:
     )
 
 
+@_check(
+    "T8", "asserted", "prime-modulus instances with prime coefficients are simple",
+    instances=[(5, 2, 3), (7, 2, 5), (13, 2, 11)],
+)
 def _t8(p: dict, run: _Run) -> None:
     for n, t, u in p["instances"]:
         g = _scalar(Modular(n), t, u)
@@ -371,20 +387,16 @@ def _t8(p: dict, run: _Run) -> None:
         )
 
 
+@_check("T9", "report_only", "even n with t+u=n, gcd t: reportedly a unique normal subgroupoid of order n/t", n=(4, 12))
 def _t9(p: dict, run: _Run) -> None:
     # Claim under test, for even n with u = n - t and gcd(t, u) = t: the
     # groupoid has exactly one subgroupoid of order n/t, and that subgroupoid
     # is normal.  Extra normal subgroupoids of other orders are emitted as
     # disagreement data, never as crashes.
-    lo, hi = p["n"]
-    for n in range(lo, hi + 1):
-        if n % 2:
-            continue
-        for t in range(2, n - 1):
-            u = n - t
-            if u <= 0 or math.gcd(t, u) != t:
-                continue
-            g = _scalar(Modular(n), t, u)
+    evens = (n for n in _moduli(p["n"]) if n % 2 == 0)
+    gcd_pairs = lambda n: [(t, n - t) for t in range(2, n - 1) if math.gcd(t, n - t) == t]
+    for n, carrier, pairs, groupoids in _sweeps(evens, ("zn",), gcd_pairs):
+        for (t, u), g in zip(pairs, groupoids):
             expected = n // t
             # the normal search refuses past the power set's budget, so the
             # subgroupoids are masks by size; handles only for the claimed order
@@ -393,19 +405,14 @@ def _t9(p: dict, run: _Run) -> None:
             lo, hi = np.searchsorted(_popcounts(subs.masks), [expected, expected + 1]).tolist()
             of_order = list(subs[lo:hi])
             unique = len(of_order) == 1
-            multiples = tuple(sorted(range(0, n, t)))
-            principal = next(
-                (h for h in of_order if h.indices == multiples),
-                of_order[0] if of_order else None,
-            )
+            multiples = tuple(range(0, n, t))
+            principal = next((h for h in of_order if h.indices == multiples), of_order[0] if of_order else None)
             # the principal subgroupoid is closed, proper and of size n/t >= 2,
             # so it is normal exactly when the normal subgroupoids list it
             principal_normal = principal is not None and principal in normals
-            extra = [
-                h.labels for h in normals if principal is None or h != principal
-            ]
+            extra = [h.labels for h in normals if principal is None or h != principal]
             run.observe(
-                instance=f"zn:{n} ({t},{u})",
+                instance=_coeff_desc(carrier, t, u),
                 claimed_order=expected,
                 subgroupoids_of_claimed_order=[h.labels for h in of_order],
                 unique_of_claimed_order=unique,
@@ -415,6 +422,7 @@ def _t9(p: dict, run: _Run) -> None:
             )
 
 
+@_check("T10", "asserted", "when t+u ≡ 1, every singleton is a semigroup (idempotent witness)", n=(6, 16))
 def _t10(p: dict, run: _Run) -> None:
     # a singleton {x} is closed exactly when x*x = x, and a closed singleton is
     # a semigroup, so the claim is the idempotent law; the per-subset
@@ -422,7 +430,7 @@ def _t10(p: dict, run: _Run) -> None:
     idempotent_line = lambda n: [(t, (1 - t) % n) for t in range(2, n)]
     spot_done: set[int] = set()
     for n, carrier, pairs, groupoids in _sweeps(_moduli(p["n"]), ("zn",), idempotent_line):
-        for (t, u), g, idempotent in zip(pairs, groupoids, _holds(groupoids, IdentityId.IDEMPOTENT, n)):
+        for (t, u), g, idempotent in zip(pairs, groupoids, _holds(groupoids, (IdentityId.IDEMPOTENT,), n)):
             bad = [] if idempotent else [x for x in range(n) if not classify_subset(g, [x]).semigroup]
             run.check(idempotent, f"{_coeff_desc(carrier, t, u)}: singletons {bad} are not semigroups")
             if n not in spot_done and len(spot_done) < 2:
@@ -436,6 +444,10 @@ def _t10(p: dict, run: _Run) -> None:
                 )
 
 
+@_check(
+    "T11", "asserted", "t+u ≡ 1 with both coefficients idempotent gives strong P and alternative laws",
+    n=(3, 14), carriers=["zn", "zni"],
+)
 def _t11(p: dict, run: _Run) -> None:
     lo, hi = p["n"]
     idents = (IdentityId.P_IDENTITY, IdentityId.LEFT_ALTERNATIVE, IdentityId.RIGHT_ALTERNATIVE)
@@ -454,9 +466,9 @@ def _t11(p: dict, run: _Run) -> None:
                     )
 
 
+@_check("T12", "report_only", "interval carrier with (2,0), even n: {[0,0],[0,n/2]} is a semigroup witness", n=(4, 12))
 def _t12(p: dict, run: _Run) -> None:
-    lo, hi = p["n"]
-    for n in range(lo, hi + 1):
+    for n in _moduli(p["n"]):
         if n % 2:
             continue
         m = n // 2
@@ -474,6 +486,10 @@ def _t12(p: dict, run: _Run) -> None:
         )
 
 
+@_check(
+    "T13", "asserted", "parameter-class counts: fixed values, product formulas, parity law",
+    formula_n=(3, 20), parity_n=(3, 50),
+)
 def _t13(p: dict, run: _Run) -> None:
     fixed = (
         (PureNeutrosophic(3), "all_pairs", False, 2),
@@ -489,8 +505,7 @@ def _t13(p: dict, run: _Run) -> None:
             got == want,
             f"{carrier.token()} {kind}{' (equal included)' if flag else ''}: got {got}, want {want}",
         )
-    lo, hi = p["formula_n"]
-    for n in range(lo, hi + 1):
+    for n in _moduli(p["formula_n"]):
         pure = count_class(PureNeutrosophic(n), "all_pairs")
         run.check(
             pure == (n - 1) * (n - 2),
@@ -501,8 +516,7 @@ def _t13(p: dict, run: _Run) -> None:
             mixed == (n * n - 1) * (n * n - 2),
             f"nzn:{n} all_pairs: got {mixed}, want (n²-1)(n²-2)={(n * n - 1) * (n * n - 2)}",
         )
-    lo, hi = p["parity_n"]
-    for n in range(lo, hi + 1):
+    for n in _moduli(p["parity_n"]):
         got = count_class(PureNeutrosophic(n), "idempotent_pairs", equal_pairs_included=True)
         run.check(
             got % 2 == n % 2,
@@ -510,6 +524,10 @@ def _t13(p: dict, run: _Run) -> None:
         )
 
 
+@_check(
+    "T14", "asserted", "strong-law instances for Moufang/Bol/P/alternative; the 2m≡1 ∧ m²≡m family is empty",
+    vacuity_n=(2, 50),
+)
 def _t14(p: dict, run: _Run) -> None:
     strong = (
         ("zn", 10, 5, 6, IdentityId.MOUFANG),
@@ -536,8 +554,7 @@ def _t14(p: dict, run: _Run) -> None:
     lifted = check_identity(big, IdentityId.MOUFANG, CheckMode.LIFTED)
     run.check(lifted.holds, "o(zn:10) mat:2x2 (5,6): lifted Moufang check failed")
     # the (m,m) family with 2m ≡ 1 and m² ≡ m admits no member at any modulus
-    lo, hi = p["vacuity_n"]
-    for n in range(lo, hi + 1):
+    for n in _moduli(p["vacuity_n"]):
         members = [m for m in range(1, n) if (2 * m) % n == 1 and (m * m) % n == m]
         run.check(not members, f"zn:{n}: unexpected (m,m) family members {members}")
     run.note(
@@ -546,6 +563,10 @@ def _t14(p: dict, run: _Run) -> None:
     )
 
 
+@_check(
+    "T15", "report_only", "pure carriers at n ∈ {4,8}, coefficient sums prime: reportedly no two-sided ideals",
+    moduli=[4, 8],
+)
 def _t15(p: dict, run: _Run) -> None:
     prime_sums = lambda n: [(t, u) for t, u in _nonzero_pairs(n) if is_prime(t + u)]
     for _, carrier, pairs, groupoids in _sweeps(p["moduli"], ("zni",), prime_sums):
@@ -561,6 +582,10 @@ def _t15(p: dict, run: _Run) -> None:
             )
 
 
+@_check(
+    "T16", "asserted", "with both coefficients nonzero, the zero singleton is never an ideal",
+    n=(3, 12), carriers=["zn", "zni"],
+)
 def _t16(p: dict, run: _Run) -> None:
     # {0} is a left ideal when row 0 of the table is all zero (0*y = 0 for
     # every y), and a right ideal when column 0 is
@@ -572,6 +597,10 @@ def _t16(p: dict, run: _Run) -> None:
             )
 
 
+@_check(
+    "T17", "asserted", "interval-pure prime moduli: no closed subsets of size ≥ 2 and no one-sided ideals",
+    moduli=[3, 5, 7],
+)
 def _t17(p: dict, run: _Run) -> None:
     for _, carrier, pairs, groupoids in _sweeps(p["moduli"], ("o(zni)",), _nonzero_pairs):
         for (t, u), g in zip(pairs, groupoids):
@@ -585,162 +614,26 @@ def _t17(p: dict, run: _Run) -> None:
             )
 
 
+@_check("GOLD", "asserted", "every registered demo reproduces its embedded expected values")
 def _gold(p: dict, run: _Run) -> None:
     from . import demos
 
     for result in demos.run_all():
-        run.check(
-            result.ok,
-            f"demo {result.demo_id}: " + "; ".join(result.failures),
-        )
+        run.check(result.ok, f"demo {result.demo_id}: " + "; ".join(result.failures))
 
 
-# -- the registry ---------------------------------------------------------------
-
-CHECKS: dict[str, TheoremCheck] = {}
-
-
-def _register(check_id: str, tier: str, summary: str, defaults: dict, runner) -> None:
-    CHECKS[check_id] = TheoremCheck(check_id, tier, summary, defaults, runner)
-
-
-_register(
-    "T1",
-    "asserted",
-    "idempotent exactly when t+u ≡ 1 (mod n)",
-    {"n": (3, 16), "carriers": ["zn", "zni"]},
-    _t1,
-)
-_register(
-    "T2",
-    "asserted",
-    "associative exactly when t² ≡ t and u² ≡ u (mod n)",
-    {"n": (3, 12), "carriers": ["zn", "zni"]},
-    _t2,
-)
-_register(
-    "T3",
-    "asserted",
-    "equal pairs always satisfy the P-law",
-    {"n": (3, 16), "carriers": ["zn", "zni"]},
-    _t3,
-)
-_register(
-    "T4",
-    "asserted",
-    "equal pairs 1 < t < p are never alternative at prime moduli",
-    {"p": (3, 23), "carriers": ["zn", "zni"]},
-    _t4,
-)
-_register(
-    "T5",
-    "asserted",
-    "equal pairs at composite moduli are alternative exactly when t² ≡ t",
-    {"n": (4, 16), "carriers": ["zn", "zni"]},
-    _t5,
-)
-_register(
-    "T6",
-    "asserted",
-    "one-sided pairs satisfy P and alternative exactly when the coefficient is idempotent",
-    {"n": (3, 16), "carriers": ["zn", "zni"]},
-    _t6,
-)
-_register(
-    "T7",
-    "asserted",
-    "left ideals of (t,u) are the right ideals of (u,t)",
-    {"zn_n": (3, 12), "zni_n": (3, 8), "nzn_n": 3},
-    _t7,
-)
-_register(
-    "T8",
-    "asserted",
-    "prime-modulus instances with prime coefficients are simple",
-    {"instances": [(5, 2, 3), (7, 2, 5), (13, 2, 11)]},
-    _t8,
-)
-_register(
-    "T9",
-    "report_only",
-    "even n with t+u=n, gcd t: reportedly a unique normal subgroupoid of order n/t",
-    {"n": (4, 12)},
-    _t9,
-)
-_register(
-    "T10",
-    "asserted",
-    "when t+u ≡ 1, every singleton is a semigroup (idempotent witness)",
-    {"n": (6, 16)},
-    _t10,
-)
-_register(
-    "T11",
-    "asserted",
-    "t+u ≡ 1 with both coefficients idempotent gives strong P and alternative laws",
-    {"n": (3, 14), "carriers": ["zn", "zni"]},
-    _t11,
-)
-_register(
-    "T12",
-    "report_only",
-    "interval carrier with (2,0), even n: {[0,0],[0,n/2]} is a semigroup witness",
-    {"n": (4, 12)},
-    _t12,
-)
-_register(
-    "T13",
-    "asserted",
-    "parameter-class counts: fixed values, product formulas, parity law",
-    {"formula_n": (3, 20), "parity_n": (3, 50)},
-    _t13,
-)
-_register(
-    "T14",
-    "asserted",
-    "strong-law instances for Moufang/Bol/P/alternative; the 2m≡1 ∧ m²≡m family is empty",
-    {"vacuity_n": (2, 50)},
-    _t14,
-)
-_register(
-    "T15",
-    "report_only",
-    "pure carriers at n ∈ {4,8}, coefficient sums prime: reportedly no two-sided ideals",
-    {"moduli": [4, 8]},
-    _t15,
-)
-_register(
-    "T16",
-    "asserted",
-    "with both coefficients nonzero, the zero singleton is never an ideal",
-    {"n": (3, 12), "carriers": ["zn", "zni"]},
-    _t16,
-)
-_register(
-    "T17",
-    "asserted",
-    "interval-pure prime moduli: no closed subsets of size ≥ 2 and no one-sided ideals",
-    {"moduli": [3, 5, 7]},
-    _t17,
-)
-_register(
-    "GOLD",
-    "asserted",
-    "every registered demo reproduces its embedded expected values",
-    {},
-    _gold,
-)
-
-
-def verify_theorem(
-    check_id: str, params: dict | None = None, tier_override: str | None = None
-) -> CheckOutcome:
+def verify_theorem(check_id: str, params: dict | None = None, tier_override: str | None = None) -> CheckOutcome:
     if check_id not in CHECKS:
         raise CarrierError(f"unknown check id: {check_id!r}")
     check = CHECKS[check_id]
-    merged = dict(check.defaults)
-    if params:
-        merged.update(params)
+    params = params or {}
+    for key, value in params.items():
+        if key not in check.defaults:
+            raise CarrierError(f"{check_id} takes no parameter {key!r}")
+        int_pair = isinstance(value, tuple) and len(value) == 2 and all(isinstance(v, int) for v in value)
+        if isinstance(check.defaults[key], tuple) and not (int_pair and 2 <= value[0] <= value[1]):
+            raise CarrierError(f"{check_id} {key}={value!r}: a range of moduli is (lo, hi) with 2 <= lo <= hi")
+    merged = {**check.defaults, **params}
     run = _Run()
     check.runner(merged, run)
     tier = tier_override or check.tier

@@ -43,12 +43,13 @@ def test_reference_table_order_7():
     assert [tuple(r) for r in g.index_table()] == list(MOD7_TABLE)
 
 
-def test_star_and_star_idx_agree_with_table():
+def test_star_and_products_agree_with_table():
     g = build(Modular(7), Scalar(), 3, 4)
     table = g.index_table()
+    idx = np.arange(7)
+    assert g.products(idx[:, None], idx).tolist() == table
     for i in range(7):
         for j in range(7):
-            assert g.star_idx(i, j) == table[i][j]
             assert g.star((i,), (j,)) == (table[i][j],)
 
 
@@ -102,13 +103,6 @@ def test_level_precedence_zero_beats_gcd():
     assert classify_level(Modular(8), 4, 4) is Level.FOUR
 
 
-def test_star_idx_rejects_indices_outside_the_groupoid():
-    for g in (build(Modular(5), Matrix(1, 2), 2, 3), from_table(("a", "b"), ((0, 1), (1, 0)))):
-        assert g.star_idx(-1, 0) == g.index_table()[-1][0]
-        with pytest.raises(IndexError):
-            g.star_idx(g.order, 0)
-
-
 def test_zero_zero_pair_rejected():
     with pytest.raises(CarrierError):
         build(Modular(5), Scalar(), 0, 0)
@@ -116,7 +110,7 @@ def test_zero_zero_pair_rejected():
 
 def test_one_zero_parameter_gives_projection_row():
     g = build(Modular(5), Scalar(), 2, 0)
-    assert [g.star_idx(0, j) for j in range(5)] == [0, 0, 0, 0, 0]
+    assert g.table_array()[0].tolist() == [0, 0, 0, 0, 0]
 
 
 def test_indeterminate_parameter_flags():
@@ -214,6 +208,14 @@ def test_cells_are_labels_or_integer_indices(entry, cell):
 
 def test_numpy_integer_cells_are_indices():
     assert from_table(("a", "b"), np.array([[0, 1], [1, 0]])).index_table() == [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("labels,bad", [([None, "1"], None), (["a", 1], 1), ([1, 1.0], 1)], ids=["null", "int", "number"])
+def test_json_labels_must_be_strings(labels, bad):
+    text = json.dumps({"labels": labels, "table": [[0, 1], [1, 0]]})
+    with pytest.raises(CarrierError) as err:
+        CayleyTable.from_json(text)
+    assert str(err.value) == f"table label {bad!r} is not a string"
 
 
 def test_json_label_cells_read_as_in_from_table():

@@ -62,10 +62,10 @@ def star_table_oracle(carrier, shape, t, u):
 def exhaustive_loop_oracle(g, identity, domain=None):
     """The first failing assignment of domain indices (x fastest, then y, then
     z; every element by default), multiplying elements with ``Groupoid.star``
-    (indices with ``Groupoid.star_idx`` when table-backed); None when the
-    identity holds there."""
+    (indices read off the table when table-backed); None when the identity
+    holds there."""
     lhs, rhs, vars_ = TEMPLATES[identity]
-    els, prod = (range(g.order), g.star_idx) if g.spec is None else (g.elements(), g.star)
+    els, prod = (range(g.order), lambda i, j: int(g.table_array()[i, j])) if g.spec is None else (g.elements(), g.star)
     for combo in itertools.product(range(g.order) if domain is None else domain, repeat=len(vars_)):
         assign = combo[::-1]
         env = {v: els[i] for v, i in zip(vars_, assign)}
@@ -77,7 +77,7 @@ def exhaustive_loop_oracle(g, identity, domain=None):
 def sampled_loop_oracle(g, identity, trials, seed):
     """The sampled verdict drawn and multiplied one trial at a time: for each
     trial, each variable and each entry one ``randrange`` draw, elements
-    multiplied with ``Groupoid.star`` (indices with ``star_idx``)."""
+    multiplied with ``Groupoid.star`` (indices read off the table)."""
     lhs_t, rhs_t, vars_ = TEMPLATES[identity]
     rng = random.Random(seed)
     if g.spec is not None:
@@ -87,7 +87,7 @@ def sampled_loop_oracle(g, identity, trials, seed):
         fmt = lambda e: format_element(g.spec.carrier, g.spec.shape, e)  # noqa: E731
     else:
         draw = lambda: rng.randrange(g.order)  # noqa: E731
-        prod = g.star_idx
+        prod = lambda i, j: int(g.table_array()[i, j])  # noqa: E731
         fmt = lambda i: g.labels()[i]  # noqa: E731
     for _ in range(trials):
         env = {v: draw() for v in vars_}
@@ -291,7 +291,7 @@ def test_sparse_reads_of_a_large_carrier_match_per_cell_star(carrier, shape, t, 
 def test_table_backed_products_read_the_rows():
     g = groupoid.from_table(["a", "b", "c"], [[0, 1, 2], [2, 0, 1], [1, 2, 0]])
     assert g.products(np.array([0, 1, 2]), np.array([1, 1, 0])).tolist() == [1, 0, 1]
-    assert g.star_idx(2, 1) == 2
+    assert g.products(np.array(2), np.array(1)) == 2
 
 
 # -- the exhaustive engine -----------------------------------------------------------
@@ -689,7 +689,7 @@ def test_sampled_witnesses_deep_in_the_draw_match_the_oracle():
         rng = random.Random(seed)
         for trial in range(600):
             x, y = rng.randrange(10), rng.randrange(10)
-            if g.star_idx(x, y) != g.star_idx(y, x):
+            if g.table_array()[x, y] != g.table_array()[y, x]:
                 positions.add(trial.bit_length())  # the chunk that trial falls in
                 break
     assert len(positions) >= 3

@@ -20,6 +20,7 @@ from groupoidlab import (
     verify_theorem,
 )
 from groupoidlab import structure, theorems
+from groupoidlab.identities import IdentityId
 from groupoidlab.theorems import CHECKS, COUNT_CLASSES, SuiteConfig, outcomes_asserted
 
 # -- counting oracles ------------------------------------------------------------
@@ -218,7 +219,7 @@ def test_ssc_family_check_small_moduli():
 
 
 def test_registry_has_expected_ids_and_tiers():
-    assert set(CHECKS) == {f"T{i}" for i in range(1, 18)} | {"GOLD"}
+    assert list(CHECKS) == [f"T{i}" for i in range(1, 18)] + ["GOLD"]  # the report's order
     report_only = {cid for cid, c in CHECKS.items() if c.tier == "report_only"}
     assert report_only == {"T9", "T12", "T15"}
 
@@ -226,6 +227,72 @@ def test_registry_has_expected_ids_and_tiers():
 def test_unknown_check_id():
     with pytest.raises(CarrierError):
         verify_theorem("T99")
+
+
+def test_a_parameter_the_check_does_not_declare_is_refused():
+    with pytest.raises(CarrierError, match="^T8 takes no parameter 'n'$"):
+        verify_theorem("T8", {"n": (3, 5)})
+
+
+@pytest.mark.parametrize("span", [(9, 3), (1, 5), [3, 5], (3, 4, 5), (3.0, 5)], ids=["reversed", "below-2", "list", "triple", "float"])
+def test_a_range_of_moduli_that_is_not_lo_hi_is_refused(span):
+    with pytest.raises(CarrierError, match=r"^T1 n=.*: a range of moduli is \(lo, hi\) with 2 <= lo <= hi$"):
+        verify_theorem("T1", {"n": span})
+
+
+# verdicts flipped per identity, by a member's position in its first_failures
+# call; the expected outcomes were recorded before T1, T2, T5 and T6 shared
+# one runner, so they pin each check's scan order and failure text
+FLIPPED = {
+    IdentityId.IDEMPOTENT: {0},
+    IdentityId.ASSOCIATIVE: {1},
+    IdentityId.P_IDENTITY: {0, 3},
+    IdentityId.LEFT_ALTERNATIVE: {1, 2},
+    IdentityId.RIGHT_ALTERNATIVE: {2},
+}
+FLIPPED_OUTCOMES = {
+    ("T1", "n", (3, 5)): (58, [
+        f"{c}:{n} (1{i},1{i}): idempotent=True, congruence=False" for n in (3, 4, 5) for c, i in (("zn", ""), ("zni", "I"))
+    ]),
+    ("T2", "n", (3, 5)): (58, [
+        f"{c}:{n} (1{i},2{i}): associative=True, congruence=False" for n in (3, 4, 5) for c, i in (("zn", ""), ("zni", "I"))
+    ]),
+    ("T3", "n", (3, 5)): (18, [
+        f"{pair}: P-law fails on an equal pair"
+        for pair in ("zn:3 (1,1)", "zni:3 (1I,1I)", "zn:4 (1,1)", "zni:4 (1I,1I)",
+                     "zn:5 (1,1)", "zn:5 (4,4)", "zni:5 (1I,1I)", "zni:5 (4I,4I)")
+    ]),
+    ("T4", "p", (3, 5)): (8, [
+        "zn:5 (4,4): alternative unexpectedly holds at prime modulus",
+        "zni:5 (4I,4I): alternative unexpectedly holds at prime modulus",
+    ]),
+    ("T5", "n", (4, 6)): (16, [
+        "zn:4 (3,3): alternative=True, congruence=False",
+        "zni:4 (3I,3I): alternative=True, congruence=False",
+        "zn:6 (3,3): alternative=False, congruence=True",
+        "zni:6 (3I,3I): alternative=False, congruence=True",
+    ]),
+    ("T6", "n", (3, 5)): (36, [
+        f"{c}:{n} {pair}: P&alternative=False, congruence=True"
+        for n in (3, 4, 5)
+        for c, pairs in (("zn", ("(1,0)", "(0,1)")), ("zni", ("(1I,0I)", "(0I,1I)")))
+        for pair in pairs
+    ]),
+}
+
+
+@pytest.mark.parametrize("check_id,key,span", sorted(FLIPPED_OUTCOMES), ids=lambda v: v if isinstance(v, str) else None)
+def test_law_checks_report_the_members_whose_verdicts_break(monkeypatch, check_id, key, span):
+    real = theorems.first_failures
+
+    def flipped(groupoids, identity, domain):
+        found = real(groupoids, identity, domain)
+        return [((0,) if f is None else None) if i in FLIPPED[identity] else f for i, f in enumerate(found)]
+
+    monkeypatch.setattr(theorems, "first_failures", flipped)
+    out = verify_theorem(check_id, {key: span})
+    instances, failures = FLIPPED_OUTCOMES[check_id, key, span]
+    assert (out.instances, list(out.failures)) == (instances, failures)
 
 
 def test_asserted_check_passes_with_instances():
