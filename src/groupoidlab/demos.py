@@ -28,15 +28,6 @@ class DemoResult:
     lines: tuple[str, ...]
     failures: tuple[str, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "demo": self.demo_id,
-            "title": self.title,
-            "ok": self.ok,
-            "lines": list(self.lines),
-            "failures": list(self.failures),
-        }
-
 
 class _Recorder:
     def __init__(self) -> None:

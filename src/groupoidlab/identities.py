@@ -48,14 +48,21 @@ reruns always reproduce the same witness regardless of internal blocking.
 Sampled draws follow ``random.Random(seed).randrange`` in a fixed order
 (trial, then variable, then entry) and the witness is the first failing trial
 in that order, so ``(trials, seed)`` reproduce a sampled verdict and witness.
+
+The closed forms are one table, ``CLOSED_FORMS``: each names the laws it
+predicts, the residues (n, t, u) it applies to and its prediction there.
+``closed_form`` reads a prediction from it, ``applicable_closed_forms`` filters
+it for one groupoid and law, and the theorem checks take their laws from it.
+The forms are scalar claims, so they apply only to shapes that multiply
+entrywise.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -107,6 +114,7 @@ TEMPLATES: dict[IdentityId, tuple[Node, Node, tuple[str, ...]]] = {
         ("x", "y", "z"),
     ),
 }
+_ALTERNATIVE = (IdentityId.LEFT_ALTERNATIVE, IdentityId.RIGHT_ALTERNATIVE)
 
 
 class CheckMode(Enum):
@@ -584,88 +592,74 @@ def check_alternative(
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
 ) -> tuple[IdentityVerdict, IdentityVerdict, IdentityVerdict]:
-    """Both alternative laws and their combined verdict: it fails with the
-    first failing law's witness, holds when both hold, and is otherwise the
-    weaker law's sampled verdict."""
-    left = check_identity(g, IdentityId.LEFT_ALTERNATIVE, mode, trials=trials, seed=seed)
-    right = check_identity(g, IdentityId.RIGHT_ALTERNATIVE, mode, trials=trials, seed=seed)
-    if left.fails or right.fails:
-        bad = left if left.fails else right
-        combined = IdentityVerdict(
-            identity="alternative", method=bad.method, status="fails",
-            witness=bad.witness, witness_labels=bad.witness_labels,
-            trials=bad.trials, seed=bad.seed,
-        )
-    elif left.holds and right.holds:
-        combined = IdentityVerdict(identity="alternative", method=left.method, status="holds")
-    else:
-        weaker = left if not left.holds else right
-        combined = IdentityVerdict(
-            identity="alternative", method=weaker.method,
-            status="sampled_no_counterexample", trials=weaker.trials, seed=weaker.seed,
-        )
+    """Both alternative laws and their combined verdict: the deciding law's
+    verdict, named "alternative". The first failing law decides; when none
+    fails, left decides if both hold, and otherwise the law that did not."""
+    left, right = (check_identity(g, law, mode, trials=trials, seed=seed) for law in _ALTERNATIVE)
+    deciding = next((v for v in (left, right) if v.fails), None) or next((v for v in (left, right) if not v.holds), left)
+    combined = replace(deciding, identity="alternative")
     return combined, left, right
 
 
 # -- closed forms -------------------------------------------------------------
 
 
+class ClosedForm(NamedTuple):
+    """An arithmetic claim on the residues (n, t, u) of a scalar pair: on the
+    pairs it ``applies`` to, each of its ``laws`` holds exactly when it
+    ``predicts`` so. Both predicates take t and u reduced mod n."""
+
+    laws: tuple[IdentityId, ...]
+    applies: Callable[[int, int, int], bool]
+    predicts: Callable[[int, int, int], bool]
+
+
+def _one_sided(n: int, t: int, u: int) -> bool:
+    return (t == 0) != (u == 0)
+
+
+CLOSED_FORMS: dict[str, ClosedForm] = {
+    "idempotent-iff": ClosedForm((IdentityId.IDEMPOTENT,), lambda n, t, u: True, lambda n, t, u: (t + u) % n == 1),
+    "semigroup-iff": ClosedForm(
+        (IdentityId.ASSOCIATIVE,), lambda n, t, u: True, lambda n, t, u: t * t % n == t and u * u % n == u
+    ),
+    "alternative-iff": ClosedForm(  # equal pairs over a composite modulus
+        _ALTERNATIVE, lambda n, t, u: t == u and not (n < 4 or is_prime(n)), lambda n, t, u: t == u and t * t % n == t
+    ),
+    "equal-pair-p": ClosedForm((IdentityId.P_IDENTITY,), lambda n, t, u: t == u, lambda n, t, u: t == u),
+    "type3-p-alt-iff": ClosedForm(  # the one nonzero coefficient is idempotent
+        (IdentityId.P_IDENTITY, *_ALTERNATIVE),
+        _one_sided,
+        lambda n, t, u: _one_sided(n, t, u) and (t or u) ** 2 % n == (t or u),
+    ),
+}
+
+
 def closed_form(name: str, n: int, t: int, u: int) -> bool:
-    """Arithmetic predicates on (n, t, u) matching specific check outcomes."""
-    t %= n
-    u %= n
-    if name == "idempotent-iff":
-        return (t + u) % n == 1
-    if name == "semigroup-iff":
-        return (t * t) % n == t and (u * u) % n == u
-    if name == "alternative-iff":
-        # intended domain: equal pairs over a composite modulus
-        return t == u and (t * t) % n == t
-    if name == "type3-p-alt-iff":
-        if (t == 0) == (u == 0):
-            return False
-        s = t or u
-        return (s * s) % n == s
-    if name == "equal-pair-p":
-        return t == u
-    raise CarrierError(f"unknown closed form: {name!r}")
-
-
-def integer_params(g: Groupoid) -> tuple[int, int, int] | None:
-    """(n, t, u) for closed-form evaluation, when the parameters act exactly
-    like residues: plain/pure carriers always; mixed carriers only when both
-    parameters have no I component."""
-    if g.spec is None:
-        return None
-    carrier = g.spec.carrier
-    t, u = carrier.residue(g.spec.t), carrier.residue(g.spec.u)
-    if t is None or u is None:
-        return None
-    return carrier.n, t, u
+    """The prediction of the closed form ``name`` at (n, t mod n, u mod n)."""
+    if name not in CLOSED_FORMS:
+        raise CarrierError(f"unknown closed form: {name!r}")
+    return CLOSED_FORMS[name].predicts(n, t % n, u % n)
 
 
 def applicable_closed_forms(g: Groupoid, identity: IdentityId) -> dict[str, bool]:
-    """Closed forms relevant to this identity/groupoid, with their predictions."""
-    ints = integer_params(g)
-    if ints is None:
+    """The predictions of the closed forms for this identity that apply to g,
+    in table order. The forms are scalar claims, so g needs a shape that
+    multiplies entrywise and parameters that act exactly like residues:
+    plain and pure carriers always, mixed carriers only when neither
+    parameter has an I component."""
+    sp = g.spec
+    if sp is None or not sp.shape.is_entrywise():
         return {}
-    n, t, u = ints
-    out: dict[str, bool] = {}
-    if identity is IdentityId.IDEMPOTENT:
-        out["idempotent-iff"] = closed_form("idempotent-iff", n, t, u)
-    elif identity is IdentityId.ASSOCIATIVE:
-        out["semigroup-iff"] = closed_form("semigroup-iff", n, t, u)
-    elif identity in (IdentityId.LEFT_ALTERNATIVE, IdentityId.RIGHT_ALTERNATIVE):
-        if t % n == u % n and not (n < 4 or is_prime(n)):
-            out["alternative-iff"] = closed_form("alternative-iff", n, t, u)
-        if (t % n == 0) != (u % n == 0):
-            out["type3-p-alt-iff"] = closed_form("type3-p-alt-iff", n, t, u)
-    elif identity is IdentityId.P_IDENTITY:
-        if t % n == u % n:
-            out["equal-pair-p"] = closed_form("equal-pair-p", n, t, u)
-        if (t % n == 0) != (u % n == 0):
-            out["type3-p-alt-iff"] = closed_form("type3-p-alt-iff", n, t, u)
-    return out
+    n, t, u = sp.carrier.n, sp.carrier.residue(sp.t), sp.carrier.residue(sp.u)
+    if t is None or u is None:
+        return {}
+    t, u = t % n, u % n
+    return {
+        name: form.predicts(n, t, u)
+        for name, form in CLOSED_FORMS.items()
+        if identity in form.laws and form.applies(n, t, u)
+    }
 
 
 # -- cross validation ---------------------------------------------------------

@@ -1,9 +1,10 @@
 """Subset structure: subgroupoids, ideals, normality, simplicity, Smarandache.
 
 Subsets are handled as bitmasks over the groupoid's canonical element order
-(bit i = element i). Enumerations scan masks by increasing cardinality and
-then ascending mask value, so every reported witness is the first one under
-that fixed order and reruns are reproducible.
+(bit i = element i). Every list of subsets, on either route, is in one order:
+by size, then by mask value. So every reported witness is the first one under
+that fixed order, reruns are reproducible, and the generated closures list
+their subgroupoids in the order the power set lists them.
 
 The power-set sweeps are numpy arrays indexed by mask: ``need[m]`` is the
 bitmask (``uint32`` up to order 32, else ``uint64``) of every product the
@@ -63,7 +64,7 @@ Conventions (documented once here, used consistently):
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -275,7 +276,8 @@ def _close(tab: np.ndarray, member: np.ndarray, frontier: np.ndarray) -> np.ndar
 
 
 def _generated_closures(tab: np.ndarray) -> list[tuple[int, ...]]:
-    """Proper closures of every 1- and 2-element generating set, by (size, indices).
+    """Proper closures of every 1- and 2-element generating set, by (size, mask):
+    at one size, a larger mask is the one whose largest differing index is in it.
 
     Singletons are closed first. A pair {i, j} with j in cl(i) closes to cl(i)
     (likewise the other way round); any other pair closes cl(i) | cl(j)."""
@@ -289,7 +291,7 @@ def _generated_closures(tab: np.ndarray) -> list[tuple[int, ...]]:
         member = _close(tab, single[i] | single[j], np.flatnonzero(single[j] & ~single[i]))
         if not member.all():
             found.add(tuple(np.flatnonzero(member).tolist()))
-    return sorted(found, key=lambda t: (len(t), t))
+    return sorted(found, key=lambda t: (len(t), t[::-1]))
 
 
 def _member(n: int, idx: Sequence[int]) -> np.ndarray:
@@ -589,6 +591,13 @@ def _semigroup_witnesses(g: Groupoid, closed: Iterable[SubsetHandle]) -> Iterato
     return (h for h in closed if h.indices != zero and _is_semigroup(g, h.indices))
 
 
+def _s_groupoid(g: Groupoid, closed: Iterable[SubsetHandle]) -> SmarandacheVerdict:
+    """The bare verdict: s_groupoid with the first semigroup witness among the
+    closed subsets, or not_smarandache when there is none."""
+    witness = next(_semigroup_witnesses(g, closed), None)
+    return SmarandacheVerdict(status="s_groupoid" if witness else "not_smarandache", s_witness=witness)
+
+
 def smarandache(g: Groupoid, identity: IdentityId | None = None) -> SmarandacheVerdict:
     """Smarandache detection, optionally relative to an identity.
 
@@ -600,32 +609,23 @@ def smarandache(g: Groupoid, identity: IdentityId | None = None) -> SmarandacheV
     """
     _powerset_order(g, "Smarandache analysis")
     closed = MaskedSubsets(g, _closed_masks(g))
-    s_handle = next(_semigroup_witnesses(g, closed), None)
-
+    bare = _s_groupoid(g, closed)
     if identity is None:
-        status = "s_groupoid" if s_handle else "not_smarandache"
-        return SmarandacheVerdict(status=status, s_witness=s_handle)
-
+        return bare
     verdict = check_identity(g, identity, CheckMode.EXHAUSTIVE)
-    if s_handle is None:
-        return SmarandacheVerdict(
-            status="not_smarandache", s_witness=None, identity_verdict=verdict
-        )
+    if bare.s_witness is None:
+        return replace(bare, identity_verdict=verdict)
     if verdict.holds:
-        return SmarandacheVerdict(
-            status="strong_holds", s_witness=s_handle, identity_verdict=verdict
-        )
-    for h in _semigroup_witnesses(g, closed):
-        if h.size >= 2 and first_failure(g, identity, np.asarray(h.indices)) is None:
-            return SmarandacheVerdict(
-                status="holds_on_semigroup_witness",
-                s_witness=s_handle,
-                identity_witness=h,
-                identity_verdict=verdict,
-            )
-    return SmarandacheVerdict(
-        status="s_groupoid_only", s_witness=s_handle, identity_verdict=verdict
+        return replace(bare, status="strong_holds", identity_verdict=verdict)
+    witness = next(
+        (
+            h for h in _semigroup_witnesses(g, closed)
+            if h.size >= 2 and first_failure(g, identity, np.asarray(h.indices)) is None
+        ),
+        None,
     )
+    status = "holds_on_semigroup_witness" if witness else "s_groupoid_only"
+    return replace(bare, status=status, identity_witness=witness, identity_verdict=verdict)
 
 
 # -- conjugacy and homomorphisms ----------------------------------------------
@@ -755,7 +755,6 @@ def analyze(g: Groupoid) -> StructureReport:
     subs = enumerate_subgroupoids(g)
     ideals = enumerate_ideals(g) if subs.complete else None
     normal = tuple(_normal_subsets(g, subs.subsets))
-    sm_witness = next(_semigroup_witnesses(g, subs.subsets), None)
     return StructureReport(
         order=order,
         subgroupoids=subs,
@@ -763,8 +762,6 @@ def analyze(g: Groupoid) -> StructureReport:
         normal=normal,
         simple=_simplicity(subs, normal[0] if normal else None),
         normal_groupoid=is_normal_groupoid(g),
-        smarandache_verdict=SmarandacheVerdict(
-            status="s_groupoid" if sm_witness else "not_smarandache", s_witness=sm_witness
-        ),
+        smarandache_verdict=_s_groupoid(g, subs.subsets),
         complete=subs.complete,
     )

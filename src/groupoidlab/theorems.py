@@ -8,18 +8,18 @@ registry lists the checks in declaration order. Checks come in two tiers:
 
 * ``asserted`` — every instance must agree; any mismatch is a failure;
 * ``report_only`` — instances are recorded as observations with an ``agrees``
-  flag; disagreement is allowed and preserved for inspection. Running a
-  report-only check with ``tier_override="asserted"`` promotes disagreements
-  to failures.
+  flag; disagreement is allowed and preserved for inspection.
 
 The checks over ranges of moduli (T1–T7, T9, T10, T15–T17) draw their
 groupoids from one parameter sweep, ``_sweeps``: every pair's groupoid for
 each modulus and carrier family, so identity scans and table compiles read a
 sweep as one stack, and a runner keeps only its claim and its failure text.
-T1, T2, T5 and T6 share one runner, ``_congruence``: the laws hold exactly
-when a closed form says so. T10 reads the idempotent law (a singleton {x} is
-a closed semigroup exactly when x*x = x) and T16 reads row 0 and column 0 of
-each table; neither classifies a subset unless a pair fails.
+T1, T2, T5 and T6 share one runner, ``_congruence``: the laws of a closed
+form (``identities.CLOSED_FORMS``) hold exactly when it says so. T11 and T14
+share ``_strong``: each law holds strongly in the Smarandache sense. T10
+reads the idempotent law (a singleton {x} is a closed semigroup exactly when
+x*x = x) and T16 reads row 0 and column 0 of each table; neither classifies a
+subset unless a pair fails.
 
 A tuple default is a (lo, hi) range of moduli, the only kind ``--range``
 overrides; other parameters are lists or numbers. The default ranges keep
@@ -49,6 +49,8 @@ from .carrier import (
 )
 from .groupoid import _CHUNK_CELLS, Groupoid, build, check_budget, compile_tables
 from .identities import (
+    _ALTERNATIVE,
+    CLOSED_FORMS,
     CheckMode,
     IdentityId,
     check_identity,
@@ -94,9 +96,6 @@ def _holds(groupoids: list[Groupoid], laws: tuple[IdentityId, ...], n: int) -> l
     scanned in turn, each over every groupoid by one ``first_failures`` call."""
     verdicts = [[found is None for found in first_failures(groupoids, law, np.arange(n))] for law in laws]
     return [all(member) for member in zip(*verdicts)]
-
-
-_ALTERNATIVE = (IdentityId.LEFT_ALTERNATIVE, IdentityId.RIGHT_ALTERNATIVE)
 
 
 def _coeff_desc(carrier: Carrier, t: int, u: int) -> str:
@@ -261,11 +260,9 @@ def count_class(carrier: Carrier, kind: str, *, equal_pairs_included: bool = Fal
 
 
 def ssc_family_check(n: int) -> bool:
-    """The one-sided family over Z_n contains the idempotent coefficient 1,
-    and the degree-2 polynomial groupoid for (1,0) is associative (settled
-    through the scalar shadow)."""
-    if (1 * 1) % n != 1 % n:
-        return False
+    """The degree-2 polynomial groupoid for the one-sided pair (1,0) over Z_n,
+    whose coefficient 1 is idempotent, is associative (settled through the
+    scalar shadow)."""
     g = build(Modular(n), Poly(2, ProductKind.ENTRYWISE), 1, 0)
     return check_identity(g, IdentityId.ASSOCIATIVE, CheckMode.LIFTED).holds
 
@@ -286,27 +283,26 @@ def _congruence(
     run: _Run,
     moduli: Iterable[int],
     pairs_of: Callable[[int], Iterable],
-    laws: tuple[IdentityId, ...],
     label: str,
     form: str,
 ) -> None:
-    """The laws all hold on the groupoid of (t, u) exactly when the closed
-    form says so, for every pair of ``pairs_of(n)`` over each modulus and each
-    of ``p["carriers"]``."""
+    """The laws of the closed form all hold on the groupoid of (t, u) exactly
+    when it says so, for every pair of ``pairs_of(n)`` over each modulus and
+    each of ``p["carriers"]``."""
     for n, carrier, pairs, groupoids in _sweeps(moduli, p["carriers"], pairs_of):
-        for (t, u), holds in zip(pairs, _holds(groupoids, laws, n)):
+        for (t, u), holds in zip(pairs, _holds(groupoids, CLOSED_FORMS[form].laws, n)):
             predicted = closed_form(form, n, t, u)
             run.check(holds == predicted, f"{_coeff_desc(carrier, t, u)}: {label}={holds}, congruence={predicted}")
 
 
 @_check("T1", "asserted", "idempotent exactly when t+u ≡ 1 (mod n)", n=(3, 16), carriers=["zn", "zni"])
 def _t1(p: dict, run: _Run) -> None:
-    _congruence(p, run, _moduli(p["n"]), _nonzero_pairs, (IdentityId.IDEMPOTENT,), "idempotent", "idempotent-iff")
+    _congruence(p, run, _moduli(p["n"]), _nonzero_pairs, "idempotent", "idempotent-iff")
 
 
 @_check("T2", "asserted", "associative exactly when t² ≡ t and u² ≡ u (mod n)", n=(3, 12), carriers=["zn", "zni"])
 def _t2(p: dict, run: _Run) -> None:
-    _congruence(p, run, _moduli(p["n"]), _nonzero_pairs, (IdentityId.ASSOCIATIVE,), "associative", "semigroup-iff")
+    _congruence(p, run, _moduli(p["n"]), _nonzero_pairs, "associative", "semigroup-iff")
 
 
 @_check("T3", "asserted", "equal pairs always satisfy the P-law", n=(3, 16), carriers=["zn", "zni"])
@@ -330,7 +326,7 @@ def _t4(p: dict, run: _Run) -> None:
 )
 def _t5(p: dict, run: _Run) -> None:
     composites = (n for n in _moduli(p["n"]) if not is_prime(n))
-    _congruence(p, run, composites, _equal_pairs, _ALTERNATIVE, "alternative", "alternative-iff")
+    _congruence(p, run, composites, _equal_pairs, "alternative", "alternative-iff")
 
 
 @_check(
@@ -339,8 +335,7 @@ def _t5(p: dict, run: _Run) -> None:
 )
 def _t6(p: dict, run: _Run) -> None:
     one_sided = lambda n: [pair for t in range(1, n) for pair in ((t, 0), (0, t))]
-    laws = (IdentityId.P_IDENTITY, *_ALTERNATIVE)
-    _congruence(p, run, _moduli(p["n"]), one_sided, laws, "P&alternative", "type3-p-alt-iff")
+    _congruence(p, run, _moduli(p["n"]), one_sided, "P&alternative", "type3-p-alt-iff")
 
 
 @_check("T7", "asserted", "left ideals of (t,u) are the right ideals of (u,t)", zn_n=(3, 12), zni_n=(3, 8), nzn_n=3)
@@ -444,26 +439,26 @@ def _t10(p: dict, run: _Run) -> None:
                 )
 
 
+def _strong(run: _Run, carrier: Carrier, t: int, u: int, idents: Iterable[IdentityId]) -> None:
+    """Each identity holds strongly on the groupoid of (t, u) over carrier: on
+    all of it, which has a Smarandache witness."""
+    g = _scalar(carrier, t, u)
+    for ident in idents:
+        verdict = smarandache(g, ident)
+        run.check(verdict.status == "strong_holds", f"{_coeff_desc(carrier, t, u)} {ident.value}: got {verdict.status}")
+
+
 @_check(
     "T11", "asserted", "t+u ≡ 1 with both coefficients idempotent gives strong P and alternative laws",
     n=(3, 14), carriers=["zn", "zni"],
 )
 def _t11(p: dict, run: _Run) -> None:
-    lo, hi = p["n"]
-    idents = (IdentityId.P_IDENTITY, IdentityId.LEFT_ALTERNATIVE, IdentityId.RIGHT_ALTERNATIVE)
-    for n in range(lo, hi + 1):
+    for n in _moduli(p["n"]):
         for t in range(1, n):
             u = (1 - t) % n
-            if u == 0 or (t * t) % n != t or (u * u) % n != u:
-                continue
-            for carrier in _carriers_for(n, p["carriers"]):
-                g = _scalar(carrier, t, u)
-                for ident in idents:
-                    verdict = smarandache(g, ident)
-                    run.check(
-                        verdict.status == "strong_holds",
-                        f"{_coeff_desc(carrier, t, u)} {ident.value}: got {verdict.status}",
-                    )
+            if u and closed_form("semigroup-iff", n, t, u):
+                for carrier in _carriers_for(n, p["carriers"]):
+                    _strong(run, carrier, t, u, (IdentityId.P_IDENTITY, *_ALTERNATIVE))
 
 
 @_check("T12", "report_only", "interval carrier with (2,0), even n: {[0,0],[0,n/2]} is a semigroup witness", n=(4, 12))
@@ -530,25 +525,15 @@ def _t13(p: dict, run: _Run) -> None:
 )
 def _t14(p: dict, run: _Run) -> None:
     strong = (
-        ("zn", 10, 5, 6, IdentityId.MOUFANG),
-        ("zn", 12, 3, 4, IdentityId.BOL),
-        ("zn", 6, 4, 3, IdentityId.P_IDENTITY),
-        ("zn", 14, 7, 8, IdentityId.LEFT_ALTERNATIVE),
-        ("zn", 14, 7, 8, IdentityId.RIGHT_ALTERNATIVE),
-        ("zni", 10, 5, 6, IdentityId.MOUFANG),
-        ("zni", 12, 3, 4, IdentityId.BOL),
-        ("zni", 6, 4, 3, IdentityId.P_IDENTITY),
-        ("zni", 14, 7, 8, IdentityId.LEFT_ALTERNATIVE),
-        ("zni", 14, 7, 8, IdentityId.RIGHT_ALTERNATIVE),
+        (10, 5, 6, IdentityId.MOUFANG),
+        (12, 3, 4, IdentityId.BOL),
+        (6, 4, 3, IdentityId.P_IDENTITY),
+        (14, 7, 8, IdentityId.LEFT_ALTERNATIVE),
+        (14, 7, 8, IdentityId.RIGHT_ALTERNATIVE),
     )
-    for fam, n, t, u, ident in strong:
-        carrier = _carriers_for(n, (fam,))[0]
-        g = _scalar(carrier, t, u)
-        verdict = smarandache(g, ident)
-        run.check(
-            verdict.status == "strong_holds",
-            f"{_coeff_desc(carrier, t, u)} {ident.value}: got {verdict.status}",
-        )
+    for family in ("zn", "zni"):
+        for n, t, u, ident in strong:
+            _strong(run, _carriers_for(n, (family,))[0], t, u, (ident,))
     # the identities survive lifting to interval matrices
     big = build(IntervalOf(Modular(10)), Matrix(2, 2), 5, 6)
     lifted = check_identity(big, IdentityId.MOUFANG, CheckMode.LIFTED)
@@ -622,7 +607,7 @@ def _gold(p: dict, run: _Run) -> None:
         run.check(result.ok, f"demo {result.demo_id}: " + "; ".join(result.failures))
 
 
-def verify_theorem(check_id: str, params: dict | None = None, tier_override: str | None = None) -> CheckOutcome:
+def verify_theorem(check_id: str, params: dict | None = None) -> CheckOutcome:
     if check_id not in CHECKS:
         raise CarrierError(f"unknown check id: {check_id!r}")
     check = CHECKS[check_id]
@@ -636,21 +621,13 @@ def verify_theorem(check_id: str, params: dict | None = None, tier_override: str
     merged = {**check.defaults, **params}
     run = _Run()
     check.runner(merged, run)
-    tier = tier_override or check.tier
-    failures = list(run.failures)
-    if tier == "asserted" and check.tier == "report_only":
-        failures.extend(
-            str(obs.get("instance", obs)) + ": disagrees"
-            for obs in run.observations
-            if obs.get("agrees") is False
-        )
     return CheckOutcome(
         check_id=check_id,
-        tier=tier,
+        tier=check.tier,
         summary=check.summary,
         params=merged,
         instances=run.instances,
-        failures=tuple(failures),
+        failures=tuple(run.failures),
         observations=tuple(run.observations),
         notes=tuple(run.notes),
     )

@@ -20,8 +20,9 @@ from groupoidlab import (
     check_identity,
     closed_form,
     cross_validate,
+    from_table,
 )
-from groupoidlab.identities import applicable_closed_forms
+from groupoidlab.identities import CLOSED_FORMS, applicable_closed_forms, check_identity_sweep
 
 
 # -- reference verdicts --------------------------------------------------------
@@ -175,6 +176,67 @@ def test_check_alternative_combined_semantics():
     assert comb.status == "sampled_no_counterexample"
 
 
+def _alternative_json(method, sample, *verdicts):
+    """The JSON of (combined, left, right), each given as (status, witness)."""
+    out = []
+    for identity, (status, witness) in zip(("alternative", "left-alternative", "right-alternative"), verdicts):
+        out.append({"identity": identity, "method": method, "status": status})
+        if witness:
+            out[-1]["witness"] = list(witness)
+        if sample:
+            out[-1]["trials"], out[-1]["seed"] = sample
+    return out
+
+
+# tables where exactly one alternative law fails
+LEFT_FAILS = [[2, 1, 1], [2, 1, 1], [1, 2, 2]]
+RIGHT_FAILS = [[1, 1, 0], [1, 1, 1], [0, 0, 2]]
+HOLD = ("holds", None)
+UNSEEN = ("sampled_no_counterexample", None)
+# recorded before the combined verdict became the deciding law's, renamed
+ALTERNATIVE_CASES = {
+    "holds": (
+        lambda: build(Modular(14), Scalar(), 7, 8), CheckMode.EXHAUSTIVE, None,
+        _alternative_json("exhaustive", None, HOLD, HOLD, HOLD),
+    ),
+    "both fail": (
+        lambda: build(Modular(4), Scalar(), 2, 3), CheckMode.EXHAUSTIVE, None,
+        _alternative_json("exhaustive", None, *[("fails", ("1", "0"))] * 3),
+    ),
+    "left fails": (
+        lambda: from_table(["a", "b", "c"], LEFT_FAILS), CheckMode.EXHAUSTIVE, None,
+        _alternative_json("exhaustive", None, ("fails", ("b", "a")), ("fails", ("b", "a")), HOLD),
+    ),
+    "right fails": (
+        lambda: from_table(["a", "b", "c"], RIGHT_FAILS), CheckMode.AUTO, None,
+        _alternative_json("exhaustive", None, ("fails", ("c", "a")), HOLD, ("fails", ("c", "a"))),
+    ),
+    "sampled": (
+        lambda: build(Modular(14), Scalar(), 7, 8), CheckMode.SAMPLED, (50, 3),
+        _alternative_json("sampled", (50, 3), UNSEEN, UNSEEN, UNSEEN),
+    ),
+    "sampled, right fails": (
+        lambda: from_table(["a", "b", "c"], RIGHT_FAILS), CheckMode.SAMPLED, (2, 3),
+        _alternative_json("sampled", (2, 3), ("fails", ("c", "a")), UNSEEN, ("fails", ("c", "a"))),
+    ),
+    "lifted fails": (
+        lambda: build(Modular(4), Matrix(2, 1), 2, 3), CheckMode.LIFTED, None,
+        _alternative_json("lifted", None, *[("fails", ("[[1];[1]]", "[[0];[0]]"))] * 3),
+    ),
+    "lifted": (
+        lambda: build(Modular(10), Matrix(2, 2), 5, 6), CheckMode.AUTO, None,
+        _alternative_json("lifted", None, HOLD, HOLD, HOLD),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(ALTERNATIVE_CASES))
+def test_check_alternative_json_is_the_deciding_laws(case):
+    make, mode, sample, want = ALTERNATIVE_CASES[case]
+    trials, seed = sample or (1, 0)
+    assert [v.to_json() for v in check_alternative(make(), mode, trials=trials, seed=seed)] == want
+
+
 # -- closed forms -----------------------------------------------------------------
 
 
@@ -188,6 +250,20 @@ def test_closed_form_predicates():
     assert not closed_form("type3-p-alt-iff", 6, 2, 0)
     assert closed_form("equal-pair-p", 9, 4, 4)
     assert not closed_form("equal-pair-p", 9, 4, 5)
+
+
+@pytest.mark.parametrize("name", list(CLOSED_FORMS))
+def test_each_closed_form_decides_each_of_its_laws_where_it_applies(name):
+    form = CLOSED_FORMS[name]
+    for n in range(3, 13):
+        pairs = [(t, u) for t in range(n) for u in range(n) if (t, u) != (0, 0) and form.applies(n, t, u)]
+        predicted = [form.predicts(n, t, u) for t, u in pairs]
+        for carrier in (Modular(n), PureNeutrosophic(n)):
+            groupoids = [build(carrier, Scalar(), t, u) for t, u in pairs]
+            for law in form.laws:
+                holds = [v.holds for v in check_identity_sweep(groupoids, law)]
+                assert holds == predicted, f"{carrier.token()} {law.value}"
+                assert [applicable_closed_forms(g, law)[name] for g in groupoids] == predicted
 
 
 def test_closed_form_unknown_name():
@@ -229,6 +305,33 @@ def test_cross_validate_routes_agree():
     assert r.closed_forms == {"idempotent-iff": {"predicted": True, "agrees": True}}
     methods = [v.method for v in r.verdicts]
     assert "exhaustive" in methods and "sampled" in methods
+
+
+@pytest.mark.parametrize(
+    "shape,t,u,identity",
+    [
+        (Poly(1, ProductKind.CONVOLUTION), 1, 0, IdentityId.ASSOCIATIVE),
+        (Poly(2, ProductKind.CONVOLUTION), 3, 4, IdentityId.IDEMPOTENT),
+        (Poly(1, ProductKind.SHUFFLE), 1, 2, IdentityId.IDEMPOTENT),
+        (Poly(1, ProductKind.SHUFFLE), 3, 0, IdentityId.P_IDENTITY),
+    ],
+)
+def test_shapes_that_mix_entries_take_no_closed_form(shape, t, u, identity):
+    # the forms are claims about the scalar product: (1,0) is a semigroup on
+    # Z_7, but its degree-1 convolution is not associative
+    g = build(Modular(7), shape, t, u)
+    assert applicable_closed_forms(g, identity) == {}
+    r = cross_validate(g, identity)
+    assert r.agreement and r.closed_forms == {} and r.disagreements == []
+
+
+def test_entrywise_shapes_keep_their_closed_forms():
+    g = build(Modular(6), Matrix(2, 2), 3, 4)
+    assert applicable_closed_forms(g, IdentityId.ASSOCIATIVE) == {"semigroup-iff": True}
+    assert cross_validate(g, IdentityId.ASSOCIATIVE).closed_forms == {"semigroup-iff": {"predicted": True, "agrees": True}}
+    assert applicable_closed_forms(build(Modular(6), Matrix(2, 2), 3, 0), IdentityId.P_IDENTITY) == {
+        "type3-p-alt-iff": True
+    }
 
 
 def test_cross_validate_without_applicable_closed_form():

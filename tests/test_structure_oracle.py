@@ -92,7 +92,7 @@ def sorted_masks_oracle(flags, n):
 
 
 def frontier_closures_oracle(table):
-    """Proper closures of all 1- and 2-element generating sets, by (size, indices)."""
+    """Proper closures of all 1- and 2-element generating sets, by (size, mask)."""
     n = len(table)
     found = set()
     gens = [(i,) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -116,7 +116,7 @@ def frontier_closures_oracle(table):
             frontier = nxt
         if len(s) < n:
             found.add(tuple(sorted(s)))
-    return sorted(found, key=lambda t: (len(t), t))
+    return sorted(found, key=lambda t: (len(t), sum(1 << i for i in t)))
 
 
 def subset_normal_oracle(table, idx):
@@ -264,6 +264,23 @@ def test_generated_closure_matches_the_frontier_oracle(monkeypatch, carrier, t, 
         enum = enumerate_subgroupoids(g)
         assert enum.strategy == "generated-closure"
         assert [h.indices for h in enum.subsets] == want
+
+
+@pytest.mark.parametrize("n", range(8, 13))
+def test_generated_closures_keep_the_power_set_order(monkeypatch, n):
+    # below n*2^n the closures are routed to; each of them is closed, so each
+    # is on the power set's list, and both lists are in (size, mask) order
+    for t, u in itertools.product(range(n), repeat=2):
+        if (t, u) == (0, 0):
+            continue
+        g = build(Modular(n), Scalar(), t, u)
+        power = [h.indices for h in enumerate_subgroupoids(g).subsets]
+        monkeypatch.setenv("GGL_BUDGET", str((n << n) - 1))
+        closures = enumerate_subgroupoids(g)
+        monkeypatch.delenv("GGL_BUDGET")
+        assert closures.strategy == "generated-closure"
+        at = [power.index(h.indices) for h in closures.subsets]
+        assert at == sorted(at), f"zn:{n} ({t},{u})"
 
 
 @settings(max_examples=40, deadline=None)

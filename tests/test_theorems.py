@@ -357,12 +357,60 @@ def test_t9_builds_handles_only_for_the_claimed_order_and_the_normal_list(monkey
     assert out.instances > 0 and len(built) == listed
 
 
-def test_tier_override_promotes_disagreements_to_failures():
-    out = verify_theorem("T9", tier_override="asserted")
-    assert out.tier == "asserted"
-    assert not out.passed
-    assert out.status == "fail"
-    assert any("disagrees" in f for f in out.failures)
+# strong-law instances broken by (n, t, u, identity); the expected outcomes
+# were recorded before T11 and T14 shared one strong-law check, so they pin
+# each check's instance order and failure text
+T11_ALL = [
+    f"{c}:{n} ({t}{i},{u}{i}) {law}: got not_smarandache"
+    for n, t, u in ((6, 3, 4), (6, 4, 3), (10, 5, 6), (10, 6, 5), (12, 4, 9), (12, 9, 4), (14, 7, 8), (14, 8, 7))
+    for c, i in (("zn", ""), ("zni", "I"))
+    for law in ("p-identity", "left-alternative", "right-alternative")
+]
+T14_ALL = [
+    f"{c}:{n} ({t}{i},{u}{i}) {law}: got not_smarandache"
+    for c, i in (("zn", ""), ("zni", "I"))
+    for n, t, u, law in (
+        (10, 5, 6, "moufang"), (12, 3, 4, "bol"), (6, 4, 3, "p-identity"),
+        (14, 7, 8, "left-alternative"), (14, 7, 8, "right-alternative"),
+    )
+]
+BROKEN_STRONG_OUTCOMES = [
+    ("T11", {(6, 4, 3, "p-identity"), (14, 7, 8, "right-alternative")}, (48, [
+        "zn:6 (4,3) p-identity: got s_groupoid_only",
+        "zni:6 (4I,3I) p-identity: got s_groupoid_only",
+        "zn:14 (7,8) right-alternative: got s_groupoid_only",
+        "zni:14 (7I,8I) right-alternative: got s_groupoid_only",
+    ])),
+    ("T14", {(10, 5, 6, "moufang"), (6, 4, 3, "p-identity"), (14, 7, 8, "right-alternative")}, (60, [
+        "zn:10 (5,6) moufang: got s_groupoid_only",
+        "zn:6 (4,3) p-identity: got s_groupoid_only",
+        "zn:14 (7,8) right-alternative: got s_groupoid_only",
+        "zni:10 (5I,6I) moufang: got s_groupoid_only",
+        "zni:6 (4I,3I) p-identity: got s_groupoid_only",
+        "zni:14 (7I,8I) right-alternative: got s_groupoid_only",
+    ])),
+    ("T11", {(3, 2, 2, "p-identity"), (12, 3, 4, "bol")}, (48, [])),
+    ("T11", "all", (48, T11_ALL)),
+    ("T14", "all", (60, T14_ALL)),
+]
+
+
+@pytest.mark.parametrize("check_id,broken,outcome", BROKEN_STRONG_OUTCOMES)
+def test_strong_law_checks_report_the_instances_that_break(monkeypatch, check_id, broken, outcome):
+    real = theorems.smarandache
+
+    def breaking(g, identity=None):
+        verdict = real(g, identity)
+        c = g.spec.carrier
+        if broken == "all":
+            return structure.SmarandacheVerdict(status="not_smarandache")
+        if (c.n, c.residue(g.spec.t), c.residue(g.spec.u), identity.value) in broken:
+            return structure.SmarandacheVerdict(status="s_groupoid_only", s_witness=verdict.s_witness)
+        return verdict
+
+    monkeypatch.setattr(theorems, "smarandache", breaking)
+    out = verify_theorem(check_id)
+    assert (out.instances, list(out.failures)) == outcome
 
 
 def test_vacuity_guard_check_has_instances():
