@@ -2,8 +2,11 @@
 the verification suite, and replayable demos.
 
 Exit codes: 0 success; 1 assertion failure (a failing asserted suite check or
-demo golden); 2 usage error; 3 budget exceeded. The environment variable
-GGL_BUDGET sets the one work budget (default 10^8) that every up-front
+demo golden); 2 usage error; 3 budget exceeded. The refusal policy lives in
+one place, ``_Command.invoke``, which every command runs through: a
+``CarrierError`` from the library exits 2 with the command's usage, and a
+``BudgetExceeded`` exits 3 with a JSON diagnostic on stderr. The environment
+variable GGL_BUDGET sets the one work budget (default 10^8) that every up-front
 estimate is checked against before its work starts: exhaustive and subset
 scans (m^vars), the Cayley table (n^2), the power-set sweeps (n*2^n; where
 they do not fit, ``structure`` takes the generated closures), the generated
@@ -31,7 +34,7 @@ from .identities import (
 )
 from .shape import Shape, parse_shape
 from .structure import analyze
-from .theorems import CHECKS, SuiteConfig, count_class, run_suite
+from .theorems import CHECKS, COUNT_CLASSES, SuiteConfig, count_class, run_suite
 
 _IDENTITY_CHOICES = [i.value for i in IdentityId] + ["alternative"]
 
@@ -43,25 +46,14 @@ def _parse_pair(carrier: Carrier, text: str):
     out = []
     for part in parts:
         part = part.strip()
-        try:
-            value = parse_param_component(carrier, part)
-        except CarrierError as e:
-            raise click.UsageError(str(e))
-        out.append((value, part.endswith("I")))
+        out.append((parse_param_component(carrier, part), part.endswith("I")))
     return out[0][0], out[1][0], out[0][1], out[1][1]
 
 
 def _make_groupoid(carrier_token: str, shape_token: str, pair_text: str) -> Groupoid:
-    try:
-        carrier = parse_carrier(carrier_token)
-        shape = parse_shape(shape_token)
-    except CarrierError as e:
-        raise click.UsageError(str(e))
+    carrier, shape = parse_carrier(carrier_token), parse_shape(shape_token)
     t, u, ti, ui = _parse_pair(carrier, pair_text)
-    try:
-        return build(carrier, shape, t, u, t_indeterminate=ti, u_indeterminate=ui)
-    except CarrierError as e:
-        raise click.UsageError(str(e))
+    return build(carrier, shape, t, u, t_indeterminate=ti, u_indeterminate=ui)
 
 
 def _parse_mode(text: str):
@@ -79,8 +71,6 @@ def _parse_mode(text: str):
                 seed = int(parts[2])
         except ValueError:
             raise click.UsageError(f"--mode sampled needs integer trials/seed (got {text!r})")
-        if trials < 1:
-            raise click.UsageError(f"--mode sampled needs at least one trial (got {text!r})")
         return CheckMode.SAMPLED, trials, seed
     if len(parts) != 1:
         raise click.UsageError(f"only sampled mode takes arguments (got {text!r})")
@@ -90,15 +80,22 @@ def _parse_mode(text: str):
         raise click.UsageError(f"unknown mode {name!r} (auto, lifted, exhaustive, sampled:N:SEED)")
 
 
-def _budget_guard(fn):
-    try:
-        return fn()
-    except BudgetExceeded as e:
-        click.echo(
-            json.dumps({"error": "budget-exceeded", "detail": str(e)}),
-            err=True,
-        )
-        sys.exit(3)
+class _Command(click.Command):
+    """A command whose library refusals exit 2 (``CarrierError``, as a usage
+    error of this command) or 3 (``BudgetExceeded``, as JSON on stderr)."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except CarrierError as e:
+            raise click.UsageError(str(e), ctx)
+        except BudgetExceeded as e:
+            click.echo(json.dumps({"error": "budget-exceeded", "detail": str(e)}), err=True)
+            sys.exit(3)
+
+
+class _Group(click.Group):
+    command_class = _Command
 
 
 def _timing_footer(start: float, no_timing: bool) -> None:
@@ -107,7 +104,7 @@ def _timing_footer(start: float, no_timing: bool) -> None:
         click.echo(f"# elapsed {time.perf_counter() - start:.3f}s", err=True)
 
 
-@click.group()
+@click.group(cls=_Group)
 def main() -> None:
     """Build, check, and survey finite two-parameter groupoids."""
 
@@ -121,7 +118,7 @@ def main() -> None:
 def table(carrier_token: str, shape_token: str, pair_text: str, fmt: str, cap: int) -> None:
     """Emit the full multiplication table."""
     g = _make_groupoid(carrier_token, shape_token, pair_text)
-    t = _budget_guard(lambda: cayley_table(g, cap))
+    t = cayley_table(g, cap)
     if fmt == "tsv":
         click.echo(t.to_tsv(), nl=False)
     else:
@@ -154,17 +151,10 @@ def check(
     start = time.perf_counter()
     g = _make_groupoid(carrier_token, shape_token, pair_text)
     mode, trials, seed = _parse_mode(mode_text)
-
-    def go():
-        if identity_name == "alternative":
-            combined, left, right = check_alternative(g, mode, trials=trials, seed=seed)
-            return [combined, left, right]
-        return [check_identity(g, IdentityId(identity_name), mode, trials=trials, seed=seed)]
-
-    try:
-        verdicts = _budget_guard(go)
-    except CarrierError as e:  # lifted mode on a shape that mixes entries
-        raise click.UsageError(str(e))
+    if identity_name == "alternative":
+        verdicts = list(check_alternative(g, mode, trials=trials, seed=seed))
+    else:
+        verdicts = [check_identity(g, IdentityId(identity_name), mode, trials=trials, seed=seed)]
     if fmt == "json":
         payload = verdicts[0].to_json() if len(verdicts) == 1 else {
             "combined": verdicts[0].to_json(),
@@ -192,7 +182,7 @@ def structure(carrier_token: str, shape_token: str, pair_text: str, no_timing: b
     """Emit the full structural survey as JSON."""
     start = time.perf_counter()
     g = _make_groupoid(carrier_token, shape_token, pair_text)
-    report = _budget_guard(lambda: analyze(g))
+    report = analyze(g)
     click.echo(json.dumps(report.to_json(), indent=2))
     _timing_footer(start, no_timing)
 
@@ -264,7 +254,7 @@ def verify(
         if params:
             overrides[check_id] = params
     config = SuiteConfig(checks=ids, overrides=overrides, seed=seed)
-    report = _budget_guard(lambda: run_suite(config))
+    report = run_suite(config)
     click.echo(json.dumps(report.to_json(include_timing=not no_timing), indent=2))
     sys.exit(0 if report.passed else 1)
 
@@ -274,24 +264,14 @@ def verify(
 @click.option(
     "--class",
     "class_token",
-    type=click.Choice(["all-pairs", "level-one-pairs", "idempotent-pairs"]),
+    type=click.Choice([kind.replace("_", "-") for kind in COUNT_CLASSES]),
     required=True,
 )
 @click.option("--equal-pairs", is_flag=True, help="include equal pairs (idempotent-pairs only)")
 def count(carrier_token: str, class_token: str, equal_pairs: bool) -> None:
     """Count a class of parameter pairs; prints the integer, then provenance."""
-    try:
-        carrier = parse_carrier(carrier_token)
-    except CarrierError as e:
-        raise click.UsageError(str(e))
-    kind = class_token.replace("-", "_")
-    try:
-        value = _budget_guard(
-            lambda: count_class(carrier, kind, equal_pairs_included=equal_pairs)
-        )
-    except CarrierError as e:
-        raise click.UsageError(str(e))
-    click.echo(str(value))
+    carrier = parse_carrier(carrier_token)
+    click.echo(str(count_class(carrier, class_token.replace("-", "_"), equal_pairs_included=equal_pairs)))
     suffix = " equal-pairs-included" if equal_pairs else ""
     click.echo(f"# {carrier.token()} {class_token}{suffix}")
 
@@ -305,10 +285,7 @@ def demo(example_id: str | None, list_flag: bool) -> None:
         for demo_id, title in demos_mod.list_demos():
             click.echo(f"{demo_id}\t{title}")
         return
-    try:
-        result = demos_mod.run_demo(example_id)
-    except CarrierError as e:
-        raise click.UsageError(str(e))
+    result = demos_mod.run_demo(example_id)
     click.echo(f"[{result.demo_id}] {result.title}")
     for line in result.lines:
         click.echo(line)

@@ -382,7 +382,7 @@ def first_failures(
     if not m or not groupoids:
         return found
     order = groupoids[0].order
-    if domain[0] < 0 or domain[-1] >= order:
+    if domain.min() < 0 or domain.max() >= order:
         raise IndexError(f"domain indices must lie in [0, {order})")
     if nvars == 1:
         x = domain[None, :]
@@ -567,6 +567,8 @@ def check_identity(
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
 ) -> IdentityVerdict:
+    if not isinstance(mode, CheckMode):
+        raise CarrierError(f"mode must be a CheckMode ({', '.join(m.name for m in CheckMode)}), got {mode!r}")
     _require_trials(trials)
     nvars = len(TEMPLATES[identity][2])
 

@@ -693,7 +693,11 @@ def check_homomorphism(
             raise CarrierError("element-level mappings need spec-backed groupoids")
         phi = [h.element_index(mapping(e)) for e in g.elements()]
     else:
-        phi = [int(i) for i in mapping]
+        phi = list(mapping)
+        for i in phi:  # as a table cell, an index is an integer and not a bool
+            if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
+                raise CarrierError(f"index mapping entries must be integer indices, got {i!r}")
+        phi = [int(i) for i in phi]
         if len(phi) != len(tab) or any(not 0 <= i < len(htab) for i in phi):
             raise CarrierError("index mapping must cover the domain and land in the codomain")
 

@@ -443,3 +443,48 @@ def test_pair_with_indeterminate_suffix(runner):
     r = invoke(runner, "table", "--carrier", "zni:3", "--pair", "I,2I")
     assert r.exit_code == 0
     assert r.output.splitlines()[0] == "0\tI\t2I"
+
+
+# -- one refusal policy --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (("table", "--carrier", "bogus:4", "--pair", "2,3"), "unknown carrier token: 'bogus:4'"),
+        (("check", "--carrier", "zn:5", "--pair", "2,7I", "--identity", "idempotent"),
+         "carrier has no indeterminate component; drop the I suffix"),
+        (("structure", "--carrier", "zn:5", "--shape", "cube", "--pair", "2,3"), "unknown shape token: 'cube'"),
+        (("count", "--carrier", "q", "--class", "all-pairs"), "unknown carrier token: 'q'"),
+        (("demo", "--example", "9.9.9"), "unknown demo id: '9.9.9'"),
+    ],
+    ids=["table", "check", "structure", "count", "demo"],
+)
+def test_a_library_refusal_is_a_usage_error_of_its_command(runner, args, message):
+    r = invoke(runner, *args)
+    assert r.exit_code == 2
+    assert f"Usage: main {args[0]} [OPTIONS]" in r.output
+    assert f"Error: {message}" in r.output
+    assert "Traceback" not in r.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("table", "--carrier", "zn:5", "--pair", "2,3"),
+        ("check", "--carrier", "zn:5", "--pair", "2,3", "--identity", "associative", "--mode", "exhaustive", "--no-timing"),
+        ("structure", "--carrier", "zn:5", "--pair", "2,3", "--no-timing"),
+        ("verify", "--only", "T1", "--no-timing"),
+        ("count", "--carrier", "zn:7", "--class", "level-one-pairs"),
+        ("demo", "--example", "1.1.1"),
+    ],
+    ids=lambda args: args[0],
+)
+def test_a_tiny_budget_refuses_every_budgeted_command_with_exit_3(runner, monkeypatch, args):
+    monkeypatch.setenv("GGL_BUDGET", "10")
+    r = invoke(runner, *args)
+    assert r.exit_code == 3
+    assert r.stdout == ""
+    diag = json.loads(r.stderr)
+    assert diag["error"] == "budget-exceeded"
+    assert diag["detail"].endswith("budget is 10 (set GGL_BUDGET to raise it)")

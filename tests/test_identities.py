@@ -1,5 +1,6 @@
 """Identity checking: exhaustive engines, lifting, sampling, closed forms."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,7 +23,7 @@ from groupoidlab import (
     cross_validate,
     from_table,
 )
-from groupoidlab.identities import CLOSED_FORMS, applicable_closed_forms, check_identity_sweep
+from groupoidlab.identities import CLOSED_FORMS, applicable_closed_forms, check_identity_sweep, first_failure
 
 
 # -- reference verdicts --------------------------------------------------------
@@ -114,6 +115,28 @@ def test_sampled_check_never_lists_the_carrier(monkeypatch):
     assert v.fails and len(v.witness_labels) == 3
     x, y, z = v.witness
     assert g.star(g.star(x, y), z) != g.star(x, g.star(y, z))
+
+
+@pytest.mark.parametrize("identity", list(IdentityId))
+def test_a_domain_index_past_the_order_is_refused_wherever_it_stands(identity):
+    g = build(Modular(4), Scalar(), 2, 3)
+    with pytest.raises(IndexError, match=r"domain indices must lie in \[0, 4\)"):
+        first_failure(g, identity, np.array([1, 5, 2]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, mode: check_identity(g, IdentityId.ASSOCIATIVE, mode),
+        lambda g, mode: check_alternative(g, mode),
+    ],
+    ids=["check_identity", "check_alternative"],
+)
+@pytest.mark.parametrize("mode", ["sampled", "lifted", None])
+def test_a_mode_that_is_not_a_check_mode_is_refused(call, mode):
+    g = build(Modular(9), Scalar(), 2, 5)
+    with pytest.raises(CarrierError, match="mode must be a CheckMode .*AUTO, EXHAUSTIVE, LIFTED, SAMPLED"):
+        call(g, mode)
 
 
 @pytest.mark.parametrize("trials", [0, -5])

@@ -13,6 +13,7 @@ from groupoidlab import (
     PureNeutrosophic,
     Scalar,
     SimpleVerdict,
+    SubsetHandle,
     analyze,
     are_conjugate,
     build,
@@ -258,6 +259,13 @@ def test_identity_holds_on_subset_direct():
     assert not identity_holds_on_subset(g, [0, 1, 2, 3], IdentityId.BOL)
 
 
+def test_identity_holds_on_subset_refuses_a_handle_that_leaves_the_groupoid():
+    g = build(Modular(4), Scalar(), 2, 3)
+    handle = SubsetHandle(indices=(5, 3), labels=("x", "y"))
+    with pytest.raises(IndexError, match=r"domain indices must lie in \[0, 4\)"):
+        identity_holds_on_subset(g, handle, IdentityId.IDEMPOTENT)
+
+
 # -- conjugacy ------------------------------------------------------------------------------
 
 
@@ -282,6 +290,14 @@ def test_embedding_into_mixed_carrier_is_a_homomorphism():
     h = build(MixedNeutrosophic(7), Scalar(), (2, 0), (5, 0))
     v = check_homomorphism(g, h, lambda e: ((0, e[0]),))
     assert v.valid and v.star_respected and v.indeterminate_preserved
+
+
+@pytest.mark.parametrize("mapping", [[0.7] * 9, [0.0] * 9, [True] * 9, [False] * 9, [np.bool_(True)] * 9])
+def test_an_index_mapping_of_floats_or_bools_is_refused(mapping):
+    g = build(Modular(9), Scalar(), 2, 5)
+    with pytest.raises(CarrierError, match="index mapping entries must be integer indices"):
+        check_homomorphism(g, g, mapping)
+    assert check_homomorphism(g, g, np.arange(9)).valid
 
 
 def test_index_shift_is_not_a_homomorphism():
