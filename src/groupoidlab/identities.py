@@ -360,7 +360,8 @@ def first_failures(
     (sorted, distinct indices; x fastest, then y, then z) at which the
     identity's two sides differ, or None when it holds there. The groupoids
     share one order, and an empty domain holds every law; an index outside
-    [0, order) raises ``IndexError``.
+    [0, order), and a domain with repeats or out of order, raise
+    ``IndexError``.
 
     One-variable laws square the domain vector through the compiled products
     of ``member_groups``, with the parameters of a group's members broadcast,
@@ -384,6 +385,8 @@ def first_failures(
     order = groupoids[0].order
     if domain.min() < 0 or domain.max() >= order:
         raise IndexError(f"domain indices must lie in [0, {order})")
+    if (domain[1:] <= domain[:-1]).any():  # a scan of n indices reads them as the whole carrier
+        raise IndexError("domain indices must be sorted and distinct")
     if nvars == 1:
         x = domain[None, :]
         for group, prod in member_groups(groupoids, 1):

@@ -6,12 +6,16 @@ by size, then by mask value. So every reported witness is the first one under
 that fixed order, reruns are reproducible, and the generated closures list
 their subgroupoids in the order the power set lists them.
 
-The power-set sweeps are numpy arrays indexed by mask: ``need[m]`` is the
-bitmask (``uint32`` up to order 32, else ``uint64``) of every product the
-subset ``m`` must contain, filled by the OR-over-subsets ``_subset_or``, and
-``m`` is closed (or absorbing) iff ``need[m] & ~m == 0``. Their cost, ``n*2^n``, is checked against the work
-budget (``GGL_BUDGET``, ``groupoid.check_budget``) before anything is
-allocated, as are the ``n^3`` work of whole-groupoid normality and the
+The power-set sweeps are numpy arrays indexed by mask on their last axis:
+``need[..., m]`` is the bitmask (``uint32`` up to order 32, else ``uint64``)
+of every product the subset ``m`` must contain, filled by the OR-over-subsets
+``_subset_or``, and ``m`` is closed (or absorbing) iff
+``need[..., m] & ~m == 0``. Leading axes are members: ``_absorb_flags`` takes
+one table or a stack of tables of one order, one row of flags per table, so a
+sweep of parameter pairs runs the recurrence once per block of members. Their
+cost, ``n*2^n`` per table, is checked against the work budget
+(``GGL_BUDGET``, ``groupoid.check_budget``) before anything is allocated, as
+are the ``n^3`` work of whole-groupoid normality and the
 ``n(n-1)/2`` pair closures of up to ``n^2`` table reads each of the
 generated-closure route, before the table is built. That route closes boolean
 membership vectors semi-naively. Normality compares translate sets (boolean
@@ -191,21 +195,22 @@ def _closure_order(g: Groupoid, what: str) -> int:
 
 
 def _bits(tab: np.ndarray) -> np.ndarray:
-    """1 << tab, as uint32 up to order 32 and uint64 above."""
-    dtype = np.uint32 if len(tab) <= 32 else np.uint64
+    """1 << tab, as uint32 up to order 32 and uint64 above (order: the last axis)."""
+    dtype = np.uint32 if tab.shape[-1] <= 32 else np.uint64
     return np.left_shift(dtype(1), tab.astype(dtype))
 
 
 def _uncovered_free(need: np.ndarray) -> np.ndarray:
-    """flags[m]: the product mask need[m] has no bit outside m."""
-    return (need & ~np.arange(len(need), dtype=need.dtype)) == 0
+    """flags[..., m]: the product mask need[..., m] has no bit outside m."""
+    return (need & ~np.arange(need.shape[-1], dtype=need.dtype)) == 0
 
 
 def _subset_or(values: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out[m] = out[0] | values[w] for every bit w of m, each m < 2^len(values),
-    filled in place by highest set bit: out[2^w + r] = out[r] | values[w]."""
-    for w, value in enumerate(values):
-        np.bitwise_or(out[: 1 << w], value, out=out[1 << w : 2 << w])
+    """out[..., m] = out[..., 0] | values[..., w] for every bit w of m, each
+    m < 2^k for k values per member, filled in place by highest set bit:
+    out[..., 2^w + r] = out[..., r] | values[..., w]. Leading axes are members."""
+    for w in range(values.shape[-1]):
+        np.bitwise_or(out[..., : 1 << w], values[..., w, None], out=out[..., 1 << w : 2 << w])
     return out
 
 
@@ -225,16 +230,18 @@ def _closed_flags(tab: np.ndarray) -> np.ndarray:
     return _uncovered_free(need)
 
 
-def _absorb_flags(tab: np.ndarray, side: str) -> np.ndarray:
-    """absorb[m]: every product of a subset member with any element stays inside.
+def _absorb_flags(tabs: np.ndarray, side: str) -> np.ndarray:
+    """absorb[..., m]: every product of a subset member with any element stays
+    inside, for one (n, n) table (flags of shape (2^n,)) or each table of an
+    (k, n, n) stack (flags of shape (k, 2^n)).
 
     side "left": subset member on the left (P*G); "right": member on the right.
     need is the OR-over-subsets of the members' row (or column) masks.
     """
-    n = len(tab)
-    bit = _bits(tab if side == "left" else tab.T)
-    member = np.bitwise_or.reduce(bit, axis=1)
-    return _uncovered_free(_subset_or(member, np.zeros(1 << n, dtype=bit.dtype)))
+    bit = _bits(tabs if side == "left" else tabs.swapaxes(-1, -2))
+    member = np.bitwise_or.reduce(bit, axis=-1)
+    need = np.zeros((*member.shape[:-1], 1 << member.shape[-1]), dtype=bit.dtype)
+    return _uncovered_free(_subset_or(member, need))
 
 
 def _popcounts(masks: np.ndarray) -> np.ndarray:

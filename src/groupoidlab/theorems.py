@@ -16,7 +16,9 @@ each modulus and carrier family, so identity scans and table compiles read a
 sweep as one stack, and a runner keeps only its claim and its failure text.
 T1, T2, T5 and T6 share one runner, ``_congruence``: the laws of a closed
 form (``identities.CLOSED_FORMS``) hold exactly when it says so. T11 and T14
-share ``_strong``: each law holds strongly in the Smarandache sense. T10
+share ``_strong``: each law holds strongly in the Smarandache sense. T7
+compares the left absorb flags of a block of its sweep's pairs (t,u) with the
+right flags of their duals (u,t), each side one stacked recurrence. T10
 reads the idempotent law (a singleton {x} is a closed semigroup exactly when
 x*x = x) and T16 reads row 0 and column 0 of each table; neither classifies a
 subset unless a pair fails.
@@ -59,7 +61,9 @@ from .identities import (
 )
 from .shape import Matrix, Poly, ProductKind, Scalar
 from .structure import (
+    _absorb_flags,
     _popcounts,
+    _powerset_order,
     classify_subset,
     enumerate_ideals,
     enumerate_subgroupoids,
@@ -341,13 +345,22 @@ def _t6(p: dict, run: _Run) -> None:
 @_check("T7", "asserted", "left ideals of (t,u) are the right ideals of (u,t)", zn_n=(3, 12), zni_n=(3, 8), nzn_n=3)
 def _t7(p: dict, run: _Run) -> None:
     # each groupoid of a sweep is built once, its table compiled with the
-    # sweep's, and the duality is read off the mask arrays: both are sorted by
-    # (popcount, mask), so equal arrays are equal sets
+    # sweep's, and the duality is read off the absorb flags of every mask: the
+    # left flags of a block of pairs (t,u) against the right flags of their
+    # duals (u,t), each side one stacked recurrence of at most _CHUNK_CELLS
+    # mask words (one table when 2^n alone is larger)
     def check_duality(pairs: list, groupoids: list[Groupoid], desc: Callable[..., str]) -> None:
-        compile_tables(groupoids)
-        ideals = {pair: enumerate_ideals(g) for pair, g in zip(pairs, groupoids)}
-        for t, u in pairs:
-            run.check(np.array_equal(ideals[t, u].left.masks, ideals[u, t].right.masks), desc(t, u))
+        tabs = np.stack(compile_tables(groupoids))
+        n = _powerset_order(groupoids[0], "ideal enumeration")
+        at = {pair: i for i, pair in enumerate(pairs)}
+        dual = np.array([at[u, t] for t, u in pairs])
+        step = max(1, _CHUNK_CELLS >> n)
+        for lo in range(0, len(pairs), step):
+            block = slice(lo, lo + step)
+            left = _absorb_flags(tabs[block], "left")
+            right = _absorb_flags(tabs[dual[block]], "right")
+            for (t, u), same in zip(pairs[block], (left == right).all(axis=-1).tolist()):
+                run.check(same, desc(t, u))
 
     for family, key in (("zn", "zn_n"), ("zni", "zni_n")):
         for _, carrier, pairs, groupoids in _sweeps(_moduli(p[key]), (family,), _nonzero_pairs):

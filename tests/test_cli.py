@@ -488,3 +488,17 @@ def test_a_tiny_budget_refuses_every_budgeted_command_with_exit_3(runner, monkey
     diag = json.loads(r.stderr)
     assert diag["error"] == "budget-exceeded"
     assert diag["detail"].endswith("budget is 10 (set GGL_BUDGET to raise it)")
+
+
+def test_t7_refuses_the_first_sweep_past_the_power_set_budget(runner, monkeypatch):
+    """T7 compiles each sweep's tables, then refuses its n*2^n before any flag
+    work: zn:3..7 fit 1000, zn:8 does not."""
+    monkeypatch.setenv("GGL_BUDGET", "1000")
+    r = invoke(runner, "verify", "--only", "T7")
+    assert r.exit_code == 3
+    assert r.stdout == ""
+    assert json.loads(r.stderr) == {
+        "error": "budget-exceeded",
+        "detail": "ideal enumeration: power-set work cap exceeded: estimate 8*2^8 = 2048, "
+        "budget is 1000 (set GGL_BUDGET to raise it)",
+    }

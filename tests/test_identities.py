@@ -124,6 +124,17 @@ def test_a_domain_index_past_the_order_is_refused_wherever_it_stands(identity):
         first_failure(g, identity, np.array([1, 5, 2]))
 
 
+@pytest.mark.parametrize("domain", [[0, 0, 0, 0], [3, 2, 1, 0], [0, 2, 1], [1, 1]])
+@pytest.mark.parametrize("identity", list(IdentityId))
+def test_a_domain_with_repeats_or_out_of_order_is_refused(identity, domain):
+    """Four indices of an order-4 groupoid read as the whole carrier, so on
+    zn:4 (2,3) [0, 0, 0, 0] gave the associative witness (0, 0, 0) and
+    [3, 2, 1, 0] gave (3, 3, 3), though 0*0 = 0 and 3*3 = 3."""
+    g = build(Modular(4), Scalar(), 2, 3)
+    with pytest.raises(IndexError, match="domain indices must be sorted and distinct"):
+        first_failure(g, identity, np.array(domain))
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -266,6 +266,14 @@ def test_identity_holds_on_subset_refuses_a_handle_that_leaves_the_groupoid():
         identity_holds_on_subset(g, handle, IdentityId.IDEMPOTENT)
 
 
+def test_identity_holds_on_subset_refuses_a_handle_with_repeated_indices():
+    g = build(Modular(4), Scalar(), 2, 3)
+    assert identity_holds_on_subset(g, SubsetHandle(indices=(3,), labels=("3",)), IdentityId.ASSOCIATIVE)
+    handle = SubsetHandle(indices=(3, 3, 3, 3), labels=("3",) * 4)
+    with pytest.raises(IndexError, match="domain indices must be sorted and distinct"):
+        identity_holds_on_subset(g, handle, IdentityId.ASSOCIATIVE)
+
+
 # -- conjugacy ------------------------------------------------------------------------------
 
 

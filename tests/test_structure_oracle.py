@@ -38,7 +38,7 @@ from groupoidlab import (
     is_simple,
     smarandache,
 )
-from groupoidlab import structure, theorems
+from groupoidlab import groupoid, structure, theorems
 from groupoidlab.identities import TEMPLATES, eval_tree
 
 
@@ -169,12 +169,19 @@ def classify_oracle(table, idx):
 
 
 @st.composite
-def small_image_tables(draw, max_order=12):
+def small_image_tables(draw, max_order=12, min_order=1):
     """A random n x n table whose cells take only a few distinct values."""
-    n = draw(st.integers(1, max_order))
+    n = draw(st.integers(min_order, max_order))
     image = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
     cells = draw(st.lists(st.sampled_from(image), min_size=n * n, max_size=n * n))
     return [cells[i * n : (i + 1) * n] for i in range(n)]
+
+
+@st.composite
+def small_image_stacks(draw, max_order=10):
+    """One to four such tables of one order."""
+    n = draw(st.integers(1, max_order))
+    return [draw(small_image_tables(max_order=n, min_order=n)) for _ in range(draw(st.integers(1, 4)))]
 
 
 def affine_tables(max_order):
@@ -206,22 +213,39 @@ def test_absorb_flags_match_the_recurrence_oracle(table, side):
     assert got.tolist()[1 : (1 << n) - 1] == want[1 : (1 << n) - 1]
 
 
+@settings(max_examples=80, deadline=None)
+@given(small_image_stacks(), st.sampled_from(["left", "right"]))
+def test_stacked_absorb_flags_equal_the_per_table_flags(tables, side):
+    got = structure._absorb_flags(np.asarray(tables), side)
+    assert got.shape == (len(tables), 1 << len(tables[0]))
+    for row, table in zip(got, tables):
+        assert np.array_equal(row, structure._absorb_flags(np.asarray(table), side))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from([np.uint32, np.uint64]),
-    st.lists(st.integers(0, 2**32 - 1), max_size=10),
-    st.integers(0, 2**32 - 1),
+    st.sampled_from([(), (1,), (3,), (2, 2)]),
+    st.integers(0, 10),
+    st.data(),
 )
-def test_subset_or_matches_the_per_mask_loop(dtype, values, start):
-    out = np.zeros(1 << len(values), dtype=dtype)
-    out[0] = start
-    structure._subset_or(np.array(values, dtype=dtype), out)
-    want = [start] * len(out)
-    for m in range(len(out)):
-        for w, value in enumerate(values):
-            if m >> w & 1:
-                want[m] |= value
-    assert out.tolist() == want
+def test_subset_or_matches_the_per_mask_loop(dtype, lead, k, data):
+    """Each member (a position on the leading axes; none is one member) has
+    its own k values and start word."""
+    words = st.integers(0, 2**32 - 1)
+    members = int(np.prod(lead, dtype=int))
+    values = data.draw(st.lists(st.lists(words, min_size=k, max_size=k), min_size=members, max_size=members))
+    starts = data.draw(st.lists(words, min_size=members, max_size=members))
+    out = np.zeros((*lead, 1 << k), dtype=dtype)
+    out[..., 0] = np.array(starts, dtype=dtype).reshape(lead)
+    structure._subset_or(np.array(values, dtype=dtype).reshape(*lead, k), out)
+    for row, member, start in zip(out.reshape(members, -1).tolist(), values, starts):
+        want = [start] * len(row)
+        for m in range(len(row)):
+            for w, value in enumerate(member):
+                if m >> w & 1:
+                    want[m] |= value
+        assert row == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -675,14 +699,34 @@ T7_PARAMS = {"zn_n": (3, 6), "zni_n": (3, 4), "nzn_n": 3}
 def test_t7_reports_a_broken_pair_where_the_per_pair_loop_does(monkeypatch):
     broken = {("zn:6", 1, 3), ("zni:4", 2, 2), ("nzn:3", (0, 1), (2, 1))}
 
+    def is_broken(g):
+        return (g.spec.carrier.token(), g.spec.t, g.spec.u) in broken
+
     def enumerate_broken(g):
         ideals = enumerate_ideals(g)
-        if (g.spec.carrier.token(), g.spec.t, g.spec.u) in broken:
+        if is_broken(g):
             assert len(ideals.left)
             ideals = dataclasses.replace(ideals, left=structure.MaskedSubsets(g, ideals.left.masks[1:]))
         return ideals
 
-    monkeypatch.setattr(theorems, "enumerate_ideals", enumerate_broken)
+    # T7 reads stacked flags: the same first left ideal is dropped from the
+    # left flags of a broken pair's row, found by its table in the sweep that
+    # T7 compiled last (one carrier, so two carriers' equal tables never mix)
+    sweep = []
+
+    def compile_sweep(groupoids):
+        sweep[:] = groupoids
+        return groupoid.compile_tables(groupoids)
+
+    def absorb_broken(tabs, side):
+        flags = structure._absorb_flags(tabs, side)
+        for g in filter(is_broken, sweep if side == "left" else ()):
+            for row in np.flatnonzero((tabs == g.table_array()).all(axis=(1, 2))):
+                flags[row, structure._proper_masks_sorted(flags[row])[0]] = False
+        return flags
+
+    monkeypatch.setattr(theorems, "compile_tables", compile_sweep)
+    monkeypatch.setattr(theorems, "_absorb_flags", absorb_broken)
     outcome = theorems.verify_theorem("T7", T7_PARAMS)
     instances, failures = t7_oracle(T7_PARAMS, enumerate_broken)
     assert (outcome.instances, outcome.failures) == (instances, failures)
@@ -691,6 +735,28 @@ def test_t7_reports_a_broken_pair_where_the_per_pair_loop_does(monkeypatch):
         "zni:4 (2I,2I): left ideals differ from the (u,t) right ideals",
         "nzn:3 (I,2+I): ideal duality fails",
     )
+
+
+@pytest.mark.parametrize("cells", [None, 1 << 6], ids=["default-blocks", "cells=64"])
+def test_t7_matches_the_per_pair_loop_across_blocks_of_a_sweep(monkeypatch, cells):
+    """zn:14 takes its 169 pairs 8 at a time at the default block size; at 64
+    cells a block of zn:n holds 64 >> n pairs, one from n = 6 up."""
+    if cells is not None:
+        monkeypatch.setattr(theorems, "_CHUNK_CELLS", cells)
+    limit = theorems._CHUNK_CELLS
+    stacks = []
+
+    def recorded(tabs, side):
+        stacks.append(tabs.shape)
+        return structure._absorb_flags(tabs, side)
+
+    monkeypatch.setattr(theorems, "_absorb_flags", recorded)
+    params = {"zn_n": (3, 14), "zni_n": (3, 5), "nzn_n": 3}
+    outcome = theorems.verify_theorem("T7", params)
+    assert (outcome.instances, outcome.failures) == t7_oracle(params, enumerate_ideals)
+    assert all(m << n <= max(1 << n, limit) for m, n, _ in stacks)
+    step = max(1, limit >> 14)
+    assert stacks.count((step, 14, 14)) == 2 * (169 // step)
 
 
 def test_t7_builds_each_groupoid_once_and_no_handle(monkeypatch):
