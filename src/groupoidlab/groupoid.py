@@ -10,9 +10,9 @@ is listed, while sampled checks and spot products still work. A spec compiles
 once, through ``compile_product``, to an int32 Cayley table array that every
 engine reads; a table-backed groupoid holds its validated rows as that array.
 ``compile_tables`` compiles the tables of a sweep's members together, one
-call per group of members that share a carrier and shape. The full table is
-refused before allocation when its n² cells exceed the work budget
-(``GGL_BUDGET``).
+call per group of members that share a carrier and shape; a single groupoid
+is a sweep of one. The full table is refused before allocation when its n²
+cells exceed the work budget (``GGL_BUDGET``).
 """
 
 from __future__ import annotations
@@ -162,8 +162,8 @@ class Groupoid:
             raise CarrierError("provide either a spec or labels+table")
         self.spec = spec
         # values derived from the product, which never changes: the elements,
-        # labels and index, the compiled product, the table array and its list
-        # view, and other layers' results
+        # labels and index, the table array and its list view, and other
+        # layers' results
         self._memo: dict = {}
         if spec is not None:
             self.order = spec.carrier.size() ** spec.shape.entry_count()
@@ -234,24 +234,13 @@ class Groupoid:
         sp = self.spec
         return star(sp.carrier, sp.shape, sp.t, sp.u, x, y)
 
-    def _compiled(self) -> Callable:
-        sp = self.spec
-        return self.cached("product", lambda: compile_product(sp.carrier, sp.shape, sp.t, sp.u))
-
     def products(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Indices of x*y for broadcastable arrays of element indices; reads
         the table when it is explicit and never builds it otherwise."""
         if self.spec is None:
             return self._memo["table"][X, Y]
-        return self._compiled()(X, Y)
-
-    def digit_products(self, xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """x*y for elements given entry by entry, as k broadcastable arrays of
-        carrier value indices; the same compiled product as ``products``, but
-        it never forms an element index, so it works past the enumeration cap."""
-        if self.spec is None:
-            raise CarrierError("table-backed groupoid multiplies indices, not elements")
-        return self._compiled().digits(xs, ys)
+        sp = self.spec
+        return compile_product(sp.carrier, sp.shape, [sp.t], [sp.u])(X, Y)[0]
 
     def table_array(self) -> np.ndarray:
         """The Cayley table as an int32 array, compiled once; read it, never
@@ -287,10 +276,10 @@ def member_groups(groupoids: Sequence[Groupoid], exponent: int) -> Iterator[tupl
     Members that share a carrier and shape form groups of at most
     _CHUNK_CELLS // order**exponent of them (at least one), so a product over
     order**exponent cells per member stays within one chunk; a group's product
-    is one ``compile_product`` over its members' parameters. A group of one,
-    and every table-backed groupoid is one, multiplies through its own
-    ``Groupoid.products``. Every product has a leading member axis: the
-    group's i-th member is ``product(X, Y)[i]``.
+    is one ``compile_product`` over its members' parameters, a sweep of one
+    for a lone member. A table-backed groupoid is a group of its own that
+    reads its table. Every product has a leading member axis: the group's
+    i-th member is ``product(X, Y)[i]``.
     """
     by_spec: dict = {}
     for i, g in enumerate(groupoids):
@@ -299,7 +288,7 @@ def member_groups(groupoids: Sequence[Groupoid], exponent: int) -> Iterator[tupl
         size = 1 if key is None else max(1, _CHUNK_CELLS // groupoids[members[0]].order ** exponent)
         for p0 in range(0, len(members), size):
             group = members[p0 : p0 + size]
-            if len(group) == 1:
+            if key is None:
                 yield group, lambda X, Y, g=groupoids[group[0]]: g.products(X, Y)[None]
             else:
                 specs = [groupoids[i].spec for i in group]

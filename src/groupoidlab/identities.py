@@ -40,7 +40,8 @@ Every exhaustive scan, of a whole groupoid or of a subset, is refused before
 any table is compiled when its m^vars evaluations (m elements in the domain)
 exceed the work budget (``GGL_BUDGET``, through ``groupoid.check_budget``); AUTO
 takes the lifted or exhaustive route only when that estimate fits, and
-samples otherwise.
+samples otherwise. A sample is refused likewise before its first draw when
+its trials·vars·entries draws exceed the budget.
 
 Assignments are scanned with the FIRST variable varying fastest (x innermost,
 then y, then z); a failure witness is minimal under that order, so exhaustive
@@ -501,22 +502,25 @@ def _sampled(g: Groupoid, identity: IdentityId, trials: int, seed: int) -> Ident
     trials at once. Chunks start at one trial and double up to about
     _CHUNK_CELLS draws, so an early counterexample costs few draws; the first
     failing trial in draw order is the witness. Spec-backed elements travel as
-    k arrays of value indices through ``Groupoid.digit_products``, table-backed
-    ones as indices through ``Groupoid.products``."""
+    k arrays of value indices through the per-digit product of g's sweep of
+    one, table-backed ones as indices through ``Groupoid.products``. The
+    trials·width draws are refused against the work budget before the first."""
     lhs_t, rhs_t, vars_ = TEMPLATES[identity]
     if g.spec is not None:
         carrier = g.spec.carrier
         size = carrier.size()
         k = g.spec.shape.entry_count()
-        prod = g.digit_products
+        [(_, product)] = member_groups([g], 1)
+        prod = lambda xs, ys: [d[0] for d in product.digits(xs, ys)]  # noqa: E731
         element = lambda ds: tuple(map(carrier.value_at, ds))  # noqa: E731
     else:
         size, k = len(g.labels()), 1
         prod = lambda xs, ys: [g.products(xs[0], ys[0])]  # noqa: E731
         element = lambda ds: ds[0]  # noqa: E731
 
-    draws = _Draws(seed, size)
     width = len(vars_) * k  # draws per trial
+    check_budget("sampled check", f"{trials}*{width}", trials * width, " draws")
+    draws = _Draws(seed, size)
     cap = max(1, _CHUNK_CELLS // width)
     done, chunk = 0, 1
     while done < trials:
@@ -557,7 +561,12 @@ def _exhaustive_fits(g: Groupoid, nvars: int) -> bool:
     return g.enumerable and g.order**nvars <= default_budget()
 
 
-def _require_trials(trials: int) -> None:
+def _require_trials(trials: int, seed: int) -> None:
+    """Refuse a sample that ``(trials, seed)`` would not reproduce: both must
+    be integers (a bool is not one), and trials at least 1."""
+    for name, value in (("trials", trials), ("seed", seed)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise CarrierError(f"sampling needs an integer {name}, got {value!r}")
     if trials < 1:
         raise CarrierError(f"sampling needs at least one trial, got {trials}")
 
@@ -572,7 +581,7 @@ def check_identity(
 ) -> IdentityVerdict:
     if not isinstance(mode, CheckMode):
         raise CarrierError(f"mode must be a CheckMode ({', '.join(m.name for m in CheckMode)}), got {mode!r}")
-    _require_trials(trials)
+    _require_trials(trials, seed)
     nvars = len(TEMPLATES[identity][2])
 
     if mode is CheckMode.EXHAUSTIVE:
@@ -696,7 +705,7 @@ def cross_validate(
     seed: int = 0,
 ) -> ConsistencyReport:
     """Run every applicable route and compare answers; disagreement is data."""
-    _require_trials(trials)
+    _require_trials(trials, seed)
     nvars = len(TEMPLATES[identity][2])
     report = ConsistencyReport(identity=identity.value)
 

@@ -144,9 +144,16 @@ def star(carrier: Carrier, shape: Shape, t: Value, u: Value, x: Element, y: Elem
 
 
 def compile_product(
-    carrier: Carrier, shape: Shape, t: "Value | list[Value]", u: "Value | list[Value]"
+    carrier: Carrier, shape: Shape, ts: Sequence[Value], us: Sequence[Value]
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The star product as one vectorised function of element-index arrays.
+    """The star products of a sweep as one vectorised function of
+    element-index arrays, one (t, u) pair per member: ``ts[p], us[p]`` for
+    member p. A single groupoid is a sweep of one.
+
+    The product has a leading member axis of length P = len(ts), on which the
+    parameters broadcast against the operands, so member p's x*y is
+    ``product(X, Y)[p]``. A shuffle product ignores (t, u) but still gives
+    one result per member.
 
     Digit e of an index (base q = carrier size, most significant first) is the
     value index of entry e, in ``Groupoid.elements`` order. Every output digit is
@@ -158,23 +165,13 @@ def compile_product(
     to q = 46341), so the cost follows the cells read: x*x computes only its
     n products, and a few reads of a large carrier only those few.
 
-    t and u may instead be lists of P parameters, one pair per member of a
-    sweep: the product then has a leading member axis of length P, on which
-    the parameters broadcast against the operands, so member p's x*y is
-    ``product(X, Y)[p]``. A shuffle product ignores (t, u) but still gives
-    one result per member.
-
     The per-digit product is exposed as ``product.digits(xs, ys)``: x and y
     given as k arrays of value indices (entry 0 first), x*y returned the same
-    way. It never forms an element index, so it multiplies elements of spaces
-    past the enumeration cap.
+    way, member axis leading. It never forms an element index, so it
+    multiplies elements of spaces past the enumeration cap.
     """
     q, k = carrier.size(), shape.entry_count()
-    members = isinstance(t, list)
-    if members:
-        t, u = (np.array([carrier.index_of(v) for v in p], dtype=np.int64) for p in (t, u))
-    else:
-        t, u = carrier.index_of(t), carrier.index_of(u)
+    t, u = (np.array([carrier.index_of(v) for v in p], dtype=np.int64) for p in (ts, us))
     add, mul = carrier.add_indices, carrier.mul_indices
 
     def prefix_sums(ds: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -187,15 +184,14 @@ def compile_product(
 
     def digits(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
         """The digits of x*y, one at a time, so a caller holds one at once."""
-        tp, up = t, u
-        if members:  # the member axis leads every operand's axes
-            axes = (1,) * max(np.ndim(d) for d in (*xs, *ys))
-            tp, up = t.reshape(-1, *axes), u.reshape(-1, *axes)
-        if kind is ProductKind.SHUFFLE:
+        axes = (1,) * max(np.ndim(d) for d in (*xs, *ys))  # the member axis leads the operands' axes
+        tp, up = t.reshape(-1, *axes), u.reshape(-1, *axes)
+        if kind is ProductKind.SHUFFLE:  # the same digits for every member
             ds = itertools.chain((mul(xs[e], ys[e + 1]) for e in range(k - 1)), xs[-1:])
-            if members:
-                ds = (np.broadcast_to(d, np.broadcast_shapes(tp.shape, d.shape)) for d in ds)
-            return ds
+            shaped = ((d, np.broadcast_shapes(tp.shape, d.shape)) for d in ds)
+            if len(t) == 1:  # a writeable view, so product accumulates into it uncopied
+                return (d.reshape(s) for d, s in shaped)
+            return (np.broadcast_to(d, s) for d, s in shaped)
         if kind is ProductKind.CONVOLUTION:
             xs, ys = prefix_sums(xs), prefix_sums(ys)
         return (add(mul(tp, a), mul(up, b)) for a, b in zip(xs, ys))
@@ -206,7 +202,7 @@ def compile_product(
     def product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         ds = digits(entries(X), entries(Y))
         out = next(ds)  # a fresh array of the full broadcast shape
-        if not out.flags.writeable:  # a shuffle digit broadcast on the member axis
+        if not out.flags.writeable:  # a shuffle digit broadcast over several members
             out = out.copy()
         for d in ds:
             out *= q

@@ -350,8 +350,8 @@ def _t7(p: dict, run: _Run) -> None:
     # duals (u,t), each side one stacked recurrence of at most _CHUNK_CELLS
     # mask words (one table when 2^n alone is larger)
     def check_duality(pairs: list, groupoids: list[Groupoid], desc: Callable[..., str]) -> None:
+        n = _powerset_order(groupoids[0], "ideal enumeration")  # refused before any table compiles
         tabs = np.stack(compile_tables(groupoids))
-        n = _powerset_order(groupoids[0], "ideal enumeration")
         at = {pair: i for i, pair in enumerate(pairs)}
         dual = np.array([at[u, t] for t, u in pairs])
         step = max(1, _CHUNK_CELLS >> n)

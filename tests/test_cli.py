@@ -119,6 +119,20 @@ def test_check_exhaustive_budget_blowup(runner):
     assert json.loads(r.stderr)["error"] == "budget-exceeded"
 
 
+def test_check_sampled_budget_blowup(runner, monkeypatch):
+    """A sample's trials·vars·entries draws are refused before the first."""
+    monkeypatch.setenv("GGL_BUDGET", "1000")
+    r = invoke(runner, "check", "--carrier", "zn:5", "--pair", "2,3",
+               "--identity", "commutative", "--mode", "sampled:1000")
+    assert r.exit_code == 3
+    assert r.stdout == ""
+    assert json.loads(r.stderr) == {
+        "error": "budget-exceeded",
+        "detail": "sampled check cap exceeded: estimate 1000*2 = 2000 draws, "
+        "budget is 1000 (set GGL_BUDGET to raise it)",
+    }
+
+
 def test_check_bad_mode_is_usage_error(runner):
     r = invoke(runner, "check", "--carrier", "zn:4", "--pair", "2,3",
                "--identity", "bol", "--mode", "sampled:abc")
@@ -491,8 +505,8 @@ def test_a_tiny_budget_refuses_every_budgeted_command_with_exit_3(runner, monkey
 
 
 def test_t7_refuses_the_first_sweep_past_the_power_set_budget(runner, monkeypatch):
-    """T7 compiles each sweep's tables, then refuses its n*2^n before any flag
-    work: zn:3..7 fit 1000, zn:8 does not."""
+    """T7 refuses its n*2^n before any flag work: zn:3..7 fit 1000, zn:8
+    does not."""
     monkeypatch.setenv("GGL_BUDGET", "1000")
     r = invoke(runner, "verify", "--only", "T7")
     assert r.exit_code == 3

@@ -1,5 +1,7 @@
 """Identity checking: exhaustive engines, lifting, sampling, closed forms."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +25,7 @@ from groupoidlab import (
     cross_validate,
     from_table,
 )
+from groupoidlab import identities
 from groupoidlab.identities import CLOSED_FORMS, applicable_closed_forms, check_identity_sweep, first_failure
 
 
@@ -161,6 +164,68 @@ def test_non_positive_trial_counts_are_refused(trials):
     ]
     for call in calls:
         with pytest.raises(CarrierError, match=f"at least one trial, got {trials}"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "name,value", [("trials", True), ("trials", 2.5), ("trials", "10"), ("seed", None), ("seed", False),
+                   ("seed", 1.5), ("seed", "x")],
+)
+def test_a_trial_count_or_seed_that_is_not_an_integer_is_refused(name, value):
+    """(trials, seed) reproduce a sample only when both are integers: seed=None
+    drew a different witness on each run, trials=True was echoed as true and
+    trials=2.5 failed inside numpy."""
+    g = build(Modular(9), Scalar(), 2, 5)
+    calls = [
+        lambda: check_identity(g, IdentityId.ASSOCIATIVE, CheckMode.SAMPLED, **{name: value}),
+        lambda: check_alternative(g, CheckMode.SAMPLED, **{name: value}),
+        lambda: cross_validate(g, IdentityId.ASSOCIATIVE, **{name: value}),
+    ]
+    for call in calls:
+        with pytest.raises(CarrierError, match=re.escape(f"sampling needs an integer {name}, got {value!r}")):
+            call()
+
+
+def refuse_draws(self, count):
+    """Stands in for ``_Draws.take``, so a refusal must come before the first draw."""
+    raise AssertionError("a draw was taken past the budget")
+
+
+@pytest.mark.parametrize(
+    "g,identity,estimate",
+    [
+        (build(Modular(9), Scalar(), 1, 1), IdentityId.COMMUTATIVE, "1000*2 = 2000"),
+        (build(Modular(9), Matrix(1, 3), 2, 5), IdentityId.ASSOCIATIVE, "1000*9 = 9000"),
+        (from_table(["a", "b"], [[0, 1], [1, 0]]), IdentityId.BOL, "1000*3 = 3000"),
+    ],
+    ids=["scalar", "matrix", "table"],
+)
+def test_sampled_draws_are_refused_past_the_budget_before_the_first(monkeypatch, g, identity, estimate):
+    """trials·vars·entries draws; the estimate equal to the budget is admitted."""
+    work = int(estimate.split(" = ")[1])
+    monkeypatch.setenv("GGL_BUDGET", str(work))
+    assert check_identity(g, identity, CheckMode.SAMPLED, trials=1000).method == "sampled"
+    monkeypatch.setenv("GGL_BUDGET", str(work - 1))
+    monkeypatch.setattr(identities._Draws, "take", refuse_draws)
+    with pytest.raises(BudgetExceeded) as err:
+        check_identity(g, identity, CheckMode.SAMPLED, trials=1000)
+    assert str(err.value) == (
+        f"sampled check cap exceeded: estimate {estimate} draws, "
+        f"budget is {work - 1} (set GGL_BUDGET to raise it)"
+    )
+
+
+def test_auto_and_cross_validation_sample_through_the_same_budget(monkeypatch):
+    """zn:100's 10^4 commutative evaluations exceed 1999, so AUTO and
+    cross_validate both sample, and both refuse the 2000 draws."""
+    monkeypatch.setenv("GGL_BUDGET", "1999")
+    monkeypatch.setattr(identities._Draws, "take", refuse_draws)
+    g = build(Modular(100), Scalar(), 3, 4)
+    for call in (
+        lambda: check_identity(g, IdentityId.COMMUTATIVE, trials=1000),
+        lambda: cross_validate(g, IdentityId.COMMUTATIVE, trials=1000),
+    ):
+        with pytest.raises(BudgetExceeded, match=r"^sampled check cap exceeded: estimate 1000\*2 = 2000 draws"):
             call()
 
 

@@ -166,14 +166,14 @@ def test_products_at_the_int32_boundary_match_per_cell_star(carrier, dtype):
             cells.append([carrier.index_of(v) for v in star(carrier, shape, t, u, x, y)])
         return [list(d) for d in zip(*cells)]
 
-    product = compile_product(carrier, Scalar(), t, u)
+    product = compile_product(carrier, Scalar(), [t], [u])
     for A, B in ((X, Y), (X, X)):
-        got = product(A, B)
+        got = product(A, B)[0]
         assert got.dtype == dtype
         assert [got.tolist()] == oracle(Scalar(), [A.tolist()], [B.tolist()])
     for shape in (Poly(1, ProductKind.CONVOLUTION), Poly(1, ProductKind.SHUFFLE)):
-        got = compile_product(carrier, shape, t, u).digits([X, Y], [Y, X])
-        assert [d.tolist() for d in got] == oracle(shape, [X.tolist(), Y.tolist()], [Y.tolist(), X.tolist()])
+        got = compile_product(carrier, shape, [t], [u]).digits([X, Y], [Y, X])
+        assert [d[0].tolist() for d in got] == oracle(shape, [X.tolist(), Y.tolist()], [Y.tolist(), X.tolist()])
 
 
 # -- the compiled table --------------------------------------------------------------
@@ -218,13 +218,13 @@ def test_compiled_table_matches_per_cell_star(carrier, shape):
     pairs = [(t, u) for t in values for u in values]
     for t, u in pairs[1 :: max(1, len(pairs) // 5)]:
         expected = star_table_oracle(carrier, shape, t, u)
-        product = compile_product(carrier, shape, t, u)
+        product = compile_product(carrier, shape, [t], [u])
         X = np.arange(n)
-        table = product(X[:, None], X[None, :])
+        table = product(X[:, None], X[None, :])[0]
         assert table.dtype == np.int32
         np.testing.assert_array_equal(table, expected)
         # x*x computes only the n cells it reads
-        np.testing.assert_array_equal(product(X, X), np.diag(expected))
+        np.testing.assert_array_equal(product(X, X)[0], np.diag(expected))
     assert build(carrier, shape, t, u).index_table() == expected.tolist()
 
 
@@ -232,8 +232,8 @@ def test_compiled_table_matches_per_cell_star(carrier, shape):
     "carrier,shape", SMALL_SPECS, ids=[f"{c.token()}-{s.token()}" for c, s in SMALL_SPECS]
 )
 def test_stacked_tables_match_each_members_own_table(carrier, shape):
-    """Parameters given as lists lead the product's axes, one table per
-    member, shuffle included; x*x too."""
+    """The member axis leads the product's axes, one table per member,
+    shuffle included, each that pair's own sweep of one; x*x too."""
     values = carrier.enumerate_values()
     pairs = [(t, u) for t in values for u in values]
     n = len(values) ** shape.entry_count()
@@ -242,9 +242,9 @@ def test_stacked_tables_match_each_members_own_table(carrier, shape):
     stack, squares = product(X[:, None], X[None, :]), product(X[None, :], X[None, :])
     assert stack.shape == (len(pairs), n, n) and squares.shape == (len(pairs), 1, n)
     for (t, u), table, square in zip(pairs, stack, squares):
-        own = compile_product(carrier, shape, t, u)
-        np.testing.assert_array_equal(table, own(X[:, None], X[None, :]))
-        np.testing.assert_array_equal(square[0], own(X, X))
+        own = compile_product(carrier, shape, [t], [u])
+        np.testing.assert_array_equal(table, own(X[:, None], X[None, :])[0])
+        np.testing.assert_array_equal(square[0], own(X, X)[0])
 
 
 @pytest.mark.parametrize("cells", [1, 16 * 16, 16 * 16 * 3 + 5, 1 << 17], ids=lambda c: f"cells={c}")
@@ -283,9 +283,31 @@ def test_sparse_reads_of_a_large_carrier_match_per_cell_star(carrier, shape, t, 
     X, Y = rng.integers(0, q**k, 60), rng.integers(0, q**k, 60)
     el = lambda i: tuple(values[i // q ** (k - 1 - e) % q] for e in range(k))  # noqa: E731
     idx = lambda e: sum(pos[v] * q ** (k - 1 - j) for j, v in enumerate(e))  # noqa: E731
-    product = compile_product(carrier, shape, t, u)
-    assert product(X, Y).tolist() == [idx(star(carrier, shape, t, u, el(x), el(y))) for x, y in zip(X, Y)]
-    assert product(X, X).tolist() == [idx(star(carrier, shape, t, u, el(x), el(x))) for x in X]
+    product = compile_product(carrier, shape, [t], [u])
+    assert product(X, Y)[0].tolist() == [idx(star(carrier, shape, t, u, el(x), el(y))) for x, y in zip(X, Y)]
+    assert product(X, X)[0].tolist() == [idx(star(carrier, shape, t, u, el(x), el(x))) for x in X]
+
+
+def test_a_single_groupoid_compiles_as_a_sweep_of_one(monkeypatch):
+    """Its table, a one-variable exhaustive check and a sampled check each
+    compile through ``compile_product`` with its one (t, u) pair."""
+    calls = []
+
+    def counted(carrier, shape, ts, us):
+        calls.append((ts, us))
+        return compile_product(carrier, shape, ts, us)
+
+    monkeypatch.setattr(groupoid, "compile_product", counted)
+    carrier, shape = Modular(5), Matrix(1, 2)
+    runs = [
+        lambda g: g.table_array(),
+        lambda g: check_identity(g, IdentityId.IDEMPOTENT, CheckMode.EXHAUSTIVE),
+        lambda g: check_identity(g, IdentityId.ASSOCIATIVE, CheckMode.SAMPLED, trials=50),
+    ]
+    for run in runs:
+        calls.clear()
+        run(build(carrier, shape, 2, 3))
+        assert calls == [([2], [3])]
 
 
 def test_table_backed_products_read_the_rows():
@@ -717,7 +739,7 @@ def test_checks_leave_no_reference_cycles(monkeypatch):
         lambda: identity_holds_on_subset(g, range(0, 125, 3), IdentityId.ASSOCIATIVE),
     ]
     for check in checks:
-        check()  # the table and the compiled product are built and kept
+        check()  # the table is built and kept
     gc.collect()
     gc.disable()
     try:

@@ -330,6 +330,18 @@ def test_report_only_principal_subgroupoid_always_found():
     assert eight["unique_of_claimed_order"]
 
 
+def test_t7_refuses_a_sweep_past_the_power_set_budget_before_compiling_it(monkeypatch):
+    """Under a budget of 1000, zn:3..7 fit and zn:8's 8*2^8 does not: its 49
+    tables are never compiled."""
+    monkeypatch.setenv("GGL_BUDGET", "1000")
+    orders = []
+    real = theorems.compile_tables
+    monkeypatch.setattr(theorems, "compile_tables", lambda gs: orders.append({g.order for g in gs}) or real(gs))
+    with pytest.raises(BudgetExceeded, match=r"^ideal enumeration: power-set work cap exceeded: estimate 8\*2\^8 = 2048"):
+        verify_theorem("T7")
+    assert orders == [{n} for n in range(3, 8)]
+
+
 def test_t9_reads_principal_normality_off_the_normal_list(monkeypatch):
     """One normality pass per instance: the principal subgroupoid is normal
     exactly when the normal subgroupoids list it, as classify_subset says."""
