@@ -72,7 +72,8 @@ def check_budget(cap: str, formula: str, work: int, unit: str = "") -> None:
 
 
 class Level(Enum):
-    """Parameter-pair taxonomy; higher-precedence cases are listed last."""
+    """Parameter-pair taxonomy; higher-precedence cases are listed last. ONE
+    and TWO together are the pairs ``count_class(c, "level_one_pairs")`` counts."""
 
     ONE = "one"      # distinct single-coefficient primes, unit gcd
     TWO = "two"      # unit gcd, distinct, not both prime

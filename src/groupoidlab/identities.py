@@ -11,22 +11,13 @@ Each identity is a fixed pair of expression trees over variables ``x``, ``y``,
   one (y, x) plane at a time, cut into blocks of y rows when a plane exceeds
   _CHUNK_CELLS cells and taken several at once when planes are small.
   Products without the slowest variable, such as ``x*y``, are computed once
-  per scan over the whole domain and sliced per block. A product with a
-  plane reads the table (or its transpose) at ``V·n + plane``, and the
-  domain row times a column reads whole table rows. Each plane lands in an
-  array kept for its product and block shape, so a scan of many blocks
-  allocates its planes once;
+  per scan over the whole domain and sliced per block; ``_PlaneScan`` says
+  how each product reads the table and where its plane lands;
 * the same scan over a sweep: ``check_identity_sweep`` decides one identity
   for many groupoids of one order, such as every parameter pair of a
-  carrier, with each verdict equal to ``check_identity``'s. Their tables
-  compile together (``groupoid.compile_tables``), and when one member's
-  whole scan fits a block, a block holds as many members as fit: their
-  tables are read as one stacked (P·n)×n table, member p's row offset p·n
-  folded into the left operand's row index, and each member's witness is
-  the first failure in its own slice. A member whose scan needs several
-  blocks is scanned alone, exactly as above; a single ``check_identity`` is
-  a sweep of one. One-variable laws square the domain once per group of
-  members through one product over their parameters;
+  carrier, each verdict equal to ``check_identity``'s. Members whose whole
+  scans fit one block share it, read as one stacked table (see
+  ``first_failures`` and ``_PlaneScan``); a single check is a sweep of one;
 * a lifted check that proves the identity on the scalar shadow when the shape
   multiplies entrywise (the verdict then transfers entry-for-entry),
 * a seeded random sampler for spaces too large to enumerate. It draws trials
@@ -36,12 +27,14 @@ Each identity is a fixed pair of expression trees over variables ``x``, ``y``,
   ``random.Random(seed).randrange``, reproduced in bulk from 32-bit words of
   ``getrandbits`` (see ``_Draws``).
 
-Every exhaustive scan, of a whole groupoid or of a subset, is refused before
-any table is compiled when its m^vars evaluations (m elements in the domain)
-exceed the work budget (``GGL_BUDGET``, through ``groupoid.check_budget``); AUTO
-takes the lifted or exhaustive route only when that estimate fits, and
-samples otherwise. A sample is refused likewise before its first draw when
-its trials·vars·entries draws exceed the budget.
+A route is taken when its engine admits the groupoid, which means its work
+estimate fits ``GGL_BUDGET`` and what it enumerates fits the enumeration
+cap; an engine that does not admit one refuses before any work, with
+``CarrierError`` or ``BudgetExceeded``. A scan of m elements (a whole
+groupoid or a subset) estimates m^vars evaluations, a sample
+trials·vars·entries draws, and a lifted check refuses a table, a shape that
+mixes entries, or a shadow its scan refuses. The explicit modes, AUTO and
+``cross_validate`` read one table of routes, ``_ROUTES``, each in its order.
 
 Assignments are scanned with the FIRST variable varying fastest (x innermost,
 then y, then z); a failure witness is minimal under that order, so exhaustive
@@ -63,18 +56,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .carrier import CarrierError, is_prime
 from .groupoid import (
     _CHUNK_CELLS,
+    BudgetExceeded,
     Groupoid,
     build,
     check_budget,
     compile_tables,
-    default_budget,
     member_groups,
 )
 from .shape import Element, Scalar, format_element
@@ -427,10 +420,6 @@ def check_identity_sweep(groupoids: Sequence[Groupoid], identity: IdentityId) ->
     ]
 
 
-def _exhaustive(g: Groupoid, identity: IdentityId) -> IdentityVerdict:
-    return check_identity_sweep([g], identity)[0]
-
-
 # -- lifted -------------------------------------------------------------------
 
 
@@ -448,7 +437,7 @@ def _lifted(g: Groupoid, identity: IdentityId) -> IdentityVerdict:
     if not g.spec.shape.is_entrywise():
         raise CarrierError("shape is not liftable: product mixes entries across positions")
     shadow = _scalar_shadow(g)
-    inner = _exhaustive(shadow, identity)
+    [inner] = check_identity_sweep([shadow], identity)
     if inner.status == "holds":
         return IdentityVerdict(identity=identity.value, method="lifted", status="holds")
     k = g.spec.shape.entry_count()  # the scalar witness (v,) lifts to the diagonal (v, ..., v)
@@ -496,6 +485,18 @@ class _Draws:
         return out
 
 
+def _entries(g: Groupoid) -> int:
+    """Entries per element: the shape's, or 1 for a table-backed groupoid."""
+    return 1 if g.spec is None else g.spec.shape.entry_count()
+
+
+def _draw_width(g: Groupoid, identity: IdentityId, trials: int) -> int:
+    """Draws per trial (vars·entries), once a sample's trials·width draws fit the budget."""
+    width = len(TEMPLATES[identity][2]) * _entries(g)
+    check_budget("sampled check", f"{trials}*{width}", trials * width, " draws")
+    return width
+
+
 def _sampled(g: Groupoid, identity: IdentityId, trials: int, seed: int) -> IdentityVerdict:
     """Draw every entry of every variable of every trial, in that nesting, as
     ``random.Random(seed).randrange`` would, and multiply whole chunks of
@@ -504,22 +505,20 @@ def _sampled(g: Groupoid, identity: IdentityId, trials: int, seed: int) -> Ident
     failing trial in draw order is the witness. Spec-backed elements travel as
     k arrays of value indices through the per-digit product of g's sweep of
     one, table-backed ones as indices through ``Groupoid.products``. The
-    trials·width draws are refused against the work budget before the first."""
+    draws are refused against the work budget before the product compiles."""
     lhs_t, rhs_t, vars_ = TEMPLATES[identity]
+    width, k = _draw_width(g, identity, trials), _entries(g)
     if g.spec is not None:
         carrier = g.spec.carrier
         size = carrier.size()
-        k = g.spec.shape.entry_count()
         [(_, product)] = member_groups([g], 1)
         prod = lambda xs, ys: [d[0] for d in product.digits(xs, ys)]  # noqa: E731
         element = lambda ds: tuple(map(carrier.value_at, ds))  # noqa: E731
     else:
-        size, k = len(g.labels()), 1
+        size = len(g.labels())
         prod = lambda xs, ys: [g.products(xs[0], ys[0])]  # noqa: E731
         element = lambda ds: ds[0]  # noqa: E731
 
-    width = len(vars_) * k  # draws per trial
-    check_budget("sampled check", f"{trials}*{width}", trials * width, " draws")
     draws = _Draws(seed, size)
     cap = max(1, _CHUNK_CELLS // width)
     done, chunk = 0, 1
@@ -545,20 +544,26 @@ def _sampled(g: Groupoid, identity: IdentityId, trials: int, seed: int) -> Ident
 # -- entry point --------------------------------------------------------------
 
 
-def _lifted_fits(g: Groupoid, nvars: int) -> bool:
-    """The shape multiplies entrywise over k > 1 entries and its scalar shadow
-    is within the exhaustive budget."""
-    sp = g.spec
-    return (
-        sp is not None
-        and sp.shape.entry_count() > 1
-        and sp.shape.is_entrywise()
-        and sp.carrier.size() ** nvars <= default_budget()
-    )
+# each explicit mode's engine, called as engine(g, identity, trials, seed)
+_ROUTES: dict[CheckMode, Callable[[Groupoid, IdentityId, int, int], IdentityVerdict]] = {
+    CheckMode.EXHAUSTIVE: lambda g, identity, trials, seed: check_identity_sweep([g], identity)[0],
+    CheckMode.LIFTED: lambda g, identity, trials, seed: _lifted(g, identity),
+    CheckMode.SAMPLED: _sampled,
+}
 
 
-def _exhaustive_fits(g: Groupoid, nvars: int) -> bool:
-    return g.enumerable and g.order**nvars <= default_budget()
+def _admitted(
+    routes: Sequence[CheckMode], g: Groupoid, identity: IdentityId, trials: int, seed: int
+) -> Iterator[IdentityVerdict]:
+    """The verdicts of the routes that admit g, in order; the last route's
+    refusal is raised. A route that does not admit g refuses before any work,
+    so passing it over wastes nothing."""
+    for mode in routes:
+        try:
+            yield _ROUTES[mode](g, identity, trials, seed)
+        except (CarrierError, BudgetExceeded):
+            if mode is routes[-1]:
+                raise
 
 
 def _require_trials(trials: int, seed: int) -> None:
@@ -579,24 +584,18 @@ def check_identity(
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
 ) -> IdentityVerdict:
+    """The identity's verdict on g by one route. An explicit mode runs its
+    engine, and the engine's refusal is the answer. AUTO takes the first route
+    that admits g in the order lifted (when an element has more than one
+    entry), then exhaustive, and samples when both refuse; ``cross_validate``
+    has the other order. (trials, seed) are a sample's, checked in every mode."""
     if not isinstance(mode, CheckMode):
         raise CarrierError(f"mode must be a CheckMode ({', '.join(m.name for m in CheckMode)}), got {mode!r}")
     _require_trials(trials, seed)
-    nvars = len(TEMPLATES[identity][2])
-
-    if mode is CheckMode.EXHAUSTIVE:
-        return _exhaustive(g, identity)
-    if mode is CheckMode.LIFTED:
-        return _lifted(g, identity)
-    if mode is CheckMode.SAMPLED:
-        return _sampled(g, identity, trials, seed)
-
-    # AUTO: prefer a lifted proof, then exhaustive, then sampling
-    if _lifted_fits(g, nvars):
-        return _lifted(g, identity)
-    if _exhaustive_fits(g, nvars):
-        return _exhaustive(g, identity)
-    return _sampled(g, identity, trials, seed)
+    if mode is not CheckMode.AUTO:
+        return _ROUTES[mode](g, identity, trials, seed)
+    lifted = (CheckMode.LIFTED,) if _entries(g) > 1 else ()
+    return next(_admitted((*lifted, CheckMode.EXHAUSTIVE, CheckMode.SAMPLED), g, identity, trials, seed))
 
 
 def check_alternative(
@@ -704,25 +703,20 @@ def cross_validate(
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
 ) -> ConsistencyReport:
-    """Run every applicable route and compare answers; disagreement is data."""
+    """Run every route that admits g and compare answers; disagreement is
+    data. The sample is admitted first, then the routes that admit g run in
+    the order exhaustive, lifted (more than one entry per element), sampled."""
     _require_trials(trials, seed)
-    nvars = len(TEMPLATES[identity][2])
-    report = ConsistencyReport(identity=identity.value)
+    _draw_width(g, identity, trials)
+    lifted = (CheckMode.LIFTED,) if _entries(g) > 1 else ()
+    verdicts = list(_admitted((CheckMode.EXHAUSTIVE, *lifted, CheckMode.SAMPLED), g, identity, trials, seed))
+    report = ConsistencyReport(identity=identity.value, verdicts=verdicts)
 
-    if _exhaustive_fits(g, nvars):
-        report.verdicts.append(_exhaustive(g, identity))
-    if _lifted_fits(g, nvars):
-        report.verdicts.append(_lifted(g, identity))
-    report.verdicts.append(_sampled(g, identity, trials, seed))
-
-    hard = {v.status for v in report.verdicts if v.status in ("holds", "fails")}
+    hard = {v.status for v in verdicts if v.status in ("holds", "fails")}
     if len(hard) > 1:
         report.agreement = False
-        report.disagreements.append(
-            "methods disagree: " + ", ".join(f"{v.method}={v.status}" for v in report.verdicts)
-        )
-    sampled = [v for v in report.verdicts if v.method == "sampled"]
-    if sampled and sampled[0].status == "sampled_no_counterexample" and "fails" in hard:
+        report.disagreements.append("methods disagree: " + ", ".join(f"{v.method}={v.status}" for v in verdicts))
+    if verdicts[-1].status == "sampled_no_counterexample" and "fails" in hard:  # the sample is last
         report.disagreements.append(
             "sampling found no counterexample but an exact method failed; "
             "sampling alone would have been misleading"

@@ -615,11 +615,12 @@ def smarandache(g: Groupoid, identity: IdentityId | None = None) -> SmarandacheV
     when only the bare witness exists; not_smarandache otherwise.
     """
     _powerset_order(g, "Smarandache analysis")
+    # the law's scan refuses its own estimate, so it runs before the sweep
+    verdict = None if identity is None else check_identity(g, identity, CheckMode.EXHAUSTIVE)
     closed = MaskedSubsets(g, _closed_masks(g))
     bare = _s_groupoid(g, closed)
-    if identity is None:
+    if verdict is None:
         return bare
-    verdict = check_identity(g, identity, CheckMode.EXHAUSTIVE)
     if bare.s_witness is None:
         return replace(bare, identity_verdict=verdict)
     if verdict.holds:

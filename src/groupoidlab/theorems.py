@@ -209,12 +209,14 @@ def count_class(carrier: Carrier, kind: str, *, equal_pairs_included: bool = Fal
 
     all_pairs: distinct nonzero pairs, (q-1)(q-2) for q values since every
     carrier has exactly one zero. level_one_pairs: distinct nonzero pairs
-    whose joint coprimality class is a unit. idempotent_pairs: nonzero pairs
-    whose groupoid is idempotent (checked semantically against every carrier
-    value), with equal pairs included iff the flag says so; the other two
-    classes count distinct pairs only and refuse the flag. The last two test
-    pairs, so their (q-1)(q-2) and (q-1)^2 pairs are checked against the work
-    budget before any value is enumerated.
+    whose joint coprimality class is a unit; ``classify_level`` calls those
+    of two single-coefficient primes Level.ONE and the rest Level.TWO, so
+    this counts both. idempotent_pairs: nonzero pairs whose groupoid is
+    idempotent (checked semantically against every carrier value), with
+    equal pairs included iff the flag says so; the other two classes count
+    distinct pairs only and refuse the flag. The last two test pairs, so
+    their (q-1)(q-2) and (q-1)^2 pairs are checked against the work budget
+    before any value is enumerated.
     """
     if equal_pairs_included and kind in ("all_pairs", "level_one_pairs"):
         raise CarrierError(f"{kind} counts distinct pairs only, so equal pairs cannot be included")

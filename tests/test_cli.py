@@ -133,6 +133,15 @@ def test_check_sampled_budget_blowup(runner, monkeypatch):
     }
 
 
+def test_check_auto_samples_where_the_lifted_shadow_is_past_the_enumeration_cap(runner):
+    """The shadow zn:2000003 fits the idempotent scan's budget but not the
+    enumeration cap: AUTO samples rather than exiting 3."""
+    r = invoke(runner, "check", "--carrier", "zn:2000003", "--shape", "mat:1x2", "--pair", "3,5",
+               "--identity", "idempotent", "--no-timing")
+    assert r.exit_code == 0
+    assert r.stdout.startswith("idempotent: fails [sampled]")
+
+
 def test_check_bad_mode_is_usage_error(runner):
     r = invoke(runner, "check", "--carrier", "zn:4", "--pair", "2,3",
                "--identity", "bol", "--mode", "sampled:abc")

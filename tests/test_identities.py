@@ -25,7 +25,7 @@ from groupoidlab import (
     cross_validate,
     from_table,
 )
-from groupoidlab import identities
+from groupoidlab import groupoid, identities
 from groupoidlab.identities import CLOSED_FORMS, applicable_closed_forms, check_identity_sweep, first_failure
 
 
@@ -250,6 +250,68 @@ def test_auto_uses_lifting_for_wide_shapes():
     g = build(Modular(5), Matrix(4, 4), 2, 3)
     v = check_identity(g, IdentityId.ASSOCIATIVE)
     assert v.method == "lifted"
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail the test if a route starts work: a compiled product or a draw."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a route started work before refusing")
+
+    monkeypatch.setattr(groupoid, "compile_product", refuse)
+    monkeypatch.setattr(identities._Draws, "take", refuse)
+
+
+@pytest.mark.parametrize(
+    "g,identity,mode,budget,error,message",
+    [
+        (build(Modular(10), Poly(7, ProductKind.CONVOLUTION), 3, 4), IdentityId.IDEMPOTENT, CheckMode.EXHAUSTIVE,
+         None, BudgetExceeded, r"^enumeration cap exceeded: estimate 10\^8 = 100000000 elements"),
+        (build(Modular(8), Poly(2, ProductKind.SHUFFLE), 3, 4), IdentityId.ASSOCIATIVE, CheckMode.EXHAUSTIVE,
+         None, BudgetExceeded, r"^exhaustive check cap exceeded: estimate 512\^3 = 134217728 evaluations"),
+        (from_table(["a", "b"], [[0, 1], [1, 0]]), IdentityId.ASSOCIATIVE, CheckMode.LIFTED,
+         None, CarrierError, "^lifted mode needs a spec-backed groupoid$"),
+        (build(Modular(7), Poly(2, ProductKind.CONVOLUTION), 3, 4), IdentityId.ASSOCIATIVE, CheckMode.LIFTED,
+         None, CarrierError, "^shape is not liftable"),
+        (build(Modular(2000003), Matrix(1, 2), 3, 5), IdentityId.IDEMPOTENT, CheckMode.LIFTED,
+         None, BudgetExceeded, r"^enumeration cap exceeded: estimate 2000003\^1 = 2000003 elements"),
+        (build(Modular(500), Matrix(1, 2), 3, 5), IdentityId.ASSOCIATIVE, CheckMode.LIFTED,
+         None, BudgetExceeded, r"^exhaustive check cap exceeded: estimate 500\^3 = 125000000 evaluations"),
+        (build(Modular(9), Matrix(1, 3), 2, 5), IdentityId.ASSOCIATIVE, CheckMode.SAMPLED,
+         "8999", BudgetExceeded, r"^sampled check cap exceeded: estimate 1000\*9 = 9000 draws"),
+    ],
+    ids=["exhaustive-past-the-cap", "exhaustive-past-the-budget", "lifted-table", "lifted-mixing-shape",
+         "lifted-shadow-past-the-cap", "lifted-shadow-past-the-budget", "sampled-past-the-budget"],
+)
+def test_every_route_refuses_before_any_work(monkeypatch, no_work, g, identity, mode, budget, error, message):
+    """AUTO and cross_validate pass over a route that refuses, so a refusal
+    must come before any table or product compiles and before any draw."""
+    if budget is not None:
+        monkeypatch.setenv("GGL_BUDGET", budget)
+    with pytest.raises(error, match=message):
+        check_identity(g, identity, mode, trials=1000)
+
+
+def test_auto_and_cross_validation_sample_where_the_lifted_shadow_is_past_the_cap():
+    """zn:2000003's shadow fits the idempotent scan's budget but not the
+    enumeration cap, so the lifted route refuses and both sample."""
+    g = build(Modular(2000003), Matrix(1, 2), 3, 5)
+    assert check_identity(g, IdentityId.IDEMPOTENT, trials=100).method == "sampled"
+    report = cross_validate(g, IdentityId.IDEMPOTENT, trials=100)
+    assert [v.method for v in report.verdicts] == ["sampled"]
+    assert report.verdicts[0].fails and report.agreement
+
+
+def test_cross_validation_refuses_its_sample_before_any_other_route(monkeypatch):
+    """zn:3 mat:1x3 fits both the exhaustive and the lifted scan at 10^4,
+    but not 10^4 trials of 6 draws."""
+    monkeypatch.setenv("GGL_BUDGET", "10000")
+    scans, sweep = [], identities.check_identity_sweep
+    monkeypatch.setattr(identities, "check_identity_sweep", lambda gs, identity: scans.append(gs) or sweep(gs, identity))
+    with pytest.raises(BudgetExceeded, match=r"^sampled check cap exceeded: estimate 10000\*6 = 60000 draws"):
+        cross_validate(build(Modular(3), Matrix(1, 3), 1, 2), IdentityId.COMMUTATIVE)
+    assert scans == []
 
 
 def test_exhaustive_respects_budget(monkeypatch):

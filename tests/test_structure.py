@@ -247,6 +247,13 @@ def test_smarandache_s_groupoid_only():
     assert v.identity_witness is None
 
 
+def test_smarandache_refuses_the_law_before_sweeping(monkeypatch, no_sweeps):
+    """At 25 the sweep's 3*2^3 = 24 fits but the law's 27 evaluations do not."""
+    monkeypatch.setenv("GGL_BUDGET", "25")
+    with pytest.raises(BudgetExceeded, match=r"^exhaustive check cap exceeded: estimate 3\^3 = 27 evaluations"):
+        smarandache(build(Modular(3), Scalar(), 1, 1), IdentityId.ASSOCIATIVE)
+
+
 def test_not_smarandache():
     v = smarandache(build(Modular(7), Scalar(), 3, 4))
     assert v.status == "not_smarandache"

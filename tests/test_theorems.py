@@ -1,6 +1,7 @@
 """The check registry: counting oracles, sweep checks, suite runner."""
 
 import re
+from collections import Counter
 
 import pytest
 
@@ -8,11 +9,13 @@ from groupoidlab import (
     BudgetExceeded,
     CarrierError,
     IntervalOf,
+    Level,
     MixedNeutrosophic,
     Modular,
     PureNeutrosophic,
     Scalar,
     build,
+    classify_level,
     classify_subset,
     count_class,
     run_suite,
@@ -39,6 +42,20 @@ COUNT_ORACLES = [
 @pytest.mark.parametrize("carrier,kind,equal,expected", COUNT_ORACLES)
 def test_count_oracles(carrier, kind, equal, expected):
     assert count_class(carrier, kind, equal_pairs_included=equal) == expected
+
+
+@pytest.mark.parametrize(
+    "carrier,count,one,two",
+    [(Modular(4), 6, 2, 4), (Modular(7), 22, 6, 16), (PureNeutrosophic(6), 18, 6, 12), (MixedNeutrosophic(3), 50, 0, 50)],
+    ids=["zn:4", "zn:7", "zni:6", "nzn:3"],
+)
+def test_level_one_pairs_are_the_pairs_of_levels_one_and_two(carrier, count, one, two):
+    """level_one_pairs counts every distinct nonzero pair of unit gcd;
+    classify_level calls only those of two single-coefficient primes ONE."""
+    nonzero = [v for v in carrier.enumerate_values() if not carrier.is_zero(v)]
+    levels = Counter(classify_level(carrier, t, u) for t in nonzero for u in nonzero if t != u)
+    assert (count_class(carrier, "level_one_pairs"), levels[Level.ONE], levels[Level.TWO]) == (count, one, two)
+    assert count == one + two
 
 
 def count_class_loop_oracle(carrier, kind, equal_pairs_included):
