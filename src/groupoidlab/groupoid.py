@@ -4,9 +4,10 @@ A groupoid is either *spec-backed* (carrier + shape + parameter pair) or
 *table-backed* (an explicit Cayley table over opaque labels, e.g. parsed back
 from a serialized table). Its order is exact at any size: q^k for a spec with
 k entries over q carrier values, the label count for a table.
-``Groupoid.enumerable`` is the one place that order meets the enumeration cap
-(``DEFAULT_SPACE_CAP``, 10^6 elements): past it no element, label or table
-is listed, while sampled checks and spot products still work. A spec compiles
+``Groupoid.enumerable`` tests that order against the enumeration cap
+(``DEFAULT_SPACE_CAP``, 10^6 elements), and ``enumerable_order`` refuses a
+spec's order past it, before or without a groupoid: past it no element,
+label or table is listed, while sampled checks and spot products still work. A spec compiles
 once, through ``compile_product``, to an int32 Cayley table array that every
 engine reads; a table-backed groupoid holds its validated rows as that array.
 ``compile_tables`` compiles the tables of a sweep's members together, one
@@ -128,6 +129,17 @@ class GroupoidSpec:
         return f"({t},{u})"
 
 
+def enumerable_order(carrier: Carrier, shape: Shape) -> int:
+    """The order q^k of the elements of shape over carrier, refused when it is
+    past the enumeration cap."""
+    q, k = carrier.size(), shape.entry_count()
+    if q**k > DEFAULT_SPACE_CAP:
+        raise BudgetExceeded(
+            f"enumeration cap exceeded: estimate {q}^{k} = {q**k} elements, cap is {DEFAULT_SPACE_CAP}"
+        )
+    return q**k
+
+
 def build(
     carrier: Carrier,
     shape: Shape,
@@ -189,13 +201,7 @@ class Groupoid:
 
     def _require_enumerable(self) -> int:
         """The order, refused when the element space is past the enumeration cap."""
-        if not self.enumerable:
-            q, k = self.spec.carrier.size(), self.spec.shape.entry_count()
-            raise BudgetExceeded(
-                f"enumeration cap exceeded: estimate {q}^{k} = {self.order} elements, "
-                f"cap is {DEFAULT_SPACE_CAP}"
-            )
-        return self.order
+        return self.order if self.spec is None else enumerable_order(self.spec.carrier, self.spec.shape)
 
     def elements(self) -> list[Element]:
         """Canonical element order: carrier order, extended entry-lexicographically."""
@@ -241,7 +247,7 @@ class Groupoid:
         if self.spec is None:
             return self._memo["table"][X, Y]
         sp = self.spec
-        return compile_product(sp.carrier, sp.shape, [sp.t], [sp.u])(X, Y)[0]
+        return compile_product(sp.carrier, sp.shape, [sp.t], [sp.u])(np.asarray(X)[None], np.asarray(Y)[None])[0]
 
     def table_array(self) -> np.ndarray:
         """The Cayley table as an int32 array, compiled once; read it, never
@@ -270,30 +276,39 @@ class Groupoid:
         return f"table-backed groupoid of order {self.order}"
 
 
+def sweep_products(
+    carrier: Carrier, shape: Shape, ts: Sequence[Value], us: Sequence[Value], cells: int
+) -> Iterator[tuple[slice, Callable]]:
+    """The members of a parameter sweep (``ts[p], us[p]`` for member p) in
+    blocks of at most _CHUNK_CELLS // cells of them (at least one), so a
+    product over ``cells`` cells per member stays within one chunk; each block
+    is its slice of the sweep with its one ``compile_product``."""
+    size = max(1, _CHUNK_CELLS // cells)
+    for p0 in range(0, len(ts), size):
+        yield slice(p0, p0 + size), compile_product(carrier, shape, ts[p0 : p0 + size], us[p0 : p0 + size])
+
+
 def member_groups(groupoids: Sequence[Groupoid], exponent: int) -> Iterator[tuple[list[int], Callable]]:
     """The positions of the groupoids in groups that multiply together, each
     with its product.
 
-    Members that share a carrier and shape form groups of at most
-    _CHUNK_CELLS // order**exponent of them (at least one), so a product over
-    order**exponent cells per member stays within one chunk; a group's product
-    is one ``compile_product`` over its members' parameters, a sweep of one
-    for a lone member. A table-backed groupoid is a group of its own that
-    reads its table. Every product has a leading member axis: the group's
-    i-th member is ``product(X, Y)[i]``.
+    Members that share a carrier and shape are a sweep whose blocks
+    (``sweep_products``, order**exponent cells per member) are the groups; a
+    lone member is a sweep of one. A table-backed groupoid is a group of its
+    own that reads its table. Every product takes and gives a leading member
+    axis: the group's i-th member is ``product(X, Y)[i]``.
     """
     by_spec: dict = {}
     for i, g in enumerate(groupoids):
         by_spec.setdefault(None if g.spec is None else (g.spec.carrier, g.spec.shape), []).append(i)
     for key, members in by_spec.items():
-        size = 1 if key is None else max(1, _CHUNK_CELLS // groupoids[members[0]].order ** exponent)
-        for p0 in range(0, len(members), size):
-            group = members[p0 : p0 + size]
-            if key is None:
-                yield group, lambda X, Y, g=groupoids[group[0]]: g.products(X, Y)[None]
-            else:
-                specs = [groupoids[i].spec for i in group]
-                yield group, compile_product(*key, [sp.t for sp in specs], [sp.u for sp in specs])
+        if key is None:
+            yield from (([i], groupoids[i].products) for i in members)
+            continue
+        specs = [groupoids[i].spec for i in members]
+        cells = groupoids[members[0]].order ** exponent
+        for block, product in sweep_products(*key, [sp.t for sp in specs], [sp.u for sp in specs], cells):
+            yield members[block], product
 
 
 def compile_tables(groupoids: Sequence[Groupoid]) -> list[np.ndarray]:
@@ -313,7 +328,7 @@ def compile_tables(groupoids: Sequence[Groupoid]) -> list[np.ndarray]:
             check_budget("Cayley table", f"{g.order}^2", g.order**2, " cells")
         for group, product in member_groups(missing, 2):
             X = np.arange(missing[group[0]].order)
-            for i, table in zip(group, product(X[:, None], X[None, :])):
+            for i, table in zip(group, product(X[None, :, None], X[None, None, :])):
                 missing[i]._memo["table"] = table
     return [g._memo["table"] for g in groupoids]
 

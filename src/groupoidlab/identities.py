@@ -1,7 +1,7 @@
 """Identity checking: exhaustive, lifted, and sampled modes, plus closed forms.
 
 Each identity is a fixed pair of expression trees over variables ``x``, ``y``,
-``z`` and the binary product ``*``. The same trees drive three evaluators:
+``z`` and the binary product ``*``. The same trees drive four evaluators:
 
 * an exhaustive scan over all assignments, vectorised over the groupoid's
   Cayley table array (one-variable laws multiply the index vector by itself
@@ -18,6 +18,12 @@ Each identity is a fixed pair of expression trees over variables ``x``, ``y``,
   carrier, each verdict equal to ``check_identity``'s. Members whose whole
   scans fit one block share it, read as one stacked table (see
   ``first_failures`` and ``_PlaneScan``); a single check is a sweep of one;
+* an axis evaluator for sweeps of spec parameters: ``linear_failures`` gives
+  the exhaustive scan's first failures over the whole carrier from one row
+  per variable (that variable on the axis ``arange(order)``, the others at
+  the zero element), since every product but the shuffle is additive. It reads the
+  parameter arrays through ``compile_product`` and builds no groupoid and no
+  table;
 * a lifted check that proves the identity on the scalar shadow when the shape
   multiplies entrywise (the verdict then transfers entry-for-entry),
 * a seeded random sampler for spaces too large to enumerate. It draws trials
@@ -60,7 +66,7 @@ from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .carrier import CarrierError, is_prime
+from .carrier import Carrier, CarrierError, Value, is_prime
 from .groupoid import (
     _CHUNK_CELLS,
     BudgetExceeded,
@@ -68,9 +74,11 @@ from .groupoid import (
     build,
     check_budget,
     compile_tables,
+    enumerable_order,
     member_groups,
+    sweep_products,
 )
-from .shape import Element, Scalar, format_element
+from .shape import Element, Poly, ProductKind, Scalar, Shape, format_element
 
 DEFAULT_TRIALS = 10**4
 
@@ -420,6 +428,49 @@ def check_identity_sweep(groupoids: Sequence[Groupoid], identity: IdentityId) ->
     ]
 
 
+# -- linear -------------------------------------------------------------------
+
+
+def linear_failures(
+    carrier: Carrier, shape: Shape, ts: Sequence[Value], us: Sequence[Value], identity: IdentityId
+) -> list[tuple[int, ...] | None]:
+    """``first_failures(members, identity, arange(order))`` of the sweep whose
+    member p has the parameters ``ts[p], us[p]``, for a shape that is not a
+    shuffle, read from vars·order evaluations per member with no table.
+
+    Every such product is additive, x*y = T·x + U·y with T and U linear, and
+    element index 0 is the zero element, so lhs − rhs is A·x + B·y + C·z. The
+    exhaustive scan (z slowest) therefore first fails at (least x with A·x ≠ 0,
+    0, 0) when A ≠ 0; otherwise at (0, least y with B·y ≠ 0, 0), and likewise
+    for z. So the assignments are one row per variable in template order, that
+    variable on the axis arange(order) and the others at element 0, and both
+    sides are evaluated on all rows at once through one ``compile_product``
+    per block of the sweep (``sweep_products``); a member's first failure is
+    the least mismatch on the first row that has one.
+
+    Refusals come before any work: ``CarrierError`` for a shuffle shape,
+    whose product is not additive, and ``BudgetExceeded`` for an order past
+    the enumeration cap or vars·order evaluations past the work budget."""
+    if isinstance(shape, Poly) and shape.kind is ProductKind.SHUFFLE:
+        raise CarrierError(f"linear verdicts need an additive product; shape {shape.token()} is a shuffle")
+    lhs_t, rhs_t, vars_ = TEMPLATES[identity]
+    nvars, order = len(vars_), enumerable_order(carrier, shape)
+    check_budget("linear check", f"{nvars}*{order}", nvars * order, " evaluations")
+    rows = np.zeros((nvars, 1, nvars, order), dtype=np.intp)  # variable v's value on each row
+    for v in range(nvars):
+        rows[v, 0, v] = np.arange(order)
+    env = dict(zip(vars_, rows))
+    found: list[tuple[int, ...] | None] = []
+    zeros = (0,) * nvars
+    for _, prod in sweep_products(carrier, shape, ts, us, nvars * order):
+        mism = eval_tree(lhs_t, env, prod) != eval_tree(rhs_t, env, prod)
+        mism = mism.reshape(len(mism), -1)  # per member, its rows one after another
+        rows_at = np.divmod(mism.argmax(axis=1), order)
+        for fails, v, at in zip(mism.any(axis=1).tolist(), *(a.tolist() for a in rows_at)):
+            found.append(zeros[:v] + (at,) + zeros[v + 1 :] if fails else None)
+    return found
+
+
 # -- lifted -------------------------------------------------------------------
 
 
@@ -512,7 +563,7 @@ def _sampled(g: Groupoid, identity: IdentityId, trials: int, seed: int) -> Ident
         carrier = g.spec.carrier
         size = carrier.size()
         [(_, product)] = member_groups([g], 1)
-        prod = lambda xs, ys: [d[0] for d in product.digits(xs, ys)]  # noqa: E731
+        prod = product.digits
         element = lambda ds: tuple(map(carrier.value_at, ds))  # noqa: E731
     else:
         size = len(g.labels())
@@ -525,11 +576,11 @@ def _sampled(g: Groupoid, identity: IdentityId, trials: int, seed: int) -> Ident
     while done < trials:
         c = min(chunk, cap, trials - done)
         drawn = draws.take(c * width).reshape(c, len(vars_), k)
-        env = {v: list(drawn[:, p, :].T) for p, v in enumerate(vars_)}
+        env = {v: list(drawn[:, p, :].T[:, None]) for p, v in enumerate(vars_)}  # digits of (1, c): one member
         lhs, rhs = eval_tree(lhs_t, env, prod), eval_tree(rhs_t, env, prod)
         mism = np.zeros(c, dtype=bool)
         for a, b in zip(lhs, rhs):
-            mism |= a != b
+            mism |= (a != b)[0]
         if mism.any():
             witness = tuple(element(ds) for ds in drawn[int(np.argmax(mism))].tolist())
             return _witness_verdict(g, identity, "sampled", witness, trials, seed)

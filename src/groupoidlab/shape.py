@@ -150,10 +150,13 @@ def compile_product(
     element-index arrays, one (t, u) pair per member: ``ts[p], us[p]`` for
     member p. A single groupoid is a sweep of one.
 
-    The product has a leading member axis of length P = len(ts), on which the
-    parameters broadcast against the operands, so member p's x*y is
-    ``product(X, Y)[p]``. A shuffle product ignores (t, u) but still gives
-    one result per member.
+    The operands carry the member axis in front, of length P = len(ts) or 1,
+    and have the same number of axes; the parameters broadcast on that axis,
+    so member p's x*y is ``product(X, Y)[p]``. An operand whose member axis
+    has length 1 is shared by every member, and a product of products keeps
+    one member per row: ``product(product(X, Y), Z)[p]`` is (x*y)*z in member
+    p alone. A shuffle product ignores (t, u) but still gives one result per
+    member.
 
     Digit e of an index (base q = carrier size, most significant first) is the
     value index of entry e, in ``Groupoid.elements`` order. Every output digit is
@@ -167,8 +170,9 @@ def compile_product(
 
     The per-digit product is exposed as ``product.digits(xs, ys)``: x and y
     given as k arrays of value indices (entry 0 first), x*y returned the same
-    way, member axis leading. It never forms an element index, so it
-    multiplies elements of spaces past the enumeration cap.
+    way, the member axis leading each array as it leads the operands. It never
+    forms an element index, so it multiplies elements of spaces past the
+    enumeration cap.
     """
     q, k = carrier.size(), shape.entry_count()
     t, u = (np.array([carrier.index_of(v) for v in p], dtype=np.int64) for p in (ts, us))
@@ -184,7 +188,7 @@ def compile_product(
 
     def digits(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
         """The digits of x*y, one at a time, so a caller holds one at once."""
-        axes = (1,) * max(np.ndim(d) for d in (*xs, *ys))  # the member axis leads the operands' axes
+        axes = (1,) * (max(np.ndim(d) for d in (*xs, *ys)) - 1)  # the operands' axes after the member axis
         tp, up = t.reshape(-1, *axes), u.reshape(-1, *axes)
         if kind is ProductKind.SHUFFLE:  # the same digits for every member
             ds = itertools.chain((mul(xs[e], ys[e + 1]) for e in range(k - 1)), xs[-1:])

@@ -74,7 +74,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .carrier import CarrierError
-from .groupoid import _CHUNK_CELLS, Groupoid, check_budget, default_budget
+from .groupoid import _CHUNK_CELLS, BudgetExceeded, Groupoid, check_budget
 from .identities import (
     CheckMode,
     IdentityId,
@@ -471,15 +471,15 @@ def enumerate_subgroupoids(g: Groupoid) -> EnumerationResult:
     route, complete); otherwise the closures of all generating sets of size
     <= 2 (generated-closure route, refused by its own estimate: every 1- and
     2-generated subgroupoid, but not a complete list)."""
-    n = g._require_enumerable()
-    if n << n <= default_budget():
-        return EnumerationResult(
-            subsets=MaskedSubsets(g, _closed_masks(g)), strategy="power-set", complete=True
-        )
-    _closure_order(g, "generated-closure enumeration")
-    closures = g.cached("closures", lambda: _generated_closures(g.table_array()))
-    handles = tuple(_handle_of(g, idx) for idx in closures)
-    return EnumerationResult(subsets=handles, strategy="generated-closure", complete=False)
+    g._require_enumerable()  # past the cap there is no route, so this refusal stands
+    try:
+        _powerset_order(g, "subgroupoid enumeration")
+    except BudgetExceeded:  # its one cause left: the power set's work is past the budget
+        _closure_order(g, "generated-closure enumeration")
+        closures = g.cached("closures", lambda: _generated_closures(g.table_array()))
+        handles = tuple(_handle_of(g, idx) for idx in closures)
+        return EnumerationResult(subsets=handles, strategy="generated-closure", complete=False)
+    return EnumerationResult(subsets=MaskedSubsets(g, _closed_masks(g)), strategy="power-set", complete=True)
 
 
 @dataclass(frozen=True)

@@ -11,17 +11,21 @@ registry lists the checks in declaration order. Checks come in two tiers:
   flag; disagreement is allowed and preserved for inspection.
 
 The checks over ranges of moduli (T1–T7, T9, T10, T15–T17) draw their
-groupoids from one parameter sweep, ``_sweeps``: every pair's groupoid for
-each modulus and carrier family, so identity scans and table compiles read a
-sweep as one stack, and a runner keeps only its claim and its failure text.
+parameter pairs from one sweep, ``_sweeps``: every pair for each modulus and
+carrier family, and a runner keeps only its claim and its failure text,
+formatted only when an instance fails. T1–T6 and T10 decide their laws with
+``identities.linear_failures`` on the sweep's parameter arrays, exact since
+every scalar product is additive, and T16 reads 0*y and x*0 from one product
+of the sweep, so none of them builds a groupoid or compiles a table for a
+pair that passes; the tests hold those verdicts against the exhaustive scan.
 T1, T2, T5 and T6 share one runner, ``_congruence``: the laws of a closed
 form (``identities.CLOSED_FORMS``) hold exactly when it says so. T11 and T14
-share ``_strong``: each law holds strongly in the Smarandache sense. T7
-compares the left absorb flags of a block of its sweep's pairs (t,u) with the
-right flags of their duals (u,t), each side one stacked recurrence. T10
-reads the idempotent law (a singleton {x} is a closed semigroup exactly when
-x*x = x) and T16 reads row 0 and column 0 of each table; neither classifies a
-subset unless a pair fails.
+share ``_strong``: each law holds strongly in the Smarandache sense. T7, T9,
+T15 and T17 build the sweep's groupoids (``_groupoids``); T7 compiles their
+tables together and compares the left absorb flags of a block of pairs (t,u)
+with the right flags of their duals (u,t), each side one stacked recurrence.
+T10 reads the idempotent law (a singleton {x} is a closed semigroup exactly
+when x*x = x) and classifies no subset unless a pair fails.
 
 A tuple default is a (lo, hi) range of moduli, the only kind ``--range``
 overrides; other parameters are lists or numbers. The default ranges keep
@@ -49,7 +53,7 @@ from .carrier import (
     is_prime,
     parse_carrier,
 )
-from .groupoid import _CHUNK_CELLS, Groupoid, build, check_budget, compile_tables
+from .groupoid import _CHUNK_CELLS, Groupoid, build, check_budget, compile_tables, sweep_products
 from .identities import (
     _ALTERNATIVE,
     CLOSED_FORMS,
@@ -57,7 +61,7 @@ from .identities import (
     IdentityId,
     check_identity,
     closed_form,
-    first_failures,
+    linear_failures,
 )
 from .shape import Matrix, Poly, ProductKind, Scalar
 from .structure import (
@@ -86,19 +90,26 @@ def _moduli(span: tuple[int, int]) -> range:
 
 
 def _sweeps(ns: Iterable[int], families: Iterable[str], pairs_of: Callable[[int], Iterable]):
-    """For each modulus n of ns, then each carrier family: (n, carrier, pairs,
-    groupoids), the scalar groupoids of the parameter pairs ``pairs_of(n)``
-    over the family's carrier of order n, one per pair and in pair order."""
+    """For each modulus n of ns, then each carrier family: (n, carrier, pairs),
+    the parameter pairs ``pairs_of(n)`` over the family's carrier of order n.
+    A check builds the pairs' groupoids (``_groupoids``) only when it reads
+    their tables or subsets."""
     for n in ns:
         pairs = list(pairs_of(n))
         for carrier in _carriers_for(n, families):
-            yield n, carrier, pairs, [_scalar(carrier, t, u) for t, u in pairs]
+            yield n, carrier, pairs
 
 
-def _holds(groupoids: list[Groupoid], laws: tuple[IdentityId, ...], n: int) -> list[bool]:
-    """Whether all of the laws hold on each groupoid of order n; the laws are
-    scanned in turn, each over every groupoid by one ``first_failures`` call."""
-    verdicts = [[found is None for found in first_failures(groupoids, law, np.arange(n))] for law in laws]
+def _groupoids(carrier: Carrier, pairs: list) -> list[Groupoid]:
+    """The scalar groupoid of each pair over carrier, in pair order."""
+    return [_scalar(carrier, t, u) for t, u in pairs]
+
+
+def _laws_hold(carrier: Carrier, pairs: list, laws: tuple[IdentityId, ...]) -> list[bool]:
+    """Whether all of the laws hold on the scalar groupoid of each pair over
+    carrier; each law is one ``linear_failures`` call over the pairs' arrays."""
+    ts, us = [t for t, _ in pairs], [u for _, u in pairs]
+    verdicts = [[found is None for found in linear_failures(carrier, Scalar(), ts, us, law)] for law in laws]
     return [all(member) for member in zip(*verdicts)]
 
 
@@ -124,10 +135,12 @@ class _Run:
         self.observations: list[dict] = []
         self.notes: list[str] = []
 
-    def check(self, cond: bool, desc: str) -> None:
+    def check(self, cond: bool, desc: str | Callable[[], str]) -> None:
+        """Count an instance; a failing one records desc, which may be a
+        callable so that its text is formatted only on failure."""
         self.instances += 1
         if not cond:
-            self.failures.append(desc)
+            self.failures.append(desc() if callable(desc) else desc)
 
     def observe(self, **data) -> None:
         self.instances += 1
@@ -295,10 +308,12 @@ def _congruence(
     """The laws of the closed form all hold on the groupoid of (t, u) exactly
     when it says so, for every pair of ``pairs_of(n)`` over each modulus and
     each of ``p["carriers"]``."""
-    for n, carrier, pairs, groupoids in _sweeps(moduli, p["carriers"], pairs_of):
-        for (t, u), holds in zip(pairs, _holds(groupoids, CLOSED_FORMS[form].laws, n)):
+    for n, carrier, pairs in _sweeps(moduli, p["carriers"], pairs_of):
+        for (t, u), holds in zip(pairs, _laws_hold(carrier, pairs, CLOSED_FORMS[form].laws)):
             predicted = closed_form(form, n, t, u)
-            run.check(holds == predicted, f"{_coeff_desc(carrier, t, u)}: {label}={holds}, congruence={predicted}")
+            run.check(
+                holds == predicted, lambda: f"{_coeff_desc(carrier, t, u)}: {label}={holds}, congruence={predicted}"
+            )
 
 
 @_check("T1", "asserted", "idempotent exactly when t+u ≡ 1 (mod n)", n=(3, 16), carriers=["zn", "zni"])
@@ -313,17 +328,19 @@ def _t2(p: dict, run: _Run) -> None:
 
 @_check("T3", "asserted", "equal pairs always satisfy the P-law", n=(3, 16), carriers=["zn", "zni"])
 def _t3(p: dict, run: _Run) -> None:
-    for n, carrier, pairs, groupoids in _sweeps(_moduli(p["n"]), p["carriers"], _equal_pairs):
-        for (t, _), holds in zip(pairs, _holds(groupoids, (IdentityId.P_IDENTITY,), n)):
-            run.check(holds, f"{_coeff_desc(carrier, t, t)}: P-law fails on an equal pair")
+    for _, carrier, pairs in _sweeps(_moduli(p["n"]), p["carriers"], _equal_pairs):
+        for (t, _), holds in zip(pairs, _laws_hold(carrier, pairs, (IdentityId.P_IDENTITY,))):
+            run.check(holds, lambda: f"{_coeff_desc(carrier, t, t)}: P-law fails on an equal pair")
 
 
 @_check("T4", "asserted", "equal pairs 1 < t < p are never alternative at prime moduli", p=(3, 23), carriers=["zn", "zni"])
 def _t4(p: dict, run: _Run) -> None:
     primes = filter(is_prime, _moduli(p["p"]))
-    for n, carrier, pairs, groupoids in _sweeps(primes, p["carriers"], lambda n: _equal_pairs(n)[1:]):
-        for (t, _), alternative in zip(pairs, _holds(groupoids, _ALTERNATIVE, n)):
-            run.check(not alternative, f"{_coeff_desc(carrier, t, t)}: alternative unexpectedly holds at prime modulus")
+    for _, carrier, pairs in _sweeps(primes, p["carriers"], lambda n: _equal_pairs(n)[1:]):
+        for (t, _), alternative in zip(pairs, _laws_hold(carrier, pairs, _ALTERNATIVE)):
+            run.check(
+                not alternative, lambda: f"{_coeff_desc(carrier, t, t)}: alternative unexpectedly holds at prime modulus"
+            )
 
 
 @_check(
@@ -362,13 +379,13 @@ def _t7(p: dict, run: _Run) -> None:
             left = _absorb_flags(tabs[block], "left")
             right = _absorb_flags(tabs[dual[block]], "right")
             for (t, u), same in zip(pairs[block], (left == right).all(axis=-1).tolist()):
-                run.check(same, desc(t, u))
+                run.check(same, lambda: desc(t, u))
 
     for family, key in (("zn", "zn_n"), ("zni", "zni_n")):
-        for _, carrier, pairs, groupoids in _sweeps(_moduli(p[key]), (family,), _nonzero_pairs):
+        for _, carrier, pairs in _sweeps(_moduli(p[key]), (family,), _nonzero_pairs):
             check_duality(
                 pairs,
-                groupoids,
+                _groupoids(carrier, pairs),
                 lambda t, u: f"{_coeff_desc(carrier, t, u)}: left ideals differ from the (u,t) right ideals",
             )
     # mixed-carrier slice: a fixed set of representative values
@@ -405,8 +422,8 @@ def _t9(p: dict, run: _Run) -> None:
     # disagreement data, never as crashes.
     evens = (n for n in _moduli(p["n"]) if n % 2 == 0)
     gcd_pairs = lambda n: [(t, n - t) for t in range(2, n - 1) if math.gcd(t, n - t) == t]
-    for n, carrier, pairs, groupoids in _sweeps(evens, ("zn",), gcd_pairs):
-        for (t, u), g in zip(pairs, groupoids):
+    for n, carrier, pairs in _sweeps(evens, ("zn",), gcd_pairs):
+        for (t, u), g in zip(pairs, _groupoids(carrier, pairs)):
             expected = n // t
             # the normal search refuses past the power set's budget, so the
             # subgroupoids are masks by size; handles only for the claimed order
@@ -439,18 +456,20 @@ def _t10(p: dict, run: _Run) -> None:
     # classification only lists the singletons of a pair that fails it
     idempotent_line = lambda n: [(t, (1 - t) % n) for t in range(2, n)]
     spot_done: set[int] = set()
-    for n, carrier, pairs, groupoids in _sweeps(_moduli(p["n"]), ("zn",), idempotent_line):
-        for (t, u), g, idempotent in zip(pairs, groupoids, _holds(groupoids, (IdentityId.IDEMPOTENT,), n)):
-            bad = [] if idempotent else [x for x in range(n) if not classify_subset(g, [x]).semigroup]
-            run.check(idempotent, f"{_coeff_desc(carrier, t, u)}: singletons {bad} are not semigroups")
-            if n not in spot_done and len(spot_done) < 2:
+    for n, carrier, pairs in _sweeps(_moduli(p["n"]), ("zn",), idempotent_line):
+        for (t, u), idempotent in zip(pairs, _laws_hold(carrier, pairs, (IdentityId.IDEMPOTENT,))):
+            spot = n not in spot_done and len(spot_done) < 2
+            g = None if idempotent and not spot else _scalar(carrier, t, u)  # to classify or spot-check
+            bad = lambda: [x for x in range(n) if not classify_subset(g, [x]).semigroup]
+            run.check(idempotent, lambda: f"{_coeff_desc(carrier, t, u)}: singletons {bad()} are not semigroups")
+            if spot:
                 spot_done.add(n)
                 verdict = smarandache(g)
                 run.check(
                     verdict.status == "s_groupoid"
                     and verdict.s_witness is not None
                     and verdict.s_witness.size == 1,
-                    f"{_coeff_desc(carrier, t, u)}: expected a singleton semigroup witness, got {verdict.status}",
+                    lambda: f"{_coeff_desc(carrier, t, u)}: expected a singleton semigroup witness, got {verdict.status}",
                 )
 
 
@@ -460,7 +479,7 @@ def _strong(run: _Run, carrier: Carrier, t: int, u: int, idents: Iterable[Identi
     g = _scalar(carrier, t, u)
     for ident in idents:
         verdict = smarandache(g, ident)
-        run.check(verdict.status == "strong_holds", f"{_coeff_desc(carrier, t, u)} {ident.value}: got {verdict.status}")
+        run.check(verdict.status == "strong_holds", lambda: f"{_coeff_desc(carrier, t, u)} {ident.value}: got {verdict.status}")
 
 
 @_check(
@@ -569,8 +588,8 @@ def _t14(p: dict, run: _Run) -> None:
 )
 def _t15(p: dict, run: _Run) -> None:
     prime_sums = lambda n: [(t, u) for t, u in _nonzero_pairs(n) if is_prime(t + u)]
-    for _, carrier, pairs, groupoids in _sweeps(p["moduli"], ("zni",), prime_sums):
-        for (t, u), g in zip(pairs, groupoids):
+    for _, carrier, pairs in _sweeps(p["moduli"], ("zni",), prime_sums):
+        for (t, u), g in zip(pairs, _groupoids(carrier, pairs)):
             ideals = enumerate_ideals(g)
             run.observe(
                 instance=_coeff_desc(carrier, t, u),
@@ -587,14 +606,17 @@ def _t15(p: dict, run: _Run) -> None:
     n=(3, 12), carriers=["zn", "zni"],
 )
 def _t16(p: dict, run: _Run) -> None:
-    # {0} is a left ideal when row 0 of the table is all zero (0*y = 0 for
-    # every y), and a right ideal when column 0 is
-    for _, carrier, pairs, groupoids in _sweeps(_moduli(p["n"]), p["carriers"], _nonzero_pairs):
-        for (t, u), tab in zip(pairs, compile_tables(groupoids)):
-            run.check(
-                tab[0].any() and tab[:, 0].any(),
-                f"{_coeff_desc(carrier, t, u)}: the zero singleton absorbs on some side",
-            )
+    # {0} is a left ideal when 0*y = 0 for every y, and a right ideal when
+    # x*0 = 0 for every x: one product of the sweep reads both axes, row 0 of
+    # the table (0*y) and column 0 (x*0), with no table compiled
+    for n, carrier, pairs in _sweeps(_moduli(p["n"]), p["carriers"], _nonzero_pairs):
+        axis = np.arange(n)
+        X = np.stack([np.zeros_like(axis), axis])[None]  # (0, x) against (y, 0)
+        ts, us = [t for t, _ in pairs], [u for _, u in pairs]
+        for block, product in sweep_products(carrier, Scalar(), ts, us, 2 * n):
+            sides = product(X, X[:, ::-1]).any(axis=-1).all(axis=-1).tolist()
+            for (t, u), neither in zip(pairs[block], sides):
+                run.check(neither, lambda: f"{_coeff_desc(carrier, t, u)}: the zero singleton absorbs on some side")
 
 
 @_check(
@@ -602,8 +624,8 @@ def _t16(p: dict, run: _Run) -> None:
     moduli=[3, 5, 7],
 )
 def _t17(p: dict, run: _Run) -> None:
-    for _, carrier, pairs, groupoids in _sweeps(p["moduli"], ("o(zni)",), _nonzero_pairs):
-        for (t, u), g in zip(pairs, groupoids):
+    for _, carrier, pairs in _sweeps(p["moduli"], ("o(zni)",), _nonzero_pairs):
+        for (t, u), g in zip(pairs, _groupoids(carrier, pairs)):
             enum = enumerate_subgroupoids(g)
             big = [h for h in enum.subsets if h.size >= 2]
             ideals = enumerate_ideals(g)

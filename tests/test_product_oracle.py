@@ -168,11 +168,11 @@ def test_products_at_the_int32_boundary_match_per_cell_star(carrier, dtype):
 
     product = compile_product(carrier, Scalar(), [t], [u])
     for A, B in ((X, Y), (X, X)):
-        got = product(A, B)[0]
+        got = product(A[None], B[None])[0]
         assert got.dtype == dtype
         assert [got.tolist()] == oracle(Scalar(), [A.tolist()], [B.tolist()])
     for shape in (Poly(1, ProductKind.CONVOLUTION), Poly(1, ProductKind.SHUFFLE)):
-        got = compile_product(carrier, shape, [t], [u]).digits([X, Y], [Y, X])
+        got = compile_product(carrier, shape, [t], [u]).digits([X[None], Y[None]], [Y[None], X[None]])
         assert [d[0].tolist() for d in got] == oracle(shape, [X.tolist(), Y.tolist()], [Y.tolist(), X.tolist()])
 
 
@@ -220,11 +220,11 @@ def test_compiled_table_matches_per_cell_star(carrier, shape):
         expected = star_table_oracle(carrier, shape, t, u)
         product = compile_product(carrier, shape, [t], [u])
         X = np.arange(n)
-        table = product(X[:, None], X[None, :])[0]
+        table = product(X[None, :, None], X[None, None, :])[0]
         assert table.dtype == np.int32
         np.testing.assert_array_equal(table, expected)
         # x*x computes only the n cells it reads
-        np.testing.assert_array_equal(product(X, X)[0], np.diag(expected))
+        np.testing.assert_array_equal(product(X[None], X[None])[0], np.diag(expected))
     assert build(carrier, shape, t, u).index_table() == expected.tolist()
 
 
@@ -233,18 +233,21 @@ def test_compiled_table_matches_per_cell_star(carrier, shape):
 )
 def test_stacked_tables_match_each_members_own_table(carrier, shape):
     """The member axis leads the product's axes, one table per member,
-    shuffle included, each that pair's own sweep of one; x*x too."""
+    shuffle included, each that pair's own sweep of one; x*x too. A product
+    of products keeps one member per row: (x*x)*x of member p is its own."""
     values = carrier.enumerate_values()
     pairs = [(t, u) for t in values for u in values]
     n = len(values) ** shape.entry_count()
-    X = np.arange(n)
+    X = np.arange(n)[None]
     product = compile_product(carrier, shape, [t for t, _ in pairs], [u for _, u in pairs])
-    stack, squares = product(X[:, None], X[None, :]), product(X[None, :], X[None, :])
-    assert stack.shape == (len(pairs), n, n) and squares.shape == (len(pairs), 1, n)
-    for (t, u), table, square in zip(pairs, stack, squares):
+    stack, squares = product(X[:, :, None], X[:, None, :]), product(X, X)
+    cubes = product(squares, X)
+    assert stack.shape == (len(pairs), n, n) and squares.shape == cubes.shape == (len(pairs), n)
+    for (t, u), table, square, cube in zip(pairs, stack, squares, cubes):
         own = compile_product(carrier, shape, [t], [u])
-        np.testing.assert_array_equal(table, own(X[:, None], X[None, :])[0])
-        np.testing.assert_array_equal(square[0], own(X, X)[0])
+        np.testing.assert_array_equal(table, own(X[:, :, None], X[:, None, :])[0])
+        np.testing.assert_array_equal(square, own(X, X)[0])
+        np.testing.assert_array_equal(cube, table[square, np.arange(n)])
 
 
 @pytest.mark.parametrize("cells", [1, 16 * 16, 16 * 16 * 3 + 5, 1 << 17], ids=lambda c: f"cells={c}")
@@ -284,8 +287,8 @@ def test_sparse_reads_of_a_large_carrier_match_per_cell_star(carrier, shape, t, 
     el = lambda i: tuple(values[i // q ** (k - 1 - e) % q] for e in range(k))  # noqa: E731
     idx = lambda e: sum(pos[v] * q ** (k - 1 - j) for j, v in enumerate(e))  # noqa: E731
     product = compile_product(carrier, shape, [t], [u])
-    assert product(X, Y)[0].tolist() == [idx(star(carrier, shape, t, u, el(x), el(y))) for x, y in zip(X, Y)]
-    assert product(X, X)[0].tolist() == [idx(star(carrier, shape, t, u, el(x), el(x))) for x in X]
+    assert product(X[None], Y[None])[0].tolist() == [idx(star(carrier, shape, t, u, el(x), el(y))) for x, y in zip(X, Y)]
+    assert product(X[None], X[None])[0].tolist() == [idx(star(carrier, shape, t, u, el(x), el(x))) for x in X]
 
 
 def test_a_single_groupoid_compiles_as_a_sweep_of_one(monkeypatch):
@@ -637,6 +640,89 @@ def test_auto_routes_by_the_environment_budget(monkeypatch, budget, method):
     monkeypatch.setenv("GGL_BUDGET", str(budget))
     g = build(Modular(10), Scalar(), 2, 3)  # 10^3 evaluations
     assert check_identity(g, IdentityId.ASSOCIATIVE, trials=10).method == method
+
+
+# -- the linear engine ---------------------------------------------------------------
+
+LINEAR_CARRIERS = [
+    Modular(2),
+    Modular(3),
+    Modular(4),
+    Modular(6),
+    PureNeutrosophic(3),
+    MixedNeutrosophic(2),
+    IntervalOf(Modular(3)),
+    IntervalOf(PureNeutrosophic(3)),
+    IntervalOf(MixedNeutrosophic(2)),
+]
+LINEAR_SHAPES = [
+    Scalar(),
+    Matrix(1, 2),
+    Matrix(2, 1),
+    Matrix(1, 3),
+    Poly(1, ProductKind.CONVOLUTION),
+    Poly(2, ProductKind.CONVOLUTION),
+    Poly(1, ProductKind.ENTRYWISE),
+]
+LINEAR_SPECS = [
+    (c, s) for c in LINEAR_CARRIERS for s in LINEAR_SHAPES if (c.size() ** s.entry_count()) ** 3 <= 50_000
+]
+
+
+def linear_sweep(carrier, shape, pairs, identity):
+    return identities.linear_failures(carrier, shape, [t for t, _ in pairs], [u for _, u in pairs], identity)
+
+
+@pytest.mark.parametrize(
+    "carrier,shape", LINEAR_SPECS, ids=[f"{c.token()}-{s.token()}" for c, s in LINEAR_SPECS]
+)
+def test_linear_verdicts_match_the_exhaustive_scan(carrier, shape):
+    """Verdict and witness, for all 8 laws, on up to 40 pairs (zero
+    parameters included) of every non-shuffle spec whose order^3 fits 50,000:
+    the scan's first failure is the first unit assignment that fails."""
+    pairs = all_pairs(carrier)
+    pairs = pairs[:: max(1, len(pairs) // 40)]
+    members = [build(carrier, shape, t, u) for t, u in pairs]
+    for identity in IdentityId:
+        want = identities.first_failures(members, identity, np.arange(members[0].order))
+        assert linear_sweep(carrier, shape, pairs, identity) == want, identity
+
+
+@pytest.mark.parametrize("cells", [1, 40, 1 << 17], ids=lambda c: f"cells={c}")
+def test_linear_verdicts_do_not_depend_on_the_block_size(monkeypatch, cells):
+    """Order 16 with 15 members: blocks of one member, of one or two (the
+    48-cell rows of a three-variable law outgrow 40 cells) and of all."""
+    carrier, shape = Modular(4), Matrix(1, 2)
+    pairs = all_pairs(carrier)
+    want = {identity: linear_sweep(carrier, shape, pairs, identity) for identity in IdentityId}
+    set_chunk_cells(monkeypatch, cells)
+    for identity in IdentityId:
+        assert linear_sweep(carrier, shape, pairs, identity) == want[identity], identity
+
+
+@pytest.mark.parametrize(
+    "carrier,shape,budget,error,message",
+    [
+        (Modular(3), Poly(1, ProductKind.SHUFFLE), None, CarrierError,
+         r"^linear verdicts need an additive product; shape poly:1:shuffle is a shuffle$"),
+        (Modular(10), Matrix(1, 7), None, BudgetExceeded,
+         r"^enumeration cap exceeded: estimate 10\^7 = 10000000 elements, cap is 1000000$"),
+        (Modular(3), Matrix(1, 2), "26", BudgetExceeded,
+         r"^linear check cap exceeded: estimate 3\*9 = 27 evaluations, budget is 26 "),
+    ],
+    ids=["shuffle", "past-the-cap", "past-the-budget"],
+)
+def test_linear_engine_refuses_before_compiling(monkeypatch, no_compile, carrier, shape, budget, error, message):
+    if budget is not None:
+        monkeypatch.setenv("GGL_BUDGET", budget)
+    values = carrier.enumerate_values()
+    with pytest.raises(error, match=message):
+        linear_sweep(carrier, shape, [(values[1], values[2])], IdentityId.ASSOCIATIVE)
+
+
+def test_linear_engine_admits_evaluations_equal_to_the_budget(monkeypatch):
+    monkeypatch.setenv("GGL_BUDGET", "27")
+    assert linear_sweep(Modular(3), Matrix(1, 2), [(1, 1), (2, 2)], IdentityId.ASSOCIATIVE) == [None, (1, 0, 0)]
 
 
 # -- the sampled engine --------------------------------------------------------------

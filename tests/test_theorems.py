@@ -22,7 +22,7 @@ from groupoidlab import (
     ssc_family_check,
     verify_theorem,
 )
-from groupoidlab import structure, theorems
+from groupoidlab import groupoid, structure, theorems
 from groupoidlab.identities import IdentityId
 from groupoidlab.theorems import CHECKS, COUNT_CLASSES, SuiteConfig, outcomes_asserted
 
@@ -257,7 +257,7 @@ def test_a_range_of_moduli_that_is_not_lo_hi_is_refused(span):
         verify_theorem("T1", {"n": span})
 
 
-# verdicts flipped per identity, by a member's position in its first_failures
+# verdicts flipped per identity, by a member's position in its linear_failures
 # call; the expected outcomes were recorded before T1, T2, T5 and T6 shared
 # one runner, so they pin each check's scan order and failure text
 FLIPPED = {
@@ -300,16 +300,43 @@ FLIPPED_OUTCOMES = {
 
 @pytest.mark.parametrize("check_id,key,span", sorted(FLIPPED_OUTCOMES), ids=lambda v: v if isinstance(v, str) else None)
 def test_law_checks_report_the_members_whose_verdicts_break(monkeypatch, check_id, key, span):
-    real = theorems.first_failures
+    real = theorems.linear_failures
 
-    def flipped(groupoids, identity, domain):
-        found = real(groupoids, identity, domain)
+    def flipped(carrier, shape, ts, us, identity):
+        found = real(carrier, shape, ts, us, identity)
         return [((0,) if f is None else None) if i in FLIPPED[identity] else f for i, f in enumerate(found)]
 
-    monkeypatch.setattr(theorems, "first_failures", flipped)
+    monkeypatch.setattr(theorems, "linear_failures", flipped)
     out = verify_theorem(check_id, {key: span})
     instances, failures = FLIPPED_OUTCOMES[check_id, key, span]
     assert (out.instances, list(out.failures)) == (instances, failures)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The arguments of every ``build`` call the checks make."""
+    calls = []
+    real = theorems.build
+    monkeypatch.setattr(theorems, "build", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("check_id", ["T1", "T2", "T3", "T4", "T5", "T6", "T16"])
+def test_law_checks_and_t16_build_no_groupoid_and_compile_no_table(monkeypatch, built, check_id):
+    def refuse(groupoids):
+        raise AssertionError("a check compiled tables")
+
+    monkeypatch.setattr(theorems, "compile_tables", refuse)
+    monkeypatch.setattr(groupoid, "compile_tables", refuse)
+    out = verify_theorem(check_id)
+    assert out.passed and out.instances > 0
+    assert built == []
+
+
+def test_t10_builds_groupoids_only_for_its_two_spot_checks(built):
+    out = verify_theorem("T10")
+    assert out.passed and out.instances > 0
+    assert [(a[0].token(), a[2], a[3]) for a in built] == [("zn:6", 2, 5), ("zn:7", 2, 6)]
 
 
 def test_asserted_check_passes_with_instances():
