@@ -288,48 +288,28 @@ def sweep_products(
         yield slice(p0, p0 + size), compile_product(carrier, shape, ts[p0 : p0 + size], us[p0 : p0 + size])
 
 
-def member_groups(groupoids: Sequence[Groupoid], exponent: int) -> Iterator[tuple[list[int], Callable]]:
-    """The positions of the groupoids in groups that multiply together, each
-    with its product.
-
-    Members that share a carrier and shape are a sweep whose blocks
-    (``sweep_products``, order**exponent cells per member) are the groups; a
-    lone member is a sweep of one. A table-backed groupoid is a group of its
-    own that reads its table. Every product takes and gives a leading member
-    axis: the group's i-th member is ``product(X, Y)[i]``.
-    """
-    by_spec: dict = {}
-    for i, g in enumerate(groupoids):
-        by_spec.setdefault(None if g.spec is None else (g.spec.carrier, g.spec.shape), []).append(i)
-    for key, members in by_spec.items():
-        if key is None:
-            yield from (([i], groupoids[i].products) for i in members)
-            continue
-        specs = [groupoids[i].spec for i in members]
-        cells = groupoids[members[0]].order ** exponent
-        for block, product in sweep_products(*key, [sp.t for sp in specs], [sp.u for sp in specs], cells):
-            yield members[block], product
-
-
 def compile_tables(groupoids: Sequence[Groupoid]) -> list[np.ndarray]:
     """The groupoids' Cayley tables, compiling those they do not hold yet.
 
-    Members that share a carrier and shape compile together, one
-    ``member_groups`` product per group of at most _CHUNK_CELLS cells (one
-    member when its table alone is larger), so the arrays of one call do not
-    grow with the number of members. Each member keeps its table, a view of
-    its group's stack, in its memo. Every member's n² is refused against the
-    work budget, as ``table_array`` does, before anything is compiled.
+    Members that share a carrier and shape are a sweep, compiled one
+    ``sweep_products`` block at a time, at most _CHUNK_CELLS cells per block
+    (one member when its table alone is larger), so the arrays of one call do
+    not grow with the number of members. Each member keeps its table, a view
+    of its block's stack, in its memo. Every member's n² is refused against
+    the work budget, as ``table_array`` does, before anything is compiled.
     """
-    missing = [g for g in groupoids if "table" not in g._memo]  # all spec-backed
-    if missing:
-        for g in missing:
+    sweeps: dict = {}
+    for g in groupoids:
+        if "table" not in g._memo:  # spec-backed
             g._require_enumerable()
             check_budget("Cayley table", f"{g.order}^2", g.order**2, " cells")
-        for group, product in member_groups(missing, 2):
-            X = np.arange(missing[group[0]].order)
-            for i, table in zip(group, product(X[None, :, None], X[None, None, :])):
-                missing[i]._memo["table"] = table
+            sweeps.setdefault((g.spec.carrier, g.spec.shape), []).append(g)
+    for (carrier, shape), members in sweeps.items():
+        X = np.arange(members[0].order)
+        ts, us = [g.spec.t for g in members], [g.spec.u for g in members]
+        for block, product in sweep_products(carrier, shape, ts, us, len(X) ** 2):
+            for g, table in zip(members[block], product(X[None, :, None], X[None, None, :])):
+                g._memo["table"] = table
     return [g._memo["table"] for g in groupoids]
 
 

@@ -3,7 +3,7 @@
 Each identity is a fixed pair of expression trees over variables ``x``, ``y``,
 ``z`` and the binary product ``*``. The same trees drive four evaluators:
 
-* an exhaustive scan over all assignments, vectorised over the groupoid's
+* an exhaustive scan over all assignments, vectorised over one groupoid's
   Cayley table array (one-variable laws multiply the index vector by itself
   instead, so they need no table); the same scan, with the domain set to a
   subset's indices, decides identities on subsets for ``structure``. It
@@ -15,9 +15,8 @@ Each identity is a fixed pair of expression trees over variables ``x``, ``y``,
   how each product reads the table and where its plane lands;
 * the same scan over a sweep: ``check_identity_sweep`` decides one identity
   for many groupoids of one order, such as every parameter pair of a
-  carrier, each verdict equal to ``check_identity``'s. Members whose whole
-  scans fit one block share it, read as one stacked table (see
-  ``first_failures`` and ``_PlaneScan``); a single check is a sweep of one;
+  carrier, by a loop of one scan per member (``first_failure``), each
+  verdict equal to ``check_identity``'s;
 * an axis evaluator for sweeps of spec parameters: ``linear_failures`` gives
   the exhaustive scan's first failures over the whole carrier from one row
   per variable (that variable on the axis ``arange(order)``, the others at
@@ -73,9 +72,7 @@ from .groupoid import (
     Groupoid,
     build,
     check_budget,
-    compile_tables,
     enumerable_order,
-    member_groups,
     sweep_products,
 )
 from .shape import Element, Poly, ProductKind, Scalar, Shape, format_element
@@ -235,26 +232,20 @@ _READS = {node: _read(_DEPS[node[1]], _DEPS[node[2]]) for node in _DEPS if not i
 
 
 class _PlaneScan:
-    """table[A, B] for the operands of one exhaustive scan over a domain.
-
-    A scan reads the tables of one or more members of one order n, stacked as
-    one (P·n)×n table; member p's rows start at p·n, and that offset is added
-    to the left operand's row index, so one read serves every member. A scan
-    of one member adds nothing.
+    """table[A, B] for the operands of one exhaustive scan of one table over a
+    domain.
 
     Operands broadcast over a block laid out (z, y, x): x spans the domain on
-    the last axis, y the block's rows and z its planes; several members add a
-    leading member axis. A plane is an operand that depends on both x and y; a
-    product reads the table as follows.
+    the last axis, y the block's rows and z its planes. A plane is an operand
+    that depends on both x and y; a product reads the table as follows.
 
     * A plane times an operand V (a row, a column, a z value or a plane)
       reads the flat table at V·n + plane, or its transpose when V is on the
       right, with the index in intp, since take is slow on int32.
     * The x row times an operand without x reads whole table rows (of the
       transpose when x is on the left), then the domain's columns when it is
-      not every element. A row computed from x, such as x*x, selects the same
-      columns of every row only in a scan of one member; with several members
-      the product indexes the table at (A, B).
+      not every element; a row computed from x, such as x*x, selects the same
+      columns of every row.
     * Any other product indexes the table at (A, B).
 
     A plane read, and the intp index of a flat read, land in an array kept per
@@ -263,23 +254,12 @@ class _PlaneScan:
     and come back one page fault per page.
     """
 
-    def __init__(self, tables: list[np.ndarray], domain: np.ndarray) -> None:
-        self.n = n = len(tables[0])
-        if len(tables) == 1:
-            self.table, self.offsets = tables[0], None
-            self.table_t = np.ascontiguousarray(self.table.T)
-        else:
-            stack = np.stack(tables)
-            self.table = stack.reshape(-1, n)
-            self.table_t = stack.transpose(0, 2, 1).reshape(-1, n)  # a contiguous copy
-            self.offsets = np.arange(0, len(self.table), n, dtype=np.intp).reshape(-1, 1, 1, 1)
+    def __init__(self, table: np.ndarray, domain: np.ndarray) -> None:
+        self.n = len(table)
+        self.table, self.table_t = table, np.ascontiguousarray(table.T)
         self.flat, self.flat_t = self.table.ravel(), self.table_t.ravel()
-        self.every = len(domain) == n  # a sorted domain of n distinct indices is arange(n)
+        self.every = len(domain) == self.n  # a sorted domain of n distinct indices is arange(n)
         self.spare: dict = {}  # the arrays of kept()
-
-    def rows(self, A: np.ndarray) -> np.ndarray:
-        """A's row indices in the stacked table."""
-        return A if self.offsets is None else A + self.offsets
 
     def kept(self, key, shape: tuple, dtype) -> np.ndarray:
         """The array of this shape that key writes into, the same in every block."""
@@ -296,14 +276,14 @@ class _PlaneScan:
             flat = self.flat if read == "flat" else self.flat_t
             if read == "flat-t":  # A*B is B*A in the transpose
                 A, B = B, A
-            An = np.multiply(self.rows(A), self.n, dtype=np.intp)
+            An = np.multiply(A, self.n, dtype=np.intp)
             shape = np.broadcast_shapes(An.shape, B.shape)
             index = np.add(An, B, out=self.kept("index", shape, np.intp))
             return flat.take(index, out=self.kept(node, shape, flat.dtype), mode="clip")
+        if read == "cells":
+            return self.table[A, B]
         table, col, row_node, row = (self.table, A, b, B) if read == "rows" else (self.table_t, B, a, A)
-        if read == "cells" or (row_node != "x" and self.offsets is not None):
-            return self.table[self.rows(A), B]
-        col = self.rows(col)[..., 0]
+        col = col[..., 0]
         if row_node == "x" and self.every:
             return table.take(col, axis=0, out=self.kept(node, col.shape + (self.n,), table.dtype), mode="clip")
         row = row.reshape(-1)
@@ -319,113 +299,90 @@ class _PlaneScan:
         return values[node]
 
 
-def _scan(tables: list[np.ndarray], identity: IdentityId, domain: np.ndarray) -> list[tuple[int, ...] | None]:
-    """``first_failures`` of members given by their tables, of one order, for
-    a law of two or three variables over a non-empty domain. Several members
-    are read only when each one's whole scan fits one block."""
+def _scan(table: np.ndarray, identity: IdentityId, domain: np.ndarray) -> tuple[int, ...] | None:
+    """``first_failure`` of a groupoid given by its table, for a law of two or
+    three variables over a non-empty domain."""
     lhs_t, rhs_t, vars_ = TEMPLATES[identity]
-    members, m, three = len(tables), len(domain), len(vars_) == 3
+    m, three = len(domain), len(vars_) == 3
     rows = min(m, max(1, _CHUNK_CELLS // m))  # y rows per block
     planes = min(m, max(1, _CHUNK_CELLS // (m * m))) if three and rows == m else 1
-    scan = _PlaneScan(tables, domain)
-    lead = (1,) if members > 1 else ()  # the member axis
-    whole = {v: domain.reshape(lead + shape) for v, shape in zip(vars_, ((1, 1, m), (1, m, 1), (m, 1, 1)))}
+    scan = _PlaneScan(table, domain)
+    whole = {v: domain.reshape(shape) for v, shape in zip(vars_, ((1, 1, m), (1, m, 1), (m, 1, 1)))}
     hoisted = {node: scan.value(node, dict(whole)) for node in _HOISTED[identity]}
 
-    found: list[tuple[int, ...] | None] = [None] * members
     for z0 in range(0, m if three else 1, planes):
         for y0 in range(0, m, rows):
             cut = {
                 "x": ...,
                 "y": (..., slice(y0, y0 + rows), slice(None)),
-                "z": (..., slice(z0, z0 + planes), slice(None), slice(None)),
+                "z": (slice(z0, z0 + planes), slice(None), slice(None)),
             }
             values = {v: d[cut[v]] for v, d in whole.items()}
             values.update((node, h[cut["y"]] if "y" in _DEPS[node] else h) for node, h in hoisted.items())
             mism = scan.value(lhs_t, values) != scan.value(rhs_t, values)
             if mism.any():
-                # each member's first failure is the argmax of its own slice
-                per_member = mism.reshape(members, -1)
+                i = int(mism.argmax())
                 ys = min(rows, m - y0)
-                for p, i in enumerate(per_member.argmax(axis=1).tolist()):
-                    if per_member[p, i]:
-                        at = (i % m, y0 + i // m % ys, z0 + i // (ys * m))
-                        found[p] = tuple(int(domain[j]) for j in at[: len(vars_)])
-                return found  # a scan of several blocks holds one member
-    return found
+                at = (i % m, y0 + i // m % ys, z0 + i // (ys * m))
+                return tuple(int(domain[j]) for j in at[: len(vars_)])
+    return None
 
 
-def first_failures(
-    groupoids: Sequence[Groupoid], identity: IdentityId, domain: np.ndarray
-) -> list[tuple[int, ...] | None]:
-    """For each groupoid, the first assignment of elements of ``domain``
-    (sorted, distinct indices; x fastest, then y, then z) at which the
-    identity's two sides differ, or None when it holds there. The groupoids
-    share one order, and an empty domain holds every law; an index outside
-    [0, order), and a domain with repeats or out of order, raise
-    ``IndexError``.
+def first_failure(g: Groupoid, identity: IdentityId, domain: np.ndarray) -> tuple[int, ...] | None:
+    """The first assignment of elements of ``domain`` (sorted, distinct
+    indices; x fastest, then y, then z) at which the identity's two sides
+    differ in g, or None when it holds there. An empty domain holds every law;
+    an index outside [0, order), and a domain with repeats or out of order,
+    raise ``IndexError``.
 
-    One-variable laws square the domain vector through the compiled products
-    of ``member_groups``, with the parameters of a group's members broadcast,
-    so they need no table. The others read the table arrays through
-    ``_PlaneScan`` one block at a time: the (y, x) plane of each value of the
-    slowest variable, split into blocks of y rows when it exceeds _CHUNK_CELLS
-    cells, or several whole planes when they fit. When a member's whole scan
-    fits one block, one block reads as many members as fit; a member whose
-    scan needs several blocks is scanned alone. Products without the slowest
+    One-variable laws square the domain vector through ``Groupoid.products``,
+    so they need no table. The others read g's table through ``_PlaneScan``
+    one block at a time: the (y, x) plane of each value of the slowest
+    variable, split into blocks of y rows when it exceeds _CHUNK_CELLS cells,
+    or several whole planes when they fit. Products without the slowest
     variable are computed once, over the whole domain, and cut to each block.
 
-    Each member's m^vars evaluations (m = len(domain)) are refused against the
-    work budget before any table is compiled."""
+    The m^vars evaluations (m = len(domain)) are refused against the work
+    budget before the table is compiled."""
     lhs_t, rhs_t, vars_ = TEMPLATES[identity]
     domain = np.asarray(domain)
     m, nvars = len(domain), len(vars_)
     check_budget("exhaustive check", f"{m}^{nvars}", m**nvars, " evaluations")
-    found: list[tuple[int, ...] | None] = [None] * len(groupoids)
-    if not m or not groupoids:
-        return found
-    order = groupoids[0].order
-    if domain.min() < 0 or domain.max() >= order:
-        raise IndexError(f"domain indices must lie in [0, {order})")
+    if not m:
+        return None
+    if domain.min() < 0 or domain.max() >= g.order:
+        raise IndexError(f"domain indices must lie in [0, {g.order})")
     if (domain[1:] <= domain[:-1]).any():  # a scan of n indices reads them as the whole carrier
         raise IndexError("domain indices must be sorted and distinct")
     if nvars == 1:
-        x = domain[None, :]
-        for group, prod in member_groups(groupoids, 1):
-            mism = (eval_tree(lhs_t, {"x": x}, prod) != eval_tree(rhs_t, {"x": x}, prod)).reshape(len(group), -1)
-            for i, first, row in zip(group, mism.argmax(axis=1).tolist(), mism):
-                if row[first]:
-                    found[i] = (int(domain[first]),)
-        return found
-    tables = compile_tables(groupoids)
-    size = max(1, _CHUNK_CELLS // m**nvars)  # members per scan
-    return [f for p0 in range(0, len(tables), size) for f in _scan(tables[p0 : p0 + size], identity, domain)]
-
-
-def first_failure(g: Groupoid, identity: IdentityId, domain: np.ndarray) -> tuple[int, ...] | None:
-    """``first_failures`` of the one groupoid g."""
-    return first_failures([g], identity, domain)[0]
+        env = {"x": domain}
+        mism = eval_tree(lhs_t, env, g.products) != eval_tree(rhs_t, env, g.products)
+        return (int(domain[mism.argmax()]),) if mism.any() else None
+    return _scan(g.table_array(), identity, domain)
 
 
 def check_identity_sweep(groupoids: Sequence[Groupoid], identity: IdentityId) -> list[IdentityVerdict]:
     """Exhaustive verdicts for groupoids of one order, such as every parameter
-    pair of a carrier and shape: each equals ``check_identity(g, identity,
-    CheckMode.EXHAUSTIVE)``, witness and labels included, but members whose
-    scans are small are decided together (see ``first_failures``). Refusals
-    come before any work: ``CarrierError`` when the orders differ,
+    pair of a carrier and shape, each member checked on its own by
+    ``first_failure``: each verdict equals ``check_identity(g, identity,
+    CheckMode.EXHAUSTIVE)``, witness and labels included. Refusals come
+    before any work: ``CarrierError`` when the orders differ,
     ``BudgetExceeded`` as ``check_identity`` raises it."""
     orders = {g.order for g in groupoids}
     if len(orders) > 1:
-        raise CarrierError(f"a sweep's groupoids must share one order, got {sorted(map(str, orders))}")
+        raise CarrierError(f"a sweep's groupoids must share one order, got {sorted(orders)}")
     if not orders:
         return []
-    order = groupoids[0]._require_enumerable()
+    domain = np.arange(groupoids[0]._require_enumerable())
     holds = IdentityVerdict(identity=identity.value, method="exhaustive", status="holds")
-    return [
-        holds if found is None
-        else _witness_verdict(g, identity, "exhaustive", tuple(_element_at(g, i) for i in found))
-        for g, found in zip(groupoids, first_failures(groupoids, identity, np.arange(order)))
-    ]
+    verdicts = []
+    for g in groupoids:
+        found = first_failure(g, identity, domain)
+        verdicts.append(
+            holds if found is None
+            else _witness_verdict(g, identity, "exhaustive", tuple(_element_at(g, i) for i in found))
+        )
+    return verdicts
 
 
 # -- linear -------------------------------------------------------------------
@@ -434,9 +391,10 @@ def check_identity_sweep(groupoids: Sequence[Groupoid], identity: IdentityId) ->
 def linear_failures(
     carrier: Carrier, shape: Shape, ts: Sequence[Value], us: Sequence[Value], identity: IdentityId
 ) -> list[tuple[int, ...] | None]:
-    """``first_failures(members, identity, arange(order))`` of the sweep whose
-    member p has the parameters ``ts[p], us[p]``, for a shape that is not a
-    shuffle, read from vars·order evaluations per member with no table.
+    """Each member's ``first_failure(g, identity, arange(order))`` in the
+    sweep whose member p has the parameters ``ts[p], us[p]``, for a shape that
+    is not a shuffle, read from vars·order evaluations per member with no
+    table.
 
     Every such product is additive, x*y = T·x + U·y with T and U linear, and
     element index 0 is the zero element, so lhs − rhs is A·x + B·y + C·z. The
@@ -562,7 +520,7 @@ def _sampled(g: Groupoid, identity: IdentityId, trials: int, seed: int) -> Ident
     if g.spec is not None:
         carrier = g.spec.carrier
         size = carrier.size()
-        [(_, product)] = member_groups([g], 1)
+        [(_, product)] = sweep_products(carrier, g.spec.shape, [g.spec.t], [g.spec.u], 1)
         prod = product.digits
         element = lambda ds: tuple(map(carrier.value_at, ds))  # noqa: E731
     else:

@@ -406,7 +406,7 @@ class SubsetClassification:
 
 def classify_subset(g: Groupoid, subset: Iterable) -> SubsetClassification:
     """Every property of one subset; the semigroup test scans the subset's
-    m^3 triples when it is closed, refused as ``first_failures`` refuses it."""
+    m^3 triples when it is closed, refused as ``first_failure`` refuses it."""
     handle = subset if isinstance(subset, SubsetHandle) else subset_handle(g, subset)
     idx = handle.indices
     if not idx:

@@ -2,16 +2,15 @@
 
 Every Cayley table is built by ``compile_product`` from the carriers' array
 arithmetic on value indices (``add_indices``, ``mul_indices``), every
-exhaustive verdict comes from one numpy evaluator that scans the table one
-(y, x) plane (or block of it) at a time, or the stacked tables of several
-members of a sweep in one block, and every sampled verdict draws its
-trials in bulk and multiplies whole chunks of them through the compiled
-per-digit product. The oracles here are the slow forms they replaced: the
-carriers' per-value ``add`` and ``mul``, ``shape.star`` applied cell by cell,
-a plain loop engine that multiplies elements with ``Groupoid.star`` and scans
-assignments with x fastest, then y, then z, and a sampler that draws with
-``randrange`` and multiplies one trial at a time. A sweep's verdicts are
-checked against ``check_identity`` on each member alone.
+exhaustive verdict comes from one numpy evaluator that scans a groupoid's
+table one (y, x) plane (or block of it) at a time, and every sampled verdict
+draws its trials in bulk and multiplies whole chunks of them through the
+compiled per-digit product. The oracles here are the slow forms they
+replaced: the carriers' per-value ``add`` and ``mul``, ``shape.star`` applied
+cell by cell, a plain loop engine that multiplies elements with
+``Groupoid.star`` and scans assignments with x fastest, then y, then z, and a
+sampler that draws with ``randrange`` and multiplies one trial at a time. A
+sweep's verdicts are checked against ``check_identity`` on each member alone.
 """
 
 import gc
@@ -445,14 +444,14 @@ def test_a_one_variable_law_refuses_indices_outside_the_carrier(domain):
     """The one-variable law needs no table, and checks its domain as the scan does."""
     g = build(Modular(5), Scalar(), 2, 3)
     with pytest.raises(IndexError, match=r"domain indices must lie in \[0, 5\)"):
-        identities.first_failures([g], IdentityId.IDEMPOTENT, np.array(domain))
+        first_failure(g, IdentityId.IDEMPOTENT, np.array(domain))
 
 
 @pytest.mark.parametrize("identity", list(IdentityId), ids=lambda i: i.value)
 def test_every_law_holds_on_the_empty_subset(identity):
     for g in (build(Modular(5), Scalar(), 2, 3), last_plane_table(9)):
         assert identity_holds_on_subset(g, [], identity)
-        assert identities.first_failures([g, g], identity, np.array([], dtype=np.intp)) == [None, None]
+        assert first_failure(g, identity, np.array([], dtype=np.intp)) is None
 
 
 @pytest.mark.parametrize("cells", [1, 7, 16, 40, 1 << 17])
@@ -502,7 +501,7 @@ def per_groupoid(members, identity):
 
 
 def set_chunk_cells(monkeypatch, cells):
-    """One chunk size for the compile groups, the scan blocks and the member groups."""
+    """One chunk size for the compile groups and the scan blocks."""
     monkeypatch.setattr(groupoid, "_CHUNK_CELLS", cells)
     monkeypatch.setattr(identities, "_CHUNK_CELLS", cells)
 
@@ -521,7 +520,8 @@ SWEEP_SHAPES = [Scalar(), Matrix(1, 2), Poly(2, ProductKind.CONVOLUTION), Poly(2
 @pytest.mark.parametrize("carrier", SWEEP_CARRIERS, ids=lambda c: c.token())
 def test_sweep_verdicts_match_per_groupoid_checks(carrier, shape):
     """Every pair, zero parameters included, and every identity: the order-64
-    members of poly:2 over 4 values scan alone, the smaller ones share blocks."""
+    members of poly:2 over 4 values scan their three-variable laws in blocks of
+    planes, the smaller ones in one block each."""
     members = [build(carrier, shape, t, u) for t, u in all_pairs(carrier)]
     for identity in IdentityId:
         assert check_identity_sweep(members, identity) == per_groupoid(members, identity), identity
@@ -559,13 +559,13 @@ def rare_failure_table_16():
 @pytest.mark.parametrize(
     "cells",
     [1, 16 * 16 - 1, 16 * 16 * 16 - 1, 16 * 16 * 16 * 3 + 1, 16 * 16 * 7 + 3],
-    ids=["one-cell", "rows", "planes", "3-members", "7-planes"],
+    ids=["one-cell", "rows", "planes", "whole-scan", "7-plane-blocks"],
 )
 def test_sweep_verdicts_do_not_depend_on_the_chunk_size(monkeypatch, cells):
-    """Order 16 with 16 members: groups of one member spanning several blocks
-    (of rows or of planes), and groups of several members (3 for the
-    three-variable laws, 15 or 7 for the two-variable ones) whose last group
-    is cut short by the end of the sweep."""
+    """Order 16 with 16 members, each scanned alone: the three-variable laws
+    in blocks of y rows (one, then 15) or of z planes (15, all 16, then 7
+    with the last block cut short by the end of the scan); the two-variable
+    laws take their whole plane as one block from 16·16 cells on."""
     members = [build(Modular(4), Matrix(1, 2), t, u) for t, u in all_pairs(Modular(4))]
     members.append(rare_failure_table_16())
     expected = {identity: per_groupoid(members, identity) for identity in IdentityId}
@@ -576,9 +576,12 @@ def test_sweep_verdicts_do_not_depend_on_the_chunk_size(monkeypatch, cells):
 
 
 def test_a_sweep_of_mixed_orders_is_refused_before_any_work(no_compile):
+    """The orders are listed as numbers, in numeric order."""
     members = [build(Modular(4), Scalar(), 1, 2), build(Modular(5), Scalar(), 1, 2)]
-    with pytest.raises(CarrierError, match="share one order"):
+    members += [build(Modular(10), Matrix(1, 2), 1, 2), build(Modular(4), Matrix(1, 2), 1, 2)]
+    with pytest.raises(CarrierError) as err:
         check_identity_sweep(members, IdentityId.ASSOCIATIVE)
+    assert str(err.value) == "a sweep's groupoids must share one order, got [4, 5, 16, 100]"
     assert check_identity_sweep([], IdentityId.ASSOCIATIVE) == []
 
 
@@ -616,10 +619,9 @@ def no_scan(monkeypatch):
     monkeypatch.setattr(identities, "_scan", stop)
 
 
-def test_first_failures_refuses_before_compiling(no_compile):
-    members = [build(Modular(465), Scalar(), 1, 2), build(Modular(465), Scalar(), 2, 3)]
+def test_first_failure_refuses_before_compiling(no_compile):
     with pytest.raises(BudgetExceeded) as err:
-        identities.first_failures(members, IdentityId.ASSOCIATIVE, np.arange(465))
+        first_failure(build(Modular(465), Scalar(), 1, 2), IdentityId.ASSOCIATIVE, np.arange(465))
     assert str(err.value) == (
         "exhaustive check cap exceeded: estimate 465^3 = 100544625 evaluations, "
         "budget is 100000000 (set GGL_BUDGET to raise it)"
@@ -684,7 +686,7 @@ def test_linear_verdicts_match_the_exhaustive_scan(carrier, shape):
     pairs = pairs[:: max(1, len(pairs) // 40)]
     members = [build(carrier, shape, t, u) for t, u in pairs]
     for identity in IdentityId:
-        want = identities.first_failures(members, identity, np.arange(members[0].order))
+        want = [first_failure(g, identity, np.arange(g.order)) for g in members]
         assert linear_sweep(carrier, shape, pairs, identity) == want, identity
 
 
