@@ -11,8 +11,14 @@ Each identity is a fixed pair of expression trees over variables ``x``, ``y``,
   one (y, x) plane at a time, cut into blocks of y rows when a plane exceeds
   _CHUNK_CELLS cells and taken several at once when planes are small.
   Products without the slowest variable, such as ``x*y``, are computed once
-  per scan over the whole domain and sliced per block; ``_PlaneScan`` says
-  how each product reads the table and where its plane lands;
+  per scan over the whole domain, kept as intp and sliced per block. Every
+  other product is one of three reads (``_PlaneScan``): a flat index V·n + P
+  into the table or its transpose; one row of either, when an operand has one
+  value over the block; or rows of a table K[w, x] of a product F(x, W) of x
+  and one x-free subterm W, read at W's values. K is the table or its
+  transpose for x*W and W*x over every element, and a scan of more than one
+  block tabulates it once for the others whose W holds both y and z, such as
+  Moufang's ``(x*(y*z))*x``;
 * the same scan over a sweep: ``check_identity_sweep`` decides one identity
   for many groupoids of one order, such as every parameter pair of a
   carrier, by a loop of one scan per member (``first_failure``), each
@@ -209,26 +215,41 @@ def _hoisted(node: Node, slow: str) -> list:
     return _hoisted(node[1], slow) + _hoisted(node[2], slow)
 
 
-def _read(a: frozenset, b: frozenset) -> str:
-    """How ``_PlaneScan`` reads a product of operands over the variables a and b."""
-    if {"x", "y"} <= b:
-        return "flat"
-    if {"x", "y"} <= a:
-        return "flat-t"
-    if a == {"x"} and "x" not in b:
-        return "rows-t"
-    if b == {"x"} and "x" not in a:
-        return "rows"
-    return "cells"
+def _x_free(node: Node) -> set:
+    """The largest subterms of node that do not involve x."""
+    if "x" not in _DEPS[node]:
+        return {node}
+    return set() if isinstance(node, str) else _x_free(node[1]) | _x_free(node[2])
+
+
+def _tabulated(node: Node) -> list:
+    """The largest products under node of the form F(x, W) whose W holds both
+    y and z: the subterms a scan of many blocks reads as rows of a table
+    tabulated once. W takes at most n values over the m² (z, y) of a scan, so
+    the n·m cells of the table replace m³ cells of reads. A W of one variable
+    takes only m values, and its table would save nothing."""
+    if isinstance(node, str):
+        return []
+    if node in _W and _DEPS[_W[node]] == {"y", "z"}:
+        return [node]
+    return _tabulated(node[1]) + _tabulated(node[2])
 
 
 _DEPS: dict = {}
 for _lhs, _rhs, _ in TEMPLATES.values():
     _deps(_lhs, _DEPS)
     _deps(_rhs, _DEPS)
-# per identity, the products a scan computes once; per product, how it is read
+# per product F(x, W) of x and one x-free subterm W (which may occur more than once), that W
+_W = {
+    node: next(iter(free))
+    for node in _DEPS
+    if not isinstance(node, str) and "x" in _DEPS[node] and len(free := _x_free(node)) == 1
+}
+# x*W and W*x: over every element, their K[w, x] is the table's transpose (x on the left) or the table itself
+_TABLE_ROWS = {node for node, w in _W.items() if node in (("*", "x", w), ("*", w, "x"))}
+# per identity, the products a scan computes once, and those a scan of many blocks tabulates
 _HOISTED = {i: _hoisted(lhs, v[-1]) + _hoisted(rhs, v[-1]) for i, (lhs, rhs, v) in TEMPLATES.items()}
-_READS = {node: _read(_DEPS[node[1]], _DEPS[node[2]]) for node in _DEPS if not isinstance(node, str)}
+_TABULATED = {i: _tabulated(lhs) + _tabulated(rhs) for i, (lhs, rhs, _) in TEMPLATES.items()}
 
 
 class _PlaneScan:
@@ -237,29 +258,41 @@ class _PlaneScan:
 
     Operands broadcast over a block laid out (z, y, x): x spans the domain on
     the last axis, y the block's rows and z its planes. A plane is an operand
-    that depends on both x and y; a product reads the table as follows.
+    that depends on both x and y. Each product is one of three reads:
 
-    * A plane times an operand V (a row, a column, a z value or a plane)
-      reads the flat table at V·n + plane, or its transpose when V is on the
-      right, with the index in intp, since take is slow on int32.
-    * The x row times an operand without x reads whole table rows (of the
-      transpose when x is on the left), then the domain's columns when it is
-      not every element; a row computed from x, such as x*x, selects the same
-      columns of every row.
-    * Any other product indexes the table at (A, B).
+    * rows of a table K: a product F(x, W) of x and one x-free subterm W has
+      K[w, x] = F(x, w), so it copies the rows of K at W's values. For x*W and
+      W*x over every element, K is the table's transpose or the table itself.
+      A scan of more than one block tabulates K once (``tabulate``) for the
+      largest such products whose W holds both y and z (``_TABULATED``), such
+      as Moufang's ``(x*(y*z))*x``; their subterms are then never read per
+      block. A scan of one block tabulates nothing.
+    * one row: when an operand has one value over the block, such as z in a
+      block of one plane, one take reads the other operand's cells from that
+      row of the table (or of its transpose, when the value is on the right).
+    * flat index: otherwise the flat table at V·n + P, or its transpose when
+      V is on the right, with V the operand of fewer cells. The index is
+      intp, since take is slow on int32; the products a scan computes once
+      (``_HOISTED``) are kept as intp, so a plane read through them adds in
+      intp without a cast. Tables stay int32.
 
-    A plane read, and the intp index of a flat read, land in an array kept per
-    product and shape (``kept``), the same one in every block: planes that are
-    allocated and freed block by block go back to the system with each block
-    and come back one page fault per page.
+    A read of a block lands in an array kept per product and shape (``kept``),
+    the same one in every block: planes that are allocated and freed block by
+    block go back to the system with each block and come back one page fault
+    per page. A tabulated K is evaluated on 2-D operands, so the kept arrays
+    that hold it are never a block's; ``_scan`` drops the set-up's kept
+    arrays before the first block.
     """
 
     def __init__(self, table: np.ndarray, domain: np.ndarray) -> None:
         self.n = len(table)
         self.table, self.table_t = table, np.ascontiguousarray(table.T)
         self.flat, self.flat_t = self.table.ravel(), self.table_t.ravel()
-        self.every = len(domain) == self.n  # a sorted domain of n distinct indices is arange(n)
+        self.domain = domain
         self.spare: dict = {}  # the arrays of kept()
+        self.rows: dict = {}  # per product read as rows, its table K
+        if len(domain) == self.n:  # a sorted domain of n distinct indices is arange(n)
+            self.rows = {node: self.table_t if node[1] == "x" else self.table for node in _TABLE_ROWS}
 
     def kept(self, key, shape: tuple, dtype) -> np.ndarray:
         """The array of this shape that key writes into, the same in every block."""
@@ -267,48 +300,58 @@ class _PlaneScan:
             self.spare[key, shape] = np.empty(shape, dtype)
         return self.spare[key, shape]
 
-    def product(self, node: Node, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """node = A * B; mode="clip" lets take write into a kept array, and
-        never clips: every index read is a cell of the table."""
+    def tabulate(self, node: Node) -> np.ndarray:
+        """K[w, x] = node at W = w, over every element w and the domain's x:
+        n·m cells, within the n² of the table."""
         _, a, b = node
-        read = _READS[node]
-        if read in ("flat", "flat-t"):
-            flat = self.flat if read == "flat" else self.flat_t
-            if read == "flat-t":  # A*B is B*A in the transpose
-                A, B = B, A
-            An = np.multiply(A, self.n, dtype=np.intp)
-            shape = np.broadcast_shapes(An.shape, B.shape)
-            index = np.add(An, B, out=self.kept("index", shape, np.intp))
-            return flat.take(index, out=self.kept(node, shape, flat.dtype), mode="clip")
-        if read == "cells":
-            return self.table[A, B]
-        table, col, row_node, row = (self.table, A, b, B) if read == "rows" else (self.table_t, B, a, A)
-        col = col[..., 0]
-        if row_node == "x" and self.every:
-            return table.take(col, axis=0, out=self.kept(node, col.shape + (self.n,), table.dtype), mode="clip")
-        row = row.reshape(-1)
-        return table[col].take(row, axis=-1, out=self.kept(node, col.shape + row.shape, table.dtype), mode="clip")
+        values = {"x": self.domain[None, :], _W[node]: np.arange(self.n)[:, None]}
+        return self.product(node, self.value(a, values), self.value(b, values))
+
+    def product(self, node: Node, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """node = A * B by a one-row or a flat read; mode="clip" lets take
+        write into a kept array, and never clips: every index read is a cell
+        of the table."""
+        if A.size == 1 or B.size == 1:
+            row, index = (self.table[A.item()], B) if A.size == 1 else (self.table_t[B.item()], A)
+            return row.take(index, out=self.kept(node, index.shape, row.dtype), mode="clip")
+        flat = self.flat
+        if A.size > B.size:  # A*B is B*A in the transpose
+            flat, A, B = self.flat_t, B, A
+        shape = np.broadcast_shapes(A.shape, B.shape)
+        index = np.add(np.multiply(A, self.n, dtype=np.intp), B, out=self.kept("index", shape, np.intp))
+        return flat.take(index, out=self.kept(node, shape, flat.dtype), mode="clip")
 
     def value(self, node: Node, values: dict) -> np.ndarray:
         """node over the block, or over the whole domain when there is none;
         values holds the variables and the subterms computed so far, cut to
         the block."""
         if node not in values:
-            _, a, b = node
-            values[node] = self.product(node, self.value(a, values), self.value(b, values))
+            K = self.rows.get(node)
+            if K is not None:
+                at = self.value(_W[node], values)[..., 0]
+                values[node] = K.take(at, axis=0, out=self.kept(node, at.shape + K.shape[1:], K.dtype), mode="clip")
+            else:
+                _, a, b = node
+                values[node] = self.product(node, self.value(a, values), self.value(b, values))
         return values[node]
 
 
 def _scan(table: np.ndarray, identity: IdentityId, domain: np.ndarray) -> tuple[int, ...] | None:
     """``first_failure`` of a groupoid given by its table, for a law of two or
-    three variables over a non-empty domain."""
+    three variables over a non-empty domain. A scan of more than one block
+    tabulates the rows its ``_TABULATED`` products read (``_PlaneScan``);
+    the products without the slowest variable are computed once, as intp."""
     lhs_t, rhs_t, vars_ = TEMPLATES[identity]
+    domain = domain.astype(np.intp, copy=False)
     m, three = len(domain), len(vars_) == 3
     rows = min(m, max(1, _CHUNK_CELLS // m))  # y rows per block
     planes = min(m, max(1, _CHUNK_CELLS // (m * m))) if three and rows == m else 1
     scan = _PlaneScan(table, domain)
+    if rows < m or three and planes < m:  # more than one block
+        scan.rows.update((node, scan.tabulate(node)) for node in _TABULATED[identity] if node not in scan.rows)
     whole = {v: domain.reshape(shape) for v, shape in zip(vars_, ((1, 1, m), (1, m, 1), (m, 1, 1)))}
-    hoisted = {node: scan.value(node, dict(whole)) for node in _HOISTED[identity]}
+    hoisted = {node: scan.value(node, dict(whole)).astype(np.intp) for node in _HOISTED[identity]}
+    scan.spare.clear()  # the set-up's reads, which no block writes into
 
     for z0 in range(0, m if three else 1, planes):
         for y0 in range(0, m, rows):
@@ -340,7 +383,9 @@ def first_failure(g: Groupoid, identity: IdentityId, domain: np.ndarray) -> tupl
     one block at a time: the (y, x) plane of each value of the slowest
     variable, split into blocks of y rows when it exceeds _CHUNK_CELLS cells,
     or several whole planes when they fit. Products without the slowest
-    variable are computed once, over the whole domain, and cut to each block.
+    variable are computed once, over the whole domain, as intp, and cut to
+    each block; every other product is a flat-index, one-row or
+    tabulated-rows read, and only a scan of more than one block tabulates.
 
     The m^vars evaluations (m = len(domain)) are refused against the work
     budget before the table is compiled."""

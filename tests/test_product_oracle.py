@@ -465,6 +465,83 @@ def test_plane_scan_of_a_spec_backed_table_matches_the_loop_oracle(monkeypatch, 
         assert witness_indices(g, v) == exhaustive_loop_oracle(g, identity), identity
 
 
+THREE_VARIABLE_LAWS = [IdentityId.ASSOCIATIVE, IdentityId.MOUFANG, IdentityId.BOL]
+HOLDING = [  # idempotent pairs, and x+y mod 10: every three-variable law holds, so every block is read
+    (build(Modular(3), Matrix(1, 3), 1, 1), [1, 4, 11, 20, 26]),
+    (build(Modular(3), Matrix(1, 3), 0, 1), [1, 4, 11, 20, 26]),
+    (build(Modular(3), Matrix(1, 3), 1, 0), [1, 4, 11, 20, 26]),
+    (build(Modular(6), Scalar(), 3, 4), [1, 2, 5]),
+    (from_table([str(i) for i in range(10)], [[(i + j) % 10 for j in range(10)] for i in range(10)]), [1, 3, 4, 8]),
+]
+
+
+@pytest.mark.parametrize(
+    "g,subset", HOLDING, ids=["zn:3-mat:1x3-1,1", "zn:3-mat:1x3-0,1", "zn:3-mat:1x3-1,0", "zn:6-3,4", "x+y-mod-10"]
+)
+def test_three_variable_laws_hold_through_every_block(monkeypatch, g, subset):
+    """Blocks of one cell, part of a row, a few rows, a plane and every plane:
+    the one-row read of (x*y)*z, the rows of x*(y*z) and the tabulated rows
+    of (x*(y*z))*x. On the subset, y*z leaves it (but for the projections
+    0,1 and 1,0), so the tabulated rows are read at elements outside it."""
+    for domain in (list(range(g.order)), subset):
+        for identity in THREE_VARIABLE_LAWS:
+            assert exhaustive_loop_oracle(g, identity, domain) is None
+            for cells in (1, 7, 16, 40, 1 << 17):
+                monkeypatch.setattr(identities, "_CHUNK_CELLS", cells)
+                assert first_failure(g, identity, np.array(domain)) is None, (domain, identity, cells)
+
+
+def late_failure_table(n, law):
+    """An order-n table where x*y = x except in the last column c = n-1.
+    For Moufang, x*c = c for x < c and c*c = 0: it first fails at (1, c, c),
+    the last row of the last plane. For Bol, x*c = c but (n-2)*c = n-2: it
+    first fails at (0, n-2, c), in the last plane."""
+    c = n - 1
+    last = [c] * c + [0] if law is IdentityId.MOUFANG else [c] * (n - 2) + [n - 2, c]
+    return from_table([f"e{i}" for i in range(n)], [[x] * c + [last[x]] for x in range(n)])
+
+
+@pytest.mark.parametrize("law,witness", [(IdentityId.MOUFANG, (1, 8, 8)), (IdentityId.BOL, (0, 7, 8))])
+@pytest.mark.parametrize("domain", [None, [0, 1, 7, 8], [1, 3, 5, 8]])
+@pytest.mark.parametrize("cells", [1, 7, 18, 40, 81, 1 << 17], ids=lambda c: f"cells={c}")
+def test_planted_failures_in_the_last_plane_keep_their_witness(monkeypatch, law, witness, domain, cells):
+    g = late_failure_table(9, law)
+    monkeypatch.setattr(identities, "_CHUNK_CELLS", cells)
+    dom = list(range(9)) if domain is None else domain
+    if domain is None:
+        assert first_failure(g, law, np.array(dom)) == witness
+    for identity in THREE_VARIABLE_LAWS:
+        assert first_failure(g, identity, np.array(dom)) == exhaustive_loop_oracle(g, identity, dom), identity
+
+
+def test_a_one_block_scan_tabulates_nothing(monkeypatch):
+    """At the default block size the suite's and the survey's scans are one
+    block each, and read no tabulated table; a scan of many blocks does."""
+    tabulate = identities._PlaneScan.tabulate
+    calls = []
+
+    def refuse(self, node):
+        raise AssertionError("a one-block scan tabulated a table")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(identities._PlaneScan, "tabulate", refuse)
+        for identity in IdentityId:
+            for domain in (list(range(16)), [1, 2, 5, 11, 14]):
+                assert first_failure(ORDER_16, identity, np.array(domain)) == exhaustive_loop_oracle(
+                    ORDER_16, identity, domain
+                ), identity
+
+    def counted(self, node):
+        calls.append(node)
+        return tabulate(self, node)
+
+    monkeypatch.setattr(identities._PlaneScan, "tabulate", counted)
+    monkeypatch.setattr(identities, "_CHUNK_CELLS", 40)
+    g = HOLDING[0][0]
+    assert first_failure(g, IdentityId.MOUFANG, np.arange(g.order)) is None
+    assert calls == [("*", ("*", "x", ("*", "y", "z")), "x")]
+
+
 def test_exhaustive_witnesses_are_labelled_without_the_label_list(monkeypatch):
     g = build(Modular(4), Matrix(1, 2), 2, 3)
 
