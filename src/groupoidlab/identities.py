@@ -16,9 +16,9 @@ Each identity is a fixed pair of expression trees over variables ``x``, ``y``,
   into the table or its transpose; one row of either, when an operand has one
   value over the block; or rows of a table K[w, x] of a product F(x, W) of x
   and one x-free subterm W, read at W's values. K is the table or its
-  transpose for x*W and W*x over every element, and a scan of more than one
-  block tabulates it once for the others whose W holds both y and z, such as
-  Moufang's ``(x*(y*z))*x``;
+  transpose for x*W and W*x over every element, and a scan tabulates it once
+  for the others whose W holds both y and z, such as Moufang's
+  ``(x*(y*z))*x``;
 * the same scan over a sweep: ``check_identity_sweep`` decides one identity
   for many groupoids of one order, such as every parameter pair of a
   carrier, by a loop of one scan per member (``first_failure``), each
@@ -224,10 +224,10 @@ def _x_free(node: Node) -> set:
 
 def _tabulated(node: Node) -> list:
     """The largest products under node of the form F(x, W) whose W holds both
-    y and z: the subterms a scan of many blocks reads as rows of a table
-    tabulated once. W takes at most n values over the m² (z, y) of a scan, so
-    the n·m cells of the table replace m³ cells of reads. A W of one variable
-    takes only m values, and its table would save nothing."""
+    y and z: the subterms a scan reads as rows of a table tabulated once. W
+    takes at most n values over the m² (z, y) of a scan, so the n·m cells of
+    the table replace m³ cells of reads. A W of one variable takes only m
+    values, and its table would save nothing."""
     if isinstance(node, str):
         return []
     if node in _W and _DEPS[_W[node]] == {"y", "z"}:
@@ -247,7 +247,7 @@ _W = {
 }
 # x*W and W*x: over every element, their K[w, x] is the table's transpose (x on the left) or the table itself
 _TABLE_ROWS = {node for node, w in _W.items() if node in (("*", "x", w), ("*", w, "x"))}
-# per identity, the products a scan computes once, and those a scan of many blocks tabulates
+# per identity, the products a scan computes once, and those it tabulates
 _HOISTED = {i: _hoisted(lhs, v[-1]) + _hoisted(rhs, v[-1]) for i, (lhs, rhs, v) in TEMPLATES.items()}
 _TABULATED = {i: _tabulated(lhs) + _tabulated(rhs) for i, (lhs, rhs, _) in TEMPLATES.items()}
 
@@ -263,10 +263,9 @@ class _PlaneScan:
     * rows of a table K: a product F(x, W) of x and one x-free subterm W has
       K[w, x] = F(x, w), so it copies the rows of K at W's values. For x*W and
       W*x over every element, K is the table's transpose or the table itself.
-      A scan of more than one block tabulates K once (``tabulate``) for the
-      largest such products whose W holds both y and z (``_TABULATED``), such
-      as Moufang's ``(x*(y*z))*x``; their subterms are then never read per
-      block. A scan of one block tabulates nothing.
+      A scan tabulates K once (``tabulate``) for the largest such products
+      whose W holds both y and z (``_TABULATED``), such as Moufang's
+      ``(x*(y*z))*x``; their subterms are then never read per block.
     * one row: when an operand has one value over the block, such as z in a
       block of one plane, one take reads the other operand's cells from that
       row of the table (or of its transpose, when the value is on the right).
@@ -338,17 +337,16 @@ class _PlaneScan:
 
 def _scan(table: np.ndarray, identity: IdentityId, domain: np.ndarray) -> tuple[int, ...] | None:
     """``first_failure`` of a groupoid given by its table, for a law of two or
-    three variables over a non-empty domain. A scan of more than one block
-    tabulates the rows its ``_TABULATED`` products read (``_PlaneScan``);
-    the products without the slowest variable are computed once, as intp."""
+    three variables over a non-empty domain. It tabulates the rows its
+    ``_TABULATED`` products read (``_PlaneScan``); the products without the
+    slowest variable are computed once, as intp."""
     lhs_t, rhs_t, vars_ = TEMPLATES[identity]
     domain = domain.astype(np.intp, copy=False)
     m, three = len(domain), len(vars_) == 3
     rows = min(m, max(1, _CHUNK_CELLS // m))  # y rows per block
     planes = min(m, max(1, _CHUNK_CELLS // (m * m))) if three and rows == m else 1
     scan = _PlaneScan(table, domain)
-    if rows < m or three and planes < m:  # more than one block
-        scan.rows.update((node, scan.tabulate(node)) for node in _TABULATED[identity] if node not in scan.rows)
+    scan.rows.update((node, scan.tabulate(node)) for node in _TABULATED[identity] if node not in scan.rows)
     whole = {v: domain.reshape(shape) for v, shape in zip(vars_, ((1, 1, m), (1, m, 1), (m, 1, 1)))}
     hoisted = {node: scan.value(node, dict(whole)).astype(np.intp) for node in _HOISTED[identity]}
     scan.spare.clear()  # the set-up's reads, which no block writes into
@@ -385,7 +383,7 @@ def first_failure(g: Groupoid, identity: IdentityId, domain: np.ndarray) -> tupl
     or several whole planes when they fit. Products without the slowest
     variable are computed once, over the whole domain, as intp, and cut to
     each block; every other product is a flat-index, one-row or
-    tabulated-rows read, and only a scan of more than one block tabulates.
+    tabulated-rows read.
 
     The m^vars evaluations (m = len(domain)) are refused against the work
     budget before the table is compiled."""

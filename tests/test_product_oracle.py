@@ -514,29 +514,19 @@ def test_planted_failures_in_the_last_plane_keep_their_witness(monkeypatch, law,
         assert first_failure(g, identity, np.array(dom)) == exhaustive_loop_oracle(g, identity, dom), identity
 
 
-def test_a_one_block_scan_tabulates_nothing(monkeypatch):
-    """At the default block size the suite's and the survey's scans are one
-    block each, and read no tabulated table; a scan of many blocks does."""
+@pytest.mark.parametrize("cells", [40, 1 << 17], ids=["many-blocks", "one-block"])
+def test_a_scan_tabulates_each_product_once(monkeypatch, cells):
+    """One block or many, a Moufang scan tabulates the rows of (x*(y*z))*x
+    once, before its first block."""
     tabulate = identities._PlaneScan.tabulate
     calls = []
-
-    def refuse(self, node):
-        raise AssertionError("a one-block scan tabulated a table")
-
-    with monkeypatch.context() as patched:
-        patched.setattr(identities._PlaneScan, "tabulate", refuse)
-        for identity in IdentityId:
-            for domain in (list(range(16)), [1, 2, 5, 11, 14]):
-                assert first_failure(ORDER_16, identity, np.array(domain)) == exhaustive_loop_oracle(
-                    ORDER_16, identity, domain
-                ), identity
 
     def counted(self, node):
         calls.append(node)
         return tabulate(self, node)
 
     monkeypatch.setattr(identities._PlaneScan, "tabulate", counted)
-    monkeypatch.setattr(identities, "_CHUNK_CELLS", 40)
+    monkeypatch.setattr(identities, "_CHUNK_CELLS", cells)
     g = HOLDING[0][0]
     assert first_failure(g, IdentityId.MOUFANG, np.arange(g.order)) is None
     assert calls == [("*", ("*", "x", ("*", "y", "z")), "x")]
