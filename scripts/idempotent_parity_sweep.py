@@ -9,7 +9,7 @@ everywhere — and confirms two facts by brute force:
   2t = 1 (mod n) is solvable, i.e. iff n is odd);
 * every counted pair really is idempotent, and every omitted pair is not,
   re-checked exhaustively on the order-n groupoid, every pair of one
-  modulus in one ``check_identity_sweep``.
+  modulus in one ``linear_failures`` call.
 
 Usage: python3 scripts/idempotent_parity_sweep.py [--max-n 40] [--carrier zn]
 """
@@ -22,9 +22,8 @@ from groupoidlab import (
     Modular,
     PureNeutrosophic,
     Scalar,
-    build,
-    check_identity_sweep,
     count_class,
+    linear_failures,
 )
 
 CARRIERS = {"zn": Modular, "zni": PureNeutrosophic}
@@ -45,15 +44,15 @@ def main() -> int:
         count = count_class(carrier, "idempotent_pairs", equal_pairs_included=True)
 
         pairs = [(t, u) for t in range(n) for u in range(n) if (t, u) != (0, 0)]
-        groupoids = [build(carrier, Scalar(), t, u) for t, u in pairs]
+        ts, us = [t for t, _ in pairs], [u for _, u in pairs]
         verified = 0
-        for (t, u), v in zip(pairs, check_identity_sweep(groupoids, IdentityId.IDEMPOTENT)):
-            predicted = (t + u) % n == 1
-            if v.holds != predicted:
+        for (t, u), found in zip(pairs, linear_failures(carrier, Scalar(), ts, us, IdentityId.IDEMPOTENT)):
+            holds, predicted = found is None, (t + u) % n == 1
+            if holds != predicted:
                 print(f"  DISAGREEMENT at n={n} pair=({t},{u})", file=sys.stderr)
                 bad += 1
             # the counting class ranges over nonzero coefficients only
-            if v.holds and t > 0 and u > 0:
+            if holds and t > 0 and u > 0:
                 verified += 1
 
         parity_ok = count % 2 == n % 2

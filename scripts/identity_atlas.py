@@ -2,10 +2,13 @@
 """Chart which identities hold for every parameter pair over small moduli.
 
 Produces one table per modulus: rows are ordered pairs (t, u), columns are
-the eight identities, cells show a dot (fails) or a filled marker (holds),
-all decided exhaustively. A summary line counts, for each identity, how many
-pairs satisfy it — a quick way to spot which laws are abundant and which are
-rare as n varies.
+the eight identities, cells show a dot (fails) or a filled marker (holds).
+The verdicts are exact linear verdicts (``linear_failures``, one call per
+identity and modulus, with no groupoid and no table), held to the per-pair
+exhaustive check by the test
+``test_identity_atlas_json_matches_per_pair_checks_byte_for_byte``. A
+summary line counts, for each identity, how many pairs satisfy it — a quick
+way to spot which laws are abundant and which are rare as n varies.
 
 Usage: python3 scripts/identity_atlas.py [--n 4 5 6] [--carrier zn] [--json]
 """
@@ -18,8 +21,7 @@ from groupoidlab import (
     Modular,
     PureNeutrosophic,
     Scalar,
-    build,
-    check_identity_sweep,
+    linear_failures,
 )
 
 CARRIERS = {"zn": Modular, "zni": PureNeutrosophic}
@@ -38,10 +40,10 @@ SHORT = {
 
 def atlas_for(carrier_cls, n: int) -> dict:
     pairs = [(t, u) for t in range(n) for u in range(n) if (t, u) != (0, 0)]
-    groupoids = [build(carrier_cls(n), Scalar(), t, u) for t, u in pairs]
-    columns = {SHORT[i]: check_identity_sweep(groupoids, i) for i in COLUMNS}
+    ts, us = [t for t, _ in pairs], [u for _, u in pairs]
+    columns = {SHORT[i]: linear_failures(carrier_cls(n), Scalar(), ts, us, i) for i in COLUMNS}
     rows = [
-        {"pair": [t, u], **{name: verdicts[p].holds for name, verdicts in columns.items()}}
+        {"pair": [t, u], **{name: found[p] is None for name, found in columns.items()}}
         for p, (t, u) in enumerate(pairs)
     ]
     return {"n": n, "rows": rows}

@@ -19,16 +19,13 @@ Each identity is a fixed pair of expression trees over variables ``x``, ``y``,
   transpose for x*W and W*x over every element, and a scan tabulates it once
   for the others whose W holds both y and z, such as Moufang's
   ``(x*(y*z))*x``;
-* the same scan over a sweep: ``check_identity_sweep`` decides one identity
-  for many groupoids of one order, such as every parameter pair of a
-  carrier, by a loop of one scan per member (``first_failure``), each
-  verdict equal to ``check_identity``'s;
-* an axis evaluator for sweeps of spec parameters: ``linear_failures`` gives
-  the exhaustive scan's first failures over the whole carrier from one row
-  per variable (that variable on the axis ``arange(order)``, the others at
-  the zero element), since every product but the shuffle is additive. It reads the
-  parameter arrays through ``compile_product`` and builds no groupoid and no
-  table;
+* an axis evaluator for sweeps of spec parameters, and the public sweep
+  entry: ``linear_failures`` gives the exhaustive scan's first failures over
+  the whole carrier, for every parameter pair of a sweep, from one row per
+  variable (that variable on the axis ``arange(order)``, the others at the
+  zero element), since every product but the shuffle is additive. It reads
+  the parameter arrays through ``compile_product`` and builds no groupoid
+  and no table;
 * a lifted check that proves the identity on the scalar shadow when the shape
   multiplies entrywise (the verdict then transfers entry-for-entry),
 * a seeded random sampler for spaces too large to enumerate. It draws trials
@@ -404,28 +401,14 @@ def first_failure(g: Groupoid, identity: IdentityId, domain: np.ndarray) -> tupl
     return _scan(g.table_array(), identity, domain)
 
 
-def check_identity_sweep(groupoids: Sequence[Groupoid], identity: IdentityId) -> list[IdentityVerdict]:
-    """Exhaustive verdicts for groupoids of one order, such as every parameter
-    pair of a carrier and shape, each member checked on its own by
-    ``first_failure``: each verdict equals ``check_identity(g, identity,
-    CheckMode.EXHAUSTIVE)``, witness and labels included. Refusals come
-    before any work: ``CarrierError`` when the orders differ,
-    ``BudgetExceeded`` as ``check_identity`` raises it."""
-    orders = {g.order for g in groupoids}
-    if len(orders) > 1:
-        raise CarrierError(f"a sweep's groupoids must share one order, got {sorted(orders)}")
-    if not orders:
-        return []
-    domain = np.arange(groupoids[0]._require_enumerable())
-    holds = IdentityVerdict(identity=identity.value, method="exhaustive", status="holds")
-    verdicts = []
-    for g in groupoids:
-        found = first_failure(g, identity, domain)
-        verdicts.append(
-            holds if found is None
-            else _witness_verdict(g, identity, "exhaustive", tuple(_element_at(g, i) for i in found))
-        )
-    return verdicts
+def _exhaustive(g: Groupoid, identity: IdentityId) -> IdentityVerdict:
+    """g's exhaustive verdict: ``first_failure`` over every element, its
+    witness labelled. An order past the enumeration cap is refused before
+    the m^vars evaluations are checked against the budget."""
+    found = first_failure(g, identity, np.arange(g._require_enumerable()))
+    if found is None:
+        return IdentityVerdict(identity=identity.value, method="exhaustive", status="holds")
+    return _witness_verdict(g, identity, "exhaustive", tuple(_element_at(g, i) for i in found))
 
 
 # -- linear -------------------------------------------------------------------
@@ -449,9 +432,12 @@ def linear_failures(
     per block of the sweep (``sweep_products``); a member's first failure is
     the least mismatch on the first row that has one.
 
-    Refusals come before any work: ``CarrierError`` for a shuffle shape,
-    whose product is not additive, and ``BudgetExceeded`` for an order past
-    the enumeration cap or vars·order evaluations past the work budget."""
+    Refusals come before any work: ``CarrierError`` for parameter lists of
+    different lengths and for a shuffle shape, whose product is not additive,
+    and ``BudgetExceeded`` for an order past the enumeration cap or
+    vars·order evaluations past the work budget."""
+    if len(ts) != len(us):
+        raise CarrierError(f"linear verdicts need one u per t, got {len(ts)} t and {len(us)} u")
     if isinstance(shape, Poly) and shape.kind is ProductKind.SHUFFLE:
         raise CarrierError(f"linear verdicts need an additive product; shape {shape.token()} is a shuffle")
     lhs_t, rhs_t, vars_ = TEMPLATES[identity]
@@ -475,24 +461,16 @@ def linear_failures(
 # -- lifted -------------------------------------------------------------------
 
 
-def _scalar_shadow(g: Groupoid) -> Groupoid:
-    sp = g.spec
-    return build(
-        sp.carrier, Scalar(), sp.t, sp.u,
-        t_indeterminate=sp.t_indeterminate, u_indeterminate=sp.u_indeterminate,
-    )
-
-
 def _lifted(g: Groupoid, identity: IdentityId) -> IdentityVerdict:
-    if g.spec is None:
+    sp = g.spec
+    if sp is None:
         raise CarrierError("lifted mode needs a spec-backed groupoid")
-    if not g.spec.shape.is_entrywise():
+    if not sp.shape.is_entrywise():
         raise CarrierError("shape is not liftable: product mixes entries across positions")
-    shadow = _scalar_shadow(g)
-    [inner] = check_identity_sweep([shadow], identity)
-    if inner.status == "holds":
+    inner = _exhaustive(build(sp.carrier, Scalar(), sp.t, sp.u), identity)  # the scalar shadow
+    if inner.holds:
         return IdentityVerdict(identity=identity.value, method="lifted", status="holds")
-    k = g.spec.shape.entry_count()  # the scalar witness (v,) lifts to the diagonal (v, ..., v)
+    k = sp.shape.entry_count()  # the scalar witness (v,) lifts to the diagonal (v, ..., v)
     return _witness_verdict(g, identity, "lifted", tuple(e * k for e in inner.witness))
 
 
@@ -598,7 +576,7 @@ def _sampled(g: Groupoid, identity: IdentityId, trials: int, seed: int) -> Ident
 
 # each explicit mode's engine, called as engine(g, identity, trials, seed)
 _ROUTES: dict[CheckMode, Callable[[Groupoid, IdentityId, int, int], IdentityVerdict]] = {
-    CheckMode.EXHAUSTIVE: lambda g, identity, trials, seed: check_identity_sweep([g], identity)[0],
+    CheckMode.EXHAUSTIVE: lambda g, identity, trials, seed: _exhaustive(g, identity),
     CheckMode.LIFTED: lambda g, identity, trials, seed: _lifted(g, identity),
     CheckMode.SAMPLED: _sampled,
 }

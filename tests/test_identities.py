@@ -26,7 +26,7 @@ from groupoidlab import (
     from_table,
 )
 from groupoidlab import groupoid, identities
-from groupoidlab.identities import CLOSED_FORMS, applicable_closed_forms, check_identity_sweep, first_failure
+from groupoidlab.identities import CLOSED_FORMS, applicable_closed_forms, first_failure
 
 
 # -- reference verdicts --------------------------------------------------------
@@ -307,8 +307,8 @@ def test_cross_validation_refuses_its_sample_before_any_other_route(monkeypatch)
     """zn:3 mat:1x3 fits both the exhaustive and the lifted scan at 10^4,
     but not 10^4 trials of 6 draws."""
     monkeypatch.setenv("GGL_BUDGET", "10000")
-    scans, sweep = [], identities.check_identity_sweep
-    monkeypatch.setattr(identities, "check_identity_sweep", lambda gs, identity: scans.append(gs) or sweep(gs, identity))
+    scans, scan = [], identities.first_failure
+    monkeypatch.setattr(identities, "first_failure", lambda g, *args: scans.append(g) or scan(g, *args))
     with pytest.raises(BudgetExceeded, match=r"^sampled check cap exceeded: estimate 10000\*6 = 60000 draws"):
         cross_validate(build(Modular(3), Matrix(1, 3), 1, 2), IdentityId.COMMUTATIVE)
     assert scans == []
@@ -422,7 +422,7 @@ def test_each_closed_form_decides_each_of_its_laws_where_it_applies(name):
         for carrier in (Modular(n), PureNeutrosophic(n)):
             groupoids = [build(carrier, Scalar(), t, u) for t, u in pairs]
             for law in form.laws:
-                holds = [v.holds for v in check_identity_sweep(groupoids, law)]
+                holds = [check_identity(g, law, CheckMode.EXHAUSTIVE).holds for g in groupoids]
                 assert holds == predicted, f"{carrier.token()} {law.value}"
                 assert [applicable_closed_forms(g, law)[name] for g in groupoids] == predicted
 

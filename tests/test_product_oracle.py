@@ -9,8 +9,9 @@ compiled per-digit product. The oracles here are the slow forms they
 replaced: the carriers' per-value ``add`` and ``mul``, ``shape.star`` applied
 cell by cell, a plain loop engine that multiplies elements with
 ``Groupoid.star`` and scans assignments with x fastest, then y, then z, and a
-sampler that draws with ``randrange`` and multiplies one trial at a time. A
-sweep's verdicts are checked against ``check_identity`` on each member alone.
+sampler that draws with ``randrange`` and multiplies one trial at a time.
+The linear verdicts of a parameter sweep are checked against the plane scan
+of each member.
 """
 
 import gc
@@ -37,7 +38,6 @@ from groupoidlab import (
     Scalar,
     build,
     check_identity,
-    check_identity_sweep,
     from_table,
     identity_holds_on_subset,
     star,
@@ -573,48 +573,6 @@ def set_chunk_cells(monkeypatch, cells):
     monkeypatch.setattr(identities, "_CHUNK_CELLS", cells)
 
 
-SWEEP_CARRIERS = [
-    Modular(4),
-    PureNeutrosophic(4),
-    MixedNeutrosophic(2),
-    IntervalOf(Modular(3)),
-    IntervalOf(PureNeutrosophic(3)),
-]
-SWEEP_SHAPES = [Scalar(), Matrix(1, 2), Poly(2, ProductKind.CONVOLUTION), Poly(2, ProductKind.SHUFFLE)]
-
-
-@pytest.mark.parametrize("shape", SWEEP_SHAPES, ids=lambda s: s.token())
-@pytest.mark.parametrize("carrier", SWEEP_CARRIERS, ids=lambda c: c.token())
-def test_sweep_verdicts_match_per_groupoid_checks(carrier, shape):
-    """Every pair, zero parameters included, and every identity: the order-64
-    members of poly:2 over 4 values scan their three-variable laws in blocks of
-    planes, the smaller ones in one block each."""
-    members = [build(carrier, shape, t, u) for t, u in all_pairs(carrier)]
-    for identity in IdentityId:
-        assert check_identity_sweep(members, identity) == per_groupoid(members, identity), identity
-
-
-def test_sweeps_of_table_backed_members_and_mixed_carriers_match_per_groupoid_checks():
-    order_10 = [rare_failure_table()] + [seeded_table(10, seed) for seed in range(4)]
-    order_10 += [build(Modular(10), Scalar(), t, u) for t, u in ((3, 8), (5, 6), (1, 0))]
-    order_4 = [
-        build(carrier, shape, t, u)
-        for carrier, shape in (
-            (Modular(4), Scalar()),
-            (PureNeutrosophic(4), Scalar()),
-            (IntervalOf(Modular(4)), Scalar()),
-            (Modular(2), Matrix(1, 2)),
-            (Modular(2), Poly(1, ProductKind.SHUFFLE)),
-            (Modular(2), Poly(1, ProductKind.CONVOLUTION)),
-        )
-        for t, u in all_pairs(carrier)[::3]
-    ]
-    order_4 += [build(MixedNeutrosophic(2), Scalar(), (1, 1), (0, 1)), seeded_table(4, 5)]
-    for members in (order_10, order_4):
-        for identity in IdentityId:
-            assert check_identity_sweep(members, identity) == per_groupoid(members, identity), identity
-
-
 def rare_failure_table_16():
     """An order-16 table that is x+y mod 16 except for two late cells."""
     rows = [[(i + j) % 16 for j in range(16)] for i in range(16)]
@@ -628,7 +586,7 @@ def rare_failure_table_16():
     [1, 16 * 16 - 1, 16 * 16 * 16 - 1, 16 * 16 * 16 * 3 + 1, 16 * 16 * 7 + 3],
     ids=["one-cell", "rows", "planes", "whole-scan", "7-plane-blocks"],
 )
-def test_sweep_verdicts_do_not_depend_on_the_chunk_size(monkeypatch, cells):
+def test_exhaustive_verdicts_do_not_depend_on_the_chunk_size(monkeypatch, cells):
     """Order 16 with 16 members, each scanned alone: the three-variable laws
     in blocks of y rows (one, then 15) or of z planes (15, all 16, then 7
     with the last block cut short by the end of the scan); the two-variable
@@ -637,41 +595,35 @@ def test_sweep_verdicts_do_not_depend_on_the_chunk_size(monkeypatch, cells):
     members.append(rare_failure_table_16())
     expected = {identity: per_groupoid(members, identity) for identity in IdentityId}
     set_chunk_cells(monkeypatch, cells)
-    members = fresh(members)
     for identity in IdentityId:
-        assert check_identity_sweep(members, identity) == expected[identity], identity
-
-
-def test_a_sweep_of_mixed_orders_is_refused_before_any_work(no_compile):
-    """The orders are listed as numbers, in numeric order."""
-    members = [build(Modular(4), Scalar(), 1, 2), build(Modular(5), Scalar(), 1, 2)]
-    members += [build(Modular(10), Matrix(1, 2), 1, 2), build(Modular(4), Matrix(1, 2), 1, 2)]
-    with pytest.raises(CarrierError) as err:
-        check_identity_sweep(members, IdentityId.ASSOCIATIVE)
-    assert str(err.value) == "a sweep's groupoids must share one order, got [4, 5, 16, 100]"
-    assert check_identity_sweep([], IdentityId.ASSOCIATIVE) == []
+        assert per_groupoid(members, identity) == expected[identity], identity
 
 
 @pytest.mark.parametrize(
-    "members,identity,budget",
+    "g,identity,budget,message",
     [
-        ([build(Modular(5), Scalar(), 1, 2), build(Modular(5), Scalar(), 2, 2)], IdentityId.ASSOCIATIVE, 124),
-        ([build(Modular(5), Scalar(), 1, 2)], IdentityId.COMMUTATIVE, 24),
-        ([build(Modular(10), Poly(7, ProductKind.CONVOLUTION), 3, 3)] * 2, IdentityId.IDEMPOTENT, None),
-        ([build(Modular(10), Matrix(1, 5), 3, 7)] * 2, IdentityId.COMMUTATIVE, None),
+        (build(Modular(5), Scalar(), 1, 2), IdentityId.ASSOCIATIVE, 124,
+         "exhaustive check cap exceeded: estimate 5^3 = 125 evaluations, budget is 124 "
+         "(set GGL_BUDGET to raise it)"),
+        (build(Modular(5), Scalar(), 1, 2), IdentityId.COMMUTATIVE, 24,
+         "exhaustive check cap exceeded: estimate 5^2 = 25 evaluations, budget is 24 "
+         "(set GGL_BUDGET to raise it)"),
+        (build(Modular(10), Poly(7, ProductKind.CONVOLUTION), 3, 3), IdentityId.IDEMPOTENT, None,
+         "enumeration cap exceeded: estimate 10^8 = 100000000 elements, cap is 1000000"),
+        (build(Modular(10), Matrix(1, 5), 3, 7), IdentityId.COMMUTATIVE, None,
+         "exhaustive check cap exceeded: estimate 100000^2 = 10000000000 evaluations, budget is 100000000 "
+         "(set GGL_BUDGET to raise it)"),
     ],
     ids=["order-cubed", "order-squared", "too-large", "table-budget"],
 )
-def test_sweep_refusals_match_check_identity(monkeypatch, no_compile, members, identity, budget):
-    """In the table-budget case the order-10^5 members' n^2 evaluations are
-    refused before their n^2-cell tables could be."""
+def test_exhaustive_refusals_come_before_any_work(monkeypatch, no_compile, g, identity, budget, message):
+    """In the table-budget case the order-10^5 groupoid's n^2 evaluations
+    are refused before its n^2-cell table could be."""
     if budget is not None:
         monkeypatch.setenv("GGL_BUDGET", str(budget))
-    with pytest.raises(BudgetExceeded) as want:
-        check_identity(members[0], identity, CheckMode.EXHAUSTIVE)
-    with pytest.raises(BudgetExceeded) as got:
-        check_identity_sweep(members, identity)
-    assert str(got.value) == str(want.value)
+    with pytest.raises(BudgetExceeded) as err:
+        check_identity(g, identity, CheckMode.EXHAUSTIVE)
+    assert str(err.value) == message
 
 
 class ScanAdmitted(Exception):
@@ -770,23 +722,25 @@ def test_linear_verdicts_do_not_depend_on_the_block_size(monkeypatch, cells):
 
 
 @pytest.mark.parametrize(
-    "carrier,shape,budget,error,message",
+    "carrier,shape,ts,us,budget,error,message",
     [
-        (Modular(3), Poly(1, ProductKind.SHUFFLE), None, CarrierError,
-         r"^linear verdicts need an additive product; shape poly:1:shuffle is a shuffle$"),
-        (Modular(10), Matrix(1, 7), None, BudgetExceeded,
-         r"^enumeration cap exceeded: estimate 10\^7 = 10000000 elements, cap is 1000000$"),
-        (Modular(3), Matrix(1, 2), "26", BudgetExceeded,
-         r"^linear check cap exceeded: estimate 3\*9 = 27 evaluations, budget is 26 "),
+        (Modular(5), Scalar(), [1, 2, 3], [1, 2], None, CarrierError,
+         "linear verdicts need one u per t, got 3 t and 2 u"),
+        (Modular(3), Poly(1, ProductKind.SHUFFLE), [1], [2], None, CarrierError,
+         "linear verdicts need an additive product; shape poly:1:shuffle is a shuffle"),
+        (Modular(10), Matrix(1, 7), [1], [2], None, BudgetExceeded,
+         "enumeration cap exceeded: estimate 10^7 = 10000000 elements, cap is 1000000"),
+        (Modular(3), Matrix(1, 2), [1], [2], "26", BudgetExceeded,
+         "linear check cap exceeded: estimate 3*9 = 27 evaluations, budget is 26 (set GGL_BUDGET to raise it)"),
     ],
-    ids=["shuffle", "past-the-cap", "past-the-budget"],
+    ids=["mismatched-lists", "shuffle", "past-the-cap", "past-the-budget"],
 )
-def test_linear_engine_refuses_before_compiling(monkeypatch, no_compile, carrier, shape, budget, error, message):
+def test_linear_engine_refuses_before_compiling(monkeypatch, no_compile, carrier, shape, ts, us, budget, error, message):
     if budget is not None:
         monkeypatch.setenv("GGL_BUDGET", budget)
-    values = carrier.enumerate_values()
-    with pytest.raises(error, match=message):
-        linear_sweep(carrier, shape, [(values[1], values[2])], IdentityId.ASSOCIATIVE)
+    with pytest.raises(error) as err:
+        identities.linear_failures(carrier, shape, ts, us, IdentityId.ASSOCIATIVE)
+    assert str(err.value) == message
 
 
 def test_linear_engine_admits_evaluations_equal_to_the_budget(monkeypatch):
@@ -918,11 +872,10 @@ def test_one_variable_checks_at_order_1e5_need_no_table():
     v = check_identity(g, IdentityId.IDEMPOTENT, CheckMode.AUTO)
     assert (v.status, v.method, v.witness_labels) == ("fails", "exhaustive", ("poly[0,0,0,0,1]",))
 
-    # a sweep squares the domain through one product over the members' parameters
+    # each member squares the domain through its own product
     members = [build(Modular(10), Matrix(1, 5), t, u) for t, u in ((3, 7), (4, 7), (0, 1), (5, 5))]
-    verdicts = check_identity_sweep(members, IdentityId.IDEMPOTENT)
+    verdicts = [check_identity(g, IdentityId.IDEMPOTENT, CheckMode.EXHAUSTIVE) for g in members]
     assert [v.witness_labels for v in verdicts] == [("[[0,0,0,0,1]]",), None, None, ("[[0,0,0,0,1]]",)]
-    assert verdicts == per_groupoid(members, IdentityId.IDEMPOTENT)
     assert not any("table" in g._memo for g in members)
 
 
