@@ -573,6 +573,63 @@ def set_chunk_cells(monkeypatch, cells):
     monkeypatch.setattr(identities, "_CHUNK_CELLS", cells)
 
 
+SWEEP_CARRIERS = [
+    Modular(4),
+    PureNeutrosophic(4),
+    MixedNeutrosophic(2),
+    IntervalOf(Modular(3)),
+    IntervalOf(PureNeutrosophic(3)),
+]
+SWEEP_SHAPES = [Scalar(), Matrix(1, 2), Poly(2, ProductKind.CONVOLUTION), Poly(1, ProductKind.ENTRYWISE)]
+
+
+@pytest.mark.parametrize("shape", SWEEP_SHAPES, ids=lambda s: s.token())
+@pytest.mark.parametrize("carrier", SWEEP_CARRIERS, ids=lambda c: c.token())
+def test_sweep_verdicts_match_per_groupoid_checks(carrier, shape):
+    """Every pair, zero parameters included, and every identity: the linear
+    verdicts of the whole sweep against ``check_identity`` on each member
+    alone, up to order 64 (poly:2 over 4 values), past the order-36 reach of
+    the linear engine's test against the plane scan."""
+    pairs = all_pairs(carrier)
+    members = [build(carrier, shape, t, u) for t, u in pairs]
+    for identity in IdentityId:
+        want = [witness_indices(g, v) for g, v in zip(members, per_groupoid(members, identity))]
+        assert linear_sweep(carrier, shape, pairs, identity) == want, identity
+
+
+def test_sweeps_of_table_backed_members_and_mixed_carriers_match_per_groupoid_checks():
+    """Orders 10 and 4, table-backed and spec-backed over several carriers and
+    shapes: each member's exhaustive verdict against the loop oracle."""
+    members = [rare_failure_table()] + [seeded_table(10, seed) for seed in range(4)]
+    members += [build(Modular(10), Scalar(), t, u) for t, u in ((3, 8), (5, 6), (1, 0))]
+    members += [
+        build(carrier, shape, t, u)
+        for carrier, shape in (
+            (Modular(4), Scalar()),
+            (PureNeutrosophic(4), Scalar()),
+            (IntervalOf(Modular(4)), Scalar()),
+            (Modular(2), Matrix(1, 2)),
+            (Modular(2), Poly(1, ProductKind.SHUFFLE)),
+            (Modular(2), Poly(1, ProductKind.CONVOLUTION)),
+        )
+        for t, u in all_pairs(carrier)[::3]
+    ]
+    members += [build(MixedNeutrosophic(2), Scalar(), (1, 1), (0, 1)), seeded_table(4, 5)]
+    for identity in IdentityId:
+        for g, v in zip(members, per_groupoid(members, identity)):
+            got = None if v.holds else tuple(g.labels().index(w) for w in v.witness_labels)
+            assert got == exhaustive_loop_oracle(g, identity), (identity, g.labels())
+
+
+def test_a_sweep_of_no_members_has_no_verdicts(no_compile):
+    """The refusals still come first: a shuffle is refused with no members."""
+    for identity in IdentityId:
+        assert identities.linear_failures(Modular(4), Matrix(1, 2), [], [], identity) == []
+    with pytest.raises(CarrierError) as err:
+        identities.linear_failures(Modular(4), Poly(1, ProductKind.SHUFFLE), [], [], IdentityId.ASSOCIATIVE)
+    assert str(err.value) == "linear verdicts need an additive product; shape poly:1:shuffle is a shuffle"
+
+
 def rare_failure_table_16():
     """An order-16 table that is x+y mod 16 except for two late cells."""
     rows = [[(i + j) % 16 for j in range(16)] for i in range(16)]
