@@ -124,7 +124,7 @@ class Carrier:
         raise NotImplementedError
 
     def enumerate_values(self) -> list[Value]:
-        """All values in canonical order; stable across calls."""
+        """All values in canonical order, zero first; stable across calls."""
         raise NotImplementedError
 
     # -- arithmetic on arrays of value indices -----------------------------

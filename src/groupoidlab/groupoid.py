@@ -34,7 +34,6 @@ from .shape import (
     compile_product,
     format_element,
     star,
-    zero_element,
 )
 
 DEFAULT_SPACE_CAP = 10**6
@@ -228,10 +227,11 @@ class Groupoid:
             raise CarrierError(f"not an element of this groupoid: {e!r}") from None
 
     def zero_index(self) -> int | None:
-        """Index of the all-zero element; None for table-backed groupoids."""
+        """Index of the all-zero element: 0, as every carrier lists zero first; None for a table."""
         if self.spec is None:
             return None
-        return self.element_index(zero_element(self.spec.carrier, self.spec.shape))
+        self._require_enumerable()
+        return 0
 
     # -- products ----------------------------------------------------------
 

@@ -26,8 +26,8 @@ Each identity is a fixed pair of expression trees over variables ``x``, ``y``,
   zero element), since every product but the shuffle is additive. It reads
   the parameter arrays through ``compile_product`` and builds no groupoid
   and no table;
-* a lifted check that proves the identity on the scalar shadow when the shape
-  multiplies entrywise (the verdict then transfers entry-for-entry),
+* a lifted check for entrywise shapes, whose laws hold as on the scalar
+  shadow: the shadow's ``linear_failures`` verdict, lifted to the diagonal;
 * a seeded random sampler for spaces too large to enumerate. It draws trials
   in chunks that double up to about _CHUNK_CELLS draws and multiplies each
   chunk at once through the compiled per-digit product, which never forms an
@@ -40,8 +40,8 @@ estimate fits ``GGL_BUDGET`` and what it enumerates fits the enumeration
 cap; an engine that does not admit one refuses before any work, with
 ``CarrierError`` or ``BudgetExceeded``. A scan of m elements (a whole
 groupoid or a subset) estimates m^vars evaluations, a sample
-trials·vars·entries draws, and a lifted check refuses a table, a shape that
-mixes entries, or a shadow its scan refuses. The explicit modes, AUTO and
+trials·vars·entries draws and a lifted check vars·q (q carrier values; it
+refuses a table and a shape that mixes entries). The explicit modes, AUTO and
 ``cross_validate`` read one table of routes, ``_ROUTES``, each in its order.
 
 Assignments are scanned with the FIRST variable varying fastest (x innermost,
@@ -73,7 +73,6 @@ from .groupoid import (
     _CHUNK_CELLS,
     BudgetExceeded,
     Groupoid,
-    build,
     check_budget,
     enumerable_order,
     sweep_products,
@@ -433,11 +432,13 @@ def linear_failures(
     the least mismatch on the first row that has one.
 
     Refusals come before any work: ``CarrierError`` for parameter lists of
-    different lengths and for a shuffle shape, whose product is not additive,
-    and ``BudgetExceeded`` for an order past the enumeration cap or
+    different lengths, a pair (0, 0) and a shuffle shape, whose product is not
+    additive, and ``BudgetExceeded`` for an order past the enumeration cap or
     vars·order evaluations past the work budget."""
     if len(ts) != len(us):
         raise CarrierError(f"linear verdicts need one u per t, got {len(ts)} t and {len(us)} u")
+    if any(carrier.param_is_zero(t) and carrier.param_is_zero(u) for t, u in zip(ts, us)):
+        raise CarrierError("parameter pair (0, 0) does not define a groupoid")
     if isinstance(shape, Poly) and shape.kind is ProductKind.SHUFFLE:
         raise CarrierError(f"linear verdicts need an additive product; shape {shape.token()} is a shuffle")
     lhs_t, rhs_t, vars_ = TEMPLATES[identity]
@@ -462,16 +463,17 @@ def linear_failures(
 
 
 def _lifted(g: Groupoid, identity: IdentityId) -> IdentityVerdict:
+    """The scalar shadow's linear verdict, its witness (v,) lifted to (v, ..., v)."""
     sp = g.spec
     if sp is None:
         raise CarrierError("lifted mode needs a spec-backed groupoid")
     if not sp.shape.is_entrywise():
         raise CarrierError("shape is not liftable: product mixes entries across positions")
-    inner = _exhaustive(build(sp.carrier, Scalar(), sp.t, sp.u), identity)  # the scalar shadow
-    if inner.holds:
+    [found] = linear_failures(sp.carrier, Scalar(), [sp.t], [sp.u], identity)
+    if found is None:
         return IdentityVerdict(identity=identity.value, method="lifted", status="holds")
-    k = sp.shape.entry_count()  # the scalar witness (v,) lifts to the diagonal (v, ..., v)
-    return _witness_verdict(g, identity, "lifted", tuple(e * k for e in inner.witness))
+    k = sp.shape.entry_count()
+    return _witness_verdict(g, identity, "lifted", tuple((sp.carrier.value_at(i),) * k for i in found))
 
 
 # -- sampled ------------------------------------------------------------------
@@ -615,10 +617,10 @@ def check_identity(
     seed: int = 0,
 ) -> IdentityVerdict:
     """The identity's verdict on g by one route. An explicit mode runs its
-    engine, and the engine's refusal is the answer. AUTO takes the first route
-    that admits g in the order lifted (when an element has more than one
-    entry), then exhaustive, and samples when both refuse; ``cross_validate``
-    has the other order. (trials, seed) are a sample's, checked in every mode."""
+    engine, and its refusal is the answer. AUTO takes the first route that
+    admits g in the order lifted (an entrywise shape of several entries over
+    at most 10⁶ values), exhaustive, sampled; ``cross_validate`` has the
+    other order. (trials, seed) are a sample's, checked in every mode."""
     if not isinstance(mode, CheckMode):
         raise CarrierError(f"mode must be a CheckMode ({', '.join(m.name for m in CheckMode)}), got {mode!r}")
     _require_trials(trials, seed)

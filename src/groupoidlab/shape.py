@@ -217,10 +217,6 @@ def compile_product(
     return product
 
 
-def zero_element(carrier: Carrier, shape: Shape) -> Element:
-    return tuple(carrier.zero() for _ in range(shape.entry_count()))
-
-
 def element_is_zero(carrier: Carrier, e: Element) -> bool:
     return all(carrier.is_zero(v) for v in e)
 

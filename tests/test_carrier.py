@@ -178,6 +178,15 @@ def test_parse_carrier_token_roundtrip(token, size):
     assert c.size() == size
 
 
+@pytest.mark.parametrize("token", ["zn:7", "zni:4", "nzn:3", "o(zn:8)", "o(zni:5)", "o(nzn:3)"])
+def test_every_carrier_lists_its_zero_first(token):
+    """Element index 0 is the zero element: ``zero_index`` and the linear
+    verdicts read it so."""
+    c = parse_carrier(token)
+    assert c.index_of(c.zero()) == 0
+    assert c.value_at(0) == c.enumerate_values()[0] == c.zero()
+
+
 def test_parse_carrier_rejects_garbage():
     for bad in ("bogus:5", "zn:x", "zn:1", "o(q)", "o(o(zn:4))", ""):
         with pytest.raises(CarrierError):

@@ -142,6 +142,15 @@ def test_check_auto_samples_where_the_lifted_shadow_is_past_the_enumeration_cap(
     assert r.stdout.startswith("idempotent: fails [sampled]")
 
 
+def test_check_auto_lifts_where_the_shadow_scan_is_past_the_budget(runner):
+    """The shadow zn:1000 is past the associative scan's budget (1000^3),
+    not the lifted route's 3·1000 evaluations: AUTO is exact."""
+    r = invoke(runner, "check", "--carrier", "zn:1000", "--shape", "mat:2x2", "--pair", "3,5",
+               "--identity", "associative", "--no-timing")
+    assert r.exit_code == 0
+    assert r.stdout.startswith("associative: fails [lifted]  witness ([[1,1];[1,1]], [[0,0];[0,0]], [[0,0];[0,0]])")
+
+
 def test_check_bad_mode_is_usage_error(runner):
     r = invoke(runner, "check", "--carrier", "zn:4", "--pair", "2,3",
                "--identity", "bol", "--mode", "sampled:abc")

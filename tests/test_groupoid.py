@@ -16,6 +16,8 @@ from groupoidlab import (
     Matrix,
     MixedNeutrosophic,
     Modular,
+    Poly,
+    ProductKind,
     PureNeutrosophic,
     Scalar,
     build,
@@ -64,6 +66,15 @@ def test_zero_index_and_labels():
     assert g.zero_index() == 0
     assert g.labels() == ["0", "1", "2", "3", "4"]
     assert g.order == 5
+
+
+@pytest.mark.parametrize("token", ["zn:4", "zni:3", "nzn:2", "o(nzn:2)"])
+@pytest.mark.parametrize("shape", [Scalar(), Matrix(1, 2), Poly(1, ProductKind.SHUFFLE)], ids=lambda s: s.token())
+def test_zero_index_is_the_index_of_the_zero_element(token, shape):
+    carrier = parse_carrier(token)
+    one = carrier.value_at(1)
+    g = build(carrier, shape, one, one)
+    assert g.zero_index() == g.element_index((carrier.zero(),) * shape.entry_count()) == 0
 
 
 def test_describe_mentions_carrier_shape_pair_level():

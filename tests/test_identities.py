@@ -277,7 +277,7 @@ def no_work(monkeypatch):
         (build(Modular(2000003), Matrix(1, 2), 3, 5), IdentityId.IDEMPOTENT, CheckMode.LIFTED,
          None, BudgetExceeded, r"^enumeration cap exceeded: estimate 2000003\^1 = 2000003 elements"),
         (build(Modular(500), Matrix(1, 2), 3, 5), IdentityId.ASSOCIATIVE, CheckMode.LIFTED,
-         None, BudgetExceeded, r"^exhaustive check cap exceeded: estimate 500\^3 = 125000000 evaluations"),
+         "1499", BudgetExceeded, r"^linear check cap exceeded: estimate 3\*500 = 1500 evaluations"),
         (build(Modular(9), Matrix(1, 3), 2, 5), IdentityId.ASSOCIATIVE, CheckMode.SAMPLED,
          "8999", BudgetExceeded, r"^sampled check cap exceeded: estimate 1000\*9 = 9000 draws"),
     ],
@@ -293,25 +293,42 @@ def test_every_route_refuses_before_any_work(monkeypatch, no_work, g, identity, 
         check_identity(g, identity, mode, trials=1000)
 
 
-def test_auto_and_cross_validation_sample_where_the_lifted_shadow_is_past_the_cap():
-    """zn:2000003's shadow fits the idempotent scan's budget but not the
-    enumeration cap, so the lifted route refuses and both sample."""
+@pytest.mark.parametrize("identity", [IdentityId.IDEMPOTENT, IdentityId.ASSOCIATIVE])
+def test_auto_and_cross_validation_sample_where_the_lifted_shadow_is_past_the_cap(identity):
+    """zn:2000003's shadow is past the enumeration cap, so the lifted route
+    refuses and both sample."""
     g = build(Modular(2000003), Matrix(1, 2), 3, 5)
-    assert check_identity(g, IdentityId.IDEMPOTENT, trials=100).method == "sampled"
-    report = cross_validate(g, IdentityId.IDEMPOTENT, trials=100)
+    assert check_identity(g, identity, trials=100).method == "sampled"
+    report = cross_validate(g, identity, trials=100)
     assert [v.method for v in report.verdicts] == ["sampled"]
     assert report.verdicts[0].fails and report.agreement
 
 
+def test_auto_and_cross_validation_decide_a_shadow_past_the_scan_budget_exactly():
+    """zn:500's shadow is past the three-variable scan's budget (500^3) but
+    its lifted verdict takes 3·500 evaluations: AUTO is exact, and
+    cross_validate's exact verdict is the lifted one."""
+    g = build(Modular(500), Matrix(1, 2), 3, 5)
+    v = check_identity(g, IdentityId.ASSOCIATIVE)
+    assert (v.method, v.status, v.witness_labels) == ("lifted", "fails", ("[[1,1]]", "[[0,0]]", "[[0,0]]"))
+    x, y, z = v.witness
+    assert g.star(g.star(x, y), z) != g.star(x, g.star(y, z))
+    report = cross_validate(g, IdentityId.ASSOCIATIVE, trials=100)
+    assert [r.method for r in report.verdicts] == ["lifted", "sampled"]
+    assert report.verdicts[0] == v and report.agreement
+
+
 def test_cross_validation_refuses_its_sample_before_any_other_route(monkeypatch):
-    """zn:3 mat:1x3 fits both the exhaustive and the lifted scan at 10^4,
-    but not 10^4 trials of 6 draws."""
+    """zn:3 mat:1x3 fits both the exhaustive scan and the lifted route's
+    linear verdict at 10^4, but not 10^4 trials of 6 draws."""
     monkeypatch.setenv("GGL_BUDGET", "10000")
-    scans, scan = [], identities.first_failure
-    monkeypatch.setattr(identities, "first_failure", lambda g, *args: scans.append(g) or scan(g, *args))
+    calls = []
+    for engine in ("first_failure", "linear_failures"):
+        real = getattr(identities, engine)
+        monkeypatch.setattr(identities, engine, lambda *args, real=real: calls.append(real) or real(*args))
     with pytest.raises(BudgetExceeded, match=r"^sampled check cap exceeded: estimate 10000\*6 = 60000 draws"):
         cross_validate(build(Modular(3), Matrix(1, 3), 1, 2), IdentityId.COMMUTATIVE)
-    assert scans == []
+    assert calls == []
 
 
 def test_exhaustive_respects_budget(monkeypatch):

@@ -789,8 +789,10 @@ def test_linear_verdicts_do_not_depend_on_the_block_size(monkeypatch, cells):
          "enumeration cap exceeded: estimate 10^7 = 10000000 elements, cap is 1000000"),
         (Modular(3), Matrix(1, 2), [1], [2], "26", BudgetExceeded,
          "linear check cap exceeded: estimate 3*9 = 27 evaluations, budget is 26 (set GGL_BUDGET to raise it)"),
+        (Modular(5), Scalar(), [0, 5], [0, 10], None, CarrierError,
+         "parameter pair (0, 0) does not define a groupoid"),
     ],
-    ids=["mismatched-lists", "shuffle", "past-the-cap", "past-the-budget"],
+    ids=["mismatched-lists", "shuffle", "past-the-cap", "past-the-budget", "zero-pair"],
 )
 def test_linear_engine_refuses_before_compiling(monkeypatch, no_compile, carrier, shape, ts, us, budget, error, message):
     if budget is not None:
@@ -803,6 +805,33 @@ def test_linear_engine_refuses_before_compiling(monkeypatch, no_compile, carrier
 def test_linear_engine_admits_evaluations_equal_to_the_budget(monkeypatch):
     monkeypatch.setenv("GGL_BUDGET", "27")
     assert linear_sweep(Modular(3), Matrix(1, 2), [(1, 1), (2, 2)], IdentityId.ASSOCIATIVE) == [None, (1, 0, 0)]
+
+
+LIFTED_SHAPES = [Matrix(1, 2), Matrix(2, 1), Poly(1, ProductKind.ENTRYWISE), Poly(0, ProductKind.CONVOLUTION)]
+
+
+@pytest.mark.parametrize("carrier", LINEAR_CARRIERS, ids=[c.token() for c in LINEAR_CARRIERS])
+def test_lifted_verdicts_are_the_shadows_exhaustive_verdicts_on_the_diagonal(monkeypatch, carrier):
+    """Every law, every pair and every entrywise shape: the lifted verdict
+    is the scalar shadow's exhaustive one, its witness (v,) lifted to the
+    diagonal (v, ..., v), and the lifted check compiles no table."""
+    shadows = {}
+    for t, u in all_pairs(carrier):
+        shadow = build(carrier, Scalar(), t, u)
+        for identity in IdentityId:
+            shadows[t, u, identity] = check_identity(shadow, identity, CheckMode.EXHAUSTIVE)
+
+    def refuse(*args):
+        raise AssertionError("a lifted check compiled a table")
+
+    monkeypatch.setattr(groupoid, "compile_tables", refuse)
+    for shape in LIFTED_SHAPES:
+        k = shape.entry_count()
+        for (t, u, identity), shadow in shadows.items():
+            witness = None if shadow.witness is None else tuple(e * k for e in shadow.witness)
+            labels = None if witness is None else tuple(format_element(carrier, shape, e) for e in witness)
+            want = IdentityVerdict(identity.value, "lifted", shadow.status, witness, labels)
+            assert check_identity(build(carrier, shape, t, u), identity, CheckMode.LIFTED) == want, (shape, t, u)
 
 
 # -- the sampled engine --------------------------------------------------------------

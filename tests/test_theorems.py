@@ -232,6 +232,17 @@ def test_ssc_family_check_small_moduli():
         assert ssc_family_check(n), n
 
 
+def test_ssc_family_check_past_the_shadow_scan_budget(monkeypatch):
+    """The shadow zn:1000 is past the scan's budget (1000^3 evaluations);
+    its lifted verdict takes 3·1000 evaluations and no table."""
+
+    def refuse(*args):
+        raise AssertionError("a lifted check compiled a table")
+
+    monkeypatch.setattr(groupoid, "compile_tables", refuse)
+    assert ssc_family_check(1000)
+
+
 # -- individual checks --------------------------------------------------------------
 
 
