@@ -28,23 +28,29 @@ closures otherwise, and ``is_simple`` and ``analyze`` work on whatever list it
 returns. The other power-set entry points have no second route and are
 refused by the budget alone.
 
-Power-set results hold the qualifying masks, sorted by (popcount, mask), not
-handles: ``EnumerationResult.subsets`` and ``IdealSets.left``/``right``/
-``two_sided`` are :class:`MaskedSubsets`, read-only sequences that expose the
-array as ``.masks`` and build a :class:`SubsetHandle` (labels read from the
-groupoid, which the result keeps alive) only when an item is read. They
-iterate, index, slice, compare and hash like the tuple of their handles, so a
-caller that only counts subsets or compares two results never builds one.
+Every subset list, on either route, is a :class:`MaskedSubsets`
+(``EnumerationResult.subsets``, ``IdealSets.left``/``right``/``two_sided``):
+read-only packed membership rows, ``.rows``, of ceil(n/8) bytes, bit i of row
+r (little bit order) set when element i is in subset r, so no list is bounded
+by the width of one integer mask. ``sizes`` counts each row's members,
+``members()`` unpacks the rows to a boolean matrix, which normality and
+``to_json``'s label lists read, and a :class:`SubsetHandle` (labels read from
+the groupoid, which the result keeps alive) is built only when an item is
+read. The lists iterate, index, slice, compare and hash like the tuple of
+their handles, so a caller that only counts subsets or compares two results
+never builds one.
 
 Every check reads the groupoid's Cayley table array
 (``Groupoid.table_array``); identities on a subset, semigroup associativity
 included, go through the exhaustive engine's evaluator with its domain set to
 the subset (a closed singleton {x} is a semigroup without a scan: x*x = x).
-Tables never mutate, so what this module derives from a table is
-kept in that groupoid's memo (``Groupoid.cached``, freed with it): the sorted
-closed masks, the sorted left and right absorbing masks and the generated
-closures. ``analyze`` therefore enumerates once and checks normality in one
-pass over that list, not once per question.
+A check that reads the table refuses it before its subset argument is
+resolved, and index items resolve without listing the groupoid's labels.
+Tables never mutate, so what this module derives from a table is kept in that
+groupoid's memo (``Groupoid.cached``, freed with it): the rows of the closed
+subsets, the rows of the left, right and two-sided ideals (one entry) and the
+rows of the generated closures. ``analyze`` therefore enumerates once and
+checks normality in one pass over that list, not once per question.
 
 Conventions (documented once here, used consistently):
 
@@ -76,6 +82,7 @@ import numpy as np
 from .carrier import CarrierError
 from .groupoid import _CHUNK_CELLS, BudgetExceeded, Groupoid, check_budget
 from .identities import (
+    TEMPLATES,
     CheckMode,
     IdentityId,
     IdentityVerdict,
@@ -111,34 +118,44 @@ def _handle_of(g: Groupoid, idx: Sequence[int]) -> SubsetHandle:
 
 
 class MaskedSubsets(Sequence[SubsetHandle]):
-    """Subsets of one groupoid held as a mask array in (popcount, mask) order;
-    the handle of a mask is built when it is read. Compares and hashes as the
-    tuple of its handles, and a slice is that tuple's slice."""
+    """Subsets of one groupoid as packed membership rows in (size, mask) order:
+    bit i of row r (little bit order) is set when element i is in subset r, in
+    ceil(n/8) bytes a row. A row's handle is built when it is read. Compares and
+    hashes as the tuple of its handles, and a slice is that tuple's slice."""
 
-    __slots__ = ("masks", "_g")
+    __slots__ = ("rows", "_g")
 
-    def __init__(self, g: Groupoid, masks: np.ndarray) -> None:
+    def __init__(self, g: Groupoid, rows: np.ndarray) -> None:
         self._g = g
-        self.masks = masks.view()
-        self.masks.flags.writeable = False
+        self.rows = rows.view()
+        self.rows.flags.writeable = False
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """The number of members of each subset."""
+        return _sizes(self.rows)
+
+    def members(self) -> np.ndarray:
+        """The boolean membership matrix: members()[r, i] when element i is in subset r."""
+        return np.unpackbits(self.rows, axis=1, count=self._g.order, bitorder="little").view(bool)
 
     def _handle(self, mask: int) -> SubsetHandle:
         return _handle_of(self._g, [i for i in range(self._g.order) if mask >> i & 1])
 
     def __len__(self) -> int:
-        return len(self.masks)
+        return len(self.rows)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(map(self._handle, self.masks[i].tolist()))
-        return self._handle(int(self.masks[operator.index(i)]))
+            return tuple(map(self._handle, _row_masks(self.rows[i])))
+        return self._handle(int.from_bytes(self.rows[operator.index(i)].tobytes(), "little"))
 
     def __iter__(self) -> Iterator[SubsetHandle]:
-        return map(self._handle, self.masks.tolist())
+        return map(self._handle, _row_masks(self.rows))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MaskedSubsets):
-            return np.array_equal(self.masks, other.masks)
+            return list(_row_masks(self.rows)) == list(_row_masks(other.rows))
         if isinstance(other, tuple):
             return tuple(self) == other
         return NotImplemented
@@ -149,17 +166,33 @@ class MaskedSubsets(Sequence[SubsetHandle]):
     def __repr__(self) -> str:
         return repr(tuple(self))
 
+    def to_json(self) -> list[list[str]]:
+        """The label list of each subset, read from the membership rows a block
+        of about _CHUNK_CELLS cells at a time, with no handle built."""
+        labels, members = np.array(self._g.labels(), dtype=object), self.members()
+        out: list[list[str]] = []
+        for block in _blocks(len(self), self._g.order):
+            flat = labels[np.nonzero(members[block])[1]].tolist()
+            ends = np.cumsum(members[block].sum(axis=1)).tolist()
+            out += [flat[lo:hi] for lo, hi in zip([0, *ends], ends)]
+        return out
 
-def subset_handle(g: Groupoid, subset: Iterable) -> SubsetHandle:
-    """Normalise a subset given as indices (Python or numpy integers), labels, or elements."""
-    labels = g.labels()
-    pos = {lab: i for i, lab in enumerate(labels)}
+
+def _subset_indices(g: Groupoid, subset: Iterable) -> list[int]:
+    """The sorted, distinct indices of a subset given as a handle, indices
+    (Python or numpy integers), labels, or elements. The labels are listed only
+    when an item is a label."""
+    if isinstance(subset, SubsetHandle):
+        return list(subset.indices)
+    n = g._require_enumerable()
+    items = list(subset)
+    pos = {lab: i for i, lab in enumerate(g.labels())} if any(isinstance(x, str) for x in items) else {}
     out: set[int] = set()
-    for item in subset:
+    for item in items:
         if isinstance(item, bool):
             raise CarrierError("subset items must be indices, labels, or elements")
         if isinstance(item, (int, np.integer)):
-            if not 0 <= item < len(labels):
+            if not 0 <= item < n:
                 raise CarrierError(f"index out of range: {item}")
             out.add(int(item))
         elif isinstance(item, str):
@@ -168,7 +201,12 @@ def subset_handle(g: Groupoid, subset: Iterable) -> SubsetHandle:
             out.add(pos[item])
         else:
             out.add(g.element_index(item))
-    return _handle_of(g, sorted(out))
+    return sorted(out)
+
+
+def subset_handle(g: Groupoid, subset: Iterable) -> SubsetHandle:
+    """Normalise a subset given as indices (Python or numpy integers), labels, or elements."""
+    return _handle_of(g, _subset_indices(g, subset))
 
 
 # -- bitmask machinery --------------------------------------------------------
@@ -244,28 +282,27 @@ def _absorb_flags(tabs: np.ndarray, side: str) -> np.ndarray:
     return _uncovered_free(_subset_or(member, need))
 
 
-def _popcounts(masks: np.ndarray) -> np.ndarray:
-    """The number of set bits of each mask."""
-    count = np.zeros(len(masks), dtype=np.int64)
-    rest = masks.copy()
-    while rest.any():
-        count += _POPCOUNT8[rest & 0xFF]
-        rest >>= 8
-    return count
+def _sizes(rows: np.ndarray) -> np.ndarray:
+    """The number of set bits of each packed row, read one byte column at a time."""
+    return sum(_POPCOUNT8[col] for col in rows.T)
 
 
-def _proper_masks_sorted(flags: np.ndarray) -> np.ndarray:
-    """Nonempty proper masks whose flag is set, by (popcount, mask)."""
-    masks = np.flatnonzero(flags[1:-1]) + 1
-    return masks[np.argsort(_popcounts(masks), kind="stable")]
+def _row_masks(rows: np.ndarray) -> Iterator[int]:
+    """The mask of each packed row, as an int of any width, decoded as it is read."""
+    data, width = rows.tobytes(), rows.shape[-1]
+    return (int.from_bytes(data[lo : lo + width], "little") for lo in range(0, len(data), width))
 
 
-def _closed_masks(g: Groupoid) -> np.ndarray:
-    return g.cached("closed", lambda: _proper_masks_sorted(_closed_flags(g.table_array())))
+def _proper_rows(flags: np.ndarray) -> np.ndarray:
+    """The packed rows of the nonempty proper masks whose flag is set, by
+    (size, mask), for flags over the 2^n masks: each mask's low ceil(n/8) bytes."""
+    masks = (np.flatnonzero(flags[1:-1]) + 1).astype("<i8", copy=False)
+    rows = masks.view(np.uint8).reshape(-1, 8)[:, : (len(flags).bit_length() + 6) // 8]
+    return rows[np.argsort(_sizes(rows), kind="stable")]
 
 
-def _absorb_masks(g: Groupoid, side: str) -> np.ndarray:
-    return g.cached(side, lambda: _proper_masks_sorted(_absorb_flags(g.table_array(), side)))
+def _closed_rows(g: Groupoid) -> np.ndarray:
+    return g.cached("closed", lambda: _proper_rows(_closed_flags(g.table_array())))
 
 
 def _close(tab: np.ndarray, member: np.ndarray, frontier: np.ndarray) -> np.ndarray:
@@ -282,9 +319,9 @@ def _close(tab: np.ndarray, member: np.ndarray, frontier: np.ndarray) -> np.ndar
     return member
 
 
-def _generated_closures(tab: np.ndarray) -> list[tuple[int, ...]]:
-    """Proper closures of every 1- and 2-element generating set, by (size, mask):
-    at one size, a larger mask is the one whose largest differing index is in it.
+def _generated_closures(tab: np.ndarray) -> np.ndarray:
+    """Packed rows of the proper closures of every 1- and 2-element generating
+    set, by (size, mask): at one size, the larger mask holds the highest index where they differ.
 
     Singletons are closed first. A pair {i, j} with j in cl(i) closes to cl(i)
     (likewise the other way round); any other pair closes cl(i) | cl(j)."""
@@ -293,12 +330,12 @@ def _generated_closures(tab: np.ndarray) -> list[tuple[int, ...]]:
     for i in range(n):
         single[i, i] = True
         _close(tab, single[i], np.array([i]))
-    found = {tuple(np.flatnonzero(row).tolist()) for row in single if not row.all()}
+    found = list(single)
     for i, j in np.argwhere(np.triu(~single & ~single.T, 1)).tolist():
-        member = _close(tab, single[i] | single[j], np.flatnonzero(single[j] & ~single[i]))
-        if not member.all():
-            found.add(tuple(np.flatnonzero(member).tolist()))
-    return sorted(found, key=lambda t: (len(t), t[::-1]))
+        found.append(_close(tab, single[i] | single[j], np.flatnonzero(single[j] & ~single[i])))
+    members = np.array(found)
+    rows = np.unique(np.packbits(members[~members.all(axis=1)], axis=1, bitorder="little"), axis=0)
+    return rows[np.lexsort((*rows.T, _sizes(rows)))]  # by size, then bytes from the most significant
 
 
 def _member(n: int, idx: Sequence[int]) -> np.ndarray:
@@ -330,9 +367,9 @@ def _translates(tab: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.nd
     return left, right
 
 
-def _translate_blocks(n: int, count: int) -> Iterator[slice]:
-    """Slices of count sets of an order-n groupoid, about _CHUNK_CELLS translate-set cells each."""
-    step = max(1, _CHUNK_CELLS // (n * n))
+def _blocks(count: int, cells: int) -> Iterator[slice]:
+    """Slices of count rows of the given cells each, about _CHUNK_CELLS cells a slice."""
+    step = max(1, _CHUNK_CELLS // cells)
     return (slice(lo, lo + step) for lo in range(0, count, step))
 
 
@@ -346,31 +383,26 @@ def _normal_flags(tab: np.ndarray, members: np.ndarray) -> np.ndarray:
 def _normal_rows(tab: np.ndarray, members: np.ndarray) -> Iterator[int]:
     """The rows of a membership matrix that are normal, ascending; checked in
     blocks of about _CHUNK_CELLS translate-set cells."""
-    for block in _translate_blocks(len(tab), len(members)):
+    for block in _blocks(len(members), len(tab) ** 2):
         yield from (block.start + np.flatnonzero(_normal_flags(tab, members[block]))).tolist()
 
 
-def _normal_subsets(g: Groupoid, subsets: Sequence[SubsetHandle]) -> Iterator[SubsetHandle]:
-    """The normal subsets of two or more members, in the given order and lazily.
-    Membership rows come from a MaskedSubsets' mask array, so no handle is
-    built for a subset that is not normal, or else from handle indices."""
-    n = g.order
-    if isinstance(subsets, MaskedSubsets):
-        keep = np.flatnonzero(subsets.masks & (subsets.masks - 1))
-        as_bytes = subsets.masks[keep].astype("<u8").view(np.uint8).reshape(-1, 8)
-        members = np.unpackbits(as_bytes, axis=1, count=n, bitorder="little").view(bool)
-    else:
-        keep = [r for r, h in enumerate(subsets) if h.size >= 2]
-        members = np.zeros((len(keep), n), dtype=bool)
-        for row, r in zip(members, keep):
-            row[list(subsets[r].indices)] = True
-    return (subsets[keep[r]] for r in _normal_rows(g.table_array(), members))
+def _normal_subsets(g: Groupoid, subsets: MaskedSubsets) -> Iterator[SubsetHandle]:
+    """The normal subsets of two or more members, in the given order and
+    lazily: no handle is built for a subset that is not normal."""
+    lo = int(np.searchsorted(subsets.sizes, 2))  # rows are by size: the singletons come first
+    data, width = subsets.rows[lo:].tobytes(), subsets.rows.shape[1]
+    normal = _normal_rows(g.table_array(), subsets.members()[lo:])
+    return (subsets._handle(int.from_bytes(data[r * width : (r + 1) * width], "little")) for r in normal)
 
 
 def identity_holds_on_subset(g: Groupoid, subset: Iterable, identity: IdentityId) -> bool:
-    """Evaluate one identity with all variables restricted to the subset."""
-    handle = subset if isinstance(subset, SubsetHandle) else subset_handle(g, subset)
-    return first_failure(g, identity, np.asarray(handle.indices, dtype=np.intp)) is None
+    """Evaluate one identity with all variables restricted to the subset. A law
+    of two or three variables reads the table, refused before the subset is
+    resolved."""
+    if len(TEMPLATES[identity][2]) > 1:
+        g.table_array()
+    return first_failure(g, identity, np.asarray(_subset_indices(g, subset), dtype=np.intp)) is None
 
 
 # -- classification -----------------------------------------------------------
@@ -406,12 +438,13 @@ class SubsetClassification:
 
 def classify_subset(g: Groupoid, subset: Iterable) -> SubsetClassification:
     """Every property of one subset; the semigroup test scans the subset's
-    m^3 triples when it is closed, refused as ``first_failure`` refuses it."""
+    m^3 triples when it is closed, refused as ``first_failure`` refuses it. The
+    table is refused before the subset is resolved."""
+    tab = g.table_array()
     handle = subset if isinstance(subset, SubsetHandle) else subset_handle(g, subset)
     idx = handle.indices
     if not idx:
         raise CarrierError("subset must be nonempty")
-    tab = g.table_array()
     inside = _member(len(tab), idx)
     dom = list(idx)
 
@@ -453,7 +486,7 @@ def classify_subset(g: Groupoid, subset: Iterable) -> SubsetClassification:
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    subsets: Sequence[SubsetHandle]  # MaskedSubsets on the power-set route, else a tuple
+    subsets: MaskedSubsets
     strategy: str  # power-set | generated-closure
     complete: bool
 
@@ -461,7 +494,7 @@ class EnumerationResult:
         return {
             "strategy": self.strategy,
             "complete": self.complete,
-            "subsets": [h.to_json() for h in self.subsets],
+            "subsets": self.subsets.to_json(),
         }
 
 
@@ -476,10 +509,9 @@ def enumerate_subgroupoids(g: Groupoid) -> EnumerationResult:
         _powerset_order(g, "subgroupoid enumeration")
     except BudgetExceeded:  # its one cause left: the power set's work is past the budget
         _closure_order(g, "generated-closure enumeration")
-        closures = g.cached("closures", lambda: _generated_closures(g.table_array()))
-        handles = tuple(_handle_of(g, idx) for idx in closures)
-        return EnumerationResult(subsets=handles, strategy="generated-closure", complete=False)
-    return EnumerationResult(subsets=MaskedSubsets(g, _closed_masks(g)), strategy="power-set", complete=True)
+        rows = g.cached("closures", lambda: _generated_closures(g.table_array()))
+        return EnumerationResult(subsets=MaskedSubsets(g, rows), strategy="generated-closure", complete=False)
+    return EnumerationResult(subsets=MaskedSubsets(g, _closed_rows(g)), strategy="power-set", complete=True)
 
 
 @dataclass(frozen=True)
@@ -490,21 +522,21 @@ class IdealSets:
 
     def to_json(self) -> dict:
         return {
-            "left": [h.to_json() for h in self.left],
-            "right": [h.to_json() for h in self.right],
-            "two_sided": [h.to_json() for h in self.two_sided],
+            "left": self.left.to_json(),
+            "right": self.right.to_json(),
+            "two_sided": self.two_sided.to_json(),
         }
 
 
 def enumerate_ideals(g: Groupoid) -> IdealSets:
     """All left/right/two-sided ideals (proper nonempty absorbing subsets)."""
     _powerset_order(g, "ideal enumeration")
-    left = _absorb_masks(g, "left")
-    right = _absorb_masks(g, "right")
-    two = left[np.isin(left, right)]
-    return IdealSets(
-        left=MaskedSubsets(g, left), right=MaskedSubsets(g, right), two_sided=MaskedSubsets(g, two)
-    )
+
+    def sweep() -> tuple[np.ndarray, ...]:  # the left, right and two-sided rows, one memo entry
+        left, right = (_absorb_flags(g.table_array(), side) for side in ("left", "right"))
+        return tuple(map(_proper_rows, (left, right, left & right)))
+
+    return IdealSets(*(MaskedSubsets(g, rows) for rows in g.cached("ideals", sweep)))
 
 
 # -- simplicity and normality -------------------------------------------------
@@ -528,7 +560,7 @@ def find_normal_subgroupoids(g: Groupoid) -> list[SubsetHandle]:
     """Proper normal subgroupoids of size >= 2, in canonical subset order, from
     the power set's closed masks (refused when their n*2^n sweep does not fit)."""
     _powerset_order(g, "normal subgroupoid search")
-    return list(_normal_subsets(g, MaskedSubsets(g, _closed_masks(g))))
+    return list(_normal_subsets(g, MaskedSubsets(g, _closed_rows(g))))
 
 
 def is_simple(g: Groupoid) -> SimpleVerdict:
@@ -563,7 +595,7 @@ def is_normal_groupoid(g: Groupoid) -> bool:
     rows, cols = (side[0] for side in _translates(tab, np.ones((1, n), dtype=bool)))
     if not np.array_equal(rows, cols):  # rows[a] = aG, cols[a] = Ga
         return False
-    for xs in _translate_blocks(n, n):
+    for xs in _blocks(n, n * n):
         left, right = _translates(tab, rows[xs])  # left[x, y] = y(xG), right[x, y] = (xG)y
         if not (np.array_equal(right, rows[tab[xs, :]]) and np.array_equal(left, rows[tab[:, xs].T])):
             return False
@@ -617,7 +649,7 @@ def smarandache(g: Groupoid, identity: IdentityId | None = None) -> SmarandacheV
     _powerset_order(g, "Smarandache analysis")
     # the law's scan refuses its own estimate, so it runs before the sweep
     verdict = None if identity is None else check_identity(g, identity, CheckMode.EXHAUSTIVE)
-    closed = MaskedSubsets(g, _closed_masks(g))
+    closed = MaskedSubsets(g, _closed_rows(g))
     bare = _s_groupoid(g, closed)
     if verdict is None:
         return bare
@@ -658,13 +690,12 @@ class ConjugacyVerdict:
 def are_conjugate(g: Groupoid, h: Iterable, k: Iterable) -> ConjugacyVerdict:
     """Is H = x*K or H = K*x for some x? Disjointness is the stated
     precondition; a violation is flagged but the search still runs."""
-    hh = subset_handle(g, h) if not isinstance(h, SubsetHandle) else h
-    kk = subset_handle(g, k) if not isinstance(k, SubsetHandle) else k
-    tab = g.table_array()
+    tab = g.table_array()  # refused before the subsets are resolved
+    hh, kk = _subset_indices(g, h), _subset_indices(g, k)
     n = len(tab)
-    disjoint = not set(hh.indices) & set(kk.indices)
-    target = _member(n, hh.indices)
-    left, right = ((side[0] == target).all(axis=1) for side in _translates(tab, _member(n, kk.indices)[None]))
+    disjoint = not set(hh) & set(kk)
+    target = _member(n, hh)
+    left, right = ((side[0] == target).all(axis=1) for side in _translates(tab, _member(n, kk)[None]))
     hits = np.flatnonzero(left | right)  # left[x]: x*K = H, right[x]: K*x = H
     if not hits.size:
         return ConjugacyVerdict(False, None, None, disjoint)

@@ -66,7 +66,6 @@ from .identities import (
 from .shape import Matrix, Poly, ProductKind, Scalar
 from .structure import (
     _absorb_flags,
-    _popcounts,
     _powerset_order,
     classify_subset,
     enumerate_ideals,
@@ -426,10 +425,10 @@ def _t9(p: dict, run: _Run) -> None:
         for (t, u), g in zip(pairs, _groupoids(carrier, pairs)):
             expected = n // t
             # the normal search refuses past the power set's budget, so the
-            # subgroupoids are masks by size; handles only for the claimed order
+            # subgroupoids are rows by size; handles only for the claimed order
             normals = find_normal_subgroupoids(g)
             subs = enumerate_subgroupoids(g).subsets
-            lo, hi = np.searchsorted(_popcounts(subs.masks), [expected, expected + 1]).tolist()
+            lo, hi = np.searchsorted(subs.sizes, [expected, expected + 1]).tolist()
             of_order = list(subs[lo:hi])
             unique = len(of_order) == 1
             multiples = tuple(range(0, n, t))
@@ -627,11 +626,11 @@ def _t17(p: dict, run: _Run) -> None:
     for _, carrier, pairs in _sweeps(p["moduli"], ("o(zni)",), _nonzero_pairs):
         for (t, u), g in zip(pairs, _groupoids(carrier, pairs)):
             enum = enumerate_subgroupoids(g)
-            big = [h for h in enum.subsets if h.size >= 2]
+            big = int((enum.subsets.sizes >= 2).sum())
             ideals = enumerate_ideals(g)
             run.check(
                 not big and not ideals.left and not ideals.right,
-                f"{_coeff_desc(carrier, t, u)}: found {len(big)} closed subsets of size>=2, "
+                f"{_coeff_desc(carrier, t, u)}: found {big} closed subsets of size>=2, "
                 f"{len(ideals.left)} left / {len(ideals.right)} right ideals",
             )
 

@@ -281,6 +281,28 @@ def test_identity_holds_on_subset_refuses_a_handle_with_repeated_indices():
         identity_holds_on_subset(g, handle, IdentityId.ASSOCIATIVE)
 
 
+def test_subset_entry_points_refuse_the_table_before_listing_the_groupoid(monkeypatch):
+    g = build(Modular(1000), Matrix(1, 2), 3, 5)  # 10^6 elements, 10^12 table cells
+
+    def refuse(self):
+        raise AssertionError("the groupoid's elements were listed")
+
+    monkeypatch.setattr(groupoid.Groupoid, "labels", refuse)
+    monkeypatch.setattr(groupoid.Groupoid, "elements", refuse)
+    table_reads = [
+        lambda: classify_subset(g, [0, 1]),
+        lambda: are_conjugate(g, [0], [1]),
+        lambda: identity_holds_on_subset(g, [0, 1], IdentityId.ASSOCIATIVE),
+        lambda: identity_holds_on_subset(g, ["[0,1]"], IdentityId.COMMUTATIVE),  # a label, not resolved
+    ]
+    for call in table_reads:
+        with pytest.raises(BudgetExceeded, match=r"^Cayley table cap exceeded"):
+            call()
+    # a one-variable law squares the subset's elements and reads no table: 1*1 = 8 here
+    assert identity_holds_on_subset(g, [0, 1], IdentityId.IDEMPOTENT) is False
+    assert identity_holds_on_subset(g, [0], IdentityId.IDEMPOTENT) is True
+
+
 # -- conjugacy ------------------------------------------------------------------------------
 
 

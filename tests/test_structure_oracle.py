@@ -91,6 +91,16 @@ def sorted_masks_oracle(flags, n):
     return sorted(masks, key=lambda m: (bin(m).count("1"), m))
 
 
+def row_masks(rows):
+    """Each packed membership row as its mask: bit i of the row, in little bit order."""
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+
+
+def row_subsets(rows, n):
+    """Each packed membership row as the sorted tuple of its elements."""
+    return [tuple(i for i in range(n) if mask >> i & 1) for mask in row_masks(rows)]
+
+
 def frontier_closures_oracle(table):
     """Proper closures of all 1- and 2-element generating sets, by (size, mask)."""
     n = len(table)
@@ -253,8 +263,9 @@ def test_subset_or_matches_the_per_mask_loop(dtype, lead, k, data):
 def test_sorted_masks_follow_popcount_then_value(table):
     n = len(table)
     flags = closed_flags_oracle(table, n)
-    got = structure._proper_masks_sorted(np.array(flags)).tolist()
-    assert got == sorted_masks_oracle(flags, n)
+    rows = structure._proper_rows(np.array(flags))
+    assert rows.dtype == np.uint8 and rows.shape[1] == (n + 7) // 8
+    assert row_masks(rows) == sorted_masks_oracle(flags, n)
 
 
 # -- generated closure --------------------------------------------------------------------
@@ -281,8 +292,10 @@ def test_generated_closure_matches_the_frontier_oracle(monkeypatch, carrier, t, 
     g = build(carrier, Scalar(), t, u)
     table = g.index_table()
     want = frontier_closures_oracle(table)
-    assert structure._generated_closures(np.asarray(table)) == want
     n = len(table)
+    rows = structure._generated_closures(np.asarray(table))
+    assert rows.dtype == np.uint8 and rows.shape == (len(want), (n + 7) // 8)
+    assert row_subsets(rows, n) == want
     if n >= 8:  # a budget of the closures' estimate is below n*2^n, so they are routed to
         monkeypatch.setenv("GGL_BUDGET", str(n * (n - 1) // 2 * n * n))
         enum = enumerate_subgroupoids(g)
@@ -310,7 +323,25 @@ def test_generated_closures_keep_the_power_set_order(monkeypatch, n):
 @settings(max_examples=40, deadline=None)
 @given(small_image_tables())
 def test_generated_closure_matches_the_oracle_on_random_tables(table):
-    assert structure._generated_closures(np.asarray(table)) == frontier_closures_oracle(table)
+    rows = structure._generated_closures(np.asarray(table))
+    assert row_subsets(rows, len(table)) == frontier_closures_oracle(table)
+
+
+def test_generated_closure_rows_past_order_64_match_the_oracle():
+    # 66 elements take 9 bytes a row, past any one integer mask
+    g = build(Modular(66), Scalar(), 2, 64)
+    table = g.index_table()
+    want = frontier_closures_oracle(table)
+    rows = structure._generated_closures(np.asarray(table))
+    assert rows.shape == (580, 9) and row_subsets(rows, 66) == want
+    rep = analyze(g)
+    subs = rep.subgroupoids.subsets
+    assert rep.subgroupoids.strategy == "generated-closure" and [h.indices for h in subs] == want
+    assert subs.sizes.tolist() == [len(idx) for idx in want]
+    normal = tuple(h for h in subs if structure.classify_subset(g, h.indices).normal_subgroupoid)
+    assert len(normal) == 504 and rep.normal == normal
+    assert rep.simple.witness == normal[0] and normal[0].indices == tuple(range(0, 66, 2))
+    assert rep.to_json()["subgroupoids"]["subsets"] == [list(h.labels) for h in subs]
 
 
 # -- normality ---------------------------------------------------------------------------
@@ -602,11 +633,16 @@ def eager_results(g, table):
     return subs, IdealSets(left, right, two_sided)
 
 
-def assert_reads_like(got, want):
+def assert_reads_like(got, want, n):
     """Every way of reading a lazy sequence agrees with the tuple of handles."""
     assert isinstance(got, structure.MaskedSubsets)
-    masks = got.masks.tolist()
+    masks = row_masks(got.rows)
     assert masks == sorted(masks, key=lambda m: (bin(m).count("1"), m))
+    assert got.rows.shape == (len(want), (n + 7) // 8)
+    assert got.sizes.tolist() == [h.size for h in want]
+    members = got.members()
+    assert members.dtype == bool and members.shape == (len(want), n)
+    assert [tuple(np.flatnonzero(row).tolist()) for row in members] == [h.indices for h in want]
     assert [(h.indices, h.labels) for h in got] == [(h.indices, h.labels) for h in want]
     assert (len(got), bool(got)) == (len(want), bool(want))
     for i in {0, 1, len(want) // 2, -1, -2, -len(want)}:
@@ -620,17 +656,27 @@ def assert_reads_like(got, want):
     assert got == want and want == got and hash(got) == hash(want)
     assert repr(got) == repr(want)
     assert [h.to_json() for h in got] == [h.to_json() for h in want]
+    assert got.to_json() == [h.to_json() for h in want]
 
 
 def assert_results_match(g, table):
+    n = len(table)
     want_subs, want_ideals = eager_results(g, table)
     subs, ideals = enumerate_subgroupoids(g), enumerate_ideals(g)
-    assert_reads_like(subs.subsets, want_subs.subsets)
+    assert_reads_like(subs.subsets, want_subs.subsets, n)
     for side in ("left", "right", "two_sided"):
-        assert_reads_like(getattr(ideals, side), getattr(want_ideals, side))
+        assert_reads_like(getattr(ideals, side), getattr(want_ideals, side), n)
+    # the closure route's list, the same type over the generated closures
+    closures = structure.MaskedSubsets(g, structure._generated_closures(np.asarray(table)))
+    labels = g.labels()
+    want = tuple(SubsetHandle(idx, tuple(labels[i] for i in idx)) for idx in frontier_closures_oracle(table))
+    assert_reads_like(closures, want, n)
     for got, want in ((subs, want_subs), (ideals, want_ideals)):
         assert got == want and hash(got) == hash(want)
-        assert got.to_json() == want.to_json()
+    # the eager results hold tuples of handles, so their JSON is read off the handles
+    lists = lambda handles: [h.to_json() for h in handles]  # noqa: E731
+    assert subs.to_json() == {"strategy": "power-set", "complete": True, "subsets": lists(want_subs.subsets)}
+    assert ideals.to_json() == {side: lists(getattr(want_ideals, side)) for side in ("left", "right", "two_sided")}
 
 
 @settings(max_examples=40, deadline=None)
@@ -658,10 +704,25 @@ def test_results_of_different_groupoids_compare_by_indices():
     assert enumerate_ideals(a).left != list(enumerate_ideals(a).left)
 
 
-def test_masks_are_read_only():
-    masks = enumerate_ideals(build(Modular(6), Scalar(), 3, 3)).left.masks
-    with pytest.raises(ValueError):
-        masks[0] = 0
+def test_masks_are_read_only(monkeypatch):
+    g = build(Modular(9), Scalar(), 3, 3)
+    rows = [enumerate_ideals(g).left.rows, enumerate_subgroupoids(g).subsets.rows]
+    monkeypatch.setenv("GGL_BUDGET", str(9 * 8 // 2 * 9 * 9))  # the closure route
+    rows.append(enumerate_subgroupoids(g).subsets.rows)
+    for r in rows:
+        assert len(r)
+        with pytest.raises(ValueError):
+            r[0, 0] = 0
+
+
+def test_label_lists_are_read_a_block_of_rows_at_a_time(monkeypatch):
+    g = build(Modular(12), Scalar(), 0, 1)  # x*y = y: every subset is closed
+    subs = enumerate_subgroupoids(g).subsets
+    want = [h.to_json() for h in subs]
+    assert len(want) == (1 << 12) - 2
+    for cells in (1, 12 * 5, 1 << 17):
+        monkeypatch.setattr(structure, "_CHUNK_CELLS", cells)
+        assert subs.to_json() == want
 
 
 # -- T7 on masks against the per-pair loop --------------------------------------------------
@@ -706,7 +767,7 @@ def test_t7_reports_a_broken_pair_where_the_per_pair_loop_does(monkeypatch):
         ideals = enumerate_ideals(g)
         if is_broken(g):
             assert len(ideals.left)
-            ideals = dataclasses.replace(ideals, left=structure.MaskedSubsets(g, ideals.left.masks[1:]))
+            ideals = dataclasses.replace(ideals, left=structure.MaskedSubsets(g, ideals.left.rows[1:]))
         return ideals
 
     # T7 reads stacked flags: the same first left ideal is dropped from the
@@ -722,7 +783,7 @@ def test_t7_reports_a_broken_pair_where_the_per_pair_loop_does(monkeypatch):
         flags = structure._absorb_flags(tabs, side)
         for g in filter(is_broken, sweep if side == "left" else ()):
             for row in np.flatnonzero((tabs == g.table_array()).all(axis=(1, 2))):
-                flags[row, structure._proper_masks_sorted(flags[row])[0]] = False
+                flags[row, row_masks(structure._proper_rows(flags[row])[:1])[0]] = False
         return flags
 
     monkeypatch.setattr(theorems, "compile_tables", compile_sweep)
