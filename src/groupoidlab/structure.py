@@ -7,12 +7,14 @@ that fixed order, reruns are reproducible, and the generated closures list
 their subgroupoids in the order the power set lists them.
 
 The power-set sweeps are numpy arrays indexed by mask on their last axis:
-``need[..., m]`` is the bitmask (``uint32`` up to order 32, else ``uint64``)
-of every product the subset ``m`` must contain, filled by the OR-over-subsets
-``_subset_or``, and ``m`` is closed (or absorbing) iff
-``need[..., m] & ~m == 0``. Leading axes are members: ``_absorb_flags`` takes
-one table or a stack of tables of one order, one row of flags per table, so a
-sweep of parameter pairs runs the recurrence once per block of members. Their
+``need[..., m]`` is the bitmask, in the narrowest word that holds n bits
+(``uint8`` up to order 8, ``uint16`` up to 16, ``uint32`` up to 32, else
+``uint64``), of every product the subset ``m`` must contain, filled by the
+OR-over-subsets ``_subset_or``, and ``m`` is closed (or absorbing) iff
+``need[..., m] & ~m == 0``, tested in place on ``need``. Leading axes are
+members: ``_closed_flags`` and ``_absorb_flags`` take one table or a stack of
+tables of one order, one row of flags per table, so a sweep of parameter
+pairs runs each recurrence once per block of members. Their
 cost, ``n*2^n`` per table, is checked against the work budget
 (``GGL_BUDGET``, ``groupoid.check_budget``) before anything is allocated, as
 are the ``n^3`` work of whole-groupoid normality and the
@@ -22,11 +24,11 @@ membership vectors semi-naively. Normality compares translate sets (boolean
 rows marking a*V and V*a), a block of sets V of about _CHUNK_CELLS cells at a
 time. A test on a subset of m elements scans m^vars assignments, refused as
 the identity engine refuses it.
-The route is chosen by cost, in one place: ``enumerate_subgroupoids`` takes
-the power set when its ``n*2^n`` estimate fits the budget and the generated
-closures otherwise, and ``is_simple`` and ``analyze`` work on whatever list it
-returns. The other power-set entry points have no second route and are
-refused by the budget alone.
+The route is chosen by cost, in one place, ``_powerset_route``:
+``enumerate_subgroupoids`` takes the power set when its ``n*2^n`` estimate
+fits the budget and the generated closures otherwise, and ``is_simple`` and
+``analyze`` work on whatever list it returns. The other power-set entry points
+have no second route and are refused by the budget alone.
 
 Every subset list, on either route, is a :class:`MaskedSubsets`
 (``EnumerationResult.subsets``, ``IdealSets.left``/``right``/``two_sided``):
@@ -167,15 +169,21 @@ class MaskedSubsets(Sequence[SubsetHandle]):
         return repr(tuple(self))
 
     def to_json(self) -> list[list[str]]:
-        """The label list of each subset, read from the membership rows a block
-        of about _CHUNK_CELLS cells at a time, with no handle built."""
-        labels, members = np.array(self._g.labels(), dtype=object), self.members()
-        out: list[list[str]] = []
-        for block in _blocks(len(self), self._g.order):
-            flat = labels[np.nonzero(members[block])[1]].tolist()
-            ends = np.cumsum(members[block].sum(axis=1)).tolist()
-            out += [flat[lo:hi] for lo, hi in zip([0, *ends], ends)]
-        return out
+        """The label list of each subset, read from the membership rows with no
+        handle built."""
+        return _label_lists(self._g, self.members())
+
+
+def _label_lists(g: Groupoid, members: np.ndarray) -> list[list[str]]:
+    """The label list of each row of a boolean membership matrix, read a block
+    of about _CHUNK_CELLS cells at a time."""
+    labels = np.array(g.labels(), dtype=object)
+    out: list[list[str]] = []
+    for block in _blocks(len(members), g.order):
+        flat = labels[np.nonzero(members[block])[1]].tolist()
+        ends = np.cumsum(members[block].sum(axis=1)).tolist()
+        out += [flat[lo:hi] for lo, hi in zip([0, *ends], ends)]
+    return out
 
 
 def _subset_indices(g: Groupoid, subset: Iterable) -> list[int]:
@@ -232,15 +240,28 @@ def _closure_order(g: Groupoid, what: str) -> int:
     return n
 
 
+def _word(n: int) -> type[np.unsignedinteger]:
+    """The narrowest unsigned word that holds n bits: uint8 up to order 8,
+    uint16 up to 16, uint32 up to 32, else uint64."""
+    for word in (np.uint8, np.uint16, np.uint32):
+        if n <= np.iinfo(word).bits:
+            return word
+    return np.uint64
+
+
 def _bits(tab: np.ndarray) -> np.ndarray:
-    """1 << tab, as uint32 up to order 32 and uint64 above (order: the last axis)."""
-    dtype = np.uint32 if tab.shape[-1] <= 32 else np.uint64
-    return np.left_shift(dtype(1), tab.astype(dtype))
+    """1 << tab, in the narrowest word that holds the order (the last axis)."""
+    word = _word(tab.shape[-1])
+    return np.left_shift(word(1), tab.astype(word))
 
 
 def _uncovered_free(need: np.ndarray) -> np.ndarray:
-    """flags[..., m]: the product mask need[..., m] has no bit outside m."""
-    return (need & ~np.arange(need.shape[-1], dtype=need.dtype)) == 0
+    """flags[..., m]: the product mask need[..., m] has no bit outside m. Tests
+    need in place, so the caller's need is clobbered and no second word array
+    of its shape is allocated."""
+    outside = np.arange(need.shape[-1], dtype=need.dtype)
+    need &= np.invert(outside, out=outside)
+    return need == 0
 
 
 def _subset_or(values: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -252,19 +273,21 @@ def _subset_or(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _closed_flags(tab: np.ndarray) -> np.ndarray:
-    """closed[m] for every mask, built in blocks by highest set bit k:
+def _closed_flags(tabs: np.ndarray) -> np.ndarray:
+    """closed[..., m] for every mask, for one (n, n) table (flags of shape
+    (2^n,)) or each table of a (k, n, n) stack (flags of shape (k, 2^n)),
+    built in blocks by highest set bit k:
     need[2^k + r] = need[r] | bit(T[k][k]) | cross_k[r], where cross_k is the
     OR-over-subsets of bit(T[k][w]) | bit(T[w][k]) for w < k."""
-    n = len(tab)
-    bit = _bits(tab)
-    need = np.zeros(1 << n, dtype=bit.dtype)
-    cross = np.zeros(1 << max(n - 1, 0), dtype=bit.dtype)
+    n = tabs.shape[-1]
+    bit = _bits(tabs)
+    need = np.zeros((*tabs.shape[:-2], 1 << n), dtype=bit.dtype)
+    cross = np.zeros((*tabs.shape[:-2], 1 << max(n - 1, 0)), dtype=bit.dtype)
     for k in range(n):
-        _subset_or(bit[k, :k] | bit[:k, k], cross)
-        block = need[1 << k : 2 << k]
-        np.bitwise_or(need[: 1 << k], bit[k, k], out=block)
-        block |= cross[: 1 << k]
+        _subset_or(bit[..., k, :k] | bit[..., :k, k], cross)
+        block = need[..., 1 << k : 2 << k]
+        np.bitwise_or(need[..., : 1 << k], bit[..., k, k, None], out=block)
+        block |= cross[..., : 1 << k]
     return _uncovered_free(need)
 
 
@@ -498,17 +521,25 @@ class EnumerationResult:
         }
 
 
-def enumerate_subgroupoids(g: Groupoid) -> EnumerationResult:
-    """The one place a route is chosen, by cost. When the power set's n*2^n
-    estimate fits the budget, every nonempty proper closed subset (power-set
-    route, complete); otherwise the closures of all generating sets of size
-    <= 2 (generated-closure route, refused by its own estimate: every 1- and
-    2-generated subgroupoid, but not a complete list)."""
+def _powerset_route(g: Groupoid) -> bool:
+    """The one place a route is chosen, by cost: whether the power set's n*2^n
+    estimate fits the budget. When it does not, the generated closures' own
+    estimate must fit, or this refuses."""
     g._require_enumerable()  # past the cap there is no route, so this refusal stands
     try:
         _powerset_order(g, "subgroupoid enumeration")
     except BudgetExceeded:  # its one cause left: the power set's work is past the budget
         _closure_order(g, "generated-closure enumeration")
+        return False
+    return True
+
+
+def enumerate_subgroupoids(g: Groupoid) -> EnumerationResult:
+    """On the power-set route, every nonempty proper closed subset (complete);
+    otherwise the closures of all generating sets of size <= 2
+    (generated-closure route: every 1- and 2-generated subgroupoid, but not a
+    complete list). ``_powerset_route`` chooses."""
+    if not _powerset_route(g):
         rows = g.cached("closures", lambda: _generated_closures(g.table_array()))
         return EnumerationResult(subsets=MaskedSubsets(g, rows), strategy="generated-closure", complete=False)
     return EnumerationResult(subsets=MaskedSubsets(g, _closed_rows(g)), strategy="power-set", complete=True)

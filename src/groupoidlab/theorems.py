@@ -21,11 +21,17 @@ pair that passes; the tests hold those verdicts against the exhaustive scan.
 T1, T2, T5 and T6 share one runner, ``_congruence``: the laws of a closed
 form (``identities.CLOSED_FORMS``) hold exactly when it says so. T11 and T14
 share ``_strong``: each law holds strongly in the Smarandache sense. T7, T9,
-T15 and T17 build the sweep's groupoids (``_groupoids``); T7 compiles their
-tables together and compares the left absorb flags of a block of pairs (t,u)
-with the right flags of their duals (u,t), each side one stacked recurrence.
-T10 reads the idempotent law (a singleton {x} is a closed semigroup exactly
-when x*x = x) and classifies no subset unless a pair fails.
+T15 and T17 build the sweep's groupoids (``_groupoids``). T7 and T17 compile
+their tables together and read stacked flag recurrences a block of members at
+a time (``_flag_blocks``: at most _CHUNK_CELLS bytes of mask words a block):
+T7 compares the left absorb flags of a block of pairs (t,u) with the right
+flags of their duals (u,t), and T17 counts each member's closed subsets of two
+or more elements and its one-sided ideals off its closed, left and right
+flags. T9 reads each groupoid's subgroupoids as membership rows: their sizes,
+their normality (``structure._normal_rows``) and their label lists, with no
+subset handle built. T15 reads the public ``enumerate_ideals``. T10 reads the
+idempotent law (a singleton {x} is a closed semigroup exactly when x*x = x)
+and classifies no subset unless a pair fails.
 
 A tuple default is a (lo, hi) range of moduli, the only kind ``--range``
 overrides; other parameters are lists or numbers. The default ranges keep
@@ -66,11 +72,16 @@ from .identities import (
 from .shape import Matrix, Poly, ProductKind, Scalar
 from .structure import (
     _absorb_flags,
+    _closed_flags,
+    _label_lists,
+    _normal_rows,
     _powerset_order,
+    _powerset_route,
+    _sizes,
+    _word,
     classify_subset,
     enumerate_ideals,
     enumerate_subgroupoids,
-    find_normal_subgroupoids,
     is_simple,
     smarandache,
 )
@@ -102,6 +113,18 @@ def _sweeps(ns: Iterable[int], families: Iterable[str], pairs_of: Callable[[int]
 def _groupoids(carrier: Carrier, pairs: list) -> list[Groupoid]:
     """The scalar groupoid of each pair over carrier, in pair order."""
     return [_scalar(carrier, t, u) for t, u in pairs]
+
+
+def _flag_blocks(groupoids: list[Groupoid], what: str) -> tuple[np.ndarray, list[slice]]:
+    """The stacked tables of a sweep's groupoids, all of one order n, compiled
+    together once the n*2^n power-set work fits (refused as ``what`` before any
+    table compiles), and the blocks of members whose stacked flag recurrence
+    holds at most _CHUNK_CELLS bytes of mask words (one member when its 2^n
+    words alone are more)."""
+    n = _powerset_order(groupoids[0], what)
+    tabs = np.stack(compile_tables(groupoids))
+    step = max(1, _CHUNK_CELLS // (np.dtype(_word(n)).itemsize << n))
+    return tabs, [slice(lo, lo + step) for lo in range(0, len(groupoids), step)]
 
 
 def _laws_hold(carrier: Carrier, pairs: list, laws: tuple[IdentityId, ...]) -> list[bool]:
@@ -365,16 +388,12 @@ def _t7(p: dict, run: _Run) -> None:
     # each groupoid of a sweep is built once, its table compiled with the
     # sweep's, and the duality is read off the absorb flags of every mask: the
     # left flags of a block of pairs (t,u) against the right flags of their
-    # duals (u,t), each side one stacked recurrence of at most _CHUNK_CELLS
-    # mask words (one table when 2^n alone is larger)
+    # duals (u,t), each side one stacked recurrence (``_flag_blocks``)
     def check_duality(pairs: list, groupoids: list[Groupoid], desc: Callable[..., str]) -> None:
-        n = _powerset_order(groupoids[0], "ideal enumeration")  # refused before any table compiles
-        tabs = np.stack(compile_tables(groupoids))
+        tabs, blocks = _flag_blocks(groupoids, "ideal enumeration")
         at = {pair: i for i, pair in enumerate(pairs)}
         dual = np.array([at[u, t] for t, u in pairs])
-        step = max(1, _CHUNK_CELLS >> n)
-        for lo in range(0, len(pairs), step):
-            block = slice(lo, lo + step)
+        for block in blocks:
             left = _absorb_flags(tabs[block], "left")
             right = _absorb_flags(tabs[dual[block]], "right")
             for (t, u), same in zip(pairs[block], (left == right).all(axis=-1).tolist()):
@@ -425,25 +444,28 @@ def _t9(p: dict, run: _Run) -> None:
         for (t, u), g in zip(pairs, _groupoids(carrier, pairs)):
             expected = n // t
             # the normal search refuses past the power set's budget, so the
-            # subgroupoids are rows by size; handles only for the claimed order
-            normals = find_normal_subgroupoids(g)
+            # subgroupoids are membership rows by size; rows are compared and
+            # labelled by index, and no handle is built
+            _powerset_order(g, "normal subgroupoid search")
             subs = enumerate_subgroupoids(g).subsets
-            lo, hi = np.searchsorted(subs.sizes, [expected, expected + 1]).tolist()
-            of_order = list(subs[lo:hi])
-            unique = len(of_order) == 1
-            multiples = tuple(range(0, n, t))
-            principal = next((h for h in of_order if h.indices == multiples), of_order[0] if of_order else None)
-            # the principal subgroupoid is closed, proper and of size n/t >= 2,
-            # so it is normal exactly when the normal subgroupoids list it
-            principal_normal = principal is not None and principal in normals
-            extra = [h.labels for h in normals if principal is None or h != principal]
+            members = subs.members()
+            two, lo, hi = np.searchsorted(subs.sizes, [2, expected, expected + 1]).tolist()
+            normal = [two + r for r in _normal_rows(g.table_array(), members[two:])]
+            # the principal subgroupoid is the multiples of t, else the first
+            # of the claimed order; it is closed, proper and of size n/t >= 2,
+            # so it is normal exactly when the normal rows list it
+            hits = lo + np.flatnonzero((members[lo:hi] == (np.arange(n) % t == 0)).all(axis=1))
+            principal = int(hits[0]) if hits.size else (lo if hi > lo else None)
+            unique = hi - lo == 1
+            principal_normal = principal in normal
+            extra = [r for r in normal if r != principal]
             run.observe(
                 instance=_coeff_desc(carrier, t, u),
                 claimed_order=expected,
-                subgroupoids_of_claimed_order=[h.labels for h in of_order],
+                subgroupoids_of_claimed_order=list(map(tuple, _label_lists(g, members[lo:hi]))),
                 unique_of_claimed_order=unique,
                 principal_normal=principal_normal,
-                extra_normal_subgroupoids=extra,
+                extra_normal_subgroupoids=list(map(tuple, _label_lists(g, members[extra]))),
                 agrees=unique and principal_normal and not extra,
             )
 
@@ -623,16 +645,27 @@ def _t16(p: dict, run: _Run) -> None:
     moduli=[3, 5, 7],
 )
 def _t17(p: dict, run: _Run) -> None:
+    # each sweep is compiled once, refused first as the subgroupoid
+    # enumeration and then as the ideal enumeration of its first member would
+    # be; a member's three counts are read off its closed, left and right
+    # flags over the proper nonempty masks, a block of members at a time
+    # (``_flag_blocks``), and no subset list or handle is built
     for _, carrier, pairs in _sweeps(p["moduli"], ("o(zni)",), _nonzero_pairs):
-        for (t, u), g in zip(pairs, _groupoids(carrier, pairs)):
-            enum = enumerate_subgroupoids(g)
-            big = int((enum.subsets.sizes >= 2).sum())
-            ideals = enumerate_ideals(g)
-            run.check(
-                not big and not ideals.left and not ideals.right,
-                f"{_coeff_desc(carrier, t, u)}: found {big} closed subsets of size>=2, "
-                f"{len(ideals.left)} left / {len(ideals.right)} right ideals",
-            )
+        groupoids = _groupoids(carrier, pairs)
+        _powerset_route(groupoids[0])
+        tabs, blocks = _flag_blocks(groupoids, "ideal enumeration")
+        proper = np.arange(1, (1 << tabs.shape[-1]) - 1, dtype="<i8")
+        sized = _sizes(proper.view(np.uint8).reshape(-1, 8)) >= 2
+        for block in blocks:
+            big = _closed_flags(tabs[block])[:, 1:-1] & sized
+            left, right = (_absorb_flags(tabs[block], side)[:, 1:-1] for side in ("left", "right"))
+            counts = [np.count_nonzero(flags, axis=-1).tolist() for flags in (big, left, right)]
+            for (t, u), n_big, n_left, n_right in zip(pairs[block], *counts):
+                run.check(
+                    not n_big and not n_left and not n_right,
+                    lambda: f"{_coeff_desc(carrier, t, u)}: found {n_big} closed subsets of size>=2, "
+                    f"{n_left} left / {n_right} right ideals",
+                )
 
 
 @_check("GOLD", "asserted", "every registered demo reproduces its embedded expected values")

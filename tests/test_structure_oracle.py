@@ -232,9 +232,40 @@ def test_stacked_absorb_flags_equal_the_per_table_flags(tables, side):
         assert np.array_equal(row, structure._absorb_flags(np.asarray(table), side))
 
 
+@settings(max_examples=80, deadline=None)
+@given(small_image_stacks())
+def test_stacked_closed_flags_equal_the_per_table_flags(tables):
+    got = structure._closed_flags(np.asarray(tables))
+    assert got.shape == (len(tables), 1 << len(tables[0]))
+    for row, table in zip(got, tables):
+        assert np.array_equal(row, structure._closed_flags(np.asarray(table)))
+
+
+WORD_TABLES = {
+    "x*y=y": lambda n: [list(range(n))] * n,
+    "x*y=x": lambda n: [[x] * n for x in range(n)],
+    "affine(2,n-1)": lambda n: build(Modular(n), Scalar(), 2, n - 1).index_table(),
+}
+
+
+@pytest.mark.parametrize("kind", list(WORD_TABLES))
+@pytest.mark.parametrize("n,word", [(8, np.uint8), (9, np.uint16), (16, np.uint16), (17, np.uint32)])
+def test_flags_match_the_oracles_at_the_word_boundaries(n, word, kind):
+    """Each order takes the narrowest word that holds it; a word one bit too
+    narrow drops the top element's bit, and x*y = y's left flags (or x*y = x's
+    right flags) would then read absorbing on sets that miss it."""
+    table = WORD_TABLES[kind](n)
+    tab = np.asarray(table)
+    assert structure._bits(tab).dtype == word
+    proper = slice(1, (1 << n) - 1)
+    assert structure._closed_flags(tab).tolist()[proper] == closed_flags_oracle(table, n)[proper]
+    for side in ("left", "right"):
+        assert structure._absorb_flags(tab, side).tolist()[proper] == absorb_flags_oracle(table, n, side)[proper]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from([np.uint32, np.uint64]),
+    st.sampled_from([np.uint8, np.uint16, np.uint32, np.uint64]),
     st.sampled_from([(), (1,), (3,), (2, 2)]),
     st.integers(0, 10),
     st.data(),
@@ -242,7 +273,7 @@ def test_stacked_absorb_flags_equal_the_per_table_flags(tables, side):
 def test_subset_or_matches_the_per_mask_loop(dtype, lead, k, data):
     """Each member (a position on the leading axes; none is one member) has
     its own k values and start word."""
-    words = st.integers(0, 2**32 - 1)
+    words = st.integers(0, int(np.iinfo(dtype).max))
     members = int(np.prod(lead, dtype=int))
     values = data.draw(st.lists(st.lists(words, min_size=k, max_size=k), min_size=members, max_size=members))
     starts = data.draw(st.lists(words, min_size=members, max_size=members))
@@ -798,13 +829,16 @@ def test_t7_reports_a_broken_pair_where_the_per_pair_loop_does(monkeypatch):
     )
 
 
-@pytest.mark.parametrize("cells", [None, 1 << 6], ids=["default-blocks", "cells=64"])
-def test_t7_matches_the_per_pair_loop_across_blocks_of_a_sweep(monkeypatch, cells):
-    """zn:14 takes its 169 pairs 8 at a time at the default block size; at 64
-    cells a block of zn:n holds 64 >> n pairs, one from n = 6 up."""
+@pytest.mark.parametrize("cells,step", [(None, 4), (1 << 6, 1)], ids=["default-blocks", "cells=64"])
+def test_t7_matches_the_per_pair_loop_across_blocks_of_a_sweep(monkeypatch, cells, step):
+    """A block holds at most _CHUNK_CELLS bytes of mask words, uint8 up to
+    order 8 and uint16 up to 16: zn:14 takes its 169 pairs 4 at a time at the
+    default block size; at 64 cells a block of order n holds 64 // (word << n)
+    pairs, one from n = 6 up."""
     if cells is not None:
         monkeypatch.setattr(theorems, "_CHUNK_CELLS", cells)
     limit = theorems._CHUNK_CELLS
+    word_bytes = lambda n: (1 if n <= 8 else 2) << n
     stacks = []
 
     def recorded(tabs, side):
@@ -815,8 +849,7 @@ def test_t7_matches_the_per_pair_loop_across_blocks_of_a_sweep(monkeypatch, cell
     params = {"zn_n": (3, 14), "zni_n": (3, 5), "nzn_n": 3}
     outcome = theorems.verify_theorem("T7", params)
     assert (outcome.instances, outcome.failures) == t7_oracle(params, enumerate_ideals)
-    assert all(m << n <= max(1 << n, limit) for m, n, _ in stacks)
-    step = max(1, limit >> 14)
+    assert all(m * word_bytes(n) <= max(word_bytes(n), limit) for m, n, _ in stacks)
     assert stacks.count((step, 14, 14)) == 2 * (169 // step)
 
 
@@ -831,6 +864,127 @@ def test_t7_builds_each_groupoid_once_and_no_handle(monkeypatch):
     outcome = theorems.verify_theorem("T7", T7_PARAMS)
     assert outcome.passed and outcome.instances == len(built) == 4 + 9 + 16 + 25 + 4 + 9 + 30
     assert len(set(built)) == len(built)
+
+
+# -- T17 on stacked flags against the per-groupoid loop ------------------------------------
+
+
+def t17_oracle(moduli, enumerate_subgroupoids, enumerate_ideals):
+    """T17 with one subgroupoid and one ideal enumeration per groupoid:
+    (instances, failures)."""
+    run = theorems._Run()
+    for n in moduli:
+        carrier = theorems._carriers_for(n, ("o(zni)",))[0]
+        for t, u in theorems._nonzero_pairs(n):
+            g = theorems._scalar(carrier, t, u)
+            big = int((enumerate_subgroupoids(g).subsets.sizes >= 2).sum())
+            ideals = enumerate_ideals(g)
+            run.check(
+                not big and not ideals.left and not ideals.right,
+                f"{theorems._coeff_desc(carrier, t, u)}: found {big} closed subsets of size>=2, "
+                f"{len(ideals.left)} left / {len(ideals.right)} right ideals",
+            )
+    return run.instances, tuple(run.failures)
+
+
+T17_MODULI = [3, 5, 7, 11]
+
+
+def test_t17_reports_a_broken_member_where_the_per_groupoid_loop_does(monkeypatch):
+    """One flag set per broken member, by (carrier, t, u): the closed flag of
+    {0, 1}, the left flag of {0} or the right flag of {0}."""
+    broken = {("o(zni:3)", 1, 2): ("closed", 0b11), ("o(zni:7)", 3, 5): ("left", 0b1), ("o(zni:11)", 10, 10): ("right", 0b1)}
+
+    def broken_flag(g, kind):
+        found = broken.get((g.spec.carrier.token(), g.spec.t, g.spec.u))
+        return found[1] if found and found[0] == kind else None
+
+    def with_row(g, subsets, mask):
+        flags = np.zeros(1 << g.order, dtype=bool)
+        flags[mask] = True
+        return structure.MaskedSubsets(g, np.concatenate([subsets.rows, structure._proper_rows(flags)]))
+
+    def enumerate_broken(g):
+        enum = enumerate_subgroupoids(g)
+        mask = broken_flag(g, "closed")
+        return enum if mask is None else dataclasses.replace(enum, subsets=with_row(g, enum.subsets, mask))
+
+    def ideals_broken(g):
+        ideals = enumerate_ideals(g)
+        for side in ("left", "right"):
+            mask = broken_flag(g, side)
+            if mask is not None:
+                ideals = dataclasses.replace(ideals, **{side: with_row(g, getattr(ideals, side), mask)})
+        return ideals
+
+    # T17 reads stacked flags: a broken member's row of a block is found by its
+    # table in the sweep that T17 compiled last (one carrier per sweep)
+    sweep = []
+
+    def compile_sweep(groupoids):
+        sweep[:] = groupoids
+        return groupoid.compile_tables(groupoids)
+
+    def set_broken(tabs, flags, kind):
+        for g in sweep:
+            mask = broken_flag(g, kind)
+            if mask is not None:
+                flags[(tabs == g.table_array()).all(axis=(1, 2)), mask] = True
+        return flags
+
+    monkeypatch.setattr(theorems, "compile_tables", compile_sweep)
+    monkeypatch.setattr(theorems, "_closed_flags", lambda tabs: set_broken(tabs, structure._closed_flags(tabs), "closed"))
+    monkeypatch.setattr(
+        theorems, "_absorb_flags", lambda tabs, side: set_broken(tabs, structure._absorb_flags(tabs, side), side)
+    )
+    outcome = theorems.verify_theorem("T17", {"moduli": T17_MODULI})
+    assert (outcome.instances, outcome.failures) == t17_oracle(T17_MODULI, enumerate_broken, ideals_broken)
+    assert outcome.failures == (
+        "o(zni:3) (1I,2I): found 1 closed subsets of size>=2, 0 left / 0 right ideals",
+        "o(zni:7) (3I,5I): found 0 closed subsets of size>=2, 1 left / 0 right ideals",
+        "o(zni:11) (10I,10I): found 0 closed subsets of size>=2, 0 left / 1 right ideals",
+    )
+
+
+@pytest.fixture
+def compiled(monkeypatch):
+    """The orders of each ``compile_tables`` call T17 makes."""
+    calls = []
+    real = theorems.compile_tables
+    monkeypatch.setattr(theorems, "compile_tables", lambda gs: calls.append({g.order for g in gs}) or real(gs))
+    return calls
+
+
+def test_t17_compiles_each_sweep_once_and_builds_no_handle(monkeypatch, compiled):
+    def refuse(self, mask):
+        raise AssertionError("T17 built a handle")
+
+    monkeypatch.setattr(structure.MaskedSubsets, "_handle", refuse)
+    outcome = theorems.verify_theorem("T17", {"moduli": T17_MODULI})
+    assert outcome.passed and outcome.instances == 4 + 16 + 36 + 100
+    assert compiled == [{n} for n in T17_MODULI]
+
+
+@pytest.mark.parametrize(
+    "moduli,refusal",
+    [([3, 5, 7], "generated-closure enumeration: generated-closure work"), (T17_MODULI, "ideal enumeration: power-set work")],
+    ids=["closures-past-the-budget", "closures-within-it"],
+)
+def test_t17_refuses_just_under_a_sweeps_power_set_budget_as_the_per_groupoid_loop_does(
+    monkeypatch, compiled, moduli, refusal
+):
+    """At a budget one below the last sweep's n*2^n, the per-groupoid loop
+    takes the generated closures when their estimate fits and then refuses the
+    ideals' power set, or else refuses the closures; T17 raises the same text
+    before the last sweep compiles."""
+    n = moduli[-1]
+    monkeypatch.setenv("GGL_BUDGET", str((n << n) - 1))
+    with pytest.raises(groupoid.BudgetExceeded) as want:
+        t17_oracle(moduli, enumerate_subgroupoids, enumerate_ideals)
+    with pytest.raises(groupoid.BudgetExceeded) as got:
+        theorems.verify_theorem("T17", {"moduli": moduli})
+    assert str(got.value) == str(want.value) and str(got.value).startswith(refusal)
+    assert compiled == [{m} for m in moduli[:-1]]
 
 
 # -- T10 and T16 against the per-subset classification ----------------------------------

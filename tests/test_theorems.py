@@ -412,7 +412,9 @@ def test_t9_reads_principal_normality_off_the_normal_list(monkeypatch):
         assert obs["principal_normal"] == classify_subset(g, range(0, n, t)).normal_subgroupoid, obs["instance"]
 
 
-def test_t9_builds_handles_only_for_the_claimed_order_and_the_normal_list(monkeypatch):
+def test_t9_builds_no_handle(monkeypatch):
+    """T9 compares and labels membership rows: the subsets it lists, past
+    order 8 in rows of two bytes, are read with no handle built."""
     built = []
     real = structure.MaskedSubsets._handle
     monkeypatch.setattr(structure.MaskedSubsets, "_handle", lambda self, mask: built.append(mask) or real(self, mask))
@@ -421,7 +423,7 @@ def test_t9_builds_handles_only_for_the_claimed_order_and_the_normal_list(monkey
         len(obs["subgroupoids_of_claimed_order"]) + obs["principal_normal"] + len(obs["extra_normal_subgroupoids"])
         for obs in out.observations
     )
-    assert out.instances > 0 and len(built) == listed
+    assert out.instances > 0 and listed > 0 and built == []
 
 
 # strong-law instances broken by (n, t, u, identity); the expected outcomes
