@@ -266,15 +266,6 @@ class Groupoid:
     def level(self) -> Level | None:
         return self.spec.level if self.spec is not None else None
 
-    def describe(self) -> str:
-        if self.spec is not None:
-            sp = self.spec
-            return (
-                f"carrier {sp.carrier.token()} shape {sp.shape.token()} "
-                f"pair {sp.param_text()} level {sp.level.value}"
-            )
-        return f"table-backed groupoid of order {self.order}"
-
 
 def sweep_products(
     carrier: Carrier, shape: Shape, ts: Sequence[Value], us: Sequence[Value], cells: int

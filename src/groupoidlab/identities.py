@@ -25,7 +25,10 @@ Each identity is a fixed pair of expression trees over variables ``x``, ``y``,
   variable (that variable on the axis ``arange(order)``, the others at the
   zero element), since every product but the shuffle is additive. It reads
   the parameter arrays through ``compile_product`` and builds no groupoid
-  and no table;
+  and no table. One private evaluator, ``_linear_mismatches``, computes
+  those rows for a tuple of laws at once, each shared subterm once a block;
+  ``linear_failures`` reads one law's witnesses off it, and the theorem
+  checks read only whether all of their laws hold;
 * a lifted check for entrywise shapes, whose laws hold as on the scalar
   shadow: the shadow's ``linear_failures`` verdict, lifted to the diagonal;
 * a seeded random sampler for spaces too large to enumerate. It draws trials
@@ -413,6 +416,56 @@ def _exhaustive(g: Groupoid, identity: IdentityId) -> IdentityVerdict:
 # -- linear -------------------------------------------------------------------
 
 
+def _linear_mismatches(
+    carrier: Carrier, shape: Shape, ts: Sequence[Value], us: Sequence[Value], laws: tuple[IdentityId, ...]
+) -> Iterator[tuple[slice, list[np.ndarray]]]:
+    """The linear evaluator: for each block of the sweep whose member p has
+    the parameters ``ts[p], us[p]``, its slice and, per law, mism[p, v, i]:
+    whether the law's sides differ in member p with its variable v at element
+    i and the others at element 0. All of the laws are evaluated on the rows
+    of the law of most variables through one ``compile_product`` per block,
+    each template node once, so a subterm such as x*y is computed once a
+    block. ``linear_failures``' refusals come first, in its order, the budget
+    checked for each law in the order given."""
+    if len(ts) != len(us):
+        raise CarrierError(f"linear verdicts need one u per t, got {len(ts)} t and {len(us)} u")
+    if any(carrier.param_is_zero(t) and carrier.param_is_zero(u) for t, u in zip(ts, us)):
+        raise CarrierError("parameter pair (0, 0) does not define a groupoid")
+    if isinstance(shape, Poly) and shape.kind is ProductKind.SHUFFLE:
+        raise CarrierError(f"linear verdicts need an additive product; shape {shape.token()} is a shuffle")
+    templates = [TEMPLATES[law] for law in laws]
+    order = enumerable_order(carrier, shape)
+    for _, _, vars_ in templates:
+        check_budget("linear check", f"{len(vars_)}*{order}", len(vars_) * order, " evaluations")
+    names = max((vars_ for _, _, vars_ in templates), key=len)  # every law's variables are a prefix of x, y, z
+    rows = np.zeros((len(names), 1, len(names), order), dtype=np.intp)  # variable v's value on each row
+    for v in range(len(names)):
+        rows[v, 0, v] = np.arange(order)
+    for block, prod in sweep_products(carrier, shape, ts, us, len(names) * order):
+        values = dict(zip(names, rows))
+
+        def value(node: Node) -> np.ndarray:
+            if node not in values:
+                _, a, b = node
+                values[node] = prod(value(a), value(b))
+            return values[node]
+
+        yield block, [(value(lhs) != value(rhs))[:, : len(vars_)] for lhs, rhs, vars_ in templates]
+
+
+def _first_failures(mism: np.ndarray) -> list[tuple[int, ...] | None]:
+    """Each member's first failure off one law's ``_linear_mismatches``: the
+    least mismatch on the first row that has one, as an assignment."""
+    members, nvars, order = mism.shape
+    mism = mism.reshape(members, -1)  # per member, its rows one after another
+    zeros = (0,) * nvars
+    rows_at = np.divmod(mism.argmax(axis=1), order)
+    return [
+        zeros[:v] + (at,) + zeros[v + 1 :] if fails else None
+        for fails, v, at in zip(mism.any(axis=1).tolist(), *(a.tolist() for a in rows_at))
+    ]
+
+
 def linear_failures(
     carrier: Carrier, shape: Shape, ts: Sequence[Value], us: Sequence[Value], identity: IdentityId
 ) -> list[tuple[int, ...] | None]:
@@ -426,36 +479,18 @@ def linear_failures(
     exhaustive scan (z slowest) therefore first fails at (least x with A·x ≠ 0,
     0, 0) when A ≠ 0; otherwise at (0, least y with B·y ≠ 0, 0), and likewise
     for z. So the assignments are one row per variable in template order, that
-    variable on the axis arange(order) and the others at element 0, and both
-    sides are evaluated on all rows at once through one ``compile_product``
-    per block of the sweep (``sweep_products``); a member's first failure is
-    the least mismatch on the first row that has one.
+    variable on the axis arange(order) and the others at the zero element,
+    evaluated by ``_linear_mismatches``, the evaluator the theorem checks
+    share; a member's first failure is the least mismatch on the first row
+    that has one.
 
     Refusals come before any work: ``CarrierError`` for parameter lists of
     different lengths, a pair (0, 0) and a shuffle shape, whose product is not
     additive, and ``BudgetExceeded`` for an order past the enumeration cap or
     vars·order evaluations past the work budget."""
-    if len(ts) != len(us):
-        raise CarrierError(f"linear verdicts need one u per t, got {len(ts)} t and {len(us)} u")
-    if any(carrier.param_is_zero(t) and carrier.param_is_zero(u) for t, u in zip(ts, us)):
-        raise CarrierError("parameter pair (0, 0) does not define a groupoid")
-    if isinstance(shape, Poly) and shape.kind is ProductKind.SHUFFLE:
-        raise CarrierError(f"linear verdicts need an additive product; shape {shape.token()} is a shuffle")
-    lhs_t, rhs_t, vars_ = TEMPLATES[identity]
-    nvars, order = len(vars_), enumerable_order(carrier, shape)
-    check_budget("linear check", f"{nvars}*{order}", nvars * order, " evaluations")
-    rows = np.zeros((nvars, 1, nvars, order), dtype=np.intp)  # variable v's value on each row
-    for v in range(nvars):
-        rows[v, 0, v] = np.arange(order)
-    env = dict(zip(vars_, rows))
     found: list[tuple[int, ...] | None] = []
-    zeros = (0,) * nvars
-    for _, prod in sweep_products(carrier, shape, ts, us, nvars * order):
-        mism = eval_tree(lhs_t, env, prod) != eval_tree(rhs_t, env, prod)
-        mism = mism.reshape(len(mism), -1)  # per member, its rows one after another
-        rows_at = np.divmod(mism.argmax(axis=1), order)
-        for fails, v, at in zip(mism.any(axis=1).tolist(), *(a.tolist() for a in rows_at)):
-            found.append(zeros[:v] + (at,) + zeros[v + 1 :] if fails else None)
+    for _, [mism] in _linear_mismatches(carrier, shape, ts, us, (identity,)):
+        found += _first_failures(mism)
     return found
 
 

@@ -103,12 +103,6 @@ class SubsetHandle:
     def size(self) -> int:
         return len(self.indices)
 
-    def mask(self) -> int:
-        m = 0
-        for i in self.indices:
-            m |= 1 << i
-        return m
-
     def to_json(self) -> list[str]:
         return list(self.labels)
 

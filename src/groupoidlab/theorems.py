@@ -13,25 +13,33 @@ registry lists the checks in declaration order. Checks come in two tiers:
 The checks over ranges of moduli (T1–T7, T9, T10, T15–T17) draw their
 parameter pairs from one sweep, ``_sweeps``: every pair for each modulus and
 carrier family, and a runner keeps only its claim and its failure text,
-formatted only when an instance fails. T1–T6 and T10 decide their laws with
-``identities.linear_failures`` on the sweep's parameter arrays, exact since
-every scalar product is additive, and T16 reads 0*y and x*0 from one product
-of the sweep, so none of them builds a groupoid or compiles a table for a
-pair that passes; the tests hold those verdicts against the exhaustive scan.
-T1, T2, T5 and T6 share one runner, ``_congruence``: the laws of a closed
-form (``identities.CLOSED_FORMS``) hold exactly when it says so. T11 and T14
-share ``_strong``: each law holds strongly in the Smarandache sense. T7, T9,
-T15 and T17 build the sweep's groupoids (``_groupoids``). T7 and T17 compile
+formatted only when an instance fails. T1–T6 and T10 decide all of a sweep's
+laws in one evaluation on its parameter arrays (``identities._linear_mismatches``,
+which ``linear_failures`` also reads), exact since every scalar product is
+additive, and T16 reads 0*y and x*0 from one product of the sweep, so none of
+them builds a groupoid or compiles a table for a pair that passes; the tests
+hold those verdicts against the exhaustive scan. T1, T2, T5 and T6 share one
+runner, ``_congruence``: the laws of a closed form (``identities.CLOSED_FORMS``)
+hold exactly when it says so. T11 and T14 share ``_strong``: each law holds
+strongly in the Smarandache sense. T7 decides by transposition: u·x + t·y =
+y ∗₍t,u₎ x, so G(u,t) is the opposite of G(t,u), and the left ideals of a
+groupoid are the right ideals of its opposite, for every subset. T7 compiles
+each sweep's tables once from ``sweep_products``, each table's n² cells
+refused as a Cayley table first, builds no groupoid, and passes a pair whose
+table is the transpose of its dual's; a pair whose tables do not transpose
+(none, while the products are affine) is decided by its absorb flags, so the
+verdict is exact whatever the tables are. T9, T15, T17 and T7's fallback
+build the sweep's groupoids (``_groupoids``). T17 and T7's fallback compile
 their tables together and read stacked flag recurrences a block of members at
 a time (``_flag_blocks``: at most _CHUNK_CELLS bytes of mask words a block):
-T7 compares the left absorb flags of a block of pairs (t,u) with the right
-flags of their duals (u,t), and T17 counts each member's closed subsets of two
-or more elements and its one-sided ideals off its closed, left and right
-flags. T9 reads each groupoid's subgroupoids as membership rows: their sizes,
-their normality (``structure._normal_rows``) and their label lists, with no
-subset handle built. T15 reads the public ``enumerate_ideals``. T10 reads the
-idempotent law (a singleton {x} is a closed semigroup exactly when x*x = x)
-and classifies no subset unless a pair fails.
+the fallback compares the left absorb flags of (t,u) with the right flags of
+(u,t), and T17 counts each member's closed subsets of two or more elements
+and its one-sided ideals off its closed, left and right flags. T9 reads each
+groupoid's subgroupoids as membership rows: their sizes, their normality
+(``structure._normal_rows``) and their label lists, with no subset handle
+built. T15 reads the public ``enumerate_ideals``. T10 reads the idempotent
+law (a singleton {x} is a closed semigroup exactly when x*x = x) and
+classifies no subset unless a pair fails.
 
 A tuple default is a (lo, hi) range of moduli, the only kind ``--range``
 overrides; other parameters are lists or numbers. The default ranges keep
@@ -59,15 +67,23 @@ from .carrier import (
     is_prime,
     parse_carrier,
 )
-from .groupoid import _CHUNK_CELLS, Groupoid, build, check_budget, compile_tables, sweep_products
+from .groupoid import (
+    _CHUNK_CELLS,
+    Groupoid,
+    build,
+    check_budget,
+    compile_tables,
+    enumerable_order,
+    sweep_products,
+)
 from .identities import (
     _ALTERNATIVE,
     CLOSED_FORMS,
     CheckMode,
     IdentityId,
+    _linear_mismatches,
     check_identity,
     closed_form,
-    linear_failures,
 )
 from .shape import Matrix, Poly, ProductKind, Scalar
 from .structure import (
@@ -127,12 +143,51 @@ def _flag_blocks(groupoids: list[Groupoid], what: str) -> tuple[np.ndarray, list
     return tabs, [slice(lo, lo + step) for lo in range(0, len(groupoids), step)]
 
 
+def _transposed_duals(carrier: Carrier, pairs: list) -> list[bool]:
+    """Whether the scalar table of each pair (t, u) over carrier is the
+    transpose of the table of its dual (u, t), a pair of the same list. Each
+    table compiles once, beside its dual's (an equal pair's beside itself),
+    and a block's last table waits for its dual in the next."""
+    n = enumerable_order(carrier, Scalar())
+    check_budget("Cayley table", f"{n}^2", n * n, " cells")
+    at = {pair: i for i, pair in enumerate(pairs)}
+    couples = [(i, at[u, t]) for i, (t, u) in enumerate(pairs) if at[u, t] >= i]
+    side_by_side = [pairs[i] for couple in couples for i in couple]
+    ts, us = [t for t, _ in side_by_side], [u for _, u in side_by_side]
+    X = np.arange(n)
+    same: list[bool] = []
+    held = np.empty((0, n, n), dtype=np.int32)
+    for _, product in sweep_products(carrier, Scalar(), ts, us, n * n):
+        tabs = np.concatenate([held, product(X[None, :, None], X[None, None, :])])
+        even = len(tabs) & ~1
+        same += (tabs[0:even:2] == tabs[1:even:2].swapaxes(1, 2)).all(axis=(1, 2)).tolist()
+        held = tabs[even:]
+    holds = [False] * len(pairs)
+    for (i, j), ok in zip(couples, same):
+        holds[i] = holds[j] = ok
+    return holds
+
+
+def _absorb_duals(carrier: Carrier, pairs: list) -> list[bool]:
+    """Whether the left absorb flags of the scalar groupoid of each pair (t, u)
+    over carrier equal the right flags of its dual (u, t), a pair of the same
+    list: one stacked recurrence a side per block of ``_flag_blocks``."""
+    tabs, blocks = _flag_blocks(_groupoids(carrier, pairs), "ideal enumeration")
+    at = {pair: i for i, pair in enumerate(pairs)}
+    dual = np.array([at[u, t] for t, u in pairs])
+    same = [(_absorb_flags(tabs[b], "left") == _absorb_flags(tabs[dual[b]], "right")).all(axis=-1) for b in blocks]
+    return np.concatenate(same).tolist()
+
+
 def _laws_hold(carrier: Carrier, pairs: list, laws: tuple[IdentityId, ...]) -> list[bool]:
     """Whether all of the laws hold on the scalar groupoid of each pair over
-    carrier; each law is one ``linear_failures`` call over the pairs' arrays."""
+    carrier: one ``_linear_mismatches`` evaluation of every law over the
+    pairs' arrays, read for any mismatch, with no witness formed."""
     ts, us = [t for t, _ in pairs], [u for _, u in pairs]
-    verdicts = [[found is None for found in linear_failures(carrier, Scalar(), ts, us, law)] for law in laws]
-    return [all(member) for member in zip(*verdicts)]
+    holds: list[bool] = []
+    for _, mism in _linear_mismatches(carrier, Scalar(), ts, us, laws):
+        holds += np.logical_not([m.any(axis=(1, 2)) for m in mism]).all(axis=0).tolist()
+    return holds
 
 
 def _coeff_desc(carrier: Carrier, t: int, u: int) -> str:
@@ -385,25 +440,20 @@ def _t6(p: dict, run: _Run) -> None:
 
 @_check("T7", "asserted", "left ideals of (t,u) are the right ideals of (u,t)", zn_n=(3, 12), zni_n=(3, 8), nzn_n=3)
 def _t7(p: dict, run: _Run) -> None:
-    # each groupoid of a sweep is built once, its table compiled with the
-    # sweep's, and the duality is read off the absorb flags of every mask: the
-    # left flags of a block of pairs (t,u) against the right flags of their
-    # duals (u,t), each side one stacked recurrence (``_flag_blocks``)
-    def check_duality(pairs: list, groupoids: list[Groupoid], desc: Callable[..., str]) -> None:
-        tabs, blocks = _flag_blocks(groupoids, "ideal enumeration")
-        at = {pair: i for i, pair in enumerate(pairs)}
-        dual = np.array([at[u, t] for t, u in pairs])
-        for block in blocks:
-            left = _absorb_flags(tabs[block], "left")
-            right = _absorb_flags(tabs[dual[block]], "right")
-            for (t, u), same in zip(pairs[block], (left == right).all(axis=-1).tolist()):
-                run.check(same, lambda: desc(t, u))
+    # a pair whose table is the transpose of its dual's holds (the module
+    # docstring says why); any other is decided by its absorb flags
+    def check_duality(carrier: Carrier, pairs: list, desc: Callable[..., str]) -> None:
+        holds = _transposed_duals(carrier, pairs)
+        failed = [pair for pair, ok in zip(pairs, holds) if not ok]
+        flags = dict(zip(failed, _absorb_duals(carrier, failed))) if failed else {}
+        for (t, u), ok in zip(pairs, holds):
+            run.check(ok or flags[t, u], lambda: desc(t, u))
 
     for family, key in (("zn", "zn_n"), ("zni", "zni_n")):
         for _, carrier, pairs in _sweeps(_moduli(p[key]), (family,), _nonzero_pairs):
             check_duality(
+                carrier,
                 pairs,
-                _groupoids(carrier, pairs),
                 lambda t, u: f"{_coeff_desc(carrier, t, u)}: left ideals differ from the (u,t) right ideals",
             )
     # mixed-carrier slice: a fixed set of representative values
@@ -411,8 +461,8 @@ def _t7(p: dict, run: _Run) -> None:
     values = [(0, 1), (1, 0), (1, 1), (2, 1), (0, 2), (2, 2)]
     pairs = [(v, w) for v in values for w in values if v != w]
     check_duality(
+        carrier,
         pairs,
-        [build(carrier, Scalar(), v, w) for v, w in pairs],
         lambda v, w: f"{carrier.token()} ({carrier.format_value(v)},{carrier.format_value(w)}): ideal duality fails",
     )
 

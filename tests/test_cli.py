@@ -522,15 +522,14 @@ def test_a_tiny_budget_refuses_every_budgeted_command_with_exit_3(runner, monkey
     assert diag["detail"].endswith("budget is 10 (set GGL_BUDGET to raise it)")
 
 
-def test_t7_refuses_the_first_sweep_past_the_power_set_budget(runner, monkeypatch):
-    """T7 refuses its n*2^n before any flag work: zn:3..7 fit 1000, zn:8
-    does not."""
-    monkeypatch.setenv("GGL_BUDGET", "1000")
+def test_t7_refuses_the_first_sweep_past_the_table_budget(runner, monkeypatch):
+    """T7 refuses a sweep's n^2 cells a table before it compiles one: zn:3..10
+    fit 100, zn:11 does not."""
+    monkeypatch.setenv("GGL_BUDGET", "100")
     r = invoke(runner, "verify", "--only", "T7")
     assert r.exit_code == 3
     assert r.stdout == ""
     assert json.loads(r.stderr) == {
         "error": "budget-exceeded",
-        "detail": "ideal enumeration: power-set work cap exceeded: estimate 8*2^8 = 2048, "
-        "budget is 1000 (set GGL_BUDGET to raise it)",
+        "detail": "Cayley table cap exceeded: estimate 11^2 = 121 cells, budget is 100 (set GGL_BUDGET to raise it)",
     }

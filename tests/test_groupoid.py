@@ -77,11 +77,6 @@ def test_zero_index_is_the_index_of_the_zero_element(token, shape):
     assert g.zero_index() == g.element_index((carrier.zero(),) * shape.entry_count()) == 0
 
 
-def test_describe_mentions_carrier_shape_pair_level():
-    g = build(Modular(7), Scalar(), 3, 4)
-    assert g.describe() == "carrier zn:7 shape scalar pair (3,4) level two"
-
-
 # -- level taxonomy -----------------------------------------------------------
 
 
@@ -127,9 +122,9 @@ def test_one_zero_parameter_gives_projection_row():
 def test_indeterminate_parameter_flags():
     g = build(PureNeutrosophic(5), Scalar(), 2, 2, t_indeterminate=True,
               u_indeterminate=True)
-    assert "(2I,2I)" in g.describe()
+    assert g.spec.param_text() == "(2I,2I)"
     h = build(PureNeutrosophic(5), Scalar(), 2, 2)
-    assert "(2,2)" in h.describe()
+    assert h.spec.param_text() == "(2,2)"
     # same embedded arithmetic either way on a pure-indeterminate carrier
     assert g.index_table() == h.index_table()
 
@@ -144,7 +139,6 @@ def test_from_table_roundtrip():
     assert h.labels() == g.labels()
     assert h.level is None
     assert h.zero_index() is None
-    assert h.describe() == "table-backed groupoid of order 7"
 
 
 def test_from_table_accepts_label_rows():

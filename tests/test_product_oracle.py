@@ -42,7 +42,7 @@ from groupoidlab import (
     identity_holds_on_subset,
     star,
 )
-from groupoidlab import groupoid, identities
+from groupoidlab import groupoid, identities, theorems
 from groupoidlab.identities import TEMPLATES, IdentityVerdict, eval_tree, first_failure
 from groupoidlab.shape import compile_product, format_element
 
@@ -805,6 +805,92 @@ def test_linear_engine_refuses_before_compiling(monkeypatch, no_compile, carrier
 def test_linear_engine_admits_evaluations_equal_to_the_budget(monkeypatch):
     monkeypatch.setenv("GGL_BUDGET", "27")
     assert linear_sweep(Modular(3), Matrix(1, 2), [(1, 1), (2, 2)], IdentityId.ASSOCIATIVE) == [None, (1, 0, 0)]
+
+
+# the law tuples T1-T6 and T10 evaluate at once (T1 and T10, T2, T3, T4 and
+# T5, T6), then every law alone, and all of them, of one to three variables
+LAW_TUPLES = [
+    (IdentityId.IDEMPOTENT,),
+    (IdentityId.ASSOCIATIVE,),
+    (IdentityId.P_IDENTITY,),
+    (IdentityId.LEFT_ALTERNATIVE, IdentityId.RIGHT_ALTERNATIVE),
+    (IdentityId.P_IDENTITY, IdentityId.LEFT_ALTERNATIVE, IdentityId.RIGHT_ALTERNATIVE),
+    *((law,) for law in IdentityId),
+    tuple(IdentityId),
+]
+TUPLE_CARRIERS = [
+    c
+    for n in range(2, 10)
+    for c in (Modular(n), PureNeutrosophic(n), IntervalOf(Modular(n)), MixedNeutrosophic(n))
+    if c.size() <= 9
+]
+
+
+def tuple_failures(carrier, shape, ts, us, laws):
+    """Per law, each member's first failure, read off one evaluation of the tuple."""
+    found = [[] for _ in laws]
+    for _, mism in identities._linear_mismatches(carrier, shape, ts, us, laws):
+        for per_law, m in zip(found, mism):
+            per_law += identities._first_failures(m)
+    return found
+
+
+TUPLE_CASES = [(c, None) for c in TUPLE_CARRIERS] + [(Modular(3), 40), (MixedNeutrosophic(2), 40)]
+
+
+@pytest.mark.parametrize(
+    "carrier,cells", TUPLE_CASES, ids=[c.token() + ("" if n is None else f"-cells={n}") for c, n in TUPLE_CASES]
+)
+def test_one_evaluation_of_a_law_tuple_matches_one_linear_call_per_law(monkeypatch, carrier, cells):
+    """Every pair of the carrier, on three shapes: each law's witnesses off
+    one shared evaluation equal its own ``linear_failures`` call, and on the
+    scalar shape the theorem checks' verdict is that every law holds. At 40
+    cells most sweeps take several blocks, of one member for three variables
+    at orders 9 and 16."""
+    pairs = all_pairs(carrier)
+    ts, us = [t for t, _ in pairs], [u for _, u in pairs]
+    shapes = (Scalar(), Matrix(1, 2), Poly(1, ProductKind.CONVOLUTION))
+    want = {(s, law): identities.linear_failures(carrier, s, ts, us, law) for s in shapes for law in IdentityId}
+    if cells is not None:
+        set_chunk_cells(monkeypatch, cells)
+    for shape in shapes:
+        for laws in LAW_TUPLES:
+            found = tuple_failures(carrier, shape, ts, us, laws)
+            assert found == [want[shape, law] for law in laws], (shape, laws)
+            if shape == Scalar():
+                holds = [all(f is None for f in member) for member in zip(*found)]
+                assert theorems._laws_hold(carrier, pairs, laws) == holds, laws
+
+
+@pytest.mark.parametrize(
+    "shape,ts,us,laws,budget,error,message",
+    [
+        (Poly(1, ProductKind.SHUFFLE), [0, 1], [0], (IdentityId.ASSOCIATIVE,), "1", CarrierError,
+         "linear verdicts need one u per t, got 2 t and 1 u"),
+        (Poly(1, ProductKind.SHUFFLE), [1, 0], [1, 0], (IdentityId.ASSOCIATIVE,), "1", CarrierError,
+         "parameter pair (0, 0) does not define a groupoid"),
+        (Poly(6, ProductKind.SHUFFLE), [1], [2], (IdentityId.ASSOCIATIVE,), "1", CarrierError,
+         "linear verdicts need an additive product; shape poly:6:shuffle is a shuffle"),
+        (Matrix(1, 7), [1], [2], (IdentityId.ASSOCIATIVE,), "1", BudgetExceeded,
+         "enumeration cap exceeded: estimate 10^7 = 10000000 elements, cap is 1000000"),
+        (Matrix(1, 2), [1], [2], (IdentityId.IDEMPOTENT, IdentityId.ASSOCIATIVE), "299", BudgetExceeded,
+         "linear check cap exceeded: estimate 3*100 = 300 evaluations, budget is 299 (set GGL_BUDGET to raise it)"),
+        (Matrix(1, 2), [1], [2], (IdentityId.ASSOCIATIVE, IdentityId.IDEMPOTENT), "99", BudgetExceeded,
+         "linear check cap exceeded: estimate 3*100 = 300 evaluations, budget is 99 (set GGL_BUDGET to raise it)"),
+        (Matrix(1, 2), [1], [2], (IdentityId.COMMUTATIVE, IdentityId.MOUFANG), "199", BudgetExceeded,
+         "linear check cap exceeded: estimate 2*100 = 200 evaluations, budget is 199 (set GGL_BUDGET to raise it)"),
+    ],
+    ids=["lengths-first", "zero-pair-before-shuffle", "shuffle-before-cap", "cap-before-budget",
+         "second-law-over", "first-law-over", "first-of-two-over"],
+)
+def test_a_law_tuple_is_refused_in_order_before_compiling(monkeypatch, no_compile, shape, ts, us, laws, budget, error, message):
+    """Over zn:10, each case also breaks every later refusal: the budget
+    refusal names the first law, in tuple order, whose vars·order
+    evaluations are past it."""
+    monkeypatch.setenv("GGL_BUDGET", budget)
+    with pytest.raises(error) as err:
+        tuple_failures(Modular(10), shape, ts, us, laws)
+    assert str(err.value) == message
 
 
 LIFTED_SHAPES = [Matrix(1, 2), Matrix(2, 1), Poly(1, ProductKind.ENTRYWISE), Poly(0, ProductKind.CONVOLUTION)]

@@ -640,7 +640,7 @@ def test_the_normal_search_builds_a_handle_only_for_a_normal_subset(monkeypatch)
 
     monkeypatch.setattr(structure.MaskedSubsets, "_handle", counted)
     normal = find_normal_subgroupoids(build(Modular(8), Scalar(), 2, 6))
-    assert normal and built == [h.mask() for h in normal]
+    assert normal and built == [sum(1 << i for i in h.indices) for h in normal]
 
 
 # -- lazy results against eager handles ---------------------------------------------------
@@ -788,55 +788,58 @@ def t7_oracle(p, enumerate_ideals):
 T7_PARAMS = {"zn_n": (3, 6), "zni_n": (3, 4), "nzn_n": 3}
 
 
+def break_tables(monkeypatch, broken):
+    """Every table compiled for a (carrier token, t, u) of broken has its cell
+    (0, 1), which is u, moved on by one, in the checks and the oracles alike:
+    its pair's table is then not the transpose of its dual's, so T7's absorb
+    flags decide the two."""
+    real = groupoid.compile_product
+
+    def compile_broken(carrier, shape, ts, us):
+        product = real(carrier, shape, ts, us)
+        hit = [p for p, (t, u) in enumerate(zip(ts, us)) if (carrier.token(), t, u) in broken]
+
+        def broken_product(X, Y):
+            out = product(X, Y)
+            for p in hit:
+                out[p, 0, 1] = (out[p, 0, 1] + 1) % carrier.size()
+            return out
+
+        return broken_product
+
+    monkeypatch.setattr(groupoid, "compile_product", compile_broken)
+
+
 def test_t7_reports_a_broken_pair_where_the_per_pair_loop_does(monkeypatch):
-    broken = {("zn:6", 1, 3), ("zni:4", 2, 2), ("nzn:3", (0, 1), (2, 1))}
-
-    def is_broken(g):
-        return (g.spec.carrier.token(), g.spec.t, g.spec.u) in broken
-
-    def enumerate_broken(g):
-        ideals = enumerate_ideals(g)
-        if is_broken(g):
-            assert len(ideals.left)
-            ideals = dataclasses.replace(ideals, left=structure.MaskedSubsets(g, ideals.left.rows[1:]))
-        return ideals
-
-    # T7 reads stacked flags: the same first left ideal is dropped from the
-    # left flags of a broken pair's row, found by its table in the sweep that
-    # T7 compiled last (one carrier, so two carriers' equal tables never mix)
-    sweep = []
-
-    def compile_sweep(groupoids):
-        sweep[:] = groupoids
-        return groupoid.compile_tables(groupoids)
-
-    def absorb_broken(tabs, side):
-        flags = structure._absorb_flags(tabs, side)
-        for g in filter(is_broken, sweep if side == "left" else ()):
-            for row in np.flatnonzero((tabs == g.table_array()).all(axis=(1, 2))):
-                flags[row, row_masks(structure._proper_rows(flags[row])[:1])[0]] = False
-        return flags
-
-    monkeypatch.setattr(theorems, "compile_tables", compile_sweep)
-    monkeypatch.setattr(theorems, "_absorb_flags", absorb_broken)
+    """Four broken tables: three break their pair's ideal duality, and zn:5
+    (2,4) keeps it though its table does not transpose."""
+    break_tables(monkeypatch, {("zn:6", 1, 3), ("zni:4", 2, 2), ("nzn:3", (0, 1), (2, 1)), ("zn:5", 2, 4)})
+    decided = []
+    real = theorems._absorb_duals
+    monkeypatch.setattr(theorems, "_absorb_duals", lambda carrier, pairs: decided.extend(pairs) or real(carrier, pairs))
     outcome = theorems.verify_theorem("T7", T7_PARAMS)
-    instances, failures = t7_oracle(T7_PARAMS, enumerate_broken)
+    instances, failures = t7_oracle(T7_PARAMS, enumerate_ideals)
     assert (outcome.instances, outcome.failures) == (instances, failures)
     assert failures == (
         "zn:6 (1,3): left ideals differ from the (u,t) right ideals",
         "zni:4 (2I,2I): left ideals differ from the (u,t) right ideals",
         "nzn:3 (I,2+I): ideal duality fails",
     )
+    assert decided == [(2, 4), (4, 2), (1, 3), (3, 1), (2, 2), ((0, 1), (2, 1)), ((2, 1), (0, 1))]
 
 
 @pytest.mark.parametrize("cells,step", [(None, 4), (1 << 6, 1)], ids=["default-blocks", "cells=64"])
 def test_t7_matches_the_per_pair_loop_across_blocks_of_a_sweep(monkeypatch, cells, step):
-    """A block holds at most _CHUNK_CELLS bytes of mask words, uint8 up to
-    order 8 and uint16 up to 16: zn:14 takes its 169 pairs 4 at a time at the
+    """Every table of zn:14 broken, so the absorb flags decide all 169 pairs.
+    A flag block holds at most _CHUNK_CELLS bytes of mask words, uint8 up to
+    order 8 and uint16 up to 16: zn:14 takes its pairs 4 at a time at the
     default block size; at 64 cells a block of order n holds 64 // (word << n)
-    pairs, one from n = 6 up."""
+    pairs, one from n = 6 up, and every compile block holds one table from
+    order 9 up, so a pair waits for its dual in the next block."""
     if cells is not None:
         monkeypatch.setattr(theorems, "_CHUNK_CELLS", cells)
+        monkeypatch.setattr(groupoid, "_CHUNK_CELLS", cells)
+    break_tables(monkeypatch, {("zn:14", t, u) for t, u in theorems._nonzero_pairs(14)})
     limit = theorems._CHUNK_CELLS
     word_bytes = lambda n: (1 if n <= 8 else 2) << n
     stacks = []
@@ -851,19 +854,24 @@ def test_t7_matches_the_per_pair_loop_across_blocks_of_a_sweep(monkeypatch, cell
     assert (outcome.instances, outcome.failures) == t7_oracle(params, enumerate_ideals)
     assert all(m * word_bytes(n) <= max(word_bytes(n), limit) for m, n, _ in stacks)
     assert stacks.count((step, 14, 14)) == 2 * (169 // step)
+    assert {n for _, n, _ in stacks} == {14}
 
 
-def test_t7_builds_each_groupoid_once_and_no_handle(monkeypatch):
-    def refuse(self, mask):
-        raise AssertionError("T7 built a handle")
+@pytest.mark.parametrize("cells", [None, 1, 27], ids=lambda c: f"cells={c}")
+def test_t7_builds_no_groupoid_when_every_pair_transposes(monkeypatch, cells):
+    """Compile blocks of the default size, of one table, and of three order-3
+    tables, so that a pair waits for its dual in the next block: every pair
+    transposes, and T7 builds no groupoid and reads no flag."""
+    if cells is not None:
+        monkeypatch.setattr(groupoid, "_CHUNK_CELLS", cells)
 
-    monkeypatch.setattr(structure.MaskedSubsets, "_handle", refuse)
-    built = []
-    real_build = theorems.build
-    monkeypatch.setattr(theorems, "build", lambda *a, **kw: built.append(a) or real_build(*a, **kw))
+    def refuse(*args, **kwargs):
+        raise AssertionError("T7 built a groupoid or read flags")
+
+    monkeypatch.setattr(theorems, "build", refuse)
+    monkeypatch.setattr(theorems, "_absorb_flags", refuse)
     outcome = theorems.verify_theorem("T7", T7_PARAMS)
-    assert outcome.passed and outcome.instances == len(built) == 4 + 9 + 16 + 25 + 4 + 9 + 30
-    assert len(set(built)) == len(built)
+    assert outcome.passed and outcome.instances == 4 + 9 + 16 + 25 + 4 + 9 + 30
 
 
 # -- T17 on stacked flags against the per-groupoid loop ------------------------------------

@@ -268,9 +268,9 @@ def test_a_range_of_moduli_that_is_not_lo_hi_is_refused(span):
         verify_theorem("T1", {"n": span})
 
 
-# verdicts flipped per identity, by a member's position in its linear_failures
-# call; the expected outcomes were recorded before T1, T2, T5 and T6 shared
-# one runner, so they pin each check's scan order and failure text
+# verdicts flipped per identity, by a member's position in the sweep of its
+# linear evaluation; the expected outcomes were recorded before T1, T2, T5 and
+# T6 shared one runner, so they pin each check's scan order and failure text
 FLIPPED = {
     IdentityId.IDEMPOTENT: {0},
     IdentityId.ASSOCIATIVE: {1},
@@ -311,13 +311,16 @@ FLIPPED_OUTCOMES = {
 
 @pytest.mark.parametrize("check_id,key,span", sorted(FLIPPED_OUTCOMES), ids=lambda v: v if isinstance(v, str) else None)
 def test_law_checks_report_the_members_whose_verdicts_break(monkeypatch, check_id, key, span):
-    real = theorems.linear_failures
+    real = theorems._linear_mismatches
 
-    def flipped(carrier, shape, ts, us, identity):
-        found = real(carrier, shape, ts, us, identity)
-        return [((0,) if f is None else None) if i in FLIPPED[identity] else f for i, f in enumerate(found)]
+    def flipped(carrier, shape, ts, us, laws):
+        for block, mism in real(carrier, shape, ts, us, laws):
+            for law, m in zip(laws, mism):
+                for p in FLIPPED[law] & set(range(len(ts))[block]):
+                    m[p - block.start] = not m[p - block.start].any()
+            yield block, mism
 
-    monkeypatch.setattr(theorems, "linear_failures", flipped)
+    monkeypatch.setattr(theorems, "_linear_mismatches", flipped)
     out = verify_theorem(check_id, {key: span})
     instances, failures = FLIPPED_OUTCOMES[check_id, key, span]
     assert (out.instances, list(out.failures)) == (instances, failures)
@@ -385,16 +388,17 @@ def test_report_only_principal_subgroupoid_always_found():
     assert eight["unique_of_claimed_order"]
 
 
-def test_t7_refuses_a_sweep_past_the_power_set_budget_before_compiling_it(monkeypatch):
-    """Under a budget of 1000, zn:3..7 fit and zn:8's 8*2^8 does not: its 49
-    tables are never compiled."""
-    monkeypatch.setenv("GGL_BUDGET", "1000")
+def test_t7_refuses_a_sweep_past_the_table_budget_before_compiling_it(monkeypatch):
+    """Under a budget of 100, zn:3..10 fit and zn:11's 11^2 cells a table do
+    not: no sweep of order 11 starts, so none of its tables compiles."""
+    monkeypatch.setenv("GGL_BUDGET", "100")
     orders = []
-    real = theorems.compile_tables
-    monkeypatch.setattr(theorems, "compile_tables", lambda gs: orders.append({g.order for g in gs}) or real(gs))
-    with pytest.raises(BudgetExceeded, match=r"^ideal enumeration: power-set work cap exceeded: estimate 8\*2\^8 = 2048"):
+    real = theorems.sweep_products
+    recorded = lambda carrier, *a: orders.append(carrier.size()) or real(carrier, *a)  # noqa: E731
+    monkeypatch.setattr(theorems, "sweep_products", recorded)
+    with pytest.raises(BudgetExceeded, match=r"^Cayley table cap exceeded: estimate 11\^2 = 121 cells, budget is 100 "):
         verify_theorem("T7")
-    assert orders == [{n} for n in range(3, 8)]
+    assert orders == list(range(3, 11))
 
 
 def test_t9_reads_principal_normality_off_the_normal_list(monkeypatch):
