@@ -122,11 +122,6 @@ class GroupoidSpec:
     def level(self) -> Level:
         return classify_level(self.carrier, self.t, self.u)
 
-    def param_text(self) -> str:
-        t = self.carrier.format_param(self.t, self.t_indeterminate)
-        u = self.carrier.format_param(self.u, self.u_indeterminate)
-        return f"({t},{u})"
-
 
 def enumerable_order(carrier: Carrier, shape: Shape) -> int:
     """The order q^k of the elements of shape over carrier, refused when it is

@@ -16,25 +16,24 @@ carrier family, and a runner keeps only its claim and its failure text,
 formatted only when an instance fails. T1–T6 and T10 decide all of a sweep's
 laws in one evaluation on its parameter arrays (``identities._linear_mismatches``,
 which ``linear_failures`` also reads), exact since every scalar product is
-additive, and T16 reads 0*y and x*0 from one product of the sweep, so none of
-them builds a groupoid or compiles a table for a pair that passes; the tests
-hold those verdicts against the exhaustive scan. T1, T2, T5 and T6 share one
-runner, ``_congruence``: the laws of a closed form (``identities.CLOSED_FORMS``)
-hold exactly when it says so. T11 and T14 share ``_strong``: each law holds
-strongly in the Smarandache sense. T7 decides by transposition: u·x + t·y =
-y ∗₍t,u₎ x, so G(u,t) is the opposite of G(t,u), and the left ideals of a
-groupoid are the right ideals of its opposite, for every subset. T7 compiles
-each sweep's tables once from ``sweep_products``, each table's n² cells
-refused as a Cayley table first, builds no groupoid, and passes a pair whose
-table is the transpose of its dual's; a pair whose tables do not transpose
-(none, while the products are affine) is decided by its absorb flags, so the
-verdict is exact whatever the tables are. T9, T15, T17 and T7's fallback
-build the sweep's groupoids (``_groupoids``). T17 and T7's fallback compile
-their tables together and read stacked flag recurrences a block of members at
-a time (``_flag_blocks``: at most _CHUNK_CELLS bytes of mask words a block):
-the fallback compares the left absorb flags of (t,u) with the right flags of
-(u,t), and T17 counts each member's closed subsets of two or more elements
-and its one-sided ideals off its closed, left and right flags. T9 reads each
+additive, and T16 reads 0*y and x*0 from one product a block
+(``_zero_rows``), so none of them builds a groupoid or compiles a table for a
+pair that passes; the tests hold those verdicts against the exhaustive scan.
+T1, T2, T5 and T6 share one runner, ``_congruence``: the laws of a closed
+form (``identities.CLOSED_FORMS``) hold exactly when it says so. T11 and T14
+share ``_strong``: each law holds strongly in the Smarandache sense. T7
+decides by transposition: u·x + t·y = y ∗₍t,u₎ x, so G(u,t) is the opposite
+of G(t,u), and the left ideals of a groupoid are the right ideals of its
+opposite, for every subset. T7 passes a pair whose table is the transpose
+of its dual's and fails any other; since the products are additive, that
+reads the same two rows of n a pair, the pairs' ``_zero_rows`` against
+their duals', with each sweep's total refused against the work budget
+first, and builds no groupoid or table. T9, T15 and
+T17 build the sweep's groupoids (``_groupoids``). T17 compiles each sweep's
+tables together and reads stacked flag recurrences a block of members at a
+time (``_flag_blocks``: at most _CHUNK_CELLS bytes of mask words a block),
+counting each member's closed subsets of two or more elements and its
+one-sided ideals off its closed, left and right flags. T9 reads each
 groupoid's subgroupoids as membership rows: their sizes, their normality
 (``structure._normal_rows``) and their label lists, with no subset handle
 built. T15 reads the public ``enumerate_ideals``. T10 reads the idempotent
@@ -53,7 +52,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -73,7 +72,6 @@ from .groupoid import (
     build,
     check_budget,
     compile_tables,
-    enumerable_order,
     sweep_products,
 )
 from .identities import (
@@ -143,40 +141,32 @@ def _flag_blocks(groupoids: list[Groupoid], what: str) -> tuple[np.ndarray, list
     return tabs, [slice(lo, lo + step) for lo in range(0, len(groupoids), step)]
 
 
+def _zero_rows(carrier: Carrier, pairs: list, swap: bool = False) -> Iterator[tuple[slice, np.ndarray]]:
+    """The rows 0*y and x*0 of the scalar product of each pair (t, u) over
+    carrier, of (u, t) when swap is set, one ``sweep_products`` block at a
+    time: (block, rows) with rows[p] = (0*y over every y, x*0 over every x)
+    for member p of the block, with no table compiled."""
+    n = carrier.size()
+    axis = np.arange(n)
+    X = np.stack([np.zeros_like(axis), axis])[None]  # (0, x) against (y, 0)
+    ts, us = [t for t, _ in pairs], [u for _, u in pairs]
+    for block, product in sweep_products(carrier, Scalar(), *((us, ts) if swap else (ts, us)), 2 * n):
+        yield block, product(X, X[:, ::-1])
+
+
 def _transposed_duals(carrier: Carrier, pairs: list) -> list[bool]:
     """Whether the scalar table of each pair (t, u) over carrier is the
-    transpose of the table of its dual (u, t), a pair of the same list. Each
-    table compiles once, beside its dual's (an equal pair's beside itself),
-    and a block's last table waits for its dual in the next."""
-    n = enumerable_order(carrier, Scalar())
-    check_budget("Cayley table", f"{n}^2", n * n, " cells")
-    at = {pair: i for i, pair in enumerate(pairs)}
-    couples = [(i, at[u, t]) for i, (t, u) in enumerate(pairs) if at[u, t] >= i]
-    side_by_side = [pairs[i] for couple in couples for i in couple]
-    ts, us = [t for t, _ in side_by_side], [u for _, u in side_by_side]
-    X = np.arange(n)
-    same: list[bool] = []
-    held = np.empty((0, n, n), dtype=np.int32)
-    for _, product in sweep_products(carrier, Scalar(), ts, us, n * n):
-        tabs = np.concatenate([held, product(X[None, :, None], X[None, None, :])])
-        even = len(tabs) & ~1
-        same += (tabs[0:even:2] == tabs[1:even:2].swapaxes(1, 2)).all(axis=(1, 2)).tolist()
-        held = tabs[even:]
-    holds = [False] * len(pairs)
-    for (i, j), ok in zip(couples, same):
-        holds[i] = holds[j] = ok
+    transpose of the table of its dual (u, t). The products are additive
+    (x*y = x*0 + 0*y), so the tables transpose exactly when x*0 of the one is
+    0*x of the other, both ways: the pairs' ``_zero_rows`` against their
+    duals', block by block. The two sweeps' pairs*4*n cells are refused
+    first, so no row compiles past the budget."""
+    n = carrier.size()
+    check_budget("ideal duality rows", f"{len(pairs)}*4*{n}", len(pairs) * 4 * n, " cells")
+    holds: list[bool] = []
+    for (_, rows), (_, dual) in zip(_zero_rows(carrier, pairs), _zero_rows(carrier, pairs, swap=True)):
+        holds += (rows == dual[:, ::-1]).all(axis=(1, 2)).tolist()
     return holds
-
-
-def _absorb_duals(carrier: Carrier, pairs: list) -> list[bool]:
-    """Whether the left absorb flags of the scalar groupoid of each pair (t, u)
-    over carrier equal the right flags of its dual (u, t), a pair of the same
-    list: one stacked recurrence a side per block of ``_flag_blocks``."""
-    tabs, blocks = _flag_blocks(_groupoids(carrier, pairs), "ideal enumeration")
-    at = {pair: i for i, pair in enumerate(pairs)}
-    dual = np.array([at[u, t] for t, u in pairs])
-    same = [(_absorb_flags(tabs[b], "left") == _absorb_flags(tabs[dual[b]], "right")).all(axis=-1) for b in blocks]
-    return np.concatenate(same).tolist()
 
 
 def _laws_hold(carrier: Carrier, pairs: list, laws: tuple[IdentityId, ...]) -> list[bool]:
@@ -441,30 +431,19 @@ def _t6(p: dict, run: _Run) -> None:
 @_check("T7", "asserted", "left ideals of (t,u) are the right ideals of (u,t)", zn_n=(3, 12), zni_n=(3, 8), nzn_n=3)
 def _t7(p: dict, run: _Run) -> None:
     # a pair whose table is the transpose of its dual's holds (the module
-    # docstring says why); any other is decided by its absorb flags
-    def check_duality(carrier: Carrier, pairs: list, desc: Callable[..., str]) -> None:
-        holds = _transposed_duals(carrier, pairs)
-        failed = [pair for pair, ok in zip(pairs, holds) if not ok]
-        flags = dict(zip(failed, _absorb_duals(carrier, failed))) if failed else {}
-        for (t, u), ok in zip(pairs, holds):
-            run.check(ok or flags[t, u], lambda: desc(t, u))
+    # docstring says why); a pair whose table does not transpose fails
+    def check_duality(carrier: Carrier, pairs: list, label: Callable[..., str]) -> None:
+        for (t, u), ok in zip(pairs, _transposed_duals(carrier, pairs)):
+            run.check(ok, lambda: f"{label(t, u)}: the table is not the transpose of the (u,t) table")
 
     for family, key in (("zn", "zn_n"), ("zni", "zni_n")):
         for _, carrier, pairs in _sweeps(_moduli(p[key]), (family,), _nonzero_pairs):
-            check_duality(
-                carrier,
-                pairs,
-                lambda t, u: f"{_coeff_desc(carrier, t, u)}: left ideals differ from the (u,t) right ideals",
-            )
+            check_duality(carrier, pairs, lambda t, u: _coeff_desc(carrier, t, u))
     # mixed-carrier slice: a fixed set of representative values
     carrier = MixedNeutrosophic(p["nzn_n"])
     values = [(0, 1), (1, 0), (1, 1), (2, 1), (0, 2), (2, 2)]
     pairs = [(v, w) for v in values for w in values if v != w]
-    check_duality(
-        carrier,
-        pairs,
-        lambda v, w: f"{carrier.token()} ({carrier.format_value(v)},{carrier.format_value(w)}): ideal duality fails",
-    )
+    check_duality(carrier, pairs, lambda v, w: f"{carrier.token()} ({carrier.format_value(v)},{carrier.format_value(w)})")
 
 
 @_check(
@@ -678,15 +657,10 @@ def _t15(p: dict, run: _Run) -> None:
 )
 def _t16(p: dict, run: _Run) -> None:
     # {0} is a left ideal when 0*y = 0 for every y, and a right ideal when
-    # x*0 = 0 for every x: one product of the sweep reads both axes, row 0 of
-    # the table (0*y) and column 0 (x*0), with no table compiled
-    for n, carrier, pairs in _sweeps(_moduli(p["n"]), p["carriers"], _nonzero_pairs):
-        axis = np.arange(n)
-        X = np.stack([np.zeros_like(axis), axis])[None]  # (0, x) against (y, 0)
-        ts, us = [t for t, _ in pairs], [u for _, u in pairs]
-        for block, product in sweep_products(carrier, Scalar(), ts, us, 2 * n):
-            sides = product(X, X[:, ::-1]).any(axis=-1).all(axis=-1).tolist()
-            for (t, u), neither in zip(pairs[block], sides):
+    # x*0 = 0 for every x: both are read off the pairs' ``_zero_rows``
+    for _, carrier, pairs in _sweeps(_moduli(p["n"]), p["carriers"], _nonzero_pairs):
+        for block, rows in _zero_rows(carrier, pairs):
+            for (t, u), neither in zip(pairs[block], rows.any(axis=-1).all(axis=-1).tolist()):
                 run.check(neither, lambda: f"{_coeff_desc(carrier, t, u)}: the zero singleton absorbs on some side")
 
 

@@ -522,14 +522,26 @@ def test_a_tiny_budget_refuses_every_budgeted_command_with_exit_3(runner, monkey
     assert diag["detail"].endswith("budget is 10 (set GGL_BUDGET to raise it)")
 
 
-def test_t7_refuses_the_first_sweep_past_the_table_budget(runner, monkeypatch):
-    """T7 refuses a sweep's n^2 cells a table before it compiles one: zn:3..10
-    fit 100, zn:11 does not."""
-    monkeypatch.setenv("GGL_BUDGET", "100")
-    r = invoke(runner, "verify", "--only", "T7")
+@pytest.mark.parametrize(
+    "budget,args,detail",
+    [
+        ("1000", (), "estimate 36*4*7 = 1008 cells, budget is 1000"),
+        (None, ("--range", "zn_n=300..10000"), "estimate 89401*4*300 = 107281200 cells, budget is 100000000"),
+    ],
+    ids=["zn:7-past-1000", "zn:300-past-the-default"],
+)
+def test_t7_refuses_the_first_sweep_past_the_row_budget(runner, monkeypatch, budget, args, detail):
+    """T7 refuses a sweep's pairs*4*n cells of rows before it compiles any:
+    zn:3..6 fit a budget of 1000 and zn:7 does not; the default budget
+    refuses a range from order 300 at its first sweep."""
+    if budget is None:
+        monkeypatch.delenv("GGL_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("GGL_BUDGET", budget)
+    r = invoke(runner, "verify", "--only", "T7", *args)
     assert r.exit_code == 3
     assert r.stdout == ""
     assert json.loads(r.stderr) == {
         "error": "budget-exceeded",
-        "detail": "Cayley table cap exceeded: estimate 11^2 = 121 cells, budget is 100 (set GGL_BUDGET to raise it)",
+        "detail": f"ideal duality rows cap exceeded: {detail} (set GGL_BUDGET to raise it)",
     }

@@ -788,88 +788,59 @@ def t7_oracle(p, enumerate_ideals):
 T7_PARAMS = {"zn_n": (3, 6), "zni_n": (3, 4), "nzn_n": 3}
 
 
-def break_tables(monkeypatch, broken):
-    """Every table compiled for a (carrier token, t, u) of broken has its cell
-    (0, 1), which is u, moved on by one, in the checks and the oracles alike:
-    its pair's table is then not the transpose of its dual's, so T7's absorb
-    flags decide the two."""
-    real = groupoid.compile_product
+def test_t7_reports_a_pair_whose_table_does_not_transpose(monkeypatch):
+    """The row 0*y of zn:5 (2,4) moved on by one wherever a sweep computes it:
+    (2,4) no longer transposes its dual's rows, nor (4,2) the dual rows that
+    (2,4) gives it, so exactly those two fail."""
+    real = theorems.sweep_products
 
-    def compile_broken(carrier, shape, ts, us):
-        product = real(carrier, shape, ts, us)
-        hit = [p for p, (t, u) in enumerate(zip(ts, us)) if (carrier.token(), t, u) in broken]
+    def shifted(carrier, shape, ts, us, cells):
+        for block, product in real(carrier, shape, ts, us, cells):
+            hit = [p for p, pair in enumerate(zip(ts[block], us[block])) if (carrier.token(), *pair) == ("zn:5", 2, 4)]
 
-        def broken_product(X, Y):
-            out = product(X, Y)
-            for p in hit:
-                out[p, 0, 1] = (out[p, 0, 1] + 1) % carrier.size()
-            return out
+            def moved(X, Y, product=product, hit=hit):
+                out = product(X, Y)
+                out[hit, 0] += 1
+                return out
 
-        return broken_product
+            yield block, moved
 
-    monkeypatch.setattr(groupoid, "compile_product", compile_broken)
-
-
-def test_t7_reports_a_broken_pair_where_the_per_pair_loop_does(monkeypatch):
-    """Four broken tables: three break their pair's ideal duality, and zn:5
-    (2,4) keeps it though its table does not transpose."""
-    break_tables(monkeypatch, {("zn:6", 1, 3), ("zni:4", 2, 2), ("nzn:3", (0, 1), (2, 1)), ("zn:5", 2, 4)})
-    decided = []
-    real = theorems._absorb_duals
-    monkeypatch.setattr(theorems, "_absorb_duals", lambda carrier, pairs: decided.extend(pairs) or real(carrier, pairs))
+    monkeypatch.setattr(theorems, "sweep_products", shifted)
     outcome = theorems.verify_theorem("T7", T7_PARAMS)
-    instances, failures = t7_oracle(T7_PARAMS, enumerate_ideals)
-    assert (outcome.instances, outcome.failures) == (instances, failures)
-    assert failures == (
-        "zn:6 (1,3): left ideals differ from the (u,t) right ideals",
-        "zni:4 (2I,2I): left ideals differ from the (u,t) right ideals",
-        "nzn:3 (I,2+I): ideal duality fails",
+    assert outcome.instances == t7_oracle(T7_PARAMS, enumerate_ideals)[0]
+    assert outcome.failures == (
+        "zn:5 (2,4): the table is not the transpose of the (u,t) table",
+        "zn:5 (4,2): the table is not the transpose of the (u,t) table",
     )
-    assert decided == [(2, 4), (4, 2), (1, 3), (3, 1), (2, 2), ((0, 1), (2, 1)), ((2, 1), (0, 1))]
 
 
-@pytest.mark.parametrize("cells,step", [(None, 4), (1 << 6, 1)], ids=["default-blocks", "cells=64"])
-def test_t7_matches_the_per_pair_loop_across_blocks_of_a_sweep(monkeypatch, cells, step):
-    """Every table of zn:14 broken, so the absorb flags decide all 169 pairs.
-    A flag block holds at most _CHUNK_CELLS bytes of mask words, uint8 up to
-    order 8 and uint16 up to 16: zn:14 takes its pairs 4 at a time at the
-    default block size; at 64 cells a block of order n holds 64 // (word << n)
-    pairs, one from n = 6 up, and every compile block holds one table from
-    order 9 up, so a pair waits for its dual in the next block."""
-    if cells is not None:
-        monkeypatch.setattr(theorems, "_CHUNK_CELLS", cells)
-        monkeypatch.setattr(groupoid, "_CHUNK_CELLS", cells)
-    break_tables(monkeypatch, {("zn:14", t, u) for t, u in theorems._nonzero_pairs(14)})
-    limit = theorems._CHUNK_CELLS
-    word_bytes = lambda n: (1 if n <= 8 else 2) << n
-    stacks = []
-
-    def recorded(tabs, side):
-        stacks.append(tabs.shape)
-        return structure._absorb_flags(tabs, side)
-
-    monkeypatch.setattr(theorems, "_absorb_flags", recorded)
+@pytest.mark.parametrize("cells", [None, 1], ids=lambda c: f"cells={c}")
+def test_t7_matches_the_per_pair_loop_across_blocks_of_a_sweep(monkeypatch, cells):
+    """Row blocks of the default size, which hold a whole sweep, and of one
+    pair, so that each pair meets its dual's rows in a block of the dual
+    sweep: T7 agrees with the ideals compared pair by pair."""
     params = {"zn_n": (3, 14), "zni_n": (3, 5), "nzn_n": 3}
+    want = t7_oracle(params, enumerate_ideals)
+    assert not want[1]
+    if cells is not None:
+        monkeypatch.setattr(groupoid, "_CHUNK_CELLS", cells)
     outcome = theorems.verify_theorem("T7", params)
-    assert (outcome.instances, outcome.failures) == t7_oracle(params, enumerate_ideals)
-    assert all(m * word_bytes(n) <= max(word_bytes(n), limit) for m, n, _ in stacks)
-    assert stacks.count((step, 14, 14)) == 2 * (169 // step)
-    assert {n for _, n, _ in stacks} == {14}
+    assert (outcome.instances, outcome.failures) == want
 
 
-@pytest.mark.parametrize("cells", [None, 1, 27], ids=lambda c: f"cells={c}")
+@pytest.mark.parametrize("cells", [None, 1, 18], ids=lambda c: f"cells={c}")
 def test_t7_builds_no_groupoid_when_every_pair_transposes(monkeypatch, cells):
-    """Compile blocks of the default size, of one table, and of three order-3
-    tables, so that a pair waits for its dual in the next block: every pair
-    transposes, and T7 builds no groupoid and reads no flag."""
+    """Row blocks of the default size, of one pair, and of three order-3
+    pairs: every pair transposes, and T7 builds no groupoid and compiles no
+    table."""
     if cells is not None:
         monkeypatch.setattr(groupoid, "_CHUNK_CELLS", cells)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("T7 built a groupoid or read flags")
+        raise AssertionError("T7 built a groupoid or compiled a table")
 
     monkeypatch.setattr(theorems, "build", refuse)
-    monkeypatch.setattr(theorems, "_absorb_flags", refuse)
+    monkeypatch.setattr(theorems, "compile_tables", refuse)
     outcome = theorems.verify_theorem("T7", T7_PARAMS)
     assert outcome.passed and outcome.instances == 4 + 9 + 16 + 25 + 4 + 9 + 30
 

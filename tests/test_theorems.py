@@ -388,17 +388,20 @@ def test_report_only_principal_subgroupoid_always_found():
     assert eight["unique_of_claimed_order"]
 
 
-def test_t7_refuses_a_sweep_past_the_table_budget_before_compiling_it(monkeypatch):
-    """Under a budget of 100, zn:3..10 fit and zn:11's 11^2 cells a table do
-    not: no sweep of order 11 starts, so none of its tables compiles."""
-    monkeypatch.setenv("GGL_BUDGET", "100")
+def test_t7_refuses_a_sweep_past_the_row_budget_before_compiling_it(monkeypatch):
+    """Under a budget of 1000, the rows of zn:3..6 fit, 4 cells a pair and
+    element, and zn:7's 36 pairs do not: no sweep of order 7 starts, so none
+    of its rows compiles."""
+    monkeypatch.setenv("GGL_BUDGET", "1000")
     orders = []
     real = theorems.sweep_products
     recorded = lambda carrier, *a: orders.append(carrier.size()) or real(carrier, *a)  # noqa: E731
     monkeypatch.setattr(theorems, "sweep_products", recorded)
-    with pytest.raises(BudgetExceeded, match=r"^Cayley table cap exceeded: estimate 11\^2 = 121 cells, budget is 100 "):
+    with pytest.raises(
+        BudgetExceeded, match=r"^ideal duality rows cap exceeded: estimate 36\*4\*7 = 1008 cells, budget is 1000 "
+    ):
         verify_theorem("T7")
-    assert orders == list(range(3, 11))
+    assert orders == [3, 3, 4, 4, 5, 5, 6, 6]
 
 
 def test_t9_reads_principal_normality_off_the_normal_list(monkeypatch):
