@@ -197,10 +197,6 @@ class Carrier:
     def parse_value(self, s: str) -> Value:
         raise NotImplementedError
 
-    def format_param(self, param: Value, indeterminate: bool) -> str:
-        """A parameter in the spelling it was given with (plain or I-suffixed)."""
-        return self.format_value(param)
-
     def token(self) -> str:
         """Grammar token for the CLI (e.g. ``zn:7``, ``o(zni:4)``, ``q``)."""
         raise NotImplementedError
@@ -268,11 +264,6 @@ class Modular(Carrier):
 
     def format_value(self, v: int) -> str:
         return str(v)
-
-    def format_param(self, param: int, indeterminate: bool) -> str:
-        # plain k and kI act identically on every Z_n notation; keep the
-        # spelling the pair was given with
-        return self.format_value(param) if indeterminate else str(param)
 
     def parse_value(self, s: str) -> int:
         s = s.strip()

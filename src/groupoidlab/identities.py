@@ -162,11 +162,13 @@ class IdentityVerdict:
 
 
 def eval_tree(node: Node, env: dict, prod) -> Any:
-    """Evaluate a template tree; prod multiplies two evaluated operands."""
-    if isinstance(node, str):
-        return env[node]
-    _, a, b = node
-    return prod(eval_tree(a, env, prod), eval_tree(b, env, prod))
+    """Evaluate a template tree; prod multiplies two evaluated operands. env
+    holds the variables' values, and each subterm evaluated is stored in it,
+    so a subterm that recurs, on one side or both, is computed once."""
+    if node not in env:
+        _, a, b = node
+        env[node] = prod(eval_tree(a, env, prod), eval_tree(b, env, prod))
+    return env[node]
 
 
 # -- exhaustive ---------------------------------------------------------------
@@ -322,7 +324,8 @@ class _PlaneScan:
     def value(self, node: Node, values: dict) -> np.ndarray:
         """node over the block, or over the whole domain when there is none;
         values holds the variables and the subterms computed so far, cut to
-        the block."""
+        the block. Not ``eval_tree``: a read here depends on the block (kept
+        arrays, one-row reads) and on the tabulated rows."""
         if node not in values:
             K = self.rows.get(node)
             if K is not None:
@@ -443,14 +446,10 @@ def _linear_mismatches(
         rows[v, 0, v] = np.arange(order)
     for block, prod in sweep_products(carrier, shape, ts, us, len(names) * order):
         values = dict(zip(names, rows))
-
-        def value(node: Node) -> np.ndarray:
-            if node not in values:
-                _, a, b = node
-                values[node] = prod(value(a), value(b))
-            return values[node]
-
-        yield block, [(value(lhs) != value(rhs))[:, : len(vars_)] for lhs, rhs, vars_ in templates]
+        yield block, [
+            (eval_tree(lhs, values, prod) != eval_tree(rhs, values, prod))[:, : len(vars_)]
+            for lhs, rhs, vars_ in templates
+        ]
 
 
 def _first_failures(mism: np.ndarray) -> list[tuple[int, ...] | None]:

@@ -14,10 +14,11 @@ OR-over-subsets ``_subset_or``, and ``m`` is closed (or absorbing) iff
 ``need[..., m] & ~m == 0``, tested in place on ``need``. Leading axes are
 members: ``_closed_flags`` and ``_absorb_flags`` take one table or a stack of
 tables of one order, one row of flags per table, so a sweep of parameter
-pairs runs each recurrence once per block of members. Their
-cost, ``n*2^n`` per table, is checked against the work budget
-(``GGL_BUDGET``, ``groupoid.check_budget``) before anything is allocated, as
-are the ``n^3`` work of whole-groupoid normality and the
+pairs runs each recurrence once per block of members. ``_absorb_flags`` reads
+the rows of the tables it is given; the right flags are those of the
+transposed tables. Their cost, ``n*2^n`` per table, is checked against the
+work budget (``GGL_BUDGET``, ``groupoid.check_budget``) before anything is
+allocated, as are the ``n^3`` work of whole-groupoid normality and the
 ``n(n-1)/2`` pair closures of up to ``n^2`` table reads each of the
 generated-closure route, before the table is built. That route closes boolean
 membership vectors semi-naively. Normality compares translate sets (boolean
@@ -26,9 +27,10 @@ time. A test on a subset of m elements scans m^vars assignments, refused as
 the identity engine refuses it.
 The route is chosen by cost, in one place, ``_powerset_route``:
 ``enumerate_subgroupoids`` takes the power set when its ``n*2^n`` estimate
-fits the budget and the generated closures otherwise, and ``is_simple`` and
-``analyze`` work on whatever list it returns. The other power-set entry points
-have no second route and are refused by the budget alone.
+fits the budget and the generated closures otherwise, and ``is_simple``,
+``analyze`` and ``smarandache`` work on whatever list it returns. Only
+``enumerate_ideals`` and ``find_normal_subgroupoids`` are power-set-only,
+refused by the budget alone.
 
 Every subset list, on either route, is a :class:`MaskedSubsets`
 (``EnumerationResult.subsets``, ``IdealSets.left``/``right``/``two_sided``):
@@ -285,15 +287,14 @@ def _closed_flags(tabs: np.ndarray) -> np.ndarray:
     return _uncovered_free(need)
 
 
-def _absorb_flags(tabs: np.ndarray, side: str) -> np.ndarray:
-    """absorb[..., m]: every product of a subset member with any element stays
-    inside, for one (n, n) table (flags of shape (2^n,)) or each table of an
-    (k, n, n) stack (flags of shape (k, 2^n)).
-
-    side "left": subset member on the left (P*G); "right": member on the right.
-    need is the OR-over-subsets of the members' row (or column) masks.
-    """
-    bit = _bits(tabs if side == "left" else tabs.swapaxes(-1, -2))
+def _absorb_flags(tabs: np.ndarray) -> np.ndarray:
+    """absorb[..., m]: every product of a subset member, on the left, with any
+    element stays inside (P*G within P), for one (n, n) table (flags of shape
+    (2^n,)) or each table of an (k, n, n) stack (flags of shape (k, 2^n)):
+    need is the OR-over-subsets of the members' row masks. The right flags
+    are the left flags of the transposed tables, since the right ideals of a
+    groupoid are the left ideals of its opposite."""
+    bit = _bits(tabs)
     member = np.bitwise_or.reduce(bit, axis=-1)
     need = np.zeros((*member.shape[:-1], 1 << member.shape[-1]), dtype=bit.dtype)
     return _uncovered_free(_subset_or(member, need))
@@ -408,9 +409,7 @@ def _normal_subsets(g: Groupoid, subsets: MaskedSubsets) -> Iterator[SubsetHandl
     """The normal subsets of two or more members, in the given order and
     lazily: no handle is built for a subset that is not normal."""
     lo = int(np.searchsorted(subsets.sizes, 2))  # rows are by size: the singletons come first
-    data, width = subsets.rows[lo:].tobytes(), subsets.rows.shape[1]
-    normal = _normal_rows(g.table_array(), subsets.members()[lo:])
-    return (subsets._handle(int.from_bytes(data[r * width : (r + 1) * width], "little")) for r in normal)
+    return (subsets[lo + r] for r in _normal_rows(g.table_array(), subsets.members()[lo:]))
 
 
 def identity_holds_on_subset(g: Groupoid, subset: Iterable, identity: IdentityId) -> bool:
@@ -558,7 +557,7 @@ def enumerate_ideals(g: Groupoid) -> IdealSets:
     _powerset_order(g, "ideal enumeration")
 
     def sweep() -> tuple[np.ndarray, ...]:  # the left, right and two-sided rows, one memo entry
-        left, right = (_absorb_flags(g.table_array(), side) for side in ("left", "right"))
+        left, right = (_absorb_flags(tab) for tab in (g.table_array(), g.table_array().T))
         return tuple(map(_proper_rows, (left, right, left & right)))
 
     return IdealSets(*(MaskedSubsets(g, rows) for rows in g.cached("ideals", sweep)))
@@ -670,11 +669,16 @@ def smarandache(g: Groupoid, identity: IdentityId | None = None) -> SmarandacheV
     G and G has such a witness; holds_on_semigroup_witness when the identity
     fails globally but holds on some witness of size >= 2; s_groupoid_only
     when only the bare witness exists; not_smarandache otherwise.
+
+    The closed subsets are ``enumerate_subgroupoids``' list, on either route.
+    A closed subset of a semigroup is a semigroup on which every law of the
+    whole holds, so the first witness is the closure of any one of its
+    nonzero elements, and the first law-bearing one of any two of its
+    elements: the generated closures list both, in power-set order.
     """
-    _powerset_order(g, "Smarandache analysis")
-    # the law's scan refuses its own estimate, so it runs before the sweep
+    _powerset_route(g)  # the route's refusal, then the law's scan, then the list
     verdict = None if identity is None else check_identity(g, identity, CheckMode.EXHAUSTIVE)
-    closed = MaskedSubsets(g, _closed_rows(g))
+    closed = enumerate_subgroupoids(g).subsets
     bare = _s_groupoid(g, closed)
     if verdict is None:
         return bare

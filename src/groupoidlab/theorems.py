@@ -28,17 +28,18 @@ opposite, for every subset. T7 passes a pair whose table is the transpose
 of its dual's and fails any other; since the products are additive, that
 reads the same two rows of n a pair, the pairs' ``_zero_rows`` against
 their duals', with each sweep's total refused against the work budget
-first, and builds no groupoid or table. T9, T15 and
-T17 build the sweep's groupoids (``_groupoids``). T17 compiles each sweep's
-tables together and reads stacked flag recurrences a block of members at a
-time (``_flag_blocks``: at most _CHUNK_CELLS bytes of mask words a block),
-counting each member's closed subsets of two or more elements and its
-one-sided ideals off its closed, left and right flags. T9 reads each
-groupoid's subgroupoids as membership rows: their sizes, their normality
-(``structure._normal_rows``) and their label lists, with no subset handle
-built. T15 reads the public ``enumerate_ideals``. T10 reads the idempotent
-law (a singleton {x} is a closed semigroup exactly when x*x = x) and
-classifies no subset unless a pair fails.
+first, and builds no groupoid or table. T17 refuses each sweep once on its
+n*2^n, then reads its stacked tables off ``sweep_products`` blocks of at most
+_CHUNK_CELLS masks of flags (one member when its 2^n alone are more): it
+counts each member's closed subsets of two or more elements and its one-sided
+ideals off its closed, left and right flags, the right ones the left flags of
+the transposed tables, and builds no groupoid. T9 and T15 build the sweep's
+groupoids (``_groupoids``). T9 reads each groupoid's subgroupoids as
+membership rows: their sizes, their normality (``structure._normal_rows``)
+and their label lists, with no subset handle built. T15 reads the public
+``enumerate_ideals``. T10 reads the idempotent law (a singleton {x} is a
+closed semigroup exactly when x*x = x) and classifies no subset unless a pair
+fails.
 
 A tuple default is a (lo, hi) range of moduli, the only kind ``--range``
 overrides; other parameters are lists or numbers. The default ranges keep
@@ -71,7 +72,6 @@ from .groupoid import (
     Groupoid,
     build,
     check_budget,
-    compile_tables,
     sweep_products,
 )
 from .identities import (
@@ -90,9 +90,7 @@ from .structure import (
     _label_lists,
     _normal_rows,
     _powerset_order,
-    _powerset_route,
     _sizes,
-    _word,
     classify_subset,
     enumerate_ideals,
     enumerate_subgroupoids,
@@ -127,18 +125,6 @@ def _sweeps(ns: Iterable[int], families: Iterable[str], pairs_of: Callable[[int]
 def _groupoids(carrier: Carrier, pairs: list) -> list[Groupoid]:
     """The scalar groupoid of each pair over carrier, in pair order."""
     return [_scalar(carrier, t, u) for t, u in pairs]
-
-
-def _flag_blocks(groupoids: list[Groupoid], what: str) -> tuple[np.ndarray, list[slice]]:
-    """The stacked tables of a sweep's groupoids, all of one order n, compiled
-    together once the n*2^n power-set work fits (refused as ``what`` before any
-    table compiles), and the blocks of members whose stacked flag recurrence
-    holds at most _CHUNK_CELLS bytes of mask words (one member when its 2^n
-    words alone are more)."""
-    n = _powerset_order(groupoids[0], what)
-    tabs = np.stack(compile_tables(groupoids))
-    step = max(1, _CHUNK_CELLS // (np.dtype(_word(n)).itemsize << n))
-    return tabs, [slice(lo, lo + step) for lo in range(0, len(groupoids), step)]
 
 
 def _zero_rows(carrier: Carrier, pairs: list, swap: bool = False) -> Iterator[tuple[slice, np.ndarray]]:
@@ -669,20 +655,21 @@ def _t16(p: dict, run: _Run) -> None:
     moduli=[3, 5, 7],
 )
 def _t17(p: dict, run: _Run) -> None:
-    # each sweep is compiled once, refused first as the subgroupoid
-    # enumeration and then as the ideal enumeration of its first member would
-    # be; a member's three counts are read off its closed, left and right
-    # flags over the proper nonempty masks, a block of members at a time
-    # (``_flag_blocks``), and no subset list or handle is built
+    # each sweep is refused once on the ideal enumeration's n*2^n, before any
+    # of its products compile; a member's three counts are read off its
+    # closed, left and right flags over the proper nonempty masks, one block
+    # of at most _CHUNK_CELLS masks at a time, with no groupoid or handle built
     for _, carrier, pairs in _sweeps(p["moduli"], ("o(zni)",), _nonzero_pairs):
-        groupoids = _groupoids(carrier, pairs)
-        _powerset_route(groupoids[0])
-        tabs, blocks = _flag_blocks(groupoids, "ideal enumeration")
-        proper = np.arange(1, (1 << tabs.shape[-1]) - 1, dtype="<i8")
+        n = carrier.size()
+        check_budget("ideal enumeration: power-set work", f"{n}*2^{n}", n << n)
+        X = np.arange(n)
+        proper = np.arange(1, (1 << n) - 1, dtype="<i8")
         sized = _sizes(proper.view(np.uint8).reshape(-1, 8)) >= 2
-        for block in blocks:
-            big = _closed_flags(tabs[block])[:, 1:-1] & sized
-            left, right = (_absorb_flags(tabs[block], side)[:, 1:-1] for side in ("left", "right"))
+        ts, us = [t for t, _ in pairs], [u for _, u in pairs]
+        for block, product in sweep_products(carrier, Scalar(), ts, us, 1 << n):
+            tabs = product(X[None, :, None], X[None, None, :])
+            big = _closed_flags(tabs)[:, 1:-1] & sized
+            left, right = (_absorb_flags(tab)[:, 1:-1] for tab in (tabs, tabs.swapaxes(-1, -2)))
             counts = [np.count_nonzero(flags, axis=-1).tolist() for flags in (big, left, right)]
             for (t, u), n_big, n_left, n_right in zip(pairs[block], *counts):
                 run.check(

@@ -254,7 +254,6 @@ ARITHMETIC_AND_PARAMETER_RULES = [
         (c.param_content(p), c.param_is_zero(p), c.param_is_single_prime(p), c.residue(p))
         for p in c.enumerate_values()
     ],
-    lambda c: [c.format_param(p, False) for p in c.enumerate_values()],
     lambda c: [c.coprimality_class(p, q) for p in range(c.n) for q in range(c.n)],
 ]
 
@@ -273,7 +272,6 @@ def test_pure_neutrosophic_is_modular_arithmetic_in_another_notation(n):
     assert [pure.is_pure_indeterminate(v) for v in values] == [v != 0 for v in values]
     assert [pure.has_i_part(v) for v in values] == [v != 0 for v in values]
     assert not any(plain.is_pure_indeterminate(v) or plain.has_i_part(v) for v in values)
-    assert [pure.format_param(v, True) for v in values] == [pure.format_value(v) for v in values]
 
 
 def public_attributes(cls):
@@ -317,7 +315,6 @@ def test_interval_forwards_every_non_text_method_to_its_inner_carrier(inner):
             (c.param_content(p), c.param_is_zero(p), c.param_is_single_prime(p), c.residue(p))
             for p in values
         ],
-        lambda c: [(c.format_param(p, False), c.format_param(p, True)) for p in values],
         lambda c: [c.coprimality_class(p, q) for p in values for q in values],
         lambda c: c.has_indeterminate,
     ]

@@ -375,13 +375,13 @@ def test_homomorphism_mapping_validation():
 # -- power-set work cap --------------------------------------------------------------------------
 
 
-# The power set is taken wherever its n*2^n estimate fits the budget. Three
-# entry points have no other route and are refused past it; the three that
-# read enumerate_subgroupoids take the generated closures instead.
+# The power set is taken wherever its n*2^n estimate fits the budget. Two
+# entry points have no other route and are refused past it; the three below
+# and smarandache read enumerate_subgroupoids and take the generated closures
+# instead.
 POWER_SET_ONLY_ENTRY_POINTS = {
     "enumerate_ideals": enumerate_ideals,
     "find_normal_subgroupoids": find_normal_subgroupoids,
-    "smarandache": smarandache,
 }
 ROUTED_ENTRY_POINTS = {
     "enumerate_subgroupoids": enumerate_subgroupoids,
@@ -438,6 +438,24 @@ def test_power_set_work_cap_binds_at_order_23_at_the_default_budget(no_sweeps):
             entry(g)
     for entry in ROUTED_ENTRY_POINTS.values():
         assert entry(g).complete is False
+
+
+@pytest.mark.parametrize("budget,n,t,u", [("2047", 8, 2, 6), (None, 23, 7, 11)], ids=["zn:8-budget-2047", "zn:23"])
+def test_smarandache_answers_on_the_closures_past_the_power_set(monkeypatch, no_sweeps, budget, n, t, u):
+    """Past the power set's n*2^n, smarandache reads the generated closures,
+    as analyze does, and sweeps no mask."""
+    if budget is not None:
+        monkeypatch.setenv("GGL_BUDGET", budget)
+    g = build(Modular(n), Scalar(), t, u)
+    assert smarandache(g) == analyze(g).smarandache_verdict
+
+
+def test_smarandache_finds_a_witness_past_the_power_set_at_the_default_budget(no_sweeps):
+    v = smarandache(build(Modular(23), Scalar(), 2, 22))
+    assert (v.status, v.s_witness.labels) == ("s_groupoid", ("1",))
+    v = smarandache(build(Modular(64), Scalar(), 3, 5), IdentityId.ASSOCIATIVE)
+    assert v.status == "holds_on_semigroup_witness"
+    assert v.s_witness.labels == v.identity_witness.labels == ("0", "32")
 
 
 # -- normality work cap ---------------------------------------------------------------------------

@@ -217,8 +217,10 @@ def test_closed_flags_match_the_recurrence_oracle(table):
 @settings(max_examples=80, deadline=None)
 @given(small_image_tables(), st.sampled_from(["left", "right"]))
 def test_absorb_flags_match_the_recurrence_oracle(table, side):
+    """The right flags are the left flags of the transposed table."""
     n = len(table)
-    got = structure._absorb_flags(np.asarray(table), side)
+    tab = np.asarray(table)
+    got = structure._absorb_flags(tab if side == "left" else tab.T)
     want = absorb_flags_oracle(table, n, side)
     assert got.tolist()[1 : (1 << n) - 1] == want[1 : (1 << n) - 1]
 
@@ -226,10 +228,13 @@ def test_absorb_flags_match_the_recurrence_oracle(table, side):
 @settings(max_examples=80, deadline=None)
 @given(small_image_stacks(), st.sampled_from(["left", "right"]))
 def test_stacked_absorb_flags_equal_the_per_table_flags(tables, side):
-    got = structure._absorb_flags(np.asarray(tables), side)
+    tabs = np.asarray(tables)
+    if side == "right":
+        tabs = tabs.swapaxes(-1, -2)
+    got = structure._absorb_flags(tabs)
     assert got.shape == (len(tables), 1 << len(tables[0]))
-    for row, table in zip(got, tables):
-        assert np.array_equal(row, structure._absorb_flags(np.asarray(table), side))
+    for row, tab in zip(got, tabs):
+        assert np.array_equal(row, structure._absorb_flags(tab))
 
 
 @settings(max_examples=80, deadline=None)
@@ -259,8 +264,8 @@ def test_flags_match_the_oracles_at_the_word_boundaries(n, word, kind):
     assert structure._bits(tab).dtype == word
     proper = slice(1, (1 << n) - 1)
     assert structure._closed_flags(tab).tolist()[proper] == closed_flags_oracle(table, n)[proper]
-    for side in ("left", "right"):
-        assert structure._absorb_flags(tab, side).tolist()[proper] == absorb_flags_oracle(table, n, side)[proper]
+    for side, sided in (("left", tab), ("right", tab.T)):
+        assert structure._absorb_flags(sided).tolist()[proper] == absorb_flags_oracle(table, n, side)[proper]
 
 
 @settings(max_examples=60, deadline=None)
@@ -526,6 +531,33 @@ def test_smarandache_witnesses_match_the_set_oracle_without_singleton_scans(monk
         assert got == structure.smarandache(build(Modular(n), Scalar(), t, u), IdentityId.COMMUTATIVE), (n, t, u)
 
 
+SMARANDACHE_LAWS = [
+    None,
+    IdentityId.COMMUTATIVE,
+    IdentityId.ASSOCIATIVE,
+    IdentityId.BOL,
+    IdentityId.P_IDENTITY,
+    IdentityId.IDEMPOTENT,
+]
+
+
+@pytest.mark.parametrize("carrier_of", [Modular, PureNeutrosophic], ids=["zn", "zni"])
+@pytest.mark.parametrize("n", range(8, 13))
+def test_smarandache_on_the_closures_equals_the_power_set_walk(monkeypatch, n, carrier_of):
+    """A least witness is generated by one of its nonzero elements, a least
+    law-bearing one by two of its elements, so the generated closures give
+    the power set's verdict: at a budget one below n*2^n, where the power set
+    is refused and the closures fit, every pair and law agrees with the
+    default budget's verdict."""
+    carrier = carrier_of(n)
+    groupoids = [build(carrier, Scalar(), t, u) for t in range(n) for u in range(n) if t or u]
+    want = [[smarandache(g, law) for law in SMARANDACHE_LAWS] for g in groupoids]
+    monkeypatch.setenv("GGL_BUDGET", str((n << n) - 1))
+    assert enumerate_subgroupoids(groupoids[0]).strategy == "generated-closure"
+    for g, verdicts in zip(groupoids, want):
+        assert [smarandache(g, law) for law in SMARANDACHE_LAWS] == verdicts, (carrier.token(), g.spec.t, g.spec.u)
+
+
 @settings(max_examples=80, deadline=None)
 @given(small_image_tables(), st.data(), st.sampled_from(list(IdentityId)))
 def test_identity_on_subset_matches_the_loop_oracle(table, data, identity):
@@ -608,10 +640,10 @@ def test_analyze_agrees_with_the_standalone_answers_on_both_routes(monkeypatch, 
     s_witness = next(semigroups, None)
     assert rep.smarandache_verdict.s_witness == s_witness
     assert rep.smarandache_verdict.status == ("s_groupoid" if s_witness else "not_smarandache")
+    assert rep.smarandache_verdict == smarandache(g)
     if subs.complete:
         assert rep.ideals == enumerate_ideals(g)
         assert list(rep.normal) == find_normal_subgroupoids(g)
-        assert rep.smarandache_verdict == smarandache(g)
     else:
         assert rep.ideals is None
 
@@ -840,7 +872,7 @@ def test_t7_builds_no_groupoid_when_every_pair_transposes(monkeypatch, cells):
         raise AssertionError("T7 built a groupoid or compiled a table")
 
     monkeypatch.setattr(theorems, "build", refuse)
-    monkeypatch.setattr(theorems, "compile_tables", refuse)
+    monkeypatch.setattr(groupoid, "compile_tables", refuse)
     outcome = theorems.verify_theorem("T7", T7_PARAMS)
     assert outcome.passed and outcome.instances == 4 + 9 + 16 + 25 + 4 + 9 + 30
 
@@ -874,8 +906,8 @@ def test_t17_reports_a_broken_member_where_the_per_groupoid_loop_does(monkeypatc
     {0, 1}, the left flag of {0} or the right flag of {0}."""
     broken = {("o(zni:3)", 1, 2): ("closed", 0b11), ("o(zni:7)", 3, 5): ("left", 0b1), ("o(zni:11)", 10, 10): ("right", 0b1)}
 
-    def broken_flag(g, kind):
-        found = broken.get((g.spec.carrier.token(), g.spec.t, g.spec.u))
+    def broken_flag(member, kind):
+        found = broken.get(member)
         return found[1] if found and found[0] == kind else None
 
     def with_row(g, subsets, mask):
@@ -883,38 +915,51 @@ def test_t17_reports_a_broken_member_where_the_per_groupoid_loop_does(monkeypatc
         flags[mask] = True
         return structure.MaskedSubsets(g, np.concatenate([subsets.rows, structure._proper_rows(flags)]))
 
+    def spec_key(g):
+        return g.spec.carrier.token(), g.spec.t, g.spec.u
+
     def enumerate_broken(g):
         enum = enumerate_subgroupoids(g)
-        mask = broken_flag(g, "closed")
+        mask = broken_flag(spec_key(g), "closed")
         return enum if mask is None else dataclasses.replace(enum, subsets=with_row(g, enum.subsets, mask))
 
     def ideals_broken(g):
         ideals = enumerate_ideals(g)
         for side in ("left", "right"):
-            mask = broken_flag(g, side)
+            mask = broken_flag(spec_key(g), side)
             if mask is not None:
                 ideals = dataclasses.replace(ideals, **{side: with_row(g, getattr(ideals, side), mask)})
         return ideals
 
     # T17 reads stacked flags: a broken member's row of a block is found by its
-    # table in the sweep that T17 compiled last (one carrier per sweep)
-    sweep = []
+    # pair in the ``sweep_products`` block whose tables T17 read last; the left
+    # flags are read off those tables and the right ones off their transpose
+    real = theorems.sweep_products
+    last = {}
 
-    def compile_sweep(groupoids):
-        sweep[:] = groupoids
-        return groupoid.compile_tables(groupoids)
+    def sweep(carrier, shape, ts, us, cells):
+        for block, product in real(carrier, shape, ts, us, cells):
 
-    def set_broken(tabs, flags, kind):
-        for g in sweep:
-            mask = broken_flag(g, kind)
+            def tables(X, Y, product=product, block=block):
+                last["members"] = [(carrier.token(), t, u) for t, u in zip(ts[block], us[block])]
+                last["tabs"] = product(X, Y)
+                return last["tabs"]
+
+            yield block, tables
+
+    def set_broken(flags, kind):
+        for row, member in enumerate(last["members"]):
+            mask = broken_flag(member, kind)
             if mask is not None:
-                flags[(tabs == g.table_array()).all(axis=(1, 2)), mask] = True
+                flags[row, mask] = True
         return flags
 
-    monkeypatch.setattr(theorems, "compile_tables", compile_sweep)
-    monkeypatch.setattr(theorems, "_closed_flags", lambda tabs: set_broken(tabs, structure._closed_flags(tabs), "closed"))
+    monkeypatch.setattr(theorems, "sweep_products", sweep)
+    monkeypatch.setattr(theorems, "_closed_flags", lambda tabs: set_broken(structure._closed_flags(tabs), "closed"))
     monkeypatch.setattr(
-        theorems, "_absorb_flags", lambda tabs, side: set_broken(tabs, structure._absorb_flags(tabs, side), side)
+        theorems,
+        "_absorb_flags",
+        lambda tabs: set_broken(structure._absorb_flags(tabs), "left" if tabs is last["tabs"] else "right"),
     )
     outcome = theorems.verify_theorem("T17", {"moduli": T17_MODULI})
     assert (outcome.instances, outcome.failures) == t17_oracle(T17_MODULI, enumerate_broken, ideals_broken)
@@ -926,44 +971,41 @@ def test_t17_reports_a_broken_member_where_the_per_groupoid_loop_does(monkeypatc
 
 
 @pytest.fixture
-def compiled(monkeypatch):
-    """The orders of each ``compile_tables`` call T17 makes."""
+def swept(monkeypatch):
+    """The carrier order of each ``sweep_products`` call T17 makes."""
     calls = []
-    real = theorems.compile_tables
-    monkeypatch.setattr(theorems, "compile_tables", lambda gs: calls.append({g.order for g in gs}) or real(gs))
+    real = theorems.sweep_products
+    monkeypatch.setattr(
+        theorems, "sweep_products", lambda carrier, *rest: calls.append(carrier.size()) or real(carrier, *rest)
+    )
     return calls
 
 
-def test_t17_compiles_each_sweep_once_and_builds_no_handle(monkeypatch, compiled):
-    def refuse(self, mask):
-        raise AssertionError("T17 built a handle")
+def test_t17_compiles_each_sweep_once_and_builds_no_handle(monkeypatch, swept):
+    def refuse(*args, **kwargs):
+        raise AssertionError("T17 built a groupoid or a handle")
 
+    monkeypatch.setattr(theorems, "build", refuse)
     monkeypatch.setattr(structure.MaskedSubsets, "_handle", refuse)
     outcome = theorems.verify_theorem("T17", {"moduli": T17_MODULI})
     assert outcome.passed and outcome.instances == 4 + 16 + 36 + 100
-    assert compiled == [{n} for n in T17_MODULI]
+    assert swept == T17_MODULI
 
 
-@pytest.mark.parametrize(
-    "moduli,refusal",
-    [([3, 5, 7], "generated-closure enumeration: generated-closure work"), (T17_MODULI, "ideal enumeration: power-set work")],
-    ids=["closures-past-the-budget", "closures-within-it"],
-)
-def test_t17_refuses_just_under_a_sweeps_power_set_budget_as_the_per_groupoid_loop_does(
-    monkeypatch, compiled, moduli, refusal
-):
-    """At a budget one below the last sweep's n*2^n, the per-groupoid loop
-    takes the generated closures when their estimate fits and then refuses the
-    ideals' power set, or else refuses the closures; T17 raises the same text
-    before the last sweep compiles."""
+@pytest.mark.parametrize("moduli", [[3, 5, 7], T17_MODULI], ids=["closures-past-the-budget", "closures-within-it"])
+def test_t17_refuses_just_under_a_sweeps_power_set_budget_before_it_compiles(monkeypatch, swept, moduli):
+    """At a budget one below the last sweep's n*2^n, T17 raises the ideal
+    enumeration's power-set refusal of that sweep's members before the sweep's
+    products compile, whether or not the generated closures would fit."""
     n = moduli[-1]
     monkeypatch.setenv("GGL_BUDGET", str((n << n) - 1))
     with pytest.raises(groupoid.BudgetExceeded) as want:
-        t17_oracle(moduli, enumerate_subgroupoids, enumerate_ideals)
+        enumerate_ideals(theorems._scalar(theorems._carriers_for(n, ("o(zni)",))[0], 1, 2))
     with pytest.raises(groupoid.BudgetExceeded) as got:
         theorems.verify_theorem("T17", {"moduli": moduli})
-    assert str(got.value) == str(want.value) and str(got.value).startswith(refusal)
-    assert compiled == [{m} for m in moduli[:-1]]
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("ideal enumeration: power-set work cap exceeded")
+    assert swept == moduli[:-1]
 
 
 # -- T10 and T16 against the per-subset classification ----------------------------------

@@ -340,7 +340,6 @@ def test_law_checks_and_t16_build_no_groupoid_and_compile_no_table(monkeypatch, 
     def refuse(groupoids):
         raise AssertionError("a check compiled tables")
 
-    monkeypatch.setattr(theorems, "compile_tables", refuse)
     monkeypatch.setattr(groupoid, "compile_tables", refuse)
     out = verify_theorem(check_id)
     assert out.passed and out.instances > 0
