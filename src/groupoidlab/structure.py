@@ -20,11 +20,18 @@ transposed tables. Their cost, ``n*2^n`` per table, is checked against the
 work budget (``GGL_BUDGET``, ``groupoid.check_budget``) before anything is
 allocated, as are the ``n^3`` work of whole-groupoid normality and the
 ``n(n-1)/2`` pair closures of up to ``n^2`` table reads each of the
-generated-closure route, before the table is built. That route closes boolean
-membership vectors semi-naively. Normality compares translate sets (boolean
-rows marking a*V and V*a), a block of sets V of about _CHUNK_CELLS cells at a
-time. A test on a subset of m elements scans m^vars assignments, refused as
-the identity engine refuses it.
+generated-closure route, before the table is built. ``enumerate_ideals`` runs
+no flag sweep of its own: an ideal is closed (P*P within P*G within P), so the
+ideals are the closed masks whose absorb need, one ``_subset_or`` of the
+members' row (left) or column (right) masks, stays inside them. The
+generated-closure route closes boolean membership vectors semi-naively,
+marking each step's products in a boolean vector. Normality compares
+translate sets (boolean rows marking a*V and V*a), a block of sets V of about
+_CHUNK_CELLS cells at a time; whole-groupoid normality translates each
+distinct set xG once, so its work is (distinct sets)*n^2 within the n^3
+bound, and compares the coset laws for every x as set ids. A test on a
+subset of m elements scans m^vars assignments, refused as the identity engine
+refuses it.
 The route is chosen by cost, in one place, ``_powerset_route``:
 ``enumerate_subgroupoids`` takes the power set when its ``n*2^n`` estimate
 fits the budget and the generated closures otherwise, and ``is_simple``,
@@ -325,13 +332,19 @@ def _closed_rows(g: Groupoid) -> np.ndarray:
 
 def _close(tab: np.ndarray, member: np.ndarray, frontier: np.ndarray) -> np.ndarray:
     """Close a membership vector in place, semi-naively: every product of two
-    members outside the frontier must already be a member."""
+    members outside the frontier must already be a member. Each step marks the
+    frontier's products in a boolean vector, so the new frontier comes out
+    distinct and ascending."""
     n = len(member)
     size = int(member.sum())
+    new = np.empty(n, dtype=bool)
     while frontier.size and size < n:
         s = np.flatnonzero(member)
-        prods = np.concatenate((tab[np.ix_(s, frontier)].ravel(), tab[np.ix_(frontier, s)].ravel()))
-        frontier = np.unique(prods[~member[prods]])
+        new[:] = False
+        new[tab[s[:, None], frontier]] = True
+        new[tab[frontier[:, None], s]] = True
+        new &= ~member
+        frontier = np.flatnonzero(new)
         member[frontier] = True
         size += frontier.size
     return member
@@ -389,6 +402,16 @@ def _blocks(count: int, cells: int) -> Iterator[slice]:
     """Slices of count rows of the given cells each, about _CHUNK_CELLS cells a slice."""
     step = max(1, _CHUNK_CELLS // cells)
     return (slice(lo, lo + step) for lo in range(0, count, step))
+
+
+def _set_ids(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, ids) for packed set rows: equal rows share an id, and first[i] is
+    the first row with id i. Each row is read as one void item, so a
+    one-dimensional unique sorts them: np.unique(axis=0) sorts the same rows
+    through a structured view at several times the cost, and returns its
+    inverse in different shapes across numpy versions."""
+    items = np.ascontiguousarray(packed).view(f"V{packed.shape[1]}").ravel()
+    return np.unique(items, return_index=True, return_inverse=True)[1:]
 
 
 def _normal_flags(tab: np.ndarray, members: np.ndarray) -> np.ndarray:
@@ -552,15 +575,37 @@ class IdealSets:
         }
 
 
+def _absorbing_rows(tab: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """flags[0] (left) and flags[1] (right): whether each subset, a packed row,
+    absorbs its products with any element on that side. The need of every mask
+    is one ``_subset_or`` of the members' row masks (left) or column masks
+    (right), read at the rows' masks alone, a block of rows at a time."""
+    bit = _bits(tab)
+    need = np.zeros(1 << len(tab), dtype=bit.dtype)  # need[0] stays 0, so each side refills the rest
+    flags = np.zeros((2, len(rows)), dtype=bool)
+    for side, axis in enumerate((-1, -2)):
+        _subset_or(np.bitwise_or.reduce(bit, axis=axis), need)
+        for block in _blocks(len(rows), 8):  # 8 bytes a row's mask
+            masks = rows[block, -1].astype(np.intp)  # each row's mask, read from its top byte down
+            for col in rows[block, -2::-1].T:
+                masks <<= 8
+                masks |= col
+            flags[side, block] = need[masks] & ~masks.astype(bit.dtype) == 0
+    return flags
+
+
 def enumerate_ideals(g: Groupoid) -> IdealSets:
-    """All left/right/two-sided ideals (proper nonempty absorbing subsets)."""
+    """All left/right/two-sided ideals (proper nonempty absorbing subsets). An
+    ideal is closed (P*P within P*G within P), so the ideals are the closed
+    subsets that absorb, and filtering the closed rows keeps their order."""
     _powerset_order(g, "ideal enumeration")
 
-    def sweep() -> tuple[np.ndarray, ...]:  # the left, right and two-sided rows, one memo entry
-        left, right = (_absorb_flags(tab) for tab in (g.table_array(), g.table_array().T))
-        return tuple(map(_proper_rows, (left, right, left & right)))
+    def read() -> tuple[np.ndarray, ...]:  # the left, right and two-sided rows, one memo entry
+        rows = _closed_rows(g)
+        left, right = _absorbing_rows(g.table_array(), rows)
+        return rows[left], rows[right], rows[left & right]
 
-    return IdealSets(*(MaskedSubsets(g, rows) for rows in g.cached("ideals", sweep)))
+    return IdealSets(*(MaskedSubsets(g, rows) for rows in g.cached("ideals", read)))
 
 
 # -- simplicity and normality -------------------------------------------------
@@ -613,17 +658,26 @@ def _normality_order(g: Groupoid) -> int:
 
 def is_normal_groupoid(g: Groupoid) -> bool:
     """aG = Ga for every a, then (Gx)y = G(xy) and y(xG) = (yx)G for every x
-    and y: with aG = Ga, xG is Gx, so both read the translates of the sets xG."""
+    and y: with aG = Ga, xG is Gx, so both read the translates of the sets xG.
+    Each distinct set xG is translated once, a block of sets at a time; the
+    translates and the sets aG get ids in one namespace, and the laws are
+    compared as ids for every x, since x*y differs between x of one set."""
     n = _normality_order(g)
     tab = g.table_array()
     rows, cols = (side[0] for side in _translates(tab, np.ones((1, n), dtype=bool)))
     if not np.array_equal(rows, cols):  # rows[a] = aG, cols[a] = Ga
         return False
-    for xs in _blocks(n, n * n):
-        left, right = _translates(tab, rows[xs])  # left[x, y] = y(xG), right[x, y] = (xG)y
-        if not (np.array_equal(right, rows[tab[xs, :]]) and np.array_equal(left, rows[tab[:, xs].T])):
-            return False
-    return True
+    packed = np.packbits(rows, axis=1)
+    first, cls = _set_ids(packed)
+    sets = rows[first]  # set c is xG for every x of class c = cls[x]
+    lefts, rights = [], []
+    for block in _blocks(len(sets), n * n):
+        left, right = _translates(tab, sets[block])  # left[c, y] = y(xG), right[c, y] = (xG)y
+        lefts.append(np.packbits(left, axis=2).reshape(-1, packed.shape[1]))
+        rights.append(np.packbits(right, axis=2).reshape(-1, packed.shape[1]))
+    ids = _set_ids(np.concatenate([packed, *lefts, *rights]))[1]
+    row_id, left_id, right_id = ids[:n], *ids[n:].reshape(2, len(sets), n)
+    return np.array_equal(right_id[cls], row_id[tab]) and np.array_equal(left_id[cls], row_id[tab.T])
 
 
 # -- Smarandache --------------------------------------------------------------

@@ -268,6 +268,58 @@ def test_flags_match_the_oracles_at_the_word_boundaries(n, word, kind):
         assert structure._absorb_flags(sided).tolist()[proper] == absorb_flags_oracle(table, n, side)[proper]
 
 
+# -- ideals read off the closed masks ------------------------------------------------------
+
+
+def ideal_masks_oracle(table):
+    """The left, right and two-sided ideal masks by (size, mask), from the absorb
+    recurrences over every mask."""
+    n = len(table)
+    left, right = (absorb_flags_oracle(table, n, side) for side in ("left", "right"))
+    both = [a and b for a, b in zip(left, right)]
+    return tuple(sorted_masks_oracle(flags, n) for flags in (left, right, both))
+
+
+def assert_ideals_match_the_absorb_oracle(make, table):
+    """enumerate_ideals' rows, in order, are the oracle's masks, and a standalone
+    call on a fresh groupoid equals the ideals analyze reports."""
+    ideals = enumerate_ideals(make())
+    got = tuple(row_masks(getattr(ideals, side).rows) for side in ("left", "right", "two_sided"))
+    assert got == ideal_masks_oracle(table)
+    assert analyze(make()).ideals == ideals
+
+
+def table_groupoid(table):
+    return lambda: from_table([str(i) for i in range(len(table))], table)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_ideals_of_the_projections_match_the_absorb_oracle(n):
+    """x*y = x: every proper subset is a left ideal and none is a right ideal
+    (G*P is all of G); x*y = y the other way round."""
+    first, second = [[x] * n for x in range(n)], [list(range(n))] * n
+    for table in (first, second):
+        assert_ideals_match_the_absorb_oracle(table_groupoid(table), table)
+    left, right = (len(enumerate_ideals(table_groupoid(t)()).left) for t in (first, second))
+    assert (left, right) == ((1 << n) - 2, 0)
+
+
+@pytest.mark.parametrize("carrier_of", [Modular, PureNeutrosophic], ids=["zn", "zni"])
+@pytest.mark.parametrize("n", range(2, 11))
+def test_ideals_of_every_affine_pair_match_the_absorb_oracle(n, carrier_of):
+    carrier = carrier_of(n)
+    ind = carrier.has_indeterminate
+    for t, u in list(itertools.product(range(n), repeat=2))[1:]:
+        make = lambda: build(carrier, Scalar(), t, u, t_indeterminate=ind, u_indeterminate=ind)  # noqa: E731
+        assert_ideals_match_the_absorb_oracle(make, make().index_table())
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_image_tables(max_order=10))
+def test_ideals_of_random_tables_match_the_absorb_oracle(table):
+    assert_ideals_match_the_absorb_oracle(table_groupoid(table), table)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from([np.uint8, np.uint16, np.uint32, np.uint64]),
@@ -474,6 +526,45 @@ def test_normal_groupoid_reads_the_coset_laws_in_x_blocks(monkeypatch, block):
     assert any(verdicts) and not all(verdicts)
 
 
+def repeated_translate_tables(rng):
+    """Random tables in which many x share one set xG while x*y differs between
+    them: rows permuted from one to three base rows, and commutative tables of
+    a two-element image, where aG = Ga always holds, so every verdict reaches
+    the coset laws."""
+    for n in range(2, 9):
+        for _ in range(40):
+            bases = rng.integers(0, n, (rng.integers(1, 4), n))
+            yield [rng.permutation(bases[rng.integers(len(bases))]).tolist() for _ in range(n)]
+            upper = np.triu(rng.choice(rng.choice(n, 2, replace=False), (n, n)))
+            yield (upper + np.triu(upper, 1).T).tolist()
+
+
+def splits_a_class(table):
+    """Whether aG = Ga and the coset laws hold for some x but not for another x
+    with the same set xG: a check of one x per set would misread the table."""
+    every = range(len(table))
+    if any({table[a][v] for v in every} != {table[v][a] for v in every} for a in every):
+        return False
+    failures = coset_law_failures_oracle(table)
+    return any(x in failures and y not in failures and set(table[x]) == set(table[y]) for x in every for y in every)
+
+
+@pytest.mark.parametrize("classes", [1, 2])
+def test_normal_groupoid_matches_the_set_oracle_when_translate_sets_repeat(monkeypatch, classes):
+    """Each distinct set xG is translated once, a block of 1 or 2 of them at a
+    time, but the coset laws are compared for every x."""
+    tables = list(repeated_translate_tables(np.random.default_rng(33)))
+    verdicts = []
+    for table in tables:
+        n = len(table)
+        monkeypatch.setattr(structure, "_CHUNK_CELLS", classes * n * n)
+        got = is_normal_groupoid(from_table([str(i) for i in range(n)], table))
+        assert got == is_normal_groupoid_oracle(table), table
+        verdicts.append(got)
+    assert any(verdicts) and not all(verdicts)
+    assert sum(map(splits_a_class, tables)) >= 5
+
+
 # -- per-subset checks ------------------------------------------------------------------
 
 
@@ -605,6 +696,8 @@ def _count_calls(monkeypatch, name):
 
 @pytest.mark.parametrize("n,t,u", [(12, 5, 7), (20, 3, 7), (53, 2, 5)])
 def test_analyze_computes_flags_and_closures_once(monkeypatch, n, t, u):
+    """One closed sweep on the power set, whose masks the ideals are read off
+    with no absorb sweep of their own; one closure pass past it."""
     closed = _count_calls(monkeypatch, "_closed_flags")
     left_right = _count_calls(monkeypatch, "_absorb_flags")
     closures = _count_calls(monkeypatch, "_generated_closures")
@@ -612,7 +705,7 @@ def test_analyze_computes_flags_and_closures_once(monkeypatch, n, t, u):
     analyze(g)
     analyze(g)
     if n <= 20:
-        assert (len(closed), len(left_right), len(closures)) == (1, 2, 0)
+        assert (len(closed), len(left_right), len(closures)) == (1, 0, 0)
     else:
         assert (len(closed), len(left_right), len(closures)) == (0, 0, 1)
 
