@@ -10,28 +10,26 @@ The power-set sweeps are numpy arrays indexed by mask on their last axis:
 ``need[..., m]`` is the bitmask, in the narrowest word that holds n bits
 (``uint8`` up to order 8, ``uint16`` up to 16, ``uint32`` up to 32, else
 ``uint64``), of every product the subset ``m`` must contain, filled by the
-OR-over-subsets ``_subset_or``, and ``m`` is closed (or absorbing) iff
+OR-over-subsets ``_subset_or``, and ``m`` is closed iff
 ``need[..., m] & ~m == 0``, tested in place on ``need``. Leading axes are
-members: ``_closed_flags`` and ``_absorb_flags`` take one table or a stack of
-tables of one order, one row of flags per table, so a sweep of parameter
-pairs runs each recurrence once per block of members. ``_absorb_flags`` reads
-the rows of the tables it is given; the right flags are those of the
-transposed tables. Their cost, ``n*2^n`` per table, is checked against the
-work budget (``GGL_BUDGET``, ``groupoid.check_budget``) before anything is
-allocated, as are the ``n^3`` work of whole-groupoid normality and the
+members: ``_closed_flags`` takes one table or a stack of tables of one order,
+one row of flags per table, so a sweep of parameter pairs runs the recurrence
+once per block of members. Its cost, ``n*2^n`` per table, is checked against
+the work budget (``GGL_BUDGET``, ``groupoid.check_budget``) before anything
+is allocated, as are the ``n^3`` work of whole-groupoid normality and the
 ``n(n-1)/2`` pair closures of up to ``n^2`` table reads each of the
 generated-closure route, before the table is built. ``enumerate_ideals`` runs
-no flag sweep of its own: an ideal is closed (P*P within P*G within P), so the
-ideals are the closed masks whose absorb need, one ``_subset_or`` of the
-members' row (left) or column (right) masks, stays inside them. The
-generated-closure route closes boolean membership vectors semi-naively,
-marking each step's products in a boolean vector. Normality compares
-translate sets (boolean rows marking a*V and V*a), a block of sets V of about
-_CHUNK_CELLS cells at a time; whole-groupoid normality translates each
-distinct set xG once, so its work is (distinct sets)*n^2 within the n^3
-bound, and compares the coset laws for every x as set ids. A test on a
-subset of m elements scans m^vars assignments, refused as the identity engine
-refuses it.
+no flag sweep of its own: an ideal is closed (P*P within P*G within P), so
+``_absorbing_rows`` keeps the closed masks whose absorb need, one
+``_subset_or`` of the members' row (left) or column (right) masks, stays
+inside them. The generated-closure route closes boolean membership vectors
+semi-naively, marking each step's products in a boolean vector. Normality
+compares translate sets (boolean rows marking a*V and V*a), a block of sets V
+of about _CHUNK_CELLS cells at a time; whole-groupoid normality translates
+each distinct set xG once, so its work is (distinct sets)*n^2 within the n^3
+bound, and compares the coset laws for every x as set ids. A test on a subset
+of m elements scans m^vars assignments, refused as the identity engine refuses
+it.
 The route is chosen by cost, in one place, ``_powerset_route``:
 ``enumerate_subgroupoids`` takes the power set when its ``n*2^n`` estimate
 fits the budget and the generated closures otherwise, and ``is_simple``,
@@ -258,15 +256,6 @@ def _bits(tab: np.ndarray) -> np.ndarray:
     return np.left_shift(word(1), tab.astype(word))
 
 
-def _uncovered_free(need: np.ndarray) -> np.ndarray:
-    """flags[..., m]: the product mask need[..., m] has no bit outside m. Tests
-    need in place, so the caller's need is clobbered and no second word array
-    of its shape is allocated."""
-    outside = np.arange(need.shape[-1], dtype=need.dtype)
-    need &= np.invert(outside, out=outside)
-    return need == 0
-
-
 def _subset_or(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out[..., m] = out[..., 0] | values[..., w] for every bit w of m, each
     m < 2^k for k values per member, filled in place by highest set bit:
@@ -291,20 +280,9 @@ def _closed_flags(tabs: np.ndarray) -> np.ndarray:
         block = need[..., 1 << k : 2 << k]
         np.bitwise_or(need[..., : 1 << k], bit[..., k, k, None], out=block)
         block |= cross[..., : 1 << k]
-    return _uncovered_free(need)
-
-
-def _absorb_flags(tabs: np.ndarray) -> np.ndarray:
-    """absorb[..., m]: every product of a subset member, on the left, with any
-    element stays inside (P*G within P), for one (n, n) table (flags of shape
-    (2^n,)) or each table of an (k, n, n) stack (flags of shape (k, 2^n)):
-    need is the OR-over-subsets of the members' row masks. The right flags
-    are the left flags of the transposed tables, since the right ideals of a
-    groupoid are the left ideals of its opposite."""
-    bit = _bits(tabs)
-    member = np.bitwise_or.reduce(bit, axis=-1)
-    need = np.zeros((*member.shape[:-1], 1 << member.shape[-1]), dtype=bit.dtype)
-    return _uncovered_free(_subset_or(member, need))
+    outside = np.arange(1 << n, dtype=need.dtype)
+    need &= np.invert(outside, out=outside)  # in place: no second word array of need's shape
+    return need == 0
 
 
 def _sizes(rows: np.ndarray) -> np.ndarray:
@@ -575,11 +553,11 @@ class IdealSets:
         }
 
 
-def _absorbing_rows(tab: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """flags[0] (left) and flags[1] (right): whether each subset, a packed row,
-    absorbs its products with any element on that side. The need of every mask
-    is one ``_subset_or`` of the members' row masks (left) or column masks
-    (right), read at the rows' masks alone, a block of rows at a time."""
+def _absorbing_rows(tab: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The left, right and two-sided ideals among closed subsets given as packed
+    rows, in their order: the rows whose need, one ``_subset_or`` of the members'
+    row masks (left, P*G) or column masks (right, G*P), read at the rows' masks
+    alone a block of rows at a time, stays inside them."""
     bit = _bits(tab)
     need = np.zeros(1 << len(tab), dtype=bit.dtype)  # need[0] stays 0, so each side refills the rest
     flags = np.zeros((2, len(rows)), dtype=bool)
@@ -591,7 +569,8 @@ def _absorbing_rows(tab: np.ndarray, rows: np.ndarray) -> np.ndarray:
                 masks <<= 8
                 masks |= col
             flags[side, block] = need[masks] & ~masks.astype(bit.dtype) == 0
-    return flags
+    left, right = flags
+    return rows[left], rows[right], rows[left & right]
 
 
 def enumerate_ideals(g: Groupoid) -> IdealSets:
@@ -599,13 +578,8 @@ def enumerate_ideals(g: Groupoid) -> IdealSets:
     ideal is closed (P*P within P*G within P), so the ideals are the closed
     subsets that absorb, and filtering the closed rows keeps their order."""
     _powerset_order(g, "ideal enumeration")
-
-    def read() -> tuple[np.ndarray, ...]:  # the left, right and two-sided rows, one memo entry
-        rows = _closed_rows(g)
-        left, right = _absorbing_rows(g.table_array(), rows)
-        return rows[left], rows[right], rows[left & right]
-
-    return IdealSets(*(MaskedSubsets(g, rows) for rows in g.cached("ideals", read)))
+    sides = g.cached("ideals", lambda: _absorbing_rows(g.table_array(), _closed_rows(g)))
+    return IdealSets(*(MaskedSubsets(g, rows) for rows in sides))
 
 
 # -- simplicity and normality -------------------------------------------------

@@ -30,10 +30,12 @@ reads the same two rows of n a pair, the pairs' ``_zero_rows`` against
 their duals', with each sweep's total refused against the work budget
 first, and builds no groupoid or table. T17 refuses each sweep once on its
 n*2^n, then reads its stacked tables off ``sweep_products`` blocks of at most
-_CHUNK_CELLS masks of flags (one member when its 2^n alone are more): it
-counts each member's closed subsets of two or more elements and its one-sided
-ideals off its closed, left and right flags, the right ones the left flags of
-the transposed tables, and builds no groupoid. T9 and T15 build the sweep's
+_CHUNK_CELLS masks of flags (one member when its 2^n alone are more): a
+member fails with a closed subset of two or more elements, off its closed
+flags, or a one-sided ideal, which, since an ideal is closed, can then only
+be a singleton {x} with x*G = {x} or G*x = {x}, read off its table. Only a
+failing member's ideals are counted, by ``enumerate_ideals``' filter of its
+closed rows, and T17 builds no groupoid. T9 and T15 build the sweep's
 groupoids (``_groupoids``). T9 reads each groupoid's subgroupoids as
 membership rows: their sizes, their normality (``structure._normal_rows``)
 and their label lists, with no subset handle built. T15 reads the public
@@ -85,11 +87,12 @@ from .identities import (
 )
 from .shape import Matrix, Poly, ProductKind, Scalar
 from .structure import (
-    _absorb_flags,
+    _absorbing_rows,
     _closed_flags,
     _label_lists,
     _normal_rows,
     _powerset_order,
+    _proper_rows,
     _sizes,
     classify_subset,
     enumerate_ideals,
@@ -656,9 +659,11 @@ def _t16(p: dict, run: _Run) -> None:
 )
 def _t17(p: dict, run: _Run) -> None:
     # each sweep is refused once on the ideal enumeration's n*2^n, before any
-    # of its products compile; a member's three counts are read off its
-    # closed, left and right flags over the proper nonempty masks, one block
-    # of at most _CHUNK_CELLS masks at a time, with no groupoid or handle built
+    # of its products compile; a member's closed flags are read one block of
+    # at most _CHUNK_CELLS masks at a time, with no groupoid or handle built.
+    # An ideal is closed, so a member with no closed subset of two or more
+    # elements can have only a singleton {x} as one: x*G = {x} (left) or
+    # G*x = {x} (right), read off the tables
     for _, carrier, pairs in _sweeps(p["moduli"], ("o(zni)",), _nonzero_pairs):
         n = carrier.size()
         check_budget("ideal enumeration: power-set work", f"{n}*2^{n}", n << n)
@@ -668,15 +673,20 @@ def _t17(p: dict, run: _Run) -> None:
         ts, us = [t for t, _ in pairs], [u for _, u in pairs]
         for block, product in sweep_products(carrier, Scalar(), ts, us, 1 << n):
             tabs = product(X[None, :, None], X[None, None, :])
-            big = _closed_flags(tabs)[:, 1:-1] & sized
-            left, right = (_absorb_flags(tab)[:, 1:-1] for tab in (tabs, tabs.swapaxes(-1, -2)))
-            counts = [np.count_nonzero(flags, axis=-1).tolist() for flags in (big, left, right)]
-            for (t, u), n_big, n_left, n_right in zip(pairs[block], *counts):
-                run.check(
-                    not n_big and not n_left and not n_right,
-                    lambda: f"{_coeff_desc(carrier, t, u)}: found {n_big} closed subsets of size>=2, "
-                    f"{n_left} left / {n_right} right ideals",
-                )
+            closed = _closed_flags(tabs)
+            single = (tabs == X[:, None]).all(axis=-1) | (tabs == X).all(axis=-2)
+            fails = ((closed[:, 1:-1] & sized).any(axis=-1) | single.any(axis=-1)).tolist()
+            for (t, u), tab, flags, fail in zip(pairs[block], tabs, closed, fails):
+                run.check(not fail, lambda: _t17_failure(_coeff_desc(carrier, t, u), tab, flags, sized))
+
+
+def _t17_failure(desc: str, tab: np.ndarray, closed: np.ndarray, sized: np.ndarray) -> str:
+    """T17's text for a failing member, read off its table and its closed
+    flags: the ideals are the closed rows that absorb, as ``enumerate_ideals``
+    reads them."""
+    left, right, _ = _absorbing_rows(tab, _proper_rows(closed))
+    big = np.count_nonzero(closed[1:-1] & sized)
+    return f"{desc}: found {big} closed subsets of size>=2, {len(left)} left / {len(right)} right ideals"
 
 
 @_check("GOLD", "asserted", "every registered demo reproduces its embedded expected values")

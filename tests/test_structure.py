@@ -398,7 +398,7 @@ def no_sweeps(monkeypatch):
         raise AssertionError("power-set sweep started")
 
     monkeypatch.setattr(structure, "_closed_flags", refuse)
-    monkeypatch.setattr(structure, "_absorb_flags", refuse)
+    monkeypatch.setattr(structure, "_subset_or", refuse)  # every power-set fill: the closed and the ideals' need
 
 
 @pytest.mark.parametrize("entry", POWER_SET_ONLY_ENTRY_POINTS.values(), ids=POWER_SET_ONLY_ENTRY_POINTS)

@@ -10,7 +10,6 @@ image sets, so many subsets are closed) and on the affine families.
 """
 
 import contextlib
-import dataclasses
 import itertools
 
 import numpy as np
@@ -215,29 +214,6 @@ def test_closed_flags_match_the_recurrence_oracle(table):
 
 
 @settings(max_examples=80, deadline=None)
-@given(small_image_tables(), st.sampled_from(["left", "right"]))
-def test_absorb_flags_match_the_recurrence_oracle(table, side):
-    """The right flags are the left flags of the transposed table."""
-    n = len(table)
-    tab = np.asarray(table)
-    got = structure._absorb_flags(tab if side == "left" else tab.T)
-    want = absorb_flags_oracle(table, n, side)
-    assert got.tolist()[1 : (1 << n) - 1] == want[1 : (1 << n) - 1]
-
-
-@settings(max_examples=80, deadline=None)
-@given(small_image_stacks(), st.sampled_from(["left", "right"]))
-def test_stacked_absorb_flags_equal_the_per_table_flags(tables, side):
-    tabs = np.asarray(tables)
-    if side == "right":
-        tabs = tabs.swapaxes(-1, -2)
-    got = structure._absorb_flags(tabs)
-    assert got.shape == (len(tables), 1 << len(tables[0]))
-    for row, tab in zip(got, tabs):
-        assert np.array_equal(row, structure._absorb_flags(tab))
-
-
-@settings(max_examples=80, deadline=None)
 @given(small_image_stacks())
 def test_stacked_closed_flags_equal_the_per_table_flags(tables):
     got = structure._closed_flags(np.asarray(tables))
@@ -250,6 +226,7 @@ WORD_TABLES = {
     "x*y=y": lambda n: [list(range(n))] * n,
     "x*y=x": lambda n: [[x] * n for x in range(n)],
     "affine(2,n-1)": lambda n: build(Modular(n), Scalar(), 2, n - 1).index_table(),
+    "x*y=max(x,y)": lambda n: [[max(x, y) for y in range(n)] for x in range(n)],
 }
 
 
@@ -257,15 +234,18 @@ WORD_TABLES = {
 @pytest.mark.parametrize("n,word", [(8, np.uint8), (9, np.uint16), (16, np.uint16), (17, np.uint32)])
 def test_flags_match_the_oracles_at_the_word_boundaries(n, word, kind):
     """Each order takes the narrowest word that holds it; a word one bit too
-    narrow drops the top element's bit, and x*y = y's left flags (or x*y = x's
-    right flags) would then read absorbing on sets that miss it."""
+    narrow drops the top element's bit, and x*y = y would then read as a left
+    ideal (or x*y = x as a right one) on sets that miss it. The ideals' rows
+    are decoded to masks of one, two and, at order 17, three bytes; max's
+    ideals, the sets {k, ..., n-1}, would be lost to bytes read out of order."""
     table = WORD_TABLES[kind](n)
     tab = np.asarray(table)
     assert structure._bits(tab).dtype == word
     proper = slice(1, (1 << n) - 1)
     assert structure._closed_flags(tab).tolist()[proper] == closed_flags_oracle(table, n)[proper]
-    for side, sided in (("left", tab), ("right", tab.T)):
-        assert structure._absorb_flags(sided).tolist()[proper] == absorb_flags_oracle(table, n, side)[proper]
+    ideals = enumerate_ideals(table_groupoid(table)())
+    got = tuple(row_masks(getattr(ideals, side).rows) for side in ("left", "right", "two_sided"))
+    assert got == ideal_masks_oracle(table)
 
 
 # -- ideals read off the closed masks ------------------------------------------------------
@@ -697,17 +677,17 @@ def _count_calls(monkeypatch, name):
 @pytest.mark.parametrize("n,t,u", [(12, 5, 7), (20, 3, 7), (53, 2, 5)])
 def test_analyze_computes_flags_and_closures_once(monkeypatch, n, t, u):
     """One closed sweep on the power set, whose masks the ideals are read off
-    with no absorb sweep of their own; one closure pass past it."""
+    once, with no sweep of their own; one closure pass past it."""
     closed = _count_calls(monkeypatch, "_closed_flags")
-    left_right = _count_calls(monkeypatch, "_absorb_flags")
+    ideals = _count_calls(monkeypatch, "_absorbing_rows")
     closures = _count_calls(monkeypatch, "_generated_closures")
     g = build(Modular(n), Scalar(), t, u)
     analyze(g)
     analyze(g)
     if n <= 20:
-        assert (len(closed), len(left_right), len(closures)) == (1, 0, 0)
+        assert (len(closed), len(ideals), len(closures)) == (1, 1, 0)
     else:
-        assert (len(closed), len(left_right), len(closures)) == (0, 0, 1)
+        assert (len(closed), len(ideals), len(closures)) == (0, 0, 1)
 
 
 ANALYZE_CASES = [(8, 2, 6), (12, 2, 6), (16, 0, 1)]
@@ -973,14 +953,14 @@ def test_t7_builds_no_groupoid_when_every_pair_transposes(monkeypatch, cells):
 # -- T17 on stacked flags against the per-groupoid loop ------------------------------------
 
 
-def t17_oracle(moduli, enumerate_subgroupoids, enumerate_ideals):
-    """T17 with one subgroupoid and one ideal enumeration per groupoid:
-    (instances, failures)."""
+def t17_oracle(moduli, make=theorems._scalar):
+    """T17 with one subgroupoid and one ideal enumeration per groupoid,
+    ``make(carrier, t, u)``: (instances, failures)."""
     run = theorems._Run()
     for n in moduli:
         carrier = theorems._carriers_for(n, ("o(zni)",))[0]
         for t, u in theorems._nonzero_pairs(n):
-            g = theorems._scalar(carrier, t, u)
+            g = make(carrier, t, u)
             big = int((enumerate_subgroupoids(g).subsets.sizes >= 2).sum())
             ideals = enumerate_ideals(g)
             run.check(
@@ -995,72 +975,59 @@ T17_MODULI = [3, 5, 7, 11]
 
 
 def test_t17_reports_a_broken_member_where_the_per_groupoid_loop_does(monkeypatch):
-    """One flag set per broken member, by (carrier, t, u): the closed flag of
-    {0, 1}, the left flag of {0} or the right flag of {0}."""
-    broken = {("o(zni:3)", 1, 2): ("closed", 0b11), ("o(zni:7)", 3, 5): ("left", 0b1), ("o(zni:11)", 10, 10): ("right", 0b1)}
+    """One fault set in a member's table, by (carrier, t, u): {0, 1} closed,
+    {0} absorbing on the left (0*y = 0) or on the right (x*0 = 0). T17 reads
+    the broken tables off its ``sweep_products`` blocks, and the loop reads
+    ``from_table`` groupoids of the same tables."""
+    broken = {("o(zni:3)", 1, 2): "closed", ("o(zni:7)", 3, 5): "left", ("o(zni:11)", 10, 10): "right"}
 
-    def broken_flag(member, kind):
-        found = broken.get(member)
-        return found[1] if found and found[0] == kind else None
+    def break_table(member, tab):
+        kind = broken.get(member)
+        if kind == "closed":
+            tab[:2, :2] = [[0, 1], [1, 0]]
+        elif kind == "left":
+            tab[0] = 0
+        elif kind == "right":
+            tab[:, 0] = 0
+        return tab
 
-    def with_row(g, subsets, mask):
-        flags = np.zeros(1 << g.order, dtype=bool)
-        flags[mask] = True
-        return structure.MaskedSubsets(g, np.concatenate([subsets.rows, structure._proper_rows(flags)]))
+    def make(carrier, t, u):
+        g = theorems._scalar(carrier, t, u)
+        return from_table(g.labels(), break_table((carrier.token(), t, u), g.table_array().copy()).tolist())
 
-    def spec_key(g):
-        return g.spec.carrier.token(), g.spec.t, g.spec.u
-
-    def enumerate_broken(g):
-        enum = enumerate_subgroupoids(g)
-        mask = broken_flag(spec_key(g), "closed")
-        return enum if mask is None else dataclasses.replace(enum, subsets=with_row(g, enum.subsets, mask))
-
-    def ideals_broken(g):
-        ideals = enumerate_ideals(g)
-        for side in ("left", "right"):
-            mask = broken_flag(spec_key(g), side)
-            if mask is not None:
-                ideals = dataclasses.replace(ideals, **{side: with_row(g, getattr(ideals, side), mask)})
-        return ideals
-
-    # T17 reads stacked flags: a broken member's row of a block is found by its
-    # pair in the ``sweep_products`` block whose tables T17 read last; the left
-    # flags are read off those tables and the right ones off their transpose
     real = theorems.sweep_products
-    last = {}
 
     def sweep(carrier, shape, ts, us, cells):
         for block, product in real(carrier, shape, ts, us, cells):
 
             def tables(X, Y, product=product, block=block):
-                last["members"] = [(carrier.token(), t, u) for t, u in zip(ts[block], us[block])]
-                last["tabs"] = product(X, Y)
-                return last["tabs"]
+                tabs = np.array(product(X, Y))
+                for tab, t, u in zip(tabs, ts[block], us[block]):
+                    break_table((carrier.token(), t, u), tab)
+                return tabs
 
             yield block, tables
 
-    def set_broken(flags, kind):
-        for row, member in enumerate(last["members"]):
-            mask = broken_flag(member, kind)
-            if mask is not None:
-                flags[row, mask] = True
-        return flags
-
     monkeypatch.setattr(theorems, "sweep_products", sweep)
-    monkeypatch.setattr(theorems, "_closed_flags", lambda tabs: set_broken(structure._closed_flags(tabs), "closed"))
-    monkeypatch.setattr(
-        theorems,
-        "_absorb_flags",
-        lambda tabs: set_broken(structure._absorb_flags(tabs), "left" if tabs is last["tabs"] else "right"),
-    )
     outcome = theorems.verify_theorem("T17", {"moduli": T17_MODULI})
-    assert (outcome.instances, outcome.failures) == t17_oracle(T17_MODULI, enumerate_broken, ideals_broken)
+    assert (outcome.instances, outcome.failures) == t17_oracle(T17_MODULI, make)
     assert outcome.failures == (
         "o(zni:3) (1I,2I): found 1 closed subsets of size>=2, 0 left / 0 right ideals",
         "o(zni:7) (3I,5I): found 0 closed subsets of size>=2, 1 left / 0 right ideals",
         "o(zni:11) (10I,10I): found 0 closed subsets of size>=2, 0 left / 1 right ideals",
     )
+
+
+@pytest.mark.parametrize("family", ["zn", "zni", "o(zn)"])
+def test_t17_counts_a_failing_members_subsets_and_ideals_as_the_per_groupoid_loop_does(monkeypatch, family):
+    """Over these carriers many members have closed subsets and ideals of two
+    or more elements, so each failure's counts are read off its closed flags."""
+    real = theorems._carriers_for
+    monkeypatch.setattr(theorems, "_carriers_for", lambda n, which: real(n, (family,)))
+    moduli = list(range(3, 9))
+    outcome = theorems.verify_theorem("T17", {"moduli": moduli})
+    assert (outcome.instances, outcome.failures) == t17_oracle(moduli)
+    assert len(outcome.failures) == 83
 
 
 @pytest.fixture
