@@ -12,13 +12,18 @@ Each identity is a fixed pair of expression trees over variables ``x``, ``y``,
   _CHUNK_CELLS cells and taken several at once when planes are small.
   Products without the slowest variable, such as ``x*y``, are computed once
   per scan over the whole domain, kept as intp and sliced per block. Every
-  other product is one of three reads (``_PlaneScan``): a flat index V·n + P
+  other product is one of four reads (``_PlaneScan``): a flat index V·n + P
   into the table or its transpose; one row of either, when an operand has one
-  value over the block; or rows of a table K[w, x] of a product F(x, W) of x
-  and one x-free subterm W, read at W's values. K is the table or its
+  value over the block; rows of a table K[w, x] of a product F(x, W) of x
+  and one x-free subterm W, read at W's values (K is the table or its
   transpose for x*W and W*x over every element, and a scan tabulates it once
   for the others whose W holds both y and z, such as Moufang's
-  ``(x*(y*z))*x``;
+  ``(x*(y*z))*x``); or, in a whole-domain scan of at least two full blocks,
+  a per-plane table K[h, v] of a product of z, one hoisted product H and at
+  most one bare variable v, such as Bol's ``((x*y)*z)*y``, built once per
+  plane from whole rows and read at the index H·n + v, built once per scan
+  (Light's associativity test compares such tables, (x*a)*y against
+  x*(a*y), one element a at a time);
 * an axis evaluator for sweeps of spec parameters, and the public sweep
   entry: ``linear_failures`` gives the exhaustive scan's first failures over
   the whole carrier, for every parameter pair of a sweep, from one row per
@@ -207,13 +212,44 @@ def _deps(node: Node, deps: dict) -> frozenset:
     return found
 
 
-def _hoisted(node: Node, slow: str) -> list:
-    """The largest products under node that do not involve the slowest variable."""
-    if isinstance(node, str):
+def _hoisted(node: Node, slow: str, skip: Sequence = ()) -> list:
+    """The largest products under node that do not involve the slowest
+    variable, outside the subterms in skip."""
+    if isinstance(node, str) or node in skip:
         return []
     if slow not in _DEPS[node]:
         return [node]
-    return _hoisted(node[1], slow) + _hoisted(node[2], slow)
+    return _hoisted(node[1], slow, skip) + _hoisted(node[2], slow, skip)
+
+
+def _plane_axes(node: Node, hoisted: list) -> list | None:
+    """The axes of node's per-plane table, innermost first, when node is
+    F(A, W) with A a hoisted product or a bare variable (an axis) and W z or
+    again such a product; None otherwise. Its table at z is then the rows of
+    the table (W*A) or its transpose (A*W) at W's values over W's axes."""
+    if node == "z":
+        return []
+    if "z" not in _DEPS[node]:
+        return None
+    _, a, b = node
+    w, axis = (a, b) if "z" in _DEPS[a] else (b, a)
+    inner = _plane_axes(w, hoisted)
+    if inner is None or "z" in _DEPS[axis] or not (isinstance(axis, str) or axis in hoisted):
+        return None
+    return inner + [axis]
+
+
+def _plane_reads(node: Node, hoisted: list) -> dict:
+    """The largest products under node that hold z and reach x and y only
+    through one hoisted product H and at most one bare variable v, each with
+    its axes: a whole-domain scan reads such a product from its table over
+    (H, v) or (v, H) at one z, tabulated once per plane."""
+    if isinstance(node, str):
+        return {}
+    axes = _plane_axes(node, hoisted)
+    if axes is not None and len(axes) <= 2 and sum(a in hoisted for a in axes) == 1:
+        return {node: axes}
+    return _plane_reads(node[1], hoisted) | _plane_reads(node[2], hoisted)
 
 
 def _x_free(node: Node) -> set:
@@ -251,6 +287,15 @@ _TABLE_ROWS = {node for node, w in _W.items() if node in (("*", "x", w), ("*", w
 # per identity, the products a scan computes once, and those it tabulates
 _HOISTED = {i: _hoisted(lhs, v[-1]) + _hoisted(rhs, v[-1]) for i, (lhs, rhs, v) in TEMPLATES.items()}
 _TABULATED = {i: _tabulated(lhs) + _tabulated(rhs) for i, (lhs, rhs, _) in TEMPLATES.items()}
+# per identity, the products a whole-domain scan reads from per-plane tables, and
+# the hoisted products its blocks still read outside them
+_PLANE_READS = {
+    i: _plane_reads(lhs, _HOISTED[i]) | _plane_reads(rhs, _HOISTED[i]) for i, (lhs, rhs, _) in TEMPLATES.items()
+}
+_PLANE_HOISTED = {
+    i: _hoisted(lhs, v[-1], _PLANE_READS[i]) + _hoisted(rhs, v[-1], _PLANE_READS[i])
+    for i, (lhs, rhs, v) in TEMPLATES.items()
+}
 
 
 class _PlaneScan:
@@ -259,7 +304,7 @@ class _PlaneScan:
 
     Operands broadcast over a block laid out (z, y, x): x spans the domain on
     the last axis, y the block's rows and z its planes. A plane is an operand
-    that depends on both x and y. Each product is one of three reads:
+    that depends on both x and y. Each product is one of four reads:
 
     * rows of a table K: a product F(x, W) of x and one x-free subterm W has
       K[w, x] = F(x, w), so it copies the rows of K at W's values. For x*W and
@@ -275,6 +320,19 @@ class _PlaneScan:
       intp, since take is slow on int32; the products a scan computes once
       (``_HOISTED``) are kept as intp, so a plane read through them adds in
       intp without a cast. Tables stay int32.
+    * per-plane table: a whole-domain scan of at least two full blocks reads
+      each ``_PLANE_READS`` product S (it holds z and reaches x and y only
+      through one hoisted product H and at most one bare variable v) as
+      K.ravel().take(index). K[h, v] is S with H at every element h, built
+      once per plane (``plane_table``, stacked when a block holds several)
+      from z out by copying whole rows of the table or its transpose, and
+      shared by the plane's row blocks: Bol's ``((x*y)*z)*y`` is K[h, y] =
+      table[table_t[z]], Moufang's ``(x*y)*(z*x)`` K[x, h] =
+      table_t[table[z]]. The intp index p·n² + H·n + v (or v·n + H) over the
+      block's planes p is built once per scan, and H is then dropped unless a
+      block reads it elsewhere. A scan of fewer full blocks would build about
+      as much index as the flat read and the tables on top, so it reads as
+      above.
 
     A read of a block lands in an array kept per product and shape (``kept``),
     the same one in every block: planes that are allocated and freed block by
@@ -306,6 +364,21 @@ class _PlaneScan:
         _, a, b = node
         values = {"x": self.domain[None, :], _W[node]: np.arange(self.n)[:, None]}
         return self.product(node, self.value(a, values), self.value(b, values))
+
+    def plane_table(self, node: Node, zs: np.ndarray) -> np.ndarray:
+        """K[p, ...] of a ``_PLANE_READS`` product at z = zs[p], each axis over
+        every element: from z out, the rows of the table (W*A) or of its
+        transpose (A*W) at W's values, so each read copies whole rows."""
+        reads = []
+        while node != "z":
+            _, a, b = node
+            left = "z" in _DEPS[a]
+            reads.append((node, self.table if left else self.table_t))
+            node = a if left else b
+        K = zs
+        for node, T in reversed(reads):
+            K = T.take(K, axis=0, out=self.kept(("plane", node), K.shape + T.shape[1:], T.dtype), mode="clip")
+        return K
 
     def product(self, node: Node, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """node = A * B by a one-row or a flat read; mode="clip" lets take
@@ -341,7 +414,9 @@ def _scan(table: np.ndarray, identity: IdentityId, domain: np.ndarray) -> tuple[
     """``first_failure`` of a groupoid given by its table, for a law of two or
     three variables over a non-empty domain. It tabulates the rows its
     ``_TABULATED`` products read (``_PlaneScan``); the products without the
-    slowest variable are computed once, as intp."""
+    slowest variable are computed once, as intp. A whole-domain scan of at
+    least two full blocks builds the index of its ``_PLANE_READS`` from them
+    once, and their tables once per plane."""
     lhs_t, rhs_t, vars_ = TEMPLATES[identity]
     domain = domain.astype(np.intp, copy=False)
     m, three = len(domain), len(vars_) == 3
@@ -351,9 +426,18 @@ def _scan(table: np.ndarray, identity: IdentityId, domain: np.ndarray) -> tuple[
     scan.rows.update((node, scan.tabulate(node)) for node in _TABULATED[identity] if node not in scan.rows)
     whole = {v: domain.reshape(shape) for v, shape in zip(vars_, ((1, 1, m), (1, m, 1), (m, 1, 1)))}
     hoisted = {node: scan.value(node, dict(whole)).astype(np.intp) for node in _HOISTED[identity]}
+    index = {}  # per plane read, its intp index into the stacked tables of a block's planes
+    if m == scan.n and 2 * planes <= m:
+        at = {**whole, **hoisted}
+        for node, axes in _PLANE_READS[identity].items():
+            index[node] = np.arange(planes, dtype=np.intp).reshape(planes, 1, 1)
+            for axis in axes:
+                index[node] = index[node] * scan.n + at[axis]
+        hoisted = {node: hoisted[node] for node in _PLANE_HOISTED[identity]}
     scan.spare.clear()  # the set-up's reads, which no block writes into
 
     for z0 in range(0, m if three else 1, planes):
+        tables = {node: scan.plane_table(node, domain[z0 : z0 + planes]) for node in index}
         for y0 in range(0, m, rows):
             cut = {
                 "x": ...,
@@ -362,6 +446,9 @@ def _scan(table: np.ndarray, identity: IdentityId, domain: np.ndarray) -> tuple[
             }
             values = {v: d[cut[v]] for v, d in whole.items()}
             values.update((node, h[cut["y"]] if "y" in _DEPS[node] else h) for node, h in hoisted.items())
+            for node, K in tables.items():
+                idx = index[node][: len(K), y0 : y0 + rows]
+                values[node] = K.ravel().take(idx, out=scan.kept(node, idx.shape, K.dtype), mode="clip")
             mism = scan.value(lhs_t, values) != scan.value(rhs_t, values)
             if mism.any():
                 i = int(mism.argmax())
@@ -384,8 +471,9 @@ def first_failure(g: Groupoid, identity: IdentityId, domain: np.ndarray) -> tupl
     variable, split into blocks of y rows when it exceeds _CHUNK_CELLS cells,
     or several whole planes when they fit. Products without the slowest
     variable are computed once, over the whole domain, as intp, and cut to
-    each block; every other product is a flat-index, one-row or
-    tabulated-rows read.
+    each block; every other product is a flat-index, one-row,
+    tabulated-rows or (whole domain, at least two full blocks) per-plane
+    table read.
 
     The m^vars evaluations (m = len(domain)) are refused against the work
     budget before the table is compiled."""
@@ -432,7 +520,8 @@ def _linear_mismatches(
     checked for each law in the order given."""
     if len(ts) != len(us):
         raise CarrierError(f"linear verdicts need one u per t, got {len(ts)} t and {len(us)} u")
-    if any(carrier.param_is_zero(t) and carrier.param_is_zero(u) for t, u in zip(ts, us)):
+    zeros = {p for p in {*ts, *us} if carrier.param_is_zero(p)}  # each distinct parameter tested once
+    if zeros and any(t in zeros and u in zeros for t, u in zip(ts, us)):
         raise CarrierError("parameter pair (0, 0) does not define a groupoid")
     if isinstance(shape, Poly) and shape.kind is ProductKind.SHUFFLE:
         raise CarrierError(f"linear verdicts need an additive product; shape {shape.token()} is a shuffle")

@@ -532,6 +532,72 @@ def test_a_scan_tabulates_each_product_once(monkeypatch, cells):
     assert calls == [("*", ("*", "x", ("*", "y", "z")), "x")]
 
 
+def whole_domain_tables(n):
+    """Order-n tables for the whole-domain scans: a seeded random one, x+y mod
+    n with one seeded cell changed (it fails deep in the scan or not at all)
+    and the two late-failure tables."""
+    rng = random.Random(n)
+    labels = [str(i) for i in range(n)]
+    near = [[(x + y) % n for y in range(n)] for x in range(n)]
+    near[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+    return [
+        from_table(labels, [[rng.randrange(n) for _ in range(n)] for _ in range(n)]),
+        from_table(labels, near),
+        late_failure_table(n, IdentityId.MOUFANG),
+        late_failure_table(n, IdentityId.BOL),
+    ]
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_whole_domain_scans_match_the_loop_oracle_at_every_block_size(monkeypatch, n):
+    """A whole-domain scan reads (x*y)*z, (x*y)*(z*x) and ((x*y)*z)*y from
+    per-plane tables at an index built once per scan. One cell, part of a
+    row, a few rows, a plane, a few stacked planes and every plane."""
+    for g in whole_domain_tables(n):
+        for identity in THREE_VARIABLE_LAWS:
+            expected = exhaustive_loop_oracle(g, identity)
+            for cells in (1, 7, 16, 40, 81, 1 << 17):
+                monkeypatch.setattr(identities, "_CHUNK_CELLS", cells)
+                assert first_failure(g, identity, np.arange(n)) == expected, (g.table_array().tolist(), identity, cells)
+
+
+PLANE_READS = {
+    IdentityId.ASSOCIATIVE: ("*", ("*", "x", "y"), "z"),
+    IdentityId.MOUFANG: ("*", ("*", "x", "y"), ("*", "z", "x")),
+    IdentityId.BOL: ("*", ("*", ("*", "x", "y"), "z"), "y"),
+}
+
+
+@pytest.mark.parametrize(
+    "cells,planes", [(7, 1), (40, 1), (300, 3), (1 << 17, None)], ids=["one-row", "four-rows", "stacked", "one-block"]
+)
+def test_each_plane_table_is_built_once_per_plane(monkeypatch, cells, planes):
+    """Order 10 under x+y, where every law holds and every block is read: a
+    plane cut into blocks of rows builds its tables once, stacked planes
+    build theirs together (the last block holds one plane), and a scan of
+    one block or of a subset builds none."""
+    plane_table = identities._PlaneScan.plane_table
+    calls = []
+
+    def counted(self, node, zs):
+        calls.append((node, zs.tolist()))
+        return plane_table(self, node, zs)
+
+    monkeypatch.setattr(identities._PlaneScan, "plane_table", counted)
+    monkeypatch.setattr(identities, "_CHUNK_CELLS", cells)
+    g = HOLDING[4][0]
+    for law, node in PLANE_READS.items():
+        calls.clear()
+        assert first_failure(g, law, np.arange(10)) is None
+        if planes is None:
+            assert calls == []
+        else:
+            assert calls == [(node, list(range(z, min(z + planes, 10)))) for z in range(0, 10, planes)], law
+        calls.clear()
+        assert first_failure(g, law, np.array(HOLDING[4][1])) is None
+        assert calls == []
+
+
 def test_exhaustive_witnesses_are_labelled_without_the_label_list(monkeypatch):
     g = build(Modular(4), Matrix(1, 2), 2, 3)
 
